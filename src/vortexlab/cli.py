@@ -12,8 +12,6 @@ Config files are plain ``key = value`` text (``#`` comments allowed).  Keys:
     dt            time step (default: acoustic CFL bound)
     T             experiment horizon
     seed          seed for randomized checks
-    threads       worker threads recorded in reports (computation is
-                  single-threaded; the field pins reproducibility metadata)
 
 Outputs: ``reports.csv`` (one row per report), ``summary.json`` and one
 ``series/<experiment>__<label>.csv`` per measured series.  Exit status is 0
@@ -45,7 +43,7 @@ class ConfigError(ValueError):
     pass
 
 
-_INT_KEYS = {"n", "seed", "threads"}
+_INT_KEYS = {"n", "seed"}
 _FLOAT_KEYS = {"l", "mu", "lambda", "lam", "rho_star", "gamma", "pressure_scale", "epsilon", "dt", "t"}
 
 
@@ -63,7 +61,6 @@ class RunManifest:
     dt: float | None = None
     T: float = 30.0
     seed: int = 0
-    threads: int = 1
 
     def context(self) -> ExperimentContext:
         try:
@@ -79,8 +76,6 @@ class RunManifest:
             )
         except ProfileError as err:
             raise ConfigError(f"mu/lambda/rho_star/gamma: {err}") from None
-        if self.threads < 1:
-            raise ConfigError(f"threads: must be >= 1, got {self.threads}")
         if self.dt is not None and not self.dt > 0:
             raise ConfigError(f"dt: must be positive, got {self.dt}")
         if not self.T > 0:
@@ -99,7 +94,6 @@ class RunManifest:
             T=self.T,
             dt=self.dt,
             seed=self.seed,
-            threads=self.threads,
         )
 
 
@@ -202,7 +196,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--list-experiments", action="store_true", help="print experiment names and exit"
     )
-    parser.add_argument("--threads", type=int, help="thread count recorded in reports")
     args = parser.parse_args(argv)
 
     if args.list_experiments:
@@ -218,8 +211,6 @@ def main(argv=None) -> int:
         if args.experiments:
             names = tuple(v.strip() for v in args.experiments.split(",") if v.strip())
             manifest = replace(manifest, experiments=names)
-        if args.threads is not None:
-            manifest = replace(manifest, threads=args.threads)
         manifest.context()
         return run(manifest, args.outdir)
     except (ConfigError, HarnessError) as err:

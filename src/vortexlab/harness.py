@@ -48,13 +48,17 @@ from .spectral import (
     State,
     derivative,
     gradient,
+    l2_inner,
     leray_decompose,
     lp_norm,
     lp_norm_state,
     lp_norm_vector,
+    lp_of_magnitude,
     make_grid,
     sample,
+    state_magnitude,
     transform,
+    vector_magnitude,
 )
 
 
@@ -210,7 +214,6 @@ class ExperimentContext:
     T: float = 30.0
     dt: float | None = None
     seed: int = 0
-    threads: int = 1
 
     @staticmethod
     def default() -> "ExperimentContext":
@@ -339,10 +342,7 @@ def run_kernel_algebra(ctx: ExperimentContext) -> ExperimentResult:
             float(np.abs((perp2[1] - perp[1]).coeffs).max() / scale),
             float(np.abs(par2[0].coeffs).max() / scale),
         )
-        inner = sum(
-            float(np.real(np.sum(a.coeffs * np.conj(b.coeffs))) / small.L**2)
-            for a, b in zip(perp, par)
-        )
+        inner = sum(l2_inner(a, b) for a, b in zip(perp, par))
         na = np.sqrt(sum(lp_norm(f, 2) ** 2 for f in perp))
         nb = np.sqrt(sum(lp_norm(f, 2) ** 2 for f in par))
         if na > 0 and nb > 0:
@@ -367,21 +367,9 @@ def run_kernel_algebra(ctx: ExperimentContext) -> ExperimentResult:
         ExperimentReport(name, "split-partition", 0.0, float(dev), 1e-15, mode="bound")
     )
 
-    def symmetrize(c):
-        return 0.5 * (c + np.conj(np.roll(c[::-1, ::-1], (1, 1), (0, 1))))
-
-    Xs = State(
-        SpectralField(small, symmetrize(Xr.rho.coeffs)),
-        (
-            SpectralField(small, symmetrize(Xr.m[0].coeffs)),
-            SpectralField(small, symmetrize(Xr.m[1].coeffs)),
-        ),
-    )
-    out = spar_symbol_grid(0.7, small, params).apply(Xs)
-    defect = max(
-        float(np.abs(c.coeffs - np.conj(np.roll(c.coeffs[::-1, ::-1], (1, 1), (0, 1)))).max())
-        for c in out.components()
-    )
+    # a real state keeps an exactly Hermitian spectrum under the symbol
+    out = spar_symbol_grid(0.7, small, params).apply(Xr)
+    defect = max(c.hermitian_defect() for c in out.components())
     reports.append(ExperimentReport(name, "realness", 0.0, defect, 0.0, mode="bound"))
 
     return ExperimentResult(name, tuple(reports))
@@ -422,13 +410,7 @@ def run_kernel_rates(ctx: ExperimentContext) -> ExperimentResult:
             t: artificial_entry_fields(t, grid, ring_params, (sigma, 0)) for t in art_times
         }
         for p in (1.0, 2.0, np.inf):
-            vals = []
-            for t in art_times:
-                mag = np.abs(fields[t][0])
-                if np.isinf(p):
-                    vals.append(float(mag.max()))
-                else:
-                    vals.append(float((np.sum(mag**p) * grid.dx**2) ** (1.0 / p)))
+            vals = [lp_of_magnitude(np.abs(fields[t][0]), grid, p) for t in art_times]
             label = f"artificial-p{p:g}-s{sigma}"
             series[label] = (art_times, np.array(vals))
             reports.append(
@@ -542,12 +524,8 @@ def run_kernel_rates(ctx: ExperimentContext) -> ExperimentResult:
             if sigma:
                 g = derivative(g, (sigma, 0))
             comps.append(g)
-        if weight is None:
-            return lp_norm_vector((comps[0], comps[1]), p)
-        mag = np.hypot(comps[0].values(), comps[1].values()) * weight
-        if np.isinf(p):
-            return float(mag.max())
-        return float((np.sum(mag**p) * grid.dx**2) ** (1.0 / p))
+        mag = vector_magnitude((comps[0], comps[1]))
+        return lp_of_magnitude(mag if weight is None else mag * weight, grid, p)
 
     for p in (2.0, np.inf):
         for sigma in (0, 1):
@@ -739,12 +717,13 @@ def run_sound_decay(ctx: ExperimentContext) -> ExperimentResult:
     reports = []
     series = {}
     t_arr = np.array(traj.times[1:])
-    sound_states = []
+    # pointwise magnitudes of the sound part, sampled once for every p
+    magnitudes = []
     for X in traj.states[1:]:
         _, par = leray_decompose(X.m)
-        sound_states.append(State(X.rho, par))
+        magnitudes.append(state_magnitude(State(X.rho, par)))
     for p in (2.0, np.inf, 1.0):
-        vals = np.array([lp_norm_state(Xs, p) for Xs in sound_states])
+        vals = np.array([lp_of_magnitude(mag, grid, p) for mag in magnitudes])
         label = f"sound-p{p:g}-s0"
         series[label] = (t_arr, vals)
         reports.append(
@@ -1196,7 +1175,6 @@ def summary_dict(results, ctx: ExperimentContext) -> dict:
             "T": ctx.T,
             "dt": ctx.dt,
             "seed": ctx.seed,
-            "threads": ctx.threads,
         },
         "experiments": [
             {

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profiles import FluidParams
-from .spectral import Grid, SpectralField, State
+from .spectral import FullLattice, Grid, SpectralField, State
 
 
 class KernelError(ValueError):
@@ -152,9 +152,9 @@ class KernelSymbol:
 
     grid: Grid
     a00: np.ndarray
-    a01: np.ndarray  # (2, n, n)
-    a10: np.ndarray  # (2, n, n)
-    a11: np.ndarray  # (2, 2, n, n)
+    a01: np.ndarray  # (2, n, n/2+1), half lattice like every block
+    a10: np.ndarray  # (2, n, n/2+1)
+    a11: np.ndarray  # (2, 2, n, n/2+1)
 
     def apply(self, X: State) -> State:
         if X.grid != self.grid:
@@ -235,8 +235,8 @@ class KernelSymbol:
 
     @staticmethod
     def identity(grid: Grid) -> "KernelSymbol":
-        one = np.ones((grid.n, grid.n), dtype=np.complex128)
-        zero = np.zeros((grid.n, grid.n), dtype=np.complex128)
+        one = np.ones(grid.spectral_shape, dtype=np.complex128)
+        zero = np.zeros(grid.spectral_shape, dtype=np.complex128)
         return KernelSymbol(
             grid,
             one.copy(),
@@ -244,10 +244,6 @@ class KernelSymbol:
             np.stack([zero, zero]),
             np.stack([np.stack([one.copy(), zero]), np.stack([zero, one.copy()])]),
         )
-
-
-def apply(symbol: KernelSymbol, X: State) -> State:
-    return symbol.apply(X)
 
 
 def _kind_eigens(kind: str, mag2, params: FluidParams, t: float):
@@ -490,27 +486,31 @@ def artificial_entry_fields(t: float, grid: Grid, params: FluidParams, sigma=(0,
     """Physical-space entries of D^sigma S_tilde_par(t), kernel at the box center.
 
     Returns the scalar diagonal entry and the coupling-column magnitude (the
-    coupling row is the column divided by c^2).
+    coupling row is the column divided by c^2).  The symbols are built and
+    transformed on the full lattice with the complex FFT: a real transform
+    rounds differently near the 1e-13 resolved floor of the pointwise fit,
+    which moves the fitted envelope constants.
     """
     from .spectral import derivative_multiplier
 
     _check_nonnegative_time(t)
-    mag2 = grid.eta_sq
+    full = FullLattice(grid)
+    mag2 = full.eta_sq
     mag = np.sqrt(mag2)
     c = params.c
     decay = np.exp(-0.5 * params.mu_par * mag2 * t)
     diag = decay * np.cos(c * mag * t)
     small = mag2 == 0.0
     sinc = np.where(small, t, np.sin(c * mag * t) / np.where(small, 1.0, c * mag))
-    mult = derivative_multiplier(grid, sigma)
+    mult = derivative_multiplier(full, sigma)
 
     def to_field(symbol):
         # fftshift moves the kernel from the lattice origin to the box center
         return np.fft.fftshift(np.real(np.fft.fft2(symbol)) / grid.L**2)
 
     diag_field = to_field(mult * diag)
-    col1 = to_field(mult * 1j * c**2 * decay * sinc * grid.eta1_odd)
-    col2 = to_field(mult * 1j * c**2 * decay * sinc * grid.eta2_odd)
+    col1 = to_field(mult * 1j * c**2 * decay * sinc * full.eta1_odd)
+    col2 = to_field(mult * 1j * c**2 * decay * sinc * full.eta2_odd)
     return diag_field, np.hypot(col1, col2)
 
 
@@ -627,18 +627,20 @@ def heat_leray_kernel_norms(
     """L^p norm of D^sigma (K_mu(t) * R_perp), the heat-Leray kernel.
 
     The multi-index must be non zero: the underived kernel is not integrable
-    and the estimate excludes it.
+    and the estimate excludes it.  The symbols are built and transformed on
+    the full lattice with the complex FFT.
     """
-    from .spectral import as_multi_index, derivative_multiplier, _lp_of_magnitude
+    from .spectral import as_multi_index, derivative_multiplier, lp_of_magnitude
 
     s1, s2 = as_multi_index(sigma)
     if s1 + s2 == 0:
         raise KernelError("heat-Leray kernel norms require a non-zero multi-index")
     if not t > 0:
         raise KernelError(f"kernel norm requires t > 0, got {t}")
-    mult = derivative_multiplier(grid, sigma) * np.exp(-params.mu * grid.eta_sq * t)
-    e1, e2 = grid.eta1_odd, grid.eta2_odd
-    mag2 = grid.eta_sq_odd
+    full = FullLattice(grid)
+    mult = derivative_multiplier(full, sigma) * np.exp(-params.mu * full.eta_sq * t)
+    e1, e2 = full.eta1_odd, full.eta2_odd
+    mag2 = full.eta_sq_odd
     safe = np.where(mag2 == 0.0, 1.0, mag2)
     rperp = {
         (0, 0): np.where(mag2 == 0.0, 0.0, e2 * e2 / safe),
@@ -650,4 +652,4 @@ def heat_leray_kernel_norms(
     for (j, k), r in rperp.items():
         field = np.real(np.fft.fft2(mult * r)) / grid.L**2
         sq_sum += field**2
-    return _lp_of_magnitude(np.sqrt(sq_sum), grid, p)
+    return lp_of_magnitude(np.sqrt(sq_sum), grid, p)

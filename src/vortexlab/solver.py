@@ -25,8 +25,12 @@ from .spectral import (
     State,
     leray_decompose,
     lp_norm,
-    lp_norm_vector,
+    lp_of_magnitude,
+    parseval_sum,
     sobolev_norm,
+    to_physical,
+    to_spectral,
+    vector_magnitude,
 )
 
 
@@ -34,7 +38,12 @@ class SolverError(ValueError):
     pass
 
 
-class VacuumError(RuntimeError):
+class SolverAbort(RuntimeError):
+    """The state left the regime the solver integrates; `simulate` stops and
+    returns the partial trajectory with this message as its abort reason."""
+
+
+class VacuumError(SolverAbort):
     """Density dropped below the near-equilibrium guard 1 + rho_tilde >= 0.5."""
 
     def __init__(self, min_density: float):
@@ -69,108 +78,41 @@ def pressure_remainder(params: FluidParams, rho_tilde: np.ndarray) -> np.ndarray
     return law.value(1.0 + rho_tilde) - law.value(1.0) - params.c**2 * rho_tilde
 
 
-@dataclass(frozen=True)
-class NonlinearTerms:
-    """Flux decomposition of the quadratic terms: Q_k = (0, q1[k] + div q2[k]).
-
-    q1[k, i] carries the momentum flux and pressure nonlinearity; q2[k, kp, i]
-    the density-weighted viscous content in divided form.  All fields are
-    dealiased Fourier coefficients.
-    """
-
-    grid: Grid
-    q1: np.ndarray  # (2, 2, n, n)
-    q2: np.ndarray  # (2, 2, 2, n, n)
-
-    def assembled_momentum_source(self) -> np.ndarray:
-        """sum_k d_k (q1[k] + sum_kp d_kp q2[k, kp]) as Fourier coefficients."""
-        g = self.grid
-        eta = (g.eta1_odd, g.eta2_odd)
-        out = np.zeros((2, g.n, g.n), dtype=np.complex128)
-        for k in range(2):
-            inner = self.q1[k].copy()
-            for kp in range(2):
-                inner += (-1j * eta[kp]) * self.q2[k, kp]
-            out += (-1j * eta[k]) * inner
-        return out
-
-
-def _physical_state(X: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return X.rho.values(), X.m[0].values(), X.m[1].values()
-
-
 def _guard_vacuum(rho: np.ndarray) -> np.ndarray:
     one = 1.0 + rho
-    m = float(one.min())
+    m = float(one.min())  # NaN anywhere makes the minimum NaN
+    if not np.isfinite(m):
+        raise SolverAbort(f"non-finite state: min(1 + rho_tilde) = {m}")
     if m < 0.5:
         raise VacuumError(m)
     return one
 
 
-def nonlinear_terms(X: State, params: FluidParams) -> NonlinearTerms:
-    """Structured quadratic terms of the reduced system at state X."""
-    grid = X.grid
-    rho, w1, w2 = _physical_state(X)
-    one = _guard_vacuum(rho)
-    a = (w1 / one, w2 / one)
-    prem = pressure_remainder(params, rho)
-    gvec = (w1 - a[0], w2 - a[1])  # m rho/(1+rho)
-    mask = grid.dealias_mask
-    L2 = grid.L**2
-
-    def fwd(v):
-        return np.fft.ifft2(v) * L2 * mask
-
-    w = (w1, w2)
-    q1 = np.empty((2, 2, grid.n, grid.n), dtype=np.complex128)
-    for k in range(2):
-        for i in range(2):
-            q1[k, i] = fwd(-w[i] * a[k] - (prem if i == k else 0.0))
-    ghat = (fwd(gvec[0]), fwd(gvec[1]))
-    mu, lam = params.mu, params.lam
-    q2 = np.empty((2, 2, 2, grid.n, grid.n), dtype=np.complex128)
-    for k in range(2):
-        for kp in range(2):
-            for i in range(2):
-                q2[k, kp, i] = 0.0
-                if k == kp:
-                    q2[k, kp, i] = q2[k, kp, i] - mu * ghat[i]
-                if i == k:
-                    q2[k, kp, i] = q2[k, kp, i] - (mu + lam) * ghat[kp]
-    return NonlinearTerms(grid, q1, q2)
-
-
 def _fourier_source(X: State, params: FluidParams) -> State:
-    """Assembled nonlinear source sum_k d_k Q_k as a state (zero density part)."""
+    """Assembled nonlinear source sum_k d_k Q_k as a state (zero density part).
+
+    Q_k = (0, q1[k] + div q2[k]): q1 carries the momentum flux m m/(1+rho)
+    and the pressure remainder, q2 the viscous terms of g = m rho/(1+rho).
+    One inverse transform of the stacked state and one forward transform of
+    the five stacked products: the pressure remainder only enters the flux
+    diagonal, so it is added there before transforming.  The source is
+    linear in the transformed products with diagonal multipliers, so
+    dealiasing it once equals dealiasing every product.
+    """
     grid = X.grid
-    rho, w1, w2 = _physical_state(X)
+    rho, w1, w2 = to_physical(np.stack([c.coeffs for c in X.components()]), grid)
     one = _guard_vacuum(rho)
     a1, a2 = w1 / one, w2 / one
     prem = pressure_remainder(params, rho)
-    mask = grid.dealias_mask
-    L2 = grid.L**2
-
-    def fwd(v):
-        return np.fft.ifft2(v) * L2 * mask
-
-    t11, t12, t22 = fwd(w1 * a1), fwd(w1 * a2), fwd(w2 * a2)
-    phat = fwd(prem)
-    g1, g2 = fwd(w1 - a1), fwd(w2 - a2)
+    products = np.stack([w1 * a1 + prem, w1 * a2, w2 * a2 + prem, w1 - a1, w2 - a2])
+    f11, f12, f22, g1, g2 = to_spectral(products, grid)
     e1, e2 = grid.eta1_odd, grid.eta2_odd
-    mu, lam = params.mu, params.lam
-    div_g = e1 * g1 + e2 * g2
-    s1 = (
-        (-1j * e1) * (-t11 - phat)
-        + (-1j * e2) * (-t12)
-        + mu * grid.eta_sq * g1
-        + (mu + lam) * e1 * div_g
-    )
-    s2 = (
-        (-1j * e1) * (-t12)
-        + (-1j * e2) * (-t22 - phat)
-        + mu * grid.eta_sq * g2
-        + (mu + lam) * e2 * div_g
-    )
+    visc = params.mu * grid.eta_sq
+    div_g = (params.mu + params.lam) * (e1 * g1 + e2 * g2)
+    # -d_k (m_i m_k/(1+rho) + delta_ik P_rem) - mu Lap g_i - (mu+lam) d_i div g
+    s1 = 1j * (e1 * f11 + e2 * f12) + visc * g1 + e1 * div_g
+    s2 = 1j * (e1 * f12 + e2 * f22) + visc * g2 + e2 * div_g
+    mask = grid.dealias_mask
     zero = SpectralField.zero(grid)
     return State(zero, (SpectralField(grid, s1 * mask), SpectralField(grid, s2 * mask)))
 
@@ -318,34 +260,48 @@ def _grad_sobolev_norm(X: State, s: int) -> float:
     """H^{s-1} norm of the gradient, the dissipation half of the energy bound."""
     grid = X.grid
     weight = grid.eta_sq * (1.0 + grid.eta_sq) ** max(s - 1, 0)
-    total = 0.0
-    for comp in X.components():
-        total += np.sum(weight * np.abs(comp.coeffs) ** 2)
-    return float(np.sqrt(total) / grid.L)
+    pairs = [(c.coeffs, c.coeffs) for c in X.components()]
+    return float(np.sqrt(parseval_sum(grid, pairs, weight)))
 
 
 def _diagnostics(X: State, t: float, hs_index: int) -> dict:
+    """Snapshot diagnostics; each of the 7 fields is transformed once."""
     perp, par = leray_decompose(X.m)
+    rho = X.rho.values()
     row = {
         "t": t,
         "mass": float(X.rho.coeffs[0, 0].real),
-        "min_density": float(1.0 + X.rho.values().min()),
+        "min_density": float(1.0 + rho.min()),
         "hs": sobolev_norm(X, hs_index),
         "grad_hs1": _grad_sobolev_norm(X, hs_index),
     }
+    magnitudes = {
+        "rho": np.abs(rho),
+        "m": vector_magnitude(X.m),
+        "mperp": vector_magnitude(perp),
+        "mpar": vector_magnitude(par),
+    }
     for p, tag in ((1, "l1"), (2, "l2"), (np.inf, "linf")):
-        row[f"rho_{tag}"] = lp_norm(X.rho, p)
-        row[f"m_{tag}"] = lp_norm_vector(X.m, p)
-        row[f"mperp_{tag}"] = lp_norm_vector(perp, p)
-        row[f"mpar_{tag}"] = lp_norm_vector(par, p)
+        for name, mag in magnitudes.items():
+            row[f"{name}_{tag}"] = lp_of_magnitude(mag, X.grid, p)
     return row
+
+
+def _energy_check(hs: float, hs0: float, blowup_factor: float) -> str:
+    """Abort reason for a snapshot's H^s norm, or "" to go on."""
+    if not np.isfinite(hs):
+        return f"non-finite state: H^s = {hs}"
+    if hs0 > 0 and hs > blowup_factor * hs0:
+        return f"energy blow-up: H^s grew to {hs:.3e} (> {blowup_factor} x initial {hs0:.3e})"
+    return ""
 
 
 def simulate(X0: State, config: SolverConfig) -> Trajectory:
     """Advance X0 to the requested snapshot times with diagnostics.
 
-    X0 and the returned snapshots are in physical variables; vacuum or
-    energy blow-up aborts with the partial trajectory collected so far.
+    X0 and the returned snapshots are in physical variables; vacuum, a
+    non-finite state or energy blow-up aborts with the partial trajectory
+    collected so far.
     """
     if X0.grid != config.grid:
         raise SolverError("initial state grid does not match config grid")
@@ -365,10 +321,11 @@ def simulate(X0: State, config: SolverConfig) -> Trajectory:
     # accumulated by snapshot trapezoid; its boundedness is a run diagnostic
     dissipation = 0.0
     diagnostics[0]["kawashima_energy"] = hs0**2
-    aborted = False
-    reason = ""
+    reason = _energy_check(hs0, hs0, math.inf)  # only finiteness at t = 0
     t_prev = 0.0
     for t_snap in config.snapshot_times:
+        if reason:
+            break
         gap = t_snap - t_prev
         nsub = max(1, math.ceil(gap / dt_target - 1e-12))
         h = gap / nsub
@@ -379,8 +336,8 @@ def simulate(X0: State, config: SolverConfig) -> Trajectory:
                     X = _step_with_tables(X, tab, params, config.scheme)
             else:
                 X = s_symbol_grid(gap, config.grid, params).apply(X)
-        except VacuumError as err:
-            aborted, reason = True, str(err)
+        except SolverAbort as err:
+            reason = str(err)
             break
         t_prev = t_snap
         phys = X * rs
@@ -392,15 +349,9 @@ def simulate(X0: State, config: SolverConfig) -> Trajectory:
         )
         row["kawashima_energy"] = row["hs"] ** 2 + dissipation
         diagnostics.append(row)
-        if hs0 > 0 and row["hs"] > config.blowup_factor * hs0:
-            aborted = True
-            reason = (
-                f"energy blow-up: H^s grew to {row['hs']:.3e} "
-                f"(> {config.blowup_factor} x initial {hs0:.3e})"
-            )
-            break
+        reason = _energy_check(row["hs"], hs0, config.blowup_factor)
     return Trajectory(
-        tuple(times), tuple(states), tuple(diagnostics), config, aborted, reason
+        tuple(times), tuple(states), tuple(diagnostics), config, bool(reason), reason
     )
 
 
@@ -439,7 +390,9 @@ def duhamel_residual(trajectory: Trajectory, config: SolverConfig) -> float:
 # ---------------------------------------------------------------------------
 # snapshot persistence
 
-_FORMAT_VERSION = 1
+# v2 stores half spectra; v1 stored the full n x n lattice, of which
+# `load_trajectory` keeps the k2 >= 0 columns (exact for real fields).
+_FORMAT_VERSION = 2
 
 
 def save_trajectory(trajectory: Trajectory, directory) -> None:
@@ -489,7 +442,7 @@ def load_trajectory(directory) -> Trajectory:
 
     src = Path(directory)
     manifest = json.loads((src / "manifest.json").read_text())
-    if manifest["format_version"] != _FORMAT_VERSION:
+    if manifest["format_version"] not in (1, _FORMAT_VERSION):
         raise SolverError(f"unsupported snapshot format {manifest['format_version']}")
     p = manifest["params"]
     params = FluidParams(
@@ -513,12 +466,10 @@ def load_trajectory(directory) -> Trajectory:
     states = []
     for k in range(len(manifest["times"])):
         with np.load(src / f"state_{k:04d}.npz") as data:
-            states.append(
-                State(
-                    SpectralField(grid, data["rho"]),
-                    (SpectralField(grid, data["m1"]), SpectralField(grid, data["m2"])),
-                )
+            rho, m1, m2 = (
+                SpectralField(grid, data[key][:, : grid.n // 2 + 1]) for key in ("rho", "m1", "m2")
             )
+            states.append(State(rho, (m1, m2)))
     return Trajectory(
         tuple(manifest["times"]),
         tuple(states),
@@ -539,26 +490,18 @@ class VorticityTrajectory:
     omegas: tuple[SpectralField, ...]
 
 
-def _vorticity_velocity(omega: SpectralField) -> tuple[np.ndarray, np.ndarray]:
-    """Torus Biot-Savart samples of the zero-mean part of omega."""
+def _vorticity_source(omega: SpectralField, nu: float) -> np.ndarray:
+    """-div(u omega) in Fourier coefficients, dealiased, with u the torus
+    Biot-Savart velocity of the zero-mean part of omega.  One inverse
+    transform of the stacked (u1, u2, omega), one forward transform of the
+    two fluxes."""
     grid = omega.grid
     mag2 = grid.eta_sq_odd
     safe = np.where(mag2 == 0.0, 1.0, mag2)
-    factor = np.where(mag2 == 0.0, 0.0, 1.0 / safe)
-    w = omega.coeffs
-    u1 = np.real(np.fft.fft2(1j * (-grid.eta2_odd) * factor * w)) / grid.L**2
-    u2 = np.real(np.fft.fft2(1j * grid.eta1_odd * factor * w)) / grid.L**2
-    return u1, u2
-
-
-def _vorticity_source(omega: SpectralField, nu: float) -> np.ndarray:
-    """-div(u omega) in Fourier coefficients, dealiased."""
-    grid = omega.grid
-    u1, u2 = _vorticity_velocity(omega)
-    w = omega.values()
-    mask = grid.dealias_mask
-    f1 = np.fft.ifft2(u1 * w) * grid.L**2 * mask
-    f2 = np.fft.ifft2(u2 * w) * grid.L**2 * mask
+    psi = np.where(mag2 == 0.0, 0.0, 1.0 / safe) * omega.coeffs  # stream function
+    u_hat = (1j * (-grid.eta2_odd) * psi, 1j * grid.eta1_odd * psi)
+    u1, u2, w = to_physical(np.stack([*u_hat, omega.coeffs]), grid)
+    f1, f2 = to_spectral(np.stack([u1 * w, u2 * w]), grid) * grid.dealias_mask
     return -((-1j * grid.eta1_odd) * f1 + (-1j * grid.eta2_odd) * f2)
 
 

@@ -8,6 +8,18 @@ coefficients follow the convention
 so the coefficient at eta = 0 is the discrete integral of f and partial_k
 acts as multiplication by -i eta_k.  Profiles and moments treat the box
 center L/2 as the origin of the plane.
+
+Half-spectrum layout.  Every field is real, so its spectrum is Hermitian,
+f_hat(-eta) = conj f_hat(eta), and only the k2 >= 0 columns of the
+fft-ordered lattice are stored: an n x (n/2 + 1) array in numpy's rfft2
+layout (rows k1 = 0..n/2-1, -n/2..-1; columns k2 = 0..n/2-1, then the
+Nyquist column k2 = -n/2).  Columns 1..n/2-1 also stand for their unstored
+conjugate partners; the columns k2 = 0 and n/2 are their own partners.  Sums
+over the full lattice (Parseval) therefore weigh those two self-conjugate
+columns by 1 and every other column by 2 (`Grid.hermitian_weight`).
+Transforms are numpy's real 2-D FFTs and accept stacks of fields along
+leading axes; `to_spectral` makes the self-conjugate columns exactly
+Hermitian, and every multiplier here keeps them so.
 """
 
 from __future__ import annotations
@@ -24,9 +36,54 @@ class SpectralError(ValueError):
     """Raised on violated grid/field contracts."""
 
 
+class _Wavenumbers:
+    """fft-ordered wavenumbers 2*pi*k/L on the rows ``k_index`` and the
+    columns ``k_cols`` of the n x n lattice.
+
+    The odd twins zero the Nyquist row and column: the -n/2 mode has no +n/2
+    partner, so odd multipliers there would break Hermitian symmetry.
+    """
+
+    @cached_property
+    def eta1(self) -> np.ndarray:
+        return (2.0 * np.pi / self.L) * self.k_index[:, None] * np.ones((1, len(self.k_cols)))
+
+    @cached_property
+    def eta2(self) -> np.ndarray:
+        return (2.0 * np.pi / self.L) * self.k_cols[None, :] * np.ones((self.n, 1))
+
+    @cached_property
+    def eta_sq(self) -> np.ndarray:
+        return self.eta1**2 + self.eta2**2
+
+    @cached_property
+    def eta1_odd(self) -> np.ndarray:
+        out = self.eta1.copy()
+        out[self.k_index == -(self.n // 2), :] = 0.0
+        return out
+
+    @cached_property
+    def eta2_odd(self) -> np.ndarray:
+        out = self.eta2.copy()
+        out[:, self.k_cols == -(self.n // 2)] = 0.0
+        return out
+
+    @cached_property
+    def eta_sq_odd(self) -> np.ndarray:
+        return self.eta1_odd**2 + self.eta2_odd**2
+
+    @cached_property
+    def dealias_mask(self) -> np.ndarray:
+        # 2/3 rule per axis: keep |k| <= n/3
+        rows = np.abs(self.k_index) <= self.n // 3
+        cols = np.abs(self.k_cols) <= self.n // 3
+        return rows[:, None] & cols[None, :]
+
+
 @dataclass(frozen=True)
-class Grid:
-    """Uniform periodic grid with fft-ordered wavenumbers 2*pi*k/L.
+class Grid(_Wavenumbers):
+    """Uniform periodic grid; its wavenumber arrays cover the stored half
+    lattice, the k2 >= 0 columns (see the module docstring).
 
     Parameters
     ----------
@@ -49,46 +106,27 @@ class Grid:
     def dx(self) -> float:
         return self.L / self.n
 
+    @property
+    def spectral_shape(self) -> tuple[int, int]:
+        return (self.n, self.n // 2 + 1)
+
     @cached_property
     def k_index(self) -> np.ndarray:
         # integer lattice -n/2 .. n/2-1 in fft order
         return np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
 
     @cached_property
-    def eta1(self) -> np.ndarray:
-        return (2.0 * np.pi / self.L) * self.k_index[:, None] * np.ones((1, self.n))
+    def k_cols(self) -> np.ndarray:
+        # stored columns: k2 = 0 .. n/2-1 and the Nyquist column -n/2
+        return self.k_index[: self.n // 2 + 1]
 
     @cached_property
-    def eta2(self) -> np.ndarray:
-        return (2.0 * np.pi / self.L) * self.k_index[None, :] * np.ones((self.n, 1))
-
-    @cached_property
-    def eta_sq(self) -> np.ndarray:
-        return self.eta1**2 + self.eta2**2
-
-    @cached_property
-    def eta1_odd(self) -> np.ndarray:
-        # Nyquist row zeroed: the -n/2 mode has no +n/2 partner, so odd
-        # multipliers there would break Hermitian symmetry of real fields.
-        out = self.eta1.copy()
-        out[self.k_index == -(self.n // 2), :] = 0.0
-        return out
-
-    @cached_property
-    def eta2_odd(self) -> np.ndarray:
-        out = self.eta2.copy()
-        out[:, self.k_index == -(self.n // 2)] = 0.0
-        return out
-
-    @cached_property
-    def eta_sq_odd(self) -> np.ndarray:
-        return self.eta1_odd**2 + self.eta2_odd**2
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        # 2/3 rule per axis: keep |k| <= n/3
-        keep = np.abs(self.k_index) <= self.n // 3
-        return keep[:, None] & keep[None, :]
+    def hermitian_weight(self) -> np.ndarray:
+        """Parseval weight per stored column: 1 on the self-conjugate columns
+        k2 = 0 and n/2, 2 on the others (each also stands for its partner)."""
+        weight = np.full(self.n // 2 + 1, 2.0)
+        weight[[0, -1]] = 1.0
+        return weight
 
     @cached_property
     def x1(self) -> np.ndarray:
@@ -110,6 +148,15 @@ class Grid:
         return self.x2 - self.L / 2.0
 
 
+class FullLattice(_Wavenumbers):
+    """The whole n x n fft-ordered lattice of a grid, for routines that
+    transform complex symbols with the full complex FFT."""
+
+    def __init__(self, grid: Grid):
+        self.n, self.L = grid.n, grid.L
+        self.k_index = self.k_cols = grid.k_index
+
+
 def make_grid(n: int, L: float) -> Grid:
     """Validated grid constructor."""
     return Grid(int(n), float(L))
@@ -117,28 +164,30 @@ def make_grid(n: int, L: float) -> Grid:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Scalar field stored as complex Fourier coefficients on a grid."""
+    """Real scalar field stored as its half spectrum on a grid."""
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.coeffs.shape != (self.grid.n, self.grid.n):
+        if self.coeffs.shape != self.grid.spectral_shape:
             raise SpectralError(
                 f"coefficient shape {self.coeffs.shape} does not match grid n={self.grid.n}"
             )
 
     def values(self) -> np.ndarray:
-        """Physical-space samples (real part; fields represent real functions)."""
-        return np.real(np.fft.fft2(self.coeffs)) / self.grid.L**2
+        """Physical-space samples."""
+        return to_physical(self.coeffs, self.grid)
 
     def dealiased(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs * self.grid.dealias_mask)
 
     def hermitian_defect(self) -> float:
-        """Max |coeffs(-eta) - conj(coeffs(eta))| over the lattice."""
-        flipped = np.conj(_reverse_modes(self.coeffs))
-        return float(np.abs(self.coeffs - flipped).max())
+        """Max |coeffs(-k1, k2) - conj coeffs(k1, k2)| on the self-conjugate
+        columns k2 = 0, n/2: every other stored coefficient stands for a
+        conjugate pair, so this is the whole realness defect of the field."""
+        cols = self.coeffs[:, [0, -1]]
+        return float(np.abs(cols - _conj_partner(cols)).max())
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         _check_same_grid(self.grid, other.grid)
@@ -155,12 +204,32 @@ class SpectralField:
 
     @staticmethod
     def zero(grid: Grid) -> "SpectralField":
-        return SpectralField(grid, np.zeros((grid.n, grid.n), dtype=np.complex128))
+        return SpectralField(grid, np.zeros(grid.spectral_shape, dtype=np.complex128))
 
 
-def _reverse_modes(coeffs: np.ndarray) -> np.ndarray:
-    # index map k -> -k on the fft-ordered lattice (Nyquist row maps to itself)
-    return np.roll(coeffs[::-1, ::-1], shift=(1, 1), axis=(0, 1))
+def _conj_partner(cols: np.ndarray) -> np.ndarray:
+    # conj of the k1 -> -k1 partner along the row axis (Nyquist row maps to itself)
+    return np.conj(np.roll(cols[..., ::-1, :], 1, axis=-2))
+
+
+def to_physical(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Samples of a half spectrum, or of a stack of them along leading axes."""
+    return np.fft.irfft2(np.conj(coeffs), s=(grid.n, grid.n)) / grid.dx**2
+
+
+def to_spectral(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Half spectra of real samples (or of a stack of them along leading axes).
+
+    rfft2 rounds the two self-conjugate columns to slightly non-Hermitian
+    values; they are replaced by their Hermitian parts, so real fields have
+    exactly Hermitian spectra.
+    """
+    out = np.fft.rfft2(values)
+    np.conjugate(out, out=out)
+    out *= grid.dx**2
+    cols = out[..., [0, -1]]
+    out[..., [0, -1]] = 0.5 * (cols + _conj_partner(cols))
+    return out
 
 
 def _check_same_grid(a: Grid, b: Grid):
@@ -211,7 +280,7 @@ def transform(values: np.ndarray, grid: Grid) -> SpectralField:
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (grid.n, grid.n):
         raise SpectralError(f"sample shape {values.shape} does not match grid n={grid.n}")
-    return SpectralField(grid, np.fft.ifft2(values) * grid.L**2)
+    return SpectralField(grid, to_spectral(values, grid))
 
 
 def inverse_transform(field: SpectralField) -> np.ndarray:
@@ -230,13 +299,14 @@ def as_multi_index(sigma) -> tuple[int, int]:
 
 
 def derivative_multiplier(grid: Grid, sigma) -> np.ndarray:
-    """Fourier multiplier of D^sigma: (-i eta1)^s1 (-i eta2)^s2.
+    """Fourier multiplier of D^sigma: (-i eta1)^s1 (-i eta2)^s2 on the grid's
+    half lattice, or on a `FullLattice`.
 
     Odd powers use the Nyquist-zeroed wavenumbers so that real fields stay
     real; even powers keep the full lattice.
     """
     s1, s2 = as_multi_index(sigma)
-    mult = np.ones((grid.n, grid.n), dtype=np.complex128)
+    mult = np.ones(grid.eta1.shape, dtype=np.complex128)
     for order, eta, eta_odd in ((s1, grid.eta1, grid.eta1_odd), (s2, grid.eta2, grid.eta2_odd)):
         if order == 0:
             continue
@@ -285,23 +355,32 @@ def leray_decompose(
 
 def lp_norm(field: SpectralField, p: float) -> float:
     """Riemann-sum L^p norm of the physical samples; p = inf gives the max."""
-    return _lp_of_magnitude(np.abs(field.values()), field.grid, p)
+    return lp_of_magnitude(np.abs(field.values()), field.grid, p)
 
 
 def lp_norm_vector(m: tuple[SpectralField, SpectralField], p: float) -> float:
     """L^p norm of the pointwise Euclidean magnitude of a vector field."""
-    mag = np.hypot(m[0].values(), m[1].values())
-    return _lp_of_magnitude(mag, m[0].grid, p)
+    return lp_of_magnitude(vector_magnitude(m), m[0].grid, p)
 
 
 def lp_norm_state(state: State, p: float) -> float:
     """L^p norm of the pointwise magnitude over the three state components."""
+    return lp_of_magnitude(state_magnitude(state), state.grid, p)
+
+
+def vector_magnitude(m: tuple[SpectralField, SpectralField]) -> np.ndarray:
+    """Pointwise Euclidean magnitude of a vector field's samples."""
+    return np.hypot(m[0].values(), m[1].values())
+
+
+def state_magnitude(state: State) -> np.ndarray:
+    """Pointwise magnitude of the three state components' samples."""
     r, m1, m2 = (c.values() for c in state.components())
-    mag = np.sqrt(r**2 + m1**2 + m2**2)
-    return _lp_of_magnitude(mag, state.grid, p)
+    return np.sqrt(r**2 + m1**2 + m2**2)
 
 
-def _lp_of_magnitude(mag: np.ndarray, grid: Grid, p: float) -> float:
+def lp_of_magnitude(mag: np.ndarray, grid: Grid, p: float) -> float:
+    """Riemann-sum L^p norm of pointwise magnitude samples."""
     p = float(p)
     if p < 1.0:
         raise SpectralError(f"Lebesgue exponent must satisfy p >= 1, got {p}")
@@ -310,23 +389,27 @@ def _lp_of_magnitude(mag: np.ndarray, grid: Grid, p: float) -> float:
     return float((np.sum(mag**p) * grid.dx**2) ** (1.0 / p))
 
 
+def parseval_sum(grid: Grid, pairs, weight=1.0) -> float:
+    """(1/L^2) sum over the full lattice of weight * Re(a conj b), summed over
+    the (a, b) half-spectrum pairs; `weight` must be even in eta."""
+    w = grid.hermitian_weight * weight
+    return float(sum(np.sum(w * (a * np.conj(b)).real) for a, b in pairs)) / grid.L**2
+
+
 def sobolev_norm(state: State, s: int) -> float:
     """H^s norm from Fourier coefficients with the discrete measure 1/L^2."""
     s = int(s)
     if s < 0:
         raise SpectralError(f"Sobolev index must be nonnegative, got {s}")
     grid = state.grid
-    weight = (1.0 + grid.eta_sq) ** s
-    total = 0.0
-    for comp in state.components():
-        total += np.sum(weight * np.abs(comp.coeffs) ** 2)
-    return float(np.sqrt(total) / grid.L)
+    pairs = [(c.coeffs, c.coeffs) for c in state.components()]
+    return float(np.sqrt(parseval_sum(grid, pairs, (1.0 + grid.eta_sq) ** s)))
 
 
 def l2_inner(a: SpectralField, b: SpectralField) -> float:
     """L^2 inner product via Parseval."""
     _check_same_grid(a.grid, b.grid)
-    return float(np.real(np.sum(a.coeffs * np.conj(b.coeffs))) / a.grid.L**2)
+    return parseval_sum(a.grid, [(a.coeffs, b.coeffs)])
 
 
 def sample(grid: Grid, func) -> SpectralField:

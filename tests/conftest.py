@@ -8,10 +8,7 @@ def random_field(grid: Grid, rng, scale: float = 1.0) -> SpectralField:
     """Smooth random real field with decaying spectrum."""
     raw = rng.standard_normal((grid.n, grid.n))
     f = transform(raw, grid)
-    damp = np.exp(-0.5 * grid.eta_sq)
-    coeffs = f.coeffs * damp
-    coeffs = 0.5 * (coeffs + np.conj(np.roll(coeffs[::-1, ::-1], (1, 1), (0, 1))))
-    out = SpectralField(grid, coeffs)
+    out = SpectralField(grid, f.coeffs * np.exp(-0.5 * grid.eta_sq))
     peak = np.abs(out.values()).max()
     return out * (scale / peak if peak > 0 else 1.0)
 

@@ -25,14 +25,14 @@ def test_parse_config_values_and_comments():
     lambda = 0.5   # bulk viscosity
     epsilon = 3e-3
     experiments = kernel-algebra, pointwise-bound
-    threads = 2
     """
     m = parse_config(text)
     assert m.n == 128 and m.L == 100.0
     assert m.lam == 0.5
     assert m.epsilon == 3e-3
     assert m.experiments == ("kernel-algebra", "pointwise-bound")
-    assert m.threads == 2
+    with pytest.raises(ConfigError, match="threads"):
+        parse_config("threads = 2\n")
 
 
 def test_parse_config_rejects_bad_ellipticity():
@@ -77,7 +77,7 @@ def test_run_writes_reports_and_exits_zero(tmp_path, capsys):
     assert (tmp_path / "out" / "summary.json").exists()
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["passed"] is True
-    assert summary["context"]["threads"] == 1
+    assert "threads" not in summary["context"]
 
 
 def test_kernel_rates_csv_has_enough_rows(tmp_path, capsys):

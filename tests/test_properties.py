@@ -1,0 +1,158 @@
+"""Property tests of the half-spectrum layout, held to the kernel-algebra bounds."""
+
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from vortexlab.kernels import (
+    artificial_symbol_grid,
+    heat_symbol_grid,
+    phi_symbol_grid,
+    s_symbol_grid,
+    spar_symbol_grid,
+)
+from vortexlab.profiles import FluidParams
+from vortexlab.solver import SolverConfig, Trajectory, load_trajectory, save_trajectory
+from vortexlab.spectral import (
+    FullLattice,
+    SpectralField,
+    State,
+    l2_inner,
+    leray_decompose,
+    lp_norm,
+    make_grid,
+    parseval_sum,
+    transform,
+)
+
+PARAMS = FluidParams()
+PROPERTY = settings(max_examples=30, deadline=None, database=None)
+
+grids = st.builds(make_grid, st.sampled_from([8, 16, 32, 64]), st.floats(0.5, 100.0))
+seeds = st.integers(0, 2**32 - 1)
+times = st.floats(0.01, 3.0)
+
+
+def _real_field(grid, rng, damping=0.05):
+    f = transform(rng.standard_normal((grid.n, grid.n)), grid)
+    return SpectralField(grid, f.coeffs * np.exp(-damping * grid.eta_sq))
+
+
+def _real_state(grid, rng):
+    return State(_real_field(grid, rng), (_real_field(grid, rng), _real_field(grid, rng)))
+
+
+def _full_spectrum(field):
+    # the full-lattice coefficients of the same convention, from ifft2
+    return np.fft.ifft2(field.values()) * field.grid.L**2
+
+
+@PROPERTY
+@given(grids, seeds)
+def test_transform_values_round_trip(grid, seed):
+    values = np.random.default_rng(seed).standard_normal((grid.n, grid.n))
+    field = transform(values, grid)
+    assert field.coeffs.shape == (grid.n, grid.n // 2 + 1)
+    assert np.abs(field.values() - values).max() < 1e-12 * np.abs(values).max()
+    # the half spectrum is the k2 >= 0 columns of the full-lattice transform
+    full = np.fft.ifft2(values) * grid.L**2
+    scale = np.abs(full).max()
+    assert np.abs(field.coeffs - full[:, : grid.n // 2 + 1]).max() < 1e-12 * scale
+    assert field.hermitian_defect() == 0.0
+
+
+@PROPERTY
+@given(grids, seeds, st.integers(0, 3))
+def test_parseval_weights_match_full_lattice_sum(grid, seed, s):
+    rng = np.random.default_rng(seed)
+    a, b = _real_field(grid, rng, 0.0), _real_field(grid, rng, 0.0)
+    weight = (1.0 + grid.eta_sq) ** s
+    got = parseval_sum(grid, [(a.coeffs, b.coeffs), (a.coeffs, a.coeffs)], weight)
+    full_a, full_b = _full_spectrum(a), _full_spectrum(b)
+    full_weight = (1.0 + FullLattice(grid).eta_sq) ** s
+    terms = full_weight * (full_a * np.conj(full_b) + np.abs(full_a) ** 2)
+    expected = float(np.real(np.sum(terms))) / grid.L**2
+    scale = float(np.sum(full_weight * (np.abs(full_a) ** 2 + np.abs(full_b) ** 2))) / grid.L**2
+    assert abs(got - expected) < 1e-12 * scale
+
+
+SYMBOLS = {
+    "s": lambda t, g: s_symbol_grid(t, g, PARAMS),
+    "spar": lambda t, g: spar_symbol_grid(t, g, PARAMS),
+    "artificial": lambda t, g: artificial_symbol_grid(t, g, PARAMS, composed=True),
+    "phi2": lambda t, g: phi_symbol_grid(2, t, g, PARAMS),
+    "heat": lambda t, g: heat_symbol_grid(t, g, PARAMS.mu),
+}
+
+
+@PROPERTY
+@given(grids, seeds, times, st.sampled_from(sorted(SYMBOLS)))
+def test_symbol_keeps_a_real_state_real(grid, seed, t, kind):
+    X = _real_state(grid, np.random.default_rng(seed))
+    out = SYMBOLS[kind](t, grid).apply(X)
+    # the realness report's bound: exactly zero
+    assert max(c.hermitian_defect() for c in out.components()) == 0.0
+
+
+@PROPERTY
+@given(grids, seeds)
+def test_leray_idempotent_and_orthogonal(grid, seed):
+    rng = np.random.default_rng(seed)
+    m = (_real_field(grid, rng), _real_field(grid, rng))
+    perp, par = leray_decompose(m)
+    perp2, par2 = leray_decompose(perp)
+    scale = max(np.abs(m[0].coeffs).max(), np.abs(m[1].coeffs).max())
+    for i in range(2):
+        assert np.abs((perp2[i] - perp[i]).coeffs).max() < 1e-12 * scale
+        assert np.abs(par2[i].coeffs).max() < 1e-12 * scale
+    inner = sum(l2_inner(a, b) for a, b in zip(perp, par))
+    na = np.sqrt(sum(lp_norm(f, 2) ** 2 for f in perp))
+    nb = np.sqrt(sum(lp_norm(f, 2) ** 2 for f in par))
+    assert abs(inner) < 1e-12 * na * nb
+
+
+def _trajectory(grid, rng):
+    config = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0))
+    states = tuple(_real_state(grid, rng) for _ in range(3))
+    diagnostics = tuple({"t": t} for t in (0.0, 0.5, 1.0))
+    return Trajectory((0.0, 0.5, 1.0), states, diagnostics, config)
+
+
+def _write_v1(trajectory, directory):
+    """The same trajectory in the format-1 layout: full-lattice spectra."""
+    save_trajectory(trajectory, directory)
+    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest["format_version"] = 1
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    full = []
+    for k, state in enumerate(trajectory.states):
+        arrays = {key: _full_spectrum(c) for key, c in zip(("rho", "m1", "m2"), state.components())}
+        np.savez(directory / f"state_{k:04d}.npz", **arrays)
+        full.append(arrays)
+    return full
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(st.sampled_from([8, 16, 32]), seeds)
+def test_trajectory_files_v1_and_v2_load(n, seed):
+    grid = make_grid(n, 20.0)
+    trajectory = _trajectory(grid, np.random.default_rng(seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        v2, v1 = Path(tmp) / "v2", Path(tmp) / "v1"
+        save_trajectory(trajectory, v2)
+        back = load_trajectory(v2)
+        assert back.times == trajectory.times and back.config == trajectory.config
+        for a, b in zip(back.states, trajectory.states):
+            for ca, cb in zip(a.components(), b.components()):
+                assert np.array_equal(ca.coeffs, cb.coeffs)
+        full = _write_v1(trajectory, v1)
+        old = load_trajectory(v1)
+        for state, arrays, orig in zip(old.states, full, trajectory.states):
+            for field, key, ref in zip(state.components(), ("rho", "m1", "m2"), orig.components()):
+                # format 1: the k2 >= 0 columns are kept as they were stored
+                assert np.array_equal(field.coeffs, arrays[key][:, : n // 2 + 1])
+                scale = np.abs(ref.coeffs).max()
+                assert np.abs(field.coeffs - ref.coeffs).max() < 1e-12 * scale

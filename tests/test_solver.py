@@ -3,7 +3,9 @@ import pytest
 
 from vortexlab.kernels import s_symbol_grid, heat_symbol_grid
 from vortexlab.profiles import FluidParams, biot_savart, dipole_vorticity_field
+from vortexlab import solver
 from vortexlab.solver import (
+    SolverAbort,
     SolverConfig,
     SolverError,
     VacuumError,
@@ -11,7 +13,6 @@ from vortexlab.solver import (
     cfl_limit,
     duhamel_residual,
     load_trajectory,
-    nonlinear_terms,
     _fourier_source,
     pressure_remainder,
     save_trajectory,
@@ -21,6 +22,7 @@ from vortexlab.solver import (
     vorticity_simulate,
 )
 from vortexlab.spectral import (
+    FullLattice,
     SpectralField,
     State,
     derivative,
@@ -51,26 +53,27 @@ def _bump_state(grid, eps, widths=(8.0, 10.0, 12.0)):
 
 def test_nonlinear_terms_zero_state():
     grid = make_grid(32, 20.0)
-    nt = nonlinear_terms(State.zero(grid), PARAMS)
-    assert np.abs(nt.q1).max() == 0.0
-    assert np.abs(nt.q2).max() == 0.0
+    src = _fourier_source(State.zero(grid), PARAMS)
+    assert all(np.abs(c.coeffs).max() == 0.0 for c in src.components())
 
 
 def test_nonlinear_terms_density_only():
     grid = make_grid(64, 40.0)
     rho = sample(grid, lambda a, b: 0.01 * np.exp(-(a**2 + b**2) / 8.0))
     X = State(rho, (SpectralField.zero(grid), SpectralField.zero(grid)))
-    nt = nonlinear_terms(X, PARAMS)
-    assert np.abs(nt.q2).max() == 0.0
-    # q1 reduces to the pressure remainder on the diagonal, quadratically small
-    off_diag = max(np.abs(nt.q1[0, 1]).max(), np.abs(nt.q1[1, 0]).max())
-    assert off_diag == 0.0
-    # remainder of the gamma law at r: P(1+r)-P(1)-c^2 r = c^2 (gamma-1)/2 r^2 + O(r^3)
+    src = _fourier_source(X, PARAMS)
+    assert np.abs(src.rho.coeffs).max() == 0.0
+    # momentum flux and viscous terms vanish: the source is -grad of the
+    # dealiased pressure remainder alone
+    mask = grid.dealias_mask
     r = rho.values()
+    prem = transform(pressure_remainder(PARAMS, r), grid).coeffs * mask
+    for m_k, eta in zip(src.m, (grid.eta1_odd, grid.eta2_odd)):
+        assert np.array_equal(m_k.coeffs, (-1j * eta) * -prem * mask)
+    # remainder of the gamma law at r: P(1+r)-P(1)-c^2 r = c^2 (gamma-1)/2 r^2 + O(r^3)
     expected = transform(-(PARAMS.c**2 * (PARAMS.pressure.gamma - 1) / 2) * r**2, grid)
-    got = nt.q1[0, 0]
     scale = np.abs(expected.coeffs).max()
-    assert np.abs(got - expected.coeffs * grid.dealias_mask).max() < 0.05 * scale
+    assert np.abs(-prem - expected.coeffs * mask).max() < 0.05 * scale
 
 
 def test_nonlinear_terms_quadratic_scaling():
@@ -85,19 +88,19 @@ def test_nonlinear_terms_quadratic_scaling():
 
 
 def test_nonlinear_assembly_matches_direct_divergence():
+    # independent oracle on the full lattice with complex transforms:
+    # -div(m (x) m/(1+r)) - grad P_rem plus the viscous terms of m r/(1+r)
     grid = make_grid(64, 40.0)
+    full = FullLattice(grid)
     X = _bump_state(grid, 1e-2)
-    nt = nonlinear_terms(X, PARAMS)
-    assembled = nt.assembled_momentum_source()
-    # direct evaluation: -div(m (x) m/(1+r)) - grad P_rem, pointwise products
     rho = X.rho.values()
     w = (X.m[0].values(), X.m[1].values())
     one = 1.0 + rho
-    mask = grid.dealias_mask
+    mask = full.dealias_mask
     L2 = grid.L**2
     prem_hat = np.fft.ifft2(pressure_remainder(PARAMS, rho)) * L2 * mask
-    e = (grid.eta1_odd, grid.eta2_odd)
-    direct = np.zeros_like(assembled)
+    e = (full.eta1_odd, full.eta2_odd)
+    direct = np.zeros((2, grid.n, grid.n), dtype=np.complex128)
     for i in range(2):
         for k in range(2):
             t_ik = np.fft.ifft2(w[i] * w[k] / one) * L2 * mask
@@ -107,13 +110,13 @@ def test_nonlinear_assembly_matches_direct_divergence():
     g = [np.fft.ifft2(w[i] * rho / one) * L2 * mask for i in range(2)]
     div_g = e[0] * g[0] + e[1] * g[1]
     for i in range(2):
-        direct[i] += PARAMS.mu * grid.eta_sq * g[i] + (PARAMS.mu + PARAMS.lam) * e[i] * div_g
+        direct[i] += PARAMS.mu * full.eta_sq * g[i] + (PARAMS.mu + PARAMS.lam) * e[i] * div_g
     scale = np.abs(direct).max()
-    assert np.abs(assembled - direct).max() < 1e-10 * scale
-    # the fast path agrees with the structured assembly
+    # the source stores the k2 >= 0 columns of the full lattice
     fast = _fourier_source(X, PARAMS)
-    assert np.abs(fast.m[0].coeffs - assembled[0] * mask).max() < 1e-12 * scale
-    assert np.abs(fast.m[1].coeffs - assembled[1] * mask).max() < 1e-12 * scale
+    half = grid.n // 2 + 1
+    assert np.abs(fast.m[0].coeffs - direct[0][:, :half]).max() < 1e-10 * scale
+    assert np.abs(fast.m[1].coeffs - direct[1][:, :half]).max() < 1e-10 * scale
     assert np.abs(fast.rho.coeffs).max() == 0.0
 
 
@@ -122,7 +125,32 @@ def test_vacuum_guard():
     rho = sample(grid, lambda a, b: -0.7 * np.exp(-(a**2 + b**2) / 8.0))
     X = State(rho, (SpectralField.zero(grid), SpectralField.zero(grid)))
     with pytest.raises(VacuumError):
-        nonlinear_terms(X, PARAMS)
+        _fourier_source(X, PARAMS)
+
+
+def test_non_finite_state_trips_the_guards(monkeypatch):
+    grid = make_grid(32, 20.0)
+    X0 = _bump_state(grid, 1e-2)
+    coeffs = X0.rho.coeffs.copy()
+    coeffs[1, 1] = np.nan
+    bad = State(SpectralField(grid, coeffs), X0.m)
+    with pytest.raises(SolverAbort, match="non-finite"):
+        _fourier_source(bad, PARAMS)
+    for nonlinear in (True, False):
+        cfg = SolverConfig(
+            grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0), nonlinear=nonlinear
+        )
+        traj = simulate(bad, cfg)
+        assert traj.aborted
+        assert traj.abort_reason == "non-finite state: H^s = nan"
+        assert len(traj.states) == 1  # nothing is integrated from a NaN state
+    # a step that goes non-finite stops the run at that snapshot
+    monkeypatch.setattr(solver, "_step_with_tables", lambda X, *args: bad)
+    cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0))
+    traj = simulate(X0, cfg)
+    assert traj.aborted
+    assert traj.abort_reason == "non-finite state: H^s = nan"
+    assert len(traj.states) == 2
 
 
 def test_step_zero_state():

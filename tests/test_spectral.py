@@ -184,7 +184,8 @@ def test_lp_norm_parseval(rng):
     grid = make_grid(64, 9.0)
     f = random_field(grid, rng)
     grid_sum = lp_norm(f, 2)
-    parseval = np.sqrt(np.sum(np.abs(f.coeffs) ** 2)) / grid.L
+    # half spectrum: columns other than k2 = 0, n/2 stand for two modes each
+    parseval = np.sqrt(np.sum(grid.hermitian_weight * np.abs(f.coeffs) ** 2)) / grid.L
     assert abs(grid_sum - parseval) < 1e-10 * parseval
 
 
