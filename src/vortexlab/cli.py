@@ -9,25 +9,29 @@ Config files are plain ``key = value`` text (``#`` comments allowed).  Keys:
     gamma, pressure_scale
                   isentropic pressure law P(rho) = scale rho^gamma / gamma
     epsilon       initial-data amplitude for solver experiments
-    dt            time step (default: acoustic CFL bound)
+    dt            time step (default: acoustic CFL bound; a larger value is
+                  rejected for the smallest box the selected solver runs use)
     T             experiment horizon
     seed          seed for randomized checks
 
 Outputs: ``reports.csv`` (one row per report), ``summary.json`` and one
 ``series/<experiment>__<label>.csv`` per measured series.  Exit status is 0
-exactly when every report passes.
+exactly when every report passes; an invalid config (any non-finite number
+included) exits 2, naming the key, before any output is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .harness import (
     EXPERIMENTS,
+    SOLVER_BOXES,
     ExperimentContext,
     HarnessError,
     list_experiments,
@@ -36,6 +40,7 @@ from .harness import (
     summary_dict,
 )
 from .profiles import FluidParams, PowerPressureLaw, ProfileError
+from .solver import cfl_limit
 from .spectral import SpectralError, make_grid
 
 
@@ -63,6 +68,10 @@ class RunManifest:
     seed: int = 0
 
     def context(self) -> ExperimentContext:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name}: must be finite, got {value}")
         try:
             grid = make_grid(self.n, self.L)
         except SpectralError as err:
@@ -87,6 +96,15 @@ class RunManifest:
                 raise ConfigError(
                     f"experiments: unknown name {name!r}; available: {', '.join(EXPERIMENTS)}"
                 )
+        boxes = [SOLVER_BOXES[name] for name in self.experiments if name in SOLVER_BOXES]
+        if self.dt is not None and boxes:
+            # the smallest solver box has the tightest bound
+            limit = cfl_limit(make_grid(self.n, self.L * min(boxes)), params)
+            if self.dt > limit * (1 + 1e-12):
+                raise ConfigError(
+                    f"dt: {self.dt} exceeds the acoustic CFL bound 0.5 dx/c = {limit:.4g} "
+                    f"of the smallest solver box (L = {self.L * min(boxes):g})"
+                )
         return ExperimentContext(
             grid=grid,
             params=params,
@@ -97,8 +115,8 @@ class RunManifest:
         )
 
 
-def parse_config(text: str) -> RunManifest:
-    """Parse key=value config text into a validated manifest."""
+def _config_values(text: str) -> dict:
+    """Manifest fields set by key=value config text."""
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -110,8 +128,7 @@ def parse_config(text: str) -> RunManifest:
         key = key.strip().lower()
         value = value.strip()
         if key == "experiments":
-            names = tuple(v.strip() for v in value.split(",") if v.strip())
-            values["experiments"] = names
+            values["experiments"] = _experiment_names(value)
         elif key in _INT_KEYS:
             try:
                 values[key] = int(value)
@@ -132,7 +149,16 @@ def parse_config(text: str) -> RunManifest:
                 values[key] = parsed
         else:
             raise ConfigError(f"unknown config key {key!r} (line {lineno})")
-    manifest = RunManifest(**values)
+    return values
+
+
+def _experiment_names(value: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in value.split(",") if v.strip())
+
+
+def parse_config(text: str) -> RunManifest:
+    """Parse key=value config text into a validated manifest."""
+    manifest = RunManifest(**_config_values(text))
     manifest.context()  # validate eagerly so errors name the offending key
     return manifest
 
@@ -204,13 +230,13 @@ def main(argv=None) -> int:
         return 0
 
     try:
+        values = {}
         if args.config is not None:
-            manifest = parse_config(Path(args.config).read_text())
-        else:
-            manifest = RunManifest()
+            values = _config_values(Path(args.config).read_text())
         if args.experiments:
-            names = tuple(v.strip() for v in args.experiments.split(",") if v.strip())
-            manifest = replace(manifest, experiments=names)
+            values["experiments"] = _experiment_names(args.experiments)
+        # validated with the experiments that will run: the dt bound depends on them
+        manifest = RunManifest(**values)
         manifest.context()
         return run(manifest, args.outdir)
     except (ConfigError, HarnessError) as err:

@@ -109,8 +109,11 @@ def fit_rate(series: RateSeries, log_correction: bool = False) -> FitResult:
     v = np.asarray(series.values)
     if log_correction:
         v = v / np.log1p(t)
-    x = np.log(t)
-    y = np.log(v)
+    return _least_squares(np.log(t), np.log(v))
+
+
+def _least_squares(x, y) -> FitResult:
+    """Straight-line least-squares fit y ~ slope x + intercept with its r^2."""
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -254,6 +257,29 @@ def _rate_report(
     )
 
 
+def _decay_reports(experiment, label, t, vals, horizon, final_fraction, p, sigma):
+    """A weighted residual that decays: monotone over the last half of the
+    run, and a final value below `final_fraction` of the first."""
+    half = vals[t >= horizon / 2.0 - 1e-9]
+    ratios = half[1:] / half[:-1]
+    monotone = float(ratios.max()) if len(ratios) else 0.0
+    return [
+        ExperimentReport(
+            experiment, f"{label}-monotone", 1.0, monotone, 0.0, p=p, sigma=sigma, mode="bound"
+        ),
+        ExperimentReport(
+            experiment,
+            f"{label}-final-fraction",
+            final_fraction,
+            float(vals[-1] / vals[0]),
+            0.0,
+            p=p,
+            sigma=sigma,
+            mode="bound",
+        ),
+    ]
+
+
 def _state_norm_fields(X: State, sigma: int, p: float) -> float:
     if sigma == 0:
         return lp_norm_state(X, p)
@@ -356,13 +382,7 @@ def run_kernel_algebra(ctx: ExperimentContext) -> ExperimentResult:
 
     sym = s_symbol_grid(0.8, small, params)
     lf, hf = split(sym, default_cutoff(params))
-    rec = lf + hf
-    dev = max(
-        np.abs(rec.a00 - sym.a00).max(),
-        np.abs(rec.a01 - sym.a01).max(),
-        np.abs(rec.a10 - sym.a10).max(),
-        np.abs(rec.a11 - sym.a11).max(),
-    ) / max(sym.max_abs(), 1e-300)
+    dev = (lf + hf - sym).max_abs() / max(sym.max_abs(), 1e-300)
     reports.append(
         ExperimentReport(name, "split-partition", 0.0, float(dev), 1e-15, mode="bound")
     )
@@ -481,18 +501,15 @@ def run_kernel_rates(ctx: ExperimentContext) -> ExperimentResult:
         _, hf = split(spar_symbol_grid(t, grid, params), spec)
         hf_vals.append(lp_norm_state(hf.apply(Xr), 2) / denom)
     series["hf-decay"] = (hf_times, np.array(hf_vals))
-    slope, intercept = np.polyfit(hf_times, np.log(hf_vals), 1)
-    resid = np.log(hf_vals) - (slope * hf_times + intercept)
-    ss_tot = float(np.sum((np.log(hf_vals) - np.mean(np.log(hf_vals))) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot
+    fit = _least_squares(hf_times, np.log(hf_vals))
     reports.append(
         ExperimentReport(
             name,
             "hf-exponential-rate",
             0.0,
-            float(-slope),
+            -fit.slope,
             0.0,
-            r2=r2,
+            r2=fit.r2,
             mode="positive",
             meta={"envelope": "exp(-b t)"},
         )
@@ -708,7 +725,6 @@ def run_sound_decay(ctx: ExperimentContext) -> ExperimentResult:
         T=horizon,
         dt=ctx.dt,
         snapshot_times=times,
-        epsilon=ctx.epsilon,
     )
     X0 = _generic_state(grid, ctx.epsilon)
     traj = simulate(X0, cfg)
@@ -761,7 +777,6 @@ def run_nonlinear_smallness(ctx: ExperimentContext) -> ExperimentResult:
             T=horizon,
             dt=ctx.dt,
             snapshot_times=times,
-            epsilon=eps,
         )
         traj = simulate(X0, cfg)
         if traj.aborted:
@@ -814,7 +829,6 @@ def run_nonlinear_smallness(ctx: ExperimentContext) -> ExperimentResult:
         T=horizon,
         dt=ctx.dt,
         snapshot_times=times,
-        epsilon=ctx.epsilon,
         nonlinear=False,
     )
     traj = simulate(X0, cfg)
@@ -834,7 +848,7 @@ def run_incompressible_limit(ctx: ExperimentContext) -> ExperimentResult:
     # finer box: the profile data must be spectrally resolved from t ~ 1.
     # The measured fields are divergence-free (sound is projected out), so
     # the horizon is capped by the diffusive support, not the acoustic ring.
-    grid = make_grid(ctx.grid.n, ctx.grid.L / 2.0)
+    grid = make_grid(ctx.grid.n, ctx.grid.L * SOLVER_BOXES[name])
     params = ctx.params
     rs = params.rho_star
     reports = []
@@ -856,7 +870,6 @@ def run_incompressible_limit(ctx: ExperimentContext) -> ExperimentResult:
         T=horizon,
         dt=ctx.dt,
         snapshot_times=times,
-        epsilon=ctx.epsilon,
     )
     traj = simulate(X0, cfg)
     if traj.aborted:
@@ -877,32 +890,7 @@ def run_incompressible_limit(ctx: ExperimentContext) -> ExperimentResult:
             vals = np.array(vals)
             label = f"dipole-residual-p{p:g}-s{sigma}"
             series[label] = (np.array(times), vals)
-            half = vals[np.array(times) >= horizon / 2.0 - 1e-9]
-            ratios = half[1:] / half[:-1]
-            reports.append(
-                ExperimentReport(
-                    name,
-                    f"{label}-monotone",
-                    1.0,
-                    float(ratios.max()) if len(ratios) else 0.0,
-                    0.0,
-                    p=p,
-                    sigma=sigma,
-                    mode="bound",
-                )
-            )
-            reports.append(
-                ExperimentReport(
-                    name,
-                    f"{label}-final-fraction",
-                    0.2,
-                    float(vals[-1] / vals[0]),
-                    0.0,
-                    p=p,
-                    sigma=sigma,
-                    mode="bound",
-                )
-            )
+            reports += _decay_reports(name, label, np.array(times), vals, horizon, 0.2, p, sigma)
 
     # moment consistency along the run (2% of the initial values), probed
     # while the vorticity is still compactly supported in the box
@@ -958,32 +946,7 @@ def run_incompressible_limit(ctx: ExperimentContext) -> ExperimentResult:
         vals = np.array(vals)
         label = f"vortex-residual-p{p:g}-s0"
         series[label] = (np.array(times), vals)
-        half = vals[np.array(times) >= horizon / 2.0 - 1e-9]
-        ratios = half[1:] / half[:-1]
-        reports.append(
-            ExperimentReport(
-                name,
-                f"{label}-monotone",
-                1.0,
-                float(ratios.max()) if len(ratios) else 0.0,
-                0.0,
-                p=p,
-                sigma=0,
-                mode="bound",
-            )
-        )
-        reports.append(
-            ExperimentReport(
-                name,
-                f"{label}-final-fraction",
-                0.5,
-                float(vals[-1] / vals[0]),
-                0.0,
-                p=p,
-                sigma=0,
-                mode="bound",
-            )
-        )
+        reports += _decay_reports(name, label, np.array(times), vals, horizon, 0.5, p, 0)
     extras = {
         "beta": list(moments.beta),
         "alpha_scaled": alpha_scaled,
@@ -1047,32 +1010,7 @@ def run_vorticity_profiles(ctx: ExperimentContext) -> ExperimentResult:
         vals.append(weight * lp_norm(w - ref, 2))
     vals = np.array(vals)
     series["dipole-residual-p2"] = (t_arr, vals)
-    half = vals[t_arr >= T / 2.0 - 1e-9]
-    ratios = half[1:] / half[:-1]
-    reports.append(
-        ExperimentReport(
-            name,
-            "dipole-residual-monotone",
-            1.0,
-            float(ratios.max()) if len(ratios) else 0.0,
-            0.0,
-            p=2.0,
-            sigma=0,
-            mode="bound",
-        )
-    )
-    reports.append(
-        ExperimentReport(
-            name,
-            "dipole-residual-final-fraction",
-            0.2,
-            float(vals[-1] / vals[0]),
-            0.0,
-            p=2.0,
-            sigma=0,
-            mode="bound",
-        )
-    )
+    reports += _decay_reports(name, "dipole-residual", t_arr, vals, T, 0.2, 2.0, 0)
 
     # moment conservation while the field is still well localized
     drift = 0.0
@@ -1102,6 +1040,10 @@ EXPERIMENTS = {
     "incompressible-limit": run_incompressible_limit,
     "vorticity-profiles": run_vorticity_profiles,
 }
+
+# Box of each experiment that runs the compressible solver, as a fraction of
+# the configured L: a requested dt must meet the CFL bound of the smallest.
+SOLVER_BOXES = {"sound-decay": 1.0, "nonlinear-smallness": 1.0, "incompressible-limit": 0.5}
 
 
 def list_experiments() -> tuple[str, ...]:

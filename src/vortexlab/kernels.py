@@ -1,17 +1,17 @@
 """Fourier-side Green kernels of the linearised system and their surrogates.
 
-The curl-free block of the linearised system reduces, per wavevector eta, to
-the 2x2 system for (rho_hat, eta . m_hat)
+Every kernel family has, per wavevector eta, the same generator: on the
+curl-free part the 2x2 system for (rho_hat, eta . m_hat)
 
     d/dt [y, u] = M [y, u],   M = [[d1, i], [i c^2 |eta|^2, d2]],
 
-whose eigenvalues for the true kernel (d1 = 0, d2 = -mu_par |eta|^2) are
+and on the divergence-free part of m the heat factor d_perp.  The table
+`FAMILIES` gives (d1, d2, d_perp) as functions of |eta|^2 for each kind; the
+eigenvalues of M are
 
-    lambda_pm = -mu_par |eta|^2 / 2 +- sqrt(mu_par^2 |eta|^4 - 4 c^2 |eta|^2) / 2
+    lambda_pm = (d1 + d2)/2 +- sqrt(((d1 - d2)/2)^2 - c^2 |eta|^2).
 
-and for the artificial-viscosity kernel (d1 = d2 = -mu_par |eta|^2 / 2) are
--mu_par |eta|^2 / 2 +- i c |eta|.  Any entire function f of t*M follows from
-the Sylvester formula
+Any entire function f of t*M follows from the Sylvester formula
 
     f(tM) = f(a) I + (tM - a I) * (f(a) - f(b)) / (a - b),
 
@@ -21,9 +21,10 @@ small (double root |eta| = 2c/mu_par).  Taking f = exp yields the kernels
 themselves, f = phi_k yields the exponential-integrator weights used by the
 solver.
 
-On the divergence-free complement the momentum block acts diagonally (heat
-flow); symbols carry that part explicitly so every time-indexed family is an
-exact matrix semigroup.
+Symbols are stored in Helmholtz form, five real entries per wavevector
+(`KernelSymbol`); sums, scalings, products and the frequency split stay in
+that form, so every time-indexed family is an exact matrix semigroup.  The
+per-wavevector 3x3 matrices are the same entries expanded at one eta.
 """
 
 from __future__ import annotations
@@ -110,7 +111,32 @@ def phi_divided_difference(k: int, a, b):
 
 
 # ---------------------------------------------------------------------------
-# eigenvalues
+# the family table
+
+# kind -> generator diagonals (d1, d2, d_perp) as functions of |eta|^2
+FAMILIES = {
+    "s": lambda mag2, fp: (np.zeros_like(mag2), -fp.mu_par * mag2, -fp.mu * mag2),
+    "spar": lambda mag2, fp: (np.zeros_like(mag2), -fp.mu_par * mag2, -fp.mu_par * mag2),
+    "artificial": lambda mag2, fp: (-0.5 * fp.mu_par * mag2,) * 2 + (-fp.mu * mag2,),
+    "artificial_par": lambda mag2, fp: (-0.5 * fp.mu_par * mag2,) * 3,
+    "wave": lambda mag2, fp: (np.zeros_like(mag2),) * 3,
+}
+
+
+def _diagonals(kind: str, mag2, params: FluidParams):
+    try:
+        family = FAMILIES[kind]
+    except KeyError:
+        raise KernelError(f"unknown kernel kind {kind!r}") from None
+    return family(np.asarray(mag2, dtype=float), params)
+
+
+def _lambda_pm(d1, d2, mag2, params: FluidParams):
+    mean = 0.5 * (d1 + d2)
+    disc = (0.5 * (d1 - d2)) ** 2 - params.c**2 * mag2
+    root = np.sqrt(disc.astype(np.complex128))
+    return mean + root, mean - root
+
 
 def eigenvalues(eta, params: FluidParams):
     """Eigenvalues lambda_pm of the curl-free block at wavevector eta.
@@ -120,215 +146,123 @@ def eigenvalues(eta, params: FluidParams):
     """
     eta = np.asarray(eta, dtype=float)
     mag2 = eta[0] ** 2 + eta[1] ** 2
-    return _lambda_pm(mag2, params)
+    d1, d2, _ = _diagonals("s", mag2, params)
+    return _lambda_pm(d1, d2, mag2, params)
 
 
-def _lambda_pm(mag2, params: FluidParams):
-    mag2 = np.asarray(mag2, dtype=float)
-    mu_par, c = params.mu_par, params.c
-    disc = (mu_par * mag2) ** 2 - 4.0 * c**2 * mag2
-    sq = np.sqrt(disc.astype(np.complex128))
-    lam_plus = 0.5 * (-mu_par * mag2 + sq)
-    lam_minus = 0.5 * (-mu_par * mag2 - sq)
-    return lam_plus, lam_minus
+def _entries(kind: str, t: float, mag2, mag2_odd, params: FluidParams, fk: int = 0):
+    """Helmholtz entries (d, b, c, p, q) of phi_fk(t * generator).
+
+    d = f11, b = coupling, c = c^2 coupling, p = f_perp and
+    q = (f22 - f_perp)/|eta_odd|^2 (0 where |eta_odd|^2 = 0).  All five are
+    exactly real: the eigenvalues come in conjugate pairs and phi_k has real
+    Taylor coefficients, so the imaginary residue is pure rounding and is
+    dropped to keep real states exactly real under application.
+    """
+    d1, d2, d_perp = _diagonals(kind, mag2, params)
+    lam_plus, lam_minus = _lambda_pm(d1, d2, mag2, params)
+    a, b = t * lam_plus, t * lam_minus
+    fa = phi(fk, a)
+    fdd = phi_divided_difference(fk, a, b)
+    f11 = np.real(fa + (t * d1 - a) * fdd)
+    f22 = np.real(fa + (t * d2 - a) * fdd)
+    coupling = np.real(t * fdd)
+    f_perp = np.real(phi(fk, t * d_perp))
+    flat = mag2_odd == 0.0
+    q = np.where(flat, 0.0, (f22 - f_perp) / np.where(flat, 1.0, mag2_odd))
+    return f11, coupling, params.c**2 * coupling, f_perp, q
 
 
-def _artificial_lambda_pm(mag2, params: FluidParams):
-    mag2 = np.asarray(mag2, dtype=float)
-    real = -0.5 * params.mu_par * mag2
-    imag = params.c * np.sqrt(mag2)
-    return real + 1j * imag, real - 1j * imag
+def _matrix(entries, eta) -> np.ndarray:
+    """3x3 matrix of Helmholtz entries (d, b, c, p, q) at one wavevector."""
+    d, b, c, p, q = entries
+    eta = np.asarray(eta, dtype=float)
+    out = np.empty((3, 3), dtype=np.complex128)
+    out[0, 0] = d
+    out[0, 1:] = 1j * b * eta
+    out[1:, 0] = 1j * c * eta
+    out[1:, 1:] = p * np.eye(2) + q * np.outer(eta, eta)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # symbols
 
+
 @dataclass(frozen=True)
 class KernelSymbol:
-    """Blockwise Fourier multiplier acting on states (rho_hat, m_hat).
+    """Blockwise Fourier multiplier on states (rho_hat, m_hat), in Helmholtz form.
 
-    a00: scalar block, a01/a10: coupling row/column, a11: 2x2 momentum block.
+    Five real arrays on the half lattice; with eta the odd wavevector,
+
+        rho' = d rho + i b (eta . m)
+        m'   = p m + q eta (eta . m) + i c eta rho
     """
 
     grid: Grid
-    a00: np.ndarray
-    a01: np.ndarray  # (2, n, n/2+1), half lattice like every block
-    a10: np.ndarray  # (2, n, n/2+1)
-    a11: np.ndarray  # (2, 2, n, n/2+1)
+    d: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+
+    def _arrays(self):
+        return (self.d, self.b, self.c, self.p, self.q)
 
     def apply(self, X: State) -> State:
+        # with u = i eta . m:  rho' = d rho + b u,  m' = p m + i eta (c rho - q u);
+        # eta_odd is separable, so i eta enters as a complex row and column
         if X.grid != self.grid:
             raise KernelError("state grid does not match symbol grid")
-        r = X.rho.coeffs
-        m0 = X.m[0].coeffs
-        m1 = X.m[1].coeffs
-        rho = self.a00 * r + self.a01[0] * m0 + self.a01[1] * m1
-        out0 = self.a10[0] * r + self.a11[0, 0] * m0 + self.a11[0, 1] * m1
-        out1 = self.a10[1] * r + self.a11[1, 0] * m0 + self.a11[1, 1] * m1
         g = self.grid
-        return State(
-            SpectralField(g, rho), (SpectralField(g, out0), SpectralField(g, out1))
-        )
+        ie1, ie2 = 1j * g.eta1_odd[:, :1], 1j * g.eta2_odd[:1, :]
+        r, m0, m1 = (f.coeffs for f in X.components())
+        tmp = np.empty_like(r)
+        u = ie1 * m0
+        u += np.multiply(ie2, m1, out=tmp)
+        rho = self.d * r
+        rho += np.multiply(self.b, u, out=tmp)
+        np.multiply(self.q, u, out=u)
+        np.subtract(np.multiply(self.c, r, out=tmp), u, out=u)
+        out0 = self.p * m0
+        out0 += np.multiply(ie1, u, out=tmp)
+        out1 = self.p * m1
+        out1 += np.multiply(ie2, u, out=tmp)
+        return State(SpectralField(g, rho), (SpectralField(g, out0), SpectralField(g, out1)))
 
     def compose(self, other: "KernelSymbol") -> "KernelSymbol":
-        """Blockwise matrix product self · other."""
+        """Matrix product self · other, closed in Helmholtz form."""
         if other.grid != self.grid:
             raise KernelError("symbol grids do not match")
         A, B = self, other
-        a00 = A.a00 * B.a00 + A.a01[0] * B.a10[0] + A.a01[1] * B.a10[1]
-        a01 = np.stack(
-            [
-                A.a00 * B.a01[k] + A.a01[0] * B.a11[0, k] + A.a01[1] * B.a11[1, k]
-                for k in range(2)
-            ]
+        s = self.grid.eta_sq_odd
+        return KernelSymbol(
+            self.grid,
+            A.d * B.d - s * A.b * B.c,
+            A.d * B.b + A.b * (B.p + s * B.q),
+            A.c * B.d + B.c * (A.p + s * A.q),
+            A.p * B.p,
+            A.p * B.q + A.q * B.p + s * A.q * B.q - A.c * B.b,
         )
-        a10 = np.stack(
-            [
-                A.a10[j] * B.a00 + A.a11[j, 0] * B.a10[0] + A.a11[j, 1] * B.a10[1]
-                for j in range(2)
-            ]
-        )
-        a11 = np.stack(
-            [
-                np.stack(
-                    [
-                        A.a10[j] * B.a01[k]
-                        + A.a11[j, 0] * B.a11[0, k]
-                        + A.a11[j, 1] * B.a11[1, k]
-                        for k in range(2)
-                    ]
-                )
-                for j in range(2)
-            ]
-        )
-        return KernelSymbol(self.grid, a00, a01, a10, a11)
 
     def scaled(self, factor) -> "KernelSymbol":
-        """Multiply every block by a scalar or per-wavevector array."""
-        return KernelSymbol(
-            self.grid,
-            self.a00 * factor,
-            self.a01 * factor,
-            self.a10 * factor,
-            self.a11 * factor,
-        )
+        """Multiply every entry by a scalar or per-wavevector array."""
+        return KernelSymbol(self.grid, *(x * factor for x in self._arrays()))
 
     def __add__(self, other: "KernelSymbol") -> "KernelSymbol":
-        return KernelSymbol(
-            self.grid,
-            self.a00 + other.a00,
-            self.a01 + other.a01,
-            self.a10 + other.a10,
-            self.a11 + other.a11,
-        )
+        return KernelSymbol(self.grid, *(x + y for x, y in zip(self._arrays(), other._arrays())))
 
     def __sub__(self, other: "KernelSymbol") -> "KernelSymbol":
-        return self + other.scaled(-1.0)
+        return KernelSymbol(self.grid, *(x - y for x, y in zip(self._arrays(), other._arrays())))
 
     def max_abs(self) -> float:
-        return max(
-            np.abs(self.a00).max(),
-            np.abs(self.a01).max(),
-            np.abs(self.a10).max(),
-            np.abs(self.a11).max(),
-        )
+        return max(float(np.abs(x).max()) for x in self._arrays())
 
     @staticmethod
     def identity(grid: Grid) -> "KernelSymbol":
-        one = np.ones(grid.spectral_shape, dtype=np.complex128)
-        zero = np.zeros(grid.spectral_shape, dtype=np.complex128)
-        return KernelSymbol(
-            grid,
-            one.copy(),
-            np.stack([zero, zero]),
-            np.stack([zero, zero]),
-            np.stack([np.stack([one.copy(), zero]), np.stack([zero, one.copy()])]),
-        )
-
-
-def _kind_eigens(kind: str, mag2, params: FluidParams, t: float):
-    """Per-kind (a, b, t*d1, t*d2, lambda_perp) with a,b already t-scaled."""
-    mu, mu_par = params.mu, params.mu_par
-    if kind in ("spar", "s"):
-        lp, lm = _lambda_pm(mag2, params)
-        d1 = np.zeros_like(mag2)
-        d2 = -mu_par * mag2
-        lperp = -mu_par * mag2 if kind == "spar" else -mu * mag2
-    elif kind in ("artificial_par", "artificial"):
-        lp, lm = _artificial_lambda_pm(mag2, params)
-        d1 = d2 = -0.5 * mu_par * mag2
-        lperp = -0.5 * mu_par * mag2 if kind == "artificial_par" else -mu * mag2
-    elif kind == "wave":
-        sq = params.c * np.sqrt(mag2)
-        lp, lm = 1j * sq, -1j * sq
-        d1 = d2 = np.zeros_like(mag2)
-        lperp = np.zeros_like(mag2)
-    else:
-        raise KernelError(f"unknown kernel kind {kind!r}")
-    return t * lp, t * lm, t * d1, t * d2, t * lperp
-
-
-def _block_entries(kind: str, t: float, mag2, params: FluidParams, fk: int = 0):
-    """Scalar pieces of f(t * generator): (f11, coupling, f22_par, f_perp).
-
-    coupling multiplies i*eta_j in the (1,2)/(2,1) entries (the (2,1) column
-    carries an extra c^2).  All four pieces are exactly real: the eigenvalues
-    come in conjugate pairs and phi_k has real Taylor coefficients, so the
-    imaginary residue is pure rounding and is dropped to keep real states
-    exactly real under application.
-    """
-    a, b, d1t, d2t, lperp = _kind_eigens(kind, mag2, params, t)
-    fa = phi(fk, a)
-    fdd = phi_divided_difference(fk, a, b)
-    f11 = np.real(fa + (d1t - a) * fdd)
-    f22 = np.real(fa + (d2t - a) * fdd)
-    coupling = np.real(t * fdd)
-    fperp = np.real(phi(fk, lperp))
-    return f11, coupling, f22, fperp
-
-
-def _assemble_symbol(
-    grid: Grid, kind: str, t: float, params: FluidParams, fk: int = 0
-) -> KernelSymbol:
-    f11, coupling, f22, fperp = _block_entries(kind, t, grid.eta_sq, params, fk)
-    e1, e2 = grid.eta1_odd, grid.eta2_odd
-    mag2o = grid.eta_sq_odd
-    safe = np.where(mag2o == 0.0, 1.0, mag2o)
-    rpar = [
-        [np.where(mag2o == 0.0, 0.0, e1 * e1 / safe), np.where(mag2o == 0.0, 0.0, e1 * e2 / safe)],
-        [np.where(mag2o == 0.0, 0.0, e2 * e1 / safe), np.where(mag2o == 0.0, 0.0, e2 * e2 / safe)],
-    ]
-    c2 = params.c**2
-    a01 = np.stack([1j * coupling * e1, 1j * coupling * e2])
-    a10 = np.stack([1j * c2 * coupling * e1, 1j * c2 * coupling * e2])
-    eye = np.eye(2)
-    a11 = np.stack(
-        [
-            np.stack([f22 * rpar[j][k] + fperp * (eye[j, k] - rpar[j][k]) for k in range(2)])
-            for j in range(2)
-        ]
-    )
-    return KernelSymbol(grid, f11.astype(np.complex128), a01, a10, a11)
-
-
-def _block_3x3(kind: str, t: float, eta, params: FluidParams, fk: int = 0) -> np.ndarray:
-    eta = np.asarray(eta, dtype=float)
-    mag2 = np.asarray(eta[0] ** 2 + eta[1] ** 2)
-    f11, coupling, f22, fperp = _block_entries(kind, t, mag2, params, fk)
-    out = np.zeros((3, 3), dtype=np.complex128)
-    out[0, 0] = f11
-    c2 = params.c**2
-    if mag2 > 0:
-        rpar = np.outer(eta, eta) / mag2
-    else:
-        rpar = np.zeros((2, 2))
-    rperp = np.eye(2) - rpar
-    for j in range(2):
-        out[0, 1 + j] = 1j * coupling * eta[j]
-        out[1 + j, 0] = 1j * c2 * coupling * eta[j]
-        for k in range(2):
-            out[1 + j, 1 + k] = f22 * rpar[j, k] + fperp * rperp[j, k]
-    return out
+        one = np.ones(grid.spectral_shape)
+        zero = np.zeros(grid.spectral_shape)
+        return KernelSymbol(grid, one, zero, zero, one, zero)
 
 
 def _check_nonnegative_time(t: float):
@@ -336,89 +270,73 @@ def _check_nonnegative_time(t: float):
         raise KernelError(f"kernel symbols are defined for t >= 0, got {t}")
 
 
+def _point_symbol(kind: str, t: float, eta, params: FluidParams) -> np.ndarray:
+    _check_nonnegative_time(t)
+    eta = np.asarray(eta, dtype=float)
+    mag2 = np.asarray(eta[0] ** 2 + eta[1] ** 2)
+    return _matrix(_entries(kind, t, mag2, mag2, params), eta)
+
+
+def _grid_symbol(kind: str, t: float, grid: Grid, params: FluidParams, fk: int = 0):
+    _check_nonnegative_time(t)
+    return KernelSymbol(grid, *_entries(kind, t, grid.eta_sq, grid.eta_sq_odd, params, fk))
+
+
 def spar_symbol(t: float, eta, params: FluidParams) -> np.ndarray:
     """3x3 symbol of the curl-free Green kernel at one wavevector."""
-    _check_nonnegative_time(t)
-    return _block_3x3("spar", t, eta, params)
+    return _point_symbol("spar", t, eta, params)
 
 
 def s_symbol(t: float, eta, params: FluidParams) -> np.ndarray:
     """3x3 symbol of the full linearised Green kernel at one wavevector."""
-    _check_nonnegative_time(t)
-    return _block_3x3("s", t, eta, params)
+    return _point_symbol("s", t, eta, params)
 
 
 def artificial_symbol(t: float, eta, params: FluidParams, composed: bool = False) -> np.ndarray:
     """3x3 symbol of the artificial-viscosity kernel (composed=True gives the
     version whose divergence-free part is the mu-heat flow)."""
-    _check_nonnegative_time(t)
-    return _block_3x3("artificial" if composed else "artificial_par", t, eta, params)
+    return _point_symbol("artificial" if composed else "artificial_par", t, eta, params)
 
 
 def wave_symbol(t: float, eta, params: FluidParams) -> np.ndarray:
     """3x3 symbol of the acoustic wave-system kernel."""
-    _check_nonnegative_time(t)
-    return _block_3x3("wave", t, eta, params)
+    return _point_symbol("wave", t, eta, params)
 
 
 def spar_symbol_grid(t: float, grid: Grid, params: FluidParams) -> KernelSymbol:
-    _check_nonnegative_time(t)
-    return _assemble_symbol(grid, "spar", t, params)
+    return _grid_symbol("spar", t, grid, params)
 
 
 def s_symbol_grid(t: float, grid: Grid, params: FluidParams) -> KernelSymbol:
-    _check_nonnegative_time(t)
-    return _assemble_symbol(grid, "s", t, params)
+    return _grid_symbol("s", t, grid, params)
 
 
 def artificial_symbol_grid(
     t: float, grid: Grid, params: FluidParams, composed: bool = False
 ) -> KernelSymbol:
-    _check_nonnegative_time(t)
-    return _assemble_symbol(grid, "artificial" if composed else "artificial_par", t, params)
+    return _grid_symbol("artificial" if composed else "artificial_par", t, grid, params)
 
 
 def phi_symbol_grid(
     k: int, t: float, grid: Grid, params: FluidParams, kind: str = "s"
 ) -> KernelSymbol:
     """phi_k(t * generator) as a blockwise symbol (exponential-integrator weights)."""
-    _check_nonnegative_time(t)
-    return _assemble_symbol(grid, kind, t, params, fk=k)
+    return _grid_symbol(kind, t, grid, params, fk=k)
 
 
 def heat_symbol_grid(t: float, grid: Grid, mu: float) -> KernelSymbol:
     """Diagonal heat semigroup exp(mu t Laplacian) on all three components."""
     _check_nonnegative_time(t)
-    h = np.exp(-mu * grid.eta_sq * t).astype(np.complex128)
-    return KernelSymbol.identity(grid).scaled(h)
+    return KernelSymbol.identity(grid).scaled(np.exp(-mu * grid.eta_sq * t))
 
 
 def generator_block(kind: str, eta, params: FluidParams) -> np.ndarray:
     """3x3 generator matrix d/dt|_0 of the chosen kernel family at eta."""
     eta = np.asarray(eta, dtype=float)
     mag2 = float(eta[0] ** 2 + eta[1] ** 2)
-    mu, mu_par, c2 = params.mu, params.mu_par, params.c**2
-    out = np.zeros((3, 3), dtype=np.complex128)
-    if kind == "spar":
-        diag_par, diag_perp = -mu_par * mag2, -mu_par * mag2
-    elif kind == "s":
-        diag_par, diag_perp = -mu_par * mag2, -mu * mag2
-    elif kind in ("artificial_par", "artificial"):
-        out[0, 0] = -0.5 * mu_par * mag2
-        diag_par = -0.5 * mu_par * mag2
-        diag_perp = diag_par if kind == "artificial_par" else -mu * mag2
-    elif kind == "wave":
-        diag_par = diag_perp = 0.0
-    else:
-        raise KernelError(f"unknown kernel kind {kind!r}")
-    rpar = np.outer(eta, eta) / mag2 if mag2 > 0 else np.zeros((2, 2))
-    rperp = np.eye(2) - rpar
-    for j in range(2):
-        out[0, 1 + j] = 1j * eta[j]
-        out[1 + j, 0] = 1j * c2 * eta[j]
-        for k in range(2):
-            out[1 + j, 1 + k] = diag_par * rpar[j, k] + diag_perp * rperp[j, k]
-    return out
+    d1, d2, d_perp = _diagonals(kind, mag2, params)
+    q = (d2 - d_perp) / mag2 if mag2 > 0 else 0.0
+    return _matrix((d1, 1.0, params.c**2, d_perp, q), eta)
 
 
 # ---------------------------------------------------------------------------
@@ -440,21 +358,21 @@ def default_cutoff(params: FluidParams) -> CutoffSpec:
     return CutoffSpec(2.0 * params.c / params.mu_par + 1.0)
 
 
+def _quintic_cutoff(mag, spec: CutoffSpec):
+    s = np.clip(mag - spec.r0, 0.0, 1.0)
+    return 1.0 - s**3 * (10.0 + s * (-15.0 + 6.0 * s))
+
+
 def cutoff(eta, spec: CutoffSpec):
     """Smooth cutoff value chi(eta) in [0, 1]; accepts a wavevector or |eta|."""
     eta = np.asarray(eta, dtype=float)
     if eta.ndim >= 1 and eta.shape[0] == 2:
-        mag = np.sqrt(eta[0] ** 2 + eta[1] ** 2)
-    else:
-        mag = np.abs(eta)
-    s = np.clip(mag - spec.r0, 0.0, 1.0)
-    return 1.0 - s**3 * (10.0 + s * (-15.0 + 6.0 * s))
+        return _quintic_cutoff(np.sqrt(eta[0] ** 2 + eta[1] ** 2), spec)
+    return _quintic_cutoff(np.abs(eta), spec)
 
 
 def cutoff_grid(grid: Grid, spec: CutoffSpec) -> np.ndarray:
-    mag = np.sqrt(grid.eta_sq)
-    s = np.clip(mag - spec.r0, 0.0, 1.0)
-    return 1.0 - s**3 * (10.0 + s * (-15.0 + 6.0 * s))
+    return _quintic_cutoff(np.sqrt(grid.eta_sq), spec)
 
 
 def split(symbol: KernelSymbol, spec: CutoffSpec) -> tuple[KernelSymbol, KernelSymbol]:

@@ -134,7 +134,6 @@ class SolverConfig:
     dt: float | None = None
     snapshot_times: tuple[float, ...] = ()
     scheme: str = "etd2"
-    epsilon: float = 0.0
     nonlinear: bool = True
     hs_index: int = 3
     blowup_factor: float = 10.0
@@ -418,7 +417,6 @@ def save_trajectory(trajectory: Trajectory, directory) -> None:
         "scheme": cfg.scheme,
         "dt": cfg.dt,
         "T": cfg.T,
-        "epsilon": cfg.epsilon,
         "nonlinear": cfg.nonlinear,
         "hs_index": cfg.hs_index,
         "snapshot_times": list(cfg.snapshot_times),
@@ -459,7 +457,6 @@ def load_trajectory(directory) -> Trajectory:
         dt=manifest["dt"],
         snapshot_times=tuple(manifest["snapshot_times"]),
         scheme=manifest["scheme"],
-        epsilon=manifest["epsilon"],
         nonlinear=manifest["nonlinear"],
         hs_index=manifest["hs_index"],
     )

@@ -60,6 +60,39 @@ def test_parse_config_rejects_malformed_line():
         parse_config("just some words\n")
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("n = 32\nL = 50\ndt = 10\nexperiments = sound-decay\n", "dt"),
+        # valid on the full box (bound 0.39), not on the half box (0.195)
+        ("dt = 0.3\nexperiments = kernel-algebra, incompressible-limit\n", "dt"),
+        ("T = inf\n", "T"),
+        ("mu = nan\n", "mu"),
+        ("epsilon = -inf\n", "epsilon"),
+    ],
+    ids=["dt-full-box", "dt-half-box", "T-inf", "mu-nan", "epsilon-minus-inf"],
+)
+def test_invalid_config_exits_2_before_any_output(tmp_path, capsys, text, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code = main(["--config", str(cfg), "--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {key}:" in err
+    assert not (tmp_path / "out" / "reports.csv").exists()
+
+
+def test_dt_bound_follows_the_selected_experiments(tmp_path, capsys):
+    assert parse_config("dt = 0.3\nexperiments = sound-decay\n").dt == 0.3
+    # the command-line filter decides which boxes the bound covers
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("n = 32\nL = 50\ndt = 10\n")
+    outdir = tmp_path / "out"
+    code = main(["--config", str(cfg), "--outdir", str(outdir), "--experiments", "kernel-algebra"])
+    capsys.readouterr()
+    assert code == 0
+
+
 def test_list_experiments_flag(capsys):
     assert main(["--list-experiments"]) == 0
     out = capsys.readouterr().out.strip().split("\n")

@@ -126,6 +126,7 @@ def _write_v1(trajectory, directory):
     save_trajectory(trajectory, directory)
     manifest = json.loads((directory / "manifest.json").read_text())
     manifest["format_version"] = 1
+    manifest["epsilon"] = 0.0  # written by earlier versions, never read back
     (directory / "manifest.json").write_text(json.dumps(manifest))
     full = []
     for k, state in enumerate(trajectory.states):
@@ -150,6 +151,7 @@ def test_trajectory_files_v1_and_v2_load(n, seed):
                 assert np.array_equal(ca.coeffs, cb.coeffs)
         full = _write_v1(trajectory, v1)
         old = load_trajectory(v1)
+        assert old.config == trajectory.config
         for state, arrays, orig in zip(old.states, full, trajectory.states):
             for field, key, ref in zip(state.components(), ("rho", "m1", "m2"), orig.components()):
                 # format 1: the k2 >= 0 columns are kept as they were stored

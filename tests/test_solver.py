@@ -331,7 +331,6 @@ def _duhamel_setup(grid, eps, dt, T):
         T=T,
         dt=dt,
         snapshot_times=tuple(dt * k for k in range(1, n + 1)),
-        epsilon=eps,
     )
     return X0, cfg
 
@@ -390,9 +389,7 @@ def test_duhamel_residual_needs_enough_snapshots():
 def test_snapshot_round_trip_bit_exact(tmp_path):
     grid = make_grid(32, 20.0)
     X0 = _bump_state(grid, 1e-2)
-    cfg = SolverConfig(
-        grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0), epsilon=1e-2
-    )
+    cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0))
     traj = simulate(X0, cfg)
     save_trajectory(traj, tmp_path / "run")
     back = load_trajectory(tmp_path / "run")
