@@ -17,7 +17,9 @@ Config files are plain ``key = value`` text (``#`` comments allowed).  Keys:
 Outputs: ``reports.csv`` (one row per report), ``summary.json`` and one
 ``series/<experiment>__<label>.csv`` per measured series.  Exit status is 0
 exactly when every report passes; an invalid config (any non-finite number
-included) exits 2, naming the key, before any output is written.
+included) exits 2, naming the key, before any output is written.  So does a
+box an experiment cannot run on (its data or acoustic ring leaves the box):
+exit 2 naming ``n/L`` and the experiment, and no outputs at all.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ from .harness import (
     series_to_csv,
     summary_dict,
 )
+from .kernels import KernelError, default_cutoff
 from .profiles import FluidParams, PowerPressureLaw, ProfileError
-from .solver import cfl_limit
+from .solver import SolverError, cfl_limit, scaled_params
 from .spectral import SpectralError, make_grid
 
 
@@ -104,6 +107,15 @@ class RunManifest:
                 raise ConfigError(
                     f"dt: {self.dt} exceeds the acoustic CFL bound 0.5 dx/c = {limit:.4g} "
                     f"of the smallest solver box (L = {self.L * min(boxes):g})"
+                )
+        if "kernel-rates" in self.experiments:
+            # its high-frequency fit needs grid wavenumbers beyond the cutoff radius
+            top = math.sqrt(2.0) * math.pi * self.n / self.L
+            r0 = default_cutoff(scaled_params(params)).r0
+            if not top > r0:
+                raise ConfigError(
+                    f"n/L: kernel-rates needs wavenumbers above the cutoff radius {r0:.4g}, "
+                    f"but the largest on the grid, sqrt(2) pi n/L, is {top:.4g}"
                 )
         return ExperimentContext(
             grid=grid,
@@ -181,7 +193,12 @@ def run(manifest: RunManifest, outdir) -> int:
     results = []
     all_reports = []
     for name in manifest.experiments:
-        result = EXPERIMENTS[name](ctx)
+        try:
+            result = EXPERIMENTS[name](ctx)
+        except (KernelError, ProfileError, SolverError) as err:
+            raise HarnessError(
+                f"n/L: {name} cannot run at n = {manifest.n}, L = {manifest.L:g}: {err}"
+            ) from err
         results.append(result)
         for rep in result.reports:
             all_reports.append(rep)

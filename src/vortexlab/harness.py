@@ -35,8 +35,10 @@ from .kernels import (
 from .profiles import (
     FluidParams,
     biot_savart,
+    circulation_alpha,
     dipole_vorticity_field,
     first_moments_beta,
+    oseen_pair_fields,
     oseen_vorticity_field,
     profile_superposition,
     vorticity_of,
@@ -224,22 +226,30 @@ class ExperimentContext:
 
 
 def _rate_report(
+    series: dict,
     experiment,
     label,
     estimate,
     p,
     sigma,
-    series: RateSeries,
+    t,
+    vals,
     tolerance,
     mode="match",
     allow_log=False,
+    fit_window=None,
 ):
-    """Fit a series against the formula table, optionally with a log envelope."""
+    """Record the raw samples as series[label] and fit them, restricted to
+    `fit_window` = (t_min, t_max) if given, against the formula table,
+    optionally with a log envelope."""
+    t, vals = np.asarray(t), np.asarray(vals)
+    series[label] = (t, vals)
+    rates = window(t, vals, *fit_window) if fit_window else RateSeries(tuple(t), tuple(vals))
     predicted = predicted_exponent(estimate, p, sigma)
-    fit = fit_rate(series)
+    fit = fit_rate(rates)
     used_log = False
     if allow_log and abs(fit.slope - predicted) > tolerance:
-        logfit = fit_rate(series, log_correction=True)
+        logfit = fit_rate(rates, log_correction=True)
         if abs(logfit.slope - predicted) < abs(fit.slope - predicted):
             fit = logfit
             used_log = True
@@ -257,9 +267,14 @@ def _rate_report(
     )
 
 
-def _decay_reports(experiment, label, t, vals, horizon, final_fraction, p, sigma):
-    """A weighted residual that decays: monotone over the last half of the
-    run, and a final value below `final_fraction` of the first."""
+def _decay_reports(
+    series: dict, experiment, label, t, vals, horizon, final_fraction, p, sigma, key=None
+):
+    """Record a weighted residual as series[key or label] and report that it
+    decays: monotone over the last half of the run, and a final value below
+    `final_fraction` of the first."""
+    t, vals = np.asarray(t), np.asarray(vals)
+    series[key or label] = (t, vals)
     half = vals[t >= horizon / 2.0 - 1e-9]
     ratios = half[1:] / half[:-1]
     monotone = float(ratios.max()) if len(ratios) else 0.0
@@ -432,16 +447,9 @@ def run_kernel_rates(ctx: ExperimentContext) -> ExperimentResult:
         for p in (1.0, 2.0, np.inf):
             vals = [lp_of_magnitude(np.abs(fields[t][0]), grid, p) for t in art_times]
             label = f"artificial-p{p:g}-s{sigma}"
-            series[label] = (art_times, np.array(vals))
             reports.append(
                 _rate_report(
-                    name,
-                    label,
-                    "artificial_kernel",
-                    p,
-                    sigma,
-                    RateSeries(tuple(art_times), tuple(vals)),
-                    0.1,
+                    series, name, label, "artificial_kernel", p, sigma, art_times, vals, 0.1,
                     allow_log=(sigma == 0 and p in (1.0, np.inf)),
                 )
             )
@@ -461,33 +469,20 @@ def run_kernel_rates(ctx: ExperimentContext) -> ExperimentResult:
         for sigma in (0, 1):
             vals = [_state_norm_fields(lf_states[t], sigma, p) for t in lf_times]
             label = f"lf-kernel-p{p:g}-s{sigma}"
-            series[label] = (lf_times, np.array(vals))
+            # this estimate is an upper bound; it is saturated at p=2
+            # while the sup norm genuinely decays faster (ring spreading)
+            mode = "match" if p == 2.0 else "bound"
             reports.append(
                 _rate_report(
-                    name,
-                    label,
-                    "lf_kernel",
-                    p,
-                    sigma,
-                    RateSeries(tuple(lf_times), tuple(vals)),
-                    0.1,
-                    # this estimate is an upper bound; it is saturated at p=2
-                    # while the sup norm genuinely decays faster (ring spreading)
-                    mode="match" if p == 2.0 else "bound",
+                    series, name, label, "lf_kernel", p, sigma, lf_times, vals, 0.1, mode=mode
                 )
             )
 
     # kernel difference: LF parts of the true and artificial kernels
-    series["kernel-difference-p2-s0"] = (lf_times, np.array(diff_vals))
+    label = "kernel-difference-p2-s0"
     reports.append(
         _rate_report(
-            name,
-            "kernel-difference-p2-s0",
-            "kernel_difference",
-            2.0,
-            0,
-            RateSeries(tuple(lf_times), tuple(diff_vals)),
-            0.1,
+            series, name, label, "kernel_difference", 2.0, 0, lf_times, diff_vals, 0.1,
             mode="bound",
         )
     )
@@ -520,12 +515,7 @@ def run_kernel_rates(ctx: ExperimentContext) -> ExperimentResult:
     for p in (1.0, 2.0, np.inf):
         vals = [heat_leray_kernel_norms(t, (1, 0), p, grid, params) for t in hl_times]
         label = f"heat-leray-p{p:g}-s1"
-        series[label] = (hl_times, np.array(vals))
-        reports.append(
-            _rate_report(
-                name, label, "heat_leray", p, 1, RateSeries(tuple(hl_times), tuple(vals)), 0.1
-            )
-        )
+        reports.append(_rate_report(series, name, label, "heat_leray", p, 1, hl_times, vals, 0.1))
 
     # heat flow of Biot-Savart data (fit past the age of the sampled profile)
     perp_times = np.geomspace(8.0, 128.0, 9)
@@ -544,69 +534,25 @@ def run_kernel_rates(ctx: ExperimentContext) -> ExperimentResult:
         mag = vector_magnitude((comps[0], comps[1]))
         return lp_of_magnitude(mag if weight is None else mag * weight, grid, p)
 
-    for p in (2.0, np.inf):
-        for sigma in (0, 1):
-            vals = [heat_norm(m_dipole, t, sigma, p) for t in perp_times]
-            label = f"perp-dipole-p{p:g}-s{sigma}"
-            series[label] = (perp_times, np.array(vals))
-            reports.append(
-                _rate_report(
-                    name,
-                    label,
-                    "heat_dipole_data",
-                    p,
-                    sigma,
-                    RateSeries(tuple(perp_times), tuple(vals)),
-                    0.1,
-                )
-            )
-
-    for p in (2.0, np.inf):
-        vals = [heat_norm(m_second, t, 0, p) for t in perp_times]
-        label = f"perp-second-moment-p{p:g}-s0"
-        series[label] = (perp_times, np.array(vals))
-        reports.append(
-            _rate_report(
-                name,
-                label,
-                "heat_second_moment_data",
-                p,
-                0,
-                RateSeries(tuple(perp_times), tuple(vals)),
-                0.1,
-            )
-        )
-
-    # weighted norm |x| K_mu m0 stays on the part-1 rate
     radius = np.hypot(grid.xc1, grid.xc2)
-    vals = [heat_norm(m_second, t, 0, 2.0, weight=radius) for t in perp_times]
-    series["perp-weighted-p2-s0"] = (perp_times, np.array(vals))
-    reports.append(
-        _rate_report(
-            name,
-            "perp-weighted-p2-s0",
-            "heat_dipole_data",
-            2.0,
-            0,
-            RateSeries(tuple(perp_times), tuple(vals)),
-            0.1,
-        )
-    )
-
-    # small-p interpolation corollary at p = 3/2
-    vals = [heat_norm(m_second, t, 0, 1.5) for t in perp_times]
-    series["perp-small-p1.5-s0"] = (perp_times, np.array(vals))
-    reports.append(
-        _rate_report(
-            name,
-            "perp-small-p1.5-s0",
-            "heat_second_moment_data",
-            1.5,
-            0,
-            RateSeries(tuple(perp_times), tuple(vals)),
-            0.15,
-        )
-    )
+    perp_cases = [
+        (f"perp-dipole-p{p:g}-s{sigma}", "heat_dipole_data", m_dipole, p, sigma, None, 0.1)
+        for p in (2.0, np.inf)
+        for sigma in (0, 1)
+    ]
+    perp_cases += [
+        (f"perp-second-moment-p{p:g}-s0", "heat_second_moment_data", m_second, p, 0, None, 0.1)
+        for p in (2.0, np.inf)
+    ]
+    perp_cases += [
+        # weighted norm |x| K_mu m0 stays on the part-1 rate
+        ("perp-weighted-p2-s0", "heat_dipole_data", m_second, 2.0, 0, radius, 0.1),
+        # small-p interpolation corollary at p = 3/2
+        ("perp-small-p1.5-s0", "heat_second_moment_data", m_second, 1.5, 0, None, 0.15),
+    ]
+    for label, est, m0, p, sigma, weight, tol in perp_cases:
+        vals = [heat_norm(m0, t, sigma, p, weight) for t in perp_times]
+        reports.append(_rate_report(series, name, label, est, p, sigma, perp_times, vals, tol))
 
     return ExperimentResult(name, tuple(reports), series)
 
@@ -713,23 +659,30 @@ def _diffusive_horizon(ctx: ExperimentContext, grid: Grid) -> float:
     return min(ctx.T, (0.075 * grid.L) ** 2 / nu - 1.0)
 
 
-def run_sound_decay(ctx: ExperimentContext) -> ExperimentResult:
-    """L^p decay of the curl-free part of a small-amplitude nonlinear run."""
-    name = "sound-decay"
-    grid = ctx.grid
-    horizon = _acoustic_horizon(ctx, grid)
-    times = _snapshot_times(horizon)
+def _simulate(ctx: ExperimentContext, grid: Grid, X0: State, horizon, times, what, nonlinear=True):
+    """Run the compressible solver on `grid` with the context's fluid and dt;
+    an aborted run raises instead of reaching a fit."""
     cfg = SolverConfig(
         grid=grid,
         params=ctx.params,
         T=horizon,
         dt=ctx.dt,
         snapshot_times=times,
+        nonlinear=nonlinear,
     )
-    X0 = _generic_state(grid, ctx.epsilon)
     traj = simulate(X0, cfg)
     if traj.aborted:
-        raise HarnessError(f"sound-decay run aborted: {traj.abort_reason}")
+        raise HarnessError(f"{what} run aborted: {traj.abort_reason}")
+    return traj
+
+
+def run_sound_decay(ctx: ExperimentContext) -> ExperimentResult:
+    """L^p decay of the curl-free part of a small-amplitude nonlinear run."""
+    name = "sound-decay"
+    grid = ctx.grid
+    horizon = _acoustic_horizon(ctx, grid)
+    times = _snapshot_times(horizon)
+    traj = _simulate(ctx, grid, _generic_state(grid, ctx.epsilon), horizon, times, name)
     reports = []
     series = {}
     t_arr = np.array(traj.times[1:])
@@ -739,19 +692,11 @@ def run_sound_decay(ctx: ExperimentContext) -> ExperimentResult:
         _, par = leray_decompose(X.m)
         magnitudes.append(state_magnitude(State(X.rho, par)))
     for p in (2.0, np.inf, 1.0):
-        vals = np.array([lp_of_magnitude(mag, grid, p) for mag in magnitudes])
-        label = f"sound-p{p:g}-s0"
-        series[label] = (t_arr, vals)
+        vals = [lp_of_magnitude(mag, grid, p) for mag in magnitudes]
         reports.append(
             _rate_report(
-                name,
-                label,
-                "sound_part",
-                p,
-                0,
-                window(t_arr, vals, horizon / 4.0, horizon),
-                0.15,
-                allow_log=(p == 1.0),
+                series, name, f"sound-p{p:g}-s0", "sound_part", p, 0, t_arr, vals, 0.15,
+                allow_log=(p == 1.0), fit_window=(horizon / 4.0, horizon),
             )
         )
     return ExperimentResult(name, tuple(reports), series, {"horizon": horizon})
@@ -771,16 +716,7 @@ def run_nonlinear_smallness(ctx: ExperimentContext) -> ExperimentResult:
     deviations = {}
     for eps in eps_sweep:
         X0 = _generic_state(grid, eps)
-        cfg = SolverConfig(
-            grid=grid,
-            params=ctx.params,
-            T=horizon,
-            dt=ctx.dt,
-            snapshot_times=times,
-        )
-        traj = simulate(X0, cfg)
-        if traj.aborted:
-            raise HarnessError(f"nonlinear run aborted at eps={eps}: {traj.abort_reason}")
+        traj = _simulate(ctx, grid, X0, horizon, times, f"{name} eps={eps:g}")
         dev = []
         for t, X in zip(traj.times[1:], traj.states[1:]):
             lin = linear_symbols[t].apply(traj.states[0])
@@ -823,15 +759,7 @@ def run_nonlinear_smallness(ctx: ExperimentContext) -> ExperimentResult:
 
     # linear-only control: the deviation vanishes identically
     X0 = _generic_state(grid, ctx.epsilon)
-    cfg = SolverConfig(
-        grid=grid,
-        params=ctx.params,
-        T=horizon,
-        dt=ctx.dt,
-        snapshot_times=times,
-        nonlinear=False,
-    )
-    traj = simulate(X0, cfg)
+    traj = _simulate(ctx, grid, X0, horizon, times, f"{name} linear-control", nonlinear=False)
     worst = 0.0
     for t, X in zip(traj.times[1:], traj.states[1:]):
         lin = linear_symbols[t].apply(traj.states[0])
@@ -855,7 +783,7 @@ def run_incompressible_limit(ctx: ExperimentContext) -> ExperimentResult:
     series = {}
 
     horizon = _diffusive_horizon(ctx, grid)
-    times = tuple(np.geomspace(1.0, horizon, 12))
+    times = _snapshot_times(horizon, 12)
 
     # dipole-data case: zero circulation, nonzero first moments
     omega0 = dipole_vorticity_field(grid, 1, 1.0, params)
@@ -864,16 +792,7 @@ def run_incompressible_limit(ctx: ExperimentContext) -> ExperimentResult:
     m0 = (u0[0] * (amp * rs), u0[1] * (amp * rs))
     X0 = State(SpectralField.zero(grid), m0).dealiased()
     moments = first_moments_beta(vorticity_of(X0.m, params), params)
-    cfg = SolverConfig(
-        grid=grid,
-        params=params,
-        T=horizon,
-        dt=ctx.dt,
-        snapshot_times=times,
-    )
-    traj = simulate(X0, cfg)
-    if traj.aborted:
-        raise HarnessError(f"incompressible run aborted: {traj.abort_reason}")
+    traj = _simulate(ctx, grid, X0, horizon, times, f"{name} dipole-data")
 
     profiles = {t: profile_superposition(moments, t, params, grid)[1] for t in times}
     for p in (2.0, np.inf):
@@ -887,10 +806,8 @@ def run_incompressible_limit(ctx: ExperimentContext) -> ExperimentResult:
                     diff = (derivative(diff[0], (1, 0)), derivative(diff[1], (1, 0)))
                 w = t ** predicted_exponent("incompressible_weight", p, sigma)
                 vals.append(w * lp_norm_vector(diff, p))
-            vals = np.array(vals)
             label = f"dipole-residual-p{p:g}-s{sigma}"
-            series[label] = (np.array(times), vals)
-            reports += _decay_reports(name, label, np.array(times), vals, horizon, 0.2, p, sigma)
+            reports += _decay_reports(series, name, label, times, vals, horizon, 0.2, p, sigma)
 
     # moment consistency along the run (2% of the initial values), probed
     # while the vorticity is still compactly supported in the box
@@ -917,36 +834,25 @@ def run_incompressible_limit(ctx: ExperimentContext) -> ExperimentResult:
     # No rate is asserted for this limit, so the criterion is the weaker
     # "weighted residual decays": monotone over the last half, final below
     # half the t=1 value (the dipole case above carries the 20% threshold).
-    omega_g = oseen_vorticity_field(grid, 1.0, params)
-    cg = omega_g.coeffs.copy()
-    alpha_val = float(cg[0, 0].real) / params.nu
-    cg[0, 0] = 0.0
-    ug = biot_savart(SpectralField(grid, cg))
+    omega_g, ug = oseen_pair_fields(grid, 1.0, params)
     ampg = ctx.epsilon / lp_norm_vector(ug, np.inf)
     m0g = (ug[0] * (ampg * rs), ug[1] * (ampg * rs))
     X0g = State(SpectralField.zero(grid), m0g).dealiased()
-    alpha_scaled = alpha_val * ampg
-    trajg = simulate(X0g, cfg)
-    if trajg.aborted:
-        raise HarnessError(f"vortex-data run aborted: {trajg.abort_reason}")
+    alpha_scaled = circulation_alpha(omega_g, params) * ampg
+    trajg = _simulate(ctx, grid, X0g, horizon, times, f"{name} vortex-data")
     for p in (2.0, np.inf):
         vals = []
         for t, X in zip(trajg.times[1:], trajg.states[1:]):
             perp, _ = leray_decompose(X.m)
-            wg = oseen_vorticity_field(grid, t, params)
-            cwg = wg.coeffs.copy()
-            cwg[0, 0] = 0.0
-            uref = biot_savart(SpectralField(grid, cwg))
+            _, uref = oseen_pair_fields(grid, t, params)
             diff = (
                 perp[0] - uref[0] * (rs * alpha_scaled),
                 perp[1] - uref[1] * (rs * alpha_scaled),
             )
             w = t ** predicted_exponent("incompressible_weight", p, 0)
             vals.append(w * lp_norm_vector(diff, p))
-        vals = np.array(vals)
         label = f"vortex-residual-p{p:g}-s0"
-        series[label] = (np.array(times), vals)
-        reports += _decay_reports(name, label, np.array(times), vals, horizon, 0.5, p, 0)
+        reports += _decay_reports(series, name, label, times, vals, horizon, 0.5, p, 0)
     extras = {
         "beta": list(moments.beta),
         "alpha_scaled": alpha_scaled,
@@ -1000,7 +906,7 @@ def run_vorticity_profiles(ctx: ExperimentContext) -> ExperimentResult:
     pscale = 0.3 * lp_norm(base, np.inf) / lp_norm(pert, np.inf)
     omega0 = (base + pert * pscale) * eps
     moments = first_moments_beta(omega0, params)
-    times_b = tuple(np.geomspace(1.0, T, 12))
+    times_b = _snapshot_times(T, 12)
     traj = vorticity_simulate(omega0, nu, times_b, dt=0.25)
     t_arr = np.array(traj.times[1:])
     vals = []
@@ -1008,9 +914,8 @@ def run_vorticity_profiles(ctx: ExperimentContext) -> ExperimentResult:
         ref, _ = profile_superposition(moments, t, params, grid)
         weight = t ** predicted_exponent("dipole_weight", 2.0, 0)
         vals.append(weight * lp_norm(w - ref, 2))
-    vals = np.array(vals)
-    series["dipole-residual-p2"] = (t_arr, vals)
-    reports += _decay_reports(name, "dipole-residual", t_arr, vals, T, 0.2, 2.0, 0)
+    label, key = "dipole-residual", "dipole-residual-p2"
+    reports += _decay_reports(series, name, label, t_arr, vals, T, 0.2, 2.0, 0, key=key)
 
     # moment conservation while the field is still well localized
     drift = 0.0

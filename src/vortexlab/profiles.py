@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, curl, sample, transform
+from .spectral import Grid, SpectralField, curl, lp_norm, sample, transform
 
 
 class ProfileError(ValueError):
@@ -202,21 +202,17 @@ def dipole_vorticity_field(grid: Grid, i: int, t: float, params: FluidParams) ->
 def biot_savart(omega: SpectralField) -> tuple[SpectralField, SpectralField]:
     """Divergence-free velocity with curl omega; requires zero circulation.
 
-    Fourier side: u_hat = i eta^perp / |eta|^2 omega_hat, zero mode set to 0.
+    Fourier side: u_hat = i eta^perp / |eta|^2 omega_hat, zero mode set to 0
+    (`Grid.biot_savart_multiplier`, shared with the vorticity solver).
     """
     grid = omega.grid
     mean = abs(omega.coeffs[0, 0])
-    mass_scale = np.sum(np.abs(omega.values())) * grid.dx**2
-    if mean > 1e-10 * max(mass_scale, 1e-300):
+    if mean > 1e-10 * max(lp_norm(omega, 1), 1e-300):
         raise ProfileError(
             f"Biot-Savart needs zero-mean vorticity; got mean {omega.coeffs[0, 0].real:.3e}"
         )
-    mag2 = grid.eta_sq_odd
-    safe = np.where(mag2 == 0.0, 1.0, mag2)
-    factor = np.where(mag2 == 0.0, 0.0, 1.0 / safe)
-    u1 = SpectralField(grid, 1j * (-grid.eta2_odd) * factor * omega.coeffs)
-    u2 = SpectralField(grid, 1j * grid.eta1_odd * factor * omega.coeffs)
-    return u1, u2
+    k1, k2 = grid.biot_savart_multiplier
+    return SpectralField(grid, k1 * omega.coeffs), SpectralField(grid, k2 * omega.coeffs)
 
 
 def circulation_alpha(omega0: SpectralField, params: FluidParams) -> float:

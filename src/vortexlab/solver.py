@@ -23,14 +23,11 @@ from .spectral import (
     Grid,
     SpectralField,
     State,
-    leray_decompose,
     lp_norm,
-    lp_of_magnitude,
     parseval_sum,
     sobolev_norm,
     to_physical,
     to_spectral,
-    vector_magnitude,
 )
 
 
@@ -135,8 +132,6 @@ class SolverConfig:
     snapshot_times: tuple[float, ...] = ()
     scheme: str = "etd2"
     nonlinear: bool = True
-    hs_index: int = 3
-    blowup_factor: float = 10.0
 
     def __post_init__(self):
         if not self.T > 0:
@@ -244,6 +239,11 @@ def step(X: State, dt: float, config: SolverConfig) -> State:
 # ---------------------------------------------------------------------------
 # simulation
 
+# Sobolev index of the H^s norm behind the blow-up guard and the energy.
+HS_INDEX = 3
+# A snapshot whose H^s norm exceeds this multiple of the initial one aborts.
+BLOWUP_FACTOR = 10.0
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -263,27 +263,15 @@ def _grad_sobolev_norm(X: State, s: int) -> float:
     return float(np.sqrt(parseval_sum(grid, pairs, weight)))
 
 
-def _diagnostics(X: State, t: float, hs_index: int) -> dict:
-    """Snapshot diagnostics; each of the 7 fields is transformed once."""
-    perp, par = leray_decompose(X.m)
-    rho = X.rho.values()
-    row = {
+def _diagnostics(X: State, t: float) -> dict:
+    """Snapshot diagnostics; `simulate` adds the Kawashima energy."""
+    return {
         "t": t,
         "mass": float(X.rho.coeffs[0, 0].real),
-        "min_density": float(1.0 + rho.min()),
-        "hs": sobolev_norm(X, hs_index),
-        "grad_hs1": _grad_sobolev_norm(X, hs_index),
+        "min_density": float(1.0 + X.rho.values().min()),
+        "hs": sobolev_norm(X, HS_INDEX),
+        "grad_hs1": _grad_sobolev_norm(X, HS_INDEX),
     }
-    magnitudes = {
-        "rho": np.abs(rho),
-        "m": vector_magnitude(X.m),
-        "mperp": vector_magnitude(perp),
-        "mpar": vector_magnitude(par),
-    }
-    for p, tag in ((1, "l1"), (2, "l2"), (np.inf, "linf")):
-        for name, mag in magnitudes.items():
-            row[f"{name}_{tag}"] = lp_of_magnitude(mag, X.grid, p)
-    return row
 
 
 def _energy_check(hs: float, hs0: float, blowup_factor: float) -> str:
@@ -314,7 +302,7 @@ def simulate(X0: State, config: SolverConfig) -> Trajectory:
 
     times = [0.0]
     states = [X * rs]
-    diagnostics = [_diagnostics(X * rs, 0.0, config.hs_index)]
+    diagnostics = [_diagnostics(X * rs, 0.0)]
     hs0 = diagnostics[0]["hs"]
     # Kawashima-type energy functional ||X||_{H^s}^2 + int ||grad X||_{H^{s-1}}^2,
     # accumulated by snapshot trapezoid; its boundedness is a run diagnostic
@@ -342,13 +330,13 @@ def simulate(X0: State, config: SolverConfig) -> Trajectory:
         phys = X * rs
         times.append(t_snap)
         states.append(phys)
-        row = _diagnostics(phys, t_snap, config.hs_index)
+        row = _diagnostics(phys, t_snap)
         dissipation += 0.5 * gap * (
             diagnostics[-1]["grad_hs1"] ** 2 + row["grad_hs1"] ** 2
         )
         row["kawashima_energy"] = row["hs"] ** 2 + dissipation
         diagnostics.append(row)
-        reason = _energy_check(row["hs"], hs0, config.blowup_factor)
+        reason = _energy_check(row["hs"], hs0, BLOWUP_FACTOR)
     return Trajectory(
         tuple(times), tuple(states), tuple(diagnostics), config, bool(reason), reason
     )
@@ -391,6 +379,8 @@ def duhamel_residual(trajectory: Trajectory, config: SolverConfig) -> float:
 
 # v2 stores half spectra; v1 stored the full n x n lattice, of which
 # `load_trajectory` keeps the k2 >= 0 columns (exact for real fields).
+# Keys earlier versions wrote and nothing reads (`epsilon`, `hs_index`) are
+# ignored.
 _FORMAT_VERSION = 2
 
 
@@ -418,7 +408,6 @@ def save_trajectory(trajectory: Trajectory, directory) -> None:
         "dt": cfg.dt,
         "T": cfg.T,
         "nonlinear": cfg.nonlinear,
-        "hs_index": cfg.hs_index,
         "snapshot_times": list(cfg.snapshot_times),
         "times": list(trajectory.times),
         "aborted": trajectory.aborted,
@@ -458,7 +447,6 @@ def load_trajectory(directory) -> Trajectory:
         snapshot_times=tuple(manifest["snapshot_times"]),
         scheme=manifest["scheme"],
         nonlinear=manifest["nonlinear"],
-        hs_index=manifest["hs_index"],
     )
     states = []
     for k in range(len(manifest["times"])):
@@ -493,11 +481,8 @@ def _vorticity_source(omega: SpectralField, nu: float) -> np.ndarray:
     transform of the stacked (u1, u2, omega), one forward transform of the
     two fluxes."""
     grid = omega.grid
-    mag2 = grid.eta_sq_odd
-    safe = np.where(mag2 == 0.0, 1.0, mag2)
-    psi = np.where(mag2 == 0.0, 0.0, 1.0 / safe) * omega.coeffs  # stream function
-    u_hat = (1j * (-grid.eta2_odd) * psi, 1j * grid.eta1_odd * psi)
-    u1, u2, w = to_physical(np.stack([*u_hat, omega.coeffs]), grid)
+    k1, k2 = grid.biot_savart_multiplier
+    u1, u2, w = to_physical(np.stack([k1 * omega.coeffs, k2 * omega.coeffs, omega.coeffs]), grid)
     f1, f2 = to_spectral(np.stack([u1 * w, u2 * w]), grid) * grid.dealias_mask
     return -((-1j * grid.eta1_odd) * f1 + (-1j * grid.eta2_odd) * f2)
 

@@ -73,6 +73,15 @@ class _Wavenumbers:
         return self.eta1_odd**2 + self.eta2_odd**2
 
     @cached_property
+    def biot_savart_multiplier(self) -> tuple[np.ndarray, np.ndarray]:
+        """i eta^perp / |eta|^2, zero at eta = 0: the torus Biot-Savart law
+        u_hat = multiplier * omega_hat for zero-mean vorticity."""
+        mag2 = self.eta_sq_odd
+        safe = np.where(mag2 == 0.0, 1.0, mag2)
+        factor = np.where(mag2 == 0.0, 0.0, 1.0 / safe)
+        return 1j * (-self.eta2_odd) * factor, 1j * self.eta1_odd * factor
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
         # 2/3 rule per axis: keep |k| <= n/3
         rows = np.abs(self.k_index) <= self.n // 3

@@ -69,8 +69,10 @@ def test_parse_config_rejects_malformed_line():
         ("T = inf\n", "T"),
         ("mu = nan\n", "mu"),
         ("epsilon = -inf\n", "epsilon"),
+        # largest |eta| = sqrt(2) pi 64/200 = 1.42 lies inside the cutoff radius 2
+        ("n = 64\nL = 200\nexperiments = kernel-rates\n", "n/L"),
     ],
-    ids=["dt-full-box", "dt-half-box", "T-inf", "mu-nan", "epsilon-minus-inf"],
+    ids=["dt-full-box", "dt-half-box", "T-inf", "mu-nan", "epsilon-minus-inf", "hf-band-empty"],
 )
 def test_invalid_config_exits_2_before_any_output(tmp_path, capsys, text, key):
     cfg = tmp_path / "bad.cfg"
@@ -79,6 +81,19 @@ def test_invalid_config_exits_2_before_any_output(tmp_path, capsys, text, key):
     err = capsys.readouterr().err
     assert code == 2
     assert f"error: {key}:" in err
+    assert not (tmp_path / "out" / "reports.csv").exists()
+
+
+def test_library_error_in_an_experiment_exits_2(tmp_path, capsys):
+    # the acoustic ring of pointwise-bound leaves a box this small at once;
+    # the experiment that ran before it leaves no partial output either
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("n = 64\nL = 50\nexperiments = kernel-algebra, pointwise-bound\n")
+    code = main(["--config", str(cfg), "--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: n/L: pointwise-bound cannot run at n = 64, L = 50: " in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out" / "reports.csv").exists()
 
 

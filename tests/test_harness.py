@@ -150,3 +150,43 @@ def test_zero_amplitude_residuals_vanish_identically():
         diff = (perp[0] - uref[0], perp[1] - uref[1])
         assert lp_norm_vector(diff, 2) == 0.0
         assert lp_norm_vector(diff, np.inf) == 0.0
+
+
+def _stub_simulate(abort_call):
+    """Stand-in for the solver: every run returns its initial state at each
+    snapshot, except run number `abort_call`, which comes back aborted."""
+    from vortexlab.solver import Trajectory
+
+    calls = []
+
+    def simulate(X0, cfg):
+        calls.append(cfg)
+        if len(calls) - 1 == abort_call:
+            return Trajectory((0.0,), (X0,), ({},), cfg, True, "stub abort")
+        times = (0.0, *cfg.snapshot_times)
+        return Trajectory(times, (X0,) * len(times), ({},) * len(times), cfg)
+
+    return simulate
+
+
+@pytest.mark.parametrize(
+    "experiment, abort_call, message",
+    [
+        ("sound-decay", 0, "sound-decay run aborted"),
+        ("nonlinear-smallness", 0, "nonlinear-smallness eps=0.001 run aborted"),
+        ("nonlinear-smallness", 3, "nonlinear-smallness linear-control run aborted"),
+        ("incompressible-limit", 0, "incompressible-limit dipole-data run aborted"),
+        ("incompressible-limit", 1, "incompressible-limit vortex-data run aborted"),
+    ],
+    ids=["sound", "nonlinear", "linear-control", "dipole-data", "vortex-data"],
+)
+def test_aborted_solver_run_raises(monkeypatch, experiment, abort_call, message):
+    # no solver run reaches a fit once it has aborted, the linear control included
+    from vortexlab import harness
+    from vortexlab.profiles import FluidParams
+    from vortexlab.spectral import make_grid
+
+    monkeypatch.setattr(harness, "simulate", _stub_simulate(abort_call))
+    ctx = ExperimentContext(grid=make_grid(128, 100.0), params=FluidParams())
+    with pytest.raises(HarnessError, match=f"^{message}: stub abort$"):
+        run_experiment(experiment, ctx)

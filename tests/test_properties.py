@@ -126,7 +126,8 @@ def _write_v1(trajectory, directory):
     save_trajectory(trajectory, directory)
     manifest = json.loads((directory / "manifest.json").read_text())
     manifest["format_version"] = 1
-    manifest["epsilon"] = 0.0  # written by earlier versions, never read back
+    # written by earlier versions, never read back
+    manifest.update(epsilon=0.0, hs_index=3)
     (directory / "manifest.json").write_text(json.dumps(manifest))
     full = []
     for k, state in enumerate(trajectory.states):

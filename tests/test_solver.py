@@ -201,7 +201,9 @@ def test_simulate_zero_initial_data():
     cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0))
     traj = simulate(State.zero(grid), cfg)
     assert not traj.aborted
-    assert all(d["l2" and "rho_l2"] == 0.0 for d in traj.diagnostics)
+    assert all(d["hs"] == 0.0 and d["min_density"] == 1.0 for d in traj.diagnostics)
+    keys = {"t", "mass", "min_density", "hs", "grad_hs1", "kawashima_energy"}
+    assert all(set(d) == keys for d in traj.diagnostics)
 
 
 def test_simulate_mass_exactly_conserved():
@@ -270,13 +272,12 @@ def test_simulate_vacuum_abort_returns_partial_trajectory():
     assert len(traj.states) == 1  # initial snapshot only
 
 
-def test_simulate_energy_guard_aborts():
+def test_simulate_energy_guard_aborts(monkeypatch):
     # an artificially tight blow-up factor exercises the abort path
+    monkeypatch.setattr(solver, "BLOWUP_FACTOR", 0.1)
     grid = make_grid(32, 20.0)
     X0 = _bump_state(grid, 1e-2)
-    cfg = SolverConfig(
-        grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0), blowup_factor=0.1
-    )
+    cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0))
     traj = simulate(X0, cfg)
     assert traj.aborted
     assert "blow-up" in traj.abort_reason
