@@ -188,26 +188,33 @@ def _probe_writable(outdir: Path):
 def run(manifest: RunManifest, outdir) -> int:
     """Execute the manifest's experiments and write reports; 0 iff all pass."""
     out = Path(outdir)
-    _probe_writable(out)
     ctx = manifest.context()
+    created = not out.exists()
+    _probe_writable(out)
     results = []
     all_reports = []
-    for name in manifest.experiments:
-        try:
-            result = EXPERIMENTS[name](ctx)
-        except (KernelError, ProfileError, SolverError) as err:
-            raise HarnessError(
-                f"n/L: {name} cannot run at n = {manifest.n}, L = {manifest.L:g}: {err}"
-            ) from err
-        results.append(result)
-        for rep in result.reports:
-            all_reports.append(rep)
-            status = "PASS" if rep.passed else "FAIL"
-            print(
-                f"{status} {rep.experiment}/{rep.label}: "
-                f"fitted={rep.fitted:.6g} predicted={rep.predicted:.6g} "
-                f"tol={rep.tolerance:g} mode={rep.mode}"
-            )
+    try:
+        for name in manifest.experiments:
+            try:
+                result = EXPERIMENTS[name](ctx)
+            except (KernelError, ProfileError, SolverError) as err:
+                raise HarnessError(
+                    f"n/L: {name} cannot run at n = {manifest.n}, L = {manifest.L:g}: {err}"
+                ) from err
+            results.append(result)
+            for rep in result.reports:
+                all_reports.append(rep)
+                status = "PASS" if rep.passed else "FAIL"
+                print(
+                    f"{status} {rep.experiment}/{rep.label}: "
+                    f"fitted={rep.fitted:.6g} predicted={rep.predicted:.6g} "
+                    f"tol={rep.tolerance:g} mode={rep.mode}"
+                )
+    except BaseException:
+        # nothing is written before every experiment ran: leave no empty directory behind
+        if created and not any(out.iterdir()):
+            out.rmdir()
+        raise
     (out / "reports.csv").write_text(reports_to_csv(all_reports))
     summary = summary_dict(results, ctx)
     (out / "summary.json").write_text(json.dumps(summary, indent=1, sort_keys=True))

@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import (
-    artificial_entry_fields,
+    artificial_diagonal_field,
     artificial_symbol,
     artificial_symbol_grid,
     default_cutoff,
     generator_block,
-    heat_leray_kernel_norms,
+    heat_leray_kernel_magnitude,
     heat_symbol_grid,
     pointwise_bound_report,
     s_symbol,
@@ -295,14 +295,32 @@ def _decay_reports(
     ]
 
 
-def _state_norm_fields(X: State, sigma: int, p: float) -> float:
-    if sigma == 0:
-        return lp_norm_state(X, p)
-    dX = State(
-        derivative(X.rho, (sigma, 0)),
-        (derivative(X.m[0], (sigma, 0)), derivative(X.m[1], (sigma, 0))),
-    )
-    return lp_norm_state(dX, p)
+def _lp_series(grid: Grid, magnitudes, ps, weights=None):
+    """L^p norms of each pointwise-magnitude array, one list per p in `ps`
+    (times weights[i] for the i-th, if given and not None).  Pass a generator:
+    each array is then made only after the previous one was measured at every p."""
+    weights = weights or [None] * len(ps)
+    vals = [[] for _ in ps]
+    for mag in magnitudes:
+        for out, p, w in zip(vals, ps, weights):
+            out.append(lp_of_magnitude(mag if w is None else mag * w, grid, p))
+    return vals
+
+
+def _dx(fields, sigma: int) -> tuple:
+    """The sigma-th x1-derivative of each field (the fields themselves at 0)."""
+    return tuple(derivative(f, (sigma, 0)) if sigma else f for f in fields)
+
+
+def _state_dx_magnitude(X: State, sigma: int) -> np.ndarray:
+    rho, m0, m1 = _dx(X.components(), sigma)
+    return state_magnitude(State(rho, (m0, m1)))
+
+
+def _perp_residual(X: State, uref, scale):
+    """Divergence-free part of the momentum of X minus scale * uref."""
+    perp, _ = leray_decompose(X.m)
+    return (perp[0] - uref[0] * scale, perp[1] - uref[1] * scale)
 
 
 def _hermitian_random_state(grid: Grid, rng) -> State:
@@ -440,12 +458,10 @@ def run_kernel_rates(ctx: ExperimentContext) -> ExperimentResult:
     # artificial-viscosity kernel norms (diagonal entry, thin-ring viscosity)
     ring_params = FluidParams(mu=0.25, lam=0.0, rho_star=1.0, pressure=params.pressure)
     art_times = np.geomspace(4.0, 56.0, 9)
+    art_ps = (1.0, 2.0, np.inf)
     for sigma in (0, 1):
-        fields = {
-            t: artificial_entry_fields(t, grid, ring_params, (sigma, 0)) for t in art_times
-        }
-        for p in (1.0, 2.0, np.inf):
-            vals = [lp_of_magnitude(np.abs(fields[t][0]), grid, p) for t in art_times]
+        fields = (artificial_diagonal_field(t, grid, ring_params, (sigma, 0)) for t in art_times)
+        for p, vals in zip(art_ps, _lp_series(grid, (np.abs(f) for f in fields), art_ps)):
             label = f"artificial-p{p:g}-s{sigma}"
             reports.append(
                 _rate_report(
@@ -458,16 +474,23 @@ def run_kernel_rates(ctx: ExperimentContext) -> ExperimentResult:
     X0 = _localized_sound_state(grid)
     spec = default_cutoff(params)
     lf_times = np.geomspace(6.0, 56.0, 9)
-    lf_states = {}
     diff_vals = []
-    for t in lf_times:
-        lf, _ = split(spar_symbol_grid(t, grid, params), spec)
-        lf_states[t] = lf.apply(X0)
-        lf_art, _ = split(artificial_symbol_grid(t, grid, params), spec)
-        diff_vals.append(lp_norm_state((lf - lf_art).apply(X0), 2))
-    for p in (2.0, np.inf):
+
+    def lf_magnitudes():
+        # sigma = 0 and 1 of each LF state in turn: one state alive at a time
+        for t in lf_times:
+            lf, _ = split(spar_symbol_grid(t, grid, params), spec)
+            lf_art, _ = split(artificial_symbol_grid(t, grid, params), spec)
+            diff_vals.append(lp_norm_state((lf - lf_art).apply(X0), 2))
+            X = lf.apply(X0)
+            yield _state_dx_magnitude(X, 0)
+            yield _state_dx_magnitude(X, 1)
+
+    lf_ps = (2.0, np.inf)
+    lf_vals = _lp_series(grid, lf_magnitudes(), lf_ps)
+    for i, p in enumerate(lf_ps):
         for sigma in (0, 1):
-            vals = [_state_norm_fields(lf_states[t], sigma, p) for t in lf_times]
+            vals = lf_vals[i][sigma::2]
             label = f"lf-kernel-p{p:g}-s{sigma}"
             # this estimate is an upper bound; it is saturated at p=2
             # while the sup norm genuinely decays faster (ring spreading)
@@ -512,8 +535,9 @@ def run_kernel_rates(ctx: ExperimentContext) -> ExperimentResult:
 
     # heat-Leray kernel norms (non-zero multi-index only; exact power laws)
     hl_times = np.geomspace(1.0, 16.0, 9)
-    for p in (1.0, 2.0, np.inf):
-        vals = [heat_leray_kernel_norms(t, (1, 0), p, grid, params) for t in hl_times]
+    hl_ps = (1.0, 2.0, np.inf)
+    hl_mags = (heat_leray_kernel_magnitude(t, (1, 0), grid, params) for t in hl_times)
+    for p, vals in zip(hl_ps, _lp_series(grid, hl_mags, hl_ps)):
         label = f"heat-leray-p{p:g}-s1"
         reports.append(_rate_report(series, name, label, "heat_leray", p, 1, hl_times, vals, 0.1))
 
@@ -523,16 +547,9 @@ def run_kernel_rates(ctx: ExperimentContext) -> ExperimentResult:
     m_dipole = biot_savart(omega_dipole)
     m_second = biot_savart(derivative(omega_dipole, (1, 0)))
 
-    def heat_norm(m0, t, sigma, p, weight=None):
+    def heat_magnitude(m0, sigma, t):
         h = np.exp(-params.mu * grid.eta_sq * t)
-        comps = []
-        for f in m0:
-            g = SpectralField(grid, h * f.coeffs)
-            if sigma:
-                g = derivative(g, (sigma, 0))
-            comps.append(g)
-        mag = vector_magnitude((comps[0], comps[1]))
-        return lp_of_magnitude(mag if weight is None else mag * weight, grid, p)
+        return vector_magnitude(_dx([SpectralField(grid, h * f.coeffs) for f in m0], sigma))
 
     radius = np.hypot(grid.xc1, grid.xc2)
     perp_cases = [
@@ -550,8 +567,16 @@ def run_kernel_rates(ctx: ExperimentContext) -> ExperimentResult:
         # small-p interpolation corollary at p = 3/2
         ("perp-small-p1.5-s0", "heat_second_moment_data", m_second, 1.5, 0, None, 0.15),
     ]
-    for label, est, m0, p, sigma, weight, tol in perp_cases:
-        vals = [heat_norm(m0, t, sigma, p, weight) for t in perp_times]
+    # one heat-flow magnitude per (data, sigma, t), measured for all its rows
+    perp_vals = {}
+    for m0, sigma in ((m_dipole, 0), (m_dipole, 1), (m_second, 0)):
+        labels, ps, weights = zip(
+            *((c[0], c[3], c[5]) for c in perp_cases if c[2] is m0 and c[4] == sigma)
+        )
+        mags = (heat_magnitude(m0, sigma, t) for t in perp_times)
+        perp_vals.update(zip(labels, _lp_series(grid, mags, ps, weights)))
+    for label, est, _, p, sigma, _, tol in perp_cases:
+        vals = perp_vals[label]
         reports.append(_rate_report(series, name, label, est, p, sigma, perp_times, vals, tol))
 
     return ExperimentResult(name, tuple(reports), series)
@@ -686,13 +711,10 @@ def run_sound_decay(ctx: ExperimentContext) -> ExperimentResult:
     reports = []
     series = {}
     t_arr = np.array(traj.times[1:])
-    # pointwise magnitudes of the sound part, sampled once for every p
-    magnitudes = []
-    for X in traj.states[1:]:
-        _, par = leray_decompose(X.m)
-        magnitudes.append(state_magnitude(State(X.rho, par)))
-    for p in (2.0, np.inf, 1.0):
-        vals = [lp_of_magnitude(mag, grid, p) for mag in magnitudes]
+    # pointwise magnitudes of the sound part, one per snapshot for every p
+    sound = (state_magnitude(State(X.rho, leray_decompose(X.m)[1])) for X in traj.states[1:])
+    ps = (2.0, np.inf, 1.0)
+    for p, vals in zip(ps, _lp_series(grid, sound, ps)):
         reports.append(
             _rate_report(
                 series, name, f"sound-p{p:g}-s0", "sound_part", p, 0, t_arr, vals, 0.15,
@@ -794,18 +816,20 @@ def run_incompressible_limit(ctx: ExperimentContext) -> ExperimentResult:
     moments = first_moments_beta(vorticity_of(X0.m, params), params)
     traj = _simulate(ctx, grid, X0, horizon, times, f"{name} dipole-data")
 
-    profiles = {t: profile_superposition(moments, t, params, grid)[1] for t in times}
-    for p in (2.0, np.inf):
+    # one Leray split and one reference profile per snapshot
+    residuals = [
+        _perp_residual(X, profile_superposition(moments, t, params, grid)[1], rs)
+        for t, X in zip(traj.times[1:], traj.states[1:])
+    ]
+    ps = (2.0, np.inf)
+    norms = [
+        _lp_series(grid, (vector_magnitude(_dx(d, sigma)) for d in residuals), ps)
+        for sigma in (0, 1)
+    ]
+    for i, p in enumerate(ps):
         for sigma in (0, 1):
-            vals = []
-            for t, X in zip(traj.times[1:], traj.states[1:]):
-                perp, _ = leray_decompose(X.m)
-                uref = profiles[t]
-                diff = (perp[0] - uref[0] * rs, perp[1] - uref[1] * rs)
-                if sigma:
-                    diff = (derivative(diff[0], (1, 0)), derivative(diff[1], (1, 0)))
-                w = t ** predicted_exponent("incompressible_weight", p, sigma)
-                vals.append(w * lp_norm_vector(diff, p))
+            e = predicted_exponent("incompressible_weight", p, sigma)
+            vals = [t**e * v for t, v in zip(traj.times[1:], norms[sigma][i])]
             label = f"dipole-residual-p{p:g}-s{sigma}"
             reports += _decay_reports(series, name, label, times, vals, horizon, 0.2, p, sigma)
 
@@ -840,17 +864,15 @@ def run_incompressible_limit(ctx: ExperimentContext) -> ExperimentResult:
     X0g = State(SpectralField.zero(grid), m0g).dealiased()
     alpha_scaled = circulation_alpha(omega_g, params) * ampg
     trajg = _simulate(ctx, grid, X0g, horizon, times, f"{name} vortex-data")
-    for p in (2.0, np.inf):
-        vals = []
-        for t, X in zip(trajg.times[1:], trajg.states[1:]):
-            perp, _ = leray_decompose(X.m)
-            _, uref = oseen_pair_fields(grid, t, params)
-            diff = (
-                perp[0] - uref[0] * (rs * alpha_scaled),
-                perp[1] - uref[1] * (rs * alpha_scaled),
-            )
-            w = t ** predicted_exponent("incompressible_weight", p, 0)
-            vals.append(w * lp_norm_vector(diff, p))
+
+    snapshots = list(zip(trajg.times[1:], trajg.states[1:]))
+    vortex_residuals = (
+        _perp_residual(X, oseen_pair_fields(grid, t, params)[1], rs * alpha_scaled)
+        for t, X in snapshots
+    )
+    for p, norms in zip(ps, _lp_series(grid, map(vector_magnitude, vortex_residuals), ps)):
+        e = predicted_exponent("incompressible_weight", p, 0)
+        vals = [t**e * v for (t, _), v in zip(snapshots, norms)]
         label = f"vortex-residual-p{p:g}-s0"
         reports += _decay_reports(series, name, label, times, vals, horizon, 0.5, p, 0)
     extras = {

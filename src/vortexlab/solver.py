@@ -475,7 +475,7 @@ class VorticityTrajectory:
     omegas: tuple[SpectralField, ...]
 
 
-def _vorticity_source(omega: SpectralField, nu: float) -> np.ndarray:
+def _vorticity_source(omega: SpectralField) -> np.ndarray:
     """-div(u omega) in Fourier coefficients, dealiased, with u the torus
     Biot-Savart velocity of the zero-mean part of omega.  One inverse
     transform of the stacked (u1, u2, omega), one forward transform of the
@@ -508,9 +508,9 @@ def vorticity_simulate(
         p1 = h * phi(1, lam * h)
         p2 = h * phi(2, lam * h)
         for _ in range(nsub):
-            n0 = _vorticity_source(omega, nu)
+            n0 = _vorticity_source(omega)
             a = SpectralField(grid, exp_h * omega.coeffs + p1 * n0)
-            n1 = _vorticity_source(a, nu)
+            n1 = _vorticity_source(a)
             omega = SpectralField(grid, a.coeffs + p2 * (n1 - n0))
         t_prev = float(t_snap)
         times.append(t_prev)

@@ -95,6 +95,8 @@ def test_library_error_in_an_experiment_exits_2(tmp_path, capsys):
     assert "error: n/L: pointwise-bound cannot run at n = 64, L = 50: " in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "reports.csv").exists()
+    # the run created the output directory, so it removes it again
+    assert not (tmp_path / "out").exists()
 
 
 def test_dt_bound_follows_the_selected_experiments(tmp_path, capsys):
