@@ -10,16 +10,16 @@ Config files are plain ``key = value`` text (``#`` comments allowed).  Keys:
                   isentropic pressure law P(rho) = scale rho^gamma / gamma
     epsilon       initial-data amplitude for solver experiments
     dt            time step (default: acoustic CFL bound; a larger value is
-                  rejected for the smallest box the selected solver runs use)
+                  rejected on the box of each selected solver experiment)
     T             experiment horizon
     seed          seed for randomized checks
 
 Outputs: ``reports.csv`` (one row per report), ``summary.json`` and one
 ``series/<experiment>__<label>.csv`` per measured series.  Exit status is 0
-exactly when every report passes; an invalid config (any non-finite number
-included) exits 2, naming the key, before any output is written.  So does a
-box an experiment cannot run on (its data or acoustic ring leaves the box):
-exit 2 naming ``n/L`` and the experiment, and no outputs at all.
+exactly when every report passes; an invalid config (a non-finite number, or
+a value a selected experiment's precheck rejects) exits 2, naming the key,
+before any output is written.  So does a box an experiment cannot run on (its
+data or acoustic ring leaves the box): exit 2 naming ``n/L``, no outputs.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from pathlib import Path
 
 from .harness import (
     EXPERIMENTS,
-    SOLVER_BOXES,
+    RECORDS,
+    ConfigError,
     ExperimentContext,
     HarnessError,
     list_experiments,
@@ -41,14 +42,10 @@ from .harness import (
     series_to_csv,
     summary_dict,
 )
-from .kernels import KernelError, default_cutoff
+from .kernels import KernelError
 from .profiles import FluidParams, PowerPressureLaw, ProfileError
-from .solver import SolverError, cfl_limit, scaled_params
+from .solver import SolverError
 from .spectral import SpectralError, make_grid
-
-
-class ConfigError(ValueError):
-    pass
 
 
 _INT_KEYS = {"n", "seed"}
@@ -57,7 +54,7 @@ _FLOAT_KEYS = {"l", "mu", "lambda", "lam", "rho_star", "gamma", "pressure_scale"
 
 @dataclass(frozen=True)
 class RunManifest:
-    experiments: tuple[str, ...] = tuple(EXPERIMENTS)
+    experiments: tuple[str, ...] = tuple(RECORDS)
     n: int = 256
     L: float = 200.0
     mu: float = 1.0
@@ -94,37 +91,14 @@ class RunManifest:
             raise ConfigError(f"T: must be positive, got {self.T}")
         if not self.epsilon >= 0:
             raise ConfigError(f"epsilon: must be nonnegative, got {self.epsilon}")
+        ctx = ExperimentContext(grid, params, self.epsilon, self.T, self.dt, self.seed)
         for name in self.experiments:
-            if name not in EXPERIMENTS:
+            if name not in RECORDS:
                 raise ConfigError(
-                    f"experiments: unknown name {name!r}; available: {', '.join(EXPERIMENTS)}"
+                    f"experiments: unknown name {name!r}; available: {', '.join(RECORDS)}"
                 )
-        boxes = [SOLVER_BOXES[name] for name in self.experiments if name in SOLVER_BOXES]
-        if self.dt is not None and boxes:
-            # the smallest solver box has the tightest bound
-            limit = cfl_limit(make_grid(self.n, self.L * min(boxes)), params)
-            if self.dt > limit * (1 + 1e-12):
-                raise ConfigError(
-                    f"dt: {self.dt} exceeds the acoustic CFL bound 0.5 dx/c = {limit:.4g} "
-                    f"of the smallest solver box (L = {self.L * min(boxes):g})"
-                )
-        if "kernel-rates" in self.experiments:
-            # its high-frequency fit needs grid wavenumbers beyond the cutoff radius
-            top = math.sqrt(2.0) * math.pi * self.n / self.L
-            r0 = default_cutoff(scaled_params(params)).r0
-            if not top > r0:
-                raise ConfigError(
-                    f"n/L: kernel-rates needs wavenumbers above the cutoff radius {r0:.4g}, "
-                    f"but the largest on the grid, sqrt(2) pi n/L, is {top:.4g}"
-                )
-        return ExperimentContext(
-            grid=grid,
-            params=params,
-            epsilon=self.epsilon,
-            T=self.T,
-            dt=self.dt,
-            seed=self.seed,
-        )
+            RECORDS[name].precheck(ctx)
+        return ctx
 
 
 def _config_values(text: str) -> dict:
@@ -259,10 +233,7 @@ def main(argv=None) -> int:
             values = _config_values(Path(args.config).read_text())
         if args.experiments:
             values["experiments"] = _experiment_names(args.experiments)
-        # validated with the experiments that will run: the dt bound depends on them
-        manifest = RunManifest(**values)
-        manifest.context()
-        return run(manifest, args.outdir)
+        return run(RunManifest(**values), args.outdir)
     except (ConfigError, HarnessError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -13,24 +13,23 @@ Report pass semantics (`mode`):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .kernels import (
+    KernelSymbol,
     artificial_diagonal_field,
-    artificial_symbol,
     artificial_symbol_grid,
     default_cutoff,
-    generator_block,
+    generator_symbol_grid,
     heat_leray_kernel_magnitude,
     heat_symbol_grid,
+    phi_symbol_grid,
     pointwise_bound_report,
-    s_symbol,
     s_symbol_grid,
-    spar_symbol,
     spar_symbol_grid,
     split,
-    wave_symbol,
 )
 from .profiles import (
     FluidParams,
@@ -43,7 +42,7 @@ from .profiles import (
     profile_superposition,
     vorticity_of,
 )
-from .solver import SolverConfig, scaled_params, simulate, vorticity_simulate
+from .solver import SolverConfig, SolverError, scaled_params, simulate, vorticity_simulate
 from .spectral import (
     Grid,
     SpectralField,
@@ -66,6 +65,10 @@ from .spectral import (
 
 class HarnessError(ValueError):
     pass
+
+
+class ConfigError(ValueError):
+    """An invalid run configuration; the message starts with the offending key."""
 
 
 # ---------------------------------------------------------------------------
@@ -336,57 +339,63 @@ def _hermitian_random_state(grid: Grid, rng) -> State:
 # experiment: kernel algebra
 
 
+def _relative_deviation(a: State, b: State) -> float:
+    """Largest coefficient deviation of a from b, per component relative to b's peak."""
+    return float(max(
+        np.abs((ca - cb).coeffs).max() / max(np.abs(cb.coeffs).max(), 1e-300)
+        for ca, cb in zip(a.components(), b.components())
+    ))
+
+
 def run_kernel_algebra(ctx: ExperimentContext) -> ExperimentResult:
-    """Exact-identity suite: semigroup, generator, projectors, splitting."""
+    """Exact-identity suite on the grid symbols the solver applies: semigroup,
+    generator, projectors, splitting.
+
+    The semigroup rows compare S(t) S(s) with S(t + s) on a random state in
+    the dealiased band.  On the Nyquist row and column a grid symbol pairs
+    the full |eta|^2 with zeroed odd wavenumbers, so it is not a semigroup
+    there; the solver never carries those modes, since the 2/3 rule zeroes
+    them.
+    """
     name = "kernel-algebra"
     params = scaled_params(ctx.params)
+    small = RECORDS[name].grid(ctx)
     rng = np.random.default_rng(ctx.seed)
+    # the random state is drawn 2,000 values in and the (t, s) pairs take the next 200, as
+    # in earlier versions, so semigroup-heat, realness and the Leray rows keep their values
+    rng.bit_generator.advance(2000)
+    Xr = _hermitian_random_state(small, rng)
+    X = Xr.dealiased()
     reports = []
 
-    builders = {
-        "spar": spar_symbol,
-        "s": s_symbol,
-        "artificial-par": lambda t, e, p: artificial_symbol(t, e, p, False),
-        "artificial": lambda t, e, p: artificial_symbol(t, e, p, True),
-        "wave": wave_symbol,
-    }
-    for label, builder in builders.items():
-        worst = 0.0
-        for _ in range(100):
-            eta = rng.uniform(-5, 5, size=2)
-            t, s = rng.uniform(0.05, 2.0, size=2)
-            prod = builder(t, eta, params) @ builder(s, eta, params)
-            direct = builder(t + s, eta, params)
-            scale = max(np.abs(direct).max(), 1e-300)
-            worst = max(worst, float(np.abs(prod - direct).max() / scale))
-        reports.append(
-            ExperimentReport(name, f"semigroup-{label}", 0.0, worst, 1e-10, mode="bound")
-        )
+    def bound(label, value, tolerance):
+        reports.append(ExperimentReport(name, label, 0.0, float(value), tolerance, mode="bound"))
 
-    # heat semigroup on a small grid
-    small = make_grid(64, ctx.grid.L / 4)
-    Xr = _hermitian_random_state(small, rng)
+    for kind in ("spar", "s", "artificial_par", "artificial", "wave"):
+        worst = 0.0
+        for t, s in rng.uniform(0.05, 2.0, size=(20, 2)):
+            # phi_0 = exp: the kernel symbol itself
+            St, Ss, Sts = (phi_symbol_grid(0, h, small, params, kind) for h in (t, s, t + s))
+            worst = max(worst, _relative_deviation(St.compose(Ss).apply(X), Sts.apply(X)))
+        bound(f"semigroup-{kind.replace('_', '-')}", worst, 1e-10)
+
     a = heat_symbol_grid(0.6, small, params.mu).apply(
         heat_symbol_grid(0.9, small, params.mu).apply(Xr)
     )
     b = heat_symbol_grid(1.5, small, params.mu).apply(Xr)
-    dev = max(
-        np.abs((ca - cb).coeffs).max() / max(np.abs(cb.coeffs).max(), 1e-300)
-        for ca, cb in zip(a.components(), b.components())
-    )
-    reports.append(ExperimentReport(name, "semigroup-heat", 0.0, float(dev), 1e-10, mode="bound"))
+    bound("semigroup-heat", _relative_deviation(a, b), 1e-10)
 
-    for kind, builder in (("spar", spar_symbol), ("s", s_symbol)):
-        worst = 0.0
-        dt = 1e-6
-        for _ in range(50):
-            eta = rng.uniform(-2, 2, size=2)
-            fd = (builder(dt, eta, params) - np.eye(3)) / dt
-            gen = generator_block(kind, eta, params)
-            worst = max(worst, float(np.abs(fd - gen).max() / max(np.abs(gen).max(), 1.0)))
-        reports.append(
-            ExperimentReport(name, f"generator-{kind}", 0.0, worst, 1e-5, mode="bound")
-        )
+    # (S(dt) - I)/dt against the generator, per wavevector with |eta1|, |eta2| <= 2
+    # off eta = 0 and the Nyquist lines, relative to max(|generator entries|, 1)
+    dt = 1e-6
+    box = (np.abs(small.eta1) <= 2.0) & (np.abs(small.eta2) <= 2.0)
+    sampled = box & (small.eta_sq > 0.0) & (small.eta_sq_odd == small.eta_sq)
+    for kind in ("spar", "s"):
+        gen = generator_symbol_grid(kind, small, params)
+        increment = phi_symbol_grid(0, dt, small, params, kind) - KernelSymbol.identity(small)
+        error = (increment.scaled(1.0 / dt) - gen).entry_magnitude()
+        scale = np.maximum(gen.entry_magnitude(), 1.0)
+        bound(f"generator-{kind}", (error / scale)[sampled].max(), 1e-5)
 
     worst_idem = 0.0
     worst_orth = 0.0
@@ -406,24 +415,16 @@ def run_kernel_algebra(ctx: ExperimentContext) -> ExperimentResult:
         nb = np.sqrt(sum(lp_norm(f, 2) ** 2 for f in par))
         if na > 0 and nb > 0:
             worst_orth = max(worst_orth, abs(inner) / (na * nb))
-    reports.append(
-        ExperimentReport(name, "leray-idempotency", 0.0, worst_idem, 1e-12, mode="bound")
-    )
-    reports.append(
-        ExperimentReport(name, "leray-orthogonality", 0.0, worst_orth, 1e-12, mode="bound")
-    )
+    bound("leray-idempotency", worst_idem, 1e-12)
+    bound("leray-orthogonality", worst_orth, 1e-12)
 
     sym = s_symbol_grid(0.8, small, params)
     lf, hf = split(sym, default_cutoff(params))
-    dev = (lf + hf - sym).max_abs() / max(sym.max_abs(), 1e-300)
-    reports.append(
-        ExperimentReport(name, "split-partition", 0.0, float(dev), 1e-15, mode="bound")
-    )
+    bound("split-partition", (lf + hf - sym).max_abs() / max(sym.max_abs(), 1e-300), 1e-15)
 
     # a real state keeps an exactly Hermitian spectrum under the symbol
     out = spar_symbol_grid(0.7, small, params).apply(Xr)
-    defect = max(c.hermitian_defect() for c in out.components())
-    reports.append(ExperimentReport(name, "realness", 0.0, defect, 0.0, mode="bound"))
+    bound("realness", max(c.hermitian_defect() for c in out.components()), 0.0)
 
     return ExperimentResult(name, tuple(reports))
 
@@ -450,7 +451,7 @@ def run_kernel_rates(ctx: ExperimentContext) -> ExperimentResult:
     """
     name = "kernel-rates"
     params = scaled_params(ctx.params)
-    grid = ctx.grid
+    grid = RECORDS[name].grid(ctx)
     rng = np.random.default_rng(ctx.seed)
     reports = []
     series = {}
@@ -594,7 +595,7 @@ def run_pointwise_bound(ctx: ExperimentContext) -> ExperimentResult:
     boundary for every sampled time.
     """
     name = "pointwise-bound"
-    grid = make_grid(ctx.grid.n, ctx.grid.L / 2.0)
+    grid = RECORDS[name].grid(ctx)
     reports = []
     extras = {}
     configs = [
@@ -704,8 +705,7 @@ def _simulate(ctx: ExperimentContext, grid: Grid, X0: State, horizon, times, wha
 def run_sound_decay(ctx: ExperimentContext) -> ExperimentResult:
     """L^p decay of the curl-free part of a small-amplitude nonlinear run."""
     name = "sound-decay"
-    grid = ctx.grid
-    horizon = _acoustic_horizon(ctx, grid)
+    grid, horizon = RECORDS[name].grid(ctx), RECORDS[name].horizon(ctx)
     times = _snapshot_times(horizon)
     traj = _simulate(ctx, grid, _generic_state(grid, ctx.epsilon), horizon, times, name)
     reports = []
@@ -727,9 +727,8 @@ def run_sound_decay(ctx: ExperimentContext) -> ExperimentResult:
 def run_nonlinear_smallness(ctx: ExperimentContext) -> ExperimentResult:
     """Quadratic smallness of the deviation from the linear evolution."""
     name = "nonlinear-smallness"
-    grid = ctx.grid
+    grid, horizon = RECORDS[name].grid(ctx), RECORDS[name].horizon(ctx)
     params_lin = scaled_params(ctx.params)
-    horizon = _acoustic_horizon(ctx, grid)
     times = _snapshot_times(horizon, 12)
     eps_sweep = (0.1 * ctx.epsilon, 0.3 * ctx.epsilon, ctx.epsilon)
     linear_symbols = {t: s_symbol_grid(t, grid, params_lin) for t in times}
@@ -798,13 +797,12 @@ def run_incompressible_limit(ctx: ExperimentContext) -> ExperimentResult:
     # finer box: the profile data must be spectrally resolved from t ~ 1.
     # The measured fields are divergence-free (sound is projected out), so
     # the horizon is capped by the diffusive support, not the acoustic ring.
-    grid = make_grid(ctx.grid.n, ctx.grid.L * SOLVER_BOXES[name])
+    grid, horizon = RECORDS[name].grid(ctx), RECORDS[name].horizon(ctx)
     params = ctx.params
     rs = params.rho_star
     reports = []
     series = {}
 
-    horizon = _diffusive_horizon(ctx, grid)
     times = _snapshot_times(horizon, 12)
 
     # dipole-data case: zero circulation, nonzero first moments
@@ -886,7 +884,7 @@ def run_incompressible_limit(ctx: ExperimentContext) -> ExperimentResult:
 def run_vorticity_profiles(ctx: ExperimentContext) -> ExperimentResult:
     """Constant-density vorticity control: vortex exactness, dipole attraction."""
     name = "vorticity-profiles"
-    grid = make_grid(ctx.grid.n, ctx.grid.L / 2.0)
+    grid, T = RECORDS[name].grid(ctx), RECORDS[name].horizon(ctx)
     params = ctx.params
     nu = params.nu
     reports = []
@@ -919,7 +917,6 @@ def run_vorticity_profiles(ctx: ExperimentContext) -> ExperimentResult:
     )
 
     # perturbed dipole: weighted residual against the first-moment profile
-    T = max(ctx.T, 64.0)
     eps = ctx.epsilon
     base = dipole_vorticity_field(grid, 1, 1.0, params)
     pert = derivative(
@@ -958,33 +955,100 @@ def run_vorticity_profiles(ctx: ExperimentContext) -> ExperimentResult:
     return ExperimentResult(name, tuple(reports), series)
 
 
-EXPERIMENTS = {
-    "kernel-algebra": run_kernel_algebra,
-    "kernel-rates": run_kernel_rates,
-    "pointwise-bound": run_pointwise_bound,
-    "sound-decay": run_sound_decay,
-    "nonlinear-smallness": run_nonlinear_smallness,
-    "incompressible-limit": run_incompressible_limit,
-    "vorticity-profiles": run_vorticity_profiles,
+# ---------------------------------------------------------------------------
+# experiment records
+
+
+def _half_box(grid: Grid) -> Grid:
+    return make_grid(grid.n, grid.L / 2.0)
+
+
+def _check_cfl(record, ctx: ExperimentContext):
+    """A requested dt must pass the solver's CFL check on the record's box (the
+    horizon plays no part in it)."""
+    grid = record.grid(ctx)
+    try:
+        SolverConfig(grid, ctx.params, T=1.0, dt=ctx.dt)
+    except SolverError as err:
+        raise ConfigError(f"dt: {err} on the {record.name} box (L = {grid.L:g})") from None
+
+
+def _check_sound_window(record, ctx: ExperimentContext):
+    """14 geometric snapshots on [1, h] put 6 in the fit window [h/4, h] iff h <= 4^(13/5)."""
+    horizon, most = record.horizon(ctx), 4.0 ** (13.0 / 5.0)
+    if horizon > most:
+        raise ConfigError(
+            f"T: {record.name} needs a horizon h <= {most:.4g} to keep 6 snapshots in its "
+            f"fit window [h/4, h]; T = {ctx.T:g} gives h = {horizon:.4g}"
+        )
+
+
+def _check_hf_band(record, ctx: ExperimentContext):
+    """The high-frequency fit needs grid wavenumbers beyond the cutoff radius."""
+    grid = record.grid(ctx)
+    top = np.sqrt(2.0) * np.pi * grid.n / grid.L
+    r0 = default_cutoff(scaled_params(ctx.params)).r0
+    if not top > r0:
+        raise ConfigError(
+            f"n/L: {record.name} needs wavenumbers above the cutoff radius {r0:.4g}, "
+            f"but the largest on the grid, sqrt(2) pi n/L, is {top:.4g}"
+        )
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its run function, the grid it measures on (from the
+    configured grid), its horizon rule (None without one) and the checks
+    `precheck` makes before any experiment runs."""
+
+    name: str
+    run: Callable[[ExperimentContext], ExperimentResult]
+    box: Callable[[Grid], Grid] = lambda grid: grid
+    horizon_rule: Callable[[ExperimentContext, Grid], float] | None = None
+    checks: tuple = ()
+
+    def grid(self, ctx: ExperimentContext) -> Grid:
+        return self.box(ctx.grid)
+
+    def horizon(self, ctx: ExperimentContext) -> float:
+        return self.horizon_rule(ctx, self.grid(ctx))
+
+    def precheck(self, ctx: ExperimentContext) -> None:
+        """Raise ConfigError if ctx cannot give this experiment a valid run."""
+        for check in self.checks:
+            check(self, ctx)
+
+
+RECORDS = {
+    record.name: record
+    for record in (
+        Experiment("kernel-algebra", run_kernel_algebra, box=lambda g: make_grid(64, g.L / 4)),
+        Experiment("kernel-rates", run_kernel_rates, checks=(_check_hf_band,)),
+        Experiment("pointwise-bound", run_pointwise_bound, box=_half_box),
+        Experiment("sound-decay", run_sound_decay, horizon_rule=_acoustic_horizon,
+                   checks=(_check_cfl, _check_sound_window)),
+        Experiment("nonlinear-smallness", run_nonlinear_smallness,
+                   horizon_rule=_acoustic_horizon, checks=(_check_cfl,)),
+        Experiment("incompressible-limit", run_incompressible_limit, box=_half_box,
+                   horizon_rule=_diffusive_horizon, checks=(_check_cfl,)),
+        Experiment("vorticity-profiles", run_vorticity_profiles, box=_half_box,
+                   horizon_rule=lambda ctx, grid: max(ctx.T, 64.0)),
+    )
 }
 
-# Box of each experiment that runs the compressible solver, as a fraction of
-# the configured L: a requested dt must meet the CFL bound of the smallest.
-SOLVER_BOXES = {"sound-decay": 1.0, "nonlinear-smallness": 1.0, "incompressible-limit": 0.5}
+# name -> run function, the table `cli.run` dispatches through; callers may
+# wrap or replace its values, validation reads only the records
+EXPERIMENTS = {name: record.run for name, record in RECORDS.items()}
 
 
 def list_experiments() -> tuple[str, ...]:
-    return tuple(EXPERIMENTS)
+    return tuple(RECORDS)
 
 
 def run_experiment(name: str, ctx: ExperimentContext) -> ExperimentResult:
-    try:
-        fn = EXPERIMENTS[name]
-    except KeyError:
-        raise HarnessError(
-            f"unknown experiment {name!r}; available: {', '.join(EXPERIMENTS)}"
-        ) from None
-    return fn(ctx)
+    if name not in RECORDS:
+        raise HarnessError(f"unknown experiment {name!r}; available: {', '.join(RECORDS)}")
+    return EXPERIMENTS[name](ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -1040,6 +1104,8 @@ def summary_dict(results, ctx: ExperimentContext) -> dict:
             "mu": ctx.params.mu,
             "lam": ctx.params.lam,
             "rho_star": ctx.params.rho_star,
+            "gamma": ctx.params.pressure.gamma,
+            "pressure_scale": ctx.params.pressure.scale,
             "epsilon": ctx.epsilon,
             "T": ctx.T,
             "dt": ctx.dt,

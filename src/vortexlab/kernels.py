@@ -23,8 +23,8 @@ solver.
 
 Symbols are stored in Helmholtz form, five real entries per wavevector
 (`KernelSymbol`); sums, scalings, products and the frequency split stay in
-that form, so every time-indexed family is an exact matrix semigroup.  The
-per-wavevector 3x3 matrices are the same entries expanded at one eta.
+that form, so every time-indexed family is an exact matrix semigroup on the
+modes off the Nyquist row and column.
 """
 
 from __future__ import annotations
@@ -168,21 +168,13 @@ def _entries(kind: str, t: float, mag2, mag2_odd, params: FluidParams, fk: int =
     f22 = np.real(fa + (t * d2 - a) * fdd)
     coupling = np.real(t * fdd)
     f_perp = np.real(phi(fk, t * d_perp))
+    return f11, coupling, params.c**2 * coupling, f_perp, _over_mag2(f22 - f_perp, mag2_odd)
+
+
+def _over_mag2(x, mag2_odd):
+    """x / |eta_odd|^2, and 0 where |eta_odd|^2 = 0 (the q entry)."""
     flat = mag2_odd == 0.0
-    q = np.where(flat, 0.0, (f22 - f_perp) / np.where(flat, 1.0, mag2_odd))
-    return f11, coupling, params.c**2 * coupling, f_perp, q
-
-
-def _matrix(entries, eta) -> np.ndarray:
-    """3x3 matrix of Helmholtz entries (d, b, c, p, q) at one wavevector."""
-    d, b, c, p, q = entries
-    eta = np.asarray(eta, dtype=float)
-    out = np.empty((3, 3), dtype=np.complex128)
-    out[0, 0] = d
-    out[0, 1:] = 1j * b * eta
-    out[1:, 0] = 1j * c * eta
-    out[1:, 1:] = p * np.eye(2) + q * np.outer(eta, eta)
-    return out
+    return np.where(flat, 0.0, x / np.where(flat, 1.0, mag2_odd))
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +247,12 @@ class KernelSymbol:
     def __sub__(self, other: "KernelSymbol") -> "KernelSymbol":
         return KernelSymbol(self.grid, *(x - y for x, y in zip(self._arrays(), other._arrays())))
 
+    def entry_magnitude(self) -> np.ndarray:
+        """Largest entry magnitude at each wavevector."""
+        return np.abs(np.stack(self._arrays())).max(axis=0)
+
     def max_abs(self) -> float:
-        return max(float(np.abs(x).max()) for x in self._arrays())
+        return float(self.entry_magnitude().max())
 
     @staticmethod
     def identity(grid: Grid) -> "KernelSymbol":
@@ -270,37 +266,9 @@ def _check_nonnegative_time(t: float):
         raise KernelError(f"kernel symbols are defined for t >= 0, got {t}")
 
 
-def _point_symbol(kind: str, t: float, eta, params: FluidParams) -> np.ndarray:
-    _check_nonnegative_time(t)
-    eta = np.asarray(eta, dtype=float)
-    mag2 = np.asarray(eta[0] ** 2 + eta[1] ** 2)
-    return _matrix(_entries(kind, t, mag2, mag2, params), eta)
-
-
 def _grid_symbol(kind: str, t: float, grid: Grid, params: FluidParams, fk: int = 0):
     _check_nonnegative_time(t)
     return KernelSymbol(grid, *_entries(kind, t, grid.eta_sq, grid.eta_sq_odd, params, fk))
-
-
-def spar_symbol(t: float, eta, params: FluidParams) -> np.ndarray:
-    """3x3 symbol of the curl-free Green kernel at one wavevector."""
-    return _point_symbol("spar", t, eta, params)
-
-
-def s_symbol(t: float, eta, params: FluidParams) -> np.ndarray:
-    """3x3 symbol of the full linearised Green kernel at one wavevector."""
-    return _point_symbol("s", t, eta, params)
-
-
-def artificial_symbol(t: float, eta, params: FluidParams, composed: bool = False) -> np.ndarray:
-    """3x3 symbol of the artificial-viscosity kernel (composed=True gives the
-    version whose divergence-free part is the mu-heat flow)."""
-    return _point_symbol("artificial" if composed else "artificial_par", t, eta, params)
-
-
-def wave_symbol(t: float, eta, params: FluidParams) -> np.ndarray:
-    """3x3 symbol of the acoustic wave-system kernel."""
-    return _point_symbol("wave", t, eta, params)
 
 
 def spar_symbol_grid(t: float, grid: Grid, params: FluidParams) -> KernelSymbol:
@@ -330,13 +298,13 @@ def heat_symbol_grid(t: float, grid: Grid, mu: float) -> KernelSymbol:
     return KernelSymbol.identity(grid).scaled(np.exp(-mu * grid.eta_sq * t))
 
 
-def generator_block(kind: str, eta, params: FluidParams) -> np.ndarray:
-    """3x3 generator matrix d/dt|_0 of the chosen kernel family at eta."""
-    eta = np.asarray(eta, dtype=float)
-    mag2 = float(eta[0] ** 2 + eta[1] ** 2)
-    d1, d2, d_perp = _diagonals(kind, mag2, params)
-    q = (d2 - d_perp) / mag2 if mag2 > 0 else 0.0
-    return _matrix((d1, 1.0, params.c**2, d_perp, q), eta)
+def generator_symbol_grid(kind: str, grid: Grid, params: FluidParams) -> KernelSymbol:
+    """The generator d/dt|_0 of the kind's symbols, entries
+    (d1, 1, c^2, d_perp, (d2 - d_perp)/|eta|^2)."""
+    d1, d2, d_perp = _diagonals(kind, grid.eta_sq, params)
+    one = np.ones(grid.spectral_shape)
+    q = _over_mag2(d2 - d_perp, grid.eta_sq_odd)
+    return KernelSymbol(grid, d1, one, params.c**2 * one, d_perp, q)
 
 
 # ---------------------------------------------------------------------------
@@ -358,21 +326,14 @@ def default_cutoff(params: FluidParams) -> CutoffSpec:
     return CutoffSpec(2.0 * params.c / params.mu_par + 1.0)
 
 
-def _quintic_cutoff(mag, spec: CutoffSpec):
-    s = np.clip(mag - spec.r0, 0.0, 1.0)
+def cutoff(mag, spec: CutoffSpec):
+    """Smooth cutoff value chi in [0, 1] at wavevector magnitudes |eta|."""
+    s = np.clip(np.asarray(mag, dtype=float) - spec.r0, 0.0, 1.0)
     return 1.0 - s**3 * (10.0 + s * (-15.0 + 6.0 * s))
 
 
-def cutoff(eta, spec: CutoffSpec):
-    """Smooth cutoff value chi(eta) in [0, 1]; accepts a wavevector or |eta|."""
-    eta = np.asarray(eta, dtype=float)
-    if eta.ndim >= 1 and eta.shape[0] == 2:
-        return _quintic_cutoff(np.sqrt(eta[0] ** 2 + eta[1] ** 2), spec)
-    return _quintic_cutoff(np.abs(eta), spec)
-
-
 def cutoff_grid(grid: Grid, spec: CutoffSpec) -> np.ndarray:
-    return _quintic_cutoff(np.sqrt(grid.eta_sq), spec)
+    return cutoff(np.sqrt(grid.eta_sq), spec)
 
 
 def split(symbol: KernelSymbol, spec: CutoffSpec) -> tuple[KernelSymbol, KernelSymbol]:

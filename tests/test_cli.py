@@ -3,8 +3,19 @@ from pathlib import Path
 
 import pytest
 
+from vortexlab import harness
 from vortexlab.cli import ConfigError, RunManifest, main, parse_config, run
-from vortexlab.harness import EXPERIMENTS
+from vortexlab.harness import EXPERIMENTS, summary_dict
+
+
+def _stub_record(monkeypatch, run_fn, checks=()):
+    """Register a record named "stub" with the given run function and checks."""
+    monkeypatch.setitem(harness.RECORDS, "stub", harness.Experiment("stub", run_fn, checks=checks))
+    monkeypatch.setitem(harness.EXPERIMENTS, "stub", run_fn)
+
+
+def _never_run(ctx):
+    raise AssertionError("an experiment ran although validation should have failed")
 
 
 def test_parse_empty_config_gives_defaults():
@@ -155,13 +166,11 @@ def test_unwritable_outdir_fails_without_partial_files(tmp_path, capsys):
 
 
 def test_failing_report_gives_nonzero_exit(tmp_path, capsys, monkeypatch):
-    from vortexlab import cli, harness
-
     def failing_experiment(ctx):
         report = harness.ExperimentReport("stub", "always-fails", 0.0, 1.0, 0.1)
         return harness.ExperimentResult("stub", (report,))
 
-    monkeypatch.setitem(cli.EXPERIMENTS, "stub", failing_experiment)
+    _stub_record(monkeypatch, failing_experiment)
     manifest = RunManifest(experiments=("stub",))
     code = run(manifest, tmp_path / "out")
     out = capsys.readouterr().out
@@ -169,6 +178,45 @@ def test_failing_report_gives_nonzero_exit(tmp_path, capsys, monkeypatch):
     assert "FAIL stub/always-fails" in out
     reports = (tmp_path / "out" / "reports.csv").read_text()
     assert reports.strip().endswith("false")
+
+
+def test_prechecks_run_before_any_experiment(tmp_path, capsys, monkeypatch):
+    # the stub's check fails after kernel-algebra was selected: neither runs
+    def reject(record, ctx):
+        raise harness.ConfigError(f"seed: {record.name} rejects seed {ctx.seed}")
+
+    _stub_record(monkeypatch, _never_run, checks=(reject,))
+    monkeypatch.setitem(harness.EXPERIMENTS, "kernel-algebra", _never_run)
+    outdir = tmp_path / "out"
+    code = main(["--outdir", str(outdir), "--experiments", "kernel-algebra,stub"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: seed: stub rejects seed 0")
+    assert not outdir.exists()
+
+
+def test_sound_decay_horizon_beyond_its_fit_window_exits_2_before_compute(
+    tmp_path, capsys, monkeypatch
+):
+    # 14 geometric snapshots on [1, T] leave 5 in the fit window [T/4, T] at T = 40
+    monkeypatch.setitem(harness.EXPERIMENTS, "sound-decay", _never_run)
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("T = 40\nexperiments = sound-decay\n")
+    outdir = tmp_path / "out"
+    code = main(["--config", str(cfg), "--outdir", str(outdir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: T:")
+    assert not outdir.exists()
+    assert parse_config("T = 36\nexperiments = sound-decay\n").T == 36.0
+
+
+def test_summary_context_records_the_pressure_law():
+    base = summary_dict([], RunManifest(experiments=()).context())["context"]
+    stiff = RunManifest(experiments=(), gamma=2.0, pressure_scale=3.0).context()
+    stiff = summary_dict([], stiff)["context"]
+    assert (base["gamma"], base["pressure_scale"]) == (1.4, 1.0)
+    assert (stiff["gamma"], stiff["pressure_scale"]) == (2.0, 3.0)
 
 
 def test_cli_determinism_byte_identical(tmp_path, capsys):

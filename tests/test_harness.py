@@ -3,6 +3,7 @@ import pytest
 
 from vortexlab.harness import (
     EXPERIMENTS,
+    RECORDS,
     ExperimentContext,
     ExperimentReport,
     FitResult,
@@ -119,6 +120,8 @@ def test_registry_contents():
     assert "kernel-rates" in names
     assert "incompressible-limit" in names
     assert len(names) == len(EXPERIMENTS) == 7
+    # the dispatch table is derived from the records
+    assert all(EXPERIMENTS[name] is RECORDS[name].run for name in names)
     with pytest.raises(HarnessError):
         run_experiment("bogus", ExperimentContext.default())
 

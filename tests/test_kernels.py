@@ -2,29 +2,25 @@ import numpy as np
 import pytest
 
 from vortexlab.kernels import (
+    FAMILIES,
     CutoffSpec,
     KernelError,
     KernelSymbol,
+    _entries,
     artificial_diagonal_field,
-    artificial_symbol,
-    artificial_symbol_grid,
     cutoff,
     default_cutoff,
     eigenvalues,
     exp_divided_difference,
-    generator_block,
     heat_leray_kernel_magnitude,
     heat_symbol_grid,
     phi,
     phi_divided_difference,
     pointwise_bound_report,
-    s_symbol,
     s_symbol_grid,
-    spar_symbol,
     spar_symbol_grid,
     split,
     wave_kernel_w,
-    wave_symbol,
 )
 from vortexlab.profiles import FluidParams
 from vortexlab.spectral import (
@@ -126,35 +122,63 @@ def test_eigenvalues_zero():
 
 
 # ---------------------------------------------------------------------------
-# per-wavevector symbols
+# per-wavevector symbols: an independent 3x3 oracle of the Helmholtz entries
+
+
+def _expand(entries, eta) -> np.ndarray:
+    """3x3 matrix of Helmholtz entries (d, b, c, p, q) at one wavevector:
+    rho' = d rho + i b (eta . m),  m' = p m + q eta (eta . m) + i c eta rho."""
+    d, b, c, p, q = entries
+    out = np.empty((3, 3), dtype=np.complex128)
+    out[0, 0] = d
+    out[0, 1:] = 1j * b * eta
+    out[1:, 0] = 1j * c * eta
+    out[1:, 1:] = p * np.eye(2) + q * np.outer(eta, eta)
+    return out
+
+
+def point_symbol(kind, t, eta, params=PARAMS) -> np.ndarray:
+    """3x3 symbol of the kind's kernel at time t and one wavevector eta."""
+    eta = np.asarray(eta, dtype=float)
+    mag2 = np.asarray(eta[0] ** 2 + eta[1] ** 2)
+    return _expand(_entries(kind, t, mag2, mag2, params), eta)
+
+
+def generator_matrix(kind, eta, params=PARAMS) -> np.ndarray:
+    """3x3 generator d/dt|_0 of the kind's kernel at one wavevector eta."""
+    eta = np.asarray(eta, dtype=float)
+    mag2 = float(eta[0] ** 2 + eta[1] ** 2)
+    d1, d2, d_perp = FAMILIES[kind](np.asarray(mag2), params)
+    q = (d2 - d_perp) / mag2 if mag2 > 0 else 0.0
+    return _expand((d1, 1.0, params.c**2, d_perp, q), eta)
 
 
 def test_spar_symbol_identity_at_zero_time(rng):
     for _ in range(5):
         eta = rng.uniform(-4, 4, size=2)
-        block = spar_symbol(0.0, eta, PARAMS)
+        block = point_symbol("spar", 0.0, eta)
         assert np.abs(block - np.eye(3)).max() < 1e-12
 
 
 def test_spar_symbol_mass_mode():
     for t in (0.5, 3.0):
-        block = spar_symbol(t, (0.0, 0.0), PARAMS)
+        block = point_symbol("spar", t, (0.0, 0.0))
         assert block[0, 0] == pytest.approx(1.0)
         assert np.abs(block - np.eye(3)).max() < 1e-12
 
 
 def test_spar_symbol_rejects_negative_time():
     with pytest.raises(KernelError):
-        spar_symbol(-0.1, (1.0, 0.0), PARAMS)
+        spar_symbol_grid(-0.1, make_grid(16, 5.0), PARAMS)
 
 
 def test_composed_and_artificial_identity_and_mass_mode(rng):
-    for builder in (s_symbol, artificial_symbol):
+    for kind in ("s", "artificial_par"):
         for _ in range(3):
             eta = rng.uniform(-4, 4, size=2)
-            assert np.abs(builder(0.0, eta, PARAMS) - np.eye(3)).max() < 1e-12
+            assert np.abs(point_symbol(kind, 0.0, eta) - np.eye(3)).max() < 1e-12
         for t in (0.5, 2.0):
-            block = builder(t, (0.0, 0.0), PARAMS)
+            block = point_symbol(kind, t, (0.0, 0.0))
             assert block[0, 0] == pytest.approx(1.0)
 
 
@@ -165,13 +189,13 @@ def _random_eta_t(rng):
     return eta, t, s
 
 
-@pytest.mark.parametrize("builder", [spar_symbol, s_symbol, wave_symbol])
-def test_symbol_semigroup_pointwise(builder, rng):
+@pytest.mark.parametrize("kind", ["spar", "s", "wave"], ids=lambda kind: f"{kind}_symbol")
+def test_symbol_semigroup_pointwise(kind, rng):
     worst = 0.0
     for _ in range(100):
         eta, t, s = _random_eta_t(rng)
-        a = builder(t, eta, PARAMS) @ builder(s, eta, PARAMS)
-        b = builder(t + s, eta, PARAMS)
+        a = point_symbol(kind, t, eta) @ point_symbol(kind, s, eta)
+        b = point_symbol(kind, t + s, eta)
         scale = max(np.abs(b).max(), 1e-300)
         worst = max(worst, np.abs(a - b).max() / scale)
     assert worst < 1e-10
@@ -179,13 +203,12 @@ def test_symbol_semigroup_pointwise(builder, rng):
 
 @pytest.mark.parametrize("composed", [False, True])
 def test_artificial_semigroup_pointwise(composed, rng):
+    kind = "artificial" if composed else "artificial_par"
     worst = 0.0
     for _ in range(100):
         eta, t, s = _random_eta_t(rng)
-        a = artificial_symbol(t, eta, PARAMS, composed) @ artificial_symbol(
-            s, eta, PARAMS, composed
-        )
-        b = artificial_symbol(t + s, eta, PARAMS, composed)
+        a = point_symbol(kind, t, eta) @ point_symbol(kind, s, eta)
+        b = point_symbol(kind, t + s, eta)
         worst = max(worst, np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
     assert worst < 1e-10
 
@@ -193,9 +216,9 @@ def test_artificial_semigroup_pointwise(composed, rng):
 def test_symbol_continuity_at_double_root():
     t = 1.3
     mag = 2.0 * PARAMS.c / PARAMS.mu_par
-    at = spar_symbol(t, (mag, 0.0), PARAMS)
+    at = point_symbol("spar", t, (mag, 0.0))
     for eps in (1e-9, -1e-9, 1e-7):
-        near = spar_symbol(t, (mag + eps, 0.0), PARAMS)
+        near = point_symbol("spar", t, (mag + eps, 0.0))
         assert np.abs(near - at).max() < 1e-6
     # at the double root the divided difference collapses to t e^{lambda t}
     lam = -0.5 * PARAMS.mu_par * mag**2
@@ -204,16 +227,12 @@ def test_symbol_continuity_at_double_root():
 
 def test_generator_consistency(rng):
     dt = 1e-6
-    for kind, builder in (
-        ("spar", spar_symbol),
-        ("s", s_symbol),
-        ("artificial_par", artificial_symbol),
-    ):
+    for kind in ("spar", "s", "artificial_par"):
         for _ in range(20):
             eta = rng.uniform(-2, 2, size=2)
-            block = builder(dt, eta, PARAMS)
+            block = point_symbol(kind, dt, eta)
             fd = (block - np.eye(3)) / dt
-            gen = generator_block(kind, eta, PARAMS)
+            gen = generator_matrix(kind, eta)
             scale = max(np.abs(gen).max(), 1.0)
             assert np.abs(fd - gen).max() < 1e-5 * scale
 
@@ -227,9 +246,9 @@ def test_artificial_factorizes_into_wave_times_heat(rng):
         rho = rng.standard_normal() + 1j * rng.standard_normal()
         a = rng.standard_normal() + 1j * rng.standard_normal()
         v = np.array([rho, a * eta[0], a * eta[1]])  # curl-free momentum
-        lhs = artificial_symbol(t, eta, PARAMS) @ v
+        lhs = point_symbol("artificial_par", t, eta) @ v
         damp = np.exp(-0.5 * PARAMS.mu_par * (eta[0] ** 2 + eta[1] ** 2) * t)
-        rhs = damp * (wave_symbol(t, eta, PARAMS) @ v)
+        rhs = damp * (point_symbol("wave", t, eta) @ v)
         assert np.abs(lhs - rhs).max() < 1e-12 * max(np.abs(rhs).max(), 1e-300)
 
 
@@ -239,7 +258,7 @@ def test_artificial_symbol_eigenvalues(rng):
         eta = rng.uniform(0.5, 4.0, size=2)
         t = rng.uniform(0.1, 2.0)
         mag = np.hypot(*eta)
-        block = artificial_symbol(t, eta, PARAMS)
+        block = point_symbol("artificial_par", t, eta)
         eig = list(np.linalg.eigvals(block))
         lam = -0.5 * PARAMS.mu_par * mag**2
         for expected in (
@@ -327,7 +346,7 @@ def test_grid_symbol_matches_pointwise(rng):
         i = rng.integers(-grid.n // 2 + 1, grid.n // 2) % grid.n
         j = rng.integers(0, grid.n // 2)
         eta = np.array([grid.eta1_odd[i, j], grid.eta2_odd[i, j]])
-        block = s_symbol(t, eta, PARAMS)
+        block = point_symbol("s", t, eta)
         # column k of the grid symbol's matrix at (i, j) is its action on the
         # unit state e_k placed at (i, j)
         got = np.empty((3, 3), dtype=np.complex128)
@@ -346,9 +365,11 @@ def test_grid_symbol_matches_pointwise(rng):
 
 def test_cutoff_plateaus():
     spec = CutoffSpec(3.0)
-    assert cutoff((1.5, 0.0), spec) == 1.0
-    assert cutoff((5.0, 0.0), spec) == 0.0
+    assert cutoff(1.5, spec) == 1.0
+    assert cutoff(5.0, spec) == 0.0
     assert cutoff(3.5, spec) == pytest.approx(0.5)
+    # two magnitudes, not one wavevector
+    assert np.array_equal(cutoff(np.array([1.0, 3.5]), spec), [1.0, 0.5])
     mags = np.linspace(0, 6, 200)
     vals = cutoff(mags, spec)
     assert np.all(np.diff(vals) <= 1e-12)
