@@ -22,7 +22,7 @@ The package is organised in six modules:
 """
 
 from .spectral import Grid, SpectralField, State, make_grid, transform
-from .profiles import FluidParams, Moments, PowerPressureLaw, default_params
+from .profiles import FluidParams, Moments, PowerPressureLaw
 from .solver import SolverConfig, Trajectory, simulate
 from .harness import ExperimentContext, list_experiments, run_experiment
 
@@ -35,7 +35,6 @@ __all__ = [
     "FluidParams",
     "Moments",
     "PowerPressureLaw",
-    "default_params",
     "SolverConfig",
     "Trajectory",
     "simulate",

@@ -132,22 +132,12 @@ def _diagonals(kind: str, mag2, params: FluidParams):
 
 
 def _lambda_pm(d1, d2, mag2, params: FluidParams):
+    """Eigenvalues lambda_pm of the curl-free block, principal branch: for "s",
+    a conjugate pair below the double root |eta| = 2c/mu_par, real above it."""
     mean = 0.5 * (d1 + d2)
     disc = (0.5 * (d1 - d2)) ** 2 - params.c**2 * mag2
     root = np.sqrt(disc.astype(np.complex128))
     return mean + root, mean - root
-
-
-def eigenvalues(eta, params: FluidParams):
-    """Eigenvalues lambda_pm of the curl-free block at wavevector eta.
-
-    Principal branch: Re lambda_pm <= 0, complex-conjugate pair below the
-    double root |eta| = 2c/mu_par, real pair above it.
-    """
-    eta = np.asarray(eta, dtype=float)
-    mag2 = eta[0] ** 2 + eta[1] ** 2
-    d1, d2, _ = _diagonals("s", mag2, params)
-    return _lambda_pm(d1, d2, mag2, params)
 
 
 def _entries(kind: str, t: float, mag2, mag2_odd, params: FluidParams, fk: int = 0):
@@ -340,22 +330,6 @@ def split(symbol: KernelSymbol, spec: CutoffSpec) -> tuple[KernelSymbol, KernelS
     """(low-frequency, high-frequency) parts; their sum is the original symbol."""
     chi = cutoff_grid(symbol.grid, spec)
     return symbol.scaled(chi), symbol.scaled(1.0 - chi)
-
-
-# ---------------------------------------------------------------------------
-# explicit wave kernel
-
-def wave_kernel_w(t: float, x, c: float):
-    """Fundamental wave kernel: 1/(2 pi c sqrt(c^2 t^2 - |x|^2)) inside the
-    light cone, 0 outside."""
-    if not t > 0:
-        raise KernelError(f"wave kernel requires t > 0, got {t}")
-    x1 = np.asarray(x[0], dtype=float)
-    x2 = np.asarray(x[1], dtype=float)
-    r2 = x1**2 + x2**2
-    inside = r2 < (c * t) ** 2
-    safe = np.where(inside, (c * t) ** 2 - r2, 1.0)
-    return np.where(inside, 1.0 / (2.0 * np.pi * c * np.sqrt(safe)), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,20 +3,16 @@
 Closed forms implemented here:
 
     gauss_profile(xi)      = (1/4pi) exp(-|xi|^2/4)
-    vortex_velocity(xi)    = (1/2pi) xi^perp / |xi|^2 (1 - exp(-|xi|^2/4))
     dipole_profile_i(xi)   = d_i gauss_profile(xi) = -(xi_i/2) gauss_profile(xi)
 
 with the self-similar scalings
 
     oseen_vorticity(t, x)  = gauss_profile(x / sqrt(nu t)) / t
-    oseen_velocity(t, x)   = sqrt(nu/t) vortex_velocity(x / sqrt(nu t))
     dipole_vorticity(t, x) = dipole_profile_i(x / sqrt(nu t)) / (sqrt(nu) t^{3/2})
-    dipole_velocity(t, x)  = d_i vortex_velocity evaluated at x/sqrt(nu t), / t.
 
-Grid-level velocity fields are reconstructed through the Biot-Savart law in
-Fourier space (u_hat = i eta^perp / |eta|^2 omega_hat), which keeps them
-exactly divergence-free; the pointwise closed forms remain available for
-direct evaluation and far-field comparisons.
+Velocity fields are reconstructed through the Biot-Savart law in Fourier
+space (u_hat = i eta^perp / |eta|^2 omega_hat), which keeps them exactly
+divergence-free.
 """
 
 from __future__ import annotations
@@ -82,10 +78,6 @@ class FluidParams:
         return self.mu / self.rho_star
 
 
-def default_params() -> FluidParams:
-    return FluidParams()
-
-
 @dataclass(frozen=True)
 class Moments:
     """Circulation alpha and first moments (beta1, beta2) of a vorticity."""
@@ -96,42 +88,6 @@ class Moments:
 
 def gauss_profile(xi1, xi2):
     return np.exp(-(np.asarray(xi1) ** 2 + np.asarray(xi2) ** 2) / 4.0) / (4.0 * np.pi)
-
-
-def vortex_velocity_profile(xi1, xi2):
-    """Azimuthal velocity profile of the unit vortex; removable singularity at 0."""
-    xi1 = np.asarray(xi1, dtype=float)
-    xi2 = np.asarray(xi2, dtype=float)
-    r2 = xi1**2 + xi2**2
-    small = r2 < 1e-6
-    safe = np.where(small, 1.0, r2)
-    g = np.where(small, (1.0 - r2 / 8.0) / 4.0, -np.expm1(-r2 / 4.0) / safe)
-    coef = g / (2.0 * np.pi)
-    return -coef * xi2, coef * xi1
-
-
-def _dipole_velocity_profile(i: int, xi1, xi2):
-    """d_i of the vortex velocity profile, in closed form."""
-    xi1 = np.asarray(xi1, dtype=float)
-    xi2 = np.asarray(xi2, dtype=float)
-    r2 = xi1**2 + xi2**2
-    small = r2 < 1e-6
-    safe = np.where(small, 1.0, r2)
-    e = np.exp(-r2 / 4.0)
-    # g(r) = (1 - e^{-r^2/4}) / r^2 and g'(r)/r, with two-term series at 0
-    g = np.where(small, (1.0 - r2 / 8.0) / 4.0, -np.expm1(-r2 / 4.0) / safe)
-    gp_over_r = np.where(
-        small,
-        -1.0 / 16.0 + r2 / 96.0,
-        (0.5 * e - 2.0 * g) / safe,
-    )
-    if i == 1:
-        v1 = -(xi2 * xi1) * gp_over_r
-        v2 = g + xi1**2 * gp_over_r
-    else:
-        v1 = -(g + xi2**2 * gp_over_r)
-        v2 = xi1 * xi2 * gp_over_r
-    return v1 / (2.0 * np.pi), v2 / (2.0 * np.pi)
 
 
 def _check_axis(i: int):
@@ -151,14 +107,6 @@ def oseen_vorticity(t: float, x, params: FluidParams):
     return gauss_profile(np.asarray(x[0]) / s, np.asarray(x[1]) / s) / t
 
 
-def oseen_velocity(t: float, x, params: FluidParams):
-    _check_time(t)
-    s = np.sqrt(params.nu * t)
-    v1, v2 = vortex_velocity_profile(np.asarray(x[0]) / s, np.asarray(x[1]) / s)
-    amp = np.sqrt(params.nu / t)
-    return amp * v1, amp * v2
-
-
 def dipole_vorticity(i: int, t: float, x, params: FluidParams):
     _check_axis(i)
     _check_time(t)
@@ -167,28 +115,6 @@ def dipole_vorticity(i: int, t: float, x, params: FluidParams):
     xi2 = np.asarray(x[1]) / s
     xi_i = xi1 if i == 1 else xi2
     return -(xi_i / 2.0) * gauss_profile(xi1, xi2) / (np.sqrt(params.nu) * t**1.5)
-
-
-def dipole_velocity(i: int, t: float, x, params: FluidParams):
-    _check_axis(i)
-    _check_time(t)
-    s = np.sqrt(params.nu * t)
-    v1, v2 = _dipole_velocity_profile(i, np.asarray(x[0]) / s, np.asarray(x[1]) / s)
-    return v1 / t, v2 / t
-
-
-def dipole_farfield(i: int, xi):
-    """Leading algebraic far-field of the dipole velocity profile, |xi| >= 5."""
-    _check_axis(i)
-    xi1 = np.asarray(xi[0], dtype=float)
-    xi2 = np.asarray(xi[1], dtype=float)
-    r2 = xi1**2 + xi2**2
-    if np.any(r2 < 25.0):
-        raise ProfileError("far-field expansion is reserved for |xi| >= 5")
-    coef = 1.0 / (2.0 * np.pi * r2**2)
-    if i == 1:
-        return coef * 2.0 * xi1 * xi2, coef * (xi2**2 - xi1**2)
-    return coef * (xi2**2 - xi1**2), -coef * 2.0 * xi1 * xi2
 
 
 def oseen_vorticity_field(grid: Grid, t: float, params: FluidParams) -> SpectralField:

@@ -11,7 +11,6 @@ rho / rho_star; `simulate` scales physical data in and out at its boundary.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -23,7 +22,6 @@ from .spectral import (
     Grid,
     SpectralField,
     State,
-    lp_norm,
     parseval_sum,
     sobolev_norm,
     to_physical,
@@ -160,7 +158,6 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class _StepTables:
-    h: float
     exp_full: KernelSymbol
     phi1: KernelSymbol
     phi2: KernelSymbol
@@ -183,14 +180,13 @@ def _tables(grid: Grid, params: FluidParams, h: float, scheme: str) -> _StepTabl
     phi1 = phi_symbol_grid(1, h, grid, params).scaled(h)
     phi2 = phi_symbol_grid(2, h, grid, params).scaled(h)
     if scheme == "etd2":
-        tab = _StepTables(h, exp_full, phi1, phi2)
+        tab = _StepTables(exp_full, phi1, phi2)
     else:
         phi3 = phi_symbol_grid(3, h, grid, params).scaled(h)
         w_alpha = phi1 + phi2.scaled(-3.0) + phi3.scaled(4.0)
         w_beta = phi2.scaled(2.0) + phi3.scaled(-4.0)
         w_gamma = phi3.scaled(4.0) + phi2.scaled(-1.0)
         tab = _StepTables(
-            h,
             exp_full,
             phi1,
             phi2,
@@ -250,7 +246,6 @@ class Trajectory:
     times: tuple[float, ...]
     states: tuple[State, ...]
     diagnostics: tuple[dict, ...]
-    config: SolverConfig
     aborted: bool = False
     abort_reason: str = ""
 
@@ -337,132 +332,7 @@ def simulate(X0: State, config: SolverConfig) -> Trajectory:
         row["kawashima_energy"] = row["hs"] ** 2 + dissipation
         diagnostics.append(row)
         reason = _energy_check(row["hs"], hs0, BLOWUP_FACTOR)
-    return Trajectory(
-        tuple(times), tuple(states), tuple(diagnostics), config, bool(reason), reason
-    )
-
-
-def duhamel_residual(trajectory: Trajectory, config: SolverConfig) -> float:
-    """Residual of X(T) = S(T) X0 + int_0^T S(T-t') sum_k d_k Q_k(t') dt'.
-
-    The integral is recomputed from the stored snapshots with trapezoid
-    weights, so the result is O(dt^2) plus snapshot-quadrature error.  The
-    residual is measured in L^2 relative to the unit-plus-data scale so the
-    linear-limit and amplitude-scaling contracts are both meaningful.
-    """
-    times = np.asarray(trajectory.times)
-    if len(times) < 8:
-        raise SolverError(f"Duhamel residual needs >= 8 snapshots, got {len(times)}")
-    gaps = np.diff(times)
-    if not np.allclose(gaps, gaps[0], rtol=1e-9, atol=1e-12):
-        raise SolverError("Duhamel residual needs uniformly spaced snapshots")
-    rs = config.params.rho_star
-    params = scaled_params(config.params)
-    grid = config.grid
-    T = float(times[-1])
-    states = [s * (1.0 / rs) for s in trajectory.states]
-    total = s_symbol_grid(T, grid, params).apply(states[0])
-    if config.nonlinear:
-        h = float(gaps[0])
-        for k, (t_k, X_k) in enumerate(zip(times, states)):
-            w = h if 0 < k < len(times) - 1 else 0.5 * h
-            src = _fourier_source(X_k, params)
-            total = total + s_symbol_grid(T - float(t_k), grid, params).apply(src) * w
-    diff = states[-1] - total
-    num = np.sqrt(sum(lp_norm(c, 2) ** 2 for c in diff.components()))
-    den = 1.0 + np.sqrt(sum(lp_norm(c, 2) ** 2 for c in states[0].components()))
-    return float(num / den)
-
-
-# ---------------------------------------------------------------------------
-# snapshot persistence
-
-# v2 stores half spectra; v1 stored the full n x n lattice, of which
-# `load_trajectory` keeps the k2 >= 0 columns (exact for real fields).
-# Keys earlier versions wrote and nothing reads (`epsilon`, `hs_index`) are
-# ignored.
-_FORMAT_VERSION = 2
-
-
-def save_trajectory(trajectory: Trajectory, directory) -> None:
-    """Write manifest.json plus one state_####.npz per snapshot (bit-exact)."""
-    from pathlib import Path
-
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg = trajectory.config
-    law = cfg.params.pressure
-    if not isinstance(law, PowerPressureLaw):
-        raise SolverError("only power pressure laws are serialisable")
-    manifest = {
-        "format_version": _FORMAT_VERSION,
-        "grid": {"n": cfg.grid.n, "L": cfg.grid.L},
-        "params": {
-            "mu": cfg.params.mu,
-            "lam": cfg.params.lam,
-            "rho_star": cfg.params.rho_star,
-            "pressure_gamma": law.gamma,
-            "pressure_scale": law.scale,
-        },
-        "scheme": cfg.scheme,
-        "dt": cfg.dt,
-        "T": cfg.T,
-        "nonlinear": cfg.nonlinear,
-        "snapshot_times": list(cfg.snapshot_times),
-        "times": list(trajectory.times),
-        "aborted": trajectory.aborted,
-        "abort_reason": trajectory.abort_reason,
-        "diagnostics": trajectory.diagnostics,
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
-    for k, state in enumerate(trajectory.states):
-        np.savez(
-            out / f"state_{k:04d}.npz",
-            rho=state.rho.coeffs,
-            m1=state.m[0].coeffs,
-            m2=state.m[1].coeffs,
-        )
-
-
-def load_trajectory(directory) -> Trajectory:
-    from pathlib import Path
-
-    src = Path(directory)
-    manifest = json.loads((src / "manifest.json").read_text())
-    if manifest["format_version"] not in (1, _FORMAT_VERSION):
-        raise SolverError(f"unsupported snapshot format {manifest['format_version']}")
-    p = manifest["params"]
-    params = FluidParams(
-        mu=p["mu"],
-        lam=p["lam"],
-        rho_star=p["rho_star"],
-        pressure=PowerPressureLaw(gamma=p["pressure_gamma"], scale=p["pressure_scale"]),
-    )
-    grid = Grid(manifest["grid"]["n"], manifest["grid"]["L"])
-    config = SolverConfig(
-        grid=grid,
-        params=params,
-        T=manifest["T"],
-        dt=manifest["dt"],
-        snapshot_times=tuple(manifest["snapshot_times"]),
-        scheme=manifest["scheme"],
-        nonlinear=manifest["nonlinear"],
-    )
-    states = []
-    for k in range(len(manifest["times"])):
-        with np.load(src / f"state_{k:04d}.npz") as data:
-            rho, m1, m2 = (
-                SpectralField(grid, data[key][:, : grid.n // 2 + 1]) for key in ("rho", "m1", "m2")
-            )
-            states.append(State(rho, (m1, m2)))
-    return Trajectory(
-        tuple(manifest["times"]),
-        tuple(states),
-        tuple(manifest["diagnostics"]),
-        config,
-        manifest["aborted"],
-        manifest["abort_reason"],
-    )
+    return Trajectory(tuple(times), tuple(states), tuple(diagnostics), bool(reason), reason)
 
 
 # ---------------------------------------------------------------------------

@@ -292,11 +292,6 @@ def transform(values: np.ndarray, grid: Grid) -> SpectralField:
     return SpectralField(grid, to_spectral(values, grid))
 
 
-def inverse_transform(field: SpectralField) -> np.ndarray:
-    """Physical samples of a spectral field (round-trips with ``transform``)."""
-    return field.values()
-
-
 def as_multi_index(sigma) -> tuple[int, int]:
     """Validate a derivative multi-index (sigma1, sigma2), |sigma| <= 8."""
     s1, s2 = int(sigma[0]), int(sigma[1])

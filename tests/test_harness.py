@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from vortexlab import harness
 from vortexlab.harness import (
     EXPERIMENTS,
     RECORDS,
+    ConfigError,
     ExperimentContext,
     ExperimentReport,
     FitResult,
@@ -126,6 +128,20 @@ def test_registry_contents():
         run_experiment("bogus", ExperimentContext.default())
 
 
+def test_run_experiment_prechecks_before_compute(monkeypatch):
+    # the library entry makes the record's checks, as the CLI does: T = 40 leaves
+    # sound-decay 5 snapshots in its fit window, so it fails naming T, before compute
+    from vortexlab.profiles import FluidParams
+    from vortexlab.spectral import make_grid
+
+    calls = []
+    monkeypatch.setitem(harness.EXPERIMENTS, "sound-decay", calls.append)
+    ctx = ExperimentContext(grid=make_grid(256, 200.0), params=FluidParams(), T=40.0)
+    with pytest.raises(ConfigError, match="^T: "):
+        run_experiment("sound-decay", ctx)
+    assert calls == []
+
+
 def test_kernel_algebra_runs_small():
     from vortexlab.profiles import FluidParams
     from vortexlab.spectral import make_grid
@@ -165,9 +181,9 @@ def _stub_simulate(abort_call):
     def simulate(X0, cfg):
         calls.append(cfg)
         if len(calls) - 1 == abort_call:
-            return Trajectory((0.0,), (X0,), ({},), cfg, True, "stub abort")
+            return Trajectory((0.0,), (X0,), ({},), True, "stub abort")
         times = (0.0, *cfg.snapshot_times)
-        return Trajectory(times, (X0,) * len(times), ({},) * len(times), cfg)
+        return Trajectory(times, (X0,) * len(times), ({},) * len(times))
 
     return simulate
 

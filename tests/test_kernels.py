@@ -7,10 +7,10 @@ from vortexlab.kernels import (
     KernelError,
     KernelSymbol,
     _entries,
+    _lambda_pm,
     artificial_diagonal_field,
     cutoff,
     default_cutoff,
-    eigenvalues,
     exp_divided_difference,
     heat_leray_kernel_magnitude,
     heat_symbol_grid,
@@ -20,7 +20,6 @@ from vortexlab.kernels import (
     s_symbol_grid,
     spar_symbol_grid,
     split,
-    wave_kernel_w,
 )
 from vortexlab.profiles import FluidParams
 from vortexlab.spectral import (
@@ -83,17 +82,23 @@ def test_divided_difference_stable_across_threshold():
 
 
 # ---------------------------------------------------------------------------
-# eigenvalues
+# eigenvalues of the curl-free block, on the branch `_entries` takes for "s"
+
+
+def _s_eigenvalues(eta, params):
+    mag2 = np.asarray(eta[0] ** 2 + eta[1] ** 2, dtype=float)
+    d1, d2, _ = FAMILIES["s"](mag2, params)
+    return _lambda_pm(d1, d2, mag2, params)
 
 
 def test_eigenvalues_double_root():
-    lp, lm = eigenvalues((2.0, 0.0), MU_PAR_ONE)  # |eta| = 2 c / mu_par
+    lp, lm = _s_eigenvalues((2.0, 0.0), MU_PAR_ONE)  # |eta| = 2 c / mu_par
     assert lp == pytest.approx(-2.0)
     assert lm == pytest.approx(-2.0)
 
 
 def test_eigenvalues_oscillatory_pair():
-    lp, lm = eigenvalues((1.0, 0.0), MU_PAR_ONE)
+    lp, lm = _s_eigenvalues((1.0, 0.0), MU_PAR_ONE)
     assert lp == pytest.approx(-0.5 + 1j * np.sqrt(3) / 2)
     assert lm == pytest.approx(-0.5 - 1j * np.sqrt(3) / 2)
     assert lp == np.conj(lm)
@@ -102,7 +107,7 @@ def test_eigenvalues_oscillatory_pair():
 def test_eigenvalues_real_negative_above_double_root(rng):
     for _ in range(10):
         eta = rng.uniform(2.5, 12.0) * np.array([1.0, 0.0])
-        lp, lm = eigenvalues(eta, MU_PAR_ONE)
+        lp, lm = _s_eigenvalues(eta, MU_PAR_ONE)
         assert abs(lp.imag) == 0.0 and abs(lm.imag) == 0.0
         assert lp.real < 0 and lm.real < 0
 
@@ -111,13 +116,13 @@ def test_eigenvalues_small_eta_expansion():
     # lambda_pm = -mu_par |eta|^2/2 +- i c |eta| + O(|eta|^3)
     mags = np.array([1e-3, 3e-3, 1e-2, 3e-2, 1e-1])
     for m in mags:
-        lp, _ = eigenvalues((m, 0.0), MU_PAR_ONE)
+        lp, _ = _s_eigenvalues((m, 0.0), MU_PAR_ONE)
         err = abs(lp - (-0.5 * MU_PAR_ONE.mu_par * m**2 + 1j * MU_PAR_ONE.c * m))
         assert err < 0.2 * m**3
 
 
 def test_eigenvalues_zero():
-    lp, lm = eigenvalues((0.0, 0.0), PARAMS)
+    lp, lm = _s_eigenvalues((0.0, 0.0), PARAMS)
     assert lp == 0.0 and lm == 0.0
 
 
@@ -386,19 +391,6 @@ def test_split_partition_of_unity(rng):
     sym = s_symbol_grid(0.7, grid, PARAMS)
     lf, hf = split(sym, default_cutoff(PARAMS))
     assert (lf + hf - sym).max_abs() < 1e-15 * max(1.0, sym.max_abs())
-
-
-# ---------------------------------------------------------------------------
-# wave kernel
-
-
-def test_wave_kernel_values():
-    assert wave_kernel_w(1.0, (0.0, 0.0), 1.0) == pytest.approx(1.0 / (2 * np.pi))
-    assert wave_kernel_w(1.0, (1.0, 0.0), 1.0) == 0.0
-    assert wave_kernel_w(1.0, (2.0, 0.0), 1.0) == 0.0
-    assert wave_kernel_w(2.0, (1.0, 0.0), 1.0) == pytest.approx(1.0 / (2 * np.pi * np.sqrt(3)))
-    with pytest.raises(KernelError):
-        wave_kernel_w(0.0, (0.0, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,9 @@ from vortexlab.profiles import (
     ProfileError,
     biot_savart,
     circulation_alpha,
-    dipole_farfield,
-    dipole_velocity,
     dipole_vorticity,
     dipole_vorticity_field,
     first_moments_beta,
-    oseen_velocity,
     oseen_vorticity,
     oseen_vorticity_field,
     profile_superposition,
@@ -31,6 +28,64 @@ from vortexlab.spectral import (
 from conftest import random_field
 
 PARAMS = FluidParams()
+
+
+# ---------------------------------------------------------------------------
+# closed-form velocities: the reference the spectral Biot-Savart law is held to
+
+
+def vortex_velocity_profile(xi1, xi2):
+    """Azimuthal velocity profile of the unit vortex; removable singularity at 0."""
+    xi1 = np.asarray(xi1, dtype=float)
+    xi2 = np.asarray(xi2, dtype=float)
+    r2 = xi1**2 + xi2**2
+    small = r2 < 1e-6
+    safe = np.where(small, 1.0, r2)
+    g = np.where(small, (1.0 - r2 / 8.0) / 4.0, -np.expm1(-r2 / 4.0) / safe)
+    coef = g / (2.0 * np.pi)
+    return -coef * xi2, coef * xi1
+
+
+def dipole_velocity_profile(i: int, xi1, xi2):
+    """d_i of the vortex velocity profile, in closed form."""
+    xi1 = np.asarray(xi1, dtype=float)
+    xi2 = np.asarray(xi2, dtype=float)
+    r2 = xi1**2 + xi2**2
+    small = r2 < 1e-6
+    safe = np.where(small, 1.0, r2)
+    e = np.exp(-r2 / 4.0)
+    # g(r) = (1 - e^{-r^2/4}) / r^2 and g'(r)/r, with two-term series at 0
+    g = np.where(small, (1.0 - r2 / 8.0) / 4.0, -np.expm1(-r2 / 4.0) / safe)
+    gp_over_r = np.where(
+        small,
+        -1.0 / 16.0 + r2 / 96.0,
+        (0.5 * e - 2.0 * g) / safe,
+    )
+    if i == 1:
+        v1 = -(xi2 * xi1) * gp_over_r
+        v2 = g + xi1**2 * gp_over_r
+    else:
+        v1 = -(g + xi2**2 * gp_over_r)
+        v2 = xi1 * xi2 * gp_over_r
+    return v1 / (2.0 * np.pi), v2 / (2.0 * np.pi)
+
+
+def oseen_velocity(t: float, x, params: FluidParams):
+    """sqrt(nu/t) vortex_velocity(x / sqrt(nu t))."""
+    s = np.sqrt(params.nu * t)
+    v1, v2 = vortex_velocity_profile(np.asarray(x[0]) / s, np.asarray(x[1]) / s)
+    amp = np.sqrt(params.nu / t)
+    return amp * v1, amp * v2
+
+
+def dipole_velocity(i: int, t: float, x, params: FluidParams):
+    """d_i vortex_velocity evaluated at x / sqrt(nu t), divided by t."""
+    s = np.sqrt(params.nu * t)
+    v1, v2 = dipole_velocity_profile(i, np.asarray(x[0]) / s, np.asarray(x[1]) / s)
+    return v1 / t, v2 / t
+
+
+# ---------------------------------------------------------------------------
 
 
 def test_fluid_params_derived_constants():
@@ -99,55 +154,16 @@ def test_dipole_vorticity_first_moment():
 
 
 def test_dipole_velocity_matches_difference_quotient():
-    # oracle: d_1 v^G by central differences of the vortex profile
+    # oracle: d_i v^G by central differences of the vortex profile, both axes
     h = 1e-6
-    for pt in [(1.3, -0.7), (0.2, 0.15), (3.0, 2.0)]:
-        from vortexlab.profiles import vortex_velocity_profile
-
-        vp = vortex_velocity_profile(pt[0] + h, pt[1])
-        vm = vortex_velocity_profile(pt[0] - h, pt[1])
-        fd = ((vp[0] - vm[0]) / (2 * h), (vp[1] - vm[1]) / (2 * h))
-        v = dipole_velocity(1, 1.0, pt, PARAMS)
-        assert v[0] == pytest.approx(fd[0], abs=2e-9)
-        assert v[1] == pytest.approx(fd[1], abs=2e-9)
-
-
-def test_dipole_farfield_agreement():
-    # remainder is O(exp(-|xi|^2/4)): inside that envelope at |xi| = 6,
-    # below 1e-6 once |xi| >= 7
-    for xi in [(6.0, 0.5), (6.0, 0.0)]:
-        v = dipole_velocity(1, 1.0, xi, PARAMS)
-        ff = dipole_farfield(1, xi)
-        diff = np.hypot(v[0] - ff[0], v[1] - ff[1])
-        assert diff < np.exp(-(xi[0] ** 2 + xi[1] ** 2) / 4.0)
-    for xi in [(7.0, 0.5), (0.0, 8.0)]:
-        v = dipole_velocity(1, 1.0, xi, PARAMS)
-        ff = dipole_farfield(1, xi)
-        assert np.hypot(v[0] - ff[0], v[1] - ff[1]) < 1e-6
-
-
-def test_dipole_farfield_along_axis():
-    for r in (5.0, 8.0, 20.0):
-        f1, f2 = dipole_farfield(1, (r, 0.0))
-        assert f1 == pytest.approx(0.0, abs=1e-15)
-        assert f2 == pytest.approx(-1.0 / (2 * np.pi * r**2))
-
-
-def test_dipole_farfield_second_axis():
-    # i = 2 far field: (1/2pi|xi|^4) (xi2^2 - xi1^2, -2 xi1 xi2)
-    xi = (0.5, 6.0)
-    v = dipole_velocity(2, 1.0, xi, PARAMS)
-    ff = dipole_farfield(2, xi)
-    assert np.hypot(v[0] - ff[0], v[1] - ff[1]) < np.exp(-(xi[0] ** 2 + xi[1] ** 2) / 4.0)
-    r = 7.0
-    f1, f2 = dipole_farfield(2, (0.0, r))
-    assert f1 == pytest.approx(1.0 / (2 * np.pi * r**2))
-    assert f2 == pytest.approx(0.0, abs=1e-15)
-
-
-def test_dipole_farfield_rejects_near_field():
-    with pytest.raises(ProfileError):
-        dipole_farfield(1, (3.0, 0.0))
+    for pt in [(1.3, -0.7), (0.2, 0.15), (3.0, 2.0), (0.5, 6.0)]:
+        for i, step in ((1, (h, 0.0)), (2, (0.0, h))):
+            vp = vortex_velocity_profile(pt[0] + step[0], pt[1] + step[1])
+            vm = vortex_velocity_profile(pt[0] - step[0], pt[1] - step[1])
+            fd = ((vp[0] - vm[0]) / (2 * h), (vp[1] - vm[1]) / (2 * h))
+            v = dipole_velocity(i, 1.0, pt, PARAMS)
+            assert v[0] == pytest.approx(fd[0], abs=2e-9)
+            assert v[1] == pytest.approx(fd[1], abs=2e-9)
 
 
 def test_dipole_velocity_field_divergence_free():

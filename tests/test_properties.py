@@ -1,13 +1,10 @@
 """Property tests of the half-spectrum layout, held to the kernel-algebra bounds."""
 
-import json
-import tempfile
-from pathlib import Path
-
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from vortexlab.kernels import (
+    FAMILIES,
     artificial_symbol_grid,
     heat_symbol_grid,
     phi_symbol_grid,
@@ -15,7 +12,6 @@ from vortexlab.kernels import (
     spar_symbol_grid,
 )
 from vortexlab.profiles import FluidParams
-from vortexlab.solver import SolverConfig, Trajectory, load_trajectory, save_trajectory
 from vortexlab.spectral import (
     FullLattice,
     SpectralField,
@@ -114,48 +110,12 @@ def test_leray_idempotent_and_orthogonal(grid, seed):
     assert abs(inner) < 1e-12 * na * nb
 
 
-def _trajectory(grid, rng):
-    config = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0))
-    states = tuple(_real_state(grid, rng) for _ in range(3))
-    diagnostics = tuple({"t": t} for t in (0.0, 0.5, 1.0))
-    return Trajectory((0.0, 0.5, 1.0), states, diagnostics, config)
-
-
-def _write_v1(trajectory, directory):
-    """The same trajectory in the format-1 layout: full-lattice spectra."""
-    save_trajectory(trajectory, directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    manifest["format_version"] = 1
-    # written by earlier versions, never read back
-    manifest.update(epsilon=0.0, hs_index=3)
-    (directory / "manifest.json").write_text(json.dumps(manifest))
-    full = []
-    for k, state in enumerate(trajectory.states):
-        arrays = {key: _full_spectrum(c) for key, c in zip(("rho", "m1", "m2"), state.components())}
-        np.savez(directory / f"state_{k:04d}.npz", **arrays)
-        full.append(arrays)
-    return full
-
-
-@settings(max_examples=10, deadline=None, database=None)
-@given(st.sampled_from([8, 16, 32]), seeds)
-def test_trajectory_files_v1_and_v2_load(n, seed):
-    grid = make_grid(n, 20.0)
-    trajectory = _trajectory(grid, np.random.default_rng(seed))
-    with tempfile.TemporaryDirectory() as tmp:
-        v2, v1 = Path(tmp) / "v2", Path(tmp) / "v1"
-        save_trajectory(trajectory, v2)
-        back = load_trajectory(v2)
-        assert back.times == trajectory.times and back.config == trajectory.config
-        for a, b in zip(back.states, trajectory.states):
-            for ca, cb in zip(a.components(), b.components()):
-                assert np.array_equal(ca.coeffs, cb.coeffs)
-        full = _write_v1(trajectory, v1)
-        old = load_trajectory(v1)
-        assert old.config == trajectory.config
-        for state, arrays, orig in zip(old.states, full, trajectory.states):
-            for field, key, ref in zip(state.components(), ("rho", "m1", "m2"), orig.components()):
-                # format 1: the k2 >= 0 columns are kept as they were stored
-                assert np.array_equal(field.coeffs, arrays[key][:, : n // 2 + 1])
-                scale = np.abs(ref.coeffs).max()
-                assert np.abs(field.coeffs - ref.coeffs).max() < 1e-12 * scale
+@PROPERTY
+@given(grids, seeds, times, times, st.sampled_from(sorted(FAMILIES)))
+def test_symbol_semigroup_on_dealiased_states(grid, seed, t, s, kind):
+    # S(t) S(s) = S(t + s) off the Nyquist lines, which dealiasing zeroes
+    X = _real_state(grid, np.random.default_rng(seed)).dealiased()
+    St, Ss, Sts = (phi_symbol_grid(0, h, grid, PARAMS, kind) for h in (t, s, t + s))
+    got, want = St.compose(Ss).apply(X), Sts.apply(X)
+    for a, b in zip(got.components(), want.components()):
+        assert np.abs((a - b).coeffs).max() <= 1e-10 * np.abs(b.coeffs).max()
