@@ -68,8 +68,8 @@ def phi(k: int, z):
 
 
 def _phi_derivative(k: int, z):
-    """d/dz phi_k, via the recurrence z phi_k' = phi_{k-1} - (k) phi_k ... for k >= 1,
-    and exp for k = 0; series branch near z = 0."""
+    """d/dz phi_k: exp for k = 0; for k >= 1 the recurrence
+    z phi_k'(z) = phi_{k-1}(z) - k phi_k(z), with a series branch near z = 0."""
     z = np.asarray(z, dtype=np.complex128)
     if k == 0:
         return np.exp(z)
@@ -257,8 +257,10 @@ def _check_nonnegative_time(t: float):
 
 
 def _grid_symbol(kind: str, t: float, grid: Grid, params: FluidParams, fk: int = 0):
+    """Entries evaluated once per (|eta|^2, |eta_odd|^2) shell, then gathered."""
     _check_nonnegative_time(t)
-    return KernelSymbol(grid, *_entries(kind, t, grid.eta_sq, grid.eta_sq_odd, params, fk))
+    mag2, mag2_odd, inverse = grid.shells
+    return KernelSymbol(grid, *(e[inverse] for e in _entries(kind, t, mag2, mag2_odd, params, fk)))
 
 
 def spar_symbol_grid(t: float, grid: Grid, params: FluidParams) -> KernelSymbol:

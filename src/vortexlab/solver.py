@@ -168,38 +168,27 @@ class _StepTables:
     w_gamma: KernelSymbol | None = None
 
 
-_TABLE_CACHE: dict = {}
-
-
 def _tables(grid: Grid, params: FluidParams, h: float, scheme: str) -> _StepTables:
-    key = (grid, params, h, scheme)
-    hit = _TABLE_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """Symbol tables of one step of length h, built on every call (no cache)."""
     exp_full = s_symbol_grid(h, grid, params)
     phi1 = phi_symbol_grid(1, h, grid, params).scaled(h)
     phi2 = phi_symbol_grid(2, h, grid, params).scaled(h)
     if scheme == "etd2":
-        tab = _StepTables(exp_full, phi1, phi2)
-    else:
-        phi3 = phi_symbol_grid(3, h, grid, params).scaled(h)
-        w_alpha = phi1 + phi2.scaled(-3.0) + phi3.scaled(4.0)
-        w_beta = phi2.scaled(2.0) + phi3.scaled(-4.0)
-        w_gamma = phi3.scaled(4.0) + phi2.scaled(-1.0)
-        tab = _StepTables(
-            exp_full,
-            phi1,
-            phi2,
-            exp_half=s_symbol_grid(0.5 * h, grid, params),
-            phi1_half=phi_symbol_grid(1, 0.5 * h, grid, params).scaled(0.5 * h),
-            w_alpha=w_alpha,
-            w_beta=w_beta,
-            w_gamma=w_gamma,
-        )
-    if len(_TABLE_CACHE) > 64:
-        _TABLE_CACHE.clear()
-    _TABLE_CACHE[key] = tab
-    return tab
+        return _StepTables(exp_full, phi1, phi2)
+    phi3 = phi_symbol_grid(3, h, grid, params).scaled(h)
+    w_alpha = phi1 + phi2.scaled(-3.0) + phi3.scaled(4.0)
+    w_beta = phi2.scaled(2.0) + phi3.scaled(-4.0)
+    w_gamma = phi3.scaled(4.0) + phi2.scaled(-1.0)
+    return _StepTables(
+        exp_full,
+        phi1,
+        phi2,
+        exp_half=s_symbol_grid(0.5 * h, grid, params),
+        phi1_half=phi_symbol_grid(1, 0.5 * h, grid, params).scaled(0.5 * h),
+        w_alpha=w_alpha,
+        w_beta=w_beta,
+        w_gamma=w_gamma,
+    )
 
 
 def _step_with_tables(X: State, tab: _StepTables, params: FluidParams, scheme: str) -> State:
@@ -209,9 +198,10 @@ def _step_with_tables(X: State, tab: _StepTables, params: FluidParams, scheme: s
         n1 = _fourier_source(a, params)
         return a + tab.phi2.apply(n1 - n0)
     n0 = _fourier_source(X, params)
-    a = tab.exp_half.apply(X) + tab.phi1_half.apply(n0)
+    ex_half = tab.exp_half.apply(X)
+    a = ex_half + tab.phi1_half.apply(n0)
     na = _fourier_source(a, params)
-    b = tab.exp_half.apply(X) + tab.phi1_half.apply(na)
+    b = ex_half + tab.phi1_half.apply(na)
     nb = _fourier_source(b, params)
     c = tab.exp_half.apply(a) + tab.phi1_half.apply(nb * 2.0 - n0)
     nc = _fourier_source(c, params)
@@ -224,7 +214,8 @@ def _step_with_tables(X: State, tab: _StepTables, params: FluidParams, scheme: s
 
 
 def step(X: State, dt: float, config: SolverConfig) -> State:
-    """One ETD step of length dt on a reduced-variable state."""
+    """One ETD step of length dt on a reduced-variable state; its symbol tables
+    are built on every call and nothing is cached across calls."""
     params = scaled_params(config.params)
     tab = _tables(config.grid, params, dt, config.scheme)
     if not config.nonlinear:

@@ -138,6 +138,13 @@ class Grid(_Wavenumbers):
         return weight
 
     @cached_property
+    def shells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(mag2, mag2_odd, inverse): the distinct float pairs (eta_sq, eta_sq_odd)
+        and the index with eta_sq == mag2[inverse], eta_sq_odd == mag2_odd[inverse]."""
+        keys, inverse = np.unique((self.eta_sq + 1j * self.eta_sq_odd).ravel(), return_inverse=True)
+        return keys.real.copy(), keys.imag.copy(), inverse.reshape(self.spectral_shape)
+
+    @cached_property
     def x1(self) -> np.ndarray:
         x = np.arange(self.n) * self.dx
         return x[:, None] * np.ones((1, self.n))

@@ -7,6 +7,7 @@ from vortexlab.kernels import (
     KernelError,
     KernelSymbol,
     _entries,
+    _grid_symbol,
     _lambda_pm,
     artificial_diagonal_field,
     cutoff,
@@ -362,6 +363,24 @@ def test_grid_symbol_matches_pointwise(rng):
             X = State(rho, (m0, m1))
             got[:, k] = [c.coeffs[i, j] for c in sym.apply(X).components()]
         assert np.abs(got - block).max() < 1e-12
+
+
+@pytest.mark.parametrize("n, L", [(64, 200.0), (256, 100.0)])
+def test_shell_builds_equal_lattice_builds(n, L):
+    # entries are elementwise in (|eta|^2, |eta_odd|^2): evaluating them once per
+    # distinct pair and gathering must reproduce the lattice evaluation bit for bit
+    grid = make_grid(n, L)
+    mag2, mag2_odd, inverse = grid.shells
+    assert np.array_equal(mag2[inverse], grid.eta_sq)
+    assert np.array_equal(mag2_odd[inverse], grid.eta_sq_odd)
+    assert len(np.unique(mag2 + 1j * mag2_odd)) == len(mag2) < grid.eta_sq.size
+    for kind in FAMILIES:
+        for fk in range(4):
+            for t in (0.0, 1e-3, 0.37, 1.9, 27.0):
+                sym = _grid_symbol(kind, t, grid, PARAMS, fk)
+                lattice = _entries(kind, t, grid.eta_sq, grid.eta_sq_odd, PARAMS, fk)
+                for got, want in zip(sym._arrays(), lattice, strict=True):
+                    assert np.array_equal(got, want), (kind, fk, t)
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,26 @@ def test_simulate_preserves_reflection_symmetry():
         assert np.abs(m2 - mirror(m2, +1)).max() < 1e-10 * scale
 
 
+def test_simulate_carries_no_state_across_runs():
+    # a repeated run in one process, after runs at another amplitude and on
+    # another grid with the same dx (so the same step), reproduces the first
+    grid, other = make_grid(32, 20.0), make_grid(16, 10.0)
+
+    def run(g, eps):
+        cfg = SolverConfig(grid=g, params=PARAMS, T=1.0, snapshot_times=(0.4, 1.0))
+        return simulate(_bump_state(g, eps), cfg)
+
+    first = run(grid, 1e-2)
+    run(grid, 3e-2)
+    run(other, 1e-2)
+    again = run(grid, 1e-2)
+    assert not first.aborted and first.times == again.times
+    assert first.diagnostics == again.diagnostics
+    for X, Y in zip(first.states, again.states, strict=True):
+        for a, b in zip(X.components(), Y.components(), strict=True):
+            assert np.array_equal(a.coeffs, b.coeffs)
+
+
 def test_simulate_vacuum_abort_returns_partial_trajectory():
     grid = make_grid(32, 20.0)
     rho = sample(grid, lambda a, b: -0.7 * np.exp(-(a**2 + b**2) / 8.0))
