@@ -11,12 +11,13 @@ The package is organised in six modules:
 ``kernels``
     Exact Fourier-side Green kernels of the linearised system, the
     artificial-viscosity approximation, frequency splitting and
-    pointwise-bound verification.
+    physical-space kernel fields.
 ``solver``
     Exponential time-differencing integrator for the nonlinear system
     near equilibrium, plus an incompressible vorticity control solver.
 ``harness``
-    Decay-rate experiments producing machine-readable reports.
+    Decay-rate experiments and the pointwise-bound verification,
+    producing machine-readable reports.
 ``cli``
     Command-line experiment runner.
 """

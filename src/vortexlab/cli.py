@@ -48,10 +48,6 @@ from .solver import SolverError
 from .spectral import SpectralError, make_grid
 
 
-_INT_KEYS = {"n", "seed"}
-_FLOAT_KEYS = {"l", "mu", "lambda", "lam", "rho_star", "gamma", "pressure_scale", "epsilon", "dt", "t"}
-
-
 @dataclass(frozen=True)
 class RunManifest:
     experiments: tuple[str, ...] = tuple(RECORDS)
@@ -85,12 +81,6 @@ class RunManifest:
             )
         except ProfileError as err:
             raise ConfigError(f"mu/lambda/rho_star/gamma: {err}") from None
-        if self.dt is not None and not self.dt > 0:
-            raise ConfigError(f"dt: must be positive, got {self.dt}")
-        if not self.T > 0:
-            raise ConfigError(f"T: must be positive, got {self.T}")
-        if not self.epsilon >= 0:
-            raise ConfigError(f"epsilon: must be nonnegative, got {self.epsilon}")
         ctx = ExperimentContext(grid, params, self.epsilon, self.T, self.dt, self.seed)
         for name in self.experiments:
             if name not in RECORDS:
@@ -99,6 +89,10 @@ class RunManifest:
                 )
             RECORDS[name].precheck(ctx)
         return ctx
+
+
+# config key, in any case -> manifest field; "lambda" names the bulk viscosity
+_KEYS = {f.name.lower(): f.name for f in fields(RunManifest)} | {"lambda": "lam"}
 
 
 def _config_values(text: str) -> dict:
@@ -110,31 +104,18 @@ def _config_values(text: str) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        if key == "experiments":
-            values["experiments"] = _experiment_names(value)
-        elif key in _INT_KEYS:
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
-        elif key in _FLOAT_KEYS:
-            try:
-                parsed = float(value)
-            except ValueError:
-                raise ConfigError(f"{key}: expected a number, got {value!r}") from None
-            if key == "l":
-                values["L"] = parsed
-            elif key == "t":
-                values["T"] = parsed
-            elif key in ("lambda", "lam"):
-                values["lam"] = parsed
-            else:
-                values[key] = parsed
-        else:
+        key, _, value = (part.strip() for part in line.partition("="))
+        name = _KEYS.get(key.lower())
+        if name is None:
             raise ConfigError(f"unknown config key {key!r} (line {lineno})")
+        if name == "experiments":
+            values[name] = _experiment_names(value)
+            continue
+        kind, noun = (int, "an integer") if name in ("n", "seed") else (float, "a number")
+        try:
+            values[name] = kind(value)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {noun}, got {value!r}") from None
     return values
 
 

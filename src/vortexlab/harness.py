@@ -7,17 +7,19 @@ per-case constants.  Raw (t, value) series are kept alongside for export.
 Report pass semantics (`mode`):
   "match"     |fitted - predicted| <= tolerance   (two-sided rate statements)
   "bound"     fitted <= predicted + tolerance     (one-sided upper bounds)
-  "positive"  fitted > 0 with a reliable fit      (exponential-decay rate b)
+  "positive"  fitted > 0 with r2 >= 0.98          (exponential-decay rate b)
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .kernels import (
+    KernelError,
     KernelSymbol,
     artificial_diagonal_field,
     artificial_symbol_grid,
@@ -26,7 +28,6 @@ from .kernels import (
     heat_leray_kernel_magnitude,
     heat_symbol_grid,
     phi_symbol_grid,
-    pointwise_bound_report,
     s_symbol_grid,
     spar_symbol_grid,
     split,
@@ -98,10 +99,6 @@ class FitResult:
     slope: float
     intercept: float
     r2: float
-
-    @property
-    def reliable(self) -> bool:
-        return self.r2 >= 0.98
 
 
 def fit_rate(series: RateSeries, log_correction: bool = False) -> FitResult:
@@ -214,7 +211,9 @@ class ExperimentResult:
 
 @dataclass(frozen=True)
 class ExperimentContext:
-    """Common knobs shared by all experiments."""
+    """Common knobs shared by all experiments (`dt = None`: the acoustic CFL
+    bound).  A negative epsilon, a non-positive T or dt, or a non-finite one
+    of them raises ConfigError naming the key."""
 
     grid: Grid
     params: FluidParams
@@ -223,9 +222,17 @@ class ExperimentContext:
     dt: float | None = None
     seed: int = 0
 
-    @staticmethod
-    def default() -> "ExperimentContext":
-        return ExperimentContext(grid=make_grid(256, 200.0), params=FluidParams())
+    def __post_init__(self):
+        for key in ("epsilon", "T", "dt"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key}: must be finite, got {value}")
+        if self.dt is not None and not self.dt > 0:
+            raise ConfigError(f"dt: must be positive, got {self.dt}")
+        if not self.T > 0:
+            raise ConfigError(f"T: must be positive, got {self.T}")
+        if not self.epsilon >= 0:
+            raise ConfigError(f"epsilon: must be nonnegative, got {self.epsilon}")
 
 
 def _rate_report(
@@ -588,8 +595,56 @@ def run_kernel_rates(ctx: ExperimentContext) -> ExperimentResult:
 # experiment: pointwise bounds
 
 
+def _fit_pointwise_constant(field, radius, t, c, mu_par):
+    """Smallest K with |field| <= K t^{-5/4} * envelope, the envelope being
+    t^{3/4} s^{-3/2} inside |x| <= c(t - sqrt t) and exp(-s^2/(K t)) outside.
+
+    Points below 1e-13 of the peak are excluded: they sit at the double-
+    precision transform floor, not on the kernel's analytic tail.
+    """
+    mag = np.abs(field)
+    resolved = mag > 1e-13 * mag.max()
+    s = np.abs(radius - c * t)
+    inner = (radius <= c * (t - np.sqrt(t))) & resolved
+    k_inner = 0.0
+    if inner.any():
+        k_inner = float((mag[inner] * t**0.5 * s[inner] ** 1.5).max())
+    outer = ~inner & resolved
+    logmag = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
+    log_out = logmag[outer] + 1.25 * np.log(t)
+    s2_out = s[outer] ** 2
+
+    def feasible(k):
+        # need max over outer points of log|F| + 5/4 log t + s^2/(k t) <= log k
+        return float((log_out + s2_out / (k * t)).max()) <= np.log(k)
+
+    lo = max(k_inner, float(mag.max()) * t**1.25, 1e-12)
+    hi = lo
+    for _ in range(200):
+        if feasible(hi):
+            break
+        hi *= 2.0
+    else:
+        return float("inf")
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid) and mid >= k_inner:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def run_pointwise_bound(ctx: ExperimentContext) -> ExperimentResult:
     """Two-regime envelope of the artificial kernel on the expanding ring.
+
+    For each t the scalar entry of S_tilde_par(t) is evaluated in physical
+    space; the samples record the fitted envelope constant K, the radius of
+    the magnitude peak against the ring c t +- 3 sqrt(mu_par t), and the far
+    tail beyond c t + 6.5 sqrt(mu_par t).  The heat smoothing scale is
+    sqrt(2 mu_par t), so 6.5 widths leave the Gaussian tail below 1e-8 with
+    margin for its algebraic prefactor (6 widths sit right at e^{-18}).  The
+    bounds are stated for t >= 1, and every sampled time below is.
 
     Runs on the half-size box: the kernel's heat width sqrt(2 mu_par t) needs
     a few grid points already at t = 1, and the ring stays far from the
@@ -597,6 +652,7 @@ def run_pointwise_bound(ctx: ExperimentContext) -> ExperimentResult:
     """
     name = "pointwise-bound"
     grid = RECORDS[name].grid(ctx)
+    radius = np.hypot(grid.xc1, grid.xc2)
     reports = []
     extras = {}
     configs = [
@@ -605,38 +661,36 @@ def run_pointwise_bound(ctx: ExperimentContext) -> ExperimentResult:
         ("resolved-ring", FluidParams(mu=0.25, lam=0.0), (2.0, 4.0, 8.0, 16.0)),
     ]
     for label, params, times in configs:
-        rep = pointwise_bound_report(params, grid, times=times)
-        extras[label] = {
-            "samples": [
+        c, mu_par = params.c, params.mu_par
+        samples = []
+        for t in times:
+            width = 3.0 * np.sqrt(mu_par * t)
+            if c * t + width >= grid.L / 2.0:
+                raise KernelError(
+                    f"acoustic ring leaves the box at t={t} (L={grid.L}); enlarge the box"
+                )
+            diag = artificial_diagonal_field(t, grid, params)
+            mag = np.abs(diag)
+            far = radius > c * t + 6.5 * np.sqrt(mu_par * t)
+            samples.append(
                 {
-                    "t": s.t,
-                    "k_fit": s.k_fit,
-                    "peak_radius": s.peak_radius,
-                    "ring": [s.ring_lo, s.ring_hi],
-                    "tail_ratio": s.tail_ratio,
+                    "t": t,
+                    "k_fit": _fit_pointwise_constant(diag, radius, t, c, mu_par),
+                    "peak_radius": float(radius.flat[int(np.argmax(mag))]),
+                    "ring": [c * t - width, c * t + width],
+                    "tail_ratio": float(mag[far].max() / mag.max()) if far.any() else 0.0,
                 }
-                for s in rep.samples
-            ]
-        }
-        reports.append(
-            ExperimentReport(
-                name, f"{label}-k-stability", 2.0, rep.k_stability, 0.0, mode="bound"
             )
-        )
-        reports.append(
-            ExperimentReport(
-                name,
-                f"{label}-ring-location",
-                1.0,
-                1.0 if rep.ring_ok else 0.0,
-                0.0,
-                mode="match",
-            )
-        )
-        tail = max(s.tail_ratio for s in rep.samples)
-        reports.append(
-            ExperimentReport(name, f"{label}-far-tail", 0.0, tail, 1e-8, mode="bound")
-        )
+        extras[label] = {"samples": samples}
+        ks = np.array([s["k_fit"] for s in samples])
+        k_stability = float(ks.max() / ks.min()) if np.all(np.isfinite(ks)) else float("inf")
+        ring_ok = all(s["ring"][0] <= s["peak_radius"] <= s["ring"][1] for s in samples)
+        tail = max(s["tail_ratio"] for s in samples)
+        reports += [
+            ExperimentReport(name, f"{label}-k-stability", 2.0, k_stability, 0.0, mode="bound"),
+            ExperimentReport(name, f"{label}-ring-location", 1.0, float(ring_ok), 0.0),
+            ExperimentReport(name, f"{label}-far-tail", 0.0, tail, 1e-8, mode="bound"),
+        ]
     return ExperimentResult(name, tuple(reports), extras=extras)
 
 

@@ -354,102 +354,6 @@ def artificial_diagonal_field(t: float, grid: Grid, params: FluidParams, sigma=(
     return np.fft.fftshift(np.real(np.fft.fft2(symbol)) / grid.L**2)
 
 
-@dataclass(frozen=True)
-class PointwiseBoundSample:
-    t: float
-    k_fit: float
-    peak_radius: float
-    ring_lo: float
-    ring_hi: float
-    tail_ratio: float
-
-
-@dataclass(frozen=True)
-class PointwiseBoundReport:
-    samples: tuple[PointwiseBoundSample, ...]
-    k_stability: float
-    ring_ok: bool
-
-
-def _fit_pointwise_constant(field, radius, t, c, mu_par):
-    """Smallest K with |field| <= K t^{-5/4} * envelope, the envelope being
-    t^{3/4} s^{-3/2} inside |x| <= c(t - sqrt t) and exp(-s^2/(K t)) outside.
-
-    Points below 1e-13 of the peak are excluded: they sit at the double-
-    precision transform floor, not on the kernel's analytic tail.
-    """
-    mag = np.abs(field)
-    resolved = mag > 1e-13 * mag.max()
-    s = np.abs(radius - c * t)
-    inner = (radius <= c * (t - np.sqrt(t))) & resolved
-    k_inner = 0.0
-    if inner.any():
-        k_inner = float((mag[inner] * t**0.5 * s[inner] ** 1.5).max())
-    outer = ~inner & resolved
-    logmag = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
-    log_out = logmag[outer] + 1.25 * np.log(t)
-    s2_out = s[outer] ** 2
-
-    def feasible(k):
-        # need max over outer points of log|F| + 5/4 log t + s^2/(k t) <= log k
-        return float((log_out + s2_out / (k * t)).max()) <= np.log(k)
-
-    lo = max(k_inner, float(mag.max()) * t**1.25, 1e-12)
-    hi = lo
-    for _ in range(200):
-        if feasible(hi):
-            break
-        hi *= 2.0
-    else:
-        return float("inf")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid) and mid >= k_inner:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def pointwise_bound_report(
-    params: FluidParams, grid: Grid, times=(1.0, 2.0, 4.0, 8.0)
-) -> PointwiseBoundReport:
-    """Check the two-regime pointwise envelope of the artificial kernel.
-
-    For each t the scalar entry of S_tilde_par(t) is evaluated in physical
-    space; the report records the fitted envelope constant K, the radius of
-    the magnitude peak against the expanding ring |x| ~ c t, and the far tail
-    beyond c t + 6.5 sqrt(mu_par t).  The heat smoothing scale is
-    sqrt(2 mu_par t), so 6.5 widths leave the Gaussian tail below 1e-8 with
-    margin for its algebraic prefactor (6 widths sit right at e^{-18}).
-    """
-    c, mu_par = params.c, params.mu_par
-    samples = []
-    for t in times:
-        if t < 1.0:
-            raise KernelError(f"pointwise bounds are stated for t >= 1, got {t}")
-        if c * t + 3.0 * np.sqrt(mu_par * t) >= grid.L / 2.0:
-            raise KernelError(
-                f"acoustic ring leaves the box at t={t} (L={grid.L}); enlarge the box"
-            )
-        diag = artificial_diagonal_field(t, grid, params)
-        radius = np.hypot(grid.xc1, grid.xc2)
-        mag = np.abs(diag)
-        k_fit = _fit_pointwise_constant(diag, radius, t, c, mu_par)
-        peak_radius = float(radius.flat[int(np.argmax(mag))])
-        width = 3.0 * np.sqrt(mu_par * t)
-        ring_lo, ring_hi = c * t - width, c * t + width
-        far = radius > c * t + 6.5 * np.sqrt(mu_par * t)
-        tail_ratio = float(mag[far].max() / mag.max()) if far.any() else 0.0
-        samples.append(
-            PointwiseBoundSample(t, k_fit, peak_radius, ring_lo, ring_hi, tail_ratio)
-        )
-    ks = np.array([s.k_fit for s in samples])
-    k_stability = float(ks.max() / ks.min()) if np.all(np.isfinite(ks)) else float("inf")
-    ring_ok = all(s.ring_lo <= s.peak_radius <= s.ring_hi for s in samples)
-    return PointwiseBoundReport(tuple(samples), k_stability, ring_ok)
-
-
 def heat_leray_kernel_magnitude(t: float, sigma, grid: Grid, params: FluidParams) -> np.ndarray:
     """Pointwise Frobenius magnitude of D^sigma (K_mu(t) * R_perp), the heat-Leray
     kernel, for a non-zero multi-index (the underived kernel is not integrable);

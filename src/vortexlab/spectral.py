@@ -285,11 +285,6 @@ class State:
 
     __rmul__ = __mul__
 
-    @staticmethod
-    def zero(grid: Grid) -> "State":
-        z = SpectralField.zero
-        return State(z(grid), (z(grid), z(grid)))
-
 
 def transform(values: np.ndarray, grid: Grid) -> SpectralField:
     """Forward transform of physical samples; coeffs(0,0) equals sum f dx^2."""

@@ -20,6 +20,11 @@ def random_state(grid: Grid, rng, scale: float = 1.0) -> State:
     )
 
 
+def zero_state(grid: Grid) -> State:
+    z = SpectralField.zero
+    return State(z(grid), (z(grid), z(grid)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -8,8 +8,8 @@ scale (n = 256, L = 200, T = 30).  Run with ``pytest tests/test_acceptance.py
 import numpy as np
 import pytest
 
+from vortexlab.cli import RunManifest
 from vortexlab.harness import (
-    ExperimentContext,
     run_incompressible_limit,
     run_kernel_algebra,
     run_kernel_rates,
@@ -32,7 +32,7 @@ from vortexlab.spectral import (
 
 @pytest.fixture(scope="module")
 def ctx():
-    return ExperimentContext.default()
+    return RunManifest().context()
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,25 @@ def test_parse_config_values_and_comments():
     assert m.experiments == ("kernel-algebra", "pointwise-bound")
     with pytest.raises(ConfigError, match="threads"):
         parse_config("threads = 2\n")
+
+
+def test_readme_example_config_parses():
+    # the untagged fenced block of README.md is its example config file
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", readme, flags=re.M | re.S)
+    (block,) = [text for lang, text in blocks if not lang]
+    assert "experiments =" in block
+    assert parse_config(block) == RunManifest()
+
+
+def test_parse_config_names_the_key_as_written():
+    with pytest.raises(ConfigError, match="^L: expected a number, got 'x'$"):
+        parse_config("L = x\n")
+    with pytest.raises(ConfigError, match="^T: expected a number"):
+        parse_config("T = y\n")
+    with pytest.raises(ConfigError, match="^Seed: expected an integer"):
+        parse_config("Seed = 1.5\n")
+    assert parse_config("LAMBDA = 0.5\nexperiments = kernel-algebra\n").lam == 0.5
 
 
 def test_parse_config_rejects_bad_ellipticity():

@@ -17,7 +17,6 @@ from vortexlab.kernels import (
     heat_symbol_grid,
     phi,
     phi_divided_difference,
-    pointwise_bound_report,
     s_symbol_grid,
     spar_symbol_grid,
     split,
@@ -32,7 +31,7 @@ from vortexlab.spectral import (
     lp_of_magnitude,
     make_grid,
 )
-from conftest import random_field, random_state
+from conftest import random_field, random_state, zero_state
 
 PARAMS = FluidParams()  # mu = 1, lam = 0, rho_star = 1 -> mu_par = 2, c = 1
 MU_PAR_ONE = FluidParams(mu=0.5)  # mu_par = 1, c = 1: double root at |eta| = 2
@@ -316,7 +315,7 @@ def test_apply_identity_and_zero(rng):
     out = KernelSymbol.identity(grid).apply(X)
     for ca, cb in zip(out.components(), X.components()):
         assert np.array_equal(ca.coeffs, cb.coeffs)
-    zero = State.zero(grid)
+    zero = zero_state(grid)
     out = s_symbol_grid(1.0, grid, PARAMS).apply(zero)
     assert all(np.abs(c.coeffs).max() == 0.0 for c in out.components())
 
@@ -467,24 +466,6 @@ def test_heat_leray_decay_slopes():
         ]
         slope = np.polyfit(np.log(times), np.log(vals), 1)[0]
         assert abs(slope - expected) < 0.05
-
-
-# ---------------------------------------------------------------------------
-# pointwise bound report (smoke; full criterion in acceptance)
-
-
-def test_pointwise_bound_smoke():
-    grid = make_grid(256, 100.0)
-    report = pointwise_bound_report(PARAMS, grid, times=(1.0, 2.0, 4.0))
-    assert report.ring_ok
-    assert max(s.tail_ratio for s in report.samples) < 1e-8
-    assert np.isfinite(report.k_stability)
-
-
-def test_pointwise_bound_rejects_escaping_ring():
-    grid = make_grid(64, 20.0)
-    with pytest.raises(KernelError):
-        pointwise_bound_report(PARAMS, grid, times=(16.0,))
 
 
 def test_heat_symbol_semigroup(rng):

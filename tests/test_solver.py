@@ -31,6 +31,7 @@ from vortexlab.spectral import (
     sample,
     transform,
 )
+from conftest import zero_state
 
 PARAMS = FluidParams()
 
@@ -50,7 +51,7 @@ def _bump_state(grid, eps, widths=(8.0, 10.0, 12.0)):
 
 def test_nonlinear_terms_zero_state():
     grid = make_grid(32, 20.0)
-    src = _fourier_source(State.zero(grid), PARAMS)
+    src = _fourier_source(zero_state(grid), PARAMS)
     assert all(np.abs(c.coeffs).max() == 0.0 for c in src.components())
 
 
@@ -153,7 +154,7 @@ def test_non_finite_state_trips_the_guards(monkeypatch):
 def test_step_zero_state():
     grid = make_grid(32, 20.0)
     cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(1.0,))
-    out = step(State.zero(grid), 0.1, cfg)
+    out = step(zero_state(grid), 0.1, cfg)
     assert all(np.abs(c.coeffs).max() == 0.0 for c in out.components())
 
 
@@ -196,7 +197,7 @@ def test_temporal_convergence_order(scheme, min_order):
 def test_simulate_zero_initial_data():
     grid = make_grid(32, 20.0)
     cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0))
-    traj = simulate(State.zero(grid), cfg)
+    traj = simulate(zero_state(grid), cfg)
     assert not traj.aborted
     assert all(d["hs"] == 0.0 and d["min_density"] == 1.0 for d in traj.diagnostics)
     keys = {"t", "mass", "min_density", "hs", "grad_hs1", "kawashima_energy"}

@@ -16,7 +16,7 @@ from vortexlab.spectral import (
     sobolev_norm,
     transform,
 )
-from conftest import random_field, random_state
+from conftest import random_field, random_state, zero_state
 
 
 def test_make_grid_integer_lattice():
@@ -197,7 +197,7 @@ def test_lp_norm_rejects_small_p(rng):
 
 def test_sobolev_norm_basics(rng):
     grid = make_grid(32, 6.0)
-    assert sobolev_norm(State.zero(grid), 3) == 0.0
+    assert sobolev_norm(zero_state(grid), 3) == 0.0
     X = random_state(grid, rng)
     l2 = np.sqrt(sum(lp_norm(c, 2) ** 2 for c in X.components()))
     assert sobolev_norm(X, 0) == pytest.approx(l2, rel=1e-10)
