@@ -13,6 +13,7 @@ Report pass semantics (`mode`):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -212,8 +213,9 @@ class ExperimentResult:
 @dataclass(frozen=True)
 class ExperimentContext:
     """Common knobs shared by all experiments (`dt = None`: the acoustic CFL
-    bound).  A negative epsilon, a non-positive T or dt, or a non-finite one
-    of them raises ConfigError naming the key."""
+    bound).  A negative epsilon, a non-positive T or dt, a non-finite one of
+    them, or a seed that is not a nonnegative integer raises ConfigError
+    naming the key."""
 
     grid: Grid
     params: FluidParams
@@ -233,6 +235,8 @@ class ExperimentContext:
             raise ConfigError(f"T: must be positive, got {self.T}")
         if not self.epsilon >= 0:
             raise ConfigError(f"epsilon: must be nonnegative, got {self.epsilon}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ConfigError(f"seed: must be a nonnegative integer, got {self.seed}")
 
 
 def _rate_report(
@@ -635,6 +639,20 @@ def _fit_pointwise_constant(field, radius, t, c, mu_par):
     return hi
 
 
+# (label, fluid parameters, sampled times); None stands for the run's scaled
+# parameters.  Every sampled t is >= 1, where the envelope bounds are stated.
+_POINTWISE_CONFIGS = (
+    ("default", None, (1.0, 2.0, 4.0, 8.0)),
+    # thinner ring: the peak visibly tracks |x| = c t
+    ("resolved-ring", FluidParams(mu=0.25, lam=0.0), (2.0, 4.0, 8.0, 16.0)),
+)
+
+
+def _ring_edge(params: FluidParams, t: float) -> float:
+    """Outer edge c t + 3 sqrt(mu_par t) of the acoustic ring at time t."""
+    return params.c * t + 3.0 * np.sqrt(params.mu_par * t)
+
+
 def run_pointwise_bound(ctx: ExperimentContext) -> ExperimentResult:
     """Two-regime envelope of the artificial kernel on the expanding ring.
 
@@ -644,7 +662,7 @@ def run_pointwise_bound(ctx: ExperimentContext) -> ExperimentResult:
     tail beyond c t + 6.5 sqrt(mu_par t).  The heat smoothing scale is
     sqrt(2 mu_par t), so 6.5 widths leave the Gaussian tail below 1e-8 with
     margin for its algebraic prefactor (6 widths sit right at e^{-18}).  The
-    bounds are stated for t >= 1, and every sampled time below is.
+    bounds are stated for t >= 1, and every time in `_POINTWISE_CONFIGS` is.
 
     Runs on the half-size box: the kernel's heat width sqrt(2 mu_par t) needs
     a few grid points already at t = 1, and the ring stays far from the
@@ -655,17 +673,13 @@ def run_pointwise_bound(ctx: ExperimentContext) -> ExperimentResult:
     radius = np.hypot(grid.xc1, grid.xc2)
     reports = []
     extras = {}
-    configs = [
-        ("default", scaled_params(ctx.params), (1.0, 2.0, 4.0, 8.0)),
-        # thinner ring: the peak visibly tracks |x| = c t
-        ("resolved-ring", FluidParams(mu=0.25, lam=0.0), (2.0, 4.0, 8.0, 16.0)),
-    ]
-    for label, params, times in configs:
+    for label, params, times in _POINTWISE_CONFIGS:
+        params = params or scaled_params(ctx.params)
         c, mu_par = params.c, params.mu_par
         samples = []
         for t in times:
             width = 3.0 * np.sqrt(mu_par * t)
-            if c * t + width >= grid.L / 2.0:
+            if _ring_edge(params, t) >= grid.L / 2.0:  # backstop: the record's precheck comes first
                 raise KernelError(
                     f"acoustic ring leaves the box at t={t} (L={grid.L}); enlarge the box"
                 )
@@ -1050,6 +1064,19 @@ def _check_hf_band(record, ctx: ExperimentContext):
         )
 
 
+def _check_pointwise_ring(record, ctx: ExperimentContext):
+    """The acoustic ring, growing in t, stays inside the box at the last sampled
+    time: c t + 3 sqrt(mu_par t) < L/2."""
+    half = record.grid(ctx).L / 2.0
+    for label, params, times in _POINTWISE_CONFIGS:
+        params, t = params or scaled_params(ctx.params), times[-1]
+        if not _ring_edge(params, t) < half:
+            raise ConfigError(
+                f"n/L: {record.name} ({label}) needs its acoustic ring c t + 3 sqrt(mu_par t) "
+                f"below L/2 = {half:g} on its box up to t = {t:g}"
+            )
+
+
 @dataclass(frozen=True)
 class Experiment:
     """One experiment: its run function, the grid it measures on (from the
@@ -1079,7 +1106,8 @@ RECORDS = {
     for record in (
         Experiment("kernel-algebra", run_kernel_algebra, box=lambda g: make_grid(64, g.L / 4)),
         Experiment("kernel-rates", run_kernel_rates, checks=(_check_hf_band,)),
-        Experiment("pointwise-bound", run_pointwise_bound, box=_half_box),
+        Experiment("pointwise-bound", run_pointwise_bound, box=_half_box,
+                   checks=(_check_pointwise_ring,)),
         Experiment("sound-decay", run_sound_decay, horizon_rule=_acoustic_horizon,
                    checks=(_check_cfl, _check_sound_window)),
         Experiment("nonlinear-smallness", run_nonlinear_smallness,

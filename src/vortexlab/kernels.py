@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profiles import FluidParams
-from .spectral import FullLattice, Grid, SpectralField, State, as_multi_index, derivative_multiplier
+from .spectral import FullLattice, Grid, State, as_multi_index, derivative_multiplier
 
 
 class KernelError(ValueError):
@@ -191,26 +191,33 @@ class KernelSymbol:
     def _arrays(self):
         return (self.d, self.b, self.c, self.p, self.q)
 
-    def apply(self, X: State) -> State:
+    def apply(self, X, out: np.ndarray | None = None):
+        """The symbol applied to a State, or to a (3, n, n/2+1) coefficient stack,
+        giving the same kind; a stack's result goes into `out` (not overlapping X) if given."""
         # with u = i eta . m:  rho' = d rho + b u,  m' = p m + i eta (c rho - q u);
         # eta_odd is separable, so i eta enters as a complex row and column
-        if X.grid != self.grid:
-            raise KernelError("state grid does not match symbol grid")
         g = self.grid
+        is_state = isinstance(X, State)
+        if is_state and X.grid != g:
+            raise KernelError("state grid does not match symbol grid")
         ie1, ie2 = 1j * g.eta1_odd[:, :1], 1j * g.eta2_odd[:1, :]
-        r, m0, m1 = (f.coeffs for f in X.components())
+        r, m0, m1 = (f.coeffs for f in X.components()) if is_state else X
+        if out is None:
+            out = np.empty((3,) + r.shape, dtype=np.complex128)
+        rho, out0, u = out  # u lives in the last row until m1' replaces it
         tmp = np.empty_like(r)
-        u = ie1 * m0
+        np.multiply(ie1, m0, out=u)
         u += np.multiply(ie2, m1, out=tmp)
-        rho = self.d * r
+        np.multiply(self.d, r, out=rho)
         rho += np.multiply(self.b, u, out=tmp)
         np.multiply(self.q, u, out=u)
         np.subtract(np.multiply(self.c, r, out=tmp), u, out=u)
-        out0 = self.p * m0
+        np.multiply(self.p, m0, out=out0)
         out0 += np.multiply(ie1, u, out=tmp)
-        out1 = self.p * m1
-        out1 += np.multiply(ie2, u, out=tmp)
-        return State(SpectralField(g, rho), (SpectralField(g, out0), SpectralField(g, out1)))
+        np.multiply(ie2, u, out=tmp)
+        np.multiply(self.p, m1, out=u)
+        u += tmp
+        return State.from_stack(g, out) if is_state else out
 
     def compose(self, other: "KernelSymbol") -> "KernelSymbol":
         """Matrix product self · other, closed in Helmholtz form."""

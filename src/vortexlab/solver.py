@@ -7,6 +7,9 @@ the Duhamel integral (Cox-Matthews ETD2RK by default, ETD4RK optional).
 The integrator works in reduced variables (rho_tilde / rho_star, m / rho_star)
 so the flux decomposition reads literally with 1 + rho_tilde standing for
 rho / rho_star; `simulate` scales physical data in and out at its boundary.
+
+Each run (`simulate`, or one `step`) owns one workspace holding every buffer
+an ETD2 step writes; nothing is cached between runs.
 """
 
 from __future__ import annotations
@@ -73,8 +76,7 @@ def pressure_remainder(params: FluidParams, rho_tilde: np.ndarray) -> np.ndarray
     return law.value(1.0 + rho_tilde) - law.value(1.0) - params.c**2 * rho_tilde
 
 
-def _guard_vacuum(rho: np.ndarray) -> np.ndarray:
-    one = 1.0 + rho
+def _guard_vacuum(one: np.ndarray) -> np.ndarray:
     m = float(one.min())  # NaN anywhere makes the minimum NaN
     if not np.isfinite(m):
         raise SolverAbort(f"non-finite state: min(1 + rho_tilde) = {m}")
@@ -83,33 +85,57 @@ def _guard_vacuum(rho: np.ndarray) -> np.ndarray:
     return one
 
 
-def _fourier_source(X: State, params: FluidParams) -> State:
-    """Assembled nonlinear source sum_k d_k Q_k as a state (zero density part).
+class _Workspace:
+    """One run's buffers: the (3, n, n/2+1) state stack `X`, the ETD2 stage `a`
+    and sources `n0`, `n1`, and the nonlinear source's scratch."""
+
+    def __init__(self, grid: Grid, params: FluidParams, X0: State):
+        half = lambda k: np.empty((k,) + grid.spectral_shape, dtype=np.complex128)
+        self.grid, self.params, self.visc = grid, params, params.mu * grid.eta_sq
+        self.X = np.stack([c.coeffs for c in X0.components()])
+        self.a, self.n0, self.n1, self.work, self.spec = (half(k) for k in (3, 3, 3, 3, 5))
+        self.phys, self.products = np.empty((3, grid.n, grid.n)), np.empty((5, grid.n, grid.n))
+
+
+def _fourier_source(X: np.ndarray, ws: _Workspace, out: np.ndarray) -> np.ndarray:
+    """Assembled nonlinear source sum_k d_k Q_k of the coefficient stack X,
+    written into `out` (zero density row) through the scratch of `ws`.
 
     Q_k = (0, q1[k] + div q2[k]): q1 carries the momentum flux m m/(1+rho)
     and the pressure remainder, q2 the viscous terms of g = m rho/(1+rho).
-    One inverse transform of the stacked state and one forward transform of
-    the five stacked products: the pressure remainder only enters the flux
-    diagonal, so it is added there before transforming.  The source is
-    linear in the transformed products with diagonal multipliers, so
-    dealiasing it once equals dealiasing every product.
+    One inverse transform of the stack and one forward transform of the five
+    stacked products: the pressure remainder only enters the flux diagonal,
+    so it is added there before transforming.  The source is linear in the
+    transformed products with diagonal multipliers, so dealiasing it once
+    equals dealiasing every product.
     """
-    grid = X.grid
-    rho, w1, w2 = to_physical(np.stack([c.coeffs for c in X.components()]), grid)
-    one = _guard_vacuum(rho)
-    a1, a2 = w1 / one, w2 / one
+    grid, params = ws.grid, ws.params
+    rho, w1, w2 = to_physical(X, grid, out=ws.phys, work=ws.work)
+    f11, f12, f22, g1, g2 = ws.products  # 1 + rho, a1, a2 wait in free slots
+    one = _guard_vacuum(np.add(1.0, rho, out=f12))
+    a1, a2 = np.divide(w1, one, out=g1), np.divide(w2, one, out=g2)
     prem = pressure_remainder(params, rho)
-    products = np.stack([w1 * a1 + prem, w1 * a2, w2 * a2 + prem, w1 - a1, w2 - a2])
-    f11, f12, f22, g1, g2 = to_spectral(products, grid)
+    np.add(np.multiply(w1, a1, out=f11), prem, out=f11)
+    np.add(np.multiply(w2, a2, out=f22), prem, out=f22)
+    np.multiply(w1, a2, out=f12)
+    np.subtract(w1, a1, out=g1)
+    np.subtract(w2, a2, out=g2)
+    f11, f12, f22, g1, g2 = to_spectral(ws.products, grid, out=ws.spec)
     e1, e2 = grid.eta1_odd, grid.eta2_odd
-    visc = params.mu * grid.eta_sq
-    div_g = (params.mu + params.lam) * (e1 * g1 + e2 * g2)
+    div_g, tmp = ws.work[0], ws.work[1]
+    np.multiply(e1, g1, out=div_g)
+    div_g += np.multiply(e2, g2, out=tmp)
+    np.multiply(params.mu + params.lam, div_g, out=div_g)
     # -d_k (m_i m_k/(1+rho) + delta_ik P_rem) - mu Lap g_i - (mu+lam) d_i div g
-    s1 = 1j * (e1 * f11 + e2 * f12) + visc * g1 + e1 * div_g
-    s2 = 1j * (e1 * f12 + e2 * f22) + visc * g2 + e2 * div_g
-    mask = grid.dealias_mask
-    zero = SpectralField.zero(grid)
-    return State(zero, (SpectralField(grid, s1 * mask), SpectralField(grid, s2 * mask)))
+    out[0] = 0.0
+    for s, (fa, fb), g, e in zip(out[1:], ((f11, f12), (f12, f22)), (g1, g2), (e1, e2)):
+        np.multiply(e1, fa, out=s)
+        s += np.multiply(e2, fb, out=tmp)
+        np.multiply(1j, s, out=s)
+        s += np.multiply(ws.visc, g, out=tmp)
+        s += np.multiply(e, div_g, out=tmp)
+        np.multiply(s, grid.dealias_mask, out=s)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -191,36 +217,44 @@ def _tables(grid: Grid, params: FluidParams, h: float, scheme: str) -> _StepTabl
     )
 
 
-def _step_with_tables(X: State, tab: _StepTables, params: FluidParams, scheme: str) -> State:
+def _advance(ws: _Workspace, tab: _StepTables, scheme: str) -> None:
+    """One ETD step of `ws.X` in place; ETD2 writes only into the workspace,
+    ETD4 calls the same source and `apply` with outputs it allocates."""
+    X = ws.X
     if scheme == "etd2":
-        n0 = _fourier_source(X, params)
-        a = tab.exp_full.apply(X) + tab.phi1.apply(n0)
-        n1 = _fourier_source(a, params)
-        return a + tab.phi2.apply(n1 - n0)
-    n0 = _fourier_source(X, params)
+        a, n0, n1, t = ws.a, ws.n0, ws.n1, ws.work
+        _fourier_source(X, ws, n0)
+        tab.exp_full.apply(X, out=a)
+        a += tab.phi1.apply(n0, out=t)
+        _fourier_source(a, ws, n1)
+        n1 -= n0
+        np.add(a, tab.phi2.apply(n1, out=t), out=X)
+        return
+    n0 = _fourier_source(X, ws, np.empty_like(X))
     ex_half = tab.exp_half.apply(X)
     a = ex_half + tab.phi1_half.apply(n0)
-    na = _fourier_source(a, params)
+    na = _fourier_source(a, ws, np.empty_like(a))
     b = ex_half + tab.phi1_half.apply(na)
-    nb = _fourier_source(b, params)
+    nb = _fourier_source(b, ws, np.empty_like(b))
     c = tab.exp_half.apply(a) + tab.phi1_half.apply(nb * 2.0 - n0)
-    nc = _fourier_source(c, params)
-    return (
-        tab.exp_full.apply(X)
-        + tab.w_alpha.apply(n0)
-        + tab.w_beta.apply(na + nb)
-        + tab.w_gamma.apply(nc)
-    )
+    nc = _fourier_source(c, ws, np.empty_like(c))
+    X[...] = tab.exp_full.apply(X) + tab.w_alpha.apply(n0)
+    X += tab.w_beta.apply(na + nb)
+    X += tab.w_gamma.apply(nc)
 
 
 def step(X: State, dt: float, config: SolverConfig) -> State:
     """One ETD step of length dt on a reduced-variable state; its symbol tables
-    are built on every call and nothing is cached across calls."""
+    and workspace are made on every call and nothing is cached across calls."""
+    if X.grid != config.grid:
+        raise SolverError("state grid does not match config grid")
     params = scaled_params(config.params)
     tab = _tables(config.grid, params, dt, config.scheme)
     if not config.nonlinear:
         return tab.exp_full.apply(X)
-    return _step_with_tables(X, tab, params, config.scheme)
+    ws = _Workspace(config.grid, params, X)
+    _advance(ws, tab, config.scheme)
+    return State.from_stack(config.grid, ws.X)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +319,7 @@ def simulate(X0: State, config: SolverConfig) -> Trajectory:
     X = X0 * (1.0 / rs)
     X = X.dealiased()
     dt_target = config.dt_effective
+    ws = _Workspace(config.grid, params, X)
 
     times = [0.0]
     states = [X * rs]
@@ -306,14 +341,14 @@ def simulate(X0: State, config: SolverConfig) -> Trajectory:
             if config.nonlinear:
                 tab = _tables(config.grid, params, h, config.scheme)
                 for _ in range(nsub):
-                    X = _step_with_tables(X, tab, params, config.scheme)
+                    _advance(ws, tab, config.scheme)
             else:
-                X = s_symbol_grid(gap, config.grid, params).apply(X)
+                ws.X[...] = s_symbol_grid(gap, config.grid, params).apply(ws.X)
         except SolverAbort as err:
             reason = str(err)
             break
         t_prev = t_snap
-        phys = X * rs
+        phys = State.from_stack(config.grid, ws.X) * rs  # a copy: ws.X moves on
         times.append(t_snap)
         states.append(phys)
         row = _diagnostics(phys, t_snap)

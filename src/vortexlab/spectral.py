@@ -228,19 +228,27 @@ def _conj_partner(cols: np.ndarray) -> np.ndarray:
     return np.conj(np.roll(cols[..., ::-1, :], 1, axis=-2))
 
 
-def to_physical(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Samples of a half spectrum, or of a stack of them along leading axes."""
-    return np.fft.irfft2(np.conj(coeffs), s=(grid.n, grid.n)) / grid.dx**2
+def to_physical(coeffs: np.ndarray, grid: Grid, out=None, work=None) -> np.ndarray:
+    """Samples of a half spectrum, or of a stack of them along leading axes.
+    irfft2's two transforms run axis by axis, into `out` (real) and `work`
+    (complex, shaped like coeffs) when given, so a caller holding both
+    allocates no lattice array."""
+    work = np.conjugate(coeffs, out=work)
+    np.fft.ifftn(work, axes=(-2,), out=work)
+    out = np.fft.irfftn(work, s=(grid.n,), axes=(-1,), out=out)
+    out /= grid.dx**2
+    return out
 
 
-def to_spectral(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Half spectra of real samples (or of a stack of them along leading axes).
+def to_spectral(values: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+    """Half spectra of real samples (or of a stack of them along leading axes),
+    written into `out` when it is given.
 
     rfft2 rounds the two self-conjugate columns to slightly non-Hermitian
     values; they are replaced by their Hermitian parts, so real fields have
     exactly Hermitian spectra.
     """
-    out = np.fft.rfft2(values)
+    out = np.fft.rfft2(values, out=out)
     np.conjugate(out, out=out)
     out *= grid.dx**2
     cols = out[..., [0, -1]]
@@ -270,6 +278,12 @@ class State:
 
     def components(self) -> tuple[SpectralField, SpectralField, SpectralField]:
         return (self.rho, self.m[0], self.m[1])
+
+    @staticmethod
+    def from_stack(grid: Grid, coeffs: np.ndarray) -> "State":
+        """The state whose components view the rows of a (3, n, n/2+1) array."""
+        rho, m0, m1 = (SpectralField(grid, c) for c in coeffs)
+        return State(rho, (m0, m1))
 
     def dealiased(self) -> "State":
         return State(self.rho.dealiased(), (self.m[0].dealiased(), self.m[1].dealiased()))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -115,9 +116,12 @@ def test_invalid_config_exits_2_before_any_output(tmp_path, capsys, text, key):
     assert not (tmp_path / "out" / "reports.csv").exists()
 
 
-def test_library_error_in_an_experiment_exits_2(tmp_path, capsys):
-    # the acoustic ring of pointwise-bound leaves a box this small at once;
-    # the experiment that ran before it leaves no partial output either
+def test_library_error_in_an_experiment_exits_2(tmp_path, capsys, monkeypatch):
+    # the acoustic ring of pointwise-bound leaves a box this small at once; with
+    # the record's ring check taken away, the experiment's own KernelError is the
+    # backstop, and the experiment that ran before it leaves no partial output
+    record = harness.RECORDS["pointwise-bound"]
+    monkeypatch.setitem(harness.RECORDS, "pointwise-bound", dataclasses.replace(record, checks=()))
     cfg = tmp_path / "small.cfg"
     cfg.write_text("n = 64\nL = 50\nexperiments = kernel-algebra, pointwise-bound\n")
     code = main(["--config", str(cfg), "--outdir", str(tmp_path / "out")])
@@ -128,6 +132,19 @@ def test_library_error_in_an_experiment_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "reports.csv").exists()
     # the run created the output directory, so it removes it again
     assert not (tmp_path / "out").exists()
+
+
+def test_pointwise_ring_outside_the_box_exits_2_before_compute(tmp_path, capsys, monkeypatch):
+    # half box L = 25: the default ring c t + 3 sqrt(mu_par t) reaches 20 > 12.5 at t = 8
+    monkeypatch.setitem(harness.EXPERIMENTS, "pointwise-bound", _never_run)
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("n = 64\nL = 50\nexperiments = pointwise-bound\n")
+    outdir = tmp_path / "out"
+    code = main(["--config", str(cfg), "--outdir", str(outdir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: n/L: pointwise-bound (default) needs its acoustic ring")
+    assert not outdir.exists()
 
 
 def test_dt_bound_follows_the_selected_experiments(tmp_path, capsys):
@@ -229,6 +246,19 @@ def test_sound_decay_horizon_beyond_its_fit_window_exits_2_before_compute(
     assert err.startswith("error: T:")
     assert not outdir.exists()
     assert parse_config("T = 36\nexperiments = sound-decay\n").T == 36.0
+
+
+def test_negative_seed_exits_2_before_compute(tmp_path, capsys, monkeypatch):
+    # kernel-algebra seeds numpy's generator, which raised a ValueError on -1
+    monkeypatch.setitem(harness.EXPERIMENTS, "kernel-algebra", _never_run)
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = -1\nexperiments = kernel-algebra\n")
+    outdir = tmp_path / "out"
+    code = main(["--config", str(cfg), "--outdir", str(outdir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: seed:")
+    assert not outdir.exists()
 
 
 def test_summary_context_records_the_pressure_law():

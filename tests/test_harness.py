@@ -155,9 +155,10 @@ def test_run_experiment_prechecks_before_compute(monkeypatch):
         ("T", {"T": float("nan")}),
         ("dt", {"dt": 0.0}),
         ("dt", {"dt": -0.1}),
+        ("seed", {"seed": -1}),
     ],
     ids=["epsilon-negative", "epsilon-minus-inf", "T-inf", "T-zero", "T-nan", "dt-zero",
-         "dt-negative"],
+         "dt-negative", "seed-negative"],
 )
 def test_context_rejects_bad_values_before_compute(monkeypatch, key, values):
     # the library entry gets the checks the CLI makes (a negative epsilon used to run

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from vortexlab.solver import (
     VacuumError,
     Trajectory,
     cfl_limit,
-    _fourier_source,
     pressure_remainder,
     scaled_params,
     simulate,
@@ -29,11 +30,64 @@ from vortexlab.spectral import (
     lp_norm_vector,
     make_grid,
     sample,
+    to_physical,
+    to_spectral,
     transform,
 )
-from conftest import zero_state
+from conftest import random_state, zero_state
 
 PARAMS = FluidParams()
+
+
+def _fourier_source(X: State, params: FluidParams) -> State:
+    """The live nonlinear source of a State, through a fresh run workspace."""
+    ws = solver._Workspace(X.grid, params, X)
+    return State.from_stack(X.grid, solver._fourier_source(ws.X, ws, ws.n0))
+
+
+# Reference: the allocating State-level source and step the workspace path
+# replaced.  The live step must reproduce them bit for bit.
+
+
+def _reference_source(X: State, params: FluidParams) -> State:
+    grid = X.grid
+    rho, w1, w2 = to_physical(np.stack([c.coeffs for c in X.components()]), grid)
+    one = 1.0 + rho
+    a1, a2 = w1 / one, w2 / one
+    prem = pressure_remainder(params, rho)
+    products = np.stack([w1 * a1 + prem, w1 * a2, w2 * a2 + prem, w1 - a1, w2 - a2])
+    f11, f12, f22, g1, g2 = to_spectral(products, grid)
+    e1, e2 = grid.eta1_odd, grid.eta2_odd
+    visc = params.mu * grid.eta_sq
+    div_g = (params.mu + params.lam) * (e1 * g1 + e2 * g2)
+    s1 = 1j * (e1 * f11 + e2 * f12) + visc * g1 + e1 * div_g
+    s2 = 1j * (e1 * f12 + e2 * f22) + visc * g2 + e2 * div_g
+    mask = grid.dealias_mask
+    zero = SpectralField.zero(grid)
+    return State(zero, (SpectralField(grid, s1 * mask), SpectralField(grid, s2 * mask)))
+
+
+def _reference_step(X: State, tab, params: FluidParams, scheme: str) -> State:
+    N = _reference_source
+    if scheme == "etd2":
+        n0 = N(X, params)
+        a = tab.exp_full.apply(X) + tab.phi1.apply(n0)
+        n1 = N(a, params)
+        return a + tab.phi2.apply(n1 - n0)
+    n0 = N(X, params)
+    ex_half = tab.exp_half.apply(X)
+    a = ex_half + tab.phi1_half.apply(n0)
+    na = N(a, params)
+    b = ex_half + tab.phi1_half.apply(na)
+    nb = N(b, params)
+    c = tab.exp_half.apply(a) + tab.phi1_half.apply(nb * 2.0 - n0)
+    nc = N(c, params)
+    return (
+        tab.exp_full.apply(X)
+        + tab.w_alpha.apply(n0)
+        + tab.w_beta.apply(na + nb)
+        + tab.w_gamma.apply(nc)
+    )
 
 
 def _bump_state(grid, eps, widths=(8.0, 10.0, 12.0)):
@@ -143,7 +197,10 @@ def test_non_finite_state_trips_the_guards(monkeypatch):
         assert traj.abort_reason == "non-finite state: H^s = nan"
         assert len(traj.states) == 1  # nothing is integrated from a NaN state
     # a step that goes non-finite stops the run at that snapshot
-    monkeypatch.setattr(solver, "_step_with_tables", lambda X, *args: bad)
+    def go_non_finite(ws, *args):
+        ws.X[...] = [c.coeffs for c in bad.components()]
+
+    monkeypatch.setattr(solver, "_advance", go_non_finite)
     cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0))
     traj = simulate(X0, cfg)
     assert traj.aborted
@@ -277,6 +334,64 @@ def test_simulate_carries_no_state_across_runs():
     for X, Y in zip(first.states, again.states, strict=True):
         for a, b in zip(X.components(), Y.components(), strict=True):
             assert np.array_equal(a.coeffs, b.coeffs)
+
+
+@pytest.mark.parametrize("scheme", ["etd2", "etd4"])
+def test_step_bitwise_equals_reference(scheme):
+    # 5 steps over two snapshot gaps (2 + 3), each gap's step as simulate sizes it
+    grid = make_grid(64, 50.0)
+    X0 = random_state(grid, np.random.default_rng(7), 1e-2).dealiased()
+    before = [c.coeffs.copy() for c in X0.components()]
+    dt = 0.1
+    cfg = SolverConfig(
+        grid=grid, params=PARAMS, T=0.5, dt=dt, snapshot_times=(0.2, 0.5), scheme=scheme
+    )
+    traj = simulate(X0, cfg)
+    X, t_prev, expected = X0, 0.0, [X0]
+    for t_snap in cfg.snapshot_times:
+        gap = t_snap - t_prev
+        nsub = max(1, int(np.ceil(gap / dt - 1e-12)))
+        tab = solver._tables(grid, PARAMS, gap / nsub, scheme)
+        for _ in range(nsub):
+            X = _reference_step(X, tab, PARAMS, scheme)
+        expected.append(X)
+        t_prev = t_snap
+    assert not traj.aborted and len(traj.states) == 3
+    for got, ref in zip(traj.states, expected, strict=True):
+        for a, b in zip(got.components(), ref.components(), strict=True):
+            assert np.array_equal(a.coeffs, b.coeffs)
+    # step() makes the same step on its own workspace
+    one = step(X0, dt, cfg)
+    ref = _reference_step(X0, solver._tables(grid, PARAMS, dt, scheme), PARAMS, scheme)
+    for a, b in zip(one.components(), ref.components(), strict=True):
+        assert np.array_equal(a.coeffs, b.coeffs)
+    # simulate leaves X0 alone and hands out snapshots that share no memory
+    assert all(np.array_equal(c.coeffs, b) for c, b in zip(X0.components(), before))
+    arrays = [c.coeffs for X in (X0,) + traj.states for c in X.components()]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+
+
+def test_etd2_step_allocates_no_lattice_temporaries():
+    # after warm-up, 3 ETD2 steps on a run workspace peak at a few half-lattice
+    # arrays (the pressure remainder and apply's scratch), not at a State per term
+    import tracemalloc
+
+    grid = make_grid(64, 50.0)
+    X0 = random_state(grid, np.random.default_rng(3), 1e-2).dealiased()
+    tab = solver._tables(grid, PARAMS, cfl_limit(grid, PARAMS), "etd2")
+    ws = solver._Workspace(grid, PARAMS, X0)
+    solver._advance(ws, tab, "etd2")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(3):
+            solver._advance(ws, tab, "etd2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    half_lattice = np.empty(grid.spectral_shape, dtype=np.complex128).nbytes
+    assert (peak - base) / half_lattice <= 4.0
 
 
 def test_simulate_vacuum_abort_returns_partial_trajectory():
@@ -421,6 +536,16 @@ def test_duhamel_residual_quadratic_in_amplitude():
         res.append(duhamel_residual(traj, cfg))
     expo = np.log(res[1] / res[0]) / np.log(10.0)
     assert abs(expo - 2.0) < 0.2
+
+
+def test_step_rejects_a_state_on_another_grid():
+    # same n, different L: the tables and wavenumbers would silently not match
+    grid = make_grid(32, 20.0)
+    cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(1.0,))
+    X = _bump_state(make_grid(32, 30.0), 1e-2)
+    for nonlinear in (True, False):
+        with pytest.raises(SolverError, match="grid"):
+            step(X, 0.1, dataclasses.replace(cfg, nonlinear=nonlinear))
 
 
 def test_duhamel_residual_needs_enough_snapshots():
