@@ -213,9 +213,8 @@ class ExperimentResult:
 @dataclass(frozen=True)
 class ExperimentContext:
     """Common knobs shared by all experiments (`dt = None`: the acoustic CFL
-    bound).  A negative epsilon, a non-positive T or dt, a non-finite one of
-    them, or a seed that is not a nonnegative integer raises ConfigError
-    naming the key."""
+    bound).  A non-positive epsilon, T or dt, a non-finite one of them, or a
+    seed that is not a nonnegative integer raises ConfigError naming the key."""
 
     grid: Grid
     params: FluidParams
@@ -233,8 +232,8 @@ class ExperimentContext:
             raise ConfigError(f"dt: must be positive, got {self.dt}")
         if not self.T > 0:
             raise ConfigError(f"T: must be positive, got {self.T}")
-        if not self.epsilon >= 0:
-            raise ConfigError(f"epsilon: must be nonnegative, got {self.epsilon}")
+        if not self.epsilon > 0:
+            raise ConfigError(f"epsilon: must be positive, got {self.epsilon}")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ConfigError(f"seed: must be a nonnegative integer, got {self.seed}")
 

@@ -8,14 +8,16 @@ The integrator works in reduced variables (rho_tilde / rho_star, m / rho_star)
 so the flux decomposition reads literally with 1 + rho_tilde standing for
 rho / rho_star; `simulate` scales physical data in and out at its boundary.
 
-Each run (`simulate`, or one `step`) owns one workspace holding every buffer
-an ETD2 step writes; nothing is cached between runs.
+Both solvers take one ETD2 step, `_etd2_step`, on a coefficient stack in place.
+Each run (`simulate`, `vorticity_simulate` or one `step`) makes its three stage
+buffers and its source's scratch once; nothing is cached between runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -85,21 +87,9 @@ def _guard_vacuum(one: np.ndarray) -> np.ndarray:
     return one
 
 
-class _Workspace:
-    """One run's buffers: the (3, n, n/2+1) state stack `X`, the ETD2 stage `a`
-    and sources `n0`, `n1`, and the nonlinear source's scratch."""
-
-    def __init__(self, grid: Grid, params: FluidParams, X0: State):
-        half = lambda k: np.empty((k,) + grid.spectral_shape, dtype=np.complex128)
-        self.grid, self.params, self.visc = grid, params, params.mu * grid.eta_sq
-        self.X = np.stack([c.coeffs for c in X0.components()])
-        self.a, self.n0, self.n1, self.work, self.spec = (half(k) for k in (3, 3, 3, 3, 5))
-        self.phys, self.products = np.empty((3, grid.n, grid.n)), np.empty((5, grid.n, grid.n))
-
-
-def _fourier_source(X: np.ndarray, ws: _Workspace, out: np.ndarray) -> np.ndarray:
-    """Assembled nonlinear source sum_k d_k Q_k of the coefficient stack X,
-    written into `out` (zero density row) through the scratch of `ws`.
+def _fourier_source(grid: Grid, params: FluidParams):
+    """The assembled nonlinear source sum_k d_k Q_k as `source(X, out)`, which
+    writes it into `out` (zero density row) through scratch made once per run.
 
     Q_k = (0, q1[k] + div q2[k]): q1 carries the momentum flux m m/(1+rho)
     and the pressure remainder, q2 the viscous terms of g = m rho/(1+rho).
@@ -109,33 +99,51 @@ def _fourier_source(X: np.ndarray, ws: _Workspace, out: np.ndarray) -> np.ndarra
     transformed products with diagonal multipliers, so dealiasing it once
     equals dealiasing every product.
     """
-    grid, params = ws.grid, ws.params
-    rho, w1, w2 = to_physical(X, grid, out=ws.phys, work=ws.work)
-    f11, f12, f22, g1, g2 = ws.products  # 1 + rho, a1, a2 wait in free slots
-    one = _guard_vacuum(np.add(1.0, rho, out=f12))
-    a1, a2 = np.divide(w1, one, out=g1), np.divide(w2, one, out=g2)
-    prem = pressure_remainder(params, rho)
-    np.add(np.multiply(w1, a1, out=f11), prem, out=f11)
-    np.add(np.multiply(w2, a2, out=f22), prem, out=f22)
-    np.multiply(w1, a2, out=f12)
-    np.subtract(w1, a1, out=g1)
-    np.subtract(w2, a2, out=g2)
-    f11, f12, f22, g1, g2 = to_spectral(ws.products, grid, out=ws.spec)
-    e1, e2 = grid.eta1_odd, grid.eta2_odd
-    div_g, tmp = ws.work[0], ws.work[1]
-    np.multiply(e1, g1, out=div_g)
-    div_g += np.multiply(e2, g2, out=tmp)
-    np.multiply(params.mu + params.lam, div_g, out=div_g)
-    # -d_k (m_i m_k/(1+rho) + delta_ik P_rem) - mu Lap g_i - (mu+lam) d_i div g
-    out[0] = 0.0
-    for s, (fa, fb), g, e in zip(out[1:], ((f11, f12), (f12, f22)), (g1, g2), (e1, e2)):
-        np.multiply(e1, fa, out=s)
-        s += np.multiply(e2, fb, out=tmp)
-        np.multiply(1j, s, out=s)
-        s += np.multiply(ws.visc, g, out=tmp)
-        s += np.multiply(e, div_g, out=tmp)
-        np.multiply(s, grid.dealias_mask, out=s)
-    return out
+    work, spec = (np.empty((k,) + grid.spectral_shape, dtype=np.complex128) for k in (3, 5))
+    phys, products = np.empty((3, grid.n, grid.n)), np.empty((5, grid.n, grid.n))
+    visc, e1, e2 = params.mu * grid.eta_sq, grid.eta1_odd, grid.eta2_odd
+
+    def source(X: np.ndarray, out: np.ndarray) -> np.ndarray:
+        rho, w1, w2 = to_physical(X, grid, out=phys, work=work)
+        f11, f12, f22, g1, g2 = products  # 1 + rho, a1, a2 wait in free slots
+        one = _guard_vacuum(np.add(1.0, rho, out=f12))
+        a1, a2 = np.divide(w1, one, out=g1), np.divide(w2, one, out=g2)
+        prem = pressure_remainder(params, rho)
+        np.add(np.multiply(w1, a1, out=f11), prem, out=f11)
+        np.add(np.multiply(w2, a2, out=f22), prem, out=f22)
+        np.multiply(w1, a2, out=f12)
+        np.subtract(w1, a1, out=g1)
+        np.subtract(w2, a2, out=g2)
+        f11, f12, f22, g1, g2 = to_spectral(products, grid, out=spec)
+        div_g, tmp = work[0], work[1]
+        np.multiply(e1, g1, out=div_g)
+        div_g += np.multiply(e2, g2, out=tmp)
+        np.multiply(params.mu + params.lam, div_g, out=div_g)
+        # -d_k (m_i m_k/(1+rho) + delta_ik P_rem) - mu Lap g_i - (mu+lam) d_i div g
+        out[0] = 0.0
+        for s, (fa, fb), g, e in zip(out[1:], ((f11, f12), (f12, f22)), (g1, g2), (e1, e2)):
+            np.multiply(e1, fa, out=s)
+            s += np.multiply(e2, fb, out=tmp)
+            np.multiply(1j, s, out=s)
+            s += np.multiply(visc, g, out=tmp)
+            s += np.multiply(e, div_g, out=tmp)
+            np.multiply(s, grid.dealias_mask, out=s)
+        return out
+
+    return source
+
+
+def _etd2_step(X: np.ndarray, stages: np.ndarray, source, weights) -> None:
+    """One Cox-Matthews ETD2RK step of the stack X in place, a = E X + h phi_1 N(X) and
+    X <- a + h phi_2 (N(a) - N(X)), from `stages` = (a, n0, n1), `source(x, out)` and
+    `weights` = (E, h phi_1, h phi_2) as `f(x, out=)`; n1, then n0, take the weighted terms."""
+    (a, n0, n1), (exp, phi1, phi2) = stages, weights
+    source(X, n0)
+    exp(X, out=a)
+    a += phi1(n0, out=n1)
+    source(a, n1)
+    n1 -= n0
+    np.add(a, phi2(n1, out=n0), out=X)
 
 
 # ---------------------------------------------------------------------------
@@ -217,44 +225,38 @@ def _tables(grid: Grid, params: FluidParams, h: float, scheme: str) -> _StepTabl
     )
 
 
-def _advance(ws: _Workspace, tab: _StepTables, scheme: str) -> None:
-    """One ETD step of `ws.X` in place; ETD2 writes only into the workspace,
-    ETD4 calls the same source and `apply` with outputs it allocates."""
-    X = ws.X
+def _advance(X: np.ndarray, stages: np.ndarray, source, tab: _StepTables, scheme: str) -> None:
+    """One ETD step of the stack X in place; ETD2 writes only into `stages` and the
+    source's scratch, ETD4 calls the same source and `apply` on stages it allocates."""
     if scheme == "etd2":
-        a, n0, n1, t = ws.a, ws.n0, ws.n1, ws.work
-        _fourier_source(X, ws, n0)
-        tab.exp_full.apply(X, out=a)
-        a += tab.phi1.apply(n0, out=t)
-        _fourier_source(a, ws, n1)
-        n1 -= n0
-        np.add(a, tab.phi2.apply(n1, out=t), out=X)
+        _etd2_step(X, stages, source, (tab.exp_full.apply, tab.phi1.apply, tab.phi2.apply))
         return
-    n0 = _fourier_source(X, ws, np.empty_like(X))
+    n0 = source(X, np.empty_like(X))
     ex_half = tab.exp_half.apply(X)
     a = ex_half + tab.phi1_half.apply(n0)
-    na = _fourier_source(a, ws, np.empty_like(a))
+    na = source(a, np.empty_like(a))
     b = ex_half + tab.phi1_half.apply(na)
-    nb = _fourier_source(b, ws, np.empty_like(b))
+    nb = source(b, np.empty_like(b))
     c = tab.exp_half.apply(a) + tab.phi1_half.apply(nb * 2.0 - n0)
-    nc = _fourier_source(c, ws, np.empty_like(c))
+    nc = source(c, np.empty_like(c))
     X[...] = tab.exp_full.apply(X) + tab.w_alpha.apply(n0)
     X += tab.w_beta.apply(na + nb)
     X += tab.w_gamma.apply(nc)
 
 
 def step(X: State, dt: float, config: SolverConfig) -> State:
-    """One ETD step of length dt on a reduced-variable state; its symbol tables
-    and workspace are made on every call and nothing is cached across calls."""
+    """One ETD step of length dt on a reduced-variable state; its symbol tables,
+    stages and source scratch are made on every call and nothing is cached."""
     if X.grid != config.grid:
         raise SolverError("state grid does not match config grid")
     params = scaled_params(config.params)
     tab = _tables(config.grid, params, dt, config.scheme)
     if not config.nonlinear:
         return tab.exp_full.apply(X)
-    ws = _Workspace(config.grid, params, X)
-    _advance(ws, tab, config.scheme)
-    return State.from_stack(config.grid, ws.X)
+    stack = np.stack([c.coeffs for c in X.components()])
+    source = _fourier_source(config.grid, params)
+    _advance(stack, np.empty((3,) + stack.shape, stack.dtype), source, tab, config.scheme)
+    return State.from_stack(config.grid, stack)
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +318,12 @@ def simulate(X0: State, config: SolverConfig) -> Trajectory:
         raise SolverError("config.snapshot_times must not be empty")
     rs = config.params.rho_star
     params = scaled_params(config.params)
-    X = X0 * (1.0 / rs)
-    X = X.dealiased()
+    X = (X0 * (1.0 / rs)).dealiased()
     dt_target = config.dt_effective
-    ws = _Workspace(config.grid, params, X)
+    stack = np.stack([c.coeffs for c in X.components()])
+    stages, source = np.empty((3,) + stack.shape, stack.dtype), _fourier_source(config.grid, params)
 
-    times = [0.0]
-    states = [X * rs]
+    times, states = [0.0], [X * rs]
     diagnostics = [_diagnostics(X * rs, 0.0)]
     hs0 = diagnostics[0]["hs"]
     # Kawashima-type energy functional ||X||_{H^s}^2 + int ||grad X||_{H^{s-1}}^2,
@@ -341,14 +342,14 @@ def simulate(X0: State, config: SolverConfig) -> Trajectory:
             if config.nonlinear:
                 tab = _tables(config.grid, params, h, config.scheme)
                 for _ in range(nsub):
-                    _advance(ws, tab, config.scheme)
+                    _advance(stack, stages, source, tab, config.scheme)
             else:
-                ws.X[...] = s_symbol_grid(gap, config.grid, params).apply(ws.X)
+                stack[...] = s_symbol_grid(gap, config.grid, params).apply(stack)
         except SolverAbort as err:
             reason = str(err)
             break
         t_prev = t_snap
-        phys = State.from_stack(config.grid, ws.X) * rs  # a copy: ws.X moves on
+        phys = State.from_stack(config.grid, stack) * rs  # a copy: the stack moves on
         times.append(t_snap)
         states.append(phys)
         row = _diagnostics(phys, t_snap)
@@ -371,44 +372,48 @@ class VorticityTrajectory:
     omegas: tuple[SpectralField, ...]
 
 
-def _vorticity_source(omega: SpectralField) -> np.ndarray:
-    """-div(u omega) in Fourier coefficients, dealiased, with u the torus
-    Biot-Savart velocity of the zero-mean part of omega.  One inverse
-    transform of the stacked (u1, u2, omega), one forward transform of the
-    two fluxes."""
-    grid = omega.grid
+def _vorticity_source(grid: Grid):
+    """-div(u omega) in Fourier coefficients, dealiased, with u the torus Biot-Savart
+    velocity of the zero-mean part of omega, as `source(x, out)` on (1, n, n/2+1) stacks.
+    One inverse transform of (u1, u2, omega), one forward transform of the two fluxes:
+    the fluxes overwrite u1 and u2, and their spectra the inverse transform's input."""
     k1, k2 = grid.biot_savart_multiplier
-    u1, u2, w = to_physical(np.stack([k1 * omega.coeffs, k2 * omega.coeffs, omega.coeffs]), grid)
-    f1, f2 = to_spectral(np.stack([u1 * w, u2 * w]), grid) * grid.dealias_mask
-    return -((-1j * grid.eta1_odd) * f1 + (-1j * grid.eta2_odd) * f2)
+    d1, d2, mask = -1j * grid.eta1_odd, -1j * grid.eta2_odd, grid.dealias_mask
+    spec, phys = np.empty((3,) + grid.spectral_shape, complex), np.empty((3, grid.n, grid.n))
+
+    def source(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.multiply(k1, x[0], out=spec[0])
+        np.multiply(k2, x[0], out=spec[1])
+        spec[2] = x[0]
+        w = to_physical(spec, grid, out=phys, work=spec)[2]
+        fluxes = np.multiply(phys[:2], w, out=phys[:2])
+        f1, f2 = np.multiply(to_spectral(fluxes, grid, out=spec[:2]), mask, out=spec[:2])
+        np.multiply(d1, f1, out=out[0])
+        out[0] += np.multiply(d2, f2, out=f2)
+        return np.negative(out, out=out)
+
+    return source
 
 
 def vorticity_simulate(
-    omega0: SpectralField,
-    nu: float,
-    snapshot_times,
-    dt: float,
+    omega0: SpectralField, nu: float, snapshot_times, dt: float
 ) -> VorticityTrajectory:
-    """Advance the 2D vorticity equation by ETD2RK with exact heat flow."""
+    """Advance the 2D vorticity equation by ETD2RK with exact heat flow; the
+    run's stages and source scratch are made once, and each snapshot is a copy."""
     grid = omega0.grid
-    omega = omega0.dealiased()
-    times = [0.0]
-    snaps = [omega]
-    lam = -nu * grid.eta_sq
+    omega = omega0.dealiased().coeffs[None]
+    stages, source = np.empty((3,) + omega.shape, omega.dtype), _vorticity_source(grid)
+    times, snaps = [0.0], [SpectralField(grid, omega[0].copy())]
     t_prev = 0.0
     for t_snap in snapshot_times:
         gap = float(t_snap) - t_prev
         nsub = max(1, math.ceil(gap / dt - 1e-12))
         h = gap / nsub
-        exp_h = np.exp(lam * h)
-        p1 = h * phi(1, lam * h)
-        p2 = h * phi(2, lam * h)
+        lh = -nu * grid.eta_sq * h
+        weights = [partial(np.multiply, w) for w in (np.exp(lh), h * phi(1, lh), h * phi(2, lh))]
         for _ in range(nsub):
-            n0 = _vorticity_source(omega)
-            a = SpectralField(grid, exp_h * omega.coeffs + p1 * n0)
-            n1 = _vorticity_source(a)
-            omega = SpectralField(grid, a.coeffs + p2 * (n1 - n0))
+            _etd2_step(omega, stages, source, weights)
         t_prev = float(t_snap)
         times.append(t_prev)
-        snaps.append(omega)
+        snaps.append(SpectralField(grid, omega[0].copy()))
     return VorticityTrajectory(tuple(times), tuple(snaps))

@@ -101,10 +101,13 @@ def test_parse_config_rejects_malformed_line():
         ("T = inf\n", "T"),
         ("mu = nan\n", "mu"),
         ("epsilon = -inf\n", "epsilon"),
+        # eps = 0 used to end in ZeroDivisionError inside vorticity-profiles (exit 1)
+        ("epsilon = 0\nexperiments = vorticity-profiles\n", "epsilon"),
         # largest |eta| = sqrt(2) pi 64/200 = 1.42 lies inside the cutoff radius 2
         ("n = 64\nL = 200\nexperiments = kernel-rates\n", "n/L"),
     ],
-    ids=["dt-full-box", "dt-half-box", "T-inf", "mu-nan", "epsilon-minus-inf", "hf-band-empty"],
+    ids=["dt-full-box", "dt-half-box", "T-inf", "mu-nan", "epsilon-minus-inf", "epsilon-zero",
+         "hf-band-empty"],
 )
 def test_invalid_config_exits_2_before_any_output(tmp_path, capsys, text, key):
     cfg = tmp_path / "bad.cfg"

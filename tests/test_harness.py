@@ -149,6 +149,7 @@ def test_run_experiment_prechecks_before_compute(monkeypatch):
     "key, values",
     [
         ("epsilon", {"epsilon": -0.01}),
+        ("epsilon", {"epsilon": 0.0}),
         ("epsilon", {"epsilon": float("-inf")}),
         ("T", {"T": float("inf")}),
         ("T", {"T": 0.0}),
@@ -157,8 +158,8 @@ def test_run_experiment_prechecks_before_compute(monkeypatch):
         ("dt", {"dt": -0.1}),
         ("seed", {"seed": -1}),
     ],
-    ids=["epsilon-negative", "epsilon-minus-inf", "T-inf", "T-zero", "T-nan", "dt-zero",
-         "dt-negative", "seed-negative"],
+    ids=["epsilon-negative", "epsilon-zero", "epsilon-minus-inf", "T-inf", "T-zero", "T-nan",
+         "dt-zero", "dt-negative", "seed-negative"],
 )
 def test_context_rejects_bad_values_before_compute(monkeypatch, key, values):
     # the library entry gets the checks the CLI makes (a negative epsilon used to run

@@ -1,9 +1,10 @@
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
 
-from vortexlab.kernels import s_symbol_grid, heat_symbol_grid
+from vortexlab.kernels import heat_symbol_grid, phi, s_symbol_grid
 from vortexlab.profiles import FluidParams, biot_savart, dipole_vorticity_field
 from vortexlab import solver
 from vortexlab.solver import (
@@ -40,12 +41,13 @@ PARAMS = FluidParams()
 
 
 def _fourier_source(X: State, params: FluidParams) -> State:
-    """The live nonlinear source of a State, through a fresh run workspace."""
-    ws = solver._Workspace(X.grid, params, X)
-    return State.from_stack(X.grid, solver._fourier_source(ws.X, ws, ws.n0))
+    """The live nonlinear source of a State, through a fresh run's scratch."""
+    stack = np.stack([c.coeffs for c in X.components()])
+    out = solver._fourier_source(X.grid, params)(stack, np.empty_like(stack))
+    return State.from_stack(X.grid, out)
 
 
-# Reference: the allocating State-level source and step the workspace path
+# Reference: the allocating State-level source and step the in-place path
 # replaced.  The live step must reproduce them bit for bit.
 
 
@@ -197,8 +199,8 @@ def test_non_finite_state_trips_the_guards(monkeypatch):
         assert traj.abort_reason == "non-finite state: H^s = nan"
         assert len(traj.states) == 1  # nothing is integrated from a NaN state
     # a step that goes non-finite stops the run at that snapshot
-    def go_non_finite(ws, *args):
-        ws.X[...] = [c.coeffs for c in bad.components()]
+    def go_non_finite(X, *args):
+        X[...] = [c.coeffs for c in bad.components()]
 
     monkeypatch.setattr(solver, "_advance", go_non_finite)
     cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0))
@@ -372,26 +374,32 @@ def test_step_bitwise_equals_reference(scheme):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
 
 
-def test_etd2_step_allocates_no_lattice_temporaries():
-    # after warm-up, 3 ETD2 steps on a run workspace peak at a few half-lattice
-    # arrays (the pressure remainder and apply's scratch), not at a State per term
+def _warm_step_peak(grid, advance) -> float:
+    """tracemalloc peak of 3 calls of `advance` after one warm-up call, in
+    half-lattice arrays."""
     import tracemalloc
 
-    grid = make_grid(64, 50.0)
-    X0 = random_state(grid, np.random.default_rng(3), 1e-2).dealiased()
-    tab = solver._tables(grid, PARAMS, cfl_limit(grid, PARAMS), "etd2")
-    ws = solver._Workspace(grid, PARAMS, X0)
-    solver._advance(ws, tab, "etd2")
+    advance()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         for _ in range(3):
-            solver._advance(ws, tab, "etd2")
+            advance()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    half_lattice = np.empty(grid.spectral_shape, dtype=np.complex128).nbytes
-    assert (peak - base) / half_lattice <= 4.0
+    return (peak - base) / np.empty(grid.spectral_shape, dtype=np.complex128).nbytes
+
+
+def test_etd2_step_allocates_no_lattice_temporaries():
+    # after warm-up, 3 ETD2 steps on a run's stages peak at a few half-lattice
+    # arrays (the pressure remainder and apply's scratch), not at a State per term
+    grid = make_grid(64, 50.0)
+    X0 = random_state(grid, np.random.default_rng(3), 1e-2).dealiased()
+    tab = solver._tables(grid, PARAMS, cfl_limit(grid, PARAMS), "etd2")
+    X = np.stack([c.coeffs for c in X0.components()])
+    stages, source = np.empty((3,) + X.shape, X.dtype), solver._fourier_source(grid, PARAMS)
+    assert _warm_step_peak(grid, lambda: solver._advance(X, stages, source, tab, "etd2")) <= 4.0
 
 
 def test_simulate_vacuum_abort_returns_partial_trajectory():
@@ -590,3 +598,70 @@ def test_vorticity_simulate_conserves_moments():
         m = first_moments_beta(w, PARAMS)
         assert abs(m.beta[0] - m0.beta[0]) < 1e-8 * abs(m0.beta[0])
         assert abs(m.alpha - m0.alpha) < 1e-14
+
+
+# Reference: the allocating vorticity source and ETD2 loop body the in-place
+# step replaced.  vorticity_simulate must reproduce them bit for bit.
+
+
+def _reference_vorticity_source(omega: SpectralField) -> np.ndarray:
+    grid = omega.grid
+    k1, k2 = grid.biot_savart_multiplier
+    u1, u2, w = to_physical(np.stack([k1 * omega.coeffs, k2 * omega.coeffs, omega.coeffs]), grid)
+    f1, f2 = to_spectral(np.stack([u1 * w, u2 * w]), grid) * grid.dealias_mask
+    return -((-1j * grid.eta1_odd) * f1 + (-1j * grid.eta2_odd) * f2)
+
+
+def _reference_vorticity_step(omega: SpectralField, nu: float, h: float) -> SpectralField:
+    grid = omega.grid
+    lam = -nu * grid.eta_sq
+    exp_h, p1, p2 = np.exp(lam * h), h * phi(1, lam * h), h * phi(2, lam * h)
+    n0 = _reference_vorticity_source(omega)
+    a = SpectralField(grid, exp_h * omega.coeffs + p1 * n0)
+    n1 = _reference_vorticity_source(a)
+    return SpectralField(grid, a.coeffs + p2 * (n1 - n0))
+
+
+def _perturbed_dipole(grid, eps):
+    bump = sample(grid, lambda a, b: np.exp(-((a - 2.0) ** 2 + (b - 1.0) ** 2) / 6.0))
+    pert = derivative(bump, (0, 1))
+    return (dipole_vorticity_field(grid, 1, 2.0, PARAMS) + pert * 0.3) * eps
+
+
+def test_vorticity_simulate_bitwise_equals_reference():
+    # 5 steps over two snapshot gaps of different step lengths (2 x 0.25, 3 x 0.7/3)
+    grid = make_grid(64, 50.0)
+    omega0 = _perturbed_dipole(grid, 0.5)
+    before = omega0.coeffs.copy()
+    nu, dt, times = 1.0, 0.25, (0.5, 1.2)
+    traj = vorticity_simulate(omega0, nu, times, dt)
+    omega, t_prev, expected = omega0.dealiased(), 0.0, [omega0.dealiased()]
+    for t_snap in times:
+        nsub = max(1, int(np.ceil((t_snap - t_prev) / dt - 1e-12)))
+        for _ in range(nsub):
+            omega = _reference_vorticity_step(omega, nu, (t_snap - t_prev) / nsub)
+        expected.append(omega)
+        t_prev = t_snap
+    assert traj.times == (0.0,) + times
+    # advection matters at this amplitude: the heat flow alone is off by 0.5%
+    heat = np.exp(-nu * grid.eta_sq * times[-1]) * omega0.dealiased().coeffs
+    assert np.abs(traj.omegas[-1].coeffs - heat).max() > 1e-3 * np.abs(heat).max()
+    for got, ref in zip(traj.omegas, expected, strict=True):
+        assert np.array_equal(got.coeffs, ref.coeffs)
+    # the run leaves omega0 alone and hands out snapshots that share no memory
+    assert np.array_equal(omega0.coeffs, before)
+    arrays = [w.coeffs for w in (omega0,) + traj.omegas]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+
+
+def test_vorticity_etd2_step_allocates_no_lattice_temporaries():
+    # after warm-up, 3 vorticity steps write only into the run's stages and the
+    # source's scratch; the allocating loop body peaked at 12 half-lattice arrays
+    grid = make_grid(64, 50.0)
+    omega = (dipole_vorticity_field(grid, 1, 2.0, PARAMS) * 1e-2).dealiased().coeffs[None].copy()
+    stages, source = np.empty((3,) + omega.shape, omega.dtype), solver._vorticity_source(grid)
+    h = 0.25
+    lh = -grid.eta_sq * h
+    weights = [partial(np.multiply, w) for w in (np.exp(lh), h * phi(1, lh), h * phi(2, lh))]
+    assert _warm_step_peak(grid, lambda: solver._etd2_step(omega, stages, source, weights)) <= 3.0
