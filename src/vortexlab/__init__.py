@@ -16,8 +16,8 @@ The package is organised in six modules:
     Exponential time-differencing integrator for the nonlinear system
     near equilibrium, plus an incompressible vorticity control solver.
 ``harness``
-    Decay-rate experiments and the pointwise-bound verification,
-    producing machine-readable reports.
+    The run manifest, decay-rate experiments and the pointwise-bound
+    verification, producing machine-readable reports.
 ``cli``
     Command-line experiment runner.
 """
@@ -25,7 +25,7 @@ The package is organised in six modules:
 from .spectral import Grid, SpectralField, State, make_grid, transform
 from .profiles import FluidParams, Moments, PowerPressureLaw
 from .solver import SolverConfig, Trajectory, simulate
-from .harness import ExperimentContext, list_experiments, run_experiment
+from .harness import RunManifest, list_experiments, run_experiment
 
 __all__ = [
     "Grid",
@@ -39,7 +39,7 @@ __all__ = [
     "SolverConfig",
     "Trajectory",
     "simulate",
-    "ExperimentContext",
+    "RunManifest",
     "list_experiments",
     "run_experiment",
 ]

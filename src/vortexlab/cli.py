@@ -1,6 +1,7 @@
 """Command-line experiment runner: parse config, dispatch experiments, write reports.
 
-Config files are plain ``key = value`` text (``#`` comments allowed).  Keys:
+Config files are plain ``key = value`` text (``#`` comments allowed).  Each
+key sets one field of ``harness.RunManifest``, the run's one configuration:
 
     experiments   comma-separated experiment names (default: all)
     n, L          grid resolution (power of two) and box size
@@ -16,79 +17,34 @@ Config files are plain ``key = value`` text (``#`` comments allowed).  Keys:
 
 Outputs: ``reports.csv`` (one row per report), ``summary.json`` and one
 ``series/<experiment>__<label>.csv`` per measured series.  Exit status is 0
-exactly when every report passes; an invalid config (a non-finite number, or
-a value a selected experiment's precheck rejects) exits 2, naming the key,
-before any output is written.  So does a box an experiment cannot run on (its
-data or acoustic ring leaves the box): exit 2 naming ``n/L``, no outputs.
+exactly when every report passes; an invalid config (a value the manifest
+rejects when it is built, or one a selected experiment's precheck rejects)
+exits 2, naming the key, before any output is written.  So does a box an
+experiment cannot run on (its data or acoustic ring leaves the box, or
+pointwise-bound's kernel is unresolved): exit 2 naming ``n/L``, no outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 from .harness import (
     EXPERIMENTS,
-    RECORDS,
     ConfigError,
-    ExperimentContext,
     HarnessError,
+    RunManifest,
     list_experiments,
     reports_to_csv,
     series_to_csv,
     summary_dict,
 )
 from .kernels import KernelError
-from .profiles import FluidParams, PowerPressureLaw, ProfileError
+from .profiles import ProfileError
 from .solver import SolverError
-from .spectral import SpectralError, make_grid
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    experiments: tuple[str, ...] = tuple(RECORDS)
-    n: int = 256
-    L: float = 200.0
-    mu: float = 1.0
-    lam: float = 0.0
-    rho_star: float = 1.0
-    gamma: float = 1.4
-    pressure_scale: float = 1.0
-    epsilon: float = 1e-2
-    dt: float | None = None
-    T: float = 30.0
-    seed: int = 0
-
-    def context(self) -> ExperimentContext:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name}: must be finite, got {value}")
-        try:
-            grid = make_grid(self.n, self.L)
-        except SpectralError as err:
-            raise ConfigError(f"n/L: {err}") from None
-        try:
-            params = FluidParams(
-                mu=self.mu,
-                lam=self.lam,
-                rho_star=self.rho_star,
-                pressure=PowerPressureLaw(gamma=self.gamma, scale=self.pressure_scale),
-            )
-        except ProfileError as err:
-            raise ConfigError(f"mu/lambda/rho_star/gamma: {err}") from None
-        ctx = ExperimentContext(grid, params, self.epsilon, self.T, self.dt, self.seed)
-        for name in self.experiments:
-            if name not in RECORDS:
-                raise ConfigError(
-                    f"experiments: unknown name {name!r}; available: {', '.join(RECORDS)}"
-                )
-            RECORDS[name].precheck(ctx)
-        return ctx
 
 
 # config key, in any case -> manifest field; "lambda" names the bulk viscosity
@@ -124,10 +80,8 @@ def _experiment_names(value: str) -> tuple[str, ...]:
 
 
 def parse_config(text: str) -> RunManifest:
-    """Parse key=value config text into a validated manifest."""
-    manifest = RunManifest(**_config_values(text))
-    manifest.context()  # validate eagerly so errors name the offending key
-    return manifest
+    """Parse key=value config text into a manifest whose prechecks passed."""
+    return RunManifest(**_config_values(text)).context()
 
 
 def _probe_writable(outdir: Path):
@@ -143,7 +97,7 @@ def _probe_writable(outdir: Path):
 def run(manifest: RunManifest, outdir) -> int:
     """Execute the manifest's experiments and write reports; 0 iff all pass."""
     out = Path(outdir)
-    ctx = manifest.context()
+    manifest.context()
     created = not out.exists()
     _probe_writable(out)
     results = []
@@ -151,7 +105,7 @@ def run(manifest: RunManifest, outdir) -> int:
     try:
         for name in manifest.experiments:
             try:
-                result = EXPERIMENTS[name](ctx)
+                result = EXPERIMENTS[name](manifest)
             except (KernelError, ProfileError, SolverError) as err:
                 raise HarnessError(
                     f"n/L: {name} cannot run at n = {manifest.n}, L = {manifest.L:g}: {err}"
@@ -171,7 +125,7 @@ def run(manifest: RunManifest, outdir) -> int:
             out.rmdir()
         raise
     (out / "reports.csv").write_text(reports_to_csv(all_reports))
-    summary = summary_dict(results, ctx)
+    summary = summary_dict(results, manifest)
     (out / "summary.json").write_text(json.dumps(summary, indent=1, sort_keys=True))
     series_dir = out / "series"
     series_dir.mkdir(exist_ok=True)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -35,6 +36,8 @@ from .kernels import (
 )
 from .profiles import (
     FluidParams,
+    PowerPressureLaw,
+    ProfileError,
     biot_savart,
     circulation_alpha,
     dipole_vorticity_field,
@@ -47,6 +50,7 @@ from .profiles import (
 from .solver import SolverConfig, SolverError, scaled_params, simulate, vorticity_simulate
 from .spectral import (
     Grid,
+    SpectralError,
     SpectralField,
     State,
     derivative,
@@ -210,34 +214,6 @@ class ExperimentResult:
         return all(r.passed for r in self.reports)
 
 
-@dataclass(frozen=True)
-class ExperimentContext:
-    """Common knobs shared by all experiments (`dt = None`: the acoustic CFL
-    bound).  A non-positive epsilon, T or dt, a non-finite one of them, or a
-    seed that is not a nonnegative integer raises ConfigError naming the key."""
-
-    grid: Grid
-    params: FluidParams
-    epsilon: float = 1e-2
-    T: float = 30.0
-    dt: float | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        for key in ("epsilon", "T", "dt"):
-            value = getattr(self, key)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{key}: must be finite, got {value}")
-        if self.dt is not None and not self.dt > 0:
-            raise ConfigError(f"dt: must be positive, got {self.dt}")
-        if not self.T > 0:
-            raise ConfigError(f"T: must be positive, got {self.T}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon: must be positive, got {self.epsilon}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ConfigError(f"seed: must be a nonnegative integer, got {self.seed}")
-
-
 def _rate_report(
     series: dict,
     experiment,
@@ -358,7 +334,7 @@ def _relative_deviation(a: State, b: State) -> float:
     ))
 
 
-def run_kernel_algebra(ctx: ExperimentContext) -> ExperimentResult:
+def run_kernel_algebra(ctx: RunManifest) -> ExperimentResult:
     """Exact-identity suite on the grid symbols the solver applies: semigroup,
     generator, projectors, splitting.
 
@@ -451,7 +427,7 @@ def _localized_sound_state(grid: Grid) -> State:
     return State(rho, m)
 
 
-def run_kernel_rates(ctx: ExperimentContext) -> ExperimentResult:
+def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
     """Fitted L^p decay exponents of the linear kernels against the formulas.
 
     Window and parameter choices keep the asymptotic regime inside the box:
@@ -598,15 +574,19 @@ def run_kernel_rates(ctx: ExperimentContext) -> ExperimentResult:
 # experiment: pointwise bounds
 
 
+# relative magnitude below which a kernel field is transform noise, not its tail
+_RESOLVED_FLOOR = 1e-13
+
+
 def _fit_pointwise_constant(field, radius, t, c, mu_par):
     """Smallest K with |field| <= K t^{-5/4} * envelope, the envelope being
     t^{3/4} s^{-3/2} inside |x| <= c(t - sqrt t) and exp(-s^2/(K t)) outside.
 
-    Points below 1e-13 of the peak are excluded: they sit at the double-
-    precision transform floor, not on the kernel's analytic tail.
+    Points below `_RESOLVED_FLOOR` of the peak are excluded: they sit at the
+    double-precision transform floor, not on the kernel's analytic tail.
     """
     mag = np.abs(field)
-    resolved = mag > 1e-13 * mag.max()
+    resolved = mag > _RESOLVED_FLOOR * mag.max()
     s = np.abs(radius - c * t)
     inner = (radius <= c * (t - np.sqrt(t))) & resolved
     k_inner = 0.0
@@ -652,7 +632,7 @@ def _ring_edge(params: FluidParams, t: float) -> float:
     return params.c * t + 3.0 * np.sqrt(params.mu_par * t)
 
 
-def run_pointwise_bound(ctx: ExperimentContext) -> ExperimentResult:
+def run_pointwise_bound(ctx: RunManifest) -> ExperimentResult:
     """Two-regime envelope of the artificial kernel on the expanding ring.
 
     For each t the scalar entry of S_tilde_par(t) is evaluated in physical
@@ -737,7 +717,7 @@ def _snapshot_times(T: float, n: int = 14) -> tuple[float, ...]:
     return tuple(np.geomspace(1.0, T, n))
 
 
-def _acoustic_horizon(ctx: ExperimentContext, grid: Grid) -> float:
+def _acoustic_horizon(ctx: RunManifest, grid: Grid) -> float:
     """Largest horizon keeping the sound ring c T + 3 sqrt(mu_par T) inside
     0.45 L; protects measurements when a config requests a long run."""
     params = scaled_params(ctx.params)
@@ -746,15 +726,15 @@ def _acoustic_horizon(ctx: ExperimentContext, grid: Grid) -> float:
     return min(ctx.T, float(root**2))
 
 
-def _diffusive_horizon(ctx: ExperimentContext, grid: Grid) -> float:
+def _diffusive_horizon(ctx: RunManifest, grid: Grid) -> float:
     """Largest horizon keeping three diffusive widths of age-1 profile data,
     2 sqrt(nu (T+1)) each, inside 0.45 L."""
     nu = ctx.params.nu
     return min(ctx.T, (0.075 * grid.L) ** 2 / nu - 1.0)
 
 
-def _simulate(ctx: ExperimentContext, grid: Grid, X0: State, horizon, times, what, nonlinear=True):
-    """Run the compressible solver on `grid` with the context's fluid and dt;
+def _simulate(ctx: RunManifest, grid: Grid, X0: State, horizon, times, what, nonlinear=True):
+    """Run the compressible solver on `grid` with the manifest's fluid and dt;
     an aborted run raises instead of reaching a fit."""
     cfg = SolverConfig(
         grid=grid,
@@ -770,7 +750,7 @@ def _simulate(ctx: ExperimentContext, grid: Grid, X0: State, horizon, times, wha
     return traj
 
 
-def run_sound_decay(ctx: ExperimentContext) -> ExperimentResult:
+def run_sound_decay(ctx: RunManifest) -> ExperimentResult:
     """L^p decay of the curl-free part of a small-amplitude nonlinear run."""
     name = "sound-decay"
     grid, horizon = RECORDS[name].grid(ctx), RECORDS[name].horizon(ctx)
@@ -792,7 +772,7 @@ def run_sound_decay(ctx: ExperimentContext) -> ExperimentResult:
     return ExperimentResult(name, tuple(reports), series, {"horizon": horizon})
 
 
-def run_nonlinear_smallness(ctx: ExperimentContext) -> ExperimentResult:
+def run_nonlinear_smallness(ctx: RunManifest) -> ExperimentResult:
     """Quadratic smallness of the deviation from the linear evolution."""
     name = "nonlinear-smallness"
     grid, horizon = RECORDS[name].grid(ctx), RECORDS[name].horizon(ctx)
@@ -859,7 +839,7 @@ def run_nonlinear_smallness(ctx: ExperimentContext) -> ExperimentResult:
     return ExperimentResult(name, tuple(reports), series)
 
 
-def run_incompressible_limit(ctx: ExperimentContext) -> ExperimentResult:
+def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
     """Convergence of the divergence-free momentum to the dipole profile."""
     name = "incompressible-limit"
     # finer box: the profile data must be spectrally resolved from t ~ 1.
@@ -949,7 +929,7 @@ def run_incompressible_limit(ctx: ExperimentContext) -> ExperimentResult:
     return ExperimentResult(name, tuple(reports), series, extras)
 
 
-def run_vorticity_profiles(ctx: ExperimentContext) -> ExperimentResult:
+def run_vorticity_profiles(ctx: RunManifest) -> ExperimentResult:
     """Constant-density vorticity control: vortex exactness, dipole attraction."""
     name = "vorticity-profiles"
     grid, T = RECORDS[name].grid(ctx), RECORDS[name].horizon(ctx)
@@ -1031,7 +1011,7 @@ def _half_box(grid: Grid) -> Grid:
     return make_grid(grid.n, grid.L / 2.0)
 
 
-def _check_cfl(record, ctx: ExperimentContext):
+def _check_cfl(record, ctx: RunManifest):
     """A requested dt must pass the solver's CFL check on the record's box (the
     horizon plays no part in it)."""
     grid = record.grid(ctx)
@@ -1041,7 +1021,7 @@ def _check_cfl(record, ctx: ExperimentContext):
         raise ConfigError(f"dt: {err} on the {record.name} box (L = {grid.L:g})") from None
 
 
-def _check_sound_window(record, ctx: ExperimentContext):
+def _check_sound_window(record, ctx: RunManifest):
     """14 geometric snapshots on [1, h] put 6 in the fit window [h/4, h] iff h <= 4^(13/5)."""
     horizon, most = record.horizon(ctx), 4.0 ** (13.0 / 5.0)
     if horizon > most:
@@ -1051,7 +1031,7 @@ def _check_sound_window(record, ctx: ExperimentContext):
         )
 
 
-def _check_hf_band(record, ctx: ExperimentContext):
+def _check_hf_band(record, ctx: RunManifest):
     """The high-frequency fit needs grid wavenumbers beyond the cutoff radius."""
     grid = record.grid(ctx)
     top = np.sqrt(2.0) * np.pi * grid.n / grid.L
@@ -1063,16 +1043,23 @@ def _check_hf_band(record, ctx: ExperimentContext):
         )
 
 
-def _check_pointwise_ring(record, ctx: ExperimentContext):
-    """The acoustic ring, growing in t, stays inside the box at the last sampled
-    time: c t + 3 sqrt(mu_par t) < L/2."""
-    half = record.grid(ctx).L / 2.0
+def _check_pointwise_box(record, ctx: RunManifest):
+    """On the record's box, each config's kernel is resolved at its first sampled time
+    t_0, exp(-mu_par (pi n/L)^2 t_0 / 2) below the fit's floor, and its acoustic ring
+    stays inside the box up to its last, c t + 3 sqrt(mu_par t) < L/2."""
+    grid = record.grid(ctx)
     for label, params, times in _POINTWISE_CONFIGS:
-        params, t = params or scaled_params(ctx.params), times[-1]
-        if not _ring_edge(params, t) < half:
+        params, t0, t = params or scaled_params(ctx.params), times[0], times[-1]
+        nyquist = math.exp(-params.mu_par * (math.pi * grid.n / grid.L) ** 2 * t0 / 2.0)
+        if not nyquist < _RESOLVED_FLOOR:
+            raise ConfigError(
+                f"n/L: {record.name} ({label}) needs exp(-mu_par (pi n/L)^2 t/2) < "
+                f"{_RESOLVED_FLOOR:g} on its box at t = {t0:g}, got {nyquist:.2g}"
+            )
+        if not _ring_edge(params, t) < grid.L / 2.0:
             raise ConfigError(
                 f"n/L: {record.name} ({label}) needs its acoustic ring c t + 3 sqrt(mu_par t) "
-                f"below L/2 = {half:g} on its box up to t = {t:g}"
+                f"below L/2 = {grid.L / 2.0:g} on its box up to t = {t:g}"
             )
 
 
@@ -1083,18 +1070,18 @@ class Experiment:
     `precheck` makes before any experiment runs."""
 
     name: str
-    run: Callable[[ExperimentContext], ExperimentResult]
+    run: Callable[[RunManifest], ExperimentResult]
     box: Callable[[Grid], Grid] = lambda grid: grid
-    horizon_rule: Callable[[ExperimentContext, Grid], float] | None = None
+    horizon_rule: Callable[[RunManifest, Grid], float] | None = None
     checks: tuple = ()
 
-    def grid(self, ctx: ExperimentContext) -> Grid:
+    def grid(self, ctx: RunManifest) -> Grid:
         return self.box(ctx.grid)
 
-    def horizon(self, ctx: ExperimentContext) -> float:
+    def horizon(self, ctx: RunManifest) -> float:
         return self.horizon_rule(ctx, self.grid(ctx))
 
-    def precheck(self, ctx: ExperimentContext) -> None:
+    def precheck(self, ctx: RunManifest) -> None:
         """Raise ConfigError if ctx cannot give this experiment a valid run."""
         for check in self.checks:
             check(self, ctx)
@@ -1106,7 +1093,7 @@ RECORDS = {
         Experiment("kernel-algebra", run_kernel_algebra, box=lambda g: make_grid(64, g.L / 4)),
         Experiment("kernel-rates", run_kernel_rates, checks=(_check_hf_band,)),
         Experiment("pointwise-bound", run_pointwise_bound, box=_half_box,
-                   checks=(_check_pointwise_ring,)),
+                   checks=(_check_pointwise_box,)),
         Experiment("sound-decay", run_sound_decay, horizon_rule=_acoustic_horizon,
                    checks=(_check_cfl, _check_sound_window)),
         Experiment("nonlinear-smallness", run_nonlinear_smallness,
@@ -1123,11 +1110,72 @@ RECORDS = {
 EXPERIMENTS = {name: record.run for name, record in RECORDS.items()}
 
 
+@dataclass(frozen=True)
+class RunManifest:
+    """One run's configuration, a field per config key (`lam` for `lambda`, and
+    `dt = None` for the acoustic CFL bound), valid by construction: a bad value
+    raises ConfigError naming the key.  Experiments and record checks take it as `ctx`."""
+
+    experiments: tuple[str, ...] = tuple(RECORDS)
+    n: int = 256
+    L: float = 200.0
+    mu: float = 1.0
+    lam: float = 0.0
+    rho_star: float = 1.0
+    gamma: float = 1.4
+    pressure_scale: float = 1.0
+    epsilon: float = 1e-2
+    dt: float | None = None
+    T: float = 30.0
+    seed: int = 0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
+                raise ConfigError(f"{f.name}: must be finite, got {value}")
+        self.grid, self.params  # build both now: their errors name the keys
+        if self.dt is not None and not self.dt > 0:
+            raise ConfigError(f"dt: must be positive, got {self.dt}")
+        if not self.T > 0:
+            raise ConfigError(f"T: must be positive, got {self.T}")
+        if not self.epsilon > 0:
+            raise ConfigError(f"epsilon: must be positive, got {self.epsilon}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ConfigError(f"seed: must be a nonnegative integer, got {self.seed}")
+        for name in self.experiments:
+            if name not in RECORDS:
+                raise ConfigError(
+                    f"experiments: unknown name {name!r}; available: {', '.join(RECORDS)}"
+                )
+
+    @cached_property
+    def grid(self) -> Grid:
+        try:
+            return make_grid(self.n, self.L)
+        except SpectralError as err:
+            raise ConfigError(f"n/L: {err}") from None
+
+    @cached_property
+    def params(self) -> FluidParams:
+        try:
+            law = PowerPressureLaw(gamma=self.gamma, scale=self.pressure_scale)
+            return FluidParams(mu=self.mu, lam=self.lam, rho_star=self.rho_star, pressure=law)
+        except ProfileError as err:
+            raise ConfigError(f"mu/lambda/rho_star/gamma: {err}") from None
+
+    def context(self) -> RunManifest:
+        """Run the selected experiments' prechecks (ConfigError before any compute)."""
+        for name in self.experiments:
+            RECORDS[name].precheck(self)
+        return self
+
+
 def list_experiments() -> tuple[str, ...]:
     return tuple(RECORDS)
 
 
-def run_experiment(name: str, ctx: ExperimentContext) -> ExperimentResult:
+def run_experiment(name: str, ctx: RunManifest) -> ExperimentResult:
     """Run one experiment; its record's checks raise ConfigError before any compute."""
     if name not in RECORDS:
         raise HarnessError(f"unknown experiment {name!r}; available: {', '.join(RECORDS)}")
@@ -1179,22 +1227,11 @@ def series_to_csv(t, values) -> str:
     return "\n".join(lines) + "\n"
 
 
-def summary_dict(results, ctx: ExperimentContext) -> dict:
+def summary_dict(results, ctx: RunManifest) -> dict:
+    context = {f.name: getattr(ctx, f.name) for f in fields(ctx) if f.name != "experiments"}
     return {
         "version": 1,
-        "context": {
-            "n": ctx.grid.n,
-            "L": ctx.grid.L,
-            "mu": ctx.params.mu,
-            "lam": ctx.params.lam,
-            "rho_star": ctx.params.rho_star,
-            "gamma": ctx.params.pressure.gamma,
-            "pressure_scale": ctx.params.pressure.scale,
-            "epsilon": ctx.epsilon,
-            "T": ctx.T,
-            "dt": ctx.dt,
-            "seed": ctx.seed,
-        },
+        "context": context,
         "experiments": [
             {
                 "name": res.name,

@@ -278,10 +278,8 @@ def s_symbol_grid(t: float, grid: Grid, params: FluidParams) -> KernelSymbol:
     return _grid_symbol("s", t, grid, params)
 
 
-def artificial_symbol_grid(
-    t: float, grid: Grid, params: FluidParams, composed: bool = False
-) -> KernelSymbol:
-    return _grid_symbol("artificial" if composed else "artificial_par", t, grid, params)
+def artificial_symbol_grid(t: float, grid: Grid, params: FluidParams) -> KernelSymbol:
+    return _grid_symbol("artificial_par", t, grid, params)
 
 
 def phi_symbol_grid(

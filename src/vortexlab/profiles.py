@@ -196,15 +196,15 @@ def profile_superposition(
 
 
 def oseen_pair_fields(
-    grid: Grid, t: float, params: FluidParams, alpha: float = 1.0
+    grid: Grid, t: float, params: FluidParams
 ) -> tuple[SpectralField, tuple[SpectralField, SpectralField]]:
-    """Torus realization of the vortex pair (alpha omega_G, alpha u_G).
+    """Torus realization of the vortex pair (omega_G, u_G).
 
     The plane vortex velocity is not periodic (circulation at infinity), so
     the velocity is reconstructed by the torus Biot-Savart law from the
     sampled vorticity with its lattice mean removed.
     """
-    omega = oseen_vorticity_field(grid, t, params) * alpha
+    omega = oseen_vorticity_field(grid, t, params)
     coeffs = omega.coeffs.copy()
     coeffs[0, 0] = 0.0
     u = biot_savart(SpectralField(grid, coeffs))

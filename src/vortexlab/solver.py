@@ -72,10 +72,13 @@ def scaled_params(params: FluidParams) -> FluidParams:
     )
 
 
-def pressure_remainder(params: FluidParams, rho_tilde: np.ndarray) -> np.ndarray:
-    """P(1 + r) - P(1) - c^2 r for the reduced density oscillation r."""
-    law = params.pressure
-    return law.value(1.0 + rho_tilde) - law.value(1.0) - params.c**2 * rho_tilde
+def pressure_remainder(params: FluidParams, rho_tilde: np.ndarray, one=None, out=None):
+    """P(1 + r) - P(1) - c^2 r for the reduced density oscillation r, written into
+    `out` if given; `one` holding 1 + r spares recomputing it, and is overwritten."""
+    law, one = params.pressure, 1.0 + rho_tilde if one is None else one
+    out = np.multiply(law.scale, np.power(one, law.gamma, out=out), out=out)
+    np.subtract(np.divide(out, law.gamma, out=out), law.value(1.0), out=out)
+    return np.subtract(out, np.multiply(params.c**2, rho_tilde, out=one), out=out)
 
 
 def _guard_vacuum(one: np.ndarray) -> np.ndarray:
@@ -105,12 +108,12 @@ def _fourier_source(grid: Grid, params: FluidParams):
 
     def source(X: np.ndarray, out: np.ndarray) -> np.ndarray:
         rho, w1, w2 = to_physical(X, grid, out=phys, work=work)
-        f11, f12, f22, g1, g2 = products  # 1 + rho, a1, a2 wait in free slots
+        f11, f12, f22, g1, g2 = products  # 1 + rho, a1, a2, P_rem wait in free slots
         one = _guard_vacuum(np.add(1.0, rho, out=f12))
         a1, a2 = np.divide(w1, one, out=g1), np.divide(w2, one, out=g2)
-        prem = pressure_remainder(params, rho)
-        np.add(np.multiply(w1, a1, out=f11), prem, out=f11)
+        prem = pressure_remainder(params, rho, one, out=f11)
         np.add(np.multiply(w2, a2, out=f22), prem, out=f22)
+        np.add(np.multiply(w1, a1, out=f12), prem, out=f11)
         np.multiply(w1, a2, out=f12)
         np.subtract(w1, a1, out=g1)
         np.subtract(w2, a2, out=g2)
@@ -155,6 +158,19 @@ def cfl_limit(grid: Grid, params: FluidParams) -> float:
     return 0.5 * grid.dx / params.c
 
 
+def _time_grid(dt: float | None, snapshot_times, T: float = math.inf) -> tuple[float, ...]:
+    """The snapshot times as floats; SolverError unless dt (None: a default) is
+    finite and positive and the times are finite, increasing and in (0, T]."""
+    if dt is not None and not (math.isfinite(dt) and dt > 0):
+        raise SolverError(f"time step must be finite and positive, got {dt}")
+    times = tuple(float(t) for t in snapshot_times)
+    if not all(math.isfinite(t) and 0 < t <= T + 1e-12 for t in times):
+        raise SolverError("snapshot times must be finite and lie in (0, T]")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise SolverError("snapshot times must be strictly increasing")
+    return times
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     grid: Grid
@@ -170,19 +186,12 @@ class SolverConfig:
             raise SolverError(f"horizon must be positive, got {self.T}")
         if self.scheme not in ("etd2", "etd4"):
             raise SolverError(f"unknown scheme {self.scheme!r} (use 'etd2' or 'etd4')")
+        times = _time_grid(self.dt, self.snapshot_times, self.T)
         limit = cfl_limit(self.grid, self.params)
-        if self.dt is not None:
-            if not self.dt > 0:
-                raise SolverError(f"time step must be positive, got {self.dt}")
-            if self.dt > limit * (1 + 1e-12):
-                raise SolverError(
-                    f"dt = {self.dt} violates the acoustic CFL bound 0.5 dx/c = {limit:.4g}"
-                )
-        times = tuple(float(t) for t in self.snapshot_times)
-        if any(t <= 0 or t > self.T + 1e-12 for t in times):
-            raise SolverError("snapshot times must lie in (0, T]")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise SolverError("snapshot times must be strictly increasing")
+        if self.dt is not None and self.dt > limit * (1 + 1e-12):
+            raise SolverError(
+                f"dt = {self.dt} violates the acoustic CFL bound 0.5 dx/c = {limit:.4g}"
+            )
         object.__setattr__(self, "snapshot_times", times)
 
     @property
@@ -400,20 +409,21 @@ def vorticity_simulate(
 ) -> VorticityTrajectory:
     """Advance the 2D vorticity equation by ETD2RK with exact heat flow; the
     run's stages and source scratch are made once, and each snapshot is a copy."""
+    snapshot_times = _time_grid(dt, snapshot_times)
     grid = omega0.grid
     omega = omega0.dealiased().coeffs[None]
     stages, source = np.empty((3,) + omega.shape, omega.dtype), _vorticity_source(grid)
     times, snaps = [0.0], [SpectralField(grid, omega[0].copy())]
     t_prev = 0.0
     for t_snap in snapshot_times:
-        gap = float(t_snap) - t_prev
+        gap = t_snap - t_prev
         nsub = max(1, math.ceil(gap / dt - 1e-12))
         h = gap / nsub
         lh = -nu * grid.eta_sq * h
         weights = [partial(np.multiply, w) for w in (np.exp(lh), h * phi(1, lh), h * phi(2, lh))]
         for _ in range(nsub):
             _etd2_step(omega, stages, source, weights)
-        t_prev = float(t_snap)
+        t_prev = t_snap
         times.append(t_prev)
         snaps.append(SpectralField(grid, omega[0].copy()))
     return VorticityTrajectory(tuple(times), tuple(snaps))

@@ -150,6 +150,23 @@ def test_pointwise_ring_outside_the_box_exits_2_before_compute(tmp_path, capsys,
     assert not outdir.exists()
 
 
+def test_unresolved_pointwise_kernel_exits_2_before_compute(tmp_path, capsys, monkeypatch):
+    # half box L = 100 at n = 128: the Nyquist heat factor exp(-mu_par (pi n/L)^2 t/2)
+    # at the first sampled time is 9.5e-8 (default) and 3.1e-4 (resolved-ring), far
+    # above the fit's 1e-13 floor, while the acoustic rings stay inside the box
+    calls = []
+    monkeypatch.setitem(harness.EXPERIMENTS, "pointwise-bound", calls.append)
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("n = 128\nexperiments = pointwise-bound\n")
+    outdir = tmp_path / "out"
+    code = main(["--config", str(cfg), "--outdir", str(outdir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: n/L: pointwise-bound (default) needs exp(")
+    assert not outdir.exists()
+    assert calls == []
+
+
 def test_dt_bound_follows_the_selected_experiments(tmp_path, capsys):
     assert parse_config("dt = 0.3\nexperiments = sound-decay\n").dt == 0.3
     # the command-line filter decides which boxes the bound covers
@@ -270,6 +287,9 @@ def test_summary_context_records_the_pressure_law():
     stiff = summary_dict([], stiff)["context"]
     assert (base["gamma"], base["pressure_scale"]) == (1.4, 1.0)
     assert (stiff["gamma"], stiff["pressure_scale"]) == (2.0, 3.0)
+    # every config key but the experiment list, which the summary lists with results
+    keys = {f.name for f in dataclasses.fields(RunManifest)} - {"experiments"}
+    assert set(base) == set(stiff) == keys
 
 
 def test_cli_determinism_byte_identical(tmp_path, capsys):

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from vortexlab import harness
-from vortexlab.cli import RunManifest
 from vortexlab.harness import (
     EXPERIMENTS,
     RECORDS,
     ConfigError,
-    ExperimentContext,
     ExperimentReport,
     FitResult,
     HarnessError,
     RateSeries,
+    RunManifest,
     fit_rate,
     list_experiments,
     predicted_exponent,
@@ -134,12 +133,9 @@ def test_registry_contents():
 def test_run_experiment_prechecks_before_compute(monkeypatch):
     # the library entry makes the record's checks, as the CLI does: T = 40 leaves
     # sound-decay 5 snapshots in its fit window, so it fails naming T, before compute
-    from vortexlab.profiles import FluidParams
-    from vortexlab.spectral import make_grid
-
     calls = []
     monkeypatch.setitem(harness.EXPERIMENTS, "sound-decay", calls.append)
-    ctx = ExperimentContext(grid=make_grid(256, 200.0), params=FluidParams(), T=40.0)
+    ctx = RunManifest(T=40.0)
     with pytest.raises(ConfigError, match="^T: "):
         run_experiment("sound-decay", ctx)
     assert calls == []
@@ -157,31 +153,27 @@ def test_run_experiment_prechecks_before_compute(monkeypatch):
         ("dt", {"dt": 0.0}),
         ("dt", {"dt": -0.1}),
         ("seed", {"seed": -1}),
+        ("mu", {"mu": float("inf")}),
     ],
     ids=["epsilon-negative", "epsilon-zero", "epsilon-minus-inf", "T-inf", "T-zero", "T-nan",
-         "dt-zero", "dt-negative", "seed-negative"],
+         "dt-zero", "dt-negative", "seed-negative", "mu-inf"],
 )
 def test_context_rejects_bad_values_before_compute(monkeypatch, key, values):
     # the library entry gets the checks the CLI makes (a negative epsilon used to run
-    # three nonlinear-smallness solves, then fail inside numpy's SVD); kernel-algebra
-    # has no record prechecks, so only the context can reject the values
-    from vortexlab.profiles import FluidParams
-    from vortexlab.spectral import make_grid
-
+    # three nonlinear-smallness solves, then fail inside numpy's SVD; mu = inf printed
+    # four FAIL rows in kernel-algebra); kernel-algebra has no record prechecks, so
+    # only the manifest can reject the values
     calls = []
     monkeypatch.setitem(harness.EXPERIMENTS, "kernel-algebra", calls.append)
     with pytest.raises(ConfigError, match=f"^{key}: "):
-        ctx = ExperimentContext(make_grid(64, 50.0), FluidParams(), **values)
+        ctx = RunManifest(n=64, L=50.0, **values)
         run_experiment("kernel-algebra", ctx)
     assert calls == []
 
 
 def test_pointwise_bound_smoke():
-    from vortexlab.profiles import FluidParams
-    from vortexlab.spectral import make_grid
-
     # measured on the half box, 256 points on L = 100
-    result = run_pointwise_bound(ExperimentContext(make_grid(256, 200.0), FluidParams()))
+    result = run_pointwise_bound(RunManifest())
     rows = {r.label: r.fitted for r in result.reports}
     for label in ("default", "resolved-ring"):
         assert rows[f"{label}-ring-location"] == 1.0
@@ -191,20 +183,15 @@ def test_pointwise_bound_smoke():
 
 def test_pointwise_bound_rejects_escaping_ring():
     from vortexlab.kernels import KernelError
-    from vortexlab.profiles import FluidParams
-    from vortexlab.spectral import make_grid
 
     # half box L = 10: the default ring c t + 3 sqrt(mu_par t) reaches 10 by t = 4
-    ctx = ExperimentContext(make_grid(64, 40.0), FluidParams())
+    ctx = RunManifest(n=64, L=40.0)
     with pytest.raises(KernelError, match="acoustic ring leaves the box at t=4.0"):
         run_pointwise_bound(ctx)
 
 
 def test_kernel_algebra_runs_small():
-    from vortexlab.profiles import FluidParams
-    from vortexlab.spectral import make_grid
-
-    ctx = ExperimentContext(grid=make_grid(64, 50.0), params=FluidParams())
+    ctx = RunManifest(n=64, L=50.0)
     res = run_experiment("kernel-algebra", ctx)
     assert res.passed
     assert len(res.reports) >= 10
@@ -259,11 +246,7 @@ def _stub_simulate(abort_call):
 )
 def test_aborted_solver_run_raises(monkeypatch, experiment, abort_call, message):
     # no solver run reaches a fit once it has aborted, the linear control included
-    from vortexlab import harness
-    from vortexlab.profiles import FluidParams
-    from vortexlab.spectral import make_grid
-
     monkeypatch.setattr(harness, "simulate", _stub_simulate(abort_call))
-    ctx = ExperimentContext(grid=make_grid(128, 100.0), params=FluidParams())
+    ctx = RunManifest(n=128, L=100.0)
     with pytest.raises(HarnessError, match=f"^{message}: stub abort$"):
         run_experiment(experiment, ctx)

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from vortexlab.kernels import (
     FAMILIES,
-    artificial_symbol_grid,
     heat_symbol_grid,
     phi_symbol_grid,
     s_symbol_grid,
@@ -78,7 +77,7 @@ def test_parseval_weights_match_full_lattice_sum(grid, seed, s):
 SYMBOLS = {
     "s": lambda t, g: s_symbol_grid(t, g, PARAMS),
     "spar": lambda t, g: spar_symbol_grid(t, g, PARAMS),
-    "artificial": lambda t, g: artificial_symbol_grid(t, g, PARAMS, composed=True),
+    "artificial": lambda t, g: phi_symbol_grid(0, t, g, PARAMS, "artificial"),
     "phi2": lambda t, g: phi_symbol_grid(2, t, g, PARAMS),
     "heat": lambda t, g: heat_symbol_grid(t, g, PARAMS.mu),
 }

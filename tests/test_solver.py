@@ -56,7 +56,8 @@ def _reference_source(X: State, params: FluidParams) -> State:
     rho, w1, w2 = to_physical(np.stack([c.coeffs for c in X.components()]), grid)
     one = 1.0 + rho
     a1, a2 = w1 / one, w2 / one
-    prem = pressure_remainder(params, rho)
+    law = params.pressure
+    prem = law.value(1.0 + rho) - law.value(1.0) - params.c**2 * rho
     products = np.stack([w1 * a1 + prem, w1 * a2, w2 * a2 + prem, w1 - a1, w2 - a2])
     f11, f12, f22, g1, g2 = to_spectral(products, grid)
     e1, e2 = grid.eta1_odd, grid.eta2_odd
@@ -393,7 +394,7 @@ def _warm_step_peak(grid, advance) -> float:
 
 def test_etd2_step_allocates_no_lattice_temporaries():
     # after warm-up, 3 ETD2 steps on a run's stages peak at a few half-lattice
-    # arrays (the pressure remainder and apply's scratch), not at a State per term
+    # arrays (apply's scratch among them), not at a State per term
     grid = make_grid(64, 50.0)
     X0 = random_state(grid, np.random.default_rng(3), 1e-2).dealiased()
     tab = solver._tables(grid, PARAMS, cfl_limit(grid, PARAMS), "etd2")
@@ -436,6 +437,29 @@ def test_solver_config_validation():
         SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(2.0,))
     with pytest.raises(SolverError):
         SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(1.0,), scheme="rk4")
+
+
+@pytest.mark.parametrize(
+    "dt, times",
+    [
+        (-0.25, (1.0,)),
+        (0.0, (1.0,)),
+        (float("nan"), (1.0,)),
+        (0.25, (2.0, 1.0)),
+        (0.25, (0.0, 1.0)),
+        (0.25, (float("nan"),)),
+    ],
+    ids=["dt-negative", "dt-zero", "dt-nan", "times-decreasing", "times-from-zero", "times-nan"],
+)
+def test_both_solvers_check_their_time_grid(dt, times):
+    # the vorticity solver used to step backward in time, take one step per gap at
+    # dt < 0, or fail with ZeroDivisionError at dt = 0; both share SolverConfig's checks
+    grid = make_grid(32, 20.0)
+    omega0 = dipole_vorticity_field(grid, 1, 4.0, PARAMS) * 1e-2
+    with pytest.raises(SolverError):
+        vorticity_simulate(omega0, 1.0, times, dt)
+    with pytest.raises(SolverError):
+        SolverConfig(grid=grid, params=PARAMS, T=2.0, dt=dt, snapshot_times=times)
 
 
 def test_scaled_params_equivalence():
