@@ -1,8 +1,11 @@
 """Decay-rate experiments: fits, reports, and the experiment registry.
 
-Every experiment produces `ExperimentReport` rows whose predicted exponents
-come from one formula table keyed by (estimate, p, |sigma|), never from
-per-case constants.  Raw (t, value) series are kept alongside for export.
+Every experiment collects its `ExperimentReport` rows in an
+`ExperimentResult(name)`: `add` appends one row, `rate` fits a (t, value)
+series against the predicted exponent, and `decay` reports that a residual
+weighted by t^(predicted exponent) decays; both keep their series for export.
+Predicted exponents come from one formula table keyed by (estimate, p,
+|sigma|), never from per-case constants.
 
 Report pass semantics (`mode`):
   "match"     |fitted - predicted| <= tolerance   (two-sided rate statements)
@@ -78,25 +81,11 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# rate series and fitting
+# fitting
 
 
-@dataclass(frozen=True)
-class RateSeries:
-    """Positive samples (t, value) on a strictly increasing time grid."""
-
-    t: tuple[float, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.t) < 6:
-            raise HarnessError(f"rate series needs >= 6 samples, got {len(self.t)}")
-        if len(self.t) != len(self.values):
-            raise HarnessError("times and values differ in length")
-        if any(b <= a for a, b in zip(self.t, self.t[1:])):
-            raise HarnessError("rate series times must be strictly increasing")
-        if any(not v > 0 for v in self.values):
-            raise HarnessError("rate series values must be positive")
+# fewest samples a rate fit takes
+_MIN_FIT_SAMPLES = 6
 
 
 @dataclass(frozen=True)
@@ -106,14 +95,22 @@ class FitResult:
     r2: float
 
 
-def fit_rate(series: RateSeries, log_correction: bool = False) -> FitResult:
-    """Least-squares slope in log t - log value coordinates.
+def fit_rate(t, values, log_correction: bool = False) -> FitResult:
+    """Least-squares slope in log t - log value coordinates of positive samples
+    on a strictly increasing time grid, at least `_MIN_FIT_SAMPLES` of them.
 
     With log_correction the values are divided by ln(1+t) first, matching
     logarithmic envelopes.
     """
-    t = np.asarray(series.t)
-    v = np.asarray(series.values)
+    t, v = np.asarray(t, dtype=float), np.asarray(values, dtype=float)
+    if len(t) < _MIN_FIT_SAMPLES:
+        raise HarnessError(f"rate fit needs >= {_MIN_FIT_SAMPLES} samples, got {len(t)}")
+    if len(t) != len(v):
+        raise HarnessError("times and values differ in length")
+    if np.any(np.diff(t) <= 0):
+        raise HarnessError("rate fit times must be strictly increasing")
+    if not np.all(v > 0):
+        raise HarnessError("rate fit values must be positive")
     if log_correction:
         v = v / np.log1p(t)
     return _least_squares(np.log(t), np.log(v))
@@ -126,14 +123,6 @@ def _least_squares(x, y) -> FitResult:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
     return FitResult(float(slope), float(intercept), r2)
-
-
-def window(t, values, t_min, t_max) -> RateSeries:
-    """Restrict raw samples to a fit window."""
-    t = np.asarray(t)
-    values = np.asarray(values)
-    keep = (t >= t_min - 1e-12) & (t <= t_max + 1e-12)
-    return RateSeries(tuple(t[keep]), tuple(values[keep]))
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +191,13 @@ class ExperimentReport:
         raise HarnessError(f"unknown report mode {self.mode!r}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class ExperimentResult:
+    """One experiment's rows, collected as it runs: `add` appends a report,
+    `rate` and `decay` also keep the series they judge under `series`."""
+
     name: str
-    reports: tuple[ExperimentReport, ...]
+    reports: list = field(default_factory=list)
     series: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
@@ -213,75 +205,50 @@ class ExperimentResult:
     def passed(self) -> bool:
         return all(r.passed for r in self.reports)
 
+    def add(self, label, predicted, fitted, tolerance, **optional) -> None:
+        """Append one report; `optional` holds its p, sigma, r2, mode and meta."""
+        report = ExperimentReport(self.name, label, predicted, fitted, tolerance, **optional)
+        self.reports.append(report)
 
-def _rate_report(
-    series: dict,
-    experiment,
-    label,
-    estimate,
-    p,
-    sigma,
-    t,
-    vals,
-    tolerance,
-    mode="match",
-    allow_log=False,
-    fit_window=None,
-):
-    """Record the raw samples as series[label] and fit them, restricted to
-    `fit_window` = (t_min, t_max) if given, against the formula table,
-    optionally with a log envelope."""
-    t, vals = np.asarray(t), np.asarray(vals)
-    series[label] = (t, vals)
-    rates = window(t, vals, *fit_window) if fit_window else RateSeries(tuple(t), tuple(vals))
-    predicted = predicted_exponent(estimate, p, sigma)
-    fit = fit_rate(rates)
-    used_log = False
-    if allow_log and abs(fit.slope - predicted) > tolerance:
-        logfit = fit_rate(rates, log_correction=True)
-        if abs(logfit.slope - predicted) < abs(fit.slope - predicted):
-            fit = logfit
-            used_log = True
-    return ExperimentReport(
-        experiment=experiment,
-        label=label,
-        predicted=predicted,
-        fitted=fit.slope,
-        tolerance=tolerance,
-        p=p,
-        sigma=sigma,
-        r2=fit.r2,
-        mode=mode,
-        meta={"log_envelope": used_log},
-    )
+    def rate(self, label, estimate, p, sigma, t, values, tolerance, mode="match",
+             allow_log=False, fit_window=None) -> None:
+        """Keep the samples as series[label] and fit them, restricted to
+        `fit_window` = (t_min, t_max) if given (edges inclusive to 1e-12),
+        against the formula table, optionally with a log envelope."""
+        t, values = np.asarray(t), np.asarray(values)
+        self.series[label] = (t, values)
+        if fit_window:
+            keep = (t >= fit_window[0] - 1e-12) & (t <= fit_window[1] + 1e-12)
+            t, values = t[keep], values[keep]
+        predicted = predicted_exponent(estimate, p, sigma)
+        try:
+            fit = fit_rate(t, values)
+            used_log = False
+            if allow_log and abs(fit.slope - predicted) > tolerance:
+                logfit = fit_rate(t, values, log_correction=True)
+                if abs(logfit.slope - predicted) < abs(fit.slope - predicted):
+                    fit, used_log = logfit, True
+        except HarnessError as err:
+            raise HarnessError(f"{self.name}/{label}: {err}") from None
+        self.add(label, predicted, fit.slope, tolerance, p=p, sigma=sigma, r2=fit.r2,
+                 mode=mode, meta={"log_envelope": used_log})
 
-
-def _decay_reports(
-    series: dict, experiment, label, t, vals, horizon, final_fraction, p, sigma, key=None
-):
-    """Record a weighted residual as series[key or label] and report that it
-    decays: monotone over the last half of the run, and a final value below
-    `final_fraction` of the first."""
-    t, vals = np.asarray(t), np.asarray(vals)
-    series[key or label] = (t, vals)
-    half = vals[t >= horizon / 2.0 - 1e-9]
-    ratios = half[1:] / half[:-1]
-    monotone = float(ratios.max()) if len(ratios) else 0.0
-    return [
-        ExperimentReport(
-            experiment, f"{label}-monotone", 1.0, monotone, 0.0, p=p, sigma=sigma, mode="bound"
-        ),
-        ExperimentReport(
-            experiment,
-            f"{label}-final-fraction",
-            final_fraction,
-            float(vals[-1] / vals[0]),
-            0.0,
-            p=p,
-            sigma=sigma,
-            mode="bound",
-        ),
-    ]
+    def decay(self, label, estimate, p, sigma, t, values, horizon, final_fraction, key=None):
+        """Weight each value by t^predicted_exponent(estimate, p, sigma), keep
+        the weighted residual as series[key or label] and report that it decays:
+        monotone over the last half of the run, and a final value below
+        `final_fraction` of the first."""
+        e = predicted_exponent(estimate, p, sigma)
+        t = np.asarray(t)
+        # per element on Python floats, as a vectorised power may round differently
+        values = np.array([float(ti) ** e * v for ti, v in zip(t, values)])
+        self.series[key or label] = (t, values)
+        half = values[t >= horizon / 2.0 - 1e-9]
+        ratios = half[1:] / half[:-1]
+        monotone = float(ratios.max()) if len(ratios) else 0.0
+        self.add(f"{label}-monotone", 1.0, monotone, 0.0, p=p, sigma=sigma, mode="bound")
+        self.add(f"{label}-final-fraction", final_fraction, float(values[-1] / values[0]), 0.0,
+                 p=p, sigma=sigma, mode="bound")
 
 
 def _lp_series(grid: Grid, magnitudes, ps, weights=None):
@@ -353,24 +320,20 @@ def run_kernel_algebra(ctx: RunManifest) -> ExperimentResult:
     rng.bit_generator.advance(2000)
     Xr = _hermitian_random_state(small, rng)
     X = Xr.dealiased()
-    reports = []
-
-    def bound(label, value, tolerance):
-        reports.append(ExperimentReport(name, label, 0.0, float(value), tolerance, mode="bound"))
-
+    result = ExperimentResult(name)
     for kind in ("spar", "s", "artificial_par", "artificial", "wave"):
         worst = 0.0
         for t, s in rng.uniform(0.05, 2.0, size=(20, 2)):
             # phi_0 = exp: the kernel symbol itself
             St, Ss, Sts = (phi_symbol_grid(0, h, small, params, kind) for h in (t, s, t + s))
             worst = max(worst, _relative_deviation(St.compose(Ss).apply(X), Sts.apply(X)))
-        bound(f"semigroup-{kind.replace('_', '-')}", worst, 1e-10)
+        result.add(f"semigroup-{kind.replace('_', '-')}", 0.0, worst, 1e-10, mode="bound")
 
     a = heat_symbol_grid(0.6, small, params.mu).apply(
         heat_symbol_grid(0.9, small, params.mu).apply(Xr)
     )
     b = heat_symbol_grid(1.5, small, params.mu).apply(Xr)
-    bound("semigroup-heat", _relative_deviation(a, b), 1e-10)
+    result.add("semigroup-heat", 0.0, _relative_deviation(a, b), 1e-10, mode="bound")
 
     # (S(dt) - I)/dt against the generator, per wavevector with |eta1|, |eta2| <= 2
     # off eta = 0 and the Nyquist lines, relative to max(|generator entries|, 1)
@@ -382,7 +345,8 @@ def run_kernel_algebra(ctx: RunManifest) -> ExperimentResult:
         increment = phi_symbol_grid(0, dt, small, params, kind) - KernelSymbol.identity(small)
         error = (increment.scaled(1.0 / dt) - gen).entry_magnitude()
         scale = np.maximum(gen.entry_magnitude(), 1.0)
-        bound(f"generator-{kind}", (error / scale)[sampled].max(), 1e-5)
+        deviation = float((error / scale)[sampled].max())
+        result.add(f"generator-{kind}", 0.0, deviation, 1e-5, mode="bound")
 
     worst_idem = 0.0
     worst_orth = 0.0
@@ -402,18 +366,19 @@ def run_kernel_algebra(ctx: RunManifest) -> ExperimentResult:
         nb = np.sqrt(sum(lp_norm(f, 2) ** 2 for f in par))
         if na > 0 and nb > 0:
             worst_orth = max(worst_orth, abs(inner) / (na * nb))
-    bound("leray-idempotency", worst_idem, 1e-12)
-    bound("leray-orthogonality", worst_orth, 1e-12)
+    result.add("leray-idempotency", 0.0, worst_idem, 1e-12, mode="bound")
+    result.add("leray-orthogonality", 0.0, float(worst_orth), 1e-12, mode="bound")
 
     sym = s_symbol_grid(0.8, small, params)
     lf, hf = split(sym, default_cutoff(params))
-    bound("split-partition", (lf + hf - sym).max_abs() / max(sym.max_abs(), 1e-300), 1e-15)
+    partition = float((lf + hf - sym).max_abs() / max(sym.max_abs(), 1e-300))
+    result.add("split-partition", 0.0, partition, 1e-15, mode="bound")
 
     # a real state keeps an exactly Hermitian spectrum under the symbol
     out = spar_symbol_grid(0.7, small, params).apply(Xr)
-    bound("realness", max(c.hermitian_defect() for c in out.components()), 0.0)
-
-    return ExperimentResult(name, tuple(reports))
+    defect = float(max(c.hermitian_defect() for c in out.components()))
+    result.add("realness", 0.0, defect, 0.0, mode="bound")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +405,7 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
     params = scaled_params(ctx.params)
     grid = RECORDS[name].grid(ctx)
     rng = np.random.default_rng(ctx.seed)
-    reports = []
-    series = {}
+    result = ExperimentResult(name)
 
     # artificial-viscosity kernel norms (diagonal entry, thin-ring viscosity)
     ring_params = FluidParams(mu=0.25, lam=0.0, rho_star=1.0, pressure=params.pressure)
@@ -450,25 +414,20 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
     for sigma in (0, 1):
         fields = (artificial_diagonal_field(t, grid, ring_params, (sigma, 0)) for t in art_times)
         for p, vals in zip(art_ps, _lp_series(grid, (np.abs(f) for f in fields), art_ps)):
-            label = f"artificial-p{p:g}-s{sigma}"
-            reports.append(
-                _rate_report(
-                    series, name, label, "artificial_kernel", p, sigma, art_times, vals, 0.1,
-                    allow_log=(sigma == 0 and p in (1.0, np.inf)),
-                )
-            )
+            result.rate(f"artificial-p{p:g}-s{sigma}", "artificial_kernel", p, sigma, art_times,
+                        vals, 0.1, allow_log=(sigma == 0 and p in (1.0, np.inf)))
 
     # low-frequency curl-free kernel applied to a localized state
     X0 = _localized_sound_state(grid)
-    spec = default_cutoff(params)
+    r0 = default_cutoff(params)
     lf_times = np.geomspace(6.0, 56.0, 9)
     diff_vals = []
 
     def lf_magnitudes():
         # sigma = 0 and 1 of each LF state in turn: one state alive at a time
         for t in lf_times:
-            lf, _ = split(spar_symbol_grid(t, grid, params), spec)
-            lf_art, _ = split(artificial_symbol_grid(t, grid, params), spec)
+            lf, _ = split(spar_symbol_grid(t, grid, params), r0)
+            lf_art, _ = split(artificial_symbol_grid(t, grid, params), r0)
             diff_vals.append(lp_norm_state((lf - lf_art).apply(X0), 2))
             X = lf.apply(X0)
             yield _state_dx_magnitude(X, 0)
@@ -478,25 +437,14 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
     lf_vals = _lp_series(grid, lf_magnitudes(), lf_ps)
     for i, p in enumerate(lf_ps):
         for sigma in (0, 1):
-            vals = lf_vals[i][sigma::2]
-            label = f"lf-kernel-p{p:g}-s{sigma}"
             # this estimate is an upper bound; it is saturated at p=2
             # while the sup norm genuinely decays faster (ring spreading)
-            mode = "match" if p == 2.0 else "bound"
-            reports.append(
-                _rate_report(
-                    series, name, label, "lf_kernel", p, sigma, lf_times, vals, 0.1, mode=mode
-                )
-            )
+            result.rate(f"lf-kernel-p{p:g}-s{sigma}", "lf_kernel", p, sigma, lf_times,
+                        lf_vals[i][sigma::2], 0.1, mode="match" if p == 2.0 else "bound")
 
     # kernel difference: LF parts of the true and artificial kernels
-    label = "kernel-difference-p2-s0"
-    reports.append(
-        _rate_report(
-            series, name, label, "kernel_difference", 2.0, 0, lf_times, diff_vals, 0.1,
-            mode="bound",
-        )
-    )
+    result.rate("kernel-difference-p2-s0", "kernel_difference", 2.0, 0, lf_times, diff_vals,
+                0.1, mode="bound")
 
     # high-frequency exponential decay with fitted rate b
     hf_times = np.linspace(1.0, 10.0, 10)
@@ -504,30 +452,19 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
     denom = np.sqrt(sum(lp_norm(c, 2) ** 2 for c in Xr.components()))
     hf_vals = []
     for t in hf_times:
-        _, hf = split(spar_symbol_grid(t, grid, params), spec)
+        _, hf = split(spar_symbol_grid(t, grid, params), r0)
         hf_vals.append(lp_norm_state(hf.apply(Xr), 2) / denom)
-    series["hf-decay"] = (hf_times, np.array(hf_vals))
+    result.series["hf-decay"] = (hf_times, np.array(hf_vals))
     fit = _least_squares(hf_times, np.log(hf_vals))
-    reports.append(
-        ExperimentReport(
-            name,
-            "hf-exponential-rate",
-            0.0,
-            -fit.slope,
-            0.0,
-            r2=fit.r2,
-            mode="positive",
-            meta={"envelope": "exp(-b t)"},
-        )
-    )
+    result.add("hf-exponential-rate", 0.0, -fit.slope, 0.0, r2=fit.r2, mode="positive",
+               meta={"envelope": "exp(-b t)"})
 
     # heat-Leray kernel norms (non-zero multi-index only; exact power laws)
     hl_times = np.geomspace(1.0, 16.0, 9)
     hl_ps = (1.0, 2.0, np.inf)
     hl_mags = (heat_leray_kernel_magnitude(t, (1, 0), grid, params) for t in hl_times)
     for p, vals in zip(hl_ps, _lp_series(grid, hl_mags, hl_ps)):
-        label = f"heat-leray-p{p:g}-s1"
-        reports.append(_rate_report(series, name, label, "heat_leray", p, 1, hl_times, vals, 0.1))
+        result.rate(f"heat-leray-p{p:g}-s1", "heat_leray", p, 1, hl_times, vals, 0.1)
 
     # heat flow of Biot-Savart data (fit past the age of the sampled profile)
     perp_times = np.geomspace(8.0, 128.0, 9)
@@ -564,10 +501,8 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
         mags = (heat_magnitude(m0, sigma, t) for t in perp_times)
         perp_vals.update(zip(labels, _lp_series(grid, mags, ps, weights)))
     for label, est, _, p, sigma, _, tol in perp_cases:
-        vals = perp_vals[label]
-        reports.append(_rate_report(series, name, label, est, p, sigma, perp_times, vals, tol))
-
-    return ExperimentResult(name, tuple(reports), series)
+        result.rate(label, est, p, sigma, perp_times, perp_vals[label], tol)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +585,7 @@ def run_pointwise_bound(ctx: RunManifest) -> ExperimentResult:
     name = "pointwise-bound"
     grid = RECORDS[name].grid(ctx)
     radius = np.hypot(grid.xc1, grid.xc2)
-    reports = []
-    extras = {}
+    result = ExperimentResult(name)
     for label, params, times in _POINTWISE_CONFIGS:
         params = params or scaled_params(ctx.params)
         c, mu_par = params.c, params.mu_par
@@ -674,17 +608,15 @@ def run_pointwise_bound(ctx: RunManifest) -> ExperimentResult:
                     "tail_ratio": float(mag[far].max() / mag.max()) if far.any() else 0.0,
                 }
             )
-        extras[label] = {"samples": samples}
+        result.extras[label] = {"samples": samples}
         ks = np.array([s["k_fit"] for s in samples])
         k_stability = float(ks.max() / ks.min()) if np.all(np.isfinite(ks)) else float("inf")
         ring_ok = all(s["ring"][0] <= s["peak_radius"] <= s["ring"][1] for s in samples)
         tail = max(s["tail_ratio"] for s in samples)
-        reports += [
-            ExperimentReport(name, f"{label}-k-stability", 2.0, k_stability, 0.0, mode="bound"),
-            ExperimentReport(name, f"{label}-ring-location", 1.0, float(ring_ok), 0.0),
-            ExperimentReport(name, f"{label}-far-tail", 0.0, tail, 1e-8, mode="bound"),
-        ]
-    return ExperimentResult(name, tuple(reports), extras=extras)
+        result.add(f"{label}-k-stability", 2.0, k_stability, 0.0, mode="bound")
+        result.add(f"{label}-ring-location", 1.0, float(ring_ok), 0.0)
+        result.add(f"{label}-far-tail", 0.0, tail, 1e-8, mode="bound")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +645,11 @@ def _generic_state(grid: Grid, eps: float) -> State:
     return (X * (eps / scale)).dealiased()
 
 
-def _snapshot_times(T: float, n: int = 14) -> tuple[float, ...]:
+# sound-decay: geometric snapshots on [1, h], its rates fit on [h / _SOUND_WINDOW, h]
+_SOUND_SNAPSHOTS, _SOUND_WINDOW = 14, 4.0
+
+
+def _snapshot_times(T: float, n: int = _SOUND_SNAPSHOTS) -> tuple[float, ...]:
     return tuple(np.geomspace(1.0, T, n))
 
 
@@ -756,20 +692,15 @@ def run_sound_decay(ctx: RunManifest) -> ExperimentResult:
     grid, horizon = RECORDS[name].grid(ctx), RECORDS[name].horizon(ctx)
     times = _snapshot_times(horizon)
     traj = _simulate(ctx, grid, _generic_state(grid, ctx.epsilon), horizon, times, name)
-    reports = []
-    series = {}
+    result = ExperimentResult(name, extras={"horizon": horizon})
     t_arr = np.array(traj.times[1:])
     # pointwise magnitudes of the sound part, one per snapshot for every p
     sound = (state_magnitude(State(X.rho, leray_decompose(X.m)[1])) for X in traj.states[1:])
     ps = (2.0, np.inf, 1.0)
     for p, vals in zip(ps, _lp_series(grid, sound, ps)):
-        reports.append(
-            _rate_report(
-                series, name, f"sound-p{p:g}-s0", "sound_part", p, 0, t_arr, vals, 0.15,
-                allow_log=(p == 1.0), fit_window=(horizon / 4.0, horizon),
-            )
-        )
-    return ExperimentResult(name, tuple(reports), series, {"horizon": horizon})
+        result.rate(f"sound-p{p:g}-s0", "sound_part", p, 0, t_arr, vals, 0.15,
+                    allow_log=(p == 1.0), fit_window=(horizon / _SOUND_WINDOW, horizon))
+    return result
 
 
 def run_nonlinear_smallness(ctx: RunManifest) -> ExperimentResult:
@@ -780,8 +711,7 @@ def run_nonlinear_smallness(ctx: RunManifest) -> ExperimentResult:
     times = _snapshot_times(horizon, 12)
     eps_sweep = (0.1 * ctx.epsilon, 0.3 * ctx.epsilon, ctx.epsilon)
     linear_symbols = {t: s_symbol_grid(t, grid, params_lin) for t in times}
-    reports = []
-    series = {}
+    result = ExperimentResult(name)
     deviations = {}
     for eps in eps_sweep:
         X0 = _generic_state(grid, eps)
@@ -791,26 +721,15 @@ def run_nonlinear_smallness(ctx: RunManifest) -> ExperimentResult:
             lin = linear_symbols[t].apply(traj.states[0])
             dev.append(lp_norm_state(X - lin, 2))
         deviations[eps] = np.array(dev)
-        series[f"deviation-eps{eps:g}"] = (np.array(times), deviations[eps])
+        result.series[f"deviation-eps{eps:g}"] = (np.array(times), deviations[eps])
 
     # amplitude scaling at a mid-horizon time
     mid = len(times) // 2
     eps_arr = np.array(eps_sweep)
     dmid = np.array([deviations[e][mid] for e in eps_sweep])
-    slope = np.polyfit(np.log(eps_arr), np.log(dmid), 1)[0]
-    reports.append(
-        ExperimentReport(
-            name,
-            "amplitude-scaling",
-            2.0,
-            float(slope),
-            0.2,
-            p=2.0,
-            sigma=0,
-            mode="match",
-            meta={"t_probe": times[mid]},
-        )
-    )
+    slope = _least_squares(np.log(eps_arr), np.log(dmid)).slope
+    result.add("amplitude-scaling", 2.0, slope, 0.2, p=2.0, sigma=0,
+               meta={"t_probe": times[mid]})
 
     # envelope-normalized boundedness at the largest amplitude
     t_arr = np.array(times)
@@ -819,12 +738,8 @@ def run_nonlinear_smallness(ctx: RunManifest) -> ExperimentResult:
     )
     normalized = deviations[ctx.epsilon] / envelope
     ratio = float(normalized.max() / normalized.min())
-    series["envelope-normalized"] = (t_arr, normalized)
-    reports.append(
-        ExperimentReport(
-            name, "envelope-boundedness", 3.0, ratio, 0.0, p=2.0, sigma=0, mode="bound"
-        )
-    )
+    result.series["envelope-normalized"] = (t_arr, normalized)
+    result.add("envelope-boundedness", 3.0, ratio, 0.0, p=2.0, sigma=0, mode="bound")
 
     # linear-only control: the deviation vanishes identically
     X0 = _generic_state(grid, ctx.epsilon)
@@ -833,10 +748,8 @@ def run_nonlinear_smallness(ctx: RunManifest) -> ExperimentResult:
     for t, X in zip(traj.times[1:], traj.states[1:]):
         lin = linear_symbols[t].apply(traj.states[0])
         worst = max(worst, lp_norm_state(X - lin, 2))
-    reports.append(
-        ExperimentReport(name, "linear-control", 0.0, worst, 1e-12, mode="bound")
-    )
-    return ExperimentResult(name, tuple(reports), series)
+    result.add("linear-control", 0.0, worst, 1e-12, mode="bound")
+    return result
 
 
 def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
@@ -848,9 +761,7 @@ def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
     grid, horizon = RECORDS[name].grid(ctx), RECORDS[name].horizon(ctx)
     params = ctx.params
     rs = params.rho_star
-    reports = []
-    series = {}
-
+    result = ExperimentResult(name)
     times = _snapshot_times(horizon, 12)
 
     # dipole-data case: zero circulation, nonzero first moments
@@ -874,10 +785,8 @@ def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
     ]
     for i, p in enumerate(ps):
         for sigma in (0, 1):
-            e = predicted_exponent("incompressible_weight", p, sigma)
-            vals = [t**e * v for t, v in zip(traj.times[1:], norms[sigma][i])]
-            label = f"dipole-residual-p{p:g}-s{sigma}"
-            reports += _decay_reports(series, name, label, times, vals, horizon, 0.2, p, sigma)
+            result.decay(f"dipole-residual-p{p:g}-s{sigma}", "incompressible_weight", p, sigma,
+                         times, norms[sigma][i], horizon, 0.2)
 
     # moment consistency along the run (2% of the initial values), probed
     # while the vorticity is still compactly supported in the box
@@ -888,17 +797,8 @@ def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
         abs(late_moments.beta[0] - moments.beta[0]),
         abs(late_moments.beta[1] - moments.beta[1]),
     )
-    reports.append(
-        ExperimentReport(
-            name,
-            "beta-consistency",
-            0.0,
-            drift / beta_scale,
-            0.02,
-            mode="bound",
-            meta={"t_probe": traj.times[probe]},
-        )
-    )
+    result.add("beta-consistency", 0.0, drift / beta_scale, 0.02, mode="bound",
+               meta={"t_probe": traj.times[probe]})
 
     # vortex-data control: nonzero circulation follows the vortex profile.
     # No rate is asserted for this limit, so the criterion is the weaker
@@ -911,22 +811,16 @@ def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
     alpha_scaled = circulation_alpha(omega_g, params) * ampg
     trajg = _simulate(ctx, grid, X0g, horizon, times, f"{name} vortex-data")
 
-    snapshots = list(zip(trajg.times[1:], trajg.states[1:]))
     vortex_residuals = (
         _perp_residual(X, oseen_pair_fields(grid, t, params)[1], rs * alpha_scaled)
-        for t, X in snapshots
+        for t, X in zip(trajg.times[1:], trajg.states[1:])
     )
     for p, norms in zip(ps, _lp_series(grid, map(vector_magnitude, vortex_residuals), ps)):
-        e = predicted_exponent("incompressible_weight", p, 0)
-        vals = [t**e * v for (t, _), v in zip(snapshots, norms)]
-        label = f"vortex-residual-p{p:g}-s0"
-        reports += _decay_reports(series, name, label, times, vals, horizon, 0.5, p, 0)
-    extras = {
-        "beta": list(moments.beta),
-        "alpha_scaled": alpha_scaled,
-        "grid": {"n": grid.n, "L": grid.L},
-    }
-    return ExperimentResult(name, tuple(reports), series, extras)
+        result.decay(f"vortex-residual-p{p:g}-s0", "incompressible_weight", p, 0, times, norms,
+                     horizon, 0.5)
+    result.extras = {"beta": list(moments.beta), "alpha_scaled": alpha_scaled,
+                     "grid": {"n": grid.n, "L": grid.L}}
+    return result
 
 
 def run_vorticity_profiles(ctx: RunManifest) -> ExperimentResult:
@@ -935,8 +829,7 @@ def run_vorticity_profiles(ctx: RunManifest) -> ExperimentResult:
     grid, T = RECORDS[name].grid(ctx), RECORDS[name].horizon(ctx)
     params = ctx.params
     nu = params.nu
-    reports = []
-    series = {}
+    result = ExperimentResult(name)
 
     # exact self-similar vortex: the numerical flow tracks the shifted profile.
     # The full box keeps the finite-size strain of the circulation background
@@ -952,17 +845,8 @@ def run_vorticity_profiles(ctx: RunManifest) -> ExperimentResult:
             ref = oseen_vorticity_field(vortex_grid, 2.0 + t, params)
             worst = max(worst, lp_norm(w - ref, 2) / lp_norm(ref, 2))
         box_residuals[vortex_grid.L] = worst
-    reports.append(
-        ExperimentReport(
-            name,
-            "vortex-exactness",
-            0.0,
-            box_residuals[ctx.grid.L],
-            1e-6,
-            mode="bound",
-            meta={"box_sensitivity": box_residuals},
-        )
-    )
+    result.add("vortex-exactness", 0.0, box_residuals[ctx.grid.L], 1e-6, mode="bound",
+               meta={"box_sensitivity": box_residuals})
 
     # perturbed dipole: weighted residual against the first-moment profile
     eps = ctx.epsilon
@@ -975,14 +859,12 @@ def run_vorticity_profiles(ctx: RunManifest) -> ExperimentResult:
     moments = first_moments_beta(omega0, params)
     times_b = _snapshot_times(T, 12)
     traj = vorticity_simulate(omega0, nu, times_b, dt=0.25)
-    t_arr = np.array(traj.times[1:])
-    vals = []
-    for t, w in zip(traj.times[1:], traj.omegas[1:]):
-        ref, _ = profile_superposition(moments, t, params, grid)
-        weight = t ** predicted_exponent("dipole_weight", 2.0, 0)
-        vals.append(weight * lp_norm(w - ref, 2))
-    label, key = "dipole-residual", "dipole-residual-p2"
-    reports += _decay_reports(series, name, label, t_arr, vals, T, 0.2, 2.0, 0, key=key)
+    residuals = [
+        lp_norm(w - profile_superposition(moments, t, params, grid)[0], 2)
+        for t, w in zip(traj.times[1:], traj.omegas[1:])
+    ]
+    result.decay("dipole-residual", "dipole_weight", 2.0, 0, traj.times[1:], residuals, T, 0.2,
+                 key="dipole-residual-p2")
 
     # moment conservation while the field is still well localized
     drift = 0.0
@@ -997,10 +879,8 @@ def run_vorticity_profiles(ctx: RunManifest) -> ExperimentResult:
             abs(m.beta[1] - moments.beta[1]) / beta_scale,
             abs(m.alpha - moments.alpha) / max(abs(moments.alpha), 1e-12),
         )
-    reports.append(
-        ExperimentReport(name, "moment-conservation", 0.0, drift, 1e-8, mode="bound")
-    )
-    return ExperimentResult(name, tuple(reports), series)
+    result.add("moment-conservation", 0.0, drift, 1e-8, mode="bound")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -1022,12 +902,15 @@ def _check_cfl(record, ctx: RunManifest):
 
 
 def _check_sound_window(record, ctx: RunManifest):
-    """14 geometric snapshots on [1, h] put 6 in the fit window [h/4, h] iff h <= 4^(13/5)."""
-    horizon, most = record.horizon(ctx), 4.0 ** (13.0 / 5.0)
+    """N geometric snapshots on [1, h] put the last m in the fit window [h/w, h] iff
+    h <= w^((N - 1)/(m - 1)): 4^(13/5) for the run's N = 14, w = 4 and m = 6."""
+    horizon = record.horizon(ctx)
+    most = _SOUND_WINDOW ** ((_SOUND_SNAPSHOTS - 1) / (_MIN_FIT_SAMPLES - 1))
     if horizon > most:
         raise ConfigError(
-            f"T: {record.name} needs a horizon h <= {most:.4g} to keep 6 snapshots in its "
-            f"fit window [h/4, h]; T = {ctx.T:g} gives h = {horizon:.4g}"
+            f"T: {record.name} needs a horizon h <= {most:.4g} to keep {_MIN_FIT_SAMPLES} "
+            f"snapshots in its fit window [h/{_SOUND_WINDOW:g}, h]; T = {ctx.T:g} gives "
+            f"h = {horizon:.4g}"
         )
 
 
@@ -1035,7 +918,7 @@ def _check_hf_band(record, ctx: RunManifest):
     """The high-frequency fit needs grid wavenumbers beyond the cutoff radius."""
     grid = record.grid(ctx)
     top = np.sqrt(2.0) * np.pi * grid.n / grid.L
-    r0 = default_cutoff(scaled_params(ctx.params)).r0
+    r0 = default_cutoff(scaled_params(ctx.params))
     if not top > r0:
         raise ConfigError(
             f"n/L: {record.name} needs wavenumbers above the cutoff radius {r0:.4g}, "
@@ -1132,8 +1015,15 @@ class RunManifest:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, numbers.Real) and not math.isfinite(value):
+            if not isinstance(value, numbers.Real):
+                continue
+            if not math.isfinite(value):
                 raise ConfigError(f"{f.name}: must be finite, got {value}")
+            kind = int if f.name in ("n", "seed") else float
+            if kind is int and value != int(value):
+                raise ConfigError(f"{f.name}: must be an integer, got {value}")
+            # one number type per field, so equal manifests write equal summaries
+            object.__setattr__(self, f.name, kind(value))
         self.grid, self.params  # build both now: their errors name the keys
         if self.dt is not None and not self.dt > 0:
             raise ConfigError(f"dt: must be positive, got {self.dt}")
@@ -1141,7 +1031,7 @@ class RunManifest:
             raise ConfigError(f"T: must be positive, got {self.T}")
         if not self.epsilon > 0:
             raise ConfigError(f"epsilon: must be positive, got {self.epsilon}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError(f"seed: must be a nonnegative integer, got {self.seed}")
         for name in self.experiments:
             if name not in RECORDS:

@@ -307,35 +307,23 @@ def generator_symbol_grid(kind: str, grid: Grid, params: FluidParams) -> KernelS
 # ---------------------------------------------------------------------------
 # frequency splitting
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Radial cutoff: 1 for |eta| <= r0, 0 for |eta| >= r0 + 1, quintic between."""
-
-    r0: float
-
-    def __post_init__(self):
-        if not self.r0 > 0:
-            raise KernelError(f"cutoff radius must be positive, got {self.r0}")
+def default_cutoff(params: FluidParams) -> float:
+    """Cutoff radius r0; the oscillatory/diffusive transition |eta| = 2c/mu_par sits inside LF."""
+    return 2.0 * params.c / params.mu_par + 1.0
 
 
-def default_cutoff(params: FluidParams) -> CutoffSpec:
-    # oscillatory/diffusive transition |eta| = 2c/mu_par sits inside LF
-    return CutoffSpec(2.0 * params.c / params.mu_par + 1.0)
-
-
-def cutoff(mag, spec: CutoffSpec):
-    """Smooth cutoff value chi in [0, 1] at wavevector magnitudes |eta|."""
-    s = np.clip(np.asarray(mag, dtype=float) - spec.r0, 0.0, 1.0)
+def cutoff(mag, r0: float):
+    """Smooth radial cutoff chi in [0, 1] at wavevector magnitudes |eta|: 1 for
+    |eta| <= r0, 0 for |eta| >= r0 + 1, quintic between."""
+    if not r0 > 0:
+        raise KernelError(f"cutoff radius must be positive, got {r0}")
+    s = np.clip(np.asarray(mag, dtype=float) - r0, 0.0, 1.0)
     return 1.0 - s**3 * (10.0 + s * (-15.0 + 6.0 * s))
 
 
-def cutoff_grid(grid: Grid, spec: CutoffSpec) -> np.ndarray:
-    return cutoff(np.sqrt(grid.eta_sq), spec)
-
-
-def split(symbol: KernelSymbol, spec: CutoffSpec) -> tuple[KernelSymbol, KernelSymbol]:
-    """(low-frequency, high-frequency) parts; their sum is the original symbol."""
-    chi = cutoff_grid(symbol.grid, spec)
+def split(symbol: KernelSymbol, r0: float) -> tuple[KernelSymbol, KernelSymbol]:
+    """(low-frequency, high-frequency) parts at cutoff radius r0; their sum is the symbol."""
+    chi = cutoff(np.sqrt(symbol.grid.eta_sq), r0)
     return symbol.scaled(chi), symbol.scaled(1.0 - chi)
 
 

@@ -224,8 +224,9 @@ def test_unwritable_outdir_fails_without_partial_files(tmp_path, capsys):
 
 def test_failing_report_gives_nonzero_exit(tmp_path, capsys, monkeypatch):
     def failing_experiment(ctx):
-        report = harness.ExperimentReport("stub", "always-fails", 0.0, 1.0, 0.1)
-        return harness.ExperimentResult("stub", (report,))
+        result = harness.ExperimentResult("stub")
+        result.add("always-fails", 0.0, 1.0, 0.1)
+        return result
 
     _stub_record(monkeypatch, failing_experiment)
     manifest = RunManifest(experiments=("stub",))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,9 @@ from vortexlab.harness import (
     RECORDS,
     ConfigError,
     ExperimentReport,
+    ExperimentResult,
     FitResult,
     HarnessError,
-    RateSeries,
     RunManifest,
     fit_rate,
     list_experiments,
@@ -18,15 +20,14 @@ from vortexlab.harness import (
     run_experiment,
     run_pointwise_bound,
     series_to_csv,
-    window,
+    summary_dict,
 )
 from conftest import zero_state
 
 
 def test_fit_rate_exact_power_law():
     t = np.geomspace(1.0, 30.0, 8)
-    series = RateSeries(tuple(t), tuple(2.7 * t**-1.5))
-    fit = fit_rate(series)
+    fit = fit_rate(t, 2.7 * t**-1.5)
     assert abs(fit.slope + 1.5) < 1e-12
     assert fit.r2 == pytest.approx(1.0)
     assert fit.r2 >= 0.98
@@ -34,36 +35,89 @@ def test_fit_rate_exact_power_law():
 
 def test_fit_rate_log_correction():
     t = np.geomspace(1.0, 50.0, 12)
-    series = RateSeries(tuple(t), tuple(t**-1.0 * np.log1p(t)))
-    fit = fit_rate(series, log_correction=True)
+    values = t**-1.0 * np.log1p(t)
+    fit = fit_rate(t, values, log_correction=True)
     assert abs(fit.slope + 1.0) < 0.02
-    raw = fit_rate(series)
+    raw = fit_rate(t, values)
     assert abs(raw.slope + 1.0) > abs(fit.slope + 1.0)
 
 
 def test_fit_rate_constant_series():
     t = np.linspace(1.0, 10.0, 8)
-    series = RateSeries(tuple(t), tuple(np.full(8, 3.25)))
-    fit = fit_rate(series)
+    fit = fit_rate(t, np.full(8, 3.25))
     assert abs(fit.slope) < 1e-12
     assert fit.r2 == 1.0
 
 
 def test_rate_series_validation():
     with pytest.raises(HarnessError):
-        RateSeries((1.0, 2.0, 3.0), (1.0, 1.0, 1.0))  # too few
+        fit_rate((1.0, 2.0, 3.0), (1.0, 1.0, 1.0))  # too few
     t = tuple(np.linspace(1, 8, 8))
     with pytest.raises(HarnessError):
-        RateSeries(t, tuple([1.0] * 7 + [0.0]))  # nonpositive value
+        fit_rate(t, tuple([1.0] * 7 + [0.0]))  # nonpositive value
     with pytest.raises(HarnessError):
-        RateSeries(tuple([1.0] * 8), tuple([1.0] * 8))  # nonincreasing times
+        fit_rate(tuple([1.0] * 8), tuple([1.0] * 8))  # nonincreasing times
 
 
-def test_window_selects_samples():
+def test_window_selects_samples(monkeypatch):
+    # the fit sees exactly the samples in [3, 8], both edges included
+    seen = []
+
+    def recording_fit(t, values, **kw):
+        seen.append(t)
+        return fit_rate(t, values, **kw)
+
+    monkeypatch.setattr(harness, "fit_rate", recording_fit)
     t = np.linspace(1, 10, 10)
-    s = window(t, t**-1.0, 3.0, 8.0)
-    assert len(s.t) == 6
-    assert s.t[0] == 3.0 and s.t[-1] == 8.0
+    result = ExperimentResult("e")
+    result.rate("l", "lf_kernel", 2.0, 0, t, t**-1.0, 0.1, fit_window=(3.0, 8.0))
+    (s,) = seen
+    assert len(s) == 6
+    assert s[0] == 3.0 and s[-1] == 8.0
+    # the whole series is kept for export, not only the window
+    assert len(result.series["l"][0]) == 10
+    # the edges are inclusive to 1e-12: a window a hair inside [3, 8] keeps both ends
+    seen.clear()
+    result.rate("m", "lf_kernel", 2.0, 0, t, t**-1.0, 0.1, fit_window=(3.0 + 5e-13, 8.0 - 5e-13))
+    assert len(seen[0]) == 6
+    # and no further: past 1e-12 the end sample drops out
+    seen.clear()
+    result.rate("n", "lf_kernel", 2.0, 0, t, t**-1.0, 0.1, fit_window=(3.0 + 2e-12, 9.0))
+    assert len(seen[0]) == 6 and seen[0][0] == 4.0
+    seen.clear()
+    result.rate("o", "lf_kernel", 2.0, 0, t, t**-1.0, 0.1, fit_window=(2.0, 8.0 - 2e-12))
+    assert len(seen[0]) == 6 and seen[0][-1] == 7.0
+
+
+def test_fit_errors_name_their_row():
+    # a fit that cannot be made says which experiment row asked for it
+    t = np.linspace(1.0, 10.0, 8)
+    result = ExperimentResult("sound-decay")
+    with pytest.raises(HarnessError, match="^sound-decay/sound-p2-s0: rate fit needs >= 6"):
+        result.rate("sound-p2-s0", "sound_part", 2.0, 0, t, t**-1.0, 0.15, fit_window=(9.0, 10.0))
+    values = t**-1.0
+    values[3] = 0.0
+    with pytest.raises(HarnessError, match="^sound-decay/sound-p1-s0: rate fit values must be"):
+        result.rate("sound-p1-s0", "sound_part", 1.0, 0, t, values, 0.15)
+    assert result.reports == []
+
+
+def test_result_collects_rows():
+    t = np.geomspace(1.0, 16.0, 8)
+    result = ExperimentResult("e")
+    result.add("a", 0.0, 1e-14, 1e-10, mode="bound")
+    result.rate("b", "lf_kernel", 2.0, 0, t, 3.0 * t**-0.5, 0.1)
+    # the decay residual is weighted by t^predicted_exponent: t^(1/2) at p = 2, sigma = 0
+    result.decay("c", "incompressible_weight", 2.0, 0, t, t**-1.0, 16.0, 0.5, key="c-series")
+    assert [r.label for r in result.reports] == ["a", "b", "c-monotone", "c-final-fraction"]
+    assert all(r.experiment == "e" for r in result.reports)
+    assert result.reports[1].fitted == pytest.approx(-0.5)
+    assert result.reports[1].meta == {"log_envelope": False}
+    assert np.allclose(result.series["c-series"][1], t**-0.5)
+    assert result.reports[2].fitted < 1.0
+    assert result.reports[3].fitted == pytest.approx(16.0**-0.5)
+    assert result.passed
+    assert set(result.series) == {"b", "c-series"}
 
 
 def test_predicted_exponent_table():
@@ -169,6 +223,52 @@ def test_context_rejects_bad_values_before_compute(monkeypatch, key, values):
         ctx = RunManifest(n=64, L=50.0, **values)
         run_experiment("kernel-algebra", ctx)
     assert calls == []
+
+
+def test_non_integral_n_is_rejected_before_compute(monkeypatch):
+    # n = 256.5 used to run at n = 256 and record 256.5 in the summary
+    calls = []
+    monkeypatch.setitem(harness.EXPERIMENTS, "kernel-algebra", calls.append)
+    with pytest.raises(ConfigError, match="^n: "):
+        run_experiment("kernel-algebra", RunManifest(n=256.5))
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "given, plain",
+    [
+        ({"mu": 1}, {"mu": 1.0}),
+        ({"L": 200}, {"L": 200.0}),
+        ({"T": np.float64(30.0)}, {"T": 30.0}),
+        ({"n": np.int64(256), "seed": np.int64(0)}, {"n": 256, "seed": 0}),
+    ],
+    ids=["mu-int", "L-int", "T-numpy", "n-seed-numpy"],
+)
+def test_equal_manifests_write_equal_contexts(given, plain):
+    # each field keeps one number type, so equal manifests write the same summary bytes
+    a, b = RunManifest(experiments=(), **given), RunManifest(experiments=(), **plain)
+    assert a == b
+    dumps = [json.dumps(summary_dict([], ctx)["context"], sort_keys=True) for ctx in (a, b)]
+    assert dumps[0] == dumps[1]
+    assert all(type(getattr(a, key)) is type(value) for key, value in plain.items())
+
+
+def test_sound_window_bound_keeps_a_full_fit():
+    # the precheck's bound 4^(13/5) is where the run's 14 snapshots on [1, h] stop
+    # putting the 6 samples a fit needs in its window [h/4, h]
+    most = 4.0 ** (13.0 / 5.0)
+    below, above = most * (1.0 - 1e-6), most * (1.0 + 1e-6)
+    for h, count in ((below, 6), (above, 5)):
+        times = harness._snapshot_times(h)
+        assert sum(h / 4.0 - 1e-12 <= t <= h + 1e-12 for t in times) == count
+    t = np.array(harness._snapshot_times(above))
+    with pytest.raises(HarnessError, match="needs >= 6 samples, got 5"):
+        ExperimentResult("sound-decay").rate(
+            "sound-p2-s0", "sound_part", 2.0, 0, t, t**-0.5, 0.15, fit_window=(above / 4.0, above)
+        )
+    RECORDS["sound-decay"].precheck(RunManifest(T=below))
+    with pytest.raises(ConfigError, match=r"^T: .* h <= 36\.76 to keep 6 snapshots"):
+        RECORDS["sound-decay"].precheck(RunManifest(T=above))
 
 
 def test_pointwise_bound_smoke():

@@ -3,7 +3,6 @@ import pytest
 
 from vortexlab.kernels import (
     FAMILIES,
-    CutoffSpec,
     KernelError,
     KernelSymbol,
     _entries,
@@ -387,7 +386,7 @@ def test_shell_builds_equal_lattice_builds(n, L):
 
 
 def test_cutoff_plateaus():
-    spec = CutoffSpec(3.0)
+    spec = 3.0  # the cutoff radius r0
     assert cutoff(1.5, spec) == 1.0
     assert cutoff(5.0, spec) == 0.0
     assert cutoff(3.5, spec) == pytest.approx(0.5)
@@ -401,7 +400,7 @@ def test_cutoff_plateaus():
 
 def test_cutoff_rejects_bad_radius():
     with pytest.raises(KernelError):
-        CutoffSpec(0.0)
+        cutoff(1.0, 0.0)
 
 
 def test_split_partition_of_unity(rng):
