@@ -58,17 +58,14 @@ from .spectral import (
     State,
     derivative,
     gradient,
-    l2_inner,
     leray_decompose,
     lp_norm,
-    lp_norm_state,
-    lp_norm_vector,
     lp_of_magnitude,
+    magnitude,
     make_grid,
+    parseval_sum,
     sample,
-    state_magnitude,
     transform,
-    vector_magnitude,
 )
 
 
@@ -268,11 +265,6 @@ def _dx(fields, sigma: int) -> tuple:
     return tuple(derivative(f, (sigma, 0)) if sigma else f for f in fields)
 
 
-def _state_dx_magnitude(X: State, sigma: int) -> np.ndarray:
-    rho, m0, m1 = _dx(X.components(), sigma)
-    return state_magnitude(State(rho, (m0, m1)))
-
-
 def _perp_residual(X: State, uref, scale):
     """Divergence-free part of the momentum of X minus scale * uref."""
     perp, _ = leray_decompose(X.m)
@@ -361,9 +353,8 @@ def run_kernel_algebra(ctx: RunManifest) -> ExperimentResult:
             float(np.abs((perp2[1] - perp[1]).coeffs).max() / scale),
             float(np.abs(par2[0].coeffs).max() / scale),
         )
-        inner = sum(l2_inner(a, b) for a, b in zip(perp, par))
-        na = np.sqrt(sum(lp_norm(f, 2) ** 2 for f in perp))
-        nb = np.sqrt(sum(lp_norm(f, 2) ** 2 for f in par))
+        inner = parseval_sum(small, [(a.coeffs, b.coeffs) for a, b in zip(perp, par)])
+        na, nb = lp_norm(perp, 2), lp_norm(par, 2)
         if na > 0 and nb > 0:
             worst_orth = max(worst_orth, abs(inner) / (na * nb))
     result.add("leray-idempotency", 0.0, worst_idem, 1e-12, mode="bound")
@@ -428,10 +419,10 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
         for t in lf_times:
             lf, _ = split(spar_symbol_grid(t, grid, params), r0)
             lf_art, _ = split(artificial_symbol_grid(t, grid, params), r0)
-            diff_vals.append(lp_norm_state((lf - lf_art).apply(X0), 2))
+            diff_vals.append(lp_norm((lf - lf_art).apply(X0).components(), 2))
             X = lf.apply(X0)
-            yield _state_dx_magnitude(X, 0)
-            yield _state_dx_magnitude(X, 1)
+            for sigma in (0, 1):
+                yield magnitude(_dx(X.components(), sigma))
 
     lf_ps = (2.0, np.inf)
     lf_vals = _lp_series(grid, lf_magnitudes(), lf_ps)
@@ -449,11 +440,11 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
     # high-frequency exponential decay with fitted rate b
     hf_times = np.linspace(1.0, 10.0, 10)
     Xr = _hermitian_random_state(grid, rng)
-    denom = np.sqrt(sum(lp_norm(c, 2) ** 2 for c in Xr.components()))
+    denom = lp_norm(Xr.components(), 2)
     hf_vals = []
     for t in hf_times:
         _, hf = split(spar_symbol_grid(t, grid, params), r0)
-        hf_vals.append(lp_norm_state(hf.apply(Xr), 2) / denom)
+        hf_vals.append(lp_norm(hf.apply(Xr).components(), 2) / denom)
     result.series["hf-decay"] = (hf_times, np.array(hf_vals))
     fit = _least_squares(hf_times, np.log(hf_vals))
     result.add("hf-exponential-rate", 0.0, -fit.slope, 0.0, r2=fit.r2, mode="positive",
@@ -474,7 +465,7 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
 
     def heat_magnitude(m0, sigma, t):
         h = np.exp(-params.mu * grid.eta_sq * t)
-        return vector_magnitude(_dx([SpectralField(grid, h * f.coeffs) for f in m0], sigma))
+        return magnitude(_dx([SpectralField(grid, h * f.coeffs) for f in m0], sigma))
 
     radius = np.hypot(grid.xc1, grid.xc2)
     perp_cases = [
@@ -639,9 +630,7 @@ def _generic_state(grid: Grid, eps: float) -> State:
     psi = sample(grid, lambda a, b: np.exp(-((a - 1.0) ** 2 + b**2) / 10.0))
     perp = (derivative(psi, (0, 1)) * -1.0, derivative(psi, (1, 0)))
     X = State(rho, (par[0] * 0.7 + perp[0] * 0.5, par[1] * 0.7 + perp[1] * 0.5))
-    scale = max(
-        lp_norm(X.rho, np.inf), lp_norm_vector(X.m, np.inf)
-    )
+    scale = max(lp_norm(X.rho, np.inf), lp_norm(X.m, np.inf))
     return (X * (eps / scale)).dealiased()
 
 
@@ -695,7 +684,7 @@ def run_sound_decay(ctx: RunManifest) -> ExperimentResult:
     result = ExperimentResult(name, extras={"horizon": horizon})
     t_arr = np.array(traj.times[1:])
     # pointwise magnitudes of the sound part, one per snapshot for every p
-    sound = (state_magnitude(State(X.rho, leray_decompose(X.m)[1])) for X in traj.states[1:])
+    sound = (magnitude((X.rho, *leray_decompose(X.m)[1])) for X in traj.states[1:])
     ps = (2.0, np.inf, 1.0)
     for p, vals in zip(ps, _lp_series(grid, sound, ps)):
         result.rate(f"sound-p{p:g}-s0", "sound_part", p, 0, t_arr, vals, 0.15,
@@ -719,7 +708,7 @@ def run_nonlinear_smallness(ctx: RunManifest) -> ExperimentResult:
         dev = []
         for t, X in zip(traj.times[1:], traj.states[1:]):
             lin = linear_symbols[t].apply(traj.states[0])
-            dev.append(lp_norm_state(X - lin, 2))
+            dev.append(lp_norm((X - lin).components(), 2))
         deviations[eps] = np.array(dev)
         result.series[f"deviation-eps{eps:g}"] = (np.array(times), deviations[eps])
 
@@ -747,9 +736,21 @@ def run_nonlinear_smallness(ctx: RunManifest) -> ExperimentResult:
     worst = 0.0
     for t, X in zip(traj.times[1:], traj.states[1:]):
         lin = linear_symbols[t].apply(traj.states[0])
-        worst = max(worst, lp_norm_state(X - lin, 2))
+        worst = max(worst, lp_norm((X - lin).components(), 2))
     result.add("linear-control", 0.0, worst, 1e-12, mode="bound")
     return result
+
+
+def _dipole_data(ctx: RunManifest, grid: Grid):
+    """incompressible-limit's dipole-data case, zero circulation and nonzero first
+    moments: the momentum of a dipole's Biot-Savart velocity at amplitude epsilon,
+    and the first moments of its vorticity (ProfileError if that is not localized)."""
+    params = ctx.params
+    u0 = biot_savart(dipole_vorticity_field(grid, 1, 1.0, params))
+    amp = ctx.epsilon / lp_norm(u0, np.inf)
+    m0 = (u0[0] * (amp * params.rho_star), u0[1] * (amp * params.rho_star))
+    X0 = State(SpectralField.zero(grid), m0).dealiased()
+    return X0, first_moments_beta(vorticity_of(X0.m, params), params)
 
 
 def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
@@ -764,13 +765,7 @@ def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
     result = ExperimentResult(name)
     times = _snapshot_times(horizon, 12)
 
-    # dipole-data case: zero circulation, nonzero first moments
-    omega0 = dipole_vorticity_field(grid, 1, 1.0, params)
-    u0 = biot_savart(omega0)
-    amp = ctx.epsilon / lp_norm_vector(u0, np.inf)
-    m0 = (u0[0] * (amp * rs), u0[1] * (amp * rs))
-    X0 = State(SpectralField.zero(grid), m0).dealiased()
-    moments = first_moments_beta(vorticity_of(X0.m, params), params)
+    X0, moments = _dipole_data(ctx, grid)
     traj = _simulate(ctx, grid, X0, horizon, times, f"{name} dipole-data")
 
     # one Leray split and one reference profile per snapshot
@@ -780,7 +775,7 @@ def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
     ]
     ps = (2.0, np.inf)
     norms = [
-        _lp_series(grid, (vector_magnitude(_dx(d, sigma)) for d in residuals), ps)
+        _lp_series(grid, (magnitude(_dx(d, sigma)) for d in residuals), ps)
         for sigma in (0, 1)
     ]
     for i, p in enumerate(ps):
@@ -805,7 +800,7 @@ def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
     # "weighted residual decays": monotone over the last half, final below
     # half the t=1 value (the dipole case above carries the 20% threshold).
     omega_g, ug = oseen_pair_fields(grid, 1.0, params)
-    ampg = ctx.epsilon / lp_norm_vector(ug, np.inf)
+    ampg = ctx.epsilon / lp_norm(ug, np.inf)
     m0g = (ug[0] * (ampg * rs), ug[1] * (ampg * rs))
     X0g = State(SpectralField.zero(grid), m0g).dealiased()
     alpha_scaled = circulation_alpha(omega_g, params) * ampg
@@ -815,7 +810,7 @@ def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
         _perp_residual(X, oseen_pair_fields(grid, t, params)[1], rs * alpha_scaled)
         for t, X in zip(trajg.times[1:], trajg.states[1:])
     )
-    for p, norms in zip(ps, _lp_series(grid, map(vector_magnitude, vortex_residuals), ps)):
+    for p, norms in zip(ps, _lp_series(grid, map(magnitude, vortex_residuals), ps)):
         result.decay(f"vortex-residual-p{p:g}-s0", "incompressible_weight", p, 0, times, norms,
                      horizon, 0.5)
     result.extras = {"beta": list(moments.beta), "alpha_scaled": alpha_scaled,
@@ -946,6 +941,17 @@ def _check_pointwise_box(record, ctx: RunManifest):
             )
 
 
+def _check_dipole_data(record, ctx: RunManifest):
+    """incompressible-limit's dipole data must be localized on the record's box."""
+    grid = record.grid(ctx)
+    try:
+        _dipole_data(ctx, grid)
+    except ProfileError as err:
+        raise ConfigError(
+            f"n/L: {record.name} initial data on its box (n = {grid.n}, L = {grid.L:g}): {err}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class Experiment:
     """One experiment: its run function, the grid it measures on (from the
@@ -965,7 +971,14 @@ class Experiment:
         return self.horizon_rule(ctx, self.grid(ctx))
 
     def precheck(self, ctx: RunManifest) -> None:
-        """Raise ConfigError if ctx cannot give this experiment a valid run."""
+        """Raise ConfigError if ctx cannot give this experiment a valid run.  A run
+        with a horizon takes its snapshots on [1, h], so it needs h > 1."""
+        if self.horizon_rule is not None and not (h := self.horizon(ctx)) > 1.0:
+            raise ConfigError(
+                f"{'T' if ctx.T <= 1.0 else 'n/L'}: {self.name} takes snapshots on [1, h] and "
+                f"needs a horizon h > 1; T = {ctx.T:g}, n = {ctx.n}, L = {ctx.L:g} give "
+                f"h = {h:.4g}"
+            )
         for check in self.checks:
             check(self, ctx)
 
@@ -982,7 +995,7 @@ RECORDS = {
         Experiment("nonlinear-smallness", run_nonlinear_smallness,
                    horizon_rule=_acoustic_horizon, checks=(_check_cfl,)),
         Experiment("incompressible-limit", run_incompressible_limit, box=_half_box,
-                   horizon_rule=_diffusive_horizon, checks=(_check_cfl,)),
+                   horizon_rule=_diffusive_horizon, checks=(_check_cfl, _check_dipole_data)),
         Experiment("vorticity-profiles", run_vorticity_profiles, box=_half_box,
                    horizon_rule=lambda ctx, grid: max(ctx.T, 64.0)),
     )

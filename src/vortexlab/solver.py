@@ -286,22 +286,18 @@ class Trajectory:
     abort_reason: str = ""
 
 
-def _grad_sobolev_norm(X: State, s: int) -> float:
-    """H^{s-1} norm of the gradient, the dissipation half of the energy bound."""
-    grid = X.grid
-    weight = grid.eta_sq * (1.0 + grid.eta_sq) ** max(s - 1, 0)
-    pairs = [(c.coeffs, c.coeffs) for c in X.components()]
-    return float(np.sqrt(parseval_sum(grid, pairs, weight)))
-
-
 def _diagnostics(X: State, t: float) -> dict:
-    """Snapshot diagnostics; `simulate` adds the Kawashima energy."""
+    """Snapshot diagnostics; `simulate` adds the Kawashima energy.  `grad_hs1` is
+    the H^{s-1} norm of the gradient, the dissipation half of the energy bound."""
+    grid = X.grid
+    grad_weight = grid.eta_sq * (1.0 + grid.eta_sq) ** (HS_INDEX - 1)
+    pairs = [(c.coeffs, c.coeffs) for c in X.components()]
     return {
         "t": t,
         "mass": float(X.rho.coeffs[0, 0].real),
         "min_density": float(1.0 + X.rho.values().min()),
         "hs": sobolev_norm(X, HS_INDEX),
-        "grad_hs1": _grad_sobolev_norm(X, HS_INDEX),
+        "grad_hs1": float(np.sqrt(parseval_sum(grid, pairs, grad_weight))),
     }
 
 

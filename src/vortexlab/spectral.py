@@ -256,8 +256,8 @@ def to_spectral(values: np.ndarray, grid: Grid, out: np.ndarray | None = None) -
     return out
 
 
-def _check_same_grid(a: Grid, b: Grid):
-    if a != b:
+def _check_same_grid(*grids: Grid):
+    if len(set(grids)) > 1:
         raise SpectralError("fields live on different grids")
 
 
@@ -269,8 +269,7 @@ class State:
     m: tuple[SpectralField, SpectralField]
 
     def __post_init__(self):
-        _check_same_grid(self.rho.grid, self.m[0].grid)
-        _check_same_grid(self.rho.grid, self.m[1].grid)
+        _check_same_grid(self.rho.grid, self.m[0].grid, self.m[1].grid)
 
     @property
     def grid(self) -> Grid:
@@ -373,30 +372,20 @@ def leray_decompose(
     return perp, par
 
 
-def lp_norm(field: SpectralField, p: float) -> float:
-    """Riemann-sum L^p norm of the physical samples; p = inf gives the max."""
-    return lp_of_magnitude(np.abs(field.values()), field.grid, p)
+def magnitude(fields) -> np.ndarray:
+    """Pointwise magnitude sqrt(f1^2 + f2^2 + ...) of a field or of fields on one grid."""
+    fields = (fields,) if isinstance(fields, SpectralField) else tuple(fields)
+    _check_same_grid(*(f.grid for f in fields))
+    total = fields[0].values() ** 2
+    for f in fields[1:]:
+        total += f.values() ** 2
+    return np.sqrt(total, out=total)
 
 
-def lp_norm_vector(m: tuple[SpectralField, SpectralField], p: float) -> float:
-    """L^p norm of the pointwise Euclidean magnitude of a vector field."""
-    return lp_of_magnitude(vector_magnitude(m), m[0].grid, p)
-
-
-def lp_norm_state(state: State, p: float) -> float:
-    """L^p norm of the pointwise magnitude over the three state components."""
-    return lp_of_magnitude(state_magnitude(state), state.grid, p)
-
-
-def vector_magnitude(m: tuple[SpectralField, SpectralField]) -> np.ndarray:
-    """Pointwise Euclidean magnitude of a vector field's samples."""
-    return np.hypot(m[0].values(), m[1].values())
-
-
-def state_magnitude(state: State) -> np.ndarray:
-    """Pointwise magnitude of the three state components' samples."""
-    r, m1, m2 = (c.values() for c in state.components())
-    return np.sqrt(r**2 + m1**2 + m2**2)
+def lp_norm(fields, p: float) -> float:
+    """Riemann-sum L^p norm of `magnitude(fields)`; p = inf gives the max."""
+    grid = fields.grid if isinstance(fields, SpectralField) else fields[0].grid
+    return lp_of_magnitude(magnitude(fields), grid, p)
 
 
 def lp_of_magnitude(mag: np.ndarray, grid: Grid, p: float) -> float:
@@ -424,12 +413,6 @@ def sobolev_norm(state: State, s: int) -> float:
     grid = state.grid
     pairs = [(c.coeffs, c.coeffs) for c in state.components()]
     return float(np.sqrt(parseval_sum(grid, pairs, (1.0 + grid.eta_sq) ** s)))
-
-
-def l2_inner(a: SpectralField, b: SpectralField) -> float:
-    """L^2 inner product via Parseval."""
-    _check_same_grid(a.grid, b.grid)
-    return parseval_sum(a.grid, [(a.coeffs, b.coeffs)])
 
 
 def sample(grid: Grid, func) -> SpectralField:

@@ -269,6 +269,38 @@ def test_sound_decay_horizon_beyond_its_fit_window_exits_2_before_compute(
     assert parse_config("T = 36\nexperiments = sound-decay\n").T == 36.0
 
 
+@pytest.mark.parametrize(
+    "text, run, start",
+    [
+        # snapshots on [1, h]: T = 0.5 gives h = 0.5; kernel-algebra, selected first, does not run
+        ("T = 0.5\nexperiments = kernel-algebra, sound-decay\n", "sound-decay",
+         "error: T: sound-decay takes snapshots on [1, h]"),
+        # T = 30 is capped by the acoustic ring on L = 8: h = 0.53
+        ("n = 64\nL = 8\nexperiments = sound-decay\n", "sound-decay",
+         "error: n/L: sound-decay takes snapshots on [1, h]"),
+        # the dipole data's edge/peak vorticity on the half box L = 100 is 1.5e-4 > 1e-10
+        ("n = 128\nexperiments = incompressible-limit\n", "incompressible-limit",
+         "error: n/L: incompressible-limit initial data on its box (n = 128, L = 100): vorticity"),
+    ],
+    ids=["horizon-T", "horizon-n-L", "dipole-data-not-localized"],
+)
+def test_unusable_horizon_or_data_exits_2_before_compute(
+    tmp_path, capsys, monkeypatch, text, run, start
+):
+    calls = []
+    for name in ("kernel-algebra", run):
+        monkeypatch.setitem(harness.EXPERIMENTS, name, calls.append)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    outdir = tmp_path / "out"
+    code = main(["--config", str(cfg), "--outdir", str(outdir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(start)
+    assert not outdir.exists()
+    assert calls == []
+
+
 def test_negative_seed_exits_2_before_compute(tmp_path, capsys, monkeypatch):
     # kernel-algebra seeds numpy's generator, which raised a ValueError on -1
     monkeypatch.setitem(harness.EXPERIMENTS, "kernel-algebra", _never_run)

@@ -195,6 +195,17 @@ def test_run_experiment_prechecks_before_compute(monkeypatch):
     assert calls == []
 
 
+def test_run_experiment_rejects_a_horizon_of_one_or_less(monkeypatch):
+    # nonlinear-smallness takes its snapshots on [1, h]: T = 0.5 used to end in a
+    # bare SolverError from the solver's snapshot-time check
+    calls = []
+    monkeypatch.setitem(harness.EXPERIMENTS, "nonlinear-smallness", calls.append)
+    for T in (0.5, 1.0):
+        with pytest.raises(ConfigError, match=r"^T: nonlinear-smallness .* h > 1"):
+            run_experiment("nonlinear-smallness", RunManifest(T=T))
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "key, values",
     [
@@ -301,7 +312,7 @@ def test_zero_amplitude_residuals_vanish_identically():
     # the eps = 0 limit of the profile-convergence residual is exactly zero
     from vortexlab.profiles import FluidParams, Moments, profile_superposition
     from vortexlab.solver import SolverConfig, simulate
-    from vortexlab.spectral import leray_decompose, lp_norm_vector, make_grid
+    from vortexlab.spectral import leray_decompose, lp_norm, make_grid
 
     grid = make_grid(32, 50.0)
     params = FluidParams()
@@ -312,8 +323,8 @@ def test_zero_amplitude_residuals_vanish_identically():
         perp, _ = leray_decompose(X.m)
         _, uref = profile_superposition(moments, t, params, grid)
         diff = (perp[0] - uref[0], perp[1] - uref[1])
-        assert lp_norm_vector(diff, 2) == 0.0
-        assert lp_norm_vector(diff, np.inf) == 0.0
+        assert lp_norm(diff, 2) == 0.0
+        assert lp_norm(diff, np.inf) == 0.0
 
 
 def _stub_simulate(abort_call):

@@ -435,7 +435,7 @@ def test_interpolation_inequality_on_heat_flow():
     # ||f||_{3/2} <= C ||f||_2^{2/3} |||x| f||_2^{1/3} with a t-stable ratio:
     # the mechanism behind the small-p rate of second-moment-free data
     from vortexlab.profiles import biot_savart, dipole_vorticity_field
-    from vortexlab.spectral import lp_norm_vector
+    from vortexlab.spectral import lp_norm
 
     grid = make_grid(256, 200.0)
     omega = dipole_vorticity_field(grid, 1, 1.0, PARAMS)
@@ -447,7 +447,7 @@ def test_interpolation_inequality_on_heat_flow():
         f = (SpectralField(grid, h * m0[0].coeffs), SpectralField(grid, h * m0[1].coeffs))
         mag = np.hypot(f[0].values(), f[1].values())
         n32 = (np.sum(mag**1.5) * grid.dx**2) ** (2.0 / 3.0)
-        n2 = lp_norm_vector(f, 2)
+        n2 = lp_norm(f, 2)
         nw = float(np.sqrt(np.sum((radius * mag) ** 2) * grid.dx**2))
         ratios.append(n32 / (n2 ** (2.0 / 3.0) * nw ** (1.0 / 3.0)))
     ratios = np.array(ratios)

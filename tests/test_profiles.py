@@ -20,7 +20,6 @@ from vortexlab.spectral import (
     derivative,
     divergence,
     lp_norm,
-    lp_norm_vector,
     make_grid,
     sample,
     transform,
@@ -257,7 +256,7 @@ def test_profile_superposition_velocity_scaling():
     vals = []
     for t in (1.0, 2.0, 4.0, 8.0, 16.0):
         _, u = profile_superposition(Moments(0.0, (1.0, 0.0)), t, PARAMS, grid)
-        vals.append(t * lp_norm_vector(u, np.inf))
+        vals.append(t * lp_norm(u, np.inf))
     vals = np.array(vals)
     assert vals.max() / vals.min() - 1.0 < 0.01
 

@@ -15,7 +15,6 @@ from vortexlab.spectral import (
     FullLattice,
     SpectralField,
     State,
-    l2_inner,
     leray_decompose,
     lp_norm,
     make_grid,
@@ -103,9 +102,8 @@ def test_leray_idempotent_and_orthogonal(grid, seed):
     for i in range(2):
         assert np.abs((perp2[i] - perp[i]).coeffs).max() < 1e-12 * scale
         assert np.abs(par2[i].coeffs).max() < 1e-12 * scale
-    inner = sum(l2_inner(a, b) for a, b in zip(perp, par))
-    na = np.sqrt(sum(lp_norm(f, 2) ** 2 for f in perp))
-    nb = np.sqrt(sum(lp_norm(f, 2) ** 2 for f in par))
+    inner = parseval_sum(grid, [(a.coeffs, b.coeffs) for a, b in zip(perp, par)])
+    na, nb = lp_norm(perp, 2), lp_norm(par, 2)
     assert abs(inner) < 1e-12 * na * nb
 
 

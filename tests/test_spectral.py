@@ -8,10 +8,11 @@ from vortexlab.spectral import (
     derivative,
     divergence,
     gradient,
-    l2_inner,
     leray_decompose,
     lp_norm,
+    magnitude,
     make_grid,
+    parseval_sum,
     sample,
     sobolev_norm,
     transform,
@@ -139,9 +140,8 @@ def test_leray_idempotent_orthogonal_and_exact(rng):
         assert np.abs(divergence(perp).coeffs).max() < 1e-11
         assert np.abs(curl(par).coeffs).max() < 1e-11
         # L2 orthogonality
-        inner = l2_inner(perp[0], par[0]) + l2_inner(perp[1], par[1])
-        na = np.hypot(lp_norm(perp[0], 2), lp_norm(perp[1], 2))
-        nb = np.hypot(lp_norm(par[0], 2), lp_norm(par[1], 2))
+        inner = parseval_sum(grid, [(a.coeffs, b.coeffs) for a, b in zip(perp, par)])
+        na, nb = lp_norm(perp, 2), lp_norm(par, 2)
         if na > 0 and nb > 0:
             assert abs(inner) < 1e-12 * na * nb
 
@@ -193,6 +193,23 @@ def test_lp_norm_rejects_small_p(rng):
     f = random_field(grid, rng)
     with pytest.raises(SpectralError):
         lp_norm(f, 0.5)
+
+
+def test_magnitude_and_lp_norm_of_several_fields(rng):
+    grid = make_grid(32, 6.0)
+    fields = [random_field(grid, rng) for _ in range(3)]
+    values = [f.values() for f in fields]
+    assert np.array_equal(magnitude(fields[0]), np.abs(values[0]))
+    for k in (2, 3):
+        rss = np.sqrt(sum(v**2 for v in values[:k]))
+        assert np.array_equal(magnitude(fields[:k]), rss)
+    pair = tuple(fields[:2])
+    components = np.hypot(lp_norm(pair[0], 2), lp_norm(pair[1], 2))
+    assert lp_norm(pair, 2) == pytest.approx(components, rel=1e-14)
+    with pytest.raises(SpectralError):
+        lp_norm(pair, 0.5)
+    with pytest.raises(SpectralError, match="different grids"):
+        magnitude((fields[0], random_field(make_grid(32, 7.0), rng)))
 
 
 def test_sobolev_norm_basics(rng):
