@@ -909,6 +909,15 @@ def _check_sound_window(record, ctx: RunManifest):
         )
 
 
+def _check_dipole_horizon(record, ctx: RunManifest):
+    """The age-1 dipole run to the horizon h keeps two diffusive widths 2 sqrt(nu (h + 1))
+    inside L/2, where its nearest periodic image is as close: h <= (L/8)^2 / nu - 1."""
+    h, box = record.horizon(ctx), record.grid(ctx).L
+    if h > (most := (box / 8.0) ** 2 / ctx.params.nu - 1.0):
+        raise ConfigError(f"{'T' if ctx.T >= h else 'n/L'}: {record.name} needs a dipole horizon "
+                          f"h <= (L/8)^2/nu - 1 = {most:.4g} on its box (L = {box:g}), not {h:.4g}")
+
+
 def _check_hf_band(record, ctx: RunManifest):
     """The high-frequency fit needs grid wavenumbers beyond the cutoff radius."""
     grid = record.grid(ctx)
@@ -997,7 +1006,8 @@ RECORDS = {
         Experiment("incompressible-limit", run_incompressible_limit, box=_half_box,
                    horizon_rule=_diffusive_horizon, checks=(_check_cfl, _check_dipole_data)),
         Experiment("vorticity-profiles", run_vorticity_profiles, box=_half_box,
-                   horizon_rule=lambda ctx, grid: max(ctx.T, 64.0)),
+                   horizon_rule=lambda ctx, grid: max(ctx.T, 64.0),
+                   checks=(_check_dipole_horizon,)),
     )
 }
 
@@ -1024,6 +1034,8 @@ class RunManifest:
     dt: float | None = None
     T: float = 30.0
     seed: int = 0
+    # nonlinear-smallness's deviation at 0.1 epsilon, squared in L^2: (0.1 eps)^4 stays normal
+    EPSILON_MIN = 10.0 * float(np.finfo(float).tiny) ** 0.25
 
     def __post_init__(self):
         for f in fields(self):
@@ -1042,8 +1054,8 @@ class RunManifest:
             raise ConfigError(f"dt: must be positive, got {self.dt}")
         if not self.T > 0:
             raise ConfigError(f"T: must be positive, got {self.T}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon: must be positive, got {self.epsilon}")
+        if not self.epsilon >= (least := self.EPSILON_MIN):
+            raise ConfigError(f"epsilon: must be at least {least:.3g}, got {self.epsilon}")
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError(f"seed: must be a nonnegative integer, got {self.seed}")
         for name in self.experiments:

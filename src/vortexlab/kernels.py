@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profiles import FluidParams
-from .spectral import FullLattice, Grid, State, as_multi_index, derivative_multiplier
+from .spectral import Band, FullLattice, Grid, State, as_multi_index, derivative_multiplier
 
 
 class KernelError(ValueError):
@@ -175,13 +175,13 @@ def _over_mag2(x, mag2_odd):
 class KernelSymbol:
     """Blockwise Fourier multiplier on states (rho_hat, m_hat), in Helmholtz form.
 
-    Five real arrays on the half lattice; with eta the odd wavevector,
+    Five real arrays on a grid's half lattice or its band; with eta the odd wavevector,
 
         rho' = d rho + i b (eta . m)
         m'   = p m + q eta (eta . m) + i c eta rho
     """
 
-    grid: Grid
+    grid: Grid | Band
     d: np.ndarray
     b: np.ndarray
     c: np.ndarray
@@ -192,7 +192,7 @@ class KernelSymbol:
         return (self.d, self.b, self.c, self.p, self.q)
 
     def apply(self, X, out: np.ndarray | None = None):
-        """The symbol applied to a State, or to a (3, n, n/2+1) coefficient stack,
+        """The symbol applied to a State, or to a (3, ...) coefficient stack on its lattice,
         giving the same kind; a stack's result goes into `out` (not overlapping X) if given."""
         # with u = i eta . m:  rho' = d rho + b u,  m' = p m + i eta (c rho - q u);
         # eta_odd is separable, so i eta enters as a complex row and column
@@ -263,7 +263,7 @@ def _check_nonnegative_time(t: float):
         raise KernelError(f"kernel symbols are defined for t >= 0, got {t}")
 
 
-def _grid_symbol(kind: str, t: float, grid: Grid, params: FluidParams, fk: int = 0):
+def _grid_symbol(kind: str, t: float, grid: Grid | Band, params: FluidParams, fk: int = 0):
     """Entries evaluated once per (|eta|^2, |eta_odd|^2) shell, then gathered."""
     _check_nonnegative_time(t)
     mag2, mag2_odd, inverse = grid.shells
@@ -274,7 +274,7 @@ def spar_symbol_grid(t: float, grid: Grid, params: FluidParams) -> KernelSymbol:
     return _grid_symbol("spar", t, grid, params)
 
 
-def s_symbol_grid(t: float, grid: Grid, params: FluidParams) -> KernelSymbol:
+def s_symbol_grid(t: float, grid: Grid | Band, params: FluidParams) -> KernelSymbol:
     return _grid_symbol("s", t, grid, params)
 
 
@@ -283,7 +283,7 @@ def artificial_symbol_grid(t: float, grid: Grid, params: FluidParams) -> KernelS
 
 
 def phi_symbol_grid(
-    k: int, t: float, grid: Grid, params: FluidParams, kind: str = "s"
+    k: int, t: float, grid: Grid | Band, params: FluidParams, kind: str = "s"
 ) -> KernelSymbol:
     """phi_k(t * generator) as a blockwise symbol (exponential-integrator weights)."""
     return _grid_symbol(kind, t, grid, params, fk=k)

@@ -8,9 +8,10 @@ The integrator works in reduced variables (rho_tilde / rho_star, m / rho_star)
 so the flux decomposition reads literally with 1 + rho_tilde standing for
 rho / rho_star; `simulate` scales physical data in and out at its boundary.
 
-Both solvers take one ETD2 step, `_etd2_step`, on a coefficient stack in place.
-Each run (`simulate`, `vorticity_simulate` or one `step`) makes its three stage
-buffers and its source's scratch once; nothing is cached between runs.
+Both solvers take one ETD2 step, `_etd2_step`, in place on a stack of the 2/3-rule
+band (`Grid.band`), which dealiased data, the sources and every symbol keep; a
+snapshot expands it with exact zeros.  Each run (`simulate`, `vorticity_simulate`
+or one `step`) makes its stage buffers and source scratch once; nothing is cached.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from .kernels import KernelSymbol, phi, phi_symbol_grid, s_symbol_grid
 from .profiles import FluidParams, PowerPressureLaw
 from .spectral import (
+    Band,
     Grid,
     SpectralField,
     State,
@@ -91,23 +93,24 @@ def _guard_vacuum(one: np.ndarray) -> np.ndarray:
 
 
 def _fourier_source(grid: Grid, params: FluidParams):
-    """The assembled nonlinear source sum_k d_k Q_k as `source(X, out)`, which
-    writes it into `out` (zero density row) through scratch made once per run.
+    """The assembled nonlinear source sum_k d_k Q_k of a band stack as `source(X, out)`,
+    which writes it into `out` (zero density row) through scratch made once per run.
 
     Q_k = (0, q1[k] + div q2[k]): q1 carries the momentum flux m m/(1+rho)
     and the pressure remainder, q2 the viscous terms of g = m rho/(1+rho).
     One inverse transform of the stack and one forward transform of the five
     stacked products: the pressure remainder only enters the flux diagonal,
     so it is added there before transforming.  The source is linear in the
-    transformed products with diagonal multipliers, so dealiasing it once
-    equals dealiasing every product.
+    transformed products with diagonal multipliers, so keeping the products'
+    band dealiases every product.
     """
-    work, spec = (np.empty((k,) + grid.spectral_shape, dtype=np.complex128) for k in (3, 5))
+    band, work = grid.band, np.empty((5,) + grid.spectral_shape, dtype=np.complex128)
+    spec = np.empty((7,) + band.spectral_shape, dtype=np.complex128)
     phys, products = np.empty((3, grid.n, grid.n)), np.empty((5, grid.n, grid.n))
-    visc, e1, e2 = params.mu * grid.eta_sq, grid.eta1_odd, grid.eta2_odd
+    visc, e1, e2 = params.mu * band.eta_sq, band.eta1_odd, band.eta2_odd
 
     def source(X: np.ndarray, out: np.ndarray) -> np.ndarray:
-        rho, w1, w2 = to_physical(X, grid, out=phys, work=work)
+        rho, w1, w2 = to_physical(X, grid, out=phys, work=work[:3])
         f11, f12, f22, g1, g2 = products  # 1 + rho, a1, a2, P_rem wait in free slots
         one = _guard_vacuum(np.add(1.0, rho, out=f12))
         a1, a2 = np.divide(w1, one, out=g1), np.divide(w2, one, out=g2)
@@ -117,8 +120,8 @@ def _fourier_source(grid: Grid, params: FluidParams):
         np.multiply(w1, a2, out=f12)
         np.subtract(w1, a1, out=g1)
         np.subtract(w2, a2, out=g2)
-        f11, f12, f22, g1, g2 = to_spectral(products, grid, out=spec)
-        div_g, tmp = work[0], work[1]
+        f11, f12, f22, g1, g2 = to_spectral(products, grid, out=spec[:5], work=work)
+        div_g, tmp = spec[5], spec[6]
         np.multiply(e1, g1, out=div_g)
         div_g += np.multiply(e2, g2, out=tmp)
         np.multiply(params.mu + params.lam, div_g, out=div_g)
@@ -130,7 +133,6 @@ def _fourier_source(grid: Grid, params: FluidParams):
             np.multiply(1j, s, out=s)
             s += np.multiply(visc, g, out=tmp)
             s += np.multiply(e, div_g, out=tmp)
-            np.multiply(s, grid.dealias_mask, out=s)
         return out
 
     return source
@@ -211,8 +213,8 @@ class _StepTables:
     w_gamma: KernelSymbol | None = None
 
 
-def _tables(grid: Grid, params: FluidParams, h: float, scheme: str) -> _StepTables:
-    """Symbol tables of one step of length h, built on every call (no cache)."""
+def _tables(grid: Grid | Band, params: FluidParams, h: float, scheme: str) -> _StepTables:
+    """Symbol tables of one step of length h on the band, built on every call (no cache)."""
     exp_full = s_symbol_grid(h, grid, params)
     phi1 = phi_symbol_grid(1, h, grid, params).scaled(h)
     phi2 = phi_symbol_grid(2, h, grid, params).scaled(h)
@@ -254,18 +256,18 @@ def _advance(X: np.ndarray, stages: np.ndarray, source, tab: _StepTables, scheme
 
 
 def step(X: State, dt: float, config: SolverConfig) -> State:
-    """One ETD step of length dt on a reduced-variable state; its symbol tables,
-    stages and source scratch are made on every call and nothing is cached."""
+    """One ETD step of length dt on the band of a reduced-variable state; its symbol
+    tables, stages and source scratch are made on every call and nothing is cached."""
     if X.grid != config.grid:
         raise SolverError("state grid does not match config grid")
-    params = scaled_params(config.params)
-    tab = _tables(config.grid, params, dt, config.scheme)
+    params, band = scaled_params(config.params), config.grid.band
+    tab = _tables(band, params, dt, config.scheme)
+    stack = band.gather(np.stack([c.coeffs for c in X.components()]))
     if not config.nonlinear:
-        return tab.exp_full.apply(X)
-    stack = np.stack([c.coeffs for c in X.components()])
+        return State.from_stack(config.grid, band.scatter(tab.exp_full.apply(stack)))
     source = _fourier_source(config.grid, params)
     _advance(stack, np.empty((3,) + stack.shape, stack.dtype), source, tab, config.scheme)
-    return State.from_stack(config.grid, stack)
+    return State.from_stack(config.grid, band.scatter(stack))
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +323,11 @@ def simulate(X0: State, config: SolverConfig) -> Trajectory:
         raise SolverError("initial state grid does not match config grid")
     if not config.snapshot_times:
         raise SolverError("config.snapshot_times must not be empty")
-    rs = config.params.rho_star
+    rs, band = config.params.rho_star, config.grid.band
     params = scaled_params(config.params)
     X = (X0 * (1.0 / rs)).dealiased()
     dt_target = config.dt_effective
-    stack = np.stack([c.coeffs for c in X.components()])
+    stack = band.gather(np.stack([c.coeffs for c in X.components()]))
     stages, source = np.empty((3,) + stack.shape, stack.dtype), _fourier_source(config.grid, params)
 
     times, states = [0.0], [X * rs]
@@ -345,16 +347,16 @@ def simulate(X0: State, config: SolverConfig) -> Trajectory:
         h = gap / nsub
         try:
             if config.nonlinear:
-                tab = _tables(config.grid, params, h, config.scheme)
+                tab = _tables(band, params, h, config.scheme)
                 for _ in range(nsub):
                     _advance(stack, stages, source, tab, config.scheme)
             else:
-                stack[...] = s_symbol_grid(gap, config.grid, params).apply(stack)
+                stack[...] = s_symbol_grid(gap, band, params).apply(stack)
         except SolverAbort as err:
             reason = str(err)
             break
         t_prev = t_snap
-        phys = State.from_stack(config.grid, stack) * rs  # a copy: the stack moves on
+        phys = State.from_stack(config.grid, band.scatter(stack)) * rs
         times.append(t_snap)
         states.append(phys)
         row = _diagnostics(phys, t_snap)
@@ -378,21 +380,22 @@ class VorticityTrajectory:
 
 
 def _vorticity_source(grid: Grid):
-    """-div(u omega) in Fourier coefficients, dealiased, with u the torus Biot-Savart
-    velocity of the zero-mean part of omega, as `source(x, out)` on (1, n, n/2+1) stacks.
+    """-div(u omega) in Fourier coefficients on the band, with u the torus Biot-Savart
+    velocity of the zero-mean part of omega, as `source(x, out)` on (1, band) stacks.
     One inverse transform of (u1, u2, omega), one forward transform of the two fluxes:
-    the fluxes overwrite u1 and u2, and their spectra the inverse transform's input."""
-    k1, k2 = grid.biot_savart_multiplier
-    d1, d2, mask = -1j * grid.eta1_odd, -1j * grid.eta2_odd, grid.dealias_mask
-    spec, phys = np.empty((3,) + grid.spectral_shape, complex), np.empty((3, grid.n, grid.n))
+    the fluxes overwrite u1 and u2, and their band spectra the inverse transform's input."""
+    band = grid.band
+    (k1, k2), d1, d2 = band.biot_savart_multiplier, -1j * band.eta1_odd, -1j * band.eta2_odd
+    spec, phys = np.empty((3,) + band.spectral_shape, complex), np.empty((3, grid.n, grid.n))
+    work = np.empty((3,) + grid.spectral_shape, complex)
 
     def source(x: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.multiply(k1, x[0], out=spec[0])
         np.multiply(k2, x[0], out=spec[1])
         spec[2] = x[0]
-        w = to_physical(spec, grid, out=phys, work=spec)[2]
+        w = to_physical(spec, grid, out=phys, work=work)[2]
         fluxes = np.multiply(phys[:2], w, out=phys[:2])
-        f1, f2 = np.multiply(to_spectral(fluxes, grid, out=spec[:2]), mask, out=spec[:2])
+        f1, f2 = to_spectral(fluxes, grid, out=spec[:2], work=work[:2])
         np.multiply(d1, f1, out=out[0])
         out[0] += np.multiply(d2, f2, out=f2)
         return np.negative(out, out=out)
@@ -406,20 +409,20 @@ def vorticity_simulate(
     """Advance the 2D vorticity equation by ETD2RK with exact heat flow; the
     run's stages and source scratch are made once, and each snapshot is a copy."""
     snapshot_times = _time_grid(dt, snapshot_times)
-    grid = omega0.grid
-    omega = omega0.dealiased().coeffs[None]
+    grid, band = omega0.grid, omega0.grid.band
+    omega = band.gather(omega0.coeffs[None])
     stages, source = np.empty((3,) + omega.shape, omega.dtype), _vorticity_source(grid)
-    times, snaps = [0.0], [SpectralField(grid, omega[0].copy())]
+    times, snaps = [0.0], [SpectralField(grid, band.scatter(omega)[0])]
     t_prev = 0.0
     for t_snap in snapshot_times:
         gap = t_snap - t_prev
         nsub = max(1, math.ceil(gap / dt - 1e-12))
         h = gap / nsub
-        lh = -nu * grid.eta_sq * h
+        lh = -nu * band.eta_sq * h
         weights = [partial(np.multiply, w) for w in (np.exp(lh), h * phi(1, lh), h * phi(2, lh))]
         for _ in range(nsub):
             _etd2_step(omega, stages, source, weights)
         t_prev = t_snap
         times.append(t_prev)
-        snaps.append(SpectralField(grid, omega[0].copy()))
+        snaps.append(SpectralField(grid, band.scatter(omega)[0]))
     return VorticityTrajectory(tuple(times), tuple(snaps))

@@ -20,6 +20,12 @@ columns by 1 and every other column by 2 (`Grid.hermitian_weight`).
 Transforms are numpy's real 2-D FFTs and accept stacks of fields along
 leading axes; `to_spectral` makes the self-conjugate columns exactly
 Hermitian, and every multiplier here keeps them so.
+
+Band layout.  The solvers store only the 2/3-rule band of dealiased spectra
+(`Grid.band`): rows k1 = 0..n/3, -n/3..-1, columns k2 = 0..n/3.  Transforms of band
+spectra run the row pass on its columns only; the inverse re-zeroes the gap rows
+between the two row blocks on every call, which the last call's in-place row pass
+filled.  The rows are symmetric under k1 -> -k1, so column 0 is fixed as above.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ class _Wavenumbers:
 
     @cached_property
     def eta2(self) -> np.ndarray:
-        return (2.0 * np.pi / self.L) * self.k_cols[None, :] * np.ones((self.n, 1))
+        return (2.0 * np.pi / self.L) * self.k_cols[None, :] * np.ones((len(self.k_index), 1))
 
     @cached_property
     def eta_sq(self) -> np.ndarray:
@@ -88,6 +94,17 @@ class _Wavenumbers:
         cols = np.abs(self.k_cols) <= self.n // 3
         return rows[:, None] & cols[None, :]
 
+    @property
+    def spectral_shape(self) -> tuple[int, int]:
+        return (len(self.k_index), len(self.k_cols))
+
+    @cached_property
+    def shells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(mag2, mag2_odd, inverse): the distinct float pairs (eta_sq, eta_sq_odd)
+        and the index with eta_sq == mag2[inverse], eta_sq_odd == mag2_odd[inverse]."""
+        keys, inverse = np.unique((self.eta_sq + 1j * self.eta_sq_odd).ravel(), return_inverse=True)
+        return keys.real.copy(), keys.imag.copy(), inverse.reshape(self.spectral_shape)
+
 
 @dataclass(frozen=True)
 class Grid(_Wavenumbers):
@@ -115,10 +132,6 @@ class Grid(_Wavenumbers):
     def dx(self) -> float:
         return self.L / self.n
 
-    @property
-    def spectral_shape(self) -> tuple[int, int]:
-        return (self.n, self.n // 2 + 1)
-
     @cached_property
     def k_index(self) -> np.ndarray:
         # integer lattice -n/2 .. n/2-1 in fft order
@@ -138,11 +151,8 @@ class Grid(_Wavenumbers):
         return weight
 
     @cached_property
-    def shells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(mag2, mag2_odd, inverse): the distinct float pairs (eta_sq, eta_sq_odd)
-        and the index with eta_sq == mag2[inverse], eta_sq_odd == mag2_odd[inverse]."""
-        keys, inverse = np.unique((self.eta_sq + 1j * self.eta_sq_odd).ravel(), return_inverse=True)
-        return keys.real.copy(), keys.imag.copy(), inverse.reshape(self.spectral_shape)
+    def band(self) -> "Band":
+        return Band(self)
 
     @cached_property
     def x1(self) -> np.ndarray:
@@ -171,6 +181,32 @@ class FullLattice(_Wavenumbers):
     def __init__(self, grid: Grid):
         self.n, self.L = grid.n, grid.L
         self.k_index = self.k_cols = grid.k_index
+
+
+class Band(_Wavenumbers):
+    """The 2/3-rule band of a grid's half lattice (see the module docstring)."""
+
+    def __init__(self, grid: Grid):
+        self.n, self.L, k = grid.n, grid.L, grid.n // 3
+        self.k_index, self.k_cols = np.r_[0 : k + 1, -k:0], np.arange(k + 1)
+        # (band rows, half-lattice rows) of the two row blocks k1 >= 0 and k1 < 0
+        self.blocks = (slice(0, k + 1),) * 2, (slice(k + 1, None), slice(-k, None))
+
+    def gather(self, coeffs: np.ndarray, out=None, op=np.positive) -> np.ndarray:
+        """op of the band of half spectra, into `out` if given."""
+        out = np.empty(coeffs.shape[:-2] + self.spectral_shape, complex) if out is None else out
+        for rows, lattice in self.blocks:
+            op(coeffs[..., lattice, : len(self.k_cols)], out=out[..., rows, :])
+        return out
+
+    def scatter(self, coeffs: np.ndarray, out=None, op=np.positive) -> np.ndarray:
+        """Half spectra, into `out` if given: op of band spectra on the band, 0 off it."""
+        k, shape = len(self.k_cols), coeffs.shape[:-2] + (self.n, self.n // 2 + 1)
+        out = np.empty(shape, complex) if out is None else out
+        out[..., k:], out[..., k : 1 - k, :k] = 0.0, 0.0  # the dropped columns, the gap rows
+        for rows, lattice in self.blocks:
+            op(coeffs[..., rows, :], out=out[..., lattice, :k])
+        return out
 
 
 def make_grid(n: int, L: float) -> Grid:
@@ -229,30 +265,39 @@ def _conj_partner(cols: np.ndarray) -> np.ndarray:
 
 
 def to_physical(coeffs: np.ndarray, grid: Grid, out=None, work=None) -> np.ndarray:
-    """Samples of a half spectrum, or of a stack of them along leading axes.
-    irfft2's two transforms run axis by axis, into `out` (real) and `work`
-    (complex, shaped like coeffs) when given, so a caller holding both
-    allocates no lattice array."""
-    work = np.conjugate(coeffs, out=work)
-    np.fft.ifftn(work, axes=(-2,), out=work)
+    """Samples of a half or band spectrum, or of a stack of them along leading axes.
+    irfft2's two transforms run axis by axis, into `out` (real) and `work` (complex,
+    half-lattice shaped) when given, so a caller holding both allocates no lattice array."""
+    band = grid.band
+    in_band = coeffs.shape[-2:] == band.spectral_shape
+    work = band.scatter(coeffs, work, np.conjugate) if in_band else np.conjugate(coeffs, out=work)
+    cols = len(band.k_cols) if in_band else work.shape[-1]
+    np.fft.ifftn(work[..., :cols], axes=(-2,), out=work[..., :cols])
     out = np.fft.irfftn(work, s=(grid.n,), axes=(-1,), out=out)
     out /= grid.dx**2
     return out
 
 
-def to_spectral(values: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+def to_spectral(values: np.ndarray, grid: Grid, out=None, work=None) -> np.ndarray:
     """Half spectra of real samples (or of a stack of them along leading axes),
-    written into `out` when it is given.
+    written into `out` when it is given; a band-shaped `out` gets the band, through
+    `work` (complex, half-lattice shaped) when given.
 
-    rfft2 rounds the two self-conjugate columns to slightly non-Hermitian
-    values; they are replaced by their Hermitian parts, so real fields have
-    exactly Hermitian spectra.
+    rfft2 rounds the self-conjugate columns to slightly non-Hermitian values;
+    they are replaced by their Hermitian parts, so real fields have exactly
+    Hermitian spectra.
     """
-    out = np.fft.rfft2(values, out=out)
-    np.conjugate(out, out=out)
+    band, fix = grid.band, [0, -1]
+    if out is not None and out.shape[-2:] == band.spectral_shape:
+        work, fix, cols = np.fft.rfftn(values, axes=(-1,), out=work), [0], len(band.k_cols)
+        np.fft.fftn(work[..., :cols], axes=(-2,), out=work[..., :cols])
+        band.gather(work, out, np.conjugate)
+    else:
+        out = np.fft.rfft2(values, out=out)
+        np.conjugate(out, out=out)
     out *= grid.dx**2
-    cols = out[..., [0, -1]]
-    out[..., [0, -1]] = 0.5 * (cols + _conj_partner(cols))
+    cols = out[..., fix]
+    out[..., fix] = 0.5 * (cols + _conj_partner(cols))
     return out
 
 

@@ -103,11 +103,13 @@ def test_parse_config_rejects_malformed_line():
         ("epsilon = -inf\n", "epsilon"),
         # eps = 0 used to end in ZeroDivisionError inside vorticity-profiles (exit 1)
         ("epsilon = 0\nexperiments = vorticity-profiles\n", "epsilon"),
+        # (0.1 eps)^4 underflows: sound-decay used to run, then fail its rate fit
+        ("epsilon = 1e-300\nexperiments = sound-decay\n", "epsilon"),
         # largest |eta| = sqrt(2) pi 64/200 = 1.42 lies inside the cutoff radius 2
         ("n = 64\nL = 200\nexperiments = kernel-rates\n", "n/L"),
     ],
     ids=["dt-full-box", "dt-half-box", "T-inf", "mu-nan", "epsilon-minus-inf", "epsilon-zero",
-         "hf-band-empty"],
+         "epsilon-underflow", "hf-band-empty"],
 )
 def test_invalid_config_exits_2_before_any_output(tmp_path, capsys, text, key):
     cfg = tmp_path / "bad.cfg"
@@ -281,8 +283,11 @@ def test_sound_decay_horizon_beyond_its_fit_window_exits_2_before_compute(
         # the dipole data's edge/peak vorticity on the half box L = 100 is 1.5e-4 > 1e-10
         ("n = 128\nexperiments = incompressible-limit\n", "incompressible-limit",
          "error: n/L: incompressible-limit initial data on its box (n = 128, L = 100): vorticity"),
+        # the dipole run to t = 300 on the half box used to FAIL its decay rows (exit 1)
+        ("T = 300\nexperiments = vorticity-profiles\n", "vorticity-profiles",
+         "error: T: vorticity-profiles needs a dipole horizon h <= (L/8)^2/nu - 1 = 155.2"),
     ],
-    ids=["horizon-T", "horizon-n-L", "dipole-data-not-localized"],
+    ids=["horizon-T", "horizon-n-L", "dipole-data-not-localized", "dipole-horizon-T"],
 )
 def test_unusable_horizon_or_data_exits_2_before_compute(
     tmp_path, capsys, monkeypatch, text, run, start

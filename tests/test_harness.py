@@ -212,6 +212,8 @@ def test_run_experiment_rejects_a_horizon_of_one_or_less(monkeypatch):
         ("epsilon", {"epsilon": -0.01}),
         ("epsilon", {"epsilon": 0.0}),
         ("epsilon", {"epsilon": float("-inf")}),
+        # (0.1 epsilon)^4 underflows: sound-decay used to run, then fail its rate fit
+        ("epsilon", {"epsilon": 1e-300}),
         ("T", {"T": float("inf")}),
         ("T", {"T": 0.0}),
         ("T", {"T": float("nan")}),
@@ -220,7 +222,8 @@ def test_run_experiment_rejects_a_horizon_of_one_or_less(monkeypatch):
         ("seed", {"seed": -1}),
         ("mu", {"mu": float("inf")}),
     ],
-    ids=["epsilon-negative", "epsilon-zero", "epsilon-minus-inf", "T-inf", "T-zero", "T-nan",
+    ids=["epsilon-negative", "epsilon-zero", "epsilon-minus-inf", "epsilon-underflow", "T-inf",
+         "T-zero", "T-nan",
          "dt-zero", "dt-negative", "seed-negative", "mu-inf"],
 )
 def test_context_rejects_bad_values_before_compute(monkeypatch, key, values):
@@ -233,6 +236,29 @@ def test_context_rejects_bad_values_before_compute(monkeypatch, key, values):
     with pytest.raises(ConfigError, match=f"^{key}: "):
         ctx = RunManifest(n=64, L=50.0, **values)
         run_experiment("kernel-algebra", ctx)
+    assert calls == []
+
+
+def test_epsilon_bound_keeps_the_fourth_power_normal():
+    # nonlinear-smallness's deviation at 0.1 epsilon, squared by the p = 2 quadrature
+    assert (0.1 * RunManifest.EPSILON_MIN) ** 4 == pytest.approx(np.finfo(float).tiny, rel=1e-12)
+    assert RunManifest(epsilon=RunManifest.EPSILON_MIN).epsilon == RunManifest.EPSILON_MIN
+    with pytest.raises(ConfigError, match="^epsilon: must be at least 1.22e-76"):
+        RunManifest(epsilon=RunManifest.EPSILON_MIN * (1.0 - 1e-12))
+
+
+def test_dipole_horizon_bound(monkeypatch):
+    # two diffusive widths of the age-(h + 1) dipole inside L/2 of the half box:
+    # h <= (100/8)^2 - 1 = 155.25 at L = 200; the default horizon max(T, 64) = 64 runs
+    calls = []
+    monkeypatch.setitem(harness.EXPERIMENTS, "vorticity-profiles", calls.append)
+    for values in ({}, {"T": 155.25}):
+        RunManifest(experiments=("vorticity-profiles",), **values).context()
+    with pytest.raises(ConfigError, match=r"^T: vorticity-profiles needs a dipole horizon h <= "):
+        run_experiment("vorticity-profiles", RunManifest(T=300.0))
+    # on L = 128 the fixed minimum 64 exceeds the bound 63: the box is too small
+    with pytest.raises(ConfigError, match=r"^n/L: vorticity-profiles .* = 63 on its box"):
+        RunManifest(L=128.0, experiments=("vorticity-profiles",)).context()
     assert calls == []
 
 

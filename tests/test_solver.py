@@ -40,10 +40,12 @@ PARAMS = FluidParams()
 
 
 def _fourier_source(X: State, params: FluidParams) -> State:
-    """The live nonlinear source of a State, through a fresh run's scratch."""
-    stack = np.stack([c.coeffs for c in X.components()])
+    """The live nonlinear source of a State's band, through a fresh run's scratch,
+    expanded to the half lattice."""
+    band = X.grid.band
+    stack = band.gather(np.stack([c.coeffs for c in X.components()]))
     out = solver._fourier_source(X.grid, params)(stack, np.empty_like(stack))
-    return State.from_stack(X.grid, out)
+    return State.from_stack(X.grid, band.scatter(out))
 
 
 # Reference: the allocating State-level source and step the in-place path
@@ -113,7 +115,7 @@ def test_nonlinear_terms_zero_state():
 
 def test_nonlinear_terms_density_only():
     grid = make_grid(64, 40.0)
-    rho = sample(grid, lambda a, b: 0.01 * np.exp(-(a**2 + b**2) / 8.0))
+    rho = sample(grid, lambda a, b: 0.01 * np.exp(-(a**2 + b**2) / 8.0)).dealiased()
     X = State(rho, (SpectralField.zero(grid), SpectralField.zero(grid)))
     src = _fourier_source(X, PARAMS)
     assert np.abs(src.rho.coeffs).max() == 0.0
@@ -200,7 +202,7 @@ def test_non_finite_state_trips_the_guards(monkeypatch):
         assert len(traj.states) == 1  # nothing is integrated from a NaN state
     # a step that goes non-finite stops the run at that snapshot
     def go_non_finite(X, *args):
-        X[...] = [c.coeffs for c in bad.components()]
+        X[...] = grid.band.gather(np.stack([c.coeffs for c in bad.components()]))
 
     monkeypatch.setattr(solver, "_advance", go_non_finite)
     cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0))
@@ -353,6 +355,7 @@ def test_step_bitwise_equals_reference(scheme):
     for t_snap in cfg.snapshot_times:
         gap = t_snap - t_prev
         nsub = max(1, int(np.ceil(gap / dt - 1e-12)))
+        # the oracle's tables live on the grid's half lattice, not on the band
         tab = solver._tables(grid, PARAMS, gap / nsub, scheme)
         for _ in range(nsub):
             X = _reference_step(X, tab, PARAMS, scheme)
@@ -372,6 +375,35 @@ def test_step_bitwise_equals_reference(scheme):
     arrays = [c.coeffs for X in (X0,) + traj.states for c in X.components()]
     for i, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+
+
+@pytest.mark.parametrize("scheme,nonlinear", [("etd2", True), ("etd4", True), ("etd2", False)])
+def test_simulate_snapshots_vanish_off_the_band(scheme, nonlinear):
+    # the step stores only the 2/3-rule band; snapshots expand it with exact zeros,
+    # from initial data that are not dealiased
+    grid = make_grid(32, 20.0)
+    X0 = random_state(grid, np.random.default_rng(5), 1e-2)
+    cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.4, 1.0),
+                       scheme=scheme, nonlinear=nonlinear)
+    traj = simulate(X0, cfg)
+    off = ~grid.dealias_mask
+    assert not traj.aborted and len(traj.states) == 3
+    assert any(np.abs(c.coeffs[off]).max() > 0 for c in X0.components())
+    for X in traj.states:
+        assert all(np.all(c.coeffs[off] == 0.0) for c in X.components())
+        assert np.abs(X.m[0].coeffs[grid.dealias_mask]).max() > 0
+
+
+def test_vorticity_simulate_snapshots_vanish_off_the_band():
+    grid = make_grid(64, 50.0)
+    omega0 = _perturbed_dipole(grid, 0.5)
+    off = ~grid.dealias_mask
+    assert np.abs(omega0.coeffs[off]).max() > 0
+    traj = vorticity_simulate(omega0, 1.0, (0.5, 1.2), 0.25)
+    assert len(traj.omegas) == 3
+    for w in traj.omegas:
+        assert np.all(w.coeffs[off] == 0.0)
+        assert np.abs(w.coeffs[grid.dealias_mask]).max() > 0
 
 
 def _warm_step_peak(grid, advance) -> float:
@@ -396,8 +428,8 @@ def test_etd2_step_allocates_no_lattice_temporaries():
     # arrays (apply's scratch among them), not at a State per term
     grid = make_grid(64, 50.0)
     X0 = random_state(grid, np.random.default_rng(3), 1e-2).dealiased()
-    tab = solver._tables(grid, PARAMS, cfl_limit(grid, PARAMS), "etd2")
-    X = np.stack([c.coeffs for c in X0.components()])
+    tab = solver._tables(grid.band, PARAMS, cfl_limit(grid, PARAMS), "etd2")
+    X = grid.band.gather(np.stack([c.coeffs for c in X0.components()]))
     stages, source = np.empty((3,) + X.shape, X.dtype), solver._fourier_source(grid, PARAMS)
     assert _warm_step_peak(grid, lambda: solver._advance(X, stages, source, tab, "etd2")) <= 4.0
 
@@ -682,9 +714,9 @@ def test_vorticity_etd2_step_allocates_no_lattice_temporaries():
     # after warm-up, 3 vorticity steps write only into the run's stages and the
     # source's scratch; the allocating loop body peaked at 12 half-lattice arrays
     grid = make_grid(64, 50.0)
-    omega = (dipole_vorticity_field(grid, 1, 2.0, PARAMS) * 1e-2).dealiased().coeffs[None].copy()
+    omega = grid.band.gather((dipole_vorticity_field(grid, 1, 2.0, PARAMS) * 1e-2).coeffs[None])
     stages, source = np.empty((3,) + omega.shape, omega.dtype), solver._vorticity_source(grid)
     h = 0.25
-    lh = -grid.eta_sq * h
+    lh = -grid.band.eta_sq * h
     weights = [partial(np.multiply, w) for w in (np.exp(lh), h * phi(1, lh), h * phi(2, lh))]
     assert _warm_step_peak(grid, lambda: solver._etd2_step(omega, stages, source, weights)) <= 3.0

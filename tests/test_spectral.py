@@ -15,6 +15,8 @@ from vortexlab.spectral import (
     parseval_sum,
     sample,
     sobolev_norm,
+    to_physical,
+    to_spectral,
     transform,
 )
 from conftest import random_field, random_state, zero_state
@@ -63,6 +65,22 @@ def test_round_trip_identity(rng):
     values = rng.standard_normal((64, 64))
     back = transform(values, grid).values()
     assert np.abs(back - values).max() < 1e-12 * np.abs(values).max()
+
+
+def test_band_transforms_equal_the_half_lattice_ones(rng):
+    # band spectra convert bit for bit as their half spectra do; the second pass on the
+    # same scratch checks that the gap rows the first inverse's row pass filled are re-zeroed
+    grid = make_grid(64, 7.0)
+    band = grid.band
+    assert band.spectral_shape == (43, 22) and band.k_index.tolist()[20:23] == [20, 21, -21]
+    values = rng.standard_normal((3, 64, 64))
+    full = to_spectral(values, grid) * grid.dealias_mask
+    work = np.full((3,) + grid.spectral_shape, np.nan, dtype=complex)
+    spec, phys = np.empty((3,) + band.spectral_shape, complex), np.empty((3, 64, 64))
+    for _ in range(2):
+        assert np.array_equal(to_spectral(values, grid, out=spec, work=work), band.gather(full))
+        assert np.array_equal(to_physical(spec, grid, out=phys, work=work), to_physical(full, grid))
+    assert np.array_equal(band.scatter(spec), full)
 
 
 def test_transform_shape_mismatch():
