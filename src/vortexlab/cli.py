@@ -1,4 +1,4 @@
-"""Command-line experiment runner: parse config, dispatch experiments, write reports.
+"""Command-line experiment runner: parse config, run experiments, write reports.
 
 Config files are plain ``key = value`` text (``#`` comments allowed).  Each
 key sets one field of ``harness.RunManifest``, the run's one configuration:
@@ -22,6 +22,8 @@ rejects when it is built, or one a selected experiment's precheck rejects)
 exits 2, naming the key, before any output is written.  So does a box an
 experiment cannot run on (its data or acoustic ring leaves the box, or
 pointwise-bound's kernel is unresolved): exit 2 naming ``n/L``, no outputs.
+Each experiment runs through ``harness.run_experiment``, so a solver run that
+leaves its regime exits 2 with the run's abort reason, and writes no outputs.
 """
 
 from __future__ import annotations
@@ -33,18 +35,15 @@ from dataclasses import fields
 from pathlib import Path
 
 from .harness import (
-    EXPERIMENTS,
     ConfigError,
     HarnessError,
     RunManifest,
     list_experiments,
     reports_to_csv,
+    run_experiment,
     series_to_csv,
     summary_dict,
 )
-from .kernels import KernelError
-from .profiles import ProfileError
-from .solver import SolverError
 
 
 # config key, in any case -> manifest field; "lambda" names the bulk viscosity
@@ -79,17 +78,17 @@ def _experiment_names(value: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in value.split(",") if v.strip())
 
 
-def parse_config(text: str) -> RunManifest:
-    """Parse key=value config text into a manifest whose prechecks passed."""
-    return RunManifest(**_config_values(text)).context()
-
-
 def _probe_writable(outdir: Path):
+    """ConfigError unless `outdir` can be made and written; a directory made for the
+    probe is removed again, so a run that stops before its outputs leaves none."""
+    created = not outdir.exists()
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         probe = outdir / ".write-probe"
         probe.write_text("")
         probe.unlink()
+        if created:
+            outdir.rmdir()
     except OSError as err:
         raise ConfigError(f"output directory {outdir} is not writable: {err}") from None
 
@@ -98,32 +97,22 @@ def run(manifest: RunManifest, outdir) -> int:
     """Execute the manifest's experiments and write reports; 0 iff all pass."""
     out = Path(outdir)
     manifest.context()
-    created = not out.exists()
     _probe_writable(out)
     results = []
     all_reports = []
-    try:
-        for name in manifest.experiments:
-            try:
-                result = EXPERIMENTS[name](manifest)
-            except (KernelError, ProfileError, SolverError) as err:
-                raise HarnessError(
-                    f"n/L: {name} cannot run at n = {manifest.n}, L = {manifest.L:g}: {err}"
-                ) from err
-            results.append(result)
-            for rep in result.reports:
-                all_reports.append(rep)
-                status = "PASS" if rep.passed else "FAIL"
-                print(
-                    f"{status} {rep.experiment}/{rep.label}: "
-                    f"fitted={rep.fitted:.6g} predicted={rep.predicted:.6g} "
-                    f"tol={rep.tolerance:g} mode={rep.mode}"
-                )
-    except BaseException:
-        # nothing is written before every experiment ran: leave no empty directory behind
-        if created and not any(out.iterdir()):
-            out.rmdir()
-        raise
+    for name in manifest.experiments:
+        result = run_experiment(name, manifest)
+        results.append(result)
+        for rep in result.reports:
+            all_reports.append(rep)
+            status = "PASS" if rep.passed else "FAIL"
+            print(
+                f"{status} {rep.experiment}/{rep.label}: "
+                f"fitted={rep.fitted:.6g} predicted={rep.predicted:.6g} "
+                f"tol={rep.tolerance:g} mode={rep.mode}"
+            )
+    # nothing is written before every experiment ran
+    out.mkdir(parents=True, exist_ok=True)
     (out / "reports.csv").write_text(reports_to_csv(all_reports))
     summary = summary_dict(results, manifest)
     (out / "summary.json").write_text(json.dumps(summary, indent=1, sort_keys=True))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable
@@ -50,7 +51,8 @@ from .profiles import (
     profile_superposition,
     vorticity_of,
 )
-from .solver import SolverConfig, SolverError, scaled_params, simulate, vorticity_simulate
+from .solver import (SolverAbort, SolverConfig, SolverError, scaled_params, simulate,
+                     vorticity_simulate)
 from .spectral import (
     Grid,
     SpectralError,
@@ -658,21 +660,23 @@ def _diffusive_horizon(ctx: RunManifest, grid: Grid) -> float:
     return min(ctx.T, (0.075 * grid.L) ** 2 / nu - 1.0)
 
 
+@contextmanager
+def _solver_run(what: str):
+    """A solver run named `what`: its SolverAbort raises HarnessError("<what> run
+    aborted: <reason>"), so an aborted run never reaches a fit."""
+    try:
+        yield
+    except SolverAbort as err:
+        raise HarnessError(f"{what} run aborted: {err}") from err
+
+
 def _simulate(ctx: RunManifest, grid: Grid, X0: State, horizon, times, what, nonlinear=True):
-    """Run the compressible solver on `grid` with the manifest's fluid and dt;
-    an aborted run raises instead of reaching a fit."""
-    cfg = SolverConfig(
-        grid=grid,
-        params=ctx.params,
-        T=horizon,
-        dt=ctx.dt,
-        snapshot_times=times,
-        nonlinear=nonlinear,
-    )
-    traj = simulate(X0, cfg)
-    if traj.aborted:
-        raise HarnessError(f"{what} run aborted: {traj.abort_reason}")
-    return traj
+    """Run the compressible solver on `grid` with the manifest's fluid and dt, as the
+    solver run `what`."""
+    cfg = SolverConfig(grid, ctx.params, T=horizon, dt=ctx.dt, snapshot_times=times,
+                       nonlinear=nonlinear)
+    with _solver_run(what):
+        return simulate(X0, cfg)
 
 
 def run_sound_decay(ctx: RunManifest) -> ExperimentResult:
@@ -834,7 +838,8 @@ def run_vorticity_profiles(ctx: RunManifest) -> ExperimentResult:
     box_residuals = {}
     for vortex_grid in (ctx.grid, grid):
         omega0 = oseen_vorticity_field(vortex_grid, 2.0, params)
-        traj = vorticity_simulate(omega0, nu, times_a, dt=0.25)
+        with _solver_run(f"{name} vortex L={vortex_grid.L:g}"):
+            traj = vorticity_simulate(omega0, nu, times_a, dt=0.25)
         worst = 0.0
         for t, w in zip(traj.times[1:], traj.omegas[1:]):
             ref = oseen_vorticity_field(vortex_grid, 2.0 + t, params)
@@ -853,7 +858,8 @@ def run_vorticity_profiles(ctx: RunManifest) -> ExperimentResult:
     omega0 = (base + pert * pscale) * eps
     moments = first_moments_beta(omega0, params)
     times_b = _snapshot_times(T, 12)
-    traj = vorticity_simulate(omega0, nu, times_b, dt=0.25)
+    with _solver_run(f"{name} dipole-data"):
+        traj = vorticity_simulate(omega0, nu, times_b, dt=0.25)
     residuals = [
         lp_norm(w - profile_superposition(moments, t, params, grid)[0], 2)
         for t, w in zip(traj.times[1:], traj.omegas[1:])
@@ -1091,11 +1097,16 @@ def list_experiments() -> tuple[str, ...]:
 
 
 def run_experiment(name: str, ctx: RunManifest) -> ExperimentResult:
-    """Run one experiment; its record's checks raise ConfigError before any compute."""
+    """Run one experiment (the library's and the CLI's one dispatch path): its record's
+    checks raise ConfigError before any compute; mid-run, a box it cannot run on raises
+    HarnessError naming ``n/L``, and an aborted solver run HarnessError naming the run."""
     if name not in RECORDS:
         raise HarnessError(f"unknown experiment {name!r}; available: {', '.join(RECORDS)}")
     RECORDS[name].precheck(ctx)
-    return EXPERIMENTS[name](ctx)
+    try:
+        return EXPERIMENTS[name](ctx)
+    except (KernelError, ProfileError, SolverError) as err:
+        raise HarnessError(f"n/L: {name} cannot run at n = {ctx.n}, L = {ctx.L:g}: {err}") from err
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,8 @@ class SolverError(ValueError):
 
 
 class SolverAbort(RuntimeError):
-    """The state left the regime the solver integrates; `simulate` stops and
-    returns the partial trajectory with this message as its abort reason."""
+    """The state left the regime the solver integrates: the run stops at the step or
+    snapshot that shows it, and the message is the abort reason."""
 
 
 class VacuumError(SolverAbort):
@@ -284,8 +284,6 @@ class Trajectory:
     times: tuple[float, ...]
     states: tuple[State, ...]
     diagnostics: tuple[dict, ...]
-    aborted: bool = False
-    abort_reason: str = ""
 
 
 def _diagnostics(X: State, t: float) -> dict:
@@ -303,21 +301,22 @@ def _diagnostics(X: State, t: float) -> dict:
     }
 
 
-def _energy_check(hs: float, hs0: float, blowup_factor: float) -> str:
-    """Abort reason for a snapshot's H^s norm, or "" to go on."""
+def _energy_check(hs: float, hs0: float, blowup_factor: float) -> None:
+    """SolverAbort unless a snapshot's H^s norm is finite and within the blow-up bound."""
     if not np.isfinite(hs):
-        return f"non-finite state: H^s = {hs}"
+        raise SolverAbort(f"non-finite state: H^s = {hs}")
     if hs0 > 0 and hs > blowup_factor * hs0:
-        return f"energy blow-up: H^s grew to {hs:.3e} (> {blowup_factor} x initial {hs0:.3e})"
-    return ""
+        raise SolverAbort(
+            f"energy blow-up: H^s grew to {hs:.3e} (> {blowup_factor} x initial {hs0:.3e})"
+        )
 
 
 def simulate(X0: State, config: SolverConfig) -> Trajectory:
     """Advance X0 to the requested snapshot times with diagnostics.
 
-    X0 and the returned snapshots are in physical variables; vacuum, a
-    non-finite state or energy blow-up aborts with the partial trajectory
-    collected so far.
+    X0 and the returned snapshots are in physical variables.  Vacuum (in the
+    step that meets it), a non-finite state or energy blow-up (at the snapshot
+    that shows it) raises SolverAbort, and no later step runs.
     """
     if X0.grid != config.grid:
         raise SolverError("initial state grid does not match config grid")
@@ -337,24 +336,18 @@ def simulate(X0: State, config: SolverConfig) -> Trajectory:
     # accumulated by snapshot trapezoid; its boundedness is a run diagnostic
     dissipation = 0.0
     diagnostics[0]["kawashima_energy"] = hs0**2
-    reason = _energy_check(hs0, hs0, math.inf)  # only finiteness at t = 0
+    _energy_check(hs0, hs0, math.inf)  # only finiteness at t = 0
     t_prev = 0.0
     for t_snap in config.snapshot_times:
-        if reason:
-            break
         gap = t_snap - t_prev
         nsub = max(1, math.ceil(gap / dt_target - 1e-12))
         h = gap / nsub
-        try:
-            if config.nonlinear:
-                tab = _tables(band, params, h, config.scheme)
-                for _ in range(nsub):
-                    _advance(stack, stages, source, tab, config.scheme)
-            else:
-                stack[...] = s_symbol_grid(gap, band, params).apply(stack)
-        except SolverAbort as err:
-            reason = str(err)
-            break
+        if config.nonlinear:
+            tab = _tables(band, params, h, config.scheme)
+            for _ in range(nsub):
+                _advance(stack, stages, source, tab, config.scheme)
+        else:
+            stack[...] = s_symbol_grid(gap, band, params).apply(stack)
         t_prev = t_snap
         phys = State.from_stack(config.grid, band.scatter(stack)) * rs
         times.append(t_snap)
@@ -365,8 +358,8 @@ def simulate(X0: State, config: SolverConfig) -> Trajectory:
         )
         row["kawashima_energy"] = row["hs"] ** 2 + dissipation
         diagnostics.append(row)
-        reason = _energy_check(row["hs"], hs0, BLOWUP_FACTOR)
-    return Trajectory(tuple(times), tuple(states), tuple(diagnostics), bool(reason), reason)
+        _energy_check(row["hs"], hs0, BLOWUP_FACTOR)
+    return Trajectory(tuple(times), tuple(states), tuple(diagnostics))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +400,8 @@ def vorticity_simulate(
     omega0: SpectralField, nu: float, snapshot_times, dt: float
 ) -> VorticityTrajectory:
     """Advance the 2D vorticity equation by ETD2RK with exact heat flow; the
-    run's stages and source scratch are made once, and each snapshot is a copy."""
+    run's stages and source scratch are made once, and each snapshot is a copy.
+    A non-finite snapshot raises SolverAbort, and no later step runs."""
     snapshot_times = _time_grid(dt, snapshot_times)
     grid, band = omega0.grid, omega0.grid.band
     omega = band.gather(omega0.coeffs[None])
@@ -420,8 +414,11 @@ def vorticity_simulate(
         h = gap / nsub
         lh = -nu * band.eta_sq * h
         weights = [partial(np.multiply, w) for w in (np.exp(lh), h * phi(1, lh), h * phi(2, lh))]
-        for _ in range(nsub):
-            _etd2_step(omega, stages, source, weights)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
+            for _ in range(nsub):
+                _etd2_step(omega, stages, source, weights)
+        if not np.isfinite(omega).all():
+            raise SolverAbort(f"non-finite state: vorticity at t = {t_snap:g}")
         t_prev = t_snap
         times.append(t_prev)
         snaps.append(SpectralField(grid, band.scatter(omega)[0]))

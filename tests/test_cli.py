@@ -6,8 +6,13 @@ from pathlib import Path
 import pytest
 
 from vortexlab import harness
-from vortexlab.cli import ConfigError, RunManifest, main, parse_config, run
+from vortexlab.cli import ConfigError, RunManifest, _config_values, main, run
 from vortexlab.harness import EXPERIMENTS, summary_dict
+
+
+def _manifest(text: str) -> RunManifest:
+    """The manifest `main` runs for config text, its prechecks passed."""
+    return RunManifest(**_config_values(text)).context()
 
 
 def _stub_record(monkeypatch, run_fn, checks=()):
@@ -21,7 +26,7 @@ def _never_run(ctx):
 
 
 def test_parse_empty_config_gives_defaults():
-    m = parse_config("")
+    m = _manifest("")
     assert m == RunManifest()
     assert m.n == 256 and m.L == 200.0
     assert m.mu == 1.0 and m.lam == 0.0 and m.rho_star == 1.0
@@ -39,13 +44,13 @@ def test_parse_config_values_and_comments():
     epsilon = 3e-3
     experiments = kernel-algebra, pointwise-bound
     """
-    m = parse_config(text)
+    m = _manifest(text)
     assert m.n == 128 and m.L == 100.0
     assert m.lam == 0.5
     assert m.epsilon == 3e-3
     assert m.experiments == ("kernel-algebra", "pointwise-bound")
     with pytest.raises(ConfigError, match="threads"):
-        parse_config("threads = 2\n")
+        _manifest("threads = 2\n")
 
 
 def test_readme_example_config_parses():
@@ -54,42 +59,42 @@ def test_readme_example_config_parses():
     blocks = re.findall(r"^```(\w*)\n(.*?)^```$", readme, flags=re.M | re.S)
     (block,) = [text for lang, text in blocks if not lang]
     assert "experiments =" in block
-    assert parse_config(block) == RunManifest()
+    assert _manifest(block) == RunManifest()
 
 
 def test_parse_config_names_the_key_as_written():
     with pytest.raises(ConfigError, match="^L: expected a number, got 'x'$"):
-        parse_config("L = x\n")
+        _manifest("L = x\n")
     with pytest.raises(ConfigError, match="^T: expected a number"):
-        parse_config("T = y\n")
+        _manifest("T = y\n")
     with pytest.raises(ConfigError, match="^Seed: expected an integer"):
-        parse_config("Seed = 1.5\n")
-    assert parse_config("LAMBDA = 0.5\nexperiments = kernel-algebra\n").lam == 0.5
+        _manifest("Seed = 1.5\n")
+    assert _manifest("LAMBDA = 0.5\nexperiments = kernel-algebra\n").lam == 0.5
 
 
 def test_parse_config_rejects_bad_ellipticity():
     with pytest.raises(ConfigError, match="lambda"):
-        parse_config("lambda = -3\nmu = 1\n")
+        _manifest("lambda = -3\nmu = 1\n")
 
 
 def test_parse_config_rejects_bad_grid():
     with pytest.raises(ConfigError, match="n"):
-        parse_config("n = 100\n")
+        _manifest("n = 100\n")
 
 
 def test_parse_config_rejects_unknown_key():
     with pytest.raises(ConfigError, match="viscosityy"):
-        parse_config("viscosityy = 2\n")
+        _manifest("viscosityy = 2\n")
 
 
 def test_parse_config_rejects_unknown_experiment():
     with pytest.raises(ConfigError, match="experiments"):
-        parse_config("experiments = not-an-experiment\n")
+        _manifest("experiments = not-an-experiment\n")
 
 
 def test_parse_config_rejects_malformed_line():
     with pytest.raises(ConfigError, match="line 1"):
-        parse_config("just some words\n")
+        _manifest("just some words\n")
 
 
 @pytest.mark.parametrize(
@@ -135,8 +140,25 @@ def test_library_error_in_an_experiment_exits_2(tmp_path, capsys, monkeypatch):
     assert "error: n/L: pointwise-bound cannot run at n = 64, L = 50: " in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "reports.csv").exists()
-    # the run created the output directory, so it removes it again
+    # the output directory the write probe created is gone again
     assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_vorticity_run_exits_2(tmp_path, capsys):
+    # the dipole run overflows by its first snapshot: it used to reach its fits and
+    # exit 1, with moment-conservation passing on a NaN field (max(0, nan) = 0)
+    cfg = tmp_path / "loud.cfg"
+    cfg.write_text("n = 128\nepsilon = 1e6\nexperiments = vorticity-profiles\n")
+    outdir = tmp_path / "out"
+    code = main(["--config", str(cfg), "--outdir", str(outdir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        "error: vorticity-profiles dipole-data run aborted: "
+        "non-finite state: vorticity at t = 1\n"
+    )
+    assert "moment-conservation" not in captured.out
+    assert not outdir.exists()
 
 
 def test_pointwise_ring_outside_the_box_exits_2_before_compute(tmp_path, capsys, monkeypatch):
@@ -170,7 +192,7 @@ def test_unresolved_pointwise_kernel_exits_2_before_compute(tmp_path, capsys, mo
 
 
 def test_dt_bound_follows_the_selected_experiments(tmp_path, capsys):
-    assert parse_config("dt = 0.3\nexperiments = sound-decay\n").dt == 0.3
+    assert _manifest("dt = 0.3\nexperiments = sound-decay\n").dt == 0.3
     # the command-line filter decides which boxes the bound covers
     cfg = tmp_path / "lab.cfg"
     cfg.write_text("n = 32\nL = 50\ndt = 10\n")
@@ -268,7 +290,7 @@ def test_sound_decay_horizon_beyond_its_fit_window_exits_2_before_compute(
     assert code == 2
     assert err.startswith("error: T:")
     assert not outdir.exists()
-    assert parse_config("T = 36\nexperiments = sound-decay\n").T == 36.0
+    assert _manifest("T = 36\nexperiments = sound-decay\n").T == 36.0
 
 
 @pytest.mark.parametrize(

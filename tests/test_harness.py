@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -353,37 +354,71 @@ def test_zero_amplitude_residuals_vanish_identically():
         assert lp_norm(diff, np.inf) == 0.0
 
 
-def _stub_simulate(abort_call):
-    """Stand-in for the solver: every run returns its initial state at each
-    snapshot, except run number `abort_call`, which comes back aborted."""
-    from vortexlab.solver import Trajectory
+def _stub_solvers(monkeypatch, abort_call):
+    """Stand-ins for both solvers: every run returns its initial data at each
+    snapshot, except run number `abort_call`, which raises SolverAbort."""
+    from vortexlab.solver import SolverAbort, Trajectory, VorticityTrajectory
 
     calls = []
 
-    def simulate(X0, cfg):
-        calls.append(cfg)
+    def run(x0, snapshot_times):
+        calls.append(snapshot_times)
         if len(calls) - 1 == abort_call:
-            return Trajectory((0.0,), (X0,), ({},), True, "stub abort")
-        times = (0.0, *cfg.snapshot_times)
-        return Trajectory(times, (X0,) * len(times), ({},) * len(times))
+            raise SolverAbort("stub abort")
+        times = (0.0, *snapshot_times)
+        return times, (x0,) * len(times)
 
-    return simulate
+    def simulate(X0, cfg):
+        times, states = run(X0, cfg.snapshot_times)
+        return Trajectory(times, states, ({},) * len(times))
+
+    def vorticity_simulate(omega0, nu, snapshot_times, dt):
+        return VorticityTrajectory(*run(omega0, snapshot_times))
+
+    monkeypatch.setattr(harness, "simulate", simulate)
+    monkeypatch.setattr(harness, "vorticity_simulate", vorticity_simulate)
 
 
 @pytest.mark.parametrize(
-    "experiment, abort_call, message",
+    "experiment, L, abort_call, message",
     [
-        ("sound-decay", 0, "sound-decay run aborted"),
-        ("nonlinear-smallness", 0, "nonlinear-smallness eps=0.001 run aborted"),
-        ("nonlinear-smallness", 3, "nonlinear-smallness linear-control run aborted"),
-        ("incompressible-limit", 0, "incompressible-limit dipole-data run aborted"),
-        ("incompressible-limit", 1, "incompressible-limit vortex-data run aborted"),
+        ("sound-decay", 100.0, 0, "sound-decay run aborted"),
+        ("nonlinear-smallness", 100.0, 0, "nonlinear-smallness eps=0.001 run aborted"),
+        ("nonlinear-smallness", 100.0, 3, "nonlinear-smallness linear-control run aborted"),
+        ("incompressible-limit", 100.0, 0, "incompressible-limit dipole-data run aborted"),
+        ("incompressible-limit", 100.0, 1, "incompressible-limit vortex-data run aborted"),
+        # the dipole horizon needs the default box, L = 200, and its half
+        ("vorticity-profiles", 200.0, 0, "vorticity-profiles vortex L=200 run aborted"),
+        ("vorticity-profiles", 200.0, 1, "vorticity-profiles vortex L=100 run aborted"),
+        ("vorticity-profiles", 200.0, 2, "vorticity-profiles dipole-data run aborted"),
     ],
-    ids=["sound", "nonlinear", "linear-control", "dipole-data", "vortex-data"],
+    ids=["sound", "nonlinear", "linear-control", "dipole-data", "vortex-data",
+         "vorticity-full-box", "vorticity-half-box", "vorticity-dipole"],
 )
-def test_aborted_solver_run_raises(monkeypatch, experiment, abort_call, message):
+def test_aborted_solver_run_raises(monkeypatch, experiment, L, abort_call, message):
     # no solver run reaches a fit once it has aborted, the linear control included
-    monkeypatch.setattr(harness, "simulate", _stub_simulate(abort_call))
-    ctx = RunManifest(n=128, L=100.0)
+    _stub_solvers(monkeypatch, abort_call)
+    ctx = RunManifest(n=128, L=L)
     with pytest.raises(HarnessError, match=f"^{message}: stub abort$"):
         run_experiment(experiment, ctx)
+
+
+def test_non_finite_vorticity_run_raises():
+    # at this amplitude the dipole run overflows by its first snapshot; it used to
+    # reach its fits, and moment-conservation passed on a NaN field (max(0, nan) = 0)
+    with pytest.raises(HarnessError, match="^vorticity-profiles dipole-data run aborted: "
+                                           "non-finite state: vorticity at t = 1$"):
+        run_experiment("vorticity-profiles", RunManifest(n=128, epsilon=1e6))
+
+
+def test_run_experiment_names_n_L_for_a_library_error_mid_run(monkeypatch):
+    # the setup of test_cli's exit-2 case: with pointwise-bound's ring check taken
+    # away, its own KernelError comes back as the CLI reports it (it used to escape bare)
+    from vortexlab.kernels import KernelError
+
+    record = RECORDS["pointwise-bound"]
+    monkeypatch.setitem(RECORDS, "pointwise-bound", dataclasses.replace(record, checks=()))
+    message = "^n/L: pointwise-bound cannot run at n = 64, L = 50: acoustic ring leaves the box"
+    with pytest.raises(HarnessError, match=message) as info:
+        run_experiment("pointwise-bound", RunManifest(n=64, L=50.0))
+    assert isinstance(info.value.__cause__, KernelError)

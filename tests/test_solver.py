@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from functools import partial
 
 import numpy as np
@@ -184,6 +185,18 @@ def test_vacuum_guard():
         _fourier_source(X, PARAMS)
 
 
+def _count_calls(monkeypatch, name, replacement=None):
+    """Calls of `solver.<name>` (or of `replacement`, standing in for it) from now on."""
+    calls, fn = [], replacement or getattr(solver, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(solver, name, counted)
+    return calls
+
+
 def test_non_finite_state_trips_the_guards(monkeypatch):
     grid = make_grid(32, 20.0)
     X0 = _bump_state(grid, 1e-2)
@@ -192,24 +205,43 @@ def test_non_finite_state_trips_the_guards(monkeypatch):
     bad = State(SpectralField(grid, coeffs), X0.m)
     with pytest.raises(SolverAbort, match="non-finite"):
         _fourier_source(bad, PARAMS)
+    steps = _count_calls(monkeypatch, "_advance")
+    linear_steps = _count_calls(monkeypatch, "s_symbol_grid")
     for nonlinear in (True, False):
         cfg = SolverConfig(
             grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0), nonlinear=nonlinear
         )
-        traj = simulate(bad, cfg)
-        assert traj.aborted
-        assert traj.abort_reason == "non-finite state: H^s = nan"
-        assert len(traj.states) == 1  # nothing is integrated from a NaN state
-    # a step that goes non-finite stops the run at that snapshot
+        with pytest.raises(SolverAbort, match=r"^non-finite state: H\^s = nan$"):
+            simulate(bad, cfg)
+    assert steps == linear_steps == []  # nothing is integrated from a NaN state
+    # a step that goes non-finite stops the run at that snapshot: the first gap's
+    # two steps run, and none of the second gap's
     def go_non_finite(X, *args):
         X[...] = grid.band.gather(np.stack([c.coeffs for c in bad.components()]))
 
-    monkeypatch.setattr(solver, "_advance", go_non_finite)
+    steps = _count_calls(monkeypatch, "_advance", go_non_finite)
     cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0))
-    traj = simulate(X0, cfg)
-    assert traj.aborted
-    assert traj.abort_reason == "non-finite state: H^s = nan"
-    assert len(traj.states) == 2
+    with pytest.raises(SolverAbort, match=r"^non-finite state: H\^s = nan$"):
+        simulate(X0, cfg)
+    assert len(steps) == math.ceil(0.5 / cfg.dt_effective) == 2
+
+
+@pytest.mark.parametrize("bad_step, t_abort, steps_run", [(1, "0.5", 2), (3, "1.2", 5)])
+def test_non_finite_vorticity_snapshot_aborts(monkeypatch, bad_step, t_abort, steps_run):
+    # a step that writes NaN stops the run at the next snapshot, (0.5, 1.2) taking
+    # 2 and 3 steps of the ETD2 step: no step of a later gap runs
+    grid = make_grid(32, 20.0)
+    step_etd2 = solver._etd2_step
+
+    def go_non_finite(X, *args):
+        step_etd2(X, *args)
+        if len(steps) == bad_step:
+            X[0, 1, 1] = np.nan
+
+    steps = _count_calls(monkeypatch, "_etd2_step", go_non_finite)
+    with pytest.raises(SolverAbort, match=f"^non-finite state: vorticity at t = {t_abort}$"):
+        vorticity_simulate(_perturbed_dipole(grid, 0.5), 1.0, (0.5, 1.2), 0.25)
+    assert len(steps) == steps_run
 
 
 def test_step_zero_state():
@@ -259,7 +291,6 @@ def test_simulate_zero_initial_data():
     grid = make_grid(32, 20.0)
     cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0))
     traj = simulate(zero_state(grid), cfg)
-    assert not traj.aborted
     assert all(d["hs"] == 0.0 and d["min_density"] == 1.0 for d in traj.diagnostics)
     keys = {"t", "mass", "min_density", "hs", "grad_hs1", "kawashima_energy"}
     assert all(set(d) == keys for d in traj.diagnostics)
@@ -283,7 +314,6 @@ def test_simulate_divergence_free_data_keeps_density_second_order():
     X0 = State(SpectralField.zero(grid), (u[0] * amp, u[1] * amp)).dealiased()
     cfg = SolverConfig(grid=grid, params=PARAMS, T=4.0, snapshot_times=(1.0, 2.0, 4.0))
     traj = simulate(X0, cfg)
-    assert not traj.aborted
     for t, X in zip(traj.times[1:], traj.states[1:]):
         assert lp_norm(X.rho, np.inf) < 30.0 * eps**2
         # m_perp follows the heat flow up to the quadratic coupling
@@ -333,7 +363,7 @@ def test_simulate_carries_no_state_across_runs():
     run(grid, 3e-2)
     run(other, 1e-2)
     again = run(grid, 1e-2)
-    assert not first.aborted and first.times == again.times
+    assert first.times == again.times
     assert first.diagnostics == again.diagnostics
     for X, Y in zip(first.states, again.states, strict=True):
         for a, b in zip(X.components(), Y.components(), strict=True):
@@ -361,7 +391,7 @@ def test_step_bitwise_equals_reference(scheme):
             X = _reference_step(X, tab, PARAMS, scheme)
         expected.append(X)
         t_prev = t_snap
-    assert not traj.aborted and len(traj.states) == 3
+    assert len(traj.states) == 3
     for got, ref in zip(traj.states, expected, strict=True):
         for a, b in zip(got.components(), ref.components(), strict=True):
             assert np.array_equal(a.coeffs, b.coeffs)
@@ -387,7 +417,7 @@ def test_simulate_snapshots_vanish_off_the_band(scheme, nonlinear):
                        scheme=scheme, nonlinear=nonlinear)
     traj = simulate(X0, cfg)
     off = ~grid.dealias_mask
-    assert not traj.aborted and len(traj.states) == 3
+    assert len(traj.states) == 3
     assert any(np.abs(c.coeffs[off]).max() > 0 for c in X0.components())
     for X in traj.states:
         assert all(np.all(c.coeffs[off] == 0.0) for c in X.components())
@@ -434,15 +464,15 @@ def test_etd2_step_allocates_no_lattice_temporaries():
     assert _warm_step_peak(grid, lambda: solver._advance(X, stages, source, tab, "etd2")) <= 4.0
 
 
-def test_simulate_vacuum_abort_returns_partial_trajectory():
+def test_simulate_vacuum_abort_raises(monkeypatch):
     grid = make_grid(32, 20.0)
     rho = sample(grid, lambda a, b: -0.7 * np.exp(-(a**2 + b**2) / 8.0))
     X0 = State(rho, (SpectralField.zero(grid), SpectralField.zero(grid)))
     cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0))
-    traj = simulate(X0, cfg)
-    assert traj.aborted
-    assert "vacuum" in traj.abort_reason
-    assert len(traj.states) == 1  # initial snapshot only
+    steps = _count_calls(monkeypatch, "_advance")
+    with pytest.raises(VacuumError, match=r"^vacuum guard tripped: min\(1 \+ rho_tilde\) = "):
+        simulate(X0, cfg)
+    assert len(steps) == 1  # the first step's source meets the vacuum
 
 
 def test_simulate_energy_guard_aborts(monkeypatch):
@@ -451,10 +481,10 @@ def test_simulate_energy_guard_aborts(monkeypatch):
     grid = make_grid(32, 20.0)
     X0 = _bump_state(grid, 1e-2)
     cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0))
-    traj = simulate(X0, cfg)
-    assert traj.aborted
-    assert "blow-up" in traj.abort_reason
-    assert len(traj.states) == 2  # initial snapshot plus the offending one
+    steps = _count_calls(monkeypatch, "_advance")
+    with pytest.raises(SolverAbort, match=r"^energy blow-up: H\^s grew to .* \(> 0\.1 x initial"):
+        simulate(X0, cfg)
+    assert len(steps) == 2  # the first gap's steps; the offending snapshot stops the run
 
 
 def test_solver_config_validation():
