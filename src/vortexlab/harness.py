@@ -39,6 +39,7 @@ from .kernels import (
     split,
 )
 from .profiles import (
+    LOCALIZED_EDGE,
     FluidParams,
     PowerPressureLaw,
     ProfileError,
@@ -822,6 +823,17 @@ def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
     return result
 
 
+def _vorticity_dipole_data(ctx: RunManifest, grid: Grid) -> SpectralField:
+    """vorticity-profiles' dipole data: the age-1 dipole plus an off-center perturbation
+    of 0.3 its peak, at amplitude epsilon."""
+    base = dipole_vorticity_field(grid, 1, 1.0, ctx.params)
+    pert = derivative(
+        sample(grid, lambda a, b: np.exp(-((a - 2.0) ** 2 + (b - 1.0) ** 2) / 6.0)), (0, 1)
+    )
+    pscale = 0.3 * lp_norm(base, np.inf) / lp_norm(pert, np.inf)
+    return (base + pert * pscale) * ctx.epsilon
+
+
 def run_vorticity_profiles(ctx: RunManifest) -> ExperimentResult:
     """Constant-density vorticity control: vortex exactness, dipole attraction."""
     name = "vorticity-profiles"
@@ -849,13 +861,7 @@ def run_vorticity_profiles(ctx: RunManifest) -> ExperimentResult:
                meta={"box_sensitivity": box_residuals})
 
     # perturbed dipole: weighted residual against the first-moment profile
-    eps = ctx.epsilon
-    base = dipole_vorticity_field(grid, 1, 1.0, params)
-    pert = derivative(
-        sample(grid, lambda a, b: np.exp(-((a - 2.0) ** 2 + (b - 1.0) ** 2) / 6.0)), (0, 1)
-    )
-    pscale = 0.3 * lp_norm(base, np.inf) / lp_norm(pert, np.inf)
-    omega0 = (base + pert * pscale) * eps
+    omega0 = _vorticity_dipole_data(ctx, grid)
     moments = first_moments_beta(omega0, params)
     times_b = _snapshot_times(T, 12)
     with _solver_run(f"{name} dipole-data"):
@@ -922,6 +928,20 @@ def _check_dipole_horizon(record, ctx: RunManifest):
     if h > (most := (box / 8.0) ** 2 / ctx.params.nu - 1.0):
         raise ConfigError(f"{'T' if ctx.T >= h else 'n/L'}: {record.name} needs a dipole horizon "
                           f"h <= (L/8)^2/nu - 1 = {most:.4g} on its box (L = {box:g}), not {h:.4g}")
+
+
+def _check_vorticity_data(record, ctx: RunManifest):
+    """The age-1 dipole data, heat-flowed to the first moment probe t_1 = 1, keeps its
+    band-edge tail exp(-nu (1 + t_1) eta_K^2), eta_K = 2 pi floor(n/3)/L, below the edge/peak
+    ratio `first_moments_beta` takes as localized, on the record's box."""
+    grid, t1 = record.grid(ctx), 1.0
+    tail = math.exp(-ctx.params.nu * (1.0 + t1) * (2.0 * math.pi * (grid.n // 3) / grid.L) ** 2)
+    if not tail < LOCALIZED_EDGE:
+        raise ConfigError(
+            f"n/L: {record.name} dipole data is not localized on its box (n = {grid.n}, L = "
+            f"{grid.L:g}): band-edge tail exp(-nu (1 + t) (2 pi floor(n/3)/L)^2) = {tail:.2g} "
+            f"at t = {t1:g}, not below {LOCALIZED_EDGE:g}"
+        )
 
 
 def _check_hf_band(record, ctx: RunManifest):
@@ -1013,7 +1033,7 @@ RECORDS = {
                    horizon_rule=_diffusive_horizon, checks=(_check_cfl, _check_dipole_data)),
         Experiment("vorticity-profiles", run_vorticity_profiles, box=_half_box,
                    horizon_rule=lambda ctx, grid: max(ctx.T, 64.0),
-                   checks=(_check_dipole_horizon,)),
+                   checks=(_check_dipole_horizon, _check_vorticity_data)),
     )
 }
 

@@ -29,6 +29,10 @@ class ProfileError(ValueError):
     pass
 
 
+# Largest edge/peak ratio of |omega| that `first_moments_beta` accepts as localized.
+LOCALIZED_EDGE = 1e-10
+
+
 @dataclass(frozen=True)
 class PowerPressureLaw:
     """Isentropic pressure P(rho) = scale * rho^gamma / gamma."""
@@ -150,7 +154,7 @@ def first_moments_beta(omega0: SpectralField, params: FluidParams) -> Moments:
     """Moments with nu * beta_i = -integral of x_i omega0, x from box center.
 
     The vorticity must be localized: its magnitude on the outermost grid ring
-    has to stay below 1e-10 of its peak.
+    has to stay below LOCALIZED_EDGE (1e-10) of its peak.
     """
     grid = omega0.grid
     w = omega0.values()
@@ -162,7 +166,7 @@ def first_moments_beta(omega0: SpectralField, params: FluidParams) -> Moments:
             np.abs(w[:, 0]).max(),
             np.abs(w[:, -1]).max(),
         )
-        if edge > 1e-10 * peak:
+        if edge > LOCALIZED_EDGE * peak:
             raise ProfileError(
                 f"vorticity is not localized inside the box (edge/peak = {edge / peak:.2e})"
             )

@@ -373,25 +373,25 @@ class VorticityTrajectory:
 
 
 def _vorticity_source(grid: Grid):
-    """-div(u omega) in Fourier coefficients on the band, with u the torus Biot-Savart
-    velocity of the zero-mean part of omega, as `source(x, out)` on (1, band) stacks.
-    One inverse transform of (u1, u2, omega), one forward transform of the two fluxes:
-    the fluxes overwrite u1 and u2, and their band spectra the inverse transform's input."""
+    """-u.grad omega in Fourier coefficients on the band, with u the torus Biot-Savart velocity
+    of the zero-mean part of omega, as `source(x, out)` on (1, band) stacks.  Basdevant's form
+    u.grad omega = d1 d2 (u2^2 - u1^2) + (d1^2 - d2^2)(u1 u2): one inverse transform of (u1, u2),
+    one forward of the two products, whose aliases fall off the band |k_i| <= n/3 and are cut."""
     band = grid.band
-    (k1, k2), d1, d2 = band.biot_savart_multiplier, -1j * band.eta1_odd, -1j * band.eta2_odd
-    spec, phys = np.empty((3,) + band.spectral_shape, complex), np.empty((3, grid.n, grid.n))
-    work = np.empty((3,) + grid.spectral_shape, complex)
+    (k1, k2), e1, e2 = band.biot_savart_multiplier, band.eta1, band.eta2
+    cross, diff = e1 * e2, e1**2 - e2**2  # both vanish at eta = 0: circulation is kept
+    spec, phys = np.empty((2,) + band.spectral_shape, complex), np.empty((3, grid.n, grid.n))
+    work = np.empty((2,) + grid.spectral_shape, complex)
 
     def source(x: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.multiply(k1, x[0], out=spec[0])
         np.multiply(k2, x[0], out=spec[1])
-        spec[2] = x[0]
-        w = to_physical(spec, grid, out=phys, work=work)[2]
-        fluxes = np.multiply(phys[:2], w, out=phys[:2])
-        f1, f2 = to_spectral(fluxes, grid, out=spec[:2], work=work[:2])
-        np.multiply(d1, f1, out=out[0])
-        out[0] += np.multiply(d2, f2, out=f2)
-        return np.negative(out, out=out)
+        u1, u2 = to_physical(spec, grid, out=phys[:2], work=work)
+        np.multiply(u1, u2, out=phys[2])
+        np.subtract(np.multiply(u2, u2, out=u2), np.multiply(u1, u1, out=u1), out=u2)
+        f_sq, f12 = to_spectral(phys[1:], grid, out=spec, work=work)
+        np.add(np.multiply(cross, f_sq, out=out[0]), np.multiply(diff, f12, out=f12), out=out[0])
+        return out
 
     return source
 

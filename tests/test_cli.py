@@ -148,7 +148,7 @@ def test_non_finite_vorticity_run_exits_2(tmp_path, capsys):
     # the dipole run overflows by its first snapshot: it used to reach its fits and
     # exit 1, with moment-conservation passing on a NaN field (max(0, nan) = 0)
     cfg = tmp_path / "loud.cfg"
-    cfg.write_text("n = 128\nepsilon = 1e6\nexperiments = vorticity-profiles\n")
+    cfg.write_text("epsilon = 1e6\nexperiments = vorticity-profiles\n")
     outdir = tmp_path / "out"
     code = main(["--config", str(cfg), "--outdir", str(outdir)])
     captured = capsys.readouterr()
@@ -308,8 +308,14 @@ def test_sound_decay_horizon_beyond_its_fit_window_exits_2_before_compute(
         # the dipole run to t = 300 on the half box used to FAIL its decay rows (exit 1)
         ("T = 300\nexperiments = vorticity-profiles\n", "vorticity-profiles",
          "error: T: vorticity-profiles needs a dipole horizon h <= (L/8)^2/nu - 1 = 155.2"),
+        # the dipole data's band-edge tail on the half box L = 100 is 8.9e-7 > 1e-10 at
+        # t = 1; the run used to stop there only after its vortex runs and its dipole run
+        ("n = 128\nexperiments = vorticity-profiles\n", "vorticity-profiles",
+         "error: n/L: vorticity-profiles dipole data is not localized on its box (n = 128, "
+         "L = 100): band-edge tail"),
     ],
-    ids=["horizon-T", "horizon-n-L", "dipole-data-not-localized", "dipole-horizon-T"],
+    ids=["horizon-T", "horizon-n-L", "dipole-data-not-localized", "dipole-horizon-T",
+         "vorticity-data-not-localized"],
 )
 def test_unusable_horizon_or_data_exits_2_before_compute(
     tmp_path, capsys, monkeypatch, text, run, start

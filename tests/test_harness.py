@@ -23,6 +23,7 @@ from vortexlab.harness import (
     series_to_csv,
     summary_dict,
 )
+from vortexlab.spectral import SpectralField
 from conftest import zero_state
 
 
@@ -263,6 +264,40 @@ def test_dipole_horizon_bound(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "n, L, localized",
+    [(64, 200.0, False), (128, 200.0, False), (256, 340.0, False), (256, 400.0, False),
+     (512, 700.0, False), (256, 200.0, True), (256, 300.0, True), (512, 600.0, True)],
+)
+def test_vorticity_data_check_matches_the_heat_flowed_data(n, L, localized):
+    # the closed-form tail rule against the measurement it stands for: the run's
+    # dealiased dipole data, heat-flowed to the first moment probe t = 1, through
+    # first_moments_beta; at n = 128 that is the edge/peak the dipole run used to
+    # stop on after its vortex runs and its whole dipole run
+    from vortexlab.profiles import ProfileError, first_moments_beta
+
+    ctx, record = RunManifest(n=n, L=L), RECORDS["vorticity-profiles"]
+    grid = record.grid(ctx)
+    omega = harness._vorticity_dipole_data(ctx, grid).dealiased()
+    heat = SpectralField(grid, np.exp(-ctx.params.nu * grid.eta_sq) * omega.coeffs)
+    try:
+        first_moments_beta(heat, ctx.params)
+        measured = None
+    except ProfileError as err:
+        measured = str(err)
+    try:
+        harness._check_vorticity_data(record, ctx)
+        rule = None
+    except ConfigError as err:
+        rule = str(err)
+    assert (measured is None) == (rule is None) == localized
+    if not localized:
+        assert rule.startswith(f"n/L: vorticity-profiles dipole data is not localized on its "
+                               f"box (n = {n}, L = {L / 2:g}): band-edge tail")
+    if n == 128:
+        assert measured.endswith("(edge/peak = 2.28e-07)")
+
+
 def test_non_integral_n_is_rejected_before_compute(monkeypatch):
     # n = 256.5 used to run at n = 256 and record 256.5 in the summary
     calls = []
@@ -387,10 +422,10 @@ def _stub_solvers(monkeypatch, abort_call):
         ("nonlinear-smallness", 100.0, 3, "nonlinear-smallness linear-control run aborted"),
         ("incompressible-limit", 100.0, 0, "incompressible-limit dipole-data run aborted"),
         ("incompressible-limit", 100.0, 1, "incompressible-limit vortex-data run aborted"),
-        # the dipole horizon needs the default box, L = 200, and its half
-        ("vorticity-profiles", 200.0, 0, "vorticity-profiles vortex L=200 run aborted"),
-        ("vorticity-profiles", 200.0, 1, "vorticity-profiles vortex L=100 run aborted"),
-        ("vorticity-profiles", 200.0, 2, "vorticity-profiles dipole-data run aborted"),
+        # at n = 128 the dipole horizon needs L >= 129 and the dipole data L <= 155
+        ("vorticity-profiles", 150.0, 0, "vorticity-profiles vortex L=150 run aborted"),
+        ("vorticity-profiles", 150.0, 1, "vorticity-profiles vortex L=75 run aborted"),
+        ("vorticity-profiles", 150.0, 2, "vorticity-profiles dipole-data run aborted"),
     ],
     ids=["sound", "nonlinear", "linear-control", "dipole-data", "vortex-data",
          "vorticity-full-box", "vorticity-half-box", "vorticity-dipole"],
@@ -408,7 +443,7 @@ def test_non_finite_vorticity_run_raises():
     # reach its fits, and moment-conservation passed on a NaN field (max(0, nan) = 0)
     with pytest.raises(HarnessError, match="^vorticity-profiles dipole-data run aborted: "
                                            "non-finite state: vorticity at t = 1$"):
-        run_experiment("vorticity-profiles", RunManifest(n=128, epsilon=1e6))
+        run_experiment("vorticity-profiles", RunManifest(epsilon=1e6))
 
 
 def test_run_experiment_names_n_L_for_a_library_error_mid_run(monkeypatch):
