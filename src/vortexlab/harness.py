@@ -689,12 +689,25 @@ def run_sound_decay(ctx: RunManifest) -> ExperimentResult:
     result = ExperimentResult(name, extras={"horizon": horizon})
     t_arr = np.array(traj.times[1:])
     # pointwise magnitudes of the sound part, one per snapshot for every p
-    sound = (magnitude((X.rho, *leray_decompose(X.m)[1])) for X in traj.states[1:])
+    sound = (magnitude((X.rho, *leray_decompose(X.m)[1]))
+             for X in map(traj.state, range(1, len(traj.times))))
     ps = (2.0, np.inf, 1.0)
     for p, vals in zip(ps, _lp_series(grid, sound, ps)):
         result.rate(f"sound-p{p:g}-s0", "sound_part", p, 0, t_arr, vals, 0.15,
                     allow_log=(p == 1.0), fit_window=(horizon / _SOUND_WINDOW, horizon))
     return result
+
+
+def _linear_deviations(ctx: RunManifest, grid: Grid, eps, horizon, times, what, linear_symbols,
+                       nonlinear=True) -> list[float]:
+    """L^2 norms of X(t) - S(t) X(0) at each snapshot of the solver run `what` from the
+    generic state of amplitude eps, with S(t) the band symbols `linear_symbols[t]`; the
+    run's trajectory lives only inside this call."""
+    traj = _simulate(ctx, grid, _generic_state(grid, eps), horizon, times, what, nonlinear)
+    X0, band = traj.snapshots[0], grid.band
+    deviations = (band.scatter(X - linear_symbols[t].apply(X0))
+                  for t, X in zip(traj.times[1:], traj.snapshots[1:]))
+    return [lp_norm(State.from_stack(grid, d).components(), 2) for d in deviations]
 
 
 def run_nonlinear_smallness(ctx: RunManifest) -> ExperimentResult:
@@ -704,17 +717,12 @@ def run_nonlinear_smallness(ctx: RunManifest) -> ExperimentResult:
     params_lin = scaled_params(ctx.params)
     times = _snapshot_times(horizon, 12)
     eps_sweep = (0.1 * ctx.epsilon, 0.3 * ctx.epsilon, ctx.epsilon)
-    linear_symbols = {t: s_symbol_grid(t, grid, params_lin) for t in times}
+    linear_symbols = {t: s_symbol_grid(t, grid.band, params_lin) for t in times}
     result = ExperimentResult(name)
     deviations = {}
     for eps in eps_sweep:
-        X0 = _generic_state(grid, eps)
-        traj = _simulate(ctx, grid, X0, horizon, times, f"{name} eps={eps:g}")
-        dev = []
-        for t, X in zip(traj.times[1:], traj.states[1:]):
-            lin = linear_symbols[t].apply(traj.states[0])
-            dev.append(lp_norm((X - lin).components(), 2))
-        deviations[eps] = np.array(dev)
+        deviations[eps] = np.array(_linear_deviations(ctx, grid, eps, horizon, times,
+                                                      f"{name} eps={eps:g}", linear_symbols))
         result.series[f"deviation-eps{eps:g}"] = (np.array(times), deviations[eps])
 
     # amplitude scaling at a mid-horizon time
@@ -736,12 +744,8 @@ def run_nonlinear_smallness(ctx: RunManifest) -> ExperimentResult:
     result.add("envelope-boundedness", 3.0, ratio, 0.0, p=2.0, sigma=0, mode="bound")
 
     # linear-only control: the deviation vanishes identically
-    X0 = _generic_state(grid, ctx.epsilon)
-    traj = _simulate(ctx, grid, X0, horizon, times, f"{name} linear-control", nonlinear=False)
-    worst = 0.0
-    for t, X in zip(traj.times[1:], traj.states[1:]):
-        lin = linear_symbols[t].apply(traj.states[0])
-        worst = max(worst, lp_norm((X - lin).components(), 2))
+    worst = max(0.0, *_linear_deviations(ctx, grid, ctx.epsilon, horizon, times,
+                                         f"{name} linear-control", linear_symbols, False))
     result.add("linear-control", 0.0, worst, 1e-12, mode="bound")
     return result
 
@@ -775,8 +779,8 @@ def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
 
     # one Leray split and one reference profile per snapshot
     residuals = [
-        _perp_residual(X, profile_superposition(moments, t, params, grid)[1], rs)
-        for t, X in zip(traj.times[1:], traj.states[1:])
+        _perp_residual(traj.state(k), profile_superposition(moments, t, params, grid)[1], rs)
+        for k, t in enumerate(traj.times[1:], 1)
     ]
     ps = (2.0, np.inf)
     norms = [
@@ -791,7 +795,7 @@ def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
     # moment consistency along the run (2% of the initial values), probed
     # while the vorticity is still compactly supported in the box
     probe = max(k for k, t in enumerate(traj.times) if t <= 8.0)
-    late_moments = first_moments_beta(vorticity_of(traj.states[probe].m, params), params)
+    late_moments = first_moments_beta(vorticity_of(traj.state(probe).m, params), params)
     beta_scale = max(abs(moments.beta[0]), abs(moments.beta[1]))
     drift = max(
         abs(late_moments.beta[0] - moments.beta[0]),
@@ -812,8 +816,8 @@ def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
     trajg = _simulate(ctx, grid, X0g, horizon, times, f"{name} vortex-data")
 
     vortex_residuals = (
-        _perp_residual(X, oseen_pair_fields(grid, t, params)[1], rs * alpha_scaled)
-        for t, X in zip(trajg.times[1:], trajg.states[1:])
+        _perp_residual(trajg.state(k), oseen_pair_fields(grid, t, params)[1], rs * alpha_scaled)
+        for k, t in enumerate(trajg.times[1:], 1)
     )
     for p, norms in zip(ps, _lp_series(grid, map(magnitude, vortex_residuals), ps)):
         result.decay(f"vortex-residual-p{p:g}-s0", "incompressible_weight", p, 0, times, norms,
@@ -853,9 +857,9 @@ def run_vorticity_profiles(ctx: RunManifest) -> ExperimentResult:
         with _solver_run(f"{name} vortex L={vortex_grid.L:g}"):
             traj = vorticity_simulate(omega0, nu, times_a, dt=0.25)
         worst = 0.0
-        for t, w in zip(traj.times[1:], traj.omegas[1:]):
+        for k, t in enumerate(traj.times[1:], 1):
             ref = oseen_vorticity_field(vortex_grid, 2.0 + t, params)
-            worst = max(worst, lp_norm(w - ref, 2) / lp_norm(ref, 2))
+            worst = max(worst, lp_norm(traj.omega(k) - ref, 2) / lp_norm(ref, 2))
         box_residuals[vortex_grid.L] = worst
     result.add("vortex-exactness", 0.0, box_residuals[ctx.grid.L], 1e-6, mode="bound",
                meta={"box_sensitivity": box_residuals})
@@ -867,8 +871,8 @@ def run_vorticity_profiles(ctx: RunManifest) -> ExperimentResult:
     with _solver_run(f"{name} dipole-data"):
         traj = vorticity_simulate(omega0, nu, times_b, dt=0.25)
     residuals = [
-        lp_norm(w - profile_superposition(moments, t, params, grid)[0], 2)
-        for t, w in zip(traj.times[1:], traj.omegas[1:])
+        lp_norm(traj.omega(k) - profile_superposition(moments, t, params, grid)[0], 2)
+        for k, t in enumerate(traj.times[1:], 1)
     ]
     result.decay("dipole-residual", "dipole_weight", 2.0, 0, traj.times[1:], residuals, T, 0.2,
                  key="dipole-residual-p2")
@@ -876,10 +880,10 @@ def run_vorticity_profiles(ctx: RunManifest) -> ExperimentResult:
     # moment conservation while the field is still well localized
     drift = 0.0
     beta_scale = max(abs(moments.beta[0]), abs(moments.beta[1]))
-    for t, w in zip(traj.times[1:], traj.omegas[1:]):
+    for k, t in enumerate(traj.times[1:], 1):
         if t > 16.0:
             break
-        m = first_moments_beta(w, params)
+        m = first_moments_beta(traj.omega(k), params)
         drift = max(
             drift,
             abs(m.beta[0] - moments.beta[0]) / beta_scale,

@@ -9,9 +9,11 @@ so the flux decomposition reads literally with 1 + rho_tilde standing for
 rho / rho_star; `simulate` scales physical data in and out at its boundary.
 
 Both solvers take one ETD2 step, `_etd2_step`, in place on a stack of the 2/3-rule
-band (`Grid.band`), which dealiased data, the sources and every symbol keep; a
-snapshot expands it with exact zeros.  Each run (`simulate`, `vorticity_simulate`
-or one `step`) makes its stage buffers and source scratch once; nothing is cached.
+band (`Grid.band`), which dealiased data, the sources and every symbol keep.  A run's
+snapshots and diagnostics stay on the band too: each trajectory holds one band array,
+and `Trajectory.state(k)` / `VorticityTrajectory.omega(k)` expand a snapshot with exact
+zeros when it is read.  Each run (`simulate`, `vorticity_simulate` or one `step`) makes
+its stage buffers, source scratch and diagnostic scratch once; no step table is cached.
 """
 
 from __future__ import annotations
@@ -279,26 +281,42 @@ HS_INDEX = 3
 BLOWUP_FACTOR = 10.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
+    """A run's snapshots in physical variables, held on its grid's band: `snapshots[k]`
+    is the (3, *band.spectral_shape) stack at `times[k]`, and `state(k)` expands it."""
+
+    grid: Grid
     times: tuple[float, ...]
-    states: tuple[State, ...]
+    snapshots: np.ndarray
     diagnostics: tuple[dict, ...]
 
+    def state(self, k: int) -> State:
+        """Snapshot k as a new half-spectrum State, zero off the band."""
+        return State.from_stack(self.grid, self.grid.band.scatter(self.snapshots[k]))
 
-def _diagnostics(X: State, t: float) -> dict:
-    """Snapshot diagnostics; `simulate` adds the Kawashima energy.  `grad_hs1` is
-    the H^{s-1} norm of the gradient, the dissipation half of the energy bound."""
-    grid = X.grid
-    grad_weight = grid.eta_sq * (1.0 + grid.eta_sq) ** (HS_INDEX - 1)
-    pairs = [(c.coeffs, c.coeffs) for c in X.components()]
-    return {
-        "t": t,
-        "mass": float(X.rho.coeffs[0, 0].real),
-        "min_density": float(1.0 + X.rho.values().min()),
-        "hs": sobolev_norm(X, HS_INDEX),
-        "grad_hs1": float(np.sqrt(parseval_sum(grid, pairs, grad_weight))),
-    }
+
+def _diagnostics(grid: Grid):
+    """Diagnostics of a band snapshot as `diagnostics(X, t)`, from Parseval weights and
+    transform scratch made once per run; `simulate` adds the Kawashima energy.  `hs` and
+    `grad_hs1`, the H^{s-1} norm of the gradient (the dissipation half of the energy
+    bound), are band Parseval sums; `mass` is the density's eta = 0 entry, and
+    `min_density` comes from the band transform of the density."""
+    band = grid.band
+    grad_weight = band.eta_sq * band.sobolev_weight(HS_INDEX - 1)
+    phys, work = np.empty((grid.n, grid.n)), np.empty(grid.spectral_shape, complex)
+
+    def diagnostics(X: np.ndarray, t: float) -> dict:
+        rho = to_physical(X[0], grid, out=phys, work=work)
+        return {
+            "t": t,
+            "mass": float(X[0, 0, 0].real),
+            "min_density": float(1.0 + rho.min()),
+            "hs": sobolev_norm(X, HS_INDEX, band),
+            "grad_hs1": float(np.sqrt(parseval_sum(band, [(c, c) for c in X], grad_weight))),
+        }
+
+    return diagnostics
 
 
 def _energy_check(hs: float, hs0: float, blowup_factor: float) -> None:
@@ -314,32 +332,35 @@ def _energy_check(hs: float, hs0: float, blowup_factor: float) -> None:
 def simulate(X0: State, config: SolverConfig) -> Trajectory:
     """Advance X0 to the requested snapshot times with diagnostics.
 
-    X0 and the returned snapshots are in physical variables.  Vacuum (in the
-    step that meets it), a non-finite state or energy blow-up (at the snapshot
-    that shows it) raises SolverAbort, and no later step runs.
+    X0 and the returned snapshots are in physical variables.  The run integrates X0's
+    band (the dealiased data) and copies each snapshot's band into one array allocated
+    once per run; the diagnostics are computed from those band snapshots.  Vacuum (in
+    the step that meets it), a non-finite state or energy blow-up (at the snapshot that
+    shows it) raises SolverAbort, and no later step runs.
     """
     if X0.grid != config.grid:
         raise SolverError("initial state grid does not match config grid")
     if not config.snapshot_times:
         raise SolverError("config.snapshot_times must not be empty")
-    rs, band = config.params.rho_star, config.grid.band
+    rs, grid, band = config.params.rho_star, config.grid, config.grid.band
     params = scaled_params(config.params)
-    X = (X0 * (1.0 / rs)).dealiased()
     dt_target = config.dt_effective
-    stack = band.gather(np.stack([c.coeffs for c in X.components()]))
-    stages, source = np.empty((3,) + stack.shape, stack.dtype), _fourier_source(config.grid, params)
+    stack = band.gather(np.stack([c.coeffs for c in X0.components()]))
+    stack *= 1.0 / rs
+    stages, source = np.empty((3,) + stack.shape, stack.dtype), _fourier_source(grid, params)
 
-    times, states = [0.0], [X * rs]
-    diagnostics = [_diagnostics(X * rs, 0.0)]
+    times = (0.0,) + config.snapshot_times
+    snapshots = np.empty((len(times),) + stack.shape, stack.dtype)
+    diagnose = _diagnostics(grid)
+    diagnostics = [diagnose(np.multiply(stack, rs, out=snapshots[0]), 0.0)]
     hs0 = diagnostics[0]["hs"]
     # Kawashima-type energy functional ||X||_{H^s}^2 + int ||grad X||_{H^{s-1}}^2,
     # accumulated by snapshot trapezoid; its boundedness is a run diagnostic
     dissipation = 0.0
     diagnostics[0]["kawashima_energy"] = hs0**2
     _energy_check(hs0, hs0, math.inf)  # only finiteness at t = 0
-    t_prev = 0.0
-    for t_snap in config.snapshot_times:
-        gap = t_snap - t_prev
+    for k, t_snap in enumerate(config.snapshot_times, 1):
+        gap = t_snap - times[k - 1]
         nsub = max(1, math.ceil(gap / dt_target - 1e-12))
         h = gap / nsub
         if config.nonlinear:
@@ -348,28 +369,32 @@ def simulate(X0: State, config: SolverConfig) -> Trajectory:
                 _advance(stack, stages, source, tab, config.scheme)
         else:
             stack[...] = s_symbol_grid(gap, band, params).apply(stack)
-        t_prev = t_snap
-        phys = State.from_stack(config.grid, band.scatter(stack)) * rs
-        times.append(t_snap)
-        states.append(phys)
-        row = _diagnostics(phys, t_snap)
+        row = diagnose(np.multiply(stack, rs, out=snapshots[k]), t_snap)
         dissipation += 0.5 * gap * (
             diagnostics[-1]["grad_hs1"] ** 2 + row["grad_hs1"] ** 2
         )
         row["kawashima_energy"] = row["hs"] ** 2 + dissipation
         diagnostics.append(row)
         _energy_check(row["hs"], hs0, BLOWUP_FACTOR)
-    return Trajectory(tuple(times), tuple(states), tuple(diagnostics))
+    return Trajectory(grid, times, snapshots, tuple(diagnostics))
 
 
 # ---------------------------------------------------------------------------
 # incompressible vorticity control solver
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VorticityTrajectory:
+    """A vorticity run's snapshots, held on its grid's band: `snapshots[k]` is the band
+    spectrum at `times[k]`, and `omega(k)` expands it."""
+
+    grid: Grid
     times: tuple[float, ...]
-    omegas: tuple[SpectralField, ...]
+    snapshots: np.ndarray
+
+    def omega(self, k: int) -> SpectralField:
+        """Snapshot k as a new half-spectrum field, zero off the band."""
+        return SpectralField(self.grid, self.grid.band.scatter(self.snapshots[k]))
 
 
 def _vorticity_source(grid: Grid):
@@ -399,17 +424,19 @@ def _vorticity_source(grid: Grid):
 def vorticity_simulate(
     omega0: SpectralField, nu: float, snapshot_times, dt: float
 ) -> VorticityTrajectory:
-    """Advance the 2D vorticity equation by ETD2RK with exact heat flow; the
-    run's stages and source scratch are made once, and each snapshot is a copy.
-    A non-finite snapshot raises SolverAbort, and no later step runs."""
+    """Advance the 2D vorticity equation by ETD2RK with exact heat flow; the run's
+    stages and source scratch are made once, and each snapshot's band is copied into
+    one array allocated once per run.  A non-finite snapshot raises SolverAbort, and
+    no later step runs."""
     snapshot_times = _time_grid(dt, snapshot_times)
     grid, band = omega0.grid, omega0.grid.band
     omega = band.gather(omega0.coeffs[None])
     stages, source = np.empty((3,) + omega.shape, omega.dtype), _vorticity_source(grid)
-    times, snaps = [0.0], [SpectralField(grid, band.scatter(omega)[0])]
-    t_prev = 0.0
-    for t_snap in snapshot_times:
-        gap = t_snap - t_prev
+    times = (0.0,) + snapshot_times
+    snapshots = np.empty((len(times),) + band.spectral_shape, omega.dtype)
+    snapshots[0] = omega[0]
+    for k, t_snap in enumerate(snapshot_times, 1):
+        gap = t_snap - times[k - 1]
         nsub = max(1, math.ceil(gap / dt - 1e-12))
         h = gap / nsub
         lh = -nu * band.eta_sq * h
@@ -419,7 +446,5 @@ def vorticity_simulate(
                 _etd2_step(omega, stages, source, weights)
         if not np.isfinite(omega).all():
             raise SolverAbort(f"non-finite state: vorticity at t = {t_snap:g}")
-        t_prev = t_snap
-        times.append(t_prev)
-        snaps.append(SpectralField(grid, band.scatter(omega)[0]))
-    return VorticityTrajectory(tuple(times), tuple(snaps))
+        snapshots[k] = omega[0]
+    return VorticityTrajectory(grid, times, snapshots)

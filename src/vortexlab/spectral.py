@@ -25,7 +25,9 @@ Band layout.  The solvers store only the 2/3-rule band of dealiased spectra
 (`Grid.band`): rows k1 = 0..n/3, -n/3..-1, columns k2 = 0..n/3.  Transforms of band
 spectra run the row pass on its columns only; the inverse re-zeroes the gap rows
 between the two row blocks on every call, which the last call's in-place row pass
-filled.  The rows are symmetric under k1 -> -k1, so column 0 is fixed as above.
+filled.  The rows are symmetric under k1 -> -k1, so column 0 is fixed as above.  The
+band has no Nyquist column, so its Parseval sums weigh column 0 by 1 and every other
+column by 2 (`Band.hermitian_weight`).
 """
 
 from __future__ import annotations
@@ -104,6 +106,13 @@ class _Wavenumbers:
         and the index with eta_sq == mag2[inverse], eta_sq_odd == mag2_odd[inverse]."""
         keys, inverse = np.unique((self.eta_sq + 1j * self.eta_sq_odd).ravel(), return_inverse=True)
         return keys.real.copy(), keys.imag.copy(), inverse.reshape(self.spectral_shape)
+
+    def sobolev_weight(self, s: int) -> np.ndarray:
+        """(1 + |eta|^2)^s, built once per lattice and index."""
+        weights = self.__dict__.setdefault("_sobolev_weights", {})
+        if s not in weights:
+            weights[s] = (1.0 + self.eta_sq) ** s
+        return weights[s]
 
 
 @dataclass(frozen=True)
@@ -191,6 +200,14 @@ class Band(_Wavenumbers):
         self.k_index, self.k_cols = np.r_[0 : k + 1, -k:0], np.arange(k + 1)
         # (band rows, half-lattice rows) of the two row blocks k1 >= 0 and k1 < 0
         self.blocks = (slice(0, k + 1),) * 2, (slice(k + 1, None), slice(-k, None))
+
+    @cached_property
+    def hermitian_weight(self) -> np.ndarray:
+        """Parseval weight per band column: 1 on the self-conjugate column k2 = 0 and 2 on
+        the others; the band has no Nyquist column."""
+        weight = np.full(len(self.k_cols), 2.0)
+        weight[0] = 1.0
+        return weight
 
     def gather(self, coeffs: np.ndarray, out=None, op=np.positive) -> np.ndarray:
         """op of the band of half spectra, into `out` if given."""
@@ -367,16 +384,18 @@ def derivative_multiplier(grid: Grid, sigma) -> np.ndarray:
     half lattice, or on a `FullLattice`.
 
     Odd powers use the Nyquist-zeroed wavenumbers so that real fields stay
-    real; even powers keep the full lattice.
+    real; even powers keep the full lattice.  An order-1 factor is the product
+    -i eta_odd, with no power taken.
     """
     s1, s2 = as_multi_index(sigma)
-    mult = np.ones(grid.eta1.shape, dtype=np.complex128)
+    mult = None
     for order, eta, eta_odd in ((s1, grid.eta1, grid.eta1_odd), (s2, grid.eta2, grid.eta2_odd)):
         if order == 0:
             continue
-        base = eta_odd if order % 2 else eta
-        mult = mult * (-1j * base) ** order
-    return mult
+        factor = -1j * (eta_odd if order % 2 else eta)
+        factor = factor if order == 1 else factor**order
+        mult = factor if mult is None else mult * factor
+    return np.ones(grid.eta1.shape, dtype=np.complex128) if mult is None else mult
 
 
 def derivative(field: SpectralField, sigma) -> SpectralField:
@@ -443,21 +462,23 @@ def lp_of_magnitude(mag: np.ndarray, grid: Grid, p: float) -> float:
     return float((np.sum(mag**p) * grid.dx**2) ** (1.0 / p))
 
 
-def parseval_sum(grid: Grid, pairs, weight=1.0) -> float:
+def parseval_sum(grid: Grid | Band, pairs, weight=1.0) -> float:
     """(1/L^2) sum over the full lattice of weight * Re(a conj b), summed over
-    the (a, b) half-spectrum pairs; `weight` must be even in eta."""
+    the (a, b) pairs of half spectra, or of band spectra when `grid` is a band;
+    `weight` must be even in eta."""
     w = grid.hermitian_weight * weight
     return float(sum(np.sum(w * (a * np.conj(b)).real) for a, b in pairs)) / grid.L**2
 
 
-def sobolev_norm(state: State, s: int) -> float:
-    """H^s norm from Fourier coefficients with the discrete measure 1/L^2."""
+def sobolev_norm(state: State | np.ndarray, s: int, band: Band | None = None) -> float:
+    """H^s norm from Fourier coefficients with the discrete measure 1/L^2, of a State,
+    or of a stack of band spectra when `band` is given."""
     s = int(s)
     if s < 0:
         raise SpectralError(f"Sobolev index must be nonnegative, got {s}")
-    grid = state.grid
-    pairs = [(c.coeffs, c.coeffs) for c in state.components()]
-    return float(np.sqrt(parseval_sum(grid, pairs, (1.0 + grid.eta_sq) ** s)))
+    lattice = state.grid if band is None else band
+    pairs = [(c, c) for c in ([f.coeffs for f in state.components()] if band is None else state)]
+    return float(np.sqrt(parseval_sum(lattice, pairs, lattice.sobolev_weight(s))))
 
 
 def sample(grid: Grid, func) -> SpectralField:

@@ -381,8 +381,8 @@ def test_zero_amplitude_residuals_vanish_identically():
     cfg = SolverConfig(grid=grid, params=params, T=2.0, snapshot_times=(1.0, 2.0))
     traj = simulate(zero_state(grid), cfg)
     moments = Moments(0.0, (0.0, 0.0))
-    for t, X in zip(traj.times[1:], traj.states[1:]):
-        perp, _ = leray_decompose(X.m)
+    for k, t in enumerate(traj.times[1:], 1):
+        perp, _ = leray_decompose(traj.state(k).m)
         _, uref = profile_superposition(moments, t, params, grid)
         diff = (perp[0] - uref[0], perp[1] - uref[1])
         assert lp_norm(diff, 2) == 0.0
@@ -390,25 +390,26 @@ def test_zero_amplitude_residuals_vanish_identically():
 
 
 def _stub_solvers(monkeypatch, abort_call):
-    """Stand-ins for both solvers: every run returns its initial data at each
-    snapshot, except run number `abort_call`, which raises SolverAbort."""
+    """Stand-ins for both solvers: every run returns the band of its initial data at
+    each snapshot, except run number `abort_call`, which raises SolverAbort."""
     from vortexlab.solver import SolverAbort, Trajectory, VorticityTrajectory
 
     calls = []
 
-    def run(x0, snapshot_times):
+    def run(grid, coeffs, snapshot_times):
         calls.append(snapshot_times)
         if len(calls) - 1 == abort_call:
             raise SolverAbort("stub abort")
         times = (0.0, *snapshot_times)
-        return times, (x0,) * len(times)
+        return grid, times, np.stack([grid.band.gather(coeffs)] * len(times))
 
     def simulate(X0, cfg):
-        times, states = run(X0, cfg.snapshot_times)
-        return Trajectory(times, states, ({},) * len(times))
+        coeffs = np.stack([c.coeffs for c in X0.components()])
+        grid, times, snapshots = run(X0.grid, coeffs, cfg.snapshot_times)
+        return Trajectory(grid, times, snapshots, ({},) * len(times))
 
     def vorticity_simulate(omega0, nu, snapshot_times, dt):
-        return VorticityTrajectory(*run(omega0, snapshot_times))
+        return VorticityTrajectory(*run(omega0.grid, omega0.coeffs, snapshot_times))
 
     monkeypatch.setattr(harness, "simulate", simulate)
     monkeypatch.setattr(harness, "vorticity_simulate", vorticity_simulate)

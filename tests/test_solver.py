@@ -35,6 +35,7 @@ from vortexlab.spectral import (
     leray_decompose,
     lp_norm,
     make_grid,
+    parseval_sum,
     sample,
     to_physical,
     to_spectral,
@@ -319,7 +320,8 @@ def test_simulate_divergence_free_data_keeps_density_second_order():
     X0 = State(SpectralField.zero(grid), (u[0] * amp, u[1] * amp)).dealiased()
     cfg = SolverConfig(grid=grid, params=PARAMS, T=4.0, snapshot_times=(1.0, 2.0, 4.0))
     traj = simulate(X0, cfg)
-    for t, X in zip(traj.times[1:], traj.states[1:]):
+    for k, t in enumerate(traj.times[1:], 1):
+        X = traj.state(k)
         assert lp_norm(X.rho, np.inf) < 30.0 * eps**2
         # m_perp follows the heat flow up to the quadratic coupling
         heat = heat_symbol_grid(t, grid, PARAMS.mu).apply(X0)
@@ -345,7 +347,7 @@ def test_simulate_preserves_reflection_symmetry():
 
     cfg = SolverConfig(grid=grid, params=PARAMS, T=2.0, snapshot_times=(1.0, 2.0))
     traj = simulate(X0, cfg)
-    for X in traj.states:
+    for X in map(traj.state, range(len(traj.times))):
         r = X.rho.values()
         m1 = X.m[0].values()
         m2 = X.m[1].values()
@@ -370,9 +372,7 @@ def test_simulate_carries_no_state_across_runs():
     again = run(grid, 1e-2)
     assert first.times == again.times
     assert first.diagnostics == again.diagnostics
-    for X, Y in zip(first.states, again.states, strict=True):
-        for a, b in zip(X.components(), Y.components(), strict=True):
-            assert np.array_equal(a.coeffs, b.coeffs)
+    assert np.array_equal(first.snapshots, again.snapshots)
 
 
 @pytest.mark.parametrize("scheme", ["etd2", "etd4"])
@@ -396,8 +396,9 @@ def test_step_bitwise_equals_reference(scheme):
             X = _reference_step(X, tab, PARAMS, scheme)
         expected.append(X)
         t_prev = t_snap
-    assert len(traj.states) == 3
-    for got, ref in zip(traj.states, expected, strict=True):
+    assert len(traj.times) == len(traj.snapshots) == 3
+    states = [traj.state(k) for k in range(3)]
+    for got, ref in zip(states, expected, strict=True):
         for a, b in zip(got.components(), ref.components(), strict=True):
             assert np.array_equal(a.coeffs, b.coeffs)
     # step() makes the same step on its own workspace
@@ -405,9 +406,11 @@ def test_step_bitwise_equals_reference(scheme):
     ref = _reference_step(X0, solver._tables(grid, PARAMS, dt, scheme), PARAMS, scheme)
     for a, b in zip(one.components(), ref.components(), strict=True):
         assert np.array_equal(a.coeffs, b.coeffs)
-    # simulate leaves X0 alone and hands out snapshots that share no memory
+    # simulate leaves X0 alone; no snapshot slot shares memory with X0, another slot
+    # or a returned State, and each state(k) call expands into new memory
     assert all(np.array_equal(c.coeffs, b) for c, b in zip(X0.components(), before))
-    arrays = [c.coeffs for X in (X0,) + traj.states for c in X.components()]
+    states += [traj.state(k) for k in range(3)]
+    arrays = [c.coeffs for X in [X0] + states for c in X.components()] + list(traj.snapshots)
     for i, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
 
@@ -422,9 +425,9 @@ def test_simulate_snapshots_vanish_off_the_band(scheme, nonlinear):
                        scheme=scheme, nonlinear=nonlinear)
     traj = simulate(X0, cfg)
     off = ~grid.dealias_mask
-    assert len(traj.states) == 3
+    assert len(traj.times) == 3
     assert any(np.abs(c.coeffs[off]).max() > 0 for c in X0.components())
-    for X in traj.states:
+    for X in map(traj.state, range(3)):
         assert all(np.all(c.coeffs[off] == 0.0) for c in X.components())
         assert np.abs(X.m[0].coeffs[grid.dealias_mask]).max() > 0
 
@@ -435,10 +438,54 @@ def test_vorticity_simulate_snapshots_vanish_off_the_band():
     off = ~grid.dealias_mask
     assert np.abs(omega0.coeffs[off]).max() > 0
     traj = vorticity_simulate(omega0, 1.0, (0.5, 1.2), 0.25)
-    assert len(traj.omegas) == 3
-    for w in traj.omegas:
+    assert len(traj.times) == 3
+    for w in map(traj.omega, range(3)):
         assert np.all(w.coeffs[off] == 0.0)
         assert np.abs(w.coeffs[grid.dealias_mask]).max() > 0
+
+
+@pytest.mark.parametrize("which", ["compressible", "vorticity"])
+def test_trajectory_holds_only_its_band_snapshots(which):
+    # after a warm-up run on the same grid (its cached wavenumbers and weights), the
+    # memory a returned trajectory holds is its band snapshots, not half spectra
+    import tracemalloc
+
+    grid, times = make_grid(64, 50.0), (0.5, 1.0, 1.5, 2.0)
+    if which == "compressible":
+        cfg = SolverConfig(grid=grid, params=PARAMS, T=2.0, snapshot_times=times)
+        run, fields = partial(simulate, _bump_state(grid, 1e-2), cfg), 3
+    else:
+        omega0 = _perturbed_dipole(grid, 0.5)
+        run, fields = partial(vorticity_simulate, omega0, 1.0, times, 0.25), 1
+    run()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        traj = run()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    stack_bytes = fields * np.empty(grid.band.spectral_shape, complex).nbytes
+    assert held <= 1.1 * len(traj.times) * stack_bytes
+
+
+@pytest.mark.parametrize("n, L", [(16, 20.0), (64, 50.0), (256, 200.0)])
+def test_band_diagnostics_equal_the_full_lattice_formulas(n, L):
+    # the snapshot diagnostics read the band; on dealiased data they are the
+    # half-lattice formulas up to the order of the Parseval sums
+    grid = make_grid(n, L)
+    X = random_state(grid, np.random.default_rng(n), 0.3).dealiased()
+    stack = grid.band.gather(np.stack([c.coeffs for c in X.components()]))
+    got = solver._diagnostics(grid)(stack, 0.5)
+    pairs = [(c.coeffs, c.coeffs) for c in X.components()]
+    s = solver.HS_INDEX
+    hs = np.sqrt(parseval_sum(grid, pairs, (1.0 + grid.eta_sq) ** s))
+    grad = np.sqrt(parseval_sum(grid, pairs, grid.eta_sq * (1.0 + grid.eta_sq) ** (s - 1)))
+    assert got["t"] == 0.5 and X.rho.coeffs[0, 0] != 0.0
+    assert got["mass"] == float(X.rho.coeffs[0, 0].real)
+    assert got["min_density"] == float(1.0 + X.rho.values().min())
+    assert abs(got["hs"] - hs) <= 1e-13 * hs
+    assert abs(got["grad_hs1"] - grad) <= 1e-13 * grad
 
 
 def _warm_step_peak(grid, advance) -> float:
@@ -548,8 +595,8 @@ def test_simulate_reference_density_rescaling():
     cfg1 = SolverConfig(grid=grid, params=scaled_params(params4), T=1.0, snapshot_times=times)
     traj4 = simulate(X0, cfg4)
     traj1 = simulate(X0 * 0.25, cfg1)
-    for a, b in zip(traj4.states, traj1.states):
-        for ca, cb in zip(a.components(), b.components()):
+    for k in range(len(traj4.times)):
+        for ca, cb in zip(traj4.state(k).components(), traj1.state(k).components()):
             scale = max(np.abs(ca.coeffs).max(), 1e-300)
             assert np.abs(ca.coeffs - 4.0 * cb.coeffs).max() < 1e-13 * scale
 
@@ -572,7 +619,7 @@ def duhamel_residual(trajectory: Trajectory, config: SolverConfig) -> float:
     params = scaled_params(config.params)
     grid = config.grid
     T = float(times[-1])
-    states = [s * (1.0 / rs) for s in trajectory.states]
+    states = [trajectory.state(k) * (1.0 / rs) for k in range(len(times))]
     total = s_symbol_grid(T, grid, params).apply(states[0])
     if config.nonlinear:
         h = float(gaps[0])
@@ -668,9 +715,9 @@ def test_vorticity_simulate_oseen_is_steady_profile():
     omega0 = oseen_vorticity_field(grid, 1.0, PARAMS)
     times = (1.0, 2.0, 4.0)
     traj = vorticity_simulate(omega0, nu, times, dt=0.25)
-    for t, w in zip(traj.times[1:], traj.omegas[1:]):
+    for k, t in enumerate(traj.times[1:], 1):
         ref = oseen_vorticity_field(grid, 1.0 + t, PARAMS)
-        err = lp_norm(w - ref, 2) / lp_norm(ref, 2)
+        err = lp_norm(traj.omega(k) - ref, 2) / lp_norm(ref, 2)
         assert err < 1e-6
 
 
@@ -681,9 +728,9 @@ def test_vorticity_simulate_conserves_moments():
     grid = make_grid(128, 100.0)
     omega0 = dipole_vorticity_field(grid, 1, 4.0, PARAMS) * 1e-2
     traj = vorticity_simulate(omega0, 1.0, (1.0, 3.0), dt=0.25)
-    m0 = first_moments_beta(traj.omegas[0], PARAMS)
-    for w in traj.omegas[1:]:
-        m = first_moments_beta(w, PARAMS)
+    m0 = first_moments_beta(traj.omega(0), PARAMS)
+    for k in range(1, len(traj.times)):
+        m = first_moments_beta(traj.omega(k), PARAMS)
         assert abs(m.beta[0] - m0.beta[0]) < 1e-8 * abs(m0.beta[0])
         assert abs(m.alpha - m0.alpha) < 1e-14
 
@@ -744,12 +791,15 @@ def test_vorticity_simulate_bitwise_equals_reference():
     assert traj.times == (0.0,) + times
     # advection matters at this amplitude: the heat flow alone is off by 0.5%
     heat = np.exp(-nu * grid.eta_sq * times[-1]) * omega0.dealiased().coeffs
-    assert np.abs(traj.omegas[-1].coeffs - heat).max() > 1e-3 * np.abs(heat).max()
-    for got, ref in zip(traj.omegas, expected, strict=True):
+    omegas = [traj.omega(k) for k in range(len(traj.times))]
+    assert np.abs(omegas[-1].coeffs - heat).max() > 1e-3 * np.abs(heat).max()
+    for got, ref in zip(omegas, expected, strict=True):
         assert np.array_equal(got.coeffs, ref.coeffs)
-    # the run leaves omega0 alone and hands out snapshots that share no memory
+    # the run leaves omega0 alone; no snapshot slot shares memory with omega0, another
+    # slot or a returned field, and each omega(k) call expands into new memory
     assert np.array_equal(omega0.coeffs, before)
-    arrays = [w.coeffs for w in (omega0,) + traj.omegas]
+    omegas += [traj.omega(k) for k in range(len(traj.times))]
+    arrays = [w.coeffs for w in [omega0] + omegas] + list(traj.snapshots)
     for i, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
 

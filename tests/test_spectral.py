@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from vortexlab.spectral import (
+    FullLattice,
     SpectralError,
     State,
     curl,
     derivative,
+    derivative_multiplier,
     divergence,
     gradient,
     leray_decompose,
@@ -111,6 +113,28 @@ def test_derivative_matches_finite_differences_second_order():
         errors.append(np.abs(spec - fd).max())
     ratio = errors[0] / errors[1]
     assert 3.0 < ratio < 5.0
+
+
+def _power_derivative_multiplier(grid, sigma) -> np.ndarray:
+    """Reference: the multiplier as a lattice of ones times (-i eta)^order per axis."""
+    mult = np.ones(grid.eta1.shape, dtype=np.complex128)
+    for order, eta, eta_odd in ((sigma[0], grid.eta1, grid.eta1_odd),
+                                (sigma[1], grid.eta2, grid.eta2_odd)):
+        if order:
+            mult = mult * (-1j * (eta_odd if order % 2 else eta)) ** order
+    return mult
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("full", [False, True], ids=["half", "full-lattice"])
+def test_derivative_multiplier_equals_the_power_formula(n, full):
+    # order-1 factors are formed without a power; every |sigma| <= 8 keeps its values
+    lattice = FullLattice(make_grid(n, 7.0)) if full else make_grid(n, 7.0)
+    for s1 in range(9):
+        for s2 in range(9 - s1):
+            got = derivative_multiplier(lattice, (s1, s2))
+            assert got.dtype == np.complex128
+            assert np.array_equal(got, _power_derivative_multiplier(lattice, (s1, s2)))
 
 
 def test_derivative_rejects_bad_multi_index():
