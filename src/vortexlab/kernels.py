@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -50,64 +51,73 @@ _PHI_SERIES_RADIUS = 0.5
 _PHI_SERIES_TERMS = 20
 
 
+def _branchwise(small, series, closed, *args):
+    """One complex array: `series` of the args' entries where `small`, `closed` of the
+    others; each branch sees only its own entries, so no guard against 0/0 is needed."""
+    args = np.broadcast_arrays(*(np.asarray(x, dtype=np.complex128) for x in args))
+    out = np.empty(args[0].shape, dtype=np.complex128)
+    out[small] = series(*(x[small] for x in args))
+    out[~small] = closed(*(x[~small] for x in args))
+    return out
+
+
+def _horner(z, coeffs):
+    out = np.zeros_like(z)
+    for c in coeffs:
+        out = out * z + c
+    return out
+
+
+def _near(a, b):
+    """Where |a - b| < 1e-5, the divided differences' series branch."""
+    return np.abs(np.subtract(a, b, dtype=np.complex128)) < _DD_TOL
+
+
 def phi(k: int, z):
-    """phi_0 = exp, phi_k(z) = (phi_{k-1}(z) - 1/(k-1)!) / z, entire in z."""
+    """phi_0 = exp, phi_k(z) = (phi_{k-1}(z) - 1/(k-1)!) / z, entire in z: a 20-term
+    Taylor series where |z| < 0.5, the closed form elsewhere."""
     z = np.asarray(z, dtype=np.complex128)
     if k == 0:
         return np.exp(z)
-    small = np.abs(z) < _PHI_SERIES_RADIUS
-    series = np.zeros_like(z)
-    for n in range(_PHI_SERIES_TERMS - 1, -1, -1):
-        series = series * z + 1.0 / math.factorial(n + k)
-    tail = np.exp(z)
-    for j in range(k):
-        tail = tail - z**j / math.factorial(j)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        closed = tail / np.where(small, 1.0, z) ** k
-    return np.where(small, series, closed)
+    coeffs = [1.0 / math.factorial(n + k) for n in range(_PHI_SERIES_TERMS - 1, -1, -1)]
+
+    def closed(z):
+        tail = np.exp(z)
+        for j in range(k):
+            tail = tail - z**j / math.factorial(j)
+        return tail / z**k
+
+    return _branchwise(np.abs(z) < _PHI_SERIES_RADIUS, partial(_horner, coeffs=coeffs), closed, z)
 
 
 def _phi_derivative(k: int, z):
     """d/dz phi_k: exp for k = 0; for k >= 1 the recurrence
-    z phi_k'(z) = phi_{k-1}(z) - k phi_k(z), with a series branch near z = 0."""
+    z phi_k'(z) = phi_{k-1}(z) - k phi_k(z), with a series where |z| < 0.5."""
     z = np.asarray(z, dtype=np.complex128)
     if k == 0:
         return np.exp(z)
-    small = np.abs(z) < _PHI_SERIES_RADIUS
-    series = np.zeros_like(z)
-    for n in range(_PHI_SERIES_TERMS - 1, 0, -1):
-        series = series * z + n / math.factorial(n + k)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        closed = (phi(k - 1, z) - k * phi(k, z)) / np.where(small, 1.0, z)
-    return np.where(small, series, closed)
+    coeffs = [n / math.factorial(n + k) for n in range(_PHI_SERIES_TERMS - 1, 0, -1)]
+    return _branchwise(np.abs(z) < _PHI_SERIES_RADIUS, partial(_horner, coeffs=coeffs),
+                       lambda z: (phi(k - 1, z) - k * phi(k, z)) / z, z)
 
 
 def exp_divided_difference(a, b):
-    """(exp(a) - exp(b)) / (a - b), switching to the symmetric series
-    exp((a+b)/2) * sinh(d/2)/(d/2) when |a - b| < 1e-5."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    d = a - b
-    small = np.abs(d) < _DD_TOL
-    mid = 0.5 * (a + b)
-    series = np.exp(mid) * (1.0 + d * d / 24.0 + d**4 / 1920.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        direct = (np.exp(a) - np.exp(b)) / np.where(small, 1.0, d)
-    return np.where(small, series, direct)
+    """(exp(a) - exp(b)) / (a - b), and the symmetric series
+    exp((a+b)/2) * sinh(d/2)/(d/2) where |d| = |a - b| < 1e-5."""
+
+    def series(a, b):
+        d = a - b
+        return np.exp(0.5 * (a + b)) * (1.0 + d * d / 24.0 + d**4 / 1920.0)
+
+    return _branchwise(_near(a, b), series, lambda a, b: (np.exp(a) - np.exp(b)) / (a - b), a, b)
 
 
 def phi_divided_difference(k: int, a, b):
-    """(phi_k(a) - phi_k(b)) / (a - b), using phi_k'((a+b)/2) when a ~ b."""
+    """(phi_k(a) - phi_k(b)) / (a - b), and phi_k'((a+b)/2) where |a - b| < 1e-5."""
     if k == 0:
         return exp_divided_difference(a, b)
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    d = a - b
-    small = np.abs(d) < _DD_TOL
-    near = _phi_derivative(k, 0.5 * (a + b))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        direct = (phi(k, a) - phi(k, b)) / np.where(small, 1.0, d)
-    return np.where(small, near, direct)
+    return _branchwise(_near(a, b), lambda a, b: _phi_derivative(k, 0.5 * (a + b)),
+                       lambda a, b: (phi(k, a) - phi(k, b)) / (a - b), a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .kernels import KernelSymbol, phi, phi_symbol_grid, s_symbol_grid
 from .profiles import FluidParams, PowerPressureLaw
 from .spectral import (
     Band,
+    BandTransform,
     Grid,
     SpectralField,
     State,
@@ -105,14 +106,29 @@ def _fourier_source(grid: Grid, params: FluidParams):
     so it is added there before transforming.  The source is linear in the
     transformed products with diagonal multipliers, so keeping the products'
     band dealiases every product.
+
+    The inverse is `to_physical`'s, with its physical 1/dx^2: folding that scale into
+    the band moves rho by an ulp, which `pressure_remainder`'s cancellation magnifies.
+    The forward runs unscaled, F = conj(f_hat) / dx^2, so the multipliers made once
+    per run carry dx^2: with s_i = -d_k f_ik - mu Lap g_i - (mu+lam) d_i div g,
+    conj s_i = sum_k (-i e_k dx^2) F_ik + sum_k (mu |eta|^2 delta_ik + (mu+lam) e_i e_k) dx^2 G_k.
     """
-    band, work = grid.band, np.empty((5,) + grid.spectral_shape, dtype=np.complex128)
-    spec = np.empty((7,) + band.spectral_shape, dtype=np.complex128)
+    # one work array: the state's inverse runs on its first three fields, the products'
+    # forward on all five
+    band, work = grid.band, np.empty((5,) + grid.spectral_shape, complex)
+    state_core, product_core = BandTransform(grid, work[:3]), BandTransform(grid, work)
     phys, products = np.empty((3, grid.n, grid.n)), np.empty((5, grid.n, grid.n))
-    visc, e1, e2 = params.mu * band.eta_sq, band.eta1_odd, band.eta2_odd
+    e1, e2, dx2, mu_lam = band.eta1_odd, band.eta2_odd, grid.dx**2, params.mu + params.lam
+    lap, (i1, i2) = params.mu * band.eta_sq, ((-1j * dx2) * e for e in (e1, e2))
+    a11, a12, a22 = (
+        np.asarray(a * dx2, complex)  # numpy multiplies complex by complex faster than it casts
+        for a in (lap + mu_lam * e1**2, mu_lam * (e1 * e2), lap + mu_lam * e2**2)
+    )
+    # conj s_i as its (multiplier, product) terms, with the products f11, f12, f22, g1, g2
+    terms = (((a11, 3), (a12, 4), (i1, 0), (i2, 1)), ((a12, 3), (a22, 4), (i1, 1), (i2, 2)))
 
     def source(X: np.ndarray, out: np.ndarray) -> np.ndarray:
-        rho, w1, w2 = to_physical(X, grid, out=phys, work=work[:3])
+        rho, w1, w2 = np.divide(state_core.load(X).inverse(phys), dx2, out=phys)
         f11, f12, f22, g1, g2 = products  # 1 + rho, a1, a2, P_rem wait in free slots
         one = _guard_vacuum(np.add(1.0, rho, out=f12))
         a1, a2 = np.divide(w1, one, out=g1), np.divide(w2, one, out=g2)
@@ -122,19 +138,15 @@ def _fourier_source(grid: Grid, params: FluidParams):
         np.multiply(w1, a2, out=f12)
         np.subtract(w1, a1, out=g1)
         np.subtract(w2, a2, out=g2)
-        f11, f12, f22, g1, g2 = to_spectral(products, grid, out=spec[:5], work=work)
-        div_g, tmp = spec[5], spec[6]
-        np.multiply(e1, g1, out=div_g)
-        div_g += np.multiply(e2, g2, out=tmp)
-        np.multiply(params.mu + params.lam, div_g, out=div_g)
-        # -d_k (m_i m_k/(1+rho) + delta_ik P_rem) - mu Lap g_i - (mu+lam) d_i div g
+        # eight multiply-adds per row block; the density row is their scratch
+        for rows, spectra in zip(product_core.rows, product_core.forward(products)):
+            for s, ((m, j), *rest) in zip(out[1:, rows], terms):
+                np.multiply(m[rows], spectra[j], out=s)
+                for m, j in rest:
+                    s += np.multiply(m[rows], spectra[j], out=out[0, rows])
+        np.conjugate(out[1:], out=out[1:])
+        band.make_hermitian(out[1:])
         out[0] = 0.0
-        for s, (fa, fb), g, e in zip(out[1:], ((f11, f12), (f12, f22)), (g1, g2), (e1, e2)):
-            np.multiply(e1, fa, out=s)
-            s += np.multiply(e2, fb, out=tmp)
-            np.multiply(1j, s, out=s)
-            s += np.multiply(visc, g, out=tmp)
-            s += np.multiply(e, div_g, out=tmp)
         return out
 
     return source
@@ -401,21 +413,29 @@ def _vorticity_source(grid: Grid):
     """-u.grad omega in Fourier coefficients on the band, with u the torus Biot-Savart velocity
     of the zero-mean part of omega, as `source(x, out)` on (1, band) stacks.  Basdevant's form
     u.grad omega = d1 d2 (u2^2 - u1^2) + (d1^2 - d2^2)(u1 u2): one inverse transform of (u1, u2),
-    one forward of the two products, whose aliases fall off the band |k_i| <= n/3 and are cut."""
-    band = grid.band
+    one forward of the two products, whose aliases fall off the band |k_i| <= n/3 and are cut.
+    Both transforms run unscaled: the velocity multipliers carry the inverse's 1/dx^2 and
+    `cross` and `diff` the forward's dx^2, so conj of the assembled forward blocks is the source."""
+    band, core, dx2 = grid.band, BandTransform(grid, (2,)), grid.dx**2
     (k1, k2), e1, e2 = band.biot_savart_multiplier, band.eta1, band.eta2
-    cross, diff = e1 * e2, e1**2 - e2**2  # both vanish at eta = 0: circulation is kept
-    spec, phys = np.empty((2,) + band.spectral_shape, complex), np.empty((3, grid.n, grid.n))
-    work = np.empty((2,) + grid.spectral_shape, complex)
+    velocity = np.conj(k1) / dx2, np.conj(k2) / dx2
+    # both vanish at eta = 0: circulation is kept; complex, as in `_fourier_source`
+    cross, diff = (np.asarray(m * dx2, complex) for m in (e1 * e2, e1**2 - e2**2))
+    phys = np.empty((3, grid.n, grid.n))
 
     def source(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.multiply(k1, x[0], out=spec[0])
-        np.multiply(k2, x[0], out=spec[1])
-        u1, u2 = to_physical(spec, grid, out=phys[:2], work=work)
+        for rows, (v1, v2) in zip(core.rows, core.blocks):
+            np.conjugate(x[0, rows], out=v1)
+            np.multiply(velocity[1][rows], v1, out=v2)
+            v1 *= velocity[0][rows]
+        u1, u2 = core.inverse(phys[:2])
         np.multiply(u1, u2, out=phys[2])
         np.subtract(np.multiply(u2, u2, out=u2), np.multiply(u1, u1, out=u1), out=u2)
-        f_sq, f12 = to_spectral(phys[1:], grid, out=spec, work=work)
-        np.add(np.multiply(cross, f_sq, out=out[0]), np.multiply(diff, f12, out=f12), out=out[0])
+        for rows, (f_sq, f12) in zip(core.rows, core.forward(phys[1:])):
+            np.multiply(cross[rows], f_sq, out=out[0, rows])
+            out[0, rows] += np.multiply(diff[rows], f12, out=f12)
+        np.conjugate(out, out=out)
+        band.make_hermitian(out)
         return out
 
     return source

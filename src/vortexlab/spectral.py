@@ -22,12 +22,17 @@ leading axes; `to_spectral` makes the self-conjugate columns exactly
 Hermitian, and every multiplier here keeps them so.
 
 Band layout.  The solvers store only the 2/3-rule band of dealiased spectra
-(`Grid.band`): rows k1 = 0..n/3, -n/3..-1, columns k2 = 0..n/3.  Transforms of band
-spectra run the row pass on its columns only; the inverse re-zeroes the gap rows
-between the two row blocks on every call, which the last call's in-place row pass
-filled.  The rows are symmetric under k1 -> -k1, so column 0 is fixed as above.  The
-band has no Nyquist column, so its Parseval sums weigh column 0 by 1 and every other
-column by 2 (`Band.hermitian_weight`).
+(`Grid.band`): rows k1 = 0..n/3, -n/3..-1, columns k2 = 0..n/3.  Band spectra are
+transformed by one core, `BandTransform`, made once per run on one half-lattice work
+array for both directions: the band is its two row blocks, and its row passes run on
+the band's columns only.  Each inverse call first zeroes the dropped columns and the
+gap rows between the blocks, which the last forward call and the last call's in-place
+row pass filled.  The core runs unscaled, so its callers carry the dx^2 and the
+conjugation of the convention: `to_physical`/`to_spectral` apply them per call, the
+solvers' sources fold them into multipliers made once per run.  The rows are
+symmetric under k1 -> -k1 (`conj_rows` indexes each row's partner), so column 0 is
+fixed as above.  The band has no Nyquist column, so its Parseval sums weigh column 0
+by 1 and every other column by 2 (`Band.hermitian_weight`).
 """
 
 from __future__ import annotations
@@ -101,6 +106,19 @@ class _Wavenumbers:
         return (len(self.k_index), len(self.k_cols))
 
     @cached_property
+    def conj_rows(self) -> np.ndarray:
+        """Row index of each row's k1 -> -k1 partner (a Nyquist row is its own)."""
+        return -np.arange(len(self.k_index)) % len(self.k_index)
+
+    def make_hermitian(self, coeffs: np.ndarray) -> np.ndarray:
+        """Spectra on this lattice with their self-conjugate columns replaced, in place,
+        by their Hermitian parts."""
+        for j in self.self_conjugate:
+            col = coeffs[..., j]
+            col[...] = 0.5 * (col + np.conj(col[..., self.conj_rows]))
+        return coeffs
+
+    @cached_property
     def shells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(mag2, mag2_odd, inverse): the distinct float pairs (eta_sq, eta_sq_odd)
         and the index with eta_sq == mag2[inverse], eta_sq_odd == mag2_odd[inverse]."""
@@ -130,6 +148,7 @@ class Grid(_Wavenumbers):
 
     n: int
     L: float
+    self_conjugate = (0, -1)  # the stored columns k2 = 0 and n/2
 
     def __post_init__(self):
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
@@ -195,6 +214,8 @@ class FullLattice(_Wavenumbers):
 class Band(_Wavenumbers):
     """The 2/3-rule band of a grid's half lattice (see the module docstring)."""
 
+    self_conjugate = (0,)  # the column k2 = 0
+
     def __init__(self, grid: Grid):
         self.n, self.L, k = grid.n, grid.L, grid.n // 3
         self.k_index, self.k_cols = np.r_[0 : k + 1, -k:0], np.arange(k + 1)
@@ -209,21 +230,60 @@ class Band(_Wavenumbers):
         weight[0] = 1.0
         return weight
 
-    def gather(self, coeffs: np.ndarray, out=None, op=np.positive) -> np.ndarray:
-        """op of the band of half spectra, into `out` if given."""
-        out = np.empty(coeffs.shape[:-2] + self.spectral_shape, complex) if out is None else out
+    def gather(self, coeffs: np.ndarray) -> np.ndarray:
+        """The band of half spectra, as a new array."""
+        out = np.empty(coeffs.shape[:-2] + self.spectral_shape, complex)
         for rows, lattice in self.blocks:
-            op(coeffs[..., lattice, : len(self.k_cols)], out=out[..., rows, :])
+            out[..., rows, :] = coeffs[..., lattice, : len(self.k_cols)]
         return out
 
-    def scatter(self, coeffs: np.ndarray, out=None, op=np.positive) -> np.ndarray:
-        """Half spectra, into `out` if given: op of band spectra on the band, 0 off it."""
-        k, shape = len(self.k_cols), coeffs.shape[:-2] + (self.n, self.n // 2 + 1)
-        out = np.empty(shape, complex) if out is None else out
-        out[..., k:], out[..., k : 1 - k, :k] = 0.0, 0.0  # the dropped columns, the gap rows
+    def scatter(self, coeffs: np.ndarray) -> np.ndarray:
+        """Half spectra, as a new array: band spectra on the band, 0 off it."""
+        out = np.zeros(coeffs.shape[:-2] + (self.n, self.n // 2 + 1), complex)
         for rows, lattice in self.blocks:
-            op(coeffs[..., rows, :], out=out[..., lattice, :k])
+            out[..., lattice, : len(self.k_cols)] = coeffs[..., rows, :]
         return out
+
+
+class BandTransform:
+    """The band's transform core: numpy's two passes each way, unscaled, on one
+    half-lattice work array (see the module docstring's band layout), given, or made
+    with the leading shape `work` of the stacks it transforms.
+
+    `blocks` are the views of the work array's two row blocks, whose band rows are
+    `rows`.  A caller writes conjugated band spectra into them (`load(c)` writes conj c)
+    and `inverse(out)` returns dx^2 times their samples; `forward(values)` returns them
+    holding conj(f_hat) / dx^2 of the samples."""
+
+    def __init__(self, grid: Grid, work):
+        band, self.n, self.cols = grid.band, grid.n, len(grid.band.k_cols)
+        if not isinstance(work, np.ndarray):
+            work = np.empty(tuple(work) + grid.spectral_shape, complex)
+        self.work, self.rows = work, tuple(rows for rows, _ in band.blocks)
+        self.blocks = tuple(work[..., lattice, : self.cols] for _, lattice in band.blocks)
+
+    def load(self, coeffs: np.ndarray) -> "BandTransform":
+        """Write the conjugates of band spectra into the blocks."""
+        for rows, block in zip(self.rows, self.blocks):
+            np.conjugate(coeffs[..., rows, :], out=block)
+        return self
+
+    def inverse(self, out=None) -> np.ndarray:
+        """irfft2 of the work, into `out` (real) if given: the row pass on the band's
+        columns, in place, then the column pass.  The dropped columns, which a forward
+        call fills, and the gap rows, which the row pass fills, are zeroed first."""
+        work, k = self.work, self.cols
+        work[..., k:], work[..., k : 1 - k, :k] = 0.0, 0.0
+        np.fft.ifftn(work[..., :k], axes=(-2,), out=work[..., :k])
+        return np.fft.irfftn(work, s=(self.n,), axes=(-1,), out=out)
+
+    def forward(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The blocks after rfft2 of real samples into the work: the column pass, then
+        the row pass on the band's columns, in place."""
+        work, k = self.work, self.cols
+        np.fft.rfftn(values, axes=(-1,), out=work)
+        np.fft.fftn(work[..., :k], axes=(-2,), out=work[..., :k])
+        return self.blocks
 
 
 def make_grid(n: int, L: float) -> Grid:
@@ -256,7 +316,7 @@ class SpectralField:
         columns k2 = 0, n/2: every other stored coefficient stands for a
         conjugate pair, so this is the whole realness defect of the field."""
         cols = self.coeffs[:, [0, -1]]
-        return float(np.abs(cols - _conj_partner(cols)).max())
+        return float(np.abs(cols - np.conj(cols[self.grid.conj_rows])).max())
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         _check_same_grid(self.grid, other.grid)
@@ -276,46 +336,42 @@ class SpectralField:
         return SpectralField(grid, np.zeros(grid.spectral_shape, dtype=np.complex128))
 
 
-def _conj_partner(cols: np.ndarray) -> np.ndarray:
-    # conj of the k1 -> -k1 partner along the row axis (Nyquist row maps to itself)
-    return np.conj(np.roll(cols[..., ::-1, :], 1, axis=-2))
-
-
 def to_physical(coeffs: np.ndarray, grid: Grid, out=None, work=None) -> np.ndarray:
     """Samples of a half or band spectrum, or of a stack of them along leading axes.
     irfft2's two transforms run axis by axis, into `out` (real) and `work` (complex,
-    half-lattice shaped) when given, so a caller holding both allocates no lattice array."""
-    band = grid.band
-    in_band = coeffs.shape[-2:] == band.spectral_shape
-    work = band.scatter(coeffs, work, np.conjugate) if in_band else np.conjugate(coeffs, out=work)
-    cols = len(band.k_cols) if in_band else work.shape[-1]
-    np.fft.ifftn(work[..., :cols], axes=(-2,), out=work[..., :cols])
-    out = np.fft.irfftn(work, s=(grid.n,), axes=(-1,), out=out)
+    half-lattice shaped) when given, so a caller holding both allocates no lattice array;
+    band spectra go through a `BandTransform` on `work`."""
+    if coeffs.shape[-2:] == grid.band.spectral_shape:
+        core = BandTransform(grid, coeffs.shape[:-2] if work is None else work)
+        out = core.load(coeffs).inverse(out)
+    else:
+        work = np.conjugate(coeffs, out=work)
+        np.fft.ifftn(work, axes=(-2,), out=work)
+        out = np.fft.irfftn(work, s=(grid.n,), axes=(-1,), out=out)
     out /= grid.dx**2
     return out
 
 
 def to_spectral(values: np.ndarray, grid: Grid, out=None, work=None) -> np.ndarray:
     """Half spectra of real samples (or of a stack of them along leading axes),
-    written into `out` when it is given; a band-shaped `out` gets the band, through
-    `work` (complex, half-lattice shaped) when given.
+    written into `out` when it is given; a band-shaped `out` gets the band, through a
+    `BandTransform` on `work` (complex, half-lattice shaped) when given.
 
     rfft2 rounds the self-conjugate columns to slightly non-Hermitian values;
     they are replaced by their Hermitian parts, so real fields have exactly
     Hermitian spectra.
     """
-    band, fix = grid.band, [0, -1]
-    if out is not None and out.shape[-2:] == band.spectral_shape:
-        work, fix, cols = np.fft.rfftn(values, axes=(-1,), out=work), [0], len(band.k_cols)
-        np.fft.fftn(work[..., :cols], axes=(-2,), out=work[..., :cols])
-        band.gather(work, out, np.conjugate)
+    lattice = grid
+    if out is not None and out.shape[-2:] == grid.band.spectral_shape:
+        lattice = grid.band
+        core = BandTransform(grid, values.shape[:-2] if work is None else work)
+        for rows, block in zip(core.rows, core.forward(values)):
+            np.conjugate(block, out=out[..., rows, :])
     else:
         out = np.fft.rfft2(values, out=out)
         np.conjugate(out, out=out)
     out *= grid.dx**2
-    cols = out[..., fix]
-    out[..., fix] = 0.5 * (cols + _conj_partner(cols))
-    return out
+    return lattice.make_hermitian(out)
 
 
 def _check_same_grid(*grids: Grid):

@@ -439,6 +439,25 @@ def test_aborted_solver_run_raises(monkeypatch, experiment, L, abort_call, messa
         run_experiment(experiment, ctx)
 
 
+def test_incompressible_limit_frees_the_dipole_run_before_the_vortex_run(monkeypatch):
+    # the dipole-data trajectory and its residuals live only inside the helper that
+    # measures them, so they are gone before the vortex-data run allocates its own
+    import weakref
+
+    _stub_solvers(monkeypatch, None)
+    run, refs, alive = harness._simulate, [], []
+
+    def simulate(*args, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        traj = run(*args, **kwargs)
+        refs.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(harness, "_simulate", simulate)
+    run_experiment("incompressible-limit", RunManifest(n=128, L=100.0))
+    assert alive == [[], [False]]
+
+
 def test_non_finite_vorticity_run_raises():
     # at this amplitude the dipole run overflows by its first snapshot; it used to
     # reach its fits, and moment-conservation passed on a NaN field (max(0, nan) = 0)

@@ -80,6 +80,93 @@ def test_divided_difference_stable_across_threshold():
         assert abs(coarse - direct) < 1e-12 * abs(direct)
 
 
+# Reference: the masked evaluation the branch-wise phi functions replaced, which
+# computed the series and the closed form on every entry and picked with np.where.
+
+
+def _masked_phi(k, z):
+    import math
+
+    z = np.asarray(z, dtype=np.complex128)
+    if k == 0:
+        return np.exp(z)
+    small = np.abs(z) < 0.5
+    series = np.zeros_like(z)
+    for n in range(19, -1, -1):
+        series = series * z + 1.0 / math.factorial(n + k)
+    tail = np.exp(z)
+    for j in range(k):
+        tail = tail - z**j / math.factorial(j)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        closed = tail / np.where(small, 1.0, z) ** k
+    return np.where(small, series, closed)
+
+
+def _masked_phi_derivative(k, z):
+    import math
+
+    z = np.asarray(z, dtype=np.complex128)
+    if k == 0:
+        return np.exp(z)
+    small = np.abs(z) < 0.5
+    series = np.zeros_like(z)
+    for n in range(19, 0, -1):
+        series = series * z + n / math.factorial(n + k)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        closed = (_masked_phi(k - 1, z) - k * _masked_phi(k, z)) / np.where(small, 1.0, z)
+    return np.where(small, series, closed)
+
+
+def _masked_exp_divided_difference(a, b):
+    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    d = a - b
+    small = np.abs(d) < 1e-5
+    series = np.exp(0.5 * (a + b)) * (1.0 + d * d / 24.0 + d**4 / 1920.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        direct = (np.exp(a) - np.exp(b)) / np.where(small, 1.0, d)
+    return np.where(small, series, direct)
+
+
+def _masked_phi_divided_difference(k, a, b):
+    if k == 0:
+        return _masked_exp_divided_difference(a, b)
+    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    d = a - b
+    small = np.abs(d) < 1e-5
+    near = _masked_phi_derivative(k, 0.5 * (a + b))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        direct = (_masked_phi(k, a) - _masked_phi(k, b)) / np.where(small, 1.0, d)
+    return np.where(small, near, direct)
+
+
+def test_branchwise_phi_functions_equal_the_masked_evaluation():
+    from vortexlab.kernels import _phi_derivative
+
+    # both sides of |z| = 0.5, on it, at 0 and far out
+    angles = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 13))
+    radii = 0.5 * (1.0 + np.array([-1e-9, -1e-15, 0.0, 1e-15, 1e-9]))
+    zs = np.concatenate([np.outer(radii, angles).ravel(), [0.0, 1e-12, -3.0, -40.0 + 2j, 7j]])
+    # both sides of |a - b| = 1e-5, on it, a = b, and far apart
+    gaps = 1e-5 * (1.0 + np.array([-1e-6, -1e-12, 0.0, 1e-12, 1e-6]))
+    a = np.repeat(zs, len(gaps) + 2)
+    b = a - np.tile(np.concatenate([gaps, [0.0, 0.7]]), len(zs))
+    # the double root |eta| = 2c/mu_par of the "s" block, at a few step lengths
+    mag2 = (2.0 * MU_PAR_ONE.c / MU_PAR_ONE.mu_par) ** 2 * (1.0 + np.array([-1e-9, 0.0, 1e-9]))
+    d1, d2, _ = FAMILIES["s"](mag2, MU_PAR_ONE)
+    lp, lm = _lambda_pm(d1, d2, mag2, MU_PAR_ONE)
+    a = np.concatenate([a] + [t * lp for t in (0.1, 1.0, 30.0)])
+    b = np.concatenate([b] + [t * lm for t in (0.1, 1.0, 30.0)])
+    assert (np.abs(a - b) < 1e-5).any() and (np.abs(a - b) >= 1e-5).any()
+    for k in range(4):
+        assert np.array_equal(phi(k, zs), _masked_phi(k, zs))
+        assert np.array_equal(_phi_derivative(k, zs), _masked_phi_derivative(k, zs))
+        assert np.array_equal(phi_divided_difference(k, a, b),
+                              _masked_phi_divided_difference(k, a, b))
+    assert np.array_equal(exp_divided_difference(a, b), _masked_exp_divided_difference(a, b))
+    # 0-d arguments keep giving 0-d results
+    assert phi(1, 0.3).shape == () and phi_divided_difference(2, 0.1, 0.1).shape == ()
+
+
 # ---------------------------------------------------------------------------
 # eigenvalues of the curl-free block, on the branch `_entries` takes for "s"
 

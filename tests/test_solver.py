@@ -55,19 +55,42 @@ def _fourier_source(X: State, params: FluidParams) -> State:
     return State.from_stack(X.grid, band.scatter(out))
 
 
-# Reference: the allocating State-level source and step the in-place path
-# replaced.  The live step must reproduce them bit for bit.
+# Reference: an allocating State-level form of the live source and step, on the half
+# lattice.  The live step must reproduce them bit for bit.  The live source keeps
+# to_physical's inverse and runs the forward unscaled, F = conj(f_hat) / dx^2, with dx^2
+# in its multipliers: conj s_i = sum_k (-i e_k dx^2) F_ik + sum_k a_ik G_k.
 
 
-def _reference_source(X: State, params: FluidParams) -> State:
-    grid = X.grid
-    rho, w1, w2 = to_physical(np.stack([c.coeffs for c in X.components()]), grid)
+def _products(X: State, params: FluidParams) -> np.ndarray:
+    """The source's five physical products f11, f12, f22, g1, g2 from to_physical's samples."""
+    rho, w1, w2 = to_physical(np.stack([c.coeffs for c in X.components()]), X.grid)
     one = 1.0 + rho
     a1, a2 = w1 / one, w2 / one
     law = params.pressure
     prem = law.value(1.0 + rho) - law.value(1.0) - params.c**2 * rho
-    products = np.stack([w1 * a1 + prem, w1 * a2, w2 * a2 + prem, w1 - a1, w2 - a2])
-    f11, f12, f22, g1, g2 = to_spectral(products, grid)
+    return np.stack([w1 * a1 + prem, w1 * a2, w2 * a2 + prem, w1 - a1, w2 - a2])
+
+
+def _reference_source(X: State, params: FluidParams) -> State:
+    grid = X.grid
+    F11, F12, F22, G1, G2 = np.fft.rfft2(_products(X, params))
+    e1, e2, dx2, mu_lam = grid.eta1_odd, grid.eta2_odd, grid.dx**2, params.mu + params.lam
+    lap = params.mu * grid.eta_sq
+    i1, i2 = (-1j * dx2) * e1, (-1j * dx2) * e2
+    a11, a12 = (lap + mu_lam * e1**2) * dx2, mu_lam * (e1 * e2) * dx2
+    a22 = (lap + mu_lam * e2**2) * dx2
+    t1 = a11 * G1 + a12 * G2 + i1 * F11 + i2 * F12
+    t2 = a12 * G1 + a22 * G2 + i1 * F12 + i2 * F22
+    s1, s2 = grid.make_hermitian(np.conj(np.stack([t1, t2])) * grid.dealias_mask)
+    zero = SpectralField.zero(grid)
+    return State(zero, (SpectralField(grid, s1), SpectralField(grid, s2)))
+
+
+def _scaled_transform_source(X: State, params: FluidParams) -> State:
+    """The source through the scaled half-lattice transforms, with div g formed first:
+    a second, independent oracle, equal to the live source up to rounding."""
+    grid = X.grid
+    f11, f12, f22, g1, g2 = to_spectral(_products(X, params), grid)
     e1, e2 = grid.eta1_odd, grid.eta2_odd
     visc = params.mu * grid.eta_sq
     div_g = (params.mu + params.lam) * (e1 * g1 + e2 * g2)
@@ -127,16 +150,36 @@ def test_nonlinear_terms_density_only():
     src = _fourier_source(X, PARAMS)
     assert np.abs(src.rho.coeffs).max() == 0.0
     # momentum flux and viscous terms vanish: the source is -grad of the
-    # dealiased pressure remainder alone
+    # dealiased pressure remainder alone, conj((-i eta dx^2) F) for its unscaled
+    # forward transform F, and within rounding of the scaled transform's gradient
     mask = grid.dealias_mask
     r = rho.values()
+    P = np.fft.rfft2(pressure_remainder(PARAMS, r))
     prem = transform(pressure_remainder(PARAMS, r), grid).coeffs * mask
     for m_k, eta in zip(src.m, (grid.eta1_odd, grid.eta2_odd)):
-        assert np.array_equal(m_k.coeffs, (-1j * eta) * -prem * mask)
+        unscaled = grid.make_hermitian(np.conj(((-1j * grid.dx**2) * eta) * P) * mask)
+        assert np.array_equal(m_k.coeffs, unscaled)
+        scaled = (-1j * eta) * -prem * mask
+        assert np.abs(m_k.coeffs - scaled).max() <= 1e-13 * np.abs(scaled).max()
     # remainder of the gamma law at r: P(1+r)-P(1)-c^2 r = c^2 (gamma-1)/2 r^2 + O(r^3)
     expected = transform(-(PARAMS.c**2 * (PARAMS.pressure.gamma - 1) / 2) * r**2, grid)
     scale = np.abs(expected.coeffs).max()
     assert np.abs(-prem - expected.coeffs * mask).max() < 0.05 * scale
+
+
+@pytest.mark.parametrize("n, L, eps", [(16, 20.0, 1e-2), (64, 50.0, 1e-2), (256, 200.0, 3e-2)])
+def test_source_matches_the_scaled_transform_form(n, L, eps):
+    # the unscaled forward with dx^2 in the multipliers reorders the rounding only;
+    # column 0 of the band source is exactly Hermitian
+    grid = make_grid(n, L)
+    X = _bump_state(grid, eps)
+    got, ref = _fourier_source(X, PARAMS), _scaled_transform_source(X, PARAMS)
+    scale = max(np.abs(c.coeffs).max() for c in ref.m)
+    for a, b in zip(got.m, ref.m, strict=True):
+        assert np.abs(a.coeffs - b.coeffs).max() <= 1e-13 * scale
+        col = grid.band.gather(a.coeffs)[:, 0]
+        assert np.array_equal(col, np.conj(col[grid.band.conj_rows]))
+    assert np.abs(got.rho.coeffs).max() == 0.0
 
 
 def test_nonlinear_terms_quadratic_scaling():
@@ -735,12 +778,26 @@ def test_vorticity_simulate_conserves_moments():
         assert abs(m.alpha - m0.alpha) < 1e-14
 
 
-# Reference: the allocating vorticity source and ETD2 loop body the in-place
-# step replaced, with the source in the same Basdevant form on the half lattice.
+# Reference: an allocating vorticity source and ETD2 loop body in the live source's
+# form on the half lattice: Basdevant's products through unscaled transforms, the
+# velocity multipliers carrying 1/dx^2 and the wavenumber ones dx^2.
 # vorticity_simulate must reproduce them bit for bit.
 
 
 def _reference_vorticity_source(omega: SpectralField) -> np.ndarray:
+    grid, dx2 = omega.grid, omega.grid.dx**2
+    k1, k2 = grid.biot_savart_multiplier
+    w = np.conj(omega.coeffs)
+    u1, u2 = np.fft.irfft2(np.stack([np.conj(k1) / dx2 * w, np.conj(k2) / dx2 * w]))
+    F_sq, F12 = np.fft.rfft2(np.stack([u2 * u2 - u1 * u1, u1 * u2]))
+    e1, e2 = grid.eta1, grid.eta2
+    src = np.conj(e1 * e2 * dx2 * F_sq + (e1**2 - e2**2) * dx2 * F12) * grid.dealias_mask
+    return grid.make_hermitian(src)
+
+
+def _scaled_vorticity_source(omega: SpectralField) -> np.ndarray:
+    """Basdevant's form through the scaled half-lattice transforms: a second,
+    independent oracle, equal to the live source up to rounding."""
     grid = omega.grid
     k1, k2 = grid.biot_savart_multiplier
     u1, u2 = to_physical(np.stack([k1 * omega.coeffs, k2 * omega.coeffs]), grid)
@@ -814,32 +871,42 @@ def _live_vorticity_source(omega: SpectralField) -> np.ndarray:
 @pytest.mark.parametrize("data", ["dipole", "vortex"])
 def test_vorticity_source_matches_the_flux_form(n, L, data):
     # u.grad omega = div(u omega) holds exactly on the band, so the two forms differ
-    # by rounding; the vortex carries the dipole, since a bare Oseen vortex's source
-    # is itself rounding noise (its advection vanishes)
+    # by rounding, as do the unscaled and the scaled transforms of Basdevant's form;
+    # the vortex carries the dipole, since a bare Oseen vortex's source is itself
+    # rounding noise (its advection vanishes)
     grid = make_grid(n, L)
     omega = _perturbed_dipole(grid, 0.5)
     if data == "vortex":
         omega = oseen_vorticity_field(grid, 1.0, PARAMS) + omega
         assert omega.coeffs[0, 0].real > 0.9  # the circulation
     omega = omega.dealiased()
-    got, ref = _live_vorticity_source(omega), _flux_form_vorticity_source(omega)
-    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    got = _live_vorticity_source(omega)
+    for ref in (_flux_form_vorticity_source(omega), _scaled_vorticity_source(omega)):
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
     assert got[0, 0] == 0.0
+    col = grid.band.gather(got)[:, 0]
+    assert np.array_equal(col, np.conj(col[grid.band.conj_rows]))
 
 
 def test_vorticity_source_transforms_two_fields_each_way(monkeypatch):
-    # (u1, u2) in, (u2^2 - u1^2, u1 u2) out: the flux form took three in and two out
-    shapes = []
-    for name in ("to_physical", "to_spectral"):
-        def record(a, *args, _name=name, _f=getattr(solver, name), **kwargs):
-            shapes.append((_name, a.shape))
+    # (u1, u2) in, (u2^2 - u1^2, u1 u2) out: the flux form took three in and two out.
+    # The row passes cover the band's columns only
+    passes = []
+    for name in ("ifftn", "irfftn", "rfftn", "fftn"):
+        def record(a, *args, _name=name, _f=getattr(np.fft, name), **kwargs):
+            passes.append((_name, a.shape))
             return _f(a, *args, **kwargs)
 
-        monkeypatch.setattr(solver, name, record)
+        monkeypatch.setattr(np.fft, name, record)
     grid = make_grid(64, 50.0)
-    _live_vorticity_source(_perturbed_dipole(grid, 0.5).dealiased())
-    band = (2,) + grid.band.spectral_shape
-    assert shapes == [("to_physical", band), ("to_spectral", (2, 64, 64))]
+    omega = _perturbed_dipole(grid, 0.5).dealiased()
+    x = grid.band.gather(omega.coeffs[None])
+    source = solver._vorticity_source(grid)
+    passes.clear()
+    source(x, np.empty_like(x))
+    cols = len(grid.band.k_cols)
+    assert passes == [("ifftn", (2, 64, cols)), ("irfftn", (2, 64, 33)),
+                      ("rfftn", (2, 64, 64)), ("fftn", (2, 64, cols))]
 
 
 def test_vorticity_etd2_step_allocates_no_lattice_temporaries():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vortexlab.spectral import (
+    BandTransform,
     FullLattice,
     SpectralError,
     State,
@@ -83,6 +84,49 @@ def test_band_transforms_equal_the_half_lattice_ones(rng):
         assert np.array_equal(to_spectral(values, grid, out=spec, work=work), band.gather(full))
         assert np.array_equal(to_physical(spec, grid, out=phys, work=work), to_physical(full, grid))
     assert np.array_equal(band.scatter(spec), full)
+
+
+@pytest.mark.parametrize("n, L", [(16, 3.0), (64, 7.0), (256, 200.0)])
+def test_band_transform_round_trip_equals_the_half_lattice_transforms(rng, n, L):
+    # the core runs unscaled: its callers carry the conjugation and dx^2
+    grid = make_grid(n, L)
+    band, dx2 = grid.band, grid.dx**2
+    full = to_spectral(rng.standard_normal((2, n, n)), grid) * grid.dealias_mask
+    values = to_physical(full, grid)
+    core = BandTransform(grid, (2,))
+    spec = np.empty((2,) + band.spectral_shape, complex)
+    for rows, block in zip(core.rows, core.forward(values)):
+        spec[:, rows] = np.conj(block) * dx2
+    ref = band.gather(to_spectral(values, grid))
+    assert np.abs(spec - ref).max() <= 1e-15 * np.abs(ref).max()
+    back = core.load(band.gather(full)).inverse() / dx2
+    assert np.abs(back - values).max() <= 1e-15 * np.abs(values).max()
+
+
+def test_band_transform_zeroes_what_the_last_calls_filled(rng):
+    # forward calls fill the dropped columns of the one work array, and the inverse's
+    # row pass fills the gap rows; every inverse reads both as zeros again
+    grid = make_grid(64, 7.0)
+    band, core = grid.band, BandTransform(grid, (3,))
+    spec = band.gather(to_spectral(rng.standard_normal((3, 64, 64)), grid))
+    first = core.load(spec).inverse()
+    for _ in range(3):
+        core.forward(rng.standard_normal((3, 64, 64)))
+        assert np.abs(core.work[..., core.cols :]).max() > 0.0
+        assert np.array_equal(core.load(spec).inverse(), first)
+        assert np.all(core.work[..., core.cols :] == 0.0)
+        assert np.abs(core.work[..., core.cols : 1 - core.cols, : core.cols]).max() > 0.0
+
+
+def test_band_spectra_have_exactly_hermitian_column_0(rng):
+    grid = make_grid(64, 7.0)
+    band = grid.band
+    spec = to_spectral(rng.standard_normal((2, 64, 64)), grid,
+                       out=np.empty((2,) + band.spectral_shape, complex))
+    col = spec[..., 0]
+    assert np.array_equal(col, np.conj(col[..., band.conj_rows]))
+    assert band.conj_rows.tolist()[:3] == [0, 42, 41] and grid.conj_rows[32] == 32
+    assert np.abs(col.imag).max() > 0.0 and np.all(col[:, 0].imag == 0.0)
 
 
 def test_transform_shape_mismatch():
