@@ -33,6 +33,7 @@ from .kernels import (
     generator_symbol_grid,
     heat_leray_kernel_magnitude,
     heat_symbol_grid,
+    low_pass,
     phi_symbol_grid,
     s_symbol_grid,
     spar_symbol_grid,
@@ -68,6 +69,7 @@ from .spectral import (
     make_grid,
     parseval_sum,
     sample,
+    sobolev_norm,
     transform,
 )
 
@@ -251,15 +253,14 @@ class ExperimentResult:
                  p=p, sigma=sigma, mode="bound")
 
 
-def _lp_series(grid: Grid, magnitudes, ps, weights=None):
-    """L^p norms of each pointwise-magnitude array, one list per p in `ps`
-    (times weights[i] for the i-th, if given and not None).  Pass a generator:
-    each array is then made only after the previous one was measured at every p."""
-    weights = weights or [None] * len(ps)
+def _lp_series(grid: Grid, magnitudes, ps):
+    """L^p norms of each pointwise-magnitude array, one list per p in `ps`.  Pass a
+    generator: each array is then made only after the previous one was measured at
+    every p."""
     vals = [[] for _ in ps]
     for mag in magnitudes:
-        for out, p, w in zip(vals, ps, weights):
-            out.append(lp_of_magnitude(mag if w is None else mag * w, grid, p))
+        for out, p in zip(vals, ps):
+            out.append(lp_of_magnitude(mag, grid, p))
     return vals
 
 
@@ -411,18 +412,19 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
             result.rate(f"artificial-p{p:g}-s{sigma}", "artificial_kernel", p, sigma, art_times,
                         vals, 0.1, allow_log=(sigma == 0 and p in (1.0, np.inf)))
 
-    # low-frequency curl-free kernel applied to a localized state
+    # low-frequency curl-free kernel applied to a localized state; the LF and HF parts
+    # are `split`'s, scaled by one low-pass weight made once
     X0 = _localized_sound_state(grid)
-    r0 = default_cutoff(params)
+    chi = low_pass(grid, default_cutoff(params))
     lf_times = np.geomspace(6.0, 56.0, 9)
     diff_vals = []
 
     def lf_magnitudes():
         # sigma = 0 and 1 of each LF state in turn: one state alive at a time
         for t in lf_times:
-            lf, _ = split(spar_symbol_grid(t, grid, params), r0)
-            lf_art, _ = split(artificial_symbol_grid(t, grid, params), r0)
-            diff_vals.append(lp_norm((lf - lf_art).apply(X0).components(), 2))
+            lf = spar_symbol_grid(t, grid, params).scaled(chi)
+            lf_art = artificial_symbol_grid(t, grid, params).scaled(chi)
+            diff_vals.append(sobolev_norm((lf - lf_art).apply(X0), 0))
             X = lf.apply(X0)
             for sigma in (0, 1):
                 yield magnitude(_dx(X.components(), sigma))
@@ -443,11 +445,12 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
     # high-frequency exponential decay with fitted rate b
     hf_times = np.linspace(1.0, 10.0, 10)
     Xr = _hermitian_random_state(grid, rng)
-    denom = lp_norm(Xr.components(), 2)
+    denom = sobolev_norm(Xr, 0)
+    hf_pass = 1.0 - chi
     hf_vals = []
     for t in hf_times:
-        _, hf = split(spar_symbol_grid(t, grid, params), r0)
-        hf_vals.append(lp_norm(hf.apply(Xr).components(), 2) / denom)
+        hf = spar_symbol_grid(t, grid, params).scaled(hf_pass)
+        hf_vals.append(sobolev_norm(hf.apply(Xr), 0) / denom)
     result.series["hf-decay"] = (hf_times, np.array(hf_vals))
     fit = _least_squares(hf_times, np.log(hf_vals))
     result.add("hf-exponential-rate", 0.0, -fit.slope, 0.0, r2=fit.r2, mode="positive",
@@ -465,11 +468,6 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
     omega_dipole = dipole_vorticity_field(grid, 1, 1.0, params)
     m_dipole = biot_savart(omega_dipole)
     m_second = biot_savart(derivative(omega_dipole, (1, 0)))
-
-    def heat_magnitude(m0, sigma, t):
-        h = np.exp(-params.mu * grid.eta_sq * t)
-        return magnitude(_dx([SpectralField(grid, h * f.coeffs) for f in m0], sigma))
-
     radius = np.hypot(grid.xc1, grid.xc2)
     perp_cases = [
         (f"perp-dipole-p{p:g}-s{sigma}", "heat_dipole_data", m_dipole, p, sigma, None, 0.1)
@@ -486,14 +484,18 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
         # small-p interpolation corollary at p = 3/2
         ("perp-small-p1.5-s0", "heat_second_moment_data", m_second, 1.5, 0, None, 0.15),
     ]
-    # one heat-flow magnitude per (data, sigma, t), measured for all its rows
-    perp_vals = {}
-    for m0, sigma in ((m_dipole, 0), (m_dipole, 1), (m_second, 0)):
-        labels, ps, weights = zip(
-            *((c[0], c[3], c[5]) for c in perp_cases if c[2] is m0 and c[4] == sigma)
-        )
-        mags = (heat_magnitude(m0, sigma, t) for t in perp_times)
-        perp_vals.update(zip(labels, _lp_series(grid, mags, ps, weights)))
+    # one heat factor per t and one heat-flow magnitude per (t, data, sigma), measured
+    # for all its rows
+    groups = [(m0, sigma, [c for c in perp_cases if c[2] is m0 and c[4] == sigma])
+              for m0, sigma in ((m_dipole, 0), (m_dipole, 1), (m_second, 0))]
+    perp_vals = {c[0]: [] for c in perp_cases}
+    for t in perp_times:
+        h = np.exp(-params.mu * grid.eta_sq * t)
+        for m0, sigma, cases in groups:
+            mag = magnitude(_dx([SpectralField(grid, h * f.coeffs) for f in m0], sigma))
+            for label, _, _, p, _, weight, _ in cases:
+                perp_vals[label].append(lp_of_magnitude(mag if weight is None else mag * weight,
+                                                        grid, p))
     for label, est, _, p, sigma, _, tol in perp_cases:
         result.rate(label, est, p, sigma, perp_times, perp_vals[label], tol)
     return result
@@ -700,14 +702,13 @@ def run_sound_decay(ctx: RunManifest) -> ExperimentResult:
 
 def _linear_deviations(ctx: RunManifest, grid: Grid, eps, horizon, times, what, linear_symbols,
                        nonlinear=True) -> list[float]:
-    """L^2 norms of X(t) - S(t) X(0) at each snapshot of the solver run `what` from the
-    generic state of amplitude eps, with S(t) the band symbols `linear_symbols[t]`; the
-    run's trajectory lives only inside this call."""
+    """L^2 norms of X(t) - S(t) X(0), as band Parseval sums, at each snapshot of the
+    solver run `what` from the generic state of amplitude eps, with S(t) the band symbols
+    `linear_symbols[t]`; the run's trajectory lives only inside this call."""
     traj = _simulate(ctx, grid, _generic_state(grid, eps), horizon, times, what, nonlinear)
     X0, band = traj.snapshots[0], grid.band
-    deviations = (band.scatter(X - linear_symbols[t].apply(X0))
-                  for t, X in zip(traj.times[1:], traj.snapshots[1:]))
-    return [lp_norm(State.from_stack(grid, d).components(), 2) for d in deviations]
+    return [sobolev_norm(X - linear_symbols[t].apply(X0), 0, band)
+            for t, X in zip(traj.times[1:], traj.snapshots[1:])]
 
 
 def run_nonlinear_smallness(ctx: RunManifest) -> ExperimentResult:

@@ -36,7 +36,8 @@ from functools import partial
 import numpy as np
 
 from .profiles import FluidParams
-from .spectral import Band, FullLattice, Grid, State, as_multi_index, derivative_multiplier
+from .spectral import (Band, FullLattice, Grid, State, as_multi_index, derivative_multiplier,
+                       to_physical)
 
 
 class KernelError(ValueError):
@@ -331,9 +332,15 @@ def cutoff(mag, r0: float):
     return 1.0 - s**3 * (10.0 + s * (-15.0 + 6.0 * s))
 
 
+def low_pass(grid: Grid | Band, r0: float) -> np.ndarray:
+    """The low-pass weight chi = cutoff(|eta|, r0) on a grid's wavevectors; a symbol's
+    low- and high-frequency parts are its scalings by chi and 1 - chi."""
+    return cutoff(np.sqrt(grid.eta_sq), r0)
+
+
 def split(symbol: KernelSymbol, r0: float) -> tuple[KernelSymbol, KernelSymbol]:
     """(low-frequency, high-frequency) parts at cutoff radius r0; their sum is the symbol."""
-    chi = cutoff(np.sqrt(symbol.grid.eta_sq), r0)
+    chi = low_pass(symbol.grid, r0)
     return symbol.scaled(chi), symbol.scaled(1.0 - chi)
 
 
@@ -359,22 +366,22 @@ def artificial_diagonal_field(t: float, grid: Grid, params: FluidParams, sigma=(
 
 def heat_leray_kernel_magnitude(t: float, sigma, grid: Grid, params: FluidParams) -> np.ndarray:
     """Pointwise Frobenius magnitude of D^sigma (K_mu(t) * R_perp), the heat-Leray
-    kernel, for a non-zero multi-index (the underived kernel is not integrable);
-    built and transformed on the full lattice with the complex FFT."""
+    kernel, for a non-zero multi-index (the underived kernel is not integrable).
+
+    The symbol is built on the grid's half lattice and its three R_perp entries go
+    through one stacked `to_physical`: the odd factors use the Nyquist-zeroed
+    wavenumbers, so the symbol is Hermitian on the self-conjugate columns and the
+    samples are those of the full-lattice complex transform, to rounding.
+    """
     s1, s2 = as_multi_index(sigma)
     if s1 + s2 == 0:
         raise KernelError("heat-Leray kernel norms require a non-zero multi-index")
     if not t > 0:
         raise KernelError(f"kernel norm requires t > 0, got {t}")
-    full = FullLattice(grid)
-    mult = derivative_multiplier(full, sigma) * np.exp(-params.mu * full.eta_sq * t)
-    e1, e2 = full.eta1_odd, full.eta2_odd
-    mag2 = full.eta_sq_odd
-    safe = np.where(mag2 == 0.0, 1.0, mag2)
-
-    def entry(r):
-        return np.real(np.fft.fft2(mult * np.where(mag2 == 0.0, 0.0, r))) / grid.L**2
-
-    r11, r12, r22 = entry(e2 * e2 / safe), entry(-e1 * e2 / safe), entry(e1 * e1 / safe)
+    mult = derivative_multiplier(grid, sigma) * np.exp(-params.mu * grid.eta_sq * t)
+    e1, e2, mag2 = grid.eta1_odd, grid.eta2_odd, grid.eta_sq_odd
+    entries = np.stack([_over_mag2(e2 * e2, mag2), _over_mag2(-e1 * e2, mag2),
+                        _over_mag2(e1 * e1, mag2)]) * mult
+    r11, r12, r22 = to_physical(entries, grid)
     # R_perp is symmetric: the off-diagonal entry counts twice
     return np.sqrt(r11**2 + r12**2 + r22**2 + r12**2)

@@ -450,6 +450,7 @@ def vorticity_simulate(
     no later step runs."""
     snapshot_times = _time_grid(dt, snapshot_times)
     grid, band = omega0.grid, omega0.grid.band
+    mag2, _, inverse = band.shells
     omega = band.gather(omega0.coeffs[None])
     stages, source = np.empty((3,) + omega.shape, omega.dtype), _vorticity_source(grid)
     times = (0.0,) + snapshot_times
@@ -459,8 +460,9 @@ def vorticity_simulate(
         gap = t_snap - times[k - 1]
         nsub = max(1, math.ceil(gap / dt - 1e-12))
         h = gap / nsub
-        lh = -nu * band.eta_sq * h
-        weights = [partial(np.multiply, w) for w in (np.exp(lh), h * phi(1, lh), h * phi(2, lh))]
+        lh = -nu * mag2 * h  # per |eta|^2 shell, then gathered onto the band
+        weights = [partial(np.multiply, w[inverse])
+                   for w in (np.exp(lh), h * phi(1, lh), h * phi(2, lh))]
         with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
             for _ in range(nsub):
                 _etd2_step(omega, stages, source, weights)

@@ -14,6 +14,7 @@ from vortexlab.kernels import (
     exp_divided_difference,
     heat_leray_kernel_magnitude,
     heat_symbol_grid,
+    low_pass,
     phi,
     phi_divided_difference,
     s_symbol_grid,
@@ -22,9 +23,11 @@ from vortexlab.kernels import (
 )
 from vortexlab.profiles import FluidParams
 from vortexlab.spectral import (
+    FullLattice,
     SpectralField,
     State,
     derivative,
+    derivative_multiplier,
     gradient,
     leray_decompose,
     lp_of_magnitude,
@@ -497,6 +500,19 @@ def test_split_partition_of_unity(rng):
     assert (lf + hf - sym).max_abs() < 1e-15 * max(1.0, sym.max_abs())
 
 
+@pytest.mark.parametrize("kind", ["spar", "artificial_par"])
+def test_low_pass_scalings_equal_split_parts(kind):
+    # kernel-rates scales each symbol by one low-pass weight made per run
+    grid = make_grid(128, 100.0)
+    r0 = default_cutoff(PARAMS)
+    chi = low_pass(grid, r0)
+    sym = _grid_symbol(kind, 2.5, grid, PARAMS)
+    lf, hf = split(sym, r0)
+    for part, weight in ((lf, chi), (hf, 1.0 - chi)):
+        for a, b in zip(sym.scaled(weight)._arrays(), part._arrays()):
+            assert np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # physical-space kernel fields
 
@@ -510,6 +526,40 @@ def test_artificial_diagonal_field_integrals():
         assert abs(field.sum() * grid.dx**2 - 1.0) < 1e-12
         derived = artificial_diagonal_field(t, grid, PARAMS, (1, 0))
         assert abs(derived.sum() * grid.dx**2) < 1e-12
+
+
+def _full_lattice_heat_leray(t, sigma, grid, params):
+    """The heat-Leray magnitude built on the whole lattice and transformed with the
+    complex fft2, an independent oracle for the half-lattice routine."""
+    full = FullLattice(grid)
+    mult = derivative_multiplier(full, sigma) * np.exp(-params.mu * full.eta_sq * t)
+    e1, e2 = full.eta1_odd, full.eta2_odd
+    mag2 = full.eta_sq_odd
+    safe = np.where(mag2 == 0.0, 1.0, mag2)
+
+    def entry(r):
+        return np.real(np.fft.fft2(mult * np.where(mag2 == 0.0, 0.0, r))) / grid.L**2
+
+    r11, r12, r22 = entry(e2 * e2 / safe), entry(-e1 * e2 / safe), entry(e1 * e1 / safe)
+    return np.sqrt(r11**2 + r12**2 + r22**2 + r12**2)
+
+
+@pytest.mark.parametrize("sigma", [(1, 0), (0, 1), (2, 0)])
+@pytest.mark.parametrize("n, L", [(64, 50.0), (256, 200.0)])
+def test_heat_leray_equals_the_full_lattice_transform(n, L, sigma):
+    grid = make_grid(n, L)
+    for t in (1.0, 4.0, 16.0):
+        expected = _full_lattice_heat_leray(t, sigma, grid, PARAMS)
+        field = heat_leray_kernel_magnitude(t, sigma, grid, PARAMS)
+        assert np.abs(field - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_heat_leray_calls_no_complex_2d_fft(monkeypatch):
+    calls = []
+    for name in ("fft2", "ifft2"):
+        monkeypatch.setattr(np.fft, name, lambda *a, name=name, **k: calls.append(name))
+    field = heat_leray_kernel_magnitude(2.0, (1, 0), make_grid(64, 50.0), PARAMS)
+    assert calls == [] and np.isfinite(field).all()
 
 
 def test_heat_leray_rejects_zero_multi_index():

@@ -861,6 +861,21 @@ def test_vorticity_simulate_bitwise_equals_reference():
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
 
 
+@pytest.mark.parametrize("h", [0.25, 0.2421875, 1e-3])
+@pytest.mark.parametrize("n, L", [(64, 50.0), (256, 200.0)])
+def test_vorticity_shell_weights_equal_the_band_formulas(monkeypatch, n, L, h):
+    # the heat factor and the two phi weights are evaluated per |eta|^2 shell and
+    # gathered onto the band, bit for bit the formulas on every band entry
+    grid, nu = make_grid(n, L), 0.7
+    steps = _count_calls(monkeypatch, "_etd2_step")
+    vorticity_simulate(_perturbed_dipole(grid, 0.5), nu, (h,), h)
+    (weights,) = (args[3] for args in steps)
+    lam = -nu * grid.band.eta_sq * h
+    for got, expected in zip(weights, (np.exp(lam), h * phi(1, lam), h * phi(2, lam)),
+                             strict=True):
+        assert np.array_equal(got.args[0], expected)
+
+
 def _live_vorticity_source(omega: SpectralField) -> np.ndarray:
     band = omega.grid.band
     x = band.gather(omega.coeffs[None])

@@ -310,6 +310,24 @@ def test_sobolev_norm_basics(rng):
         sobolev_norm(X, -1)
 
 
+@pytest.mark.parametrize("n, L", [(32, 6.0), (256, 200.0)])
+@pytest.mark.parametrize("layout", ["half", "band"])
+def test_l2_sobolev_norm_is_the_riemann_l2_norm(rng, layout, n, L):
+    # an L^2-only norm is taken as a Parseval sum: the discrete identity is exact
+    grid = make_grid(n, L)
+    X = random_state(grid, rng)
+    stack = np.stack([c.coeffs for c in X.components()])
+    if layout == "band":
+        band = grid.band
+        stack = band.gather(stack)
+        X = State.from_stack(grid, band.scatter(stack))
+        fourier = sobolev_norm(stack, 0, band)
+    else:
+        fourier = sobolev_norm(X, 0)
+    riemann = lp_norm(X.components(), 2)
+    assert abs(fourier - riemann) <= 1e-14 * riemann
+
+
 def test_realness_of_roundtrip(rng):
     grid = make_grid(32, 3.0)
     f = random_field(grid, rng)
