@@ -387,35 +387,10 @@ def _localized_sound_state(grid: Grid) -> State:
     return State(rho, m)
 
 
-def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
-    """Fitted L^p decay exponents of the linear kernels against the formulas.
-
-    Window and parameter choices keep the asymptotic regime inside the box:
-    the artificial-kernel family runs at mu_par = 1/2 so the acoustic ring
-    separates from its width well before it reaches the boundary, and the
-    heat-flow families fit on t in [8, 128] where the age of the sampled
-    profile data no longer biases the slope.
-    """
-    name = "kernel-rates"
-    params = scaled_params(ctx.params)
-    grid = RECORDS[name].grid(ctx)
-    rng = np.random.default_rng(ctx.seed)
-    result = ExperimentResult(name)
-
-    # artificial-viscosity kernel norms (diagonal entry, thin-ring viscosity)
-    ring_params = FluidParams(mu=0.25, lam=0.0, rho_star=1.0, pressure=params.pressure)
-    art_times = np.geomspace(4.0, 56.0, 9)
-    art_ps = (1.0, 2.0, np.inf)
-    for sigma in (0, 1):
-        fields = (artificial_diagonal_field(t, grid, ring_params, (sigma, 0)) for t in art_times)
-        for p, vals in zip(art_ps, _lp_series(grid, (np.abs(f) for f in fields), art_ps)):
-            result.rate(f"artificial-p{p:g}-s{sigma}", "artificial_kernel", p, sigma, art_times,
-                        vals, 0.1, allow_log=(sigma == 0 and p in (1.0, np.inf)))
-
-    # low-frequency curl-free kernel applied to a localized state; the LF and HF parts
-    # are `split`'s, scaled by one low-pass weight made once
+def _lf_kernel_rows(result: ExperimentResult, grid: Grid, params, chi) -> None:
+    """kernel-rates' low-frequency rows: the curl-free LF kernel and the kernel
+    difference applied to a localized state, which is freed on return."""
     X0 = _localized_sound_state(grid)
-    chi = low_pass(grid, default_cutoff(params))
     lf_times = np.geomspace(6.0, 56.0, 9)
     diff_vals = []
 
@@ -442,11 +417,13 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
     result.rate("kernel-difference-p2-s0", "kernel_difference", 2.0, 0, lf_times, diff_vals,
                 0.1, mode="bound")
 
-    # high-frequency exponential decay with fitted rate b
+
+def _hf_decay_rows(result: ExperimentResult, grid: Grid, params, hf_pass, rng) -> None:
+    """kernel-rates' high-frequency exponential decay with fitted rate b, measured on
+    a random state that is freed on return."""
     hf_times = np.linspace(1.0, 10.0, 10)
     Xr = _hermitian_random_state(grid, rng)
     denom = sobolev_norm(Xr, 0)
-    hf_pass = 1.0 - chi
     hf_vals = []
     for t in hf_times:
         hf = spar_symbol_grid(t, grid, params).scaled(hf_pass)
@@ -455,6 +432,38 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
     fit = _least_squares(hf_times, np.log(hf_vals))
     result.add("hf-exponential-rate", 0.0, -fit.slope, 0.0, r2=fit.r2, mode="positive",
                meta={"envelope": "exp(-b t)"})
+
+
+def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
+    """Fitted L^p decay exponents of the linear kernels against the formulas.
+
+    Window and parameter choices keep the asymptotic regime inside the box:
+    the artificial-kernel family runs at mu_par = 1/2 so the acoustic ring
+    separates from its width well before it reaches the boundary, and the
+    heat-flow families fit on t in [8, 128] where the age of the sampled
+    profile data no longer biases the slope.
+    """
+    name = "kernel-rates"
+    params = scaled_params(ctx.params)
+    grid = RECORDS[name].grid(ctx)
+    rng = np.random.default_rng(ctx.seed)
+    result = ExperimentResult(name)
+
+    # artificial-viscosity kernel norms (diagonal entry, thin-ring viscosity)
+    ring_params = FluidParams(mu=0.25, lam=0.0, rho_star=1.0, pressure=params.pressure)
+    art_times = np.geomspace(4.0, 56.0, 9)
+    art_ps = (1.0, 2.0, np.inf)
+    for sigma in (0, 1):
+        fields = (artificial_diagonal_field(t, grid, ring_params, (sigma, 0)) for t in art_times)
+        for p, vals in zip(art_ps, _lp_series(grid, (np.abs(f) for f in fields), art_ps)):
+            result.rate(f"artificial-p{p:g}-s{sigma}", "artificial_kernel", p, sigma, art_times,
+                        vals, 0.1, allow_log=(sigma == 0 and p in (1.0, np.inf)))
+
+    # the LF and HF parts are `split`'s, scaled by one low-pass weight made once; each
+    # section's state is made and freed inside its helper
+    chi = low_pass(grid, default_cutoff(params))
+    _lf_kernel_rows(result, grid, params, chi)
+    _hf_decay_rows(result, grid, params, 1.0 - chi, rng)
 
     # heat-Leray kernel norms (non-zero multi-index only; exact power laws)
     hl_times = np.geomspace(1.0, 16.0, 9)

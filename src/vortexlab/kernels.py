@@ -32,11 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
 from .profiles import FluidParams
-from .spectral import (Band, FullLattice, Grid, State, as_multi_index, derivative_multiplier,
+from .spectral import (Band, Grid, State, as_multi_index, derivative_multiplier,
                        to_physical)
 
 
@@ -351,17 +352,28 @@ def artificial_diagonal_field(t: float, grid: Grid, params: FluidParams, sigma=(
     """Physical-space scalar (diagonal) entry of D^sigma S_tilde_par(t), with
     the kernel at the box center.
 
-    The symbol is built and transformed on the full lattice with the complex
-    FFT: a real transform rounds differently near the 1e-13 resolved floor
-    of the pointwise fit, which moves the fitted envelope constants.
+    The radial factor exp(-mu_par |eta|^2 t / 2) cos(c |eta| t) depends on |k1| and
+    |k2| only, so it is evaluated on the quadrant |k1|, |k2| <= n/2 (the first n/2 + 1
+    rows of the grid's cached `eta_sq`) and mirrored onto the fft-ordered lattice by
+    |k|; the derivative factor is built from the 1-D wavenumbers and broadcast.  Both
+    are the whole-lattice values bit for bit.  The mirror must be C-ordered: an
+    F-ordered copy holds the same field, but `np.sum`'s pairwise order follows the
+    memory layout and moved a `kernel-rates` series by an ulp.  The symbol is
+    transformed in place with the complex `fft2`: a real transform rounds differently
+    near the 1e-13 resolved floor of the pointwise fit, which moves the fitted
+    envelope constants.
     """
     _check_nonnegative_time(t)
-    full = FullLattice(grid)
-    mag2 = full.eta_sq
-    decay = np.exp(-0.5 * params.mu_par * mag2 * t)
-    symbol = derivative_multiplier(full, sigma) * (decay * np.cos(params.c * np.sqrt(mag2) * t))
+    mag2 = grid.eta_sq[: grid.n // 2 + 1]
+    radial = np.exp(-0.5 * params.mu_par * mag2 * t) * np.cos(params.c * np.sqrt(mag2) * t)
+    k = np.abs(grid.k_index)
+    e, e_odd = grid.eta1[:, :1], grid.eta1_odd[:, :1]
+    axes = SimpleNamespace(eta1=e, eta1_odd=e_odd, eta2=e.T, eta2_odd=e_odd.T)
+    symbol = derivative_multiplier(axes, sigma) * radial[np.ix_(k, k)]
     # fftshift moves the kernel from the lattice origin to the box center
-    return np.fft.fftshift(np.real(np.fft.fft2(symbol)) / grid.L**2)
+    field = np.fft.fftshift(np.real(np.fft.fft2(symbol, out=symbol)))
+    field /= grid.L**2
+    return field
 
 
 def heat_leray_kernel_magnitude(t: float, sigma, grid: Grid, params: FluidParams) -> np.ndarray:

@@ -203,8 +203,8 @@ class Grid(_Wavenumbers):
 
 
 class FullLattice(_Wavenumbers):
-    """The whole n x n fft-ordered lattice of a grid, for routines that
-    transform complex symbols with the full complex FFT."""
+    """The whole n x n fft-ordered lattice of a grid: the tests' oracles build
+    complex symbols on it for the full complex FFT."""
 
     def __init__(self, grid: Grid):
         self.n, self.L = grid.n, grid.L
@@ -437,7 +437,8 @@ def as_multi_index(sigma) -> tuple[int, int]:
 
 def derivative_multiplier(grid: Grid, sigma) -> np.ndarray:
     """Fourier multiplier of D^sigma: (-i eta1)^s1 (-i eta2)^s2 on the grid's
-    half lattice, or on a `FullLattice`.
+    half lattice, on a `FullLattice`, or on any wavenumber arrays `eta1`, `eta2`
+    (and their odd twins) that broadcast over a lattice.
 
     Odd powers use the Nyquist-zeroed wavenumbers so that real fields stay
     real; even powers keep the full lattice.  An order-1 factor is the product

@@ -528,6 +528,56 @@ def test_artificial_diagonal_field_integrals():
         assert abs(derived.sum() * grid.dx**2) < 1e-12
 
 
+def _whole_lattice_artificial_field(t, grid, params, sigma):
+    """The diagonal field built on the whole lattice: the derivative multiplier and
+    exp, sqrt and cos on every wavevector of a `FullLattice`, then the complex fft2."""
+    full = FullLattice(grid)
+    mag2 = full.eta_sq
+    decay = np.exp(-0.5 * params.mu_par * mag2 * t)
+    symbol = derivative_multiplier(full, sigma) * (decay * np.cos(params.c * np.sqrt(mag2) * t))
+    return np.fft.fftshift(np.real(np.fft.fft2(symbol)) / grid.L**2)
+
+
+@pytest.mark.parametrize("sigma", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)])
+@pytest.mark.parametrize("n, L", [(64, 50.0), (128, 200.0)])
+def test_artificial_diagonal_field_equals_the_whole_lattice_build(n, L, sigma):
+    # the quadrant fold and the broadcast derivative factor give the whole-lattice
+    # symbol bit for bit, and the field is C-ordered like the whole-lattice one
+    grid = make_grid(n, L)
+    for params in (PARAMS, FluidParams(mu=0.25)):
+        for t in (1.0, 14.97):
+            field = artificial_diagonal_field(t, grid, params, sigma)
+            assert np.array_equal(field, _whole_lattice_artificial_field(t, grid, params, sigma))
+            assert field.flags.c_contiguous
+
+
+@pytest.mark.parametrize("sigma", [(0, 0), (1, 0)])
+def test_artificial_diagonal_field_allocates_under_three_lattice_arrays(sigma):
+    """tracemalloc peak of one warm call at n = 128, in complex n x n arrays.
+
+    The peak is the symbol's product: the mirrored radial factor (half an array of
+    floats), the symbol (one array) and numpy's casting buffer for the real-complex
+    product (8192 complex values, half an array at n = 128), plus the quadrant's
+    arrays (about 0.15): 2.65 arrays.  fft2 then transforms the symbol in place, and
+    the shifted real field (half an array) is divided in place after the mirror is
+    freed.  The whole-lattice build peaked at 6.0 arrays (the multiplier, three
+    wavenumber arrays, the decay and cosine factors and fft2's output on top).  The
+    bound of 3.0 leaves a third of an array of headroom and fails that build.
+    """
+    import tracemalloc
+
+    grid = make_grid(128, 50.0)
+    artificial_diagonal_field(2.0, grid, PARAMS, sigma)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        artificial_diagonal_field(2.0, grid, PARAMS, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / np.empty((128, 128), np.complex128).nbytes <= 3.0
+
+
 def _full_lattice_heat_leray(t, sigma, grid, params):
     """The heat-Leray magnitude built on the whole lattice and transformed with the
     complex fft2, an independent oracle for the half-lattice routine."""
