@@ -493,18 +493,20 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
         # small-p interpolation corollary at p = 3/2
         ("perp-small-p1.5-s0", "heat_second_moment_data", m_second, 1.5, 0, None, 0.15),
     ]
-    # one heat factor per t and one heat-flow magnitude per (t, data, sigma), measured
-    # for all its rows
-    groups = [(m0, sigma, [c for c in perp_cases if c[2] is m0 and c[4] == sigma])
-              for m0, sigma in ((m_dipole, 0), (m_dipole, 1), (m_second, 0))]
+    # one heat factor per t, one heat flow per (t, data) and one magnitude per (t, data,
+    # sigma); the sigma = 1 fields replace the sigma = 0 ones, so one set is held at a time
     perp_vals = {c[0]: [] for c in perp_cases}
     for t in perp_times:
         h = np.exp(-params.mu * grid.eta_sq * t)
-        for m0, sigma, cases in groups:
-            mag = magnitude(_dx([SpectralField(grid, h * f.coeffs) for f in m0], sigma))
-            for label, _, _, p, _, weight, _ in cases:
-                perp_vals[label].append(lp_of_magnitude(mag if weight is None else mag * weight,
-                                                        grid, p))
+        for m0, sigmas in ((m_dipole, (0, 1)), (m_second, (0,))):
+            fields = [SpectralField(grid, h * f.coeffs) for f in m0]
+            for sigma in sigmas:
+                fields = _dx(fields, sigma)
+                mag = magnitude(fields)
+                for label, _, data, p, s, weight, _ in perp_cases:
+                    if data is m0 and s == sigma:
+                        perp_vals[label].append(lp_of_magnitude(
+                            mag if weight is None else mag * weight, grid, p))
     for label, est, _, p, sigma, _, tol in perp_cases:
         result.rate(label, est, p, sigma, perp_times, perp_vals[label], tol)
     return result
@@ -765,11 +767,15 @@ def _dipole_data(ctx: RunManifest, grid: Grid):
     moments: the momentum of a dipole's Biot-Savart velocity at amplitude epsilon,
     and the first moments of its vorticity (ProfileError if that is not localized)."""
     params = ctx.params
-    u0 = biot_savart(dipole_vorticity_field(grid, 1, 1.0, params))
-    amp = ctx.epsilon / lp_norm(u0, np.inf)
-    m0 = (u0[0] * (amp * params.rho_star), u0[1] * (amp * params.rho_star))
-    X0 = State(SpectralField.zero(grid), m0).dealiased()
+    X0, _ = _momentum_data(ctx, grid, biot_savart(dipole_vorticity_field(grid, 1, 1.0, params)))
     return X0, first_moments_beta(vorticity_of(X0.m, params), params)
+
+
+def _momentum_data(ctx: RunManifest, grid: Grid, u):
+    """Dealiased zero-density data of momentum rho_star amp u, amp = epsilon / sup |u|; and amp."""
+    amp = ctx.epsilon / lp_norm(u, np.inf)
+    scale = amp * ctx.params.rho_star
+    return State(SpectralField.zero(grid), (u[0] * scale, u[1] * scale)).dealiased(), amp
 
 
 def _dipole_measurements(ctx: RunManifest, grid: Grid, horizon, times, ps):
@@ -829,9 +835,7 @@ def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
     # "weighted residual decays": monotone over the last half, final below
     # half the t=1 value (the dipole case above carries the 20% threshold).
     omega_g, ug = oseen_pair_fields(grid, 1.0, params)
-    ampg = ctx.epsilon / lp_norm(ug, np.inf)
-    m0g = (ug[0] * (ampg * rs), ug[1] * (ampg * rs))
-    X0g = State(SpectralField.zero(grid), m0g).dealiased()
+    X0g, ampg = _momentum_data(ctx, grid, ug)
     alpha_scaled = circulation_alpha(omega_g, params) * ampg
     trajg = _simulate(ctx, grid, X0g, horizon, times, f"{name} vortex-data")
 

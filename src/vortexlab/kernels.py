@@ -37,7 +37,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .profiles import FluidParams
-from .spectral import (Band, Grid, State, as_multi_index, derivative_multiplier,
+from .spectral import (Band, Grid, State, as_multi_index, derivative_multiplier, over_mag2,
                        to_physical)
 
 
@@ -170,13 +170,7 @@ def _entries(kind: str, t: float, mag2, mag2_odd, params: FluidParams, fk: int =
     f22 = np.real(fa + (t * d2 - a) * fdd)
     coupling = np.real(t * fdd)
     f_perp = np.real(phi(fk, t * d_perp))
-    return f11, coupling, params.c**2 * coupling, f_perp, _over_mag2(f22 - f_perp, mag2_odd)
-
-
-def _over_mag2(x, mag2_odd):
-    """x / |eta_odd|^2, and 0 where |eta_odd|^2 = 0 (the q entry)."""
-    flat = mag2_odd == 0.0
-    return np.where(flat, 0.0, x / np.where(flat, 1.0, mag2_odd))
+    return f11, coupling, params.c**2 * coupling, f_perp, over_mag2(f22 - f_perp, mag2_odd)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +306,7 @@ def generator_symbol_grid(kind: str, grid: Grid, params: FluidParams) -> KernelS
     (d1, 1, c^2, d_perp, (d2 - d_perp)/|eta|^2)."""
     d1, d2, d_perp = _diagonals(kind, grid.eta_sq, params)
     one = np.ones(grid.spectral_shape)
-    q = _over_mag2(d2 - d_perp, grid.eta_sq_odd)
+    q = over_mag2(d2 - d_perp, grid.eta_sq_odd)
     return KernelSymbol(grid, d1, one, params.c**2 * one, d_perp, q)
 
 
@@ -392,8 +386,8 @@ def heat_leray_kernel_magnitude(t: float, sigma, grid: Grid, params: FluidParams
         raise KernelError(f"kernel norm requires t > 0, got {t}")
     mult = derivative_multiplier(grid, sigma) * np.exp(-params.mu * grid.eta_sq * t)
     e1, e2, mag2 = grid.eta1_odd, grid.eta2_odd, grid.eta_sq_odd
-    entries = np.stack([_over_mag2(e2 * e2, mag2), _over_mag2(-e1 * e2, mag2),
-                        _over_mag2(e1 * e1, mag2)]) * mult
+    entries = np.stack([over_mag2(e2 * e2, mag2), over_mag2(-e1 * e2, mag2),
+                        over_mag2(e1 * e1, mag2)]) * mult
     r11, r12, r22 = to_physical(entries, grid)
     # R_perp is symmetric: the off-diagonal entry counts twice
     return np.sqrt(r11**2 + r12**2 + r22**2 + r12**2)

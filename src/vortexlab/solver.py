@@ -34,8 +34,6 @@ from .spectral import (
     State,
     parseval_sum,
     sobolev_norm,
-    to_physical,
-    to_spectral,
 )
 
 
@@ -107,7 +105,7 @@ def _fourier_source(grid: Grid, params: FluidParams):
     transformed products with diagonal multipliers, so keeping the products'
     band dealiases every product.
 
-    The inverse is `to_physical`'s, with its physical 1/dx^2: folding that scale into
+    The inverse divides its samples by dx^2, as `to_physical` does: folding that scale into
     the band moves rho by an ulp, which `pressure_remainder`'s cancellation magnifies.
     The forward runs unscaled, F = conj(f_hat) / dx^2, so the multipliers made once
     per run carry dx^2: with s_i = -d_k f_ik - mu Lap g_i - (mu+lam) d_i div g,
@@ -314,12 +312,12 @@ def _diagnostics(grid: Grid):
     `grad_hs1`, the H^{s-1} norm of the gradient (the dissipation half of the energy
     bound), are band Parseval sums; `mass` is the density's eta = 0 entry, and
     `min_density` comes from the band transform of the density."""
-    band = grid.band
+    band, core, dx2 = grid.band, BandTransform(grid, ()), grid.dx**2
     grad_weight = band.eta_sq * band.sobolev_weight(HS_INDEX - 1)
-    phys, work = np.empty((grid.n, grid.n)), np.empty(grid.spectral_shape, complex)
+    phys = np.empty((grid.n, grid.n))
 
     def diagnostics(X: np.ndarray, t: float) -> dict:
-        rho = to_physical(X[0], grid, out=phys, work=work)
+        rho = np.divide(core.load(X[0]).inverse(phys), dx2, out=phys)
         return {
             "t": t,
             "mass": float(X[0, 0, 0].real),

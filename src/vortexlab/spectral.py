@@ -16,23 +16,23 @@ layout (rows k1 = 0..n/2-1, -n/2..-1; columns k2 = 0..n/2-1, then the
 Nyquist column k2 = -n/2).  Columns 1..n/2-1 also stand for their unstored
 conjugate partners; the columns k2 = 0 and n/2 are their own partners.  Sums
 over the full lattice (Parseval) therefore weigh those two self-conjugate
-columns by 1 and every other column by 2 (`Grid.hermitian_weight`).
-Transforms are numpy's real 2-D FFTs and accept stacks of fields along
-leading axes; `to_spectral` makes the self-conjugate columns exactly
-Hermitian, and every multiplier here keeps them so.
+columns by 1 and every other column by 2 (`hermitian_weight`).
+`to_physical`/`to_spectral` are numpy's real 2-D FFTs of half spectra and accept
+stacks of fields along leading axes; `to_spectral` makes the self-conjugate columns
+exactly Hermitian, and every multiplier here keeps them so.
 
 Band layout.  The solvers store only the 2/3-rule band of dealiased spectra
 (`Grid.band`): rows k1 = 0..n/3, -n/3..-1, columns k2 = 0..n/3.  Band spectra are
-transformed by one core, `BandTransform`, made once per run on one half-lattice work
+transformed only by `BandTransform`, a core made once per run on one half-lattice work
 array for both directions: the band is its two row blocks, and its row passes run on
 the band's columns only.  Each inverse call first zeroes the dropped columns and the
 gap rows between the blocks, which the last forward call and the last call's in-place
 row pass filled.  The core runs unscaled, so its callers carry the dx^2 and the
-conjugation of the convention: `to_physical`/`to_spectral` apply them per call, the
-solvers' sources fold them into multipliers made once per run.  The rows are
+conjugation of the convention: the diagnostics divide the density's samples by dx^2,
+and the sources fold both into multipliers made once per run.  The rows are
 symmetric under k1 -> -k1 (`conj_rows` indexes each row's partner), so column 0 is
 fixed as above.  The band has no Nyquist column, so its Parseval sums weigh column 0
-by 1 and every other column by 2 (`Band.hermitian_weight`).
+by 1 and every other column by 2.
 """
 
 from __future__ import annotations
@@ -89,10 +89,16 @@ class _Wavenumbers:
     def biot_savart_multiplier(self) -> tuple[np.ndarray, np.ndarray]:
         """i eta^perp / |eta|^2, zero at eta = 0: the torus Biot-Savart law
         u_hat = multiplier * omega_hat for zero-mean vorticity."""
-        mag2 = self.eta_sq_odd
-        safe = np.where(mag2 == 0.0, 1.0, mag2)
-        factor = np.where(mag2 == 0.0, 0.0, 1.0 / safe)
+        factor = over_mag2(1.0, self.eta_sq_odd)
         return 1j * (-self.eta2_odd) * factor, 1j * self.eta1_odd * factor
+
+    @cached_property
+    def hermitian_weight(self) -> np.ndarray:
+        """Parseval weight per stored column: 1 on the self-conjugate columns and 2 on
+        the others, each of which also stands for its conjugate partner."""
+        weight = np.full(len(self.k_cols), 2.0)
+        weight[list(self.self_conjugate)] = 1.0
+        return weight
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -171,14 +177,6 @@ class Grid(_Wavenumbers):
         return self.k_index[: self.n // 2 + 1]
 
     @cached_property
-    def hermitian_weight(self) -> np.ndarray:
-        """Parseval weight per stored column: 1 on the self-conjugate columns
-        k2 = 0 and n/2, 2 on the others (each also stands for its partner)."""
-        weight = np.full(self.n // 2 + 1, 2.0)
-        weight[[0, -1]] = 1.0
-        return weight
-
-    @cached_property
     def band(self) -> "Band":
         return Band(self)
 
@@ -221,14 +219,6 @@ class Band(_Wavenumbers):
         self.k_index, self.k_cols = np.r_[0 : k + 1, -k:0], np.arange(k + 1)
         # (band rows, half-lattice rows) of the two row blocks k1 >= 0 and k1 < 0
         self.blocks = (slice(0, k + 1),) * 2, (slice(k + 1, None), slice(-k, None))
-
-    @cached_property
-    def hermitian_weight(self) -> np.ndarray:
-        """Parseval weight per band column: 1 on the self-conjugate column k2 = 0 and 2 on
-        the others; the band has no Nyquist column."""
-        weight = np.full(len(self.k_cols), 2.0)
-        weight[0] = 1.0
-        return weight
 
     def gather(self, coeffs: np.ndarray) -> np.ndarray:
         """The band of half spectra, as a new array."""
@@ -315,7 +305,7 @@ class SpectralField:
         """Max |coeffs(-k1, k2) - conj coeffs(k1, k2)| on the self-conjugate
         columns k2 = 0, n/2: every other stored coefficient stands for a
         conjugate pair, so this is the whole realness defect of the field."""
-        cols = self.coeffs[:, [0, -1]]
+        cols = self.coeffs[:, list(self.grid.self_conjugate)]
         return float(np.abs(cols - np.conj(cols[self.grid.conj_rows])).max())
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
@@ -336,42 +326,27 @@ class SpectralField:
         return SpectralField(grid, np.zeros(grid.spectral_shape, dtype=np.complex128))
 
 
-def to_physical(coeffs: np.ndarray, grid: Grid, out=None, work=None) -> np.ndarray:
-    """Samples of a half or band spectrum, or of a stack of them along leading axes.
-    irfft2's two transforms run axis by axis, into `out` (real) and `work` (complex,
-    half-lattice shaped) when given, so a caller holding both allocates no lattice array;
-    band spectra go through a `BandTransform` on `work`."""
-    if coeffs.shape[-2:] == grid.band.spectral_shape:
-        core = BandTransform(grid, coeffs.shape[:-2] if work is None else work)
-        out = core.load(coeffs).inverse(out)
-    else:
-        work = np.conjugate(coeffs, out=work)
-        np.fft.ifftn(work, axes=(-2,), out=work)
-        out = np.fft.irfftn(work, s=(grid.n,), axes=(-1,), out=out)
+def to_physical(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Samples of a half spectrum, or of a stack of them along leading axes: irfft2's
+    two transforms run axis by axis on one conjugated copy, the row pass in place."""
+    work = np.conjugate(coeffs)
+    np.fft.ifftn(work, axes=(-2,), out=work)
+    out = np.fft.irfftn(work, s=(grid.n,), axes=(-1,))
     out /= grid.dx**2
     return out
 
 
-def to_spectral(values: np.ndarray, grid: Grid, out=None, work=None) -> np.ndarray:
-    """Half spectra of real samples (or of a stack of them along leading axes),
-    written into `out` when it is given; a band-shaped `out` gets the band, through a
-    `BandTransform` on `work` (complex, half-lattice shaped) when given.
+def to_spectral(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Half spectra of real samples, or of a stack of them along leading axes.
 
     rfft2 rounds the self-conjugate columns to slightly non-Hermitian values;
     they are replaced by their Hermitian parts, so real fields have exactly
     Hermitian spectra.
     """
-    lattice = grid
-    if out is not None and out.shape[-2:] == grid.band.spectral_shape:
-        lattice = grid.band
-        core = BandTransform(grid, values.shape[:-2] if work is None else work)
-        for rows, block in zip(core.rows, core.forward(values)):
-            np.conjugate(block, out=out[..., rows, :])
-    else:
-        out = np.fft.rfft2(values, out=out)
-        np.conjugate(out, out=out)
+    out = np.fft.rfft2(values)
+    np.conjugate(out, out=out)
     out *= grid.dx**2
-    return lattice.make_hermitian(out)
+    return grid.make_hermitian(out)
 
 
 def _check_same_grid(*grids: Grid):
@@ -473,6 +448,12 @@ def curl(m: tuple[SpectralField, SpectralField]) -> SpectralField:
     return derivative(m[1], (1, 0)) - derivative(m[0], (0, 1))
 
 
+def over_mag2(x, mag2_odd):
+    """x / |eta_odd|^2, and 0 where |eta_odd|^2 = 0."""
+    flat = mag2_odd == 0.0
+    return np.where(flat, 0.0, x / np.where(flat, 1.0, mag2_odd))
+
+
 def leray_decompose(
     m: tuple[SpectralField, SpectralField],
 ) -> tuple[tuple[SpectralField, SpectralField], tuple[SpectralField, SpectralField]]:
@@ -484,10 +465,7 @@ def leray_decompose(
     grid = m[0].grid
     _check_same_grid(grid, m[1].grid)
     e1, e2 = grid.eta1_odd, grid.eta2_odd
-    mag2 = grid.eta_sq_odd
-    safe = np.where(mag2 == 0.0, 1.0, mag2)
-    dot = (e1 * m[0].coeffs + e2 * m[1].coeffs) / safe
-    dot = np.where(mag2 == 0.0, 0.0, dot)
+    dot = over_mag2(e1 * m[0].coeffs + e2 * m[1].coeffs, grid.eta_sq_odd)
     par = (SpectralField(grid, e1 * dot), SpectralField(grid, e2 * dot))
     perp = (m[0] - par[0], m[1] - par[1])
     return perp, par

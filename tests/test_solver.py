@@ -559,6 +559,19 @@ def test_etd2_step_allocates_no_lattice_temporaries():
     assert _warm_step_peak(grid, lambda: solver._advance(X, stages, source, tab, "etd2")) <= 4.0
 
 
+def test_snapshot_diagnostics_allocate_no_lattice_temporaries():
+    """A warm diagnostics call transforms the density on the run's band scratch.
+
+    In half-lattice arrays at n = 128: the band Parseval sums' temporaries peak at
+    about 1.12 (a complex band array is 0.45 of one).  A fresh samples array (0.98)
+    or a fresh complex work array (1.0) would add about 1 more: 2.11 with both."""
+    grid = make_grid(128, 100.0)
+    X0 = random_state(grid, np.random.default_rng(4), 0.3).dealiased()
+    X = grid.band.gather(np.stack([c.coeffs for c in X0.components()]))
+    diagnostics = solver._diagnostics(grid)
+    assert _warm_step_peak(grid, lambda: diagnostics(X, 0.5)) <= 1.5
+
+
 def test_simulate_vacuum_abort_raises(monkeypatch):
     grid = make_grid(32, 20.0)
     rho = sample(grid, lambda a, b: -0.7 * np.exp(-(a**2 + b**2) / 8.0))
