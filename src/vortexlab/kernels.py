@@ -32,13 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 
 from .profiles import FluidParams
-from .spectral import (Band, Grid, State, as_multi_index, derivative_multiplier, over_mag2,
-                       to_physical)
+from .spectral import (Band, FullLattice, Grid, State, as_multi_index, derivative_multiplier,
+                       over_mag2, to_physical)
 
 
 class KernelError(ValueError):
@@ -200,13 +199,12 @@ class KernelSymbol:
     def apply(self, X, out: np.ndarray | None = None):
         """The symbol applied to a State, or to a (3, ...) coefficient stack on its lattice,
         giving the same kind; a stack's result goes into `out` (not overlapping X) if given."""
-        # with u = i eta . m:  rho' = d rho + b u,  m' = p m + i eta (c rho - q u);
-        # eta_odd is separable, so i eta enters as a complex row and column
+        # with u = i eta . m:  rho' = d rho + b u,  m' = p m + i eta (c rho - q u)
         g = self.grid
         is_state = isinstance(X, State)
         if is_state and X.grid != g:
             raise KernelError("state grid does not match symbol grid")
-        ie1, ie2 = 1j * g.eta1_odd[:, :1], 1j * g.eta2_odd[:1, :]
+        ie1, ie2 = 1j * g.eta1_odd, 1j * g.eta2_odd
         r, m0, m1 = (f.coeffs for f in X.components()) if is_state else X
         if out is None:
             out = np.empty((3,) + r.shape, dtype=np.complex128)
@@ -270,10 +268,12 @@ def _check_nonnegative_time(t: float):
 
 
 def _grid_symbol(kind: str, t: float, grid: Grid | Band, params: FluidParams, fk: int = 0):
-    """Entries evaluated once per (|eta|^2, |eta_odd|^2) shell, then gathered."""
+    """Entries of phi_fk(t * generator), times t when fk >= 1, evaluated once per
+    (|eta|^2, |eta_odd|^2) shell, then gathered."""
     _check_nonnegative_time(t)
     mag2, mag2_odd, inverse = grid.shells
-    return KernelSymbol(grid, *(e[inverse] for e in _entries(kind, t, mag2, mag2_odd, params, fk)))
+    entries = _entries(kind, t, mag2, mag2_odd, params, fk)
+    return KernelSymbol(grid, *((e * t if fk else e)[inverse] for e in entries))
 
 
 def spar_symbol_grid(t: float, grid: Grid, params: FluidParams) -> KernelSymbol:
@@ -291,7 +291,8 @@ def artificial_symbol_grid(t: float, grid: Grid, params: FluidParams) -> KernelS
 def phi_symbol_grid(
     k: int, t: float, grid: Grid | Band, params: FluidParams, kind: str = "s"
 ) -> KernelSymbol:
-    """phi_k(t * generator) as a blockwise symbol (exponential-integrator weights)."""
+    """The exponential-integrator weight of a step of length t as a blockwise symbol:
+    the kernel exp(t * generator) for k = 0, t phi_k(t * generator) for k >= 1."""
     return _grid_symbol(kind, t, grid, params, fk=k)
 
 
@@ -349,10 +350,10 @@ def artificial_diagonal_field(t: float, grid: Grid, params: FluidParams, sigma=(
     The radial factor exp(-mu_par |eta|^2 t / 2) cos(c |eta| t) depends on |k1| and
     |k2| only, so it is evaluated on the quadrant |k1|, |k2| <= n/2 (the first n/2 + 1
     rows of the grid's cached `eta_sq`) and mirrored onto the fft-ordered lattice by
-    |k|; the derivative factor is built from the 1-D wavenumbers and broadcast.  Both
-    are the whole-lattice values bit for bit.  The mirror must be C-ordered: an
-    F-ordered copy holds the same field, but `np.sum`'s pairwise order follows the
-    memory layout and moved a `kernel-rates` series by an ulp.  The symbol is
+    |k|; the derivative factor is the `FullLattice` multiplier, whose wavenumber column
+    and row broadcast.  Both are the whole-lattice values bit for bit.  The mirror must
+    be C-ordered: an F-ordered copy holds the same field, but `np.sum`'s pairwise order
+    follows the memory layout and moved a `kernel-rates` series by an ulp.  The symbol is
     transformed in place with the complex `fft2`: a real transform rounds differently
     near the 1e-13 resolved floor of the pointwise fit, which moves the fitted
     envelope constants.
@@ -361,9 +362,7 @@ def artificial_diagonal_field(t: float, grid: Grid, params: FluidParams, sigma=(
     mag2 = grid.eta_sq[: grid.n // 2 + 1]
     radial = np.exp(-0.5 * params.mu_par * mag2 * t) * np.cos(params.c * np.sqrt(mag2) * t)
     k = np.abs(grid.k_index)
-    e, e_odd = grid.eta1[:, :1], grid.eta1_odd[:, :1]
-    axes = SimpleNamespace(eta1=e, eta1_odd=e_odd, eta2=e.T, eta2_odd=e_odd.T)
-    symbol = derivative_multiplier(axes, sigma) * radial[np.ix_(k, k)]
+    symbol = derivative_multiplier(FullLattice(grid), sigma) * radial[np.ix_(k, k)]
     # fftshift moves the kernel from the lattice origin to the box center
     field = np.fft.fftshift(np.real(np.fft.fft2(symbol, out=symbol)))
     field /= grid.L**2

@@ -117,7 +117,8 @@ def _fourier_source(grid: Grid, params: FluidParams):
     state_core, product_core = BandTransform(grid, work[:3]), BandTransform(grid, work)
     phys, products = np.empty((3, grid.n, grid.n)), np.empty((5, grid.n, grid.n))
     e1, e2, dx2, mu_lam = band.eta1_odd, band.eta2_odd, grid.dx**2, params.mu + params.lam
-    lap, (i1, i2) = params.mu * band.eta_sq, ((-1j * dx2) * e for e in (e1, e2))
+    lap = params.mu * band.eta_sq  # i1, i2 take its shape: the loop slices them by rows
+    i1, i2 = (np.broadcast_to((-1j * dx2) * e, lap.shape) for e in (e1, e2))
     a11, a12, a22 = (
         np.asarray(a * dx2, complex)  # numpy multiplies complex by complex faster than it casts
         for a in (lap + mu_lam * e1**2, mu_lam * (e1 * e2), lap + mu_lam * e2**2)
@@ -228,11 +229,11 @@ class _StepTables:
 def _tables(grid: Grid | Band, params: FluidParams, h: float, scheme: str) -> _StepTables:
     """Symbol tables of one step of length h on the band, built on every call (no cache)."""
     exp_full = s_symbol_grid(h, grid, params)
-    phi1 = phi_symbol_grid(1, h, grid, params).scaled(h)
-    phi2 = phi_symbol_grid(2, h, grid, params).scaled(h)
+    phi1 = phi_symbol_grid(1, h, grid, params)
+    phi2 = phi_symbol_grid(2, h, grid, params)
     if scheme == "etd2":
         return _StepTables(exp_full, phi1, phi2)
-    phi3 = phi_symbol_grid(3, h, grid, params).scaled(h)
+    phi3 = phi_symbol_grid(3, h, grid, params)
     w_alpha = phi1 + phi2.scaled(-3.0) + phi3.scaled(4.0)
     w_beta = phi2.scaled(2.0) + phi3.scaled(-4.0)
     w_gamma = phi3.scaled(4.0) + phi2.scaled(-1.0)
@@ -241,7 +242,7 @@ def _tables(grid: Grid | Band, params: FluidParams, h: float, scheme: str) -> _S
         phi1,
         phi2,
         exp_half=s_symbol_grid(0.5 * h, grid, params),
-        phi1_half=phi_symbol_grid(1, 0.5 * h, grid, params).scaled(0.5 * h),
+        phi1_half=phi_symbol_grid(1, 0.5 * h, grid, params),
         w_alpha=w_alpha,
         w_beta=w_beta,
         w_gamma=w_gamma,

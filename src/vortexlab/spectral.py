@@ -7,7 +7,9 @@ coefficients follow the convention
 
 so the coefficient at eta = 0 is the discrete integral of f and partial_k
 acts as multiplication by -i eta_k.  Profiles and moments treat the box
-center L/2 as the origin of the plane.
+center L/2 as the origin of the plane.  Each lattice axis is stored once, as a
+column (eta1, eta1_odd, `Grid.xc1`) or a row (eta2, eta2_odd, `Grid.xc2`) that
+numpy broadcasts; eta_sq and the other arrays that are not separable are full.
 
 Half-spectrum layout.  Every field is real, so its spectrum is Hermitian,
 f_hat(-eta) = conj f_hat(eta), and only the k2 >= 0 columns of the
@@ -50,8 +52,8 @@ class SpectralError(ValueError):
 
 
 class _Wavenumbers:
-    """fft-ordered wavenumbers 2*pi*k/L on the rows ``k_index`` and the
-    columns ``k_cols`` of the n x n lattice.
+    """fft-ordered wavenumbers 2*pi*k/L: eta1 a column on the rows ``k_index``
+    and eta2 a row on the columns ``k_cols`` of the lattice.
 
     The odd twins zero the Nyquist row and column: the -n/2 mode has no +n/2
     partner, so odd multipliers there would break Hermitian symmetry.
@@ -59,11 +61,11 @@ class _Wavenumbers:
 
     @cached_property
     def eta1(self) -> np.ndarray:
-        return (2.0 * np.pi / self.L) * self.k_index[:, None] * np.ones((1, len(self.k_cols)))
+        return (2.0 * np.pi / self.L) * self.k_index[:, None]
 
     @cached_property
     def eta2(self) -> np.ndarray:
-        return (2.0 * np.pi / self.L) * self.k_cols[None, :] * np.ones((len(self.k_index), 1))
+        return (2.0 * np.pi / self.L) * self.k_cols[None, :]
 
     @cached_property
     def eta_sq(self) -> np.ndarray:
@@ -71,15 +73,11 @@ class _Wavenumbers:
 
     @cached_property
     def eta1_odd(self) -> np.ndarray:
-        out = self.eta1.copy()
-        out[self.k_index == -(self.n // 2), :] = 0.0
-        return out
+        return np.where(self.k_index[:, None] == -(self.n // 2), 0.0, self.eta1)
 
     @cached_property
     def eta2_odd(self) -> np.ndarray:
-        out = self.eta2.copy()
-        out[:, self.k_cols == -(self.n // 2)] = 0.0
-        return out
+        return np.where(self.k_cols[None, :] == -(self.n // 2), 0.0, self.eta2)
 
     @cached_property
     def eta_sq_odd(self) -> np.ndarray:
@@ -159,8 +157,8 @@ class Grid(_Wavenumbers):
     def __post_init__(self):
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise SpectralError(f"grid size must be a power of two >= 8, got {self.n}")
-        if not self.L > 0:
-            raise SpectralError(f"box size must be positive, got {self.L}")
+        if not 0 < self.L < np.inf:
+            raise SpectralError(f"box size must be positive and finite, got {self.L}")
 
     @property
     def dx(self) -> float:
@@ -181,28 +179,18 @@ class Grid(_Wavenumbers):
         return Band(self)
 
     @cached_property
-    def x1(self) -> np.ndarray:
-        x = np.arange(self.n) * self.dx
-        return x[:, None] * np.ones((1, self.n))
-
-    @cached_property
-    def x2(self) -> np.ndarray:
-        x = np.arange(self.n) * self.dx
-        return x[None, :] * np.ones((self.n, 1))
-
-    @cached_property
     def xc1(self) -> np.ndarray:
-        """First coordinate measured from the box center."""
-        return self.x1 - self.L / 2.0
+        """Coordinates measured from the box center: xc1 a column, xc2 the row."""
+        return (np.arange(self.n) * self.dx - self.L / 2.0)[:, None]
 
     @cached_property
     def xc2(self) -> np.ndarray:
-        return self.x2 - self.L / 2.0
+        return self.xc1.T
 
 
 class FullLattice(_Wavenumbers):
-    """The whole n x n fft-ordered lattice of a grid: the tests' oracles build
-    complex symbols on it for the full complex FFT."""
+    """The whole n x n fft-ordered lattice of a grid, for symbols of the complex FFT:
+    the artificial kernel's derivative factor and the tests' oracles."""
 
     def __init__(self, grid: Grid):
         self.n, self.L = grid.n, grid.L
@@ -412,8 +400,8 @@ def as_multi_index(sigma) -> tuple[int, int]:
 
 def derivative_multiplier(grid: Grid, sigma) -> np.ndarray:
     """Fourier multiplier of D^sigma: (-i eta1)^s1 (-i eta2)^s2 on the grid's
-    half lattice, on a `FullLattice`, or on any wavenumber arrays `eta1`, `eta2`
-    (and their odd twins) that broadcast over a lattice.
+    half lattice, its band or a `FullLattice`, as an array that broadcasts over
+    that lattice: a column or a row when one order is 0, full ones when both are.
 
     Odd powers use the Nyquist-zeroed wavenumbers so that real fields stay
     real; even powers keep the full lattice.  An order-1 factor is the product
@@ -427,7 +415,7 @@ def derivative_multiplier(grid: Grid, sigma) -> np.ndarray:
         factor = -1j * (eta_odd if order % 2 else eta)
         factor = factor if order == 1 else factor**order
         mult = factor if mult is None else mult * factor
-    return np.ones(grid.eta1.shape, dtype=np.complex128) if mult is None else mult
+    return np.ones(grid.spectral_shape, dtype=np.complex128) if mult is None else mult
 
 
 def derivative(field: SpectralField, sigma) -> SpectralField:
@@ -517,5 +505,6 @@ def sobolev_norm(state: State | np.ndarray, s: int, band: Band | None = None) ->
 
 
 def sample(grid: Grid, func) -> SpectralField:
-    """Transform func(xc1, xc2) evaluated on box-centered coordinates."""
-    return transform(func(grid.xc1, grid.xc2), grid)
+    """Transform func(xc1, xc2) of the box-centered coordinate column and row,
+    broadcast to the grid, so a function of one coordinate samples too."""
+    return transform(np.broadcast_to(func(grid.xc1, grid.xc2), (grid.n, grid.n)), grid)

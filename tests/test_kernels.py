@@ -439,7 +439,7 @@ def test_grid_symbol_matches_pointwise(rng):
         # where the grid symbol pairs the full |eta|^2 with zeroed odd parts
         i = rng.integers(-grid.n // 2 + 1, grid.n // 2) % grid.n
         j = rng.integers(0, grid.n // 2)
-        eta = np.array([grid.eta1_odd[i, j], grid.eta2_odd[i, j]])
+        eta = np.array([grid.eta1_odd[i, 0], grid.eta2_odd[0, j]])
         block = point_symbol("s", t, eta)
         # column k of the grid symbol's matrix at (i, j) is its action on the
         # unit state e_k placed at (i, j)
@@ -467,6 +467,8 @@ def test_shell_builds_equal_lattice_builds(n, L):
             for t in (0.0, 1e-3, 0.37, 1.9, 27.0):
                 sym = _grid_symbol(kind, t, grid, PARAMS, fk)
                 lattice = _entries(kind, t, grid.eta_sq, grid.eta_sq_odd, PARAMS, fk)
+                # phi_k weights for k >= 1 carry the step length t
+                lattice = [t * e for e in lattice] if fk else lattice
                 for got, want in zip(sym._arrays(), lattice, strict=True):
                     assert np.array_equal(got, want), (kind, fk, t)
 

@@ -37,10 +37,56 @@ def test_make_grid_dx():
     assert grid.dx == pytest.approx(0.78125)
 
 
-@pytest.mark.parametrize("n,L", [(6, 1.0), (100, 1.0), (4, 1.0), (256, 0.0), (256, -3.0)])
+@pytest.mark.parametrize(
+    "n,L", [(6, 1.0), (100, 1.0), (4, 1.0), (256, 0.0), (256, -3.0), (64, np.inf), (64, np.nan)]
+)
 def test_make_grid_rejects(n, L):
+    # a box of infinite side would sample every field to NaN coefficients
     with pytest.raises(SpectralError):
         make_grid(n, L)
+
+
+@pytest.mark.parametrize("n, L", [(16, 7.0), (64, 50.0)])
+def test_lattice_axes_are_separable(n, L):
+    # each axis is one column or one row, and broadcast it is the full-lattice formula
+    grid = make_grid(n, L)
+    x = np.arange(n) * grid.dx
+    xc1 = x[:, None] * np.ones((1, n)) - L / 2.0
+    assert grid.xc1.shape == (n, 1) and grid.xc2.shape == (1, n)
+    assert np.array_equal(np.broadcast_to(grid.xc1, (n, n)), xc1)
+    assert np.array_equal(np.broadcast_to(grid.xc2, (n, n)), xc1.T)
+    for lattice in (grid, grid.band, FullLattice(grid)):
+        rows, cols = lattice.spectral_shape
+        k1, k2 = lattice.k_index[:, None], lattice.k_cols[None, :]
+        eta1 = (2.0 * np.pi / L) * k1 * np.ones((1, cols))
+        eta2 = (2.0 * np.pi / L) * k2 * np.ones((rows, 1))
+        eta1_odd, eta2_odd = eta1.copy(), eta2.copy()
+        eta1_odd[lattice.k_index == -(n // 2), :] = 0.0
+        eta2_odd[:, lattice.k_cols == -(n // 2)] = 0.0
+        for axis, shape, full in ((lattice.eta1, (rows, 1), eta1), (lattice.eta2, (1, cols), eta2),
+                                  (lattice.eta1_odd, (rows, 1), eta1_odd),
+                                  (lattice.eta2_odd, (1, cols), eta2_odd)):
+            assert axis.shape == shape
+            assert np.array_equal(np.broadcast_to(axis, full.shape), full)
+        assert np.array_equal(lattice.eta_sq, eta1**2 + eta2**2)
+        assert np.array_equal(lattice.eta_sq_odd, eta1_odd**2 + eta2_odd**2)
+
+
+def test_lattice_axes_retain_two_half_lattice_arrays():
+    # of the wavenumbers and coordinates a 512^2 grid caches, only eta_sq and
+    # eta_sq_odd are lattice-sized; the axes are columns and rows
+    import tracemalloc
+
+    grid = make_grid(512, 200.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for name in ("eta1", "eta2", "eta1_odd", "eta2_odd", "eta_sq", "eta_sq_odd", "xc1", "xc2"):
+            getattr(grid, name)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= 2.5 * np.empty(grid.spectral_shape).nbytes
 
 
 def test_transform_constant():
@@ -54,7 +100,8 @@ def test_transform_constant():
 
 def test_transform_cosine_two_modes():
     grid = make_grid(32, 5.0)
-    f = transform(np.cos(2 * np.pi * grid.x1 / grid.L), grid)
+    # x1 is measured from the box center; the cosine is in x1 from the origin
+    f = sample(grid, lambda x1, x2: np.cos(2 * np.pi * (x1 + grid.L / 2) / grid.L))
     nonzero = np.argwhere(np.abs(f.coeffs) > 1e-9 * grid.L**2)
     assert len(nonzero) == 2
     ks = sorted(grid.k_index[i] for i, _ in nonzero)
@@ -149,10 +196,10 @@ def test_transform_shape_mismatch():
 
 def test_derivative_identity_and_sine():
     grid = make_grid(64, 4.0)
-    f = transform(np.sin(2 * np.pi * grid.x1 / grid.L), grid)
+    f = sample(grid, lambda x1, x2: np.sin(2 * np.pi * x1 / grid.L))
     assert np.abs(derivative(f, (0, 0)).coeffs - f.coeffs).max() < 1e-14
     df = derivative(f, (1, 0)).values()
-    expected = (2 * np.pi / grid.L) * np.cos(2 * np.pi * grid.x1 / grid.L)
+    expected = (2 * np.pi / grid.L) * np.cos(2 * np.pi * grid.xc1 / grid.L)
     assert np.abs(df - expected).max() < 1e-12
 
 
@@ -173,7 +220,7 @@ def test_derivative_matches_finite_differences_second_order():
 
 def _power_derivative_multiplier(grid, sigma) -> np.ndarray:
     """Reference: the multiplier as a lattice of ones times (-i eta)^order per axis."""
-    mult = np.ones(grid.eta1.shape, dtype=np.complex128)
+    mult = np.ones(grid.spectral_shape, dtype=np.complex128)
     for order, eta, eta_odd in ((sigma[0], grid.eta1, grid.eta1_odd),
                                 (sigma[1], grid.eta2, grid.eta2_odd)):
         if order:
@@ -190,7 +237,8 @@ def test_derivative_multiplier_equals_the_power_formula(n, full):
         for s2 in range(9 - s1):
             got = derivative_multiplier(lattice, (s1, s2))
             assert got.dtype == np.complex128
-            assert np.array_equal(got, _power_derivative_multiplier(lattice, (s1, s2)))
+            want = _power_derivative_multiplier(lattice, (s1, s2))
+            assert np.array_equal(np.broadcast_to(got, want.shape), want)
 
 
 def test_derivative_rejects_bad_multi_index():
