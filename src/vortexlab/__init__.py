@@ -14,7 +14,9 @@ The package is organised in six modules:
     physical-space kernel fields.
 ``solver``
     Exponential time-differencing integrator for the nonlinear system
-    near equilibrium, plus an incompressible vorticity control solver.
+    near equilibrium, plus an incompressible vorticity control solver; both
+    hand each snapshot to the caller's ``measure(t, X)`` and return a
+    ``Trajectory`` of the measured values, holding no snapshots.
 ``harness``
     The run manifest, decay-rate experiments and the pointwise-bound
     verification, producing machine-readable reports.

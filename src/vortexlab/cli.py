@@ -79,16 +79,17 @@ def _experiment_names(value: str) -> tuple[str, ...]:
 
 
 def _probe_writable(outdir: Path):
-    """ConfigError unless `outdir` can be made and written; a directory made for the
-    probe is removed again, so a run that stops before its outputs leaves none."""
-    created = not outdir.exists()
+    """ConfigError unless `outdir` can be made and written; every directory made for the
+    probe is removed again, deepest first, so a run that stops before its outputs leaves
+    none."""
+    created = [d for d in (outdir, *outdir.parents) if not d.exists()]
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         probe = outdir / ".write-probe"
         probe.write_text("")
         probe.unlink()
-        if created:
-            outdir.rmdir()
+        for d in created:
+            d.rmdir()
     except OSError as err:
         raise ConfigError(f"output directory {outdir} is not writable: {err}") from None
 

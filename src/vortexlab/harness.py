@@ -395,14 +395,18 @@ def _lf_kernel_rows(result: ExperimentResult, grid: Grid, params, chi) -> None:
     diff_vals = []
 
     def lf_magnitudes():
-        # sigma = 0 and 1 of each LF state in turn: one state alive at a time
+        # sigma = 0 and 1 of each LF state in turn: one state alive at a time, and no
+        # array of one time alive while the next time's are made (the heap fragmented
+        # and grew otherwise)
         for t in lf_times:
             lf = spar_symbol_grid(t, grid, params).scaled(chi)
             lf_art = artificial_symbol_grid(t, grid, params).scaled(chi)
             diff_vals.append(sobolev_norm((lf - lf_art).apply(X0), 0))
             X = lf.apply(X0)
+            del lf, lf_art
             for sigma in (0, 1):
                 yield magnitude(_dx(X.components(), sigma))
+            del X
 
     lf_ps = (2.0, np.inf)
     lf_vals = _lp_series(grid, lf_magnitudes(), lf_ps)
@@ -684,57 +688,76 @@ def _solver_run(what: str):
         raise HarnessError(f"{what} run aborted: {err}") from err
 
 
-def _simulate(ctx: RunManifest, grid: Grid, X0: State, horizon, times, what, nonlinear=True):
+def _simulate(ctx: RunManifest, grid: Grid, data: list[State], horizon, times, what, measure,
+              nonlinear=True):
     """Run the compressible solver on `grid` with the manifest's fluid and dt, as the
-    solver run `what`."""
+    solver run `what` measured by `measure`.  `data` holds the initial State and is
+    emptied, so the solver holds the only reference and frees the State after its gather."""
     cfg = SolverConfig(grid, ctx.params, T=horizon, dt=ctx.dt, snapshot_times=times,
                        nonlinear=nonlinear)
     with _solver_run(what):
-        return simulate(X0, cfg)
+        return simulate(data.pop(), cfg, measure)
+
+
+def _state(grid: Grid, X: np.ndarray) -> State:
+    """A band snapshot as a new half-spectrum State, zero off the band."""
+    return State.from_stack(grid, grid.band.scatter(X))
 
 
 def run_sound_decay(ctx: RunManifest) -> ExperimentResult:
     """L^p decay of the curl-free part of a small-amplitude nonlinear run."""
     name = "sound-decay"
     grid, horizon = RECORDS[name].grid(ctx), RECORDS[name].horizon(ctx)
-    times = _snapshot_times(horizon)
-    traj = _simulate(ctx, grid, _generic_state(grid, ctx.epsilon), horizon, times, name)
+    ps = (2.0, np.inf, 1.0)
+
+    def measure(t, X):
+        # the L^p norms of the sound part's pointwise magnitude, past the initial data
+        if t == 0.0:
+            return None
+        X = _state(grid, X)
+        mag = magnitude((X.rho, *leray_decompose(X.m)[1]))
+        return [lp_of_magnitude(mag, grid, p) for p in ps]
+
+    traj = _simulate(ctx, grid, [_generic_state(grid, ctx.epsilon)], horizon,
+                     _snapshot_times(horizon), name, measure)
     result = ExperimentResult(name, extras={"horizon": horizon})
     t_arr = np.array(traj.times[1:])
-    # pointwise magnitudes of the sound part, one per snapshot for every p
-    sound = (magnitude((X.rho, *leray_decompose(X.m)[1]))
-             for X in map(traj.state, range(1, len(traj.times))))
-    ps = (2.0, np.inf, 1.0)
-    for p, vals in zip(ps, _lp_series(grid, sound, ps)):
+    for p, vals in zip(ps, zip(*traj.values[1:])):
         result.rate(f"sound-p{p:g}-s0", "sound_part", p, 0, t_arr, vals, 0.15,
                     allow_log=(p == 1.0), fit_window=(horizon / _SOUND_WINDOW, horizon))
     return result
 
 
-def _linear_deviations(ctx: RunManifest, grid: Grid, eps, horizon, times, what, linear_symbols,
+def _linear_deviations(ctx: RunManifest, grid: Grid, eps, horizon, times, what,
                        nonlinear=True) -> list[float]:
     """L^2 norms of X(t) - S(t) X(0), as band Parseval sums, at each snapshot of the
-    solver run `what` from the generic state of amplitude eps, with S(t) the band symbols
-    `linear_symbols[t]`; the run's trajectory lives only inside this call."""
-    traj = _simulate(ctx, grid, _generic_state(grid, eps), horizon, times, what, nonlinear)
-    X0, band = traj.snapshots[0], grid.band
-    return [sobolev_norm(X - linear_symbols[t].apply(X0), 0, band)
-            for t, X in zip(traj.times[1:], traj.snapshots[1:])]
+    solver run `what` from the generic state of amplitude eps; each band symbol S(t) is
+    built at its snapshot and freed before the next."""
+    band, params = grid.band, scaled_params(ctx.params)
+    X0 = []  # the band snapshot at t = 0, copied by the first measure
+
+    def measure(t, X):
+        if t == 0.0:
+            X0.append(X.copy())
+            return None
+        return sobolev_norm(X - s_symbol_grid(t, band, params).apply(X0[0]), 0, band)
+
+    traj = _simulate(ctx, grid, [_generic_state(grid, eps)], horizon, times, what, measure,
+                     nonlinear)
+    return list(traj.values[1:])
 
 
 def run_nonlinear_smallness(ctx: RunManifest) -> ExperimentResult:
     """Quadratic smallness of the deviation from the linear evolution."""
     name = "nonlinear-smallness"
     grid, horizon = RECORDS[name].grid(ctx), RECORDS[name].horizon(ctx)
-    params_lin = scaled_params(ctx.params)
     times = _snapshot_times(horizon, 12)
     eps_sweep = (0.1 * ctx.epsilon, 0.3 * ctx.epsilon, ctx.epsilon)
-    linear_symbols = {t: s_symbol_grid(t, grid.band, params_lin) for t in times}
     result = ExperimentResult(name)
     deviations = {}
     for eps in eps_sweep:
         deviations[eps] = np.array(_linear_deviations(ctx, grid, eps, horizon, times,
-                                                      f"{name} eps={eps:g}", linear_symbols))
+                                                      f"{name} eps={eps:g}"))
         result.series[f"deviation-eps{eps:g}"] = (np.array(times), deviations[eps])
 
     # amplitude scaling at a mid-horizon time
@@ -757,56 +780,59 @@ def run_nonlinear_smallness(ctx: RunManifest) -> ExperimentResult:
 
     # linear-only control: the deviation vanishes identically
     worst = max(0.0, *_linear_deviations(ctx, grid, ctx.epsilon, horizon, times,
-                                         f"{name} linear-control", linear_symbols, False))
+                                         f"{name} linear-control", False))
     result.add("linear-control", 0.0, worst, 1e-12, mode="bound")
     return result
 
 
 def _dipole_data(ctx: RunManifest, grid: Grid):
     """incompressible-limit's dipole-data case, zero circulation and nonzero first
-    moments: the momentum of a dipole's Biot-Savart velocity at amplitude epsilon,
-    and the first moments of its vorticity (ProfileError if that is not localized)."""
+    moments: the momentum of a dipole's Biot-Savart velocity at amplitude epsilon, as
+    `_momentum_data` gives it, and the first moments of its vorticity (ProfileError if
+    that is not localized)."""
     params = ctx.params
-    X0, _ = _momentum_data(ctx, grid, biot_savart(dipole_vorticity_field(grid, 1, 1.0, params)))
-    return X0, first_moments_beta(vorticity_of(X0.m, params), params)
+    data, _ = _momentum_data(ctx, grid, biot_savart(dipole_vorticity_field(grid, 1, 1.0, params)))
+    return data, first_moments_beta(vorticity_of(data[0].m, params), params)
 
 
 def _momentum_data(ctx: RunManifest, grid: Grid, u):
-    """Dealiased zero-density data of momentum rho_star amp u, amp = epsilon / sup |u|; and amp."""
+    """Dealiased zero-density data of momentum rho_star amp u, amp = epsilon / sup |u|, as
+    a one-element list for `_simulate`; and amp."""
     amp = ctx.epsilon / lp_norm(u, np.inf)
     scale = amp * ctx.params.rho_star
-    return State(SpectralField.zero(grid), (u[0] * scale, u[1] * scale)).dealiased(), amp
+    return [State(SpectralField.zero(grid), (u[0] * scale, u[1] * scale)).dealiased()], amp
 
 
 def _dipole_measurements(ctx: RunManifest, grid: Grid, horizon, times, ps):
-    """incompressible-limit's dipole-data run, measured inside this call so that its
-    trajectory and residuals are freed before the vortex-data run: the data's first
-    moments, the L^p norms (per sigma, then per p) of the weighted residuals against the
-    dipole profile, and the relative beta drift at the moment probe with its time."""
+    """incompressible-limit's dipole-data run, measured at each snapshot, so that no
+    snapshot or residual outlives its measure: the data's first moments, the L^p norms
+    (indexed by snapshot, sigma, p) of the weighted residuals against the dipole profile,
+    and the relative beta drift at the moment probe with its time."""
     params, rs = ctx.params, ctx.params.rho_star
-    X0, moments = _dipole_data(ctx, grid)
-    traj = _simulate(ctx, grid, X0, horizon, times, "incompressible-limit dipole-data")
-
-    # one Leray split and one reference profile per snapshot
-    residuals = [
-        _perp_residual(traj.state(k), profile_superposition(moments, t, params, grid)[1], rs)
-        for k, t in enumerate(traj.times[1:], 1)
-    ]
-    norms = [
-        _lp_series(grid, (magnitude(_dx(d, sigma)) for d in residuals), ps)
-        for sigma in (0, 1)
-    ]
-
+    data, moments = _dipole_data(ctx, grid)
     # moment consistency along the run, probed while the vorticity is still compactly
     # supported in the box
-    probe = max(k for k, t in enumerate(traj.times) if t <= 8.0)
-    late_moments = first_moments_beta(vorticity_of(traj.state(probe).m, params), params)
+    t_probe = float(max(t for t in times if t <= 8.0))
     beta_scale = max(abs(moments.beta[0]), abs(moments.beta[1]))
-    drift = max(
-        abs(late_moments.beta[0] - moments.beta[0]),
-        abs(late_moments.beta[1] - moments.beta[1]),
-    )
-    return moments, norms, drift / beta_scale, traj.times[probe]
+
+    def measure(t, X):
+        if t == 0.0:
+            return None
+        # one Leray split and one reference profile per snapshot
+        d = _perp_residual(_state(grid, X), profile_superposition(moments, t, params, grid)[1],
+                           rs)
+        norms = [[lp_of_magnitude(mag, grid, p) for p in ps]
+                 for mag in (magnitude(_dx(d, sigma)) for sigma in (0, 1))]
+        if t != t_probe:
+            return norms, None
+        late = first_moments_beta(vorticity_of(_state(grid, X).m, params), params)
+        drift = max(abs(late.beta[0] - moments.beta[0]), abs(late.beta[1] - moments.beta[1]))
+        return norms, drift / beta_scale
+
+    traj = _simulate(ctx, grid, data, horizon, times, "incompressible-limit dipole-data",
+                     measure)
+    (drift,) = (drift for _, drift in traj.values[1:] if drift is not None)
+    return moments, np.array([norms for norms, _ in traj.values[1:]]), drift, t_probe
 
 
 def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
@@ -826,7 +852,7 @@ def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
     for i, p in enumerate(ps):
         for sigma in (0, 1):
             result.decay(f"dipole-residual-p{p:g}-s{sigma}", "incompressible_weight", p, sigma,
-                         times, norms[sigma][i], horizon, 0.2)
+                         times, norms[:, sigma, i], horizon, 0.2)
     # the beta drift within 2% of the initial values
     result.add("beta-consistency", 0.0, drift, 0.02, mode="bound", meta={"t_probe": t_probe})
 
@@ -835,15 +861,18 @@ def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
     # "weighted residual decays": monotone over the last half, final below
     # half the t=1 value (the dipole case above carries the 20% threshold).
     omega_g, ug = oseen_pair_fields(grid, 1.0, params)
-    X0g, ampg = _momentum_data(ctx, grid, ug)
+    data, ampg = _momentum_data(ctx, grid, ug)
     alpha_scaled = circulation_alpha(omega_g, params) * ampg
-    trajg = _simulate(ctx, grid, X0g, horizon, times, f"{name} vortex-data")
 
-    vortex_residuals = (
-        _perp_residual(trajg.state(k), oseen_pair_fields(grid, t, params)[1], rs * alpha_scaled)
-        for k, t in enumerate(trajg.times[1:], 1)
-    )
-    for p, norms in zip(ps, _lp_series(grid, map(magnitude, vortex_residuals), ps)):
+    def measure(t, X):
+        if t == 0.0:
+            return None
+        uref = oseen_pair_fields(grid, t, params)[1]
+        mag = magnitude(_perp_residual(_state(grid, X), uref, rs * alpha_scaled))
+        return [lp_of_magnitude(mag, grid, p) for p in ps]
+
+    trajg = _simulate(ctx, grid, data, horizon, times, f"{name} vortex-data", measure)
+    for p, norms in zip(ps, zip(*trajg.values[1:])):
         result.decay(f"vortex-residual-p{p:g}-s0", "incompressible_weight", p, 0, times, norms,
                      horizon, 0.5)
     result.extras = {"beta": list(moments.beta), "alpha_scaled": alpha_scaled,
@@ -877,37 +906,42 @@ def run_vorticity_profiles(ctx: RunManifest) -> ExperimentResult:
     times_a = (1.0, 2.0, 4.0, 8.0, 16.0)
     box_residuals = {}
     for vortex_grid in (ctx.grid, grid):
-        omega0 = oseen_vorticity_field(vortex_grid, 2.0, params)
-        with _solver_run(f"{name} vortex L={vortex_grid.L:g}"):
-            traj = vorticity_simulate(omega0, nu, times_a, dt=0.25)
-        worst = 0.0
-        for k, t in enumerate(traj.times[1:], 1):
+        def relative_residual(t, w):
+            if t == 0.0:
+                return None
             ref = oseen_vorticity_field(vortex_grid, 2.0 + t, params)
-            worst = max(worst, lp_norm(traj.omega(k) - ref, 2) / lp_norm(ref, 2))
-        box_residuals[vortex_grid.L] = worst
+            omega = SpectralField(vortex_grid, vortex_grid.band.scatter(w))
+            return lp_norm(omega - ref, 2) / lp_norm(ref, 2)
+
+        with _solver_run(f"{name} vortex L={vortex_grid.L:g}"):
+            traj = vorticity_simulate(oseen_vorticity_field(vortex_grid, 2.0, params), nu,
+                                      times_a, 0.25, relative_residual)
+        box_residuals[vortex_grid.L] = max(0.0, *traj.values[1:])
     result.add("vortex-exactness", 0.0, box_residuals[ctx.grid.L], 1e-6, mode="bound",
                meta={"box_sensitivity": box_residuals})
 
-    # perturbed dipole: weighted residual against the first-moment profile
+    # perturbed dipole: weighted residual against the first-moment profile, and the
+    # moments while the field is still well localized
     omega0 = _vorticity_dipole_data(ctx, grid)
     moments = first_moments_beta(omega0, params)
     times_b = _snapshot_times(T, 12)
+
+    def measure(t, w):
+        if t == 0.0:
+            return None
+        omega = SpectralField(grid, grid.band.scatter(w))
+        residual = lp_norm(omega - profile_superposition(moments, t, params, grid)[0], 2)
+        return residual, (first_moments_beta(omega, params) if t <= 16.0 else None)
+
     with _solver_run(f"{name} dipole-data"):
-        traj = vorticity_simulate(omega0, nu, times_b, dt=0.25)
-    residuals = [
-        lp_norm(traj.omega(k) - profile_superposition(moments, t, params, grid)[0], 2)
-        for k, t in enumerate(traj.times[1:], 1)
-    ]
+        traj = vorticity_simulate(omega0, nu, times_b, 0.25, measure)
+    residuals = [residual for residual, _ in traj.values[1:]]
     result.decay("dipole-residual", "dipole_weight", 2.0, 0, traj.times[1:], residuals, T, 0.2,
                  key="dipole-residual-p2")
 
-    # moment conservation while the field is still well localized
     drift = 0.0
     beta_scale = max(abs(moments.beta[0]), abs(moments.beta[1]))
-    for k, t in enumerate(traj.times[1:], 1):
-        if t > 16.0:
-            break
-        m = first_moments_beta(traj.omega(k), params)
+    for m in (m for _, m in traj.values[1:] if m is not None):
         drift = max(
             drift,
             abs(m.beta[0] - moments.beta[0]) / beta_scale,

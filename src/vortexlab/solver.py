@@ -9,16 +9,19 @@ so the flux decomposition reads literally with 1 + rho_tilde standing for
 rho / rho_star; `simulate` scales physical data in and out at its boundary.
 
 Both solvers take one ETD2 step, `_etd2_step`, in place on a stack of the 2/3-rule
-band (`Grid.band`), which dealiased data, the sources and every symbol keep.  A run's
-snapshots and diagnostics stay on the band too: each trajectory holds one band array,
-and `Trajectory.state(k)` / `VorticityTrajectory.omega(k)` expand a snapshot with exact
-zeros when it is read.  Each run (`simulate`, `vorticity_simulate` or one `step`) makes
-its stage buffers, source scratch and diagnostic scratch once; no step table is cached.
+band (`Grid.band`), which dealiased data, the sources and every symbol keep.  No run
+holds its snapshots: at each snapshot time, t = 0 included, it calls the caller's
+`measure(t, X)` on the band snapshot, which is read-only and valid only during the call,
+and its `Trajectory` keeps the times, the measured values and (`simulate` only) the
+diagnostics.  Each run (`simulate`, `vorticity_simulate` or one `step`) makes its stage
+buffers, source scratch and diagnostic scratch once; no step table is cached, and each
+gap's tables are freed before its snapshot is measured.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
@@ -294,17 +297,20 @@ BLOWUP_FACTOR = 10.0
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A run's snapshots in physical variables, held on its grid's band: `snapshots[k]`
-    is the (3, *band.spectral_shape) stack at `times[k]`, and `state(k)` expands it."""
+    """A run's snapshot times, `measure(t, X)` at each of them and, for `simulate`, the
+    diagnostics of each snapshot."""
 
-    grid: Grid
     times: tuple[float, ...]
-    snapshots: np.ndarray
-    diagnostics: tuple[dict, ...]
+    values: tuple
+    diagnostics: tuple[dict, ...] = ()
 
-    def state(self, k: int) -> State:
-        """Snapshot k as a new half-spectrum State, zero off the band."""
-        return State.from_stack(self.grid, self.grid.band.scatter(self.snapshots[k]))
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of `a` that cannot be written through, for a run's measure: the vorticity
+    view is the live state, which a writing measure would change."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def _diagnostics(grid: Grid):
@@ -340,14 +346,16 @@ def _energy_check(hs: float, hs0: float, blowup_factor: float) -> None:
         )
 
 
-def simulate(X0: State, config: SolverConfig) -> Trajectory:
-    """Advance X0 to the requested snapshot times with diagnostics.
+def simulate(X0: State, config: SolverConfig, measure: Callable) -> Trajectory:
+    """Advance X0 to the requested snapshot times with diagnostics, measuring each snapshot.
 
-    X0 and the returned snapshots are in physical variables.  The run integrates X0's
-    band (the dealiased data) and copies each snapshot's band into one array allocated
-    once per run; the diagnostics are computed from those band snapshots.  Vacuum (in
-    the step that meets it), a non-finite state or energy blow-up (at the snapshot that
-    shows it) raises SolverAbort, and no later step runs.
+    The run integrates X0's band (the dealiased data) and drops its reference to X0 after
+    the gather.  At t = 0 and at each snapshot time it writes the band snapshot in
+    physical variables into one array made once per run, computes the diagnostics from it
+    and calls `measure(t, X)` on a read-only view of it; the Trajectory keeps what the
+    calls return.  Vacuum (in the step that meets it), a non-finite state or energy
+    blow-up (at the snapshot that shows it) raises SolverAbort: no later step runs, and
+    that snapshot is not measured.
     """
     if X0.grid != config.grid:
         raise SolverError("initial state grid does not match config grid")
@@ -357,19 +365,22 @@ def simulate(X0: State, config: SolverConfig) -> Trajectory:
     params = scaled_params(config.params)
     dt_target = config.dt_effective
     stack = band.gather(np.stack([c.coeffs for c in X0.components()]))
+    del X0  # the run reads only its band
     stack *= 1.0 / rs
     stages, source = np.empty((3,) + stack.shape, stack.dtype), _fourier_source(grid, params)
 
     times = (0.0,) + config.snapshot_times
-    snapshots = np.empty((len(times),) + stack.shape, stack.dtype)
+    snapshot = np.empty_like(stack)
+    view = _read_only(snapshot)
     diagnose = _diagnostics(grid)
-    diagnostics = [diagnose(np.multiply(stack, rs, out=snapshots[0]), 0.0)]
+    diagnostics = [diagnose(np.multiply(stack, rs, out=snapshot), 0.0)]
     hs0 = diagnostics[0]["hs"]
     # Kawashima-type energy functional ||X||_{H^s}^2 + int ||grad X||_{H^{s-1}}^2,
     # accumulated by snapshot trapezoid; its boundedness is a run diagnostic
     dissipation = 0.0
     diagnostics[0]["kawashima_energy"] = hs0**2
     _energy_check(hs0, hs0, math.inf)  # only finiteness at t = 0
+    values = [measure(0.0, view)]
     for k, t_snap in enumerate(config.snapshot_times, 1):
         gap = t_snap - times[k - 1]
         nsub = max(1, math.ceil(gap / dt_target - 1e-12))
@@ -378,34 +389,22 @@ def simulate(X0: State, config: SolverConfig) -> Trajectory:
             tab = _tables(band, params, h, config.scheme)
             for _ in range(nsub):
                 _advance(stack, stages, source, tab, config.scheme)
+            del tab  # freed before the measure and the next gap's build
         else:
             stack[...] = s_symbol_grid(gap, band, params).apply(stack)
-        row = diagnose(np.multiply(stack, rs, out=snapshots[k]), t_snap)
+        row = diagnose(np.multiply(stack, rs, out=snapshot), t_snap)
         dissipation += 0.5 * gap * (
             diagnostics[-1]["grad_hs1"] ** 2 + row["grad_hs1"] ** 2
         )
         row["kawashima_energy"] = row["hs"] ** 2 + dissipation
         diagnostics.append(row)
         _energy_check(row["hs"], hs0, BLOWUP_FACTOR)
-    return Trajectory(grid, times, snapshots, tuple(diagnostics))
+        values.append(measure(t_snap, view))
+    return Trajectory(times, tuple(values), tuple(diagnostics))
 
 
 # ---------------------------------------------------------------------------
 # incompressible vorticity control solver
-
-
-@dataclass(frozen=True, eq=False)
-class VorticityTrajectory:
-    """A vorticity run's snapshots, held on its grid's band: `snapshots[k]` is the band
-    spectrum at `times[k]`, and `omega(k)` expands it."""
-
-    grid: Grid
-    times: tuple[float, ...]
-    snapshots: np.ndarray
-
-    def omega(self, k: int) -> SpectralField:
-        """Snapshot k as a new half-spectrum field, zero off the band."""
-        return SpectralField(self.grid, self.grid.band.scatter(self.snapshots[k]))
 
 
 def _vorticity_source(grid: Grid):
@@ -440,21 +439,23 @@ def _vorticity_source(grid: Grid):
     return source
 
 
-def vorticity_simulate(
-    omega0: SpectralField, nu: float, snapshot_times, dt: float
-) -> VorticityTrajectory:
-    """Advance the 2D vorticity equation by ETD2RK with exact heat flow; the run's
-    stages and source scratch are made once, and each snapshot's band is copied into
-    one array allocated once per run.  A non-finite snapshot raises SolverAbort, and
-    no later step runs."""
+def vorticity_simulate(omega0: SpectralField, nu: float, snapshot_times, dt: float,
+                       measure: Callable) -> Trajectory:
+    """Advance the 2D vorticity equation by ETD2RK with exact heat flow, measuring each
+    snapshot.  The run's stages and source scratch are made once, and it drops its
+    reference to omega0 after the gather.  At t = 0 and at each snapshot time it calls
+    `measure(t, w)` on a read-only view of the band spectrum; the Trajectory keeps what
+    the calls return.  A non-finite snapshot raises SolverAbort before it is measured,
+    and no later step runs."""
     snapshot_times = _time_grid(dt, snapshot_times)
     grid, band = omega0.grid, omega0.grid.band
     mag2, _, inverse = band.shells
     omega = band.gather(omega0.coeffs[None])
+    del omega0  # the run reads only its band
     stages, source = np.empty((3,) + omega.shape, omega.dtype), _vorticity_source(grid)
     times = (0.0,) + snapshot_times
-    snapshots = np.empty((len(times),) + band.spectral_shape, omega.dtype)
-    snapshots[0] = omega[0]
+    view = _read_only(omega[0])
+    values = [measure(0.0, view)]
     for k, t_snap in enumerate(snapshot_times, 1):
         gap = t_snap - times[k - 1]
         nsub = max(1, math.ceil(gap / dt - 1e-12))
@@ -465,7 +466,8 @@ def vorticity_simulate(
         with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
             for _ in range(nsub):
                 _etd2_step(omega, stages, source, weights)
+        del weights  # freed before the measure and the next gap's build
         if not np.isfinite(omega).all():
             raise SolverAbort(f"non-finite state: vorticity at t = {t_snap:g}")
-        snapshots[k] = omega[0]
-    return VorticityTrajectory(grid, times, snapshots)
+        values.append(measure(t_snap, view))
+    return Trajectory(times, tuple(values))

@@ -144,6 +144,22 @@ def test_library_error_in_an_experiment_exits_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def test_aborted_run_removes_every_directory_the_probe_made(tmp_path, capsys, monkeypatch):
+    # a nested output directory: the write probe makes new/, new/a/ and new/a/b/, and a run
+    # that stops before its outputs removes all three (it used to leave new/ and new/a/)
+    def aborted(ctx):
+        raise harness.HarnessError("vorticity-profiles dipole-data run aborted: stub abort")
+
+    monkeypatch.setitem(harness.EXPERIMENTS, "vorticity-profiles", aborted)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("experiments = vorticity-profiles\n")
+    code = main(["--config", str(cfg), "--outdir", str(tmp_path / "new" / "a" / "b")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: vorticity-profiles dipole-data run aborted: stub abort" in err
+    assert not (tmp_path / "new").exists()
+
+
 def test_non_finite_vorticity_run_exits_2(tmp_path, capsys):
     # the dipole run overflows by its first snapshot: it used to reach its fits and
     # exit 1, with moment-conservation passing on a NaN field (max(0, nan) = 0)

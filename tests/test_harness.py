@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -379,37 +381,47 @@ def test_zero_amplitude_residuals_vanish_identically():
     grid = make_grid(32, 50.0)
     params = FluidParams()
     cfg = SolverConfig(grid=grid, params=params, T=2.0, snapshot_times=(1.0, 2.0))
-    traj = simulate(zero_state(grid), cfg)
     moments = Moments(0.0, (0.0, 0.0))
-    for k, t in enumerate(traj.times[1:], 1):
-        perp, _ = leray_decompose(traj.state(k).m)
+
+    def residual_norms(t, X):
+        if t == 0.0:
+            return None
+        perp, _ = leray_decompose(harness._state(grid, X).m)
         _, uref = profile_superposition(moments, t, params, grid)
         diff = (perp[0] - uref[0], perp[1] - uref[1])
-        assert lp_norm(diff, 2) == 0.0
-        assert lp_norm(diff, np.inf) == 0.0
+        return lp_norm(diff, 2), lp_norm(diff, np.inf)
+
+    traj = simulate(zero_state(grid), cfg, residual_norms)
+    assert traj.values[1:] == ((0.0, 0.0), (0.0, 0.0))
 
 
-def _stub_solvers(monkeypatch, abort_call):
-    """Stand-ins for both solvers: every run returns the band of its initial data at
-    each snapshot, except run number `abort_call`, which raises SolverAbort."""
-    from vortexlab.solver import SolverAbort, Trajectory, VorticityTrajectory
+def _stub_solvers(monkeypatch, abort_call, data_alive=None):
+    """Stand-ins for both solvers: every run measures the band of its initial data at
+    each snapshot, except run number `abort_call`, which raises SolverAbort.  After the
+    gather, `simulate` drops its initial State and appends to `data_alive` (if given)
+    whether anything else still holds it."""
+    from vortexlab.solver import SolverAbort, Trajectory
 
     calls = []
 
-    def run(grid, coeffs, snapshot_times):
+    def run(band_coeffs, snapshot_times, measure):
         calls.append(snapshot_times)
         if len(calls) - 1 == abort_call:
             raise SolverAbort("stub abort")
         times = (0.0, *snapshot_times)
-        return grid, times, np.stack([grid.band.gather(coeffs)] * len(times))
+        return times, tuple(measure(t, band_coeffs) for t in times)
 
-    def simulate(X0, cfg):
-        coeffs = np.stack([c.coeffs for c in X0.components()])
-        grid, times, snapshots = run(X0.grid, coeffs, cfg.snapshot_times)
-        return Trajectory(grid, times, snapshots, ({},) * len(times))
+    def simulate(X0, cfg, measure):
+        band_coeffs = X0.grid.band.gather(np.stack([c.coeffs for c in X0.components()]))
+        data = weakref.ref(X0)
+        del X0
+        if data_alive is not None:
+            data_alive.append(data() is not None)
+        times, values = run(band_coeffs, cfg.snapshot_times, measure)
+        return Trajectory(times, values, ({},) * len(times))
 
-    def vorticity_simulate(omega0, nu, snapshot_times, dt):
-        return VorticityTrajectory(*run(omega0.grid, omega0.coeffs, snapshot_times))
+    def vorticity_simulate(omega0, nu, snapshot_times, dt, measure):
+        return Trajectory(*run(omega0.grid.band.gather(omega0.coeffs), snapshot_times, measure))
 
     monkeypatch.setattr(harness, "simulate", simulate)
     monkeypatch.setattr(harness, "vorticity_simulate", vorticity_simulate)
@@ -440,22 +452,59 @@ def test_aborted_solver_run_raises(monkeypatch, experiment, L, abort_call, messa
 
 
 def test_incompressible_limit_frees_the_dipole_run_before_the_vortex_run(monkeypatch):
-    # the dipole-data trajectory and its residuals live only inside the helper that
-    # measures them, so they are gone before the vortex-data run allocates its own
-    import weakref
-
+    # the dipole-data trajectory and measure live only inside the helper that runs
+    # them, so both are gone before the vortex-data run starts
     _stub_solvers(monkeypatch, None)
     run, refs, alive = harness._simulate, [], []
 
-    def simulate(*args, **kwargs):
+    def simulate(ctx, grid, data, horizon, times, what, measure, *args):
         alive.append([ref() is not None for ref in refs])
-        traj = run(*args, **kwargs)
-        refs.append(weakref.ref(traj))
+        traj = run(ctx, grid, data, horizon, times, what, measure, *args)
+        refs.extend((weakref.ref(traj), weakref.ref(measure)))
         return traj
 
     monkeypatch.setattr(harness, "_simulate", simulate)
     run_experiment("incompressible-limit", RunManifest(n=128, L=100.0))
-    assert alive == [[], [False]]
+    assert alive == [[], [False, False]]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before 3.11 a caller's stack holds call arguments")
+@pytest.mark.parametrize("experiment", ["sound-decay", "nonlinear-smallness",
+                                        "incompressible-limit"])
+def test_compressible_runs_hand_their_initial_data_to_the_solver(monkeypatch, experiment):
+    # the harness keeps no reference to a run's initial State, so the solver frees it
+    # once it has gathered its band
+    data_alive = []
+    _stub_solvers(monkeypatch, None, data_alive)
+    run_experiment(experiment, RunManifest(n=128, L=100.0))
+    runs = {"sound-decay": 1, "nonlinear-smallness": 4, "incompressible-limit": 2}
+    assert data_alive == [False] * runs[experiment]
+
+
+def test_sound_decay_aborted_mid_run_measures_only_the_snapshots_before(monkeypatch):
+    # a vacuum met on the way to the third snapshot: the run is measured at t = 0 and
+    # at the two snapshots before, and run_experiment raises HarnessError
+    from vortexlab import solver
+
+    ctx = RunManifest(n=64, L=50.0)
+    times, measured = harness._snapshot_times(RECORDS["sound-decay"].horizon(ctx)), []
+    simulate, guard = harness.simulate, solver._guard_vacuum
+
+    def recording(X0, cfg, measure):
+        return simulate(X0, cfg, lambda t, X: measured.append(t) or measure(t, X))
+
+    def trip_at_the_third_snapshot(one):
+        if len(measured) == 3:
+            raise solver.VacuumError(0.25)
+        return guard(one)
+
+    monkeypatch.setattr(harness, "simulate", recording)
+    monkeypatch.setattr(solver, "_guard_vacuum", trip_at_the_third_snapshot)
+    message = r"^sound-decay run aborted: vacuum guard tripped: min\(1 \+ rho_tilde\) = 0\.2500"
+    with pytest.raises(HarnessError, match=message):
+        run_experiment("sound-decay", ctx)
+    assert measured == [0.0, times[0], times[1]]
 
 
 def test_non_finite_vorticity_run_raises():

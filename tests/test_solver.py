@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import weakref
 from functools import partial
 
 import numpy as np
@@ -18,7 +20,6 @@ from vortexlab.solver import (
     SolverConfig,
     SolverError,
     VacuumError,
-    Trajectory,
     cfl_limit,
     pressure_remainder,
     scaled_params,
@@ -44,6 +45,35 @@ from vortexlab.spectral import (
 from conftest import random_state, zero_state
 
 PARAMS = FluidParams()
+
+
+def _keep(t, X):
+    """A measure that keeps a copy of each band snapshot."""
+    return X.copy()
+
+
+def _nothing(t, X):
+    """A measure that reads nothing."""
+    return None
+
+
+def _recorder(measured):
+    """A measure that appends each snapshot time to `measured`."""
+    return lambda t, X: measured.append(t)
+
+
+def _states(X0: State, cfg: SolverConfig):
+    """A run kept by `_keep`, and its snapshots expanded to half-spectrum States."""
+    traj = simulate(X0, cfg, _keep)
+    band = cfg.grid.band
+    return traj, [State.from_stack(cfg.grid, band.scatter(X)) for X in traj.values]
+
+
+def _omegas(omega0: SpectralField, nu, times, dt):
+    """A vorticity run kept by `_keep`, and its snapshots expanded to half spectra."""
+    traj = vorticity_simulate(omega0, nu, times, dt, _keep)
+    grid = omega0.grid
+    return traj, [SpectralField(grid, grid.band.scatter(w)) for w in traj.values]
 
 
 def _fourier_source(X: State, params: FluidParams) -> State:
@@ -256,13 +286,15 @@ def test_non_finite_state_trips_the_guards(monkeypatch):
         _fourier_source(bad, PARAMS)
     steps = _count_calls(monkeypatch, "_advance")
     linear_steps = _count_calls(monkeypatch, "s_symbol_grid")
+    measured = []
     for nonlinear in (True, False):
         cfg = SolverConfig(
             grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0), nonlinear=nonlinear
         )
         with pytest.raises(SolverAbort, match=r"^non-finite state: H\^s = nan$"):
-            simulate(bad, cfg)
+            simulate(bad, cfg, _recorder(measured))
     assert steps == linear_steps == []  # nothing is integrated from a NaN state
+    assert measured == []  # nor is the NaN state measured
     # a step that goes non-finite stops the run at that snapshot: the first gap's
     # two steps run, and none of the second gap's
     def go_non_finite(X, *args):
@@ -271,14 +303,16 @@ def test_non_finite_state_trips_the_guards(monkeypatch):
     steps = _count_calls(monkeypatch, "_advance", go_non_finite)
     cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0))
     with pytest.raises(SolverAbort, match=r"^non-finite state: H\^s = nan$"):
-        simulate(X0, cfg)
+        simulate(X0, cfg, _recorder(measured))
     assert len(steps) == math.ceil(0.5 / cfg.dt_effective) == 2
+    assert measured == [0.0]  # the non-finite snapshot is not measured
 
 
 @pytest.mark.parametrize("bad_step, t_abort, steps_run", [(1, "0.5", 2), (3, "1.2", 5)])
 def test_non_finite_vorticity_snapshot_aborts(monkeypatch, bad_step, t_abort, steps_run):
     # a step that writes NaN stops the run at the next snapshot, (0.5, 1.2) taking
-    # 2 and 3 steps of the ETD2 step: no step of a later gap runs
+    # 2 and 3 steps of the ETD2 step: no step of a later gap runs, and the
+    # non-finite snapshot is not measured
     grid = make_grid(32, 20.0)
     step_etd2 = solver._etd2_step
 
@@ -287,10 +321,12 @@ def test_non_finite_vorticity_snapshot_aborts(monkeypatch, bad_step, t_abort, st
         if len(steps) == bad_step:
             X[0, 1, 1] = np.nan
 
-    steps = _count_calls(monkeypatch, "_etd2_step", go_non_finite)
+    steps, measured = _count_calls(monkeypatch, "_etd2_step", go_non_finite), []
     with pytest.raises(SolverAbort, match=f"^non-finite state: vorticity at t = {t_abort}$"):
-        vorticity_simulate(_perturbed_dipole(grid, 0.5), 1.0, (0.5, 1.2), 0.25)
+        vorticity_simulate(_perturbed_dipole(grid, 0.5), 1.0, (0.5, 1.2), 0.25,
+                           _recorder(measured))
     assert len(steps) == steps_run
+    assert measured == [t for t in (0.0, 0.5) if t < float(t_abort)]
 
 
 def test_step_zero_state():
@@ -339,7 +375,7 @@ def test_temporal_convergence_order(scheme, min_order):
 def test_simulate_zero_initial_data():
     grid = make_grid(32, 20.0)
     cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0))
-    traj = simulate(zero_state(grid), cfg)
+    traj = simulate(zero_state(grid), cfg, _nothing)
     assert all(d["hs"] == 0.0 and d["min_density"] == 1.0 for d in traj.diagnostics)
     keys = {"t", "mass", "min_density", "hs", "grad_hs1", "kawashima_energy"}
     assert all(set(d) == keys for d in traj.diagnostics)
@@ -349,7 +385,7 @@ def test_simulate_mass_exactly_conserved():
     grid = make_grid(64, 50.0)
     X0 = _bump_state(grid, 1e-2)
     cfg = SolverConfig(grid=grid, params=PARAMS, T=2.0, snapshot_times=(1.0, 2.0))
-    traj = simulate(X0, cfg)
+    traj = simulate(X0, cfg, _nothing)
     masses = [d["mass"] for d in traj.diagnostics]
     assert max(abs(m - masses[0]) for m in masses) < 1e-14
 
@@ -362,9 +398,8 @@ def test_simulate_divergence_free_data_keeps_density_second_order():
     amp = eps / max(lp_norm(u, np.inf), 1e-300)
     X0 = State(SpectralField.zero(grid), (u[0] * amp, u[1] * amp)).dealiased()
     cfg = SolverConfig(grid=grid, params=PARAMS, T=4.0, snapshot_times=(1.0, 2.0, 4.0))
-    traj = simulate(X0, cfg)
-    for k, t in enumerate(traj.times[1:], 1):
-        X = traj.state(k)
+    traj, states = _states(X0, cfg)
+    for t, X in zip(traj.times[1:], states[1:]):
         assert lp_norm(X.rho, np.inf) < 30.0 * eps**2
         # m_perp follows the heat flow up to the quadratic coupling
         heat = heat_symbol_grid(t, grid, PARAMS.mu).apply(X0)
@@ -389,8 +424,7 @@ def test_simulate_preserves_reflection_symmetry():
         return sign * np.roll(v[::-1, :], 1, axis=0)
 
     cfg = SolverConfig(grid=grid, params=PARAMS, T=2.0, snapshot_times=(1.0, 2.0))
-    traj = simulate(X0, cfg)
-    for X in map(traj.state, range(len(traj.times))):
+    for X in _states(X0, cfg)[1]:
         r = X.rho.values()
         m1 = X.m[0].values()
         m2 = X.m[1].values()
@@ -407,7 +441,7 @@ def test_simulate_carries_no_state_across_runs():
 
     def run(g, eps):
         cfg = SolverConfig(grid=g, params=PARAMS, T=1.0, snapshot_times=(0.4, 1.0))
-        return simulate(_bump_state(g, eps), cfg)
+        return simulate(_bump_state(g, eps), cfg, _keep)
 
     first = run(grid, 1e-2)
     run(grid, 3e-2)
@@ -415,7 +449,7 @@ def test_simulate_carries_no_state_across_runs():
     again = run(grid, 1e-2)
     assert first.times == again.times
     assert first.diagnostics == again.diagnostics
-    assert np.array_equal(first.snapshots, again.snapshots)
+    assert all(np.array_equal(a, b) for a, b in zip(first.values, again.values, strict=True))
 
 
 @pytest.mark.parametrize("scheme", ["etd2", "etd4"])
@@ -428,7 +462,10 @@ def test_step_bitwise_equals_reference(scheme):
     cfg = SolverConfig(
         grid=grid, params=PARAMS, T=0.5, dt=dt, snapshot_times=(0.2, 0.5), scheme=scheme
     )
-    traj = simulate(X0, cfg)
+    seen = []  # what each measure call is handed
+    traj = simulate(X0, cfg, lambda t, X: seen.append(X) or X.copy())
+    band = grid.band
+    states = [State.from_stack(grid, band.scatter(X)) for X in traj.values]
     X, t_prev, expected = X0, 0.0, [X0]
     for t_snap in cfg.snapshot_times:
         gap = t_snap - t_prev
@@ -439,8 +476,7 @@ def test_step_bitwise_equals_reference(scheme):
             X = _reference_step(X, tab, PARAMS, scheme)
         expected.append(X)
         t_prev = t_snap
-    assert len(traj.times) == len(traj.snapshots) == 3
-    states = [traj.state(k) for k in range(3)]
+    assert len(traj.times) == len(traj.values) == 3
     for got, ref in zip(states, expected, strict=True):
         for a, b in zip(got.components(), ref.components(), strict=True):
             assert np.array_equal(a.coeffs, b.coeffs)
@@ -449,13 +485,11 @@ def test_step_bitwise_equals_reference(scheme):
     ref = _reference_step(X0, solver._tables(grid, PARAMS, dt, scheme), PARAMS, scheme)
     for a, b in zip(one.components(), ref.components(), strict=True):
         assert np.array_equal(a.coeffs, b.coeffs)
-    # simulate leaves X0 alone; no snapshot slot shares memory with X0, another slot
-    # or a returned State, and each state(k) call expands into new memory
+    # simulate leaves X0 alone, and hands each measure a read-only snapshot that shares
+    # no memory with X0
     assert all(np.array_equal(c.coeffs, b) for c, b in zip(X0.components(), before))
-    states += [traj.state(k) for k in range(3)]
-    arrays = [c.coeffs for X in [X0] + states for c in X.components()] + list(traj.snapshots)
-    for i, a in enumerate(arrays):
-        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+    assert len(seen) == 3 and not any(X.flags.writeable for X in seen)
+    assert not any(np.shares_memory(X, c.coeffs) for X in seen for c in X0.components())
 
 
 @pytest.mark.parametrize("scheme,nonlinear", [("etd2", True), ("etd4", True), ("etd2", False)])
@@ -466,11 +500,11 @@ def test_simulate_snapshots_vanish_off_the_band(scheme, nonlinear):
     X0 = random_state(grid, np.random.default_rng(5), 1e-2)
     cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.4, 1.0),
                        scheme=scheme, nonlinear=nonlinear)
-    traj = simulate(X0, cfg)
+    traj, states = _states(X0, cfg)
     off = ~grid.dealias_mask
     assert len(traj.times) == 3
     assert any(np.abs(c.coeffs[off]).max() > 0 for c in X0.components())
-    for X in map(traj.state, range(3)):
+    for X in states:
         assert all(np.all(c.coeffs[off] == 0.0) for c in X.components())
         assert np.abs(X.m[0].coeffs[grid.dealias_mask]).max() > 0
 
@@ -480,36 +514,87 @@ def test_vorticity_simulate_snapshots_vanish_off_the_band():
     omega0 = _perturbed_dipole(grid, 0.5)
     off = ~grid.dealias_mask
     assert np.abs(omega0.coeffs[off]).max() > 0
-    traj = vorticity_simulate(omega0, 1.0, (0.5, 1.2), 0.25)
+    traj, omegas = _omegas(omega0, 1.0, (0.5, 1.2), 0.25)
     assert len(traj.times) == 3
-    for w in map(traj.omega, range(3)):
+    for w in omegas:
         assert np.all(w.coeffs[off] == 0.0)
         assert np.abs(w.coeffs[grid.dealias_mask]).max() > 0
 
 
-@pytest.mark.parametrize("which", ["compressible", "vorticity"])
-def test_trajectory_holds_only_its_band_snapshots(which):
-    # after a warm-up run on the same grid (its cached wavenumbers and weights), the
-    # memory a returned trajectory holds is its band snapshots, not half spectra
-    import tracemalloc
-
-    grid, times = make_grid(64, 50.0), (0.5, 1.0, 1.5, 2.0)
+def _run(which, grid, times, measure):
+    """A run at n = 64 to t = 2 with the given snapshot times and measure, as a
+    zero-argument function, and the size of its band stack in bytes."""
     if which == "compressible":
         cfg = SolverConfig(grid=grid, params=PARAMS, T=2.0, snapshot_times=times)
-        run, fields = partial(simulate, _bump_state(grid, 1e-2), cfg), 3
+        run, fields = partial(simulate, _bump_state(grid, 1e-2), cfg, measure), 3
     else:
         omega0 = _perturbed_dipole(grid, 0.5)
-        run, fields = partial(vorticity_simulate, omega0, 1.0, times, 0.25), 1
+        run, fields = partial(vorticity_simulate, omega0, 1.0, times, 0.25, measure), 1
+    return run, fields * np.empty(grid.band.spectral_shape, complex).nbytes
+
+
+def _traced(run):
+    """The traced memory `run()` holds on return and its peak, after a warm-up run on
+    the same grid (its cached wavenumbers and weights), both in bytes."""
+    import tracemalloc
+
     run()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        traj = run()
-        held = tracemalloc.get_traced_memory()[0] - base
+        result = run()
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    stack_bytes = fields * np.empty(grid.band.spectral_shape, complex).nbytes
-    assert held <= 1.1 * len(traj.times) * stack_bytes
+    del result
+    return held, peak
+
+
+@pytest.mark.parametrize("which", ["compressible", "vorticity"])
+def test_trajectory_holds_only_its_band_snapshots(which):
+    # with a measure that keeps a copy of each snapshot, the memory a returned trajectory
+    # holds is those band snapshots, not half spectra
+    grid, times = make_grid(64, 50.0), (0.5, 1.0, 1.5, 2.0)
+    run, stack_bytes = _run(which, grid, times, _keep)
+    held, _ = _traced(run)
+    assert held <= 1.1 * (len(times) + 1) * stack_bytes
+
+
+@pytest.mark.parametrize("which", ["compressible", "vorticity"])
+def test_run_memory_stays_flat_as_snapshots_grow(which):
+    # a run holds no snapshot of its own: with a scalar measure, 16 snapshot times
+    # peak within half a band stack of 4 (holding every snapshot took 12 stacks more)
+    grid = make_grid(64, 50.0)
+    peaks = []
+    for count in (4, 16):
+        times = tuple(np.linspace(2.0 / count, 2.0, count))
+        run, stack_bytes = _run(which, grid, times, lambda t, X: float(np.abs(X).max()))
+        peaks.append(_traced(run)[1])
+    assert abs(peaks[1] - peaks[0]) < 0.5 * stack_bytes
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before 3.11 a caller's stack holds call arguments")
+@pytest.mark.parametrize("which", ["compressible", "vorticity"])
+def test_runs_free_their_initial_data_after_the_gather(which):
+    # a run reads only its band: once gathered, initial data the caller does not hold
+    # are freed before the first measure
+    grid, refs = make_grid(32, 20.0), []
+
+    def data(make):
+        refs.append(weakref.ref(made := make()))
+        return made
+
+    def freed(t, X):
+        return refs[0]() is None
+
+    if which == "compressible":
+        cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0))
+        traj = simulate(data(partial(_bump_state, grid, 1e-2)), cfg, freed)
+    else:
+        traj = vorticity_simulate(data(partial(_perturbed_dipole, grid, 0.5)), 1.0, (0.5, 1.0),
+                                  0.25, freed)
+    assert traj.values == (True, True, True)
 
 
 @pytest.mark.parametrize("n, L", [(16, 20.0), (64, 50.0), (256, 200.0)])
@@ -577,10 +662,11 @@ def test_simulate_vacuum_abort_raises(monkeypatch):
     rho = sample(grid, lambda a, b: -0.7 * np.exp(-(a**2 + b**2) / 8.0))
     X0 = State(rho, (SpectralField.zero(grid), SpectralField.zero(grid)))
     cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0))
-    steps = _count_calls(monkeypatch, "_advance")
+    steps, measured = _count_calls(monkeypatch, "_advance"), []
     with pytest.raises(VacuumError, match=r"^vacuum guard tripped: min\(1 \+ rho_tilde\) = "):
-        simulate(X0, cfg)
+        simulate(X0, cfg, _recorder(measured))
     assert len(steps) == 1  # the first step's source meets the vacuum
+    assert measured == [0.0]
 
 
 def test_simulate_energy_guard_aborts(monkeypatch):
@@ -589,10 +675,11 @@ def test_simulate_energy_guard_aborts(monkeypatch):
     grid = make_grid(32, 20.0)
     X0 = _bump_state(grid, 1e-2)
     cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0))
-    steps = _count_calls(monkeypatch, "_advance")
+    steps, measured = _count_calls(monkeypatch, "_advance"), []
     with pytest.raises(SolverAbort, match=r"^energy blow-up: H\^s grew to .* \(> 0\.1 x initial"):
-        simulate(X0, cfg)
+        simulate(X0, cfg, _recorder(measured))
     assert len(steps) == 2  # the first gap's steps; the offending snapshot stops the run
+    assert measured == [0.0]  # and is not measured
 
 
 def test_solver_config_validation():
@@ -626,7 +713,7 @@ def test_both_solvers_check_their_time_grid(dt, times):
     grid = make_grid(32, 20.0)
     omega0 = dipole_vorticity_field(grid, 1, 4.0, PARAMS) * 1e-2
     with pytest.raises(SolverError):
-        vorticity_simulate(omega0, 1.0, times, dt)
+        vorticity_simulate(omega0, 1.0, times, dt, _nothing)
     with pytest.raises(SolverError):
         SolverConfig(grid=grid, params=PARAMS, T=2.0, dt=dt, snapshot_times=times)
 
@@ -649,18 +736,18 @@ def test_simulate_reference_density_rescaling():
     times = (0.5, 1.0)
     cfg4 = SolverConfig(grid=grid, params=params4, T=1.0, snapshot_times=times)
     cfg1 = SolverConfig(grid=grid, params=scaled_params(params4), T=1.0, snapshot_times=times)
-    traj4 = simulate(X0, cfg4)
-    traj1 = simulate(X0 * 0.25, cfg1)
-    for k in range(len(traj4.times)):
-        for ca, cb in zip(traj4.state(k).components(), traj1.state(k).components()):
+    states4, states1 = _states(X0, cfg4)[1], _states(X0 * 0.25, cfg1)[1]
+    for X4, X1 in zip(states4, states1, strict=True):
+        for ca, cb in zip(X4.components(), X1.components()):
             scale = max(np.abs(ca.coeffs).max(), 1e-300)
             assert np.abs(ca.coeffs - 4.0 * cb.coeffs).max() < 1e-13 * scale
 
 
-def duhamel_residual(trajectory: Trajectory, config: SolverConfig) -> float:
+def duhamel_residual(trajectory, config: SolverConfig) -> float:
     """Residual of X(T) = S(T) X0 + int_0^T S(T-t') sum_k d_k Q_k(t') dt'.
 
-    The integral is recomputed from the stored snapshots with trapezoid
+    The integral is recomputed from the band snapshots a run measured by `_keep`
+    returns, with trapezoid
     weights, so the result is O(dt^2) plus snapshot-quadrature error.  The
     residual is measured in L^2 relative to the unit-plus-data scale so the
     linear-limit and amplitude-scaling contracts are both meaningful.
@@ -675,7 +762,8 @@ def duhamel_residual(trajectory: Trajectory, config: SolverConfig) -> float:
     params = scaled_params(config.params)
     grid = config.grid
     T = float(times[-1])
-    states = [trajectory.state(k) * (1.0 / rs) for k in range(len(times))]
+    states = [State.from_stack(grid, grid.band.scatter(X)) * (1.0 / rs)
+              for X in trajectory.values]
     total = s_symbol_grid(T, grid, params).apply(states[0])
     if config.nonlinear:
         h = float(gaps[0])
@@ -713,7 +801,7 @@ def test_duhamel_residual_linear_run():
         snapshot_times=cfg.snapshot_times,
         nonlinear=False,
     )
-    traj = simulate(X0, cfg)
+    traj = simulate(X0, cfg, _keep)
     assert duhamel_residual(traj, cfg) < 1e-10
 
 
@@ -722,7 +810,7 @@ def test_duhamel_residual_second_order_in_dt():
     res = []
     for dt in (0.25, 0.125):
         X0, cfg = _duhamel_setup(grid, 1e-2, dt, 2.0)
-        traj = simulate(X0, cfg)
+        traj = simulate(X0, cfg, _keep)
         res.append(duhamel_residual(traj, cfg))
     ratio = res[0] / res[1]
     assert 2.5 < ratio < 6.5
@@ -733,7 +821,7 @@ def test_duhamel_residual_quadratic_in_amplitude():
     res = []
     for eps in (1e-3, 1e-2):
         X0, cfg = _duhamel_setup(grid, eps, 0.25, 2.0)
-        traj = simulate(X0, cfg)
+        traj = simulate(X0, cfg, _keep)
         res.append(duhamel_residual(traj, cfg))
     expo = np.log(res[1] / res[0]) / np.log(10.0)
     assert abs(expo - 2.0) < 0.2
@@ -753,12 +841,12 @@ def test_duhamel_residual_needs_enough_snapshots():
     grid = make_grid(32, 20.0)
     X0 = _bump_state(grid, 1e-2)
     cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0))
-    traj = simulate(X0, cfg)
+    traj = simulate(X0, cfg, _keep)
     with pytest.raises(SolverError):
         duhamel_residual(traj, cfg)
     times = (0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9, 1.0)  # 8 snapshots, nonuniform
     cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=times)
-    traj = simulate(X0, cfg)
+    traj = simulate(X0, cfg, _keep)
     with pytest.raises(SolverError):
         duhamel_residual(traj, cfg)
 
@@ -770,10 +858,10 @@ def test_vorticity_simulate_oseen_is_steady_profile():
     nu = 1.0
     omega0 = oseen_vorticity_field(grid, 1.0, PARAMS)
     times = (1.0, 2.0, 4.0)
-    traj = vorticity_simulate(omega0, nu, times, dt=0.25)
-    for k, t in enumerate(traj.times[1:], 1):
+    traj, omegas = _omegas(omega0, nu, times, 0.25)
+    for t, omega in zip(traj.times[1:], omegas[1:]):
         ref = oseen_vorticity_field(grid, 1.0 + t, PARAMS)
-        err = lp_norm(traj.omega(k) - ref, 2) / lp_norm(ref, 2)
+        err = lp_norm(omega - ref, 2) / lp_norm(ref, 2)
         assert err < 1e-6
 
 
@@ -783,10 +871,10 @@ def test_vorticity_simulate_conserves_moments():
     # width-4 dipole keeps the dealiased spectrum below the localization guard
     grid = make_grid(128, 100.0)
     omega0 = dipole_vorticity_field(grid, 1, 4.0, PARAMS) * 1e-2
-    traj = vorticity_simulate(omega0, 1.0, (1.0, 3.0), dt=0.25)
-    m0 = first_moments_beta(traj.omega(0), PARAMS)
-    for k in range(1, len(traj.times)):
-        m = first_moments_beta(traj.omega(k), PARAMS)
+    _, omegas = _omegas(omega0, 1.0, (1.0, 3.0), 0.25)
+    m0 = first_moments_beta(omegas[0], PARAMS)
+    for omega in omegas[1:]:
+        m = first_moments_beta(omega, PARAMS)
         assert abs(m.beta[0] - m0.beta[0]) < 1e-8 * abs(m0.beta[0])
         assert abs(m.alpha - m0.alpha) < 1e-14
 
@@ -850,7 +938,9 @@ def test_vorticity_simulate_bitwise_equals_reference():
     omega0 = _perturbed_dipole(grid, 0.5)
     before = omega0.coeffs.copy()
     nu, dt, times = 1.0, 0.25, (0.5, 1.2)
-    traj = vorticity_simulate(omega0, nu, times, dt)
+    seen = []  # what each measure call is handed
+    traj = vorticity_simulate(omega0, nu, times, dt, lambda t, w: seen.append(w) or w.copy())
+    omegas = [SpectralField(grid, grid.band.scatter(w)) for w in traj.values]
     omega, t_prev, expected = omega0.dealiased(), 0.0, [omega0.dealiased()]
     for t_snap in times:
         nsub = max(1, int(np.ceil((t_snap - t_prev) / dt - 1e-12)))
@@ -861,17 +951,14 @@ def test_vorticity_simulate_bitwise_equals_reference():
     assert traj.times == (0.0,) + times
     # advection matters at this amplitude: the heat flow alone is off by 0.5%
     heat = np.exp(-nu * grid.eta_sq * times[-1]) * omega0.dealiased().coeffs
-    omegas = [traj.omega(k) for k in range(len(traj.times))]
     assert np.abs(omegas[-1].coeffs - heat).max() > 1e-3 * np.abs(heat).max()
     for got, ref in zip(omegas, expected, strict=True):
         assert np.array_equal(got.coeffs, ref.coeffs)
-    # the run leaves omega0 alone; no snapshot slot shares memory with omega0, another
-    # slot or a returned field, and each omega(k) call expands into new memory
+    # the run leaves omega0 alone, and hands each measure a read-only snapshot that
+    # shares no memory with omega0
     assert np.array_equal(omega0.coeffs, before)
-    omegas += [traj.omega(k) for k in range(len(traj.times))]
-    arrays = [w.coeffs for w in [omega0] + omegas] + list(traj.snapshots)
-    for i, a in enumerate(arrays):
-        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+    assert len(seen) == 3 and not any(w.flags.writeable for w in seen)
+    assert not any(np.shares_memory(w, omega0.coeffs) for w in seen)
 
 
 @pytest.mark.parametrize("h", [0.25, 0.2421875, 1e-3])
@@ -881,7 +968,7 @@ def test_vorticity_shell_weights_equal_the_band_formulas(monkeypatch, n, L, h):
     # gathered onto the band, bit for bit the formulas on every band entry
     grid, nu = make_grid(n, L), 0.7
     steps = _count_calls(monkeypatch, "_etd2_step")
-    vorticity_simulate(_perturbed_dipole(grid, 0.5), nu, (h,), h)
+    vorticity_simulate(_perturbed_dipole(grid, 0.5), nu, (h,), h, _nothing)
     (weights,) = (args[3] for args in steps)
     lam = -nu * grid.band.eta_sq * h
     for got, expected in zip(weights, (np.exp(lam), h * phi(1, lam), h * phi(2, lam)),
