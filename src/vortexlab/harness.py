@@ -31,7 +31,7 @@ from .kernels import (
     artificial_symbol_grid,
     default_cutoff,
     generator_symbol_grid,
-    heat_leray_kernel_magnitude,
+    heat_leray_kernel_magnitudes,
     heat_symbol_grid,
     low_pass,
     phi_symbol_grid,
@@ -51,16 +51,19 @@ from .profiles import (
     oseen_pair_fields,
     oseen_vorticity_field,
     profile_superposition,
+    profile_vorticity,
     vorticity_of,
 )
 from .solver import (SolverAbort, SolverConfig, SolverError, scaled_params, simulate,
                      vorticity_simulate)
 from .spectral import (
+    BandTransform,
     Grid,
     SpectralError,
     SpectralField,
     State,
     derivative,
+    derivative_multiplier,
     gradient,
     leray_decompose,
     lp_norm,
@@ -70,6 +73,7 @@ from .spectral import (
     parseval_sum,
     sample,
     sobolev_norm,
+    support_band,
     transform,
 )
 
@@ -388,9 +392,11 @@ def _localized_sound_state(grid: Grid) -> State:
 
 
 def _lf_kernel_rows(result: ExperimentResult, grid: Grid, params, chi) -> None:
-    """kernel-rates' low-frequency rows: the curl-free LF kernel and the kernel
-    difference applied to a localized state, which is freed on return."""
-    X0 = _localized_sound_state(grid)
+    """kernel-rates' low-frequency rows, on the smallest band that holds the low-pass
+    weight `chi`: the curl-free LF kernel and the kernel difference on a localized state."""
+    band = support_band(grid, chi)
+    chi, core = band.gather(chi), BandTransform(grid, (), band)
+    X0 = band.gather(np.stack([f.coeffs for f in _localized_sound_state(grid).components()]))
     lf_times = np.geomspace(6.0, 56.0, 9)
     diff_vals = []
 
@@ -399,13 +405,13 @@ def _lf_kernel_rows(result: ExperimentResult, grid: Grid, params, chi) -> None:
         # array of one time alive while the next time's are made (the heap fragmented
         # and grew otherwise)
         for t in lf_times:
-            lf = spar_symbol_grid(t, grid, params).scaled(chi)
-            lf_art = artificial_symbol_grid(t, grid, params).scaled(chi)
-            diff_vals.append(sobolev_norm((lf - lf_art).apply(X0), 0))
+            lf = spar_symbol_grid(t, band, params).scaled(chi)
+            lf_art = artificial_symbol_grid(t, band, params).scaled(chi)
+            diff_vals.append(sobolev_norm((lf - lf_art).apply(X0), 0, band))
             X = lf.apply(X0)
             del lf, lf_art
-            for sigma in (0, 1):
-                yield magnitude(_dx(X.components(), sigma))
+            yield core.magnitude(X)
+            yield core.magnitude(X * derivative_multiplier(band, (1, 0)))
             del X
 
     lf_ps = (2.0, np.inf)
@@ -472,7 +478,7 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
     # heat-Leray kernel norms (non-zero multi-index only; exact power laws)
     hl_times = np.geomspace(1.0, 16.0, 9)
     hl_ps = (1.0, 2.0, np.inf)
-    hl_mags = (heat_leray_kernel_magnitude(t, (1, 0), grid, params) for t in hl_times)
+    hl_mags = heat_leray_kernel_magnitudes(hl_times, (1, 0), grid, params)
     for p, vals in zip(hl_ps, _lp_series(grid, hl_mags, hl_ps)):
         result.rate(f"heat-leray-p{p:g}-s1", "heat_leray", p, 1, hl_times, vals, 0.1)
 
@@ -497,16 +503,20 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
         # small-p interpolation corollary at p = 3/2
         ("perp-small-p1.5-s0", "heat_second_moment_data", m_second, 1.5, 0, None, 0.15),
     ]
-    # one heat factor per t, one heat flow per (t, data) and one magnitude per (t, data,
-    # sigma); the sigma = 1 fields replace the sigma = 0 ones, so one set is held at a time
+    # per t one heat factor, on the smallest band that holds it, one heat flow per data and
+    # one magnitude per (data, sigma), whose sigma = 1 fields replace the sigma = 0 ones
     perp_vals = {c[0]: [] for c in perp_cases}
+    work = np.empty(grid.spectral_shape, complex)
     for t in perp_times:
         h = np.exp(-params.mu * grid.eta_sq * t)
+        band = support_band(grid, h)
+        h, core = band.gather(h), BandTransform(grid, work, band)
         for m0, sigmas in ((m_dipole, (0, 1)), (m_second, (0,))):
-            fields = [SpectralField(grid, h * f.coeffs) for f in m0]
+            fields = [h * band.gather(f.coeffs) for f in m0]
             for sigma in sigmas:
-                fields = _dx(fields, sigma)
-                mag = magnitude(fields)
+                if sigma:
+                    fields = [f * derivative_multiplier(band, (1, 0)) for f in fields]
+                mag = core.magnitude(fields)
                 for label, _, data, p, s, weight, _ in perp_cases:
                     if data is m0 and s == sigma:
                         perp_vals[label].append(lp_of_magnitude(
@@ -930,7 +940,7 @@ def run_vorticity_profiles(ctx: RunManifest) -> ExperimentResult:
         if t == 0.0:
             return None
         omega = SpectralField(grid, grid.band.scatter(w))
-        residual = lp_norm(omega - profile_superposition(moments, t, params, grid)[0], 2)
+        residual = lp_norm(omega - profile_vorticity(moments, t, params, grid), 2)
         return residual, (first_moments_beta(omega, params) if t <= 16.0 else None)
 
     with _solver_run(f"{name} dipole-data"):

@@ -36,8 +36,8 @@ from functools import partial
 import numpy as np
 
 from .profiles import FluidParams
-from .spectral import (Band, FullLattice, Grid, State, as_multi_index, derivative_multiplier,
-                       over_mag2, to_physical)
+from .spectral import (Band, BandTransform, FullLattice, Grid, State, as_multi_index,
+                       derivative_multiplier, over_mag2)
 
 
 class KernelError(ValueError):
@@ -276,7 +276,7 @@ def _grid_symbol(kind: str, t: float, grid: Grid | Band, params: FluidParams, fk
     return KernelSymbol(grid, *((e * t if fk else e)[inverse] for e in entries))
 
 
-def spar_symbol_grid(t: float, grid: Grid, params: FluidParams) -> KernelSymbol:
+def spar_symbol_grid(t: float, grid: Grid | Band, params: FluidParams) -> KernelSymbol:
     return _grid_symbol("spar", t, grid, params)
 
 
@@ -284,7 +284,7 @@ def s_symbol_grid(t: float, grid: Grid | Band, params: FluidParams) -> KernelSym
     return _grid_symbol("s", t, grid, params)
 
 
-def artificial_symbol_grid(t: float, grid: Grid, params: FluidParams) -> KernelSymbol:
+def artificial_symbol_grid(t: float, grid: Grid | Band, params: FluidParams) -> KernelSymbol:
     return _grid_symbol("artificial_par", t, grid, params)
 
 
@@ -369,24 +369,31 @@ def artificial_diagonal_field(t: float, grid: Grid, params: FluidParams, sigma=(
     return field
 
 
-def heat_leray_kernel_magnitude(t: float, sigma, grid: Grid, params: FluidParams) -> np.ndarray:
-    """Pointwise Frobenius magnitude of D^sigma (K_mu(t) * R_perp), the heat-Leray
-    kernel, for a non-zero multi-index (the underived kernel is not integrable).
+def heat_leray_kernel_magnitudes(times, sigma, grid: Grid, params: FluidParams):
+    """Pointwise Frobenius magnitudes of D^sigma (K_mu(t) * R_perp), the heat-Leray
+    kernel, made in turn for each time t > 0, for a non-zero multi-index (the underived
+    kernel is not integrable); the arguments are checked on the call.
 
-    The symbol is built on the grid's half lattice and its three R_perp entries go
-    through one stacked `to_physical`: the odd factors use the Nyquist-zeroed
-    wavenumbers, so the symbol is Hermitian on the self-conjugate columns and the
-    samples are those of the full-lattice complex transform, to rounding.
-    """
+    The symbol is on the grid's half lattice, its three R_perp entries built once, and
+    each entry goes through the grid's `BandTransform` (`to_physical` on one work array):
+    the odd factors use the Nyquist-zeroed wavenumbers, so the symbol is Hermitian on the
+    self-conjugate columns and the samples are the full-lattice complex transform's, to
+    rounding."""
     s1, s2 = as_multi_index(sigma)
     if s1 + s2 == 0:
         raise KernelError("heat-Leray kernel norms require a non-zero multi-index")
-    if not t > 0:
-        raise KernelError(f"kernel norm requires t > 0, got {t}")
-    mult = derivative_multiplier(grid, sigma) * np.exp(-params.mu * grid.eta_sq * t)
+    if bad := [t for t in times if not t > 0]:
+        raise KernelError(f"kernel norm requires t > 0, got {bad[0]}")
     e1, e2, mag2 = grid.eta1_odd, grid.eta2_odd, grid.eta_sq_odd
-    entries = np.stack([over_mag2(e2 * e2, mag2), over_mag2(-e1 * e2, mag2),
-                        over_mag2(e1 * e1, mag2)]) * mult
-    r11, r12, r22 = to_physical(entries, grid)
-    # R_perp is symmetric: the off-diagonal entry counts twice
-    return np.sqrt(r11**2 + r12**2 + r22**2 + r12**2)
+    r_perp = np.stack([over_mag2(e2 * e2, mag2), over_mag2(-e1 * e2, mag2),
+                       over_mag2(e1 * e1, mag2)])
+    derivative_factor, core = derivative_multiplier(grid, sigma), BandTransform(grid, (), grid)
+
+    def magnitudes():
+        for t in times:
+            mult = derivative_factor * np.exp(-params.mu * grid.eta_sq * t)
+            r11, r12, r22 = (core.samples(r * mult) for r in r_perp)
+            # R_perp is symmetric: the off-diagonal entry counts twice
+            yield np.sqrt(r11**2 + r12**2 + r22**2 + r12**2)
+
+    return magnitudes()

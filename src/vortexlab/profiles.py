@@ -176,14 +176,9 @@ def first_moments_beta(omega0: SpectralField, params: FluidParams) -> Moments:
     return Moments(alpha=circulation_alpha(omega0, params), beta=(beta1, beta2))
 
 
-def profile_superposition(
-    moments: Moments, t: float, params: FluidParams, grid: Grid
-) -> tuple[SpectralField, tuple[SpectralField, SpectralField]]:
-    """Dipole-family profile beta1 F1 + beta2 F2 at time t with its velocity.
-
-    The vorticity is sampled in physical space; the velocity is derived
-    through the spectral Biot-Savart law so it is exactly divergence-free.
-    """
+def profile_vorticity(moments: Moments, t: float, params: FluidParams, grid: Grid) -> SpectralField:
+    """Dipole-family vorticity profile beta1 F1 + beta2 F2 at time t, sampled in
+    physical space."""
     _check_time(t)
     b1, b2 = moments.beta
     w = np.zeros((grid.n, grid.n))
@@ -194,9 +189,16 @@ def profile_superposition(
     coeffs = (transform(w, grid)).coeffs
     # the family has zero mean exactly; the lattice mean is truncation noise
     coeffs[0, 0] = 0.0
-    omega = SpectralField(grid, coeffs)
-    u = biot_savart(omega)
-    return omega, u
+    return SpectralField(grid, coeffs)
+
+
+def profile_superposition(
+    moments: Moments, t: float, params: FluidParams, grid: Grid
+) -> tuple[SpectralField, tuple[SpectralField, SpectralField]]:
+    """`profile_vorticity` with its velocity, derived through the spectral Biot-Savart
+    law so it is exactly divergence-free."""
+    omega = profile_vorticity(moments, t, params, grid)
+    return omega, biot_savart(omega)
 
 
 def oseen_pair_fields(

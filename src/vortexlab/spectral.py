@@ -23,18 +23,21 @@ columns by 1 and every other column by 2 (`hermitian_weight`).
 stacks of fields along leading axes; `to_spectral` makes the self-conjugate columns
 exactly Hermitian, and every multiplier here keeps them so.
 
-Band layout.  The solvers store only the 2/3-rule band of dealiased spectra
-(`Grid.band`): rows k1 = 0..n/3, -n/3..-1, columns k2 = 0..n/3.  Band spectra are
-transformed only by `BandTransform`, a core made once per run on one half-lattice work
-array for both directions: the band is its two row blocks, and its row passes run on
-the band's columns only.  Each inverse call first zeroes the dropped columns and the
-gap rows between the blocks, which the last forward call and the last call's in-place
-row pass filled.  The core runs unscaled, so its callers carry the dx^2 and the
-conjugation of the convention: the diagnostics divide the density's samples by dx^2,
-and the sources fold both into multipliers made once per run.  The rows are
-symmetric under k1 -> -k1 (`conj_rows` indexes each row's partner), so column 0 is
-fixed as above.  The band has no Nyquist column, so its Parseval sums weigh column 0
-by 1 and every other column by 2.
+Band layout.  A band is the square |k1|, |k2| <= k of the half lattice, 0 <= k < n/2:
+rows k1 = 0..k, -k..-1 and columns k2 = 0..k, `gather`ed from and `scatter`ed to the
+half lattice as its row blocks k1 >= 0 and, for k > 0, k1 < 0.  The grid is the band of
+every row and column, in one block.  The solvers store only the 2/3-rule band of
+dealiased spectra (`Grid.band`, k = n/3); `support_band` is the smallest band that
+holds a weight's nonzero entries.  Band spectra are transformed only by `BandTransform`,
+a core on one half-lattice work array for both directions, whose row passes run on the
+band's columns only.  Each inverse call first zeroes the dropped columns and the gap
+rows between the blocks, which the last forward call and the last call's in-place row
+pass filled; the grid's core has nothing to zero, and it is `to_physical`.  The core
+runs unscaled, so its callers carry the dx^2 and the conjugation of the convention: the
+diagnostics divide the density's samples by dx^2, and the sources fold both into
+multipliers made once per run.  The rows are symmetric under k1 -> -k1 (`conj_rows`
+indexes each row's partner), so column 0 is fixed as above.  A band below the Nyquist
+lines has no Nyquist column, so its Parseval sums weigh column 0 by 1, the others by 2.
 """
 
 from __future__ import annotations
@@ -137,10 +140,29 @@ class _Wavenumbers:
         return weights[s]
 
 
+class _BandLayout(_Wavenumbers):
+    """A band of a grid's half lattice, stored as the row blocks `blocks`: pairs of
+    (band rows, half-lattice rows) slices (see the module docstring)."""
+
+    def gather(self, coeffs: np.ndarray) -> np.ndarray:
+        """The band of half-lattice arrays, as a new array of their dtype."""
+        out = np.empty(coeffs.shape[:-2] + self.spectral_shape, coeffs.dtype)
+        for rows, lattice in self.blocks:
+            out[..., rows, :] = coeffs[..., lattice, : len(self.k_cols)]
+        return out
+
+    def scatter(self, coeffs: np.ndarray) -> np.ndarray:
+        """Half-lattice arrays, as a new array: band arrays on the band, 0 off it."""
+        out = np.zeros(coeffs.shape[:-2] + (self.n, self.n // 2 + 1), coeffs.dtype)
+        for rows, lattice in self.blocks:
+            out[..., lattice, : len(self.k_cols)] = coeffs[..., rows, :]
+        return out
+
+
 @dataclass(frozen=True)
-class Grid(_Wavenumbers):
+class Grid(_BandLayout):
     """Uniform periodic grid; its wavenumber arrays cover the stored half
-    lattice, the k2 >= 0 columns (see the module docstring).
+    lattice, the k2 >= 0 columns (see the module docstring), the band of all of it.
 
     Parameters
     ----------
@@ -153,6 +175,7 @@ class Grid(_Wavenumbers):
     n: int
     L: float
     self_conjugate = (0, -1)  # the stored columns k2 = 0 and n/2
+    blocks = ((slice(None),) * 2,)
 
     def __post_init__(self):
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
@@ -176,7 +199,7 @@ class Grid(_Wavenumbers):
 
     @cached_property
     def band(self) -> "Band":
-        return Band(self)
+        return Band(self, self.n // 3)
 
     @cached_property
     def xc1(self) -> np.ndarray:
@@ -197,44 +220,43 @@ class FullLattice(_Wavenumbers):
         self.k_index = self.k_cols = grid.k_index
 
 
-class Band(_Wavenumbers):
-    """The 2/3-rule band of a grid's half lattice (see the module docstring)."""
+class Band(_BandLayout):
+    """The square band |k1|, |k2| <= k of a grid's half lattice, 0 <= k < n/2."""
 
     self_conjugate = (0,)  # the column k2 = 0
 
-    def __init__(self, grid: Grid):
-        self.n, self.L, k = grid.n, grid.L, grid.n // 3
+    def __init__(self, grid: Grid, k: int):
+        if not 0 <= k < grid.n // 2:
+            raise SpectralError(f"band half-width must satisfy 0 <= k < n/2, got {k}")
+        self.n, self.L = grid.n, grid.L
         self.k_index, self.k_cols = np.r_[0 : k + 1, -k:0], np.arange(k + 1)
-        # (band rows, half-lattice rows) of the two row blocks k1 >= 0 and k1 < 0
-        self.blocks = (slice(0, k + 1),) * 2, (slice(k + 1, None), slice(-k, None))
+        # the row blocks k1 >= 0 and k1 < 0; the band k = 0 has no second one
+        blocks = (slice(0, k + 1),) * 2, (slice(k + 1, None), slice(self.n - k, None))
+        self.blocks = blocks[: 2 if k else 1]
 
-    def gather(self, coeffs: np.ndarray) -> np.ndarray:
-        """The band of half spectra, as a new array."""
-        out = np.empty(coeffs.shape[:-2] + self.spectral_shape, complex)
-        for rows, lattice in self.blocks:
-            out[..., rows, :] = coeffs[..., lattice, : len(self.k_cols)]
-        return out
 
-    def scatter(self, coeffs: np.ndarray) -> np.ndarray:
-        """Half spectra, as a new array: band spectra on the band, 0 off it."""
-        out = np.zeros(coeffs.shape[:-2] + (self.n, self.n // 2 + 1), complex)
-        for rows, lattice in self.blocks:
-            out[..., lattice, : len(self.k_cols)] = coeffs[..., rows, :]
-        return out
+def support_band(grid: Grid, weight) -> Grid | Band:
+    """The smallest band that holds every nonzero entry of a half-lattice weight, or the
+    grid itself when that band would need k >= n/2."""
+    rows, cols = np.nonzero(np.broadcast_to(weight, grid.spectral_shape))
+    k = max(np.abs(grid.k_index[rows]).max(initial=0), np.abs(grid.k_cols[cols]).max(initial=0))
+    return grid if k >= grid.n // 2 else Band(grid, int(k))
 
 
 class BandTransform:
-    """The band's transform core: numpy's two passes each way, unscaled, on one
-    half-lattice work array (see the module docstring's band layout), given, or made
-    with the leading shape `work` of the stacks it transforms.
+    """The transform core of a band (the 2/3-rule band by default, or the grid): numpy's
+    two passes each way, unscaled, on one half-lattice work array (see the module
+    docstring), given, or made with the leading shape `work` of the stacks it transforms.
 
-    `blocks` are the views of the work array's two row blocks, whose band rows are
-    `rows`.  A caller writes conjugated band spectra into them (`load(c)` writes conj c)
-    and `inverse(out)` returns dx^2 times their samples; `forward(values)` returns them
-    holding conj(f_hat) / dx^2 of the samples."""
+    `blocks` are the views of the work array's row blocks, whose band rows are `rows`.
+    A caller writes conjugated band spectra into them (`load(c)` writes conj c) and
+    `inverse(out)` returns dx^2 times their samples; `forward(values)` returns them
+    holding conj(f_hat) / dx^2 of the samples.  `samples` and `magnitude` carry the
+    conjugation and dx^2 themselves."""
 
-    def __init__(self, grid: Grid, work):
-        band, self.n, self.cols = grid.band, grid.n, len(grid.band.k_cols)
+    def __init__(self, grid: Grid, work, band: Grid | Band | None = None):
+        band = grid.band if band is None else band
+        self.n, self.cols, self.dx2 = grid.n, len(band.k_cols), grid.dx**2
         if not isinstance(work, np.ndarray):
             work = np.empty(tuple(work) + grid.spectral_shape, complex)
         self.work, self.rows = work, tuple(rows for rows, _ in band.blocks)
@@ -251,7 +273,7 @@ class BandTransform:
         columns, in place, then the column pass.  The dropped columns, which a forward
         call fills, and the gap rows, which the row pass fills, are zeroed first."""
         work, k = self.work, self.cols
-        work[..., k:], work[..., k : 1 - k, :k] = 0.0, 0.0
+        work[..., k:], work[..., k : self.n + 1 - k, :k] = 0.0, 0.0
         np.fft.ifftn(work[..., :k], axes=(-2,), out=work[..., :k])
         return np.fft.irfftn(work, s=(self.n,), axes=(-1,), out=out)
 
@@ -262,6 +284,21 @@ class BandTransform:
         np.fft.rfftn(values, axes=(-1,), out=work)
         np.fft.fftn(work[..., :k], axes=(-2,), out=work[..., :k])
         return self.blocks
+
+    def samples(self, coeffs: np.ndarray) -> np.ndarray:
+        """Physical samples of band spectra, as a new array."""
+        out = self.load(coeffs).inverse()
+        out /= self.dx2
+        return out
+
+    def magnitude(self, fields) -> np.ndarray:
+        """Pointwise sqrt(f1^2 + f2^2 + ...) of band spectra, one transform per field on a
+        one-field work array."""
+        fields = iter(fields)
+        total = self.samples(next(fields)) ** 2
+        for coeffs in fields:
+            total += self.samples(coeffs) ** 2
+        return np.sqrt(total, out=total)
 
 
 def make_grid(n: int, L: float) -> Grid:
@@ -317,11 +354,7 @@ class SpectralField:
 def to_physical(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Samples of a half spectrum, or of a stack of them along leading axes: irfft2's
     two transforms run axis by axis on one conjugated copy, the row pass in place."""
-    work = np.conjugate(coeffs)
-    np.fft.ifftn(work, axes=(-2,), out=work)
-    out = np.fft.irfftn(work, s=(grid.n,), axes=(-1,))
-    out /= grid.dx**2
-    return out
+    return BandTransform(grid, coeffs.shape[:-2], grid).samples(coeffs)
 
 
 def to_spectral(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -462,11 +495,9 @@ def leray_decompose(
 def magnitude(fields) -> np.ndarray:
     """Pointwise magnitude sqrt(f1^2 + f2^2 + ...) of a field or of fields on one grid."""
     fields = (fields,) if isinstance(fields, SpectralField) else tuple(fields)
+    grid = fields[0].grid
     _check_same_grid(*(f.grid for f in fields))
-    total = fields[0].values() ** 2
-    for f in fields[1:]:
-        total += f.values() ** 2
-    return np.sqrt(total, out=total)
+    return BandTransform(grid, (), grid).magnitude(f.coeffs for f in fields)
 
 
 def lp_norm(fields, p: float) -> float:
@@ -493,9 +524,9 @@ def parseval_sum(grid: Grid | Band, pairs, weight=1.0) -> float:
     return float(sum(np.sum(w * (a * np.conj(b)).real) for a, b in pairs)) / grid.L**2
 
 
-def sobolev_norm(state: State | np.ndarray, s: int, band: Band | None = None) -> float:
+def sobolev_norm(state: State | np.ndarray, s: int, band: Grid | Band | None = None) -> float:
     """H^s norm from Fourier coefficients with the discrete measure 1/L^2, of a State,
-    or of a stack of band spectra when `band` is given."""
+    or of a stack of spectra on `band` (a band or the grid) when it is given."""
     s = int(s)
     if s < 0:
         raise SpectralError(f"Sobolev index must be nonnegative, got {s}")

@@ -372,6 +372,93 @@ def test_kernel_algebra_runs_small():
     assert len(res.reports) >= 10
 
 
+def _rates_params():
+    from vortexlab.solver import scaled_params
+
+    return scaled_params(RunManifest().params)
+
+
+def test_kernel_rates_support_bands():
+    # the low-pass weight is nonzero on |k| <= 95 at n = 512 and reaches the Nyquist
+    # lines at n = 128; the heat factor underflows past a radius for 7 of 9 times
+    from vortexlab.kernels import default_cutoff, low_pass
+    from vortexlab.spectral import make_grid, support_band
+
+    params = _rates_params()
+    for n, half_width in ((512, 95), (128, None)):
+        grid = make_grid(n, 200.0)
+        band = support_band(grid, low_pass(grid, default_cutoff(params)))
+        if half_width is None:
+            assert band is grid
+        else:
+            assert band.spectral_shape == (2 * half_width + 1, half_width + 1)
+    grid = make_grid(512, 200.0)
+    bands = [support_band(grid, np.exp(-params.mu * grid.eta_sq * t))
+             for t in np.geomspace(8.0, 128.0, 9)]
+    assert bands[:2] == [grid, grid]
+    assert [b.k_cols[-1] for b in bands[2:]] == [217, 182, 153, 129, 108, 91, 76]
+
+
+def _half_lattice_rates_series(grid, params):
+    """kernel-rates' low-frequency and heat-flow series with every spectrum built,
+    applied and transformed on the whole half lattice."""
+    from vortexlab.kernels import (artificial_symbol_grid, default_cutoff, low_pass,
+                                   spar_symbol_grid)
+    from vortexlab.profiles import biot_savart, dipole_vorticity_field
+    from vortexlab.spectral import derivative, lp_of_magnitude, magnitude, sobolev_norm
+
+    def dx(fields, sigma):
+        return tuple(derivative(f, (1, 0)) for f in fields) if sigma else tuple(fields)
+
+    series = {}
+    chi = low_pass(grid, default_cutoff(params))
+    X0 = harness._localized_sound_state(grid)
+    for t in np.geomspace(6.0, 56.0, 9):
+        lf = spar_symbol_grid(t, grid, params).scaled(chi)
+        lf_art = artificial_symbol_grid(t, grid, params).scaled(chi)
+        series.setdefault("kernel-difference-p2-s0", []).append(
+            sobolev_norm((lf - lf_art).apply(X0), 0))
+        X = lf.apply(X0)
+        for sigma in (0, 1):
+            mag = magnitude(dx(X.components(), sigma))
+            for p in (2.0, np.inf):
+                series.setdefault(f"lf-kernel-p{p:g}-s{sigma}", []).append(
+                    lp_of_magnitude(mag, grid, p))
+    omega = dipole_vorticity_field(grid, 1, 1.0, params)
+    m_dipole, m_second = biot_savart(omega), biot_savart(derivative(omega, (1, 0)))
+    radius = np.hypot(grid.xc1, grid.xc2)
+    for t in np.geomspace(8.0, 128.0, 9):
+        h = np.exp(-params.mu * grid.eta_sq * t)
+        for m0, sigmas in ((m_dipole, (0, 1)), (m_second, (0,))):
+            flowed = [SpectralField(grid, h * f.coeffs) for f in m0]
+            for sigma in sigmas:
+                mag = magnitude(dx(flowed, sigma))
+                rows = ([(f"perp-dipole-p{p:g}-s{sigma}", mag, p) for p in (2.0, np.inf)]
+                        if m0 is m_dipole else
+                        [(f"perp-second-moment-p{p:g}-s0", mag, p) for p in (2.0, np.inf)]
+                        + [("perp-weighted-p2-s0", mag * radius, 2.0),
+                           ("perp-small-p1.5-s0", mag, 1.5)])
+                for label, values, p in rows:
+                    series.setdefault(label, []).append(lp_of_magnitude(values, grid, p))
+    return series
+
+
+@pytest.mark.parametrize("n", [256, 128])
+def test_kernel_rates_band_series_equal_the_half_lattice_ones(n):
+    # n = 256 runs both sections on bands; at n = 128 the low-pass weight reaches the
+    # Nyquist lines and the LF rows and the first two heat-flow times run on the grid
+    ctx = RunManifest(n=n)
+    result = run_experiment("kernel-rates", ctx)
+    expected = _half_lattice_rates_series(ctx.grid, _rates_params())
+    assert len(expected) == 13
+    for label, values in expected.items():
+        got = result.series[label][1]
+        if label.startswith("kernel-difference"):
+            assert np.allclose(got, values, rtol=1e-15, atol=0.0), label
+        else:
+            assert np.array_equal(got, values), label
+
+
 def test_zero_amplitude_residuals_vanish_identically():
     # the eps = 0 limit of the profile-convergence residual is exactly zero
     from vortexlab.profiles import FluidParams, Moments, profile_superposition

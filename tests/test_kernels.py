@@ -12,7 +12,7 @@ from vortexlab.kernels import (
     cutoff,
     default_cutoff,
     exp_divided_difference,
-    heat_leray_kernel_magnitude,
+    heat_leray_kernel_magnitudes,
     heat_symbol_grid,
     low_pass,
     phi,
@@ -32,6 +32,8 @@ from vortexlab.spectral import (
     leray_decompose,
     lp_of_magnitude,
     make_grid,
+    over_mag2,
+    to_physical,
 )
 from conftest import random_field, random_state, zero_state
 
@@ -600,24 +602,49 @@ def _full_lattice_heat_leray(t, sigma, grid, params):
 @pytest.mark.parametrize("n, L", [(64, 50.0), (256, 200.0)])
 def test_heat_leray_equals_the_full_lattice_transform(n, L, sigma):
     grid = make_grid(n, L)
-    for t in (1.0, 4.0, 16.0):
+    times = (1.0, 4.0, 16.0)
+    for t, field in zip(times, heat_leray_kernel_magnitudes(times, sigma, grid, PARAMS)):
         expected = _full_lattice_heat_leray(t, sigma, grid, PARAMS)
-        field = heat_leray_kernel_magnitude(t, sigma, grid, PARAMS)
         assert np.abs(field - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def _per_time_heat_leray(t, sigma, grid, params):
+    """The heat-Leray magnitude with its R_perp entries built for the one time, through
+    one stacked `to_physical`."""
+    mult = derivative_multiplier(grid, sigma) * np.exp(-params.mu * grid.eta_sq * t)
+    e1, e2, mag2 = grid.eta1_odd, grid.eta2_odd, grid.eta_sq_odd
+    entries = np.stack([over_mag2(e2 * e2, mag2), over_mag2(-e1 * e2, mag2),
+                        over_mag2(e1 * e1, mag2)]) * mult
+    r11, r12, r22 = to_physical(entries, grid)
+    return np.sqrt(r11**2 + r12**2 + r22**2 + r12**2)
+
+
+@pytest.mark.parametrize("sigma", [(1, 0), (1, 1)])
+def test_heat_leray_entries_made_once_give_the_per_time_magnitudes_bit_for_bit(sigma):
+    grid = make_grid(128, 100.0)
+    times = np.geomspace(1.0, 16.0, 9)
+    fields = heat_leray_kernel_magnitudes(times, sigma, grid, PARAMS)
+    for t, field in zip(times, fields, strict=True):
+        assert np.array_equal(field, _per_time_heat_leray(t, sigma, grid, PARAMS))
 
 
 def test_heat_leray_calls_no_complex_2d_fft(monkeypatch):
     calls = []
     for name in ("fft2", "ifft2"):
         monkeypatch.setattr(np.fft, name, lambda *a, name=name, **k: calls.append(name))
-    field = heat_leray_kernel_magnitude(2.0, (1, 0), make_grid(64, 50.0), PARAMS)
+    (field,) = heat_leray_kernel_magnitudes([2.0], (1, 0), make_grid(64, 50.0), PARAMS)
     assert calls == [] and np.isfinite(field).all()
 
 
 def test_heat_leray_rejects_zero_multi_index():
     grid = make_grid(64, 50.0)
     with pytest.raises(KernelError):
-        heat_leray_kernel_magnitude(1.0, (0, 0), grid, PARAMS)
+        heat_leray_kernel_magnitudes([1.0], (0, 0), grid, PARAMS)
+
+
+def test_heat_leray_rejects_a_non_positive_time_on_the_call():
+    with pytest.raises(KernelError, match="t > 0"):
+        heat_leray_kernel_magnitudes([1.0, 0.0], (1, 0), make_grid(64, 50.0), PARAMS)
 
 
 def test_interpolation_inequality_on_heat_flow():
@@ -648,10 +675,8 @@ def test_heat_leray_decay_slopes():
     grid = make_grid(256, 200.0)
     times = np.geomspace(1.0, 16.0, 7)
     for p, expected in ((2.0, -1.0), (np.inf, -1.5)):
-        vals = [
-            lp_of_magnitude(heat_leray_kernel_magnitude(t, (1, 0), grid, PARAMS), grid, p)
-            for t in times
-        ]
+        vals = [lp_of_magnitude(field, grid, p)
+                for field in heat_leray_kernel_magnitudes(times, (1, 0), grid, PARAMS)]
         slope = np.polyfit(np.log(times), np.log(vals), 1)[0]
         assert abs(slope - expected) < 0.05
 

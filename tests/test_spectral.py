@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vortexlab.spectral import (
+    Band,
     BandTransform,
     FullLattice,
     SpectralError,
@@ -18,6 +19,7 @@ from vortexlab.spectral import (
     parseval_sum,
     sample,
     sobolev_norm,
+    support_band,
     to_physical,
     to_spectral,
     transform,
@@ -176,6 +178,65 @@ def test_band_transform_zeroes_what_the_last_calls_filled(rng):
         assert np.array_equal(core.load(spec).inverse(), first)
         assert np.all(core.work[..., core.cols :] == 0.0)
         assert np.abs(core.work[..., core.cols : 1 - core.cols, : core.cols]).max() > 0.0
+
+
+@pytest.mark.parametrize("k", [0, 1, "n/3", "n/2-1", "grid"])
+def test_every_band_and_the_grid_gather_scatter_and_transform_as_the_half_lattice(rng, k):
+    # any square band |k1|, |k2| <= k, and the grid as the band of every row and column:
+    # the round trip through the half lattice is exact, and the band's core is irfft2 on
+    # the scattered spectra bit for bit, as `to_physical` is, also from a work array whose
+    # dropped columns and gap rows hold NaN
+    n = 32
+    grid = make_grid(n, 7.0)
+    band = grid if k == "grid" else Band(grid, {"n/3": n // 3, "n/2-1": n // 2 - 1}.get(k, k))
+    spec = band.gather(to_spectral(rng.standard_normal((2, n, n)), grid))
+    half = band.scatter(spec)
+    assert np.array_equal(band.gather(half), spec)
+    width = np.abs(band.k_cols).max()
+    inside = (np.abs(grid.k_index)[:, None] <= width) & (np.abs(grid.k_cols)[None, :] <= width)
+    assert np.all(half[:, ~inside] == 0.0) and np.count_nonzero(half[0]) == spec[0].size
+    expected = np.fft.irfft2(np.conj(half), s=(n, n)) / grid.dx**2
+    core = BandTransform(grid, np.full((2,) + grid.spectral_shape, np.nan, complex), band)
+    for _ in range(2):
+        assert np.array_equal(core.samples(spec), expected)
+    assert np.array_equal(to_physical(half, grid), expected)
+    magnitude = BandTransform(grid, (), band).magnitude(spec)
+    assert np.array_equal(magnitude, np.sqrt(expected[0] ** 2 + expected[1] ** 2))
+
+
+def test_band_of_half_width_0_is_the_zero_mode():
+    grid = make_grid(16, 10.0)
+    band = Band(grid, 0)
+    assert band.spectral_shape == (1, 1) and len(band.blocks) == 1
+    half = np.arange(16 * 9).reshape(16, 9) + 1j
+    assert np.array_equal(band.gather(half), half[:1, :1])
+    assert np.count_nonzero(band.scatter(band.gather(half))) == 1
+    assert np.array_equal(band.gather(np.ones((16, 9), complex)), np.ones((1, 1), complex))
+
+
+@pytest.mark.parametrize("k", [-1, 8, 9])
+def test_band_rejects_half_widths_outside_the_lattice(k):
+    with pytest.raises(SpectralError, match="0 <= k < n/2"):
+        Band(make_grid(16, 10.0), k)
+
+
+def test_support_band_is_the_smallest_band_holding_the_weight():
+    grid = make_grid(32, 10.0)
+    weight = np.zeros(grid.spectral_shape)
+    assert support_band(grid, weight).spectral_shape == (1, 1)
+    weight[0, 0] = 1.0
+    assert support_band(grid, weight).spectral_shape == (1, 1)
+    weight[-3, 1] = 0.5  # k1 = -3
+    assert support_band(grid, weight).k_cols.tolist() == [0, 1, 2, 3]
+    weight[2, 5] = -1e-300
+    assert support_band(grid, weight).spectral_shape == (11, 6)
+    weight[0, 15] = 1.0  # k2 = 15 = n/2 - 1: the widest band
+    assert support_band(grid, weight).spectral_shape == (31, 16)
+    weight[16, 0] = 1.0  # the Nyquist row
+    assert support_band(grid, weight) is grid
+    column = np.zeros((32, 1))
+    column[1] = 1.0  # a column broadcasts over the columns, so it reaches k2 = -n/2
+    assert support_band(grid, column) is grid
 
 
 def test_band_spectra_have_exactly_hermitian_column_0(rng):
