@@ -721,11 +721,11 @@ def run_sound_decay(ctx: RunManifest) -> ExperimentResult:
     ps = (2.0, np.inf, 1.0)
 
     def measure(t, X):
-        # the L^p norms of the sound part's pointwise magnitude, past the initial data
+        # the L^p norms of the sound part's pointwise magnitude past t = 0, from the band
         if t == 0.0:
             return None
-        X = _state(grid, X)
-        mag = magnitude((X.rho, *leray_decompose(X.m)[1]))
+        par = leray_decompose(X[1:], grid.band)[1]
+        mag = BandTransform(grid, ()).magnitude((X[0], *par))
         return [lp_of_magnitude(mag, grid, p) for p in ps]
 
     traj = _simulate(ctx, grid, [_generic_state(grid, ctx.epsilon)], horizon,

@@ -15,7 +15,8 @@ holds its snapshots: at each snapshot time, t = 0 included, it calls the caller'
 and its `Trajectory` keeps the times, the measured values and (`simulate` only) the
 diagnostics.  Each run (`simulate`, `vorticity_simulate` or one `step`) makes its stage
 buffers, source scratch and diagnostic scratch once; no step table is cached, and each
-gap's tables are freed before its snapshot is measured.
+gap's tables are freed before its snapshot is measured.  Both sources and the density
+minimum of the diagnostics hold samples one slab of rows at a time (`round_trip`).
 """
 
 from __future__ import annotations
@@ -87,13 +88,12 @@ def pressure_remainder(params: FluidParams, rho_tilde: np.ndarray, one=None, out
     return np.subtract(out, np.multiply(params.c**2, rho_tilde, out=one), out=out)
 
 
-def _guard_vacuum(one: np.ndarray) -> np.ndarray:
-    m = float(one.min())  # NaN anywhere makes the minimum NaN
+def _guard_vacuum(m: float) -> None:
+    """SolverAbort unless min(1 + rho_tilde), NaN if any sample is, is finite and >= 0.5."""
     if not np.isfinite(m):
         raise SolverAbort(f"non-finite state: min(1 + rho_tilde) = {m}")
     if m < 0.5:
         raise VacuumError(m)
-    return one
 
 
 def _fourier_source(grid: Grid, params: FluidParams):
@@ -102,11 +102,13 @@ def _fourier_source(grid: Grid, params: FluidParams):
 
     Q_k = (0, q1[k] + div q2[k]): q1 carries the momentum flux m m/(1+rho)
     and the pressure remainder, q2 the viscous terms of g = m rho/(1+rho).
-    One inverse transform of the stack and one forward transform of the five
-    stacked products: the pressure remainder only enters the flux diagonal,
-    so it is added there before transforming.  The source is linear in the
-    transformed products with diagonal multipliers, so keeping the products'
-    band dealiases every product.
+    One round trip (`BandTransform.round_trip`), three fields in and five out, forms
+    the products one slab of rows at a time: the pressure remainder only enters the
+    flux diagonal, so it is added there before transforming.  The source is linear in
+    the transformed products with diagonal multipliers, so keeping the products' band
+    dealiases every product.  The vacuum guard reads the running min(1 + rho) over the
+    slabs, NaN once a sample is: from the slab where it is not >= 0.5 on, no products are
+    formed, and the guard raises after the loop.
 
     The inverse divides its samples by dx^2, as `to_physical` does: folding that scale into
     the band moves rho by an ulp, which `pressure_remainder`'s cancellation magnifies.
@@ -118,7 +120,7 @@ def _fourier_source(grid: Grid, params: FluidParams):
     # forward on all five
     band, work = grid.band, np.empty((5,) + grid.spectral_shape, complex)
     state_core, product_core = BandTransform(grid, work[:3]), BandTransform(grid, work)
-    phys, products = np.empty((3, grid.n, grid.n)), np.empty((5, grid.n, grid.n))
+    phys, products = state_core.sample_slab((3,)), product_core.sample_slab((5,))
     e1, e2, dx2, mu_lam = band.eta1_odd, band.eta2_odd, grid.dx**2, params.mu + params.lam
     lap = params.mu * band.eta_sq  # i1, i2 take its shape: the loop slices them by rows
     i1, i2 = (np.broadcast_to((-1j * dx2) * e, lap.shape) for e in (e1, e2))
@@ -128,11 +130,15 @@ def _fourier_source(grid: Grid, params: FluidParams):
     )
     # conj s_i as its (multiplier, product) terms, with the products f11, f12, f22, g1, g2
     terms = (((a11, 3), (a12, 4), (i1, 0), (i2, 1)), ((a12, 3), (a22, 4), (i1, 1), (i2, 2)))
+    lows = []  # min(1 + rho) of each slab of a call
 
-    def source(X: np.ndarray, out: np.ndarray) -> np.ndarray:
-        rho, w1, w2 = np.divide(state_core.load(X).inverse(phys), dx2, out=phys)
+    def physical(samples: np.ndarray, rows) -> np.ndarray | None:
+        rho, w1, w2 = np.divide(samples, dx2, out=samples)
         f11, f12, f22, g1, g2 = products  # 1 + rho, a1, a2, P_rem wait in free slots
-        one = _guard_vacuum(np.add(1.0, rho, out=f12))
+        one = np.add(1.0, rho, out=f12)
+        lows.append(one.min())
+        if not float(np.minimum.reduce(lows)) >= 0.5:  # NaN included, which min() drops
+            return None  # no division by 1 + rho <= 0; the guard raises after the loop
         a1, a2 = np.divide(w1, one, out=g1), np.divide(w2, one, out=g2)
         prem = pressure_remainder(params, rho, one, out=f11)
         np.add(np.multiply(w2, a2, out=f22), prem, out=f22)
@@ -140,8 +146,14 @@ def _fourier_source(grid: Grid, params: FluidParams):
         np.multiply(w1, a2, out=f12)
         np.subtract(w1, a1, out=g1)
         np.subtract(w2, a2, out=g2)
+        return products
+
+    def source(X: np.ndarray, out: np.ndarray) -> np.ndarray:
+        lows.clear()
+        blocks = state_core.load(X).round_trip(phys, physical, product_core)
+        _guard_vacuum(float(np.minimum.reduce(lows)))
         # eight multiply-adds per row block; the density row is their scratch
-        for rows, spectra in zip(product_core.rows, product_core.forward(products)):
+        for rows, spectra in zip(product_core.rows, blocks):
             for s, ((m, j), *rest) in zip(out[1:, rows], terms):
                 np.multiply(m[rows], spectra[j], out=s)
                 for m, j in rest:
@@ -318,17 +330,19 @@ def _diagnostics(grid: Grid):
     transform scratch made once per run; `simulate` adds the Kawashima energy.  `hs` and
     `grad_hs1`, the H^{s-1} norm of the gradient (the dissipation half of the energy
     bound), are band Parseval sums; `mass` is the density's eta = 0 entry, and
-    `min_density` comes from the band transform of the density."""
+    `min_density` is 1 + the density's minimum, slab by slab (NaN if a sample is)."""
     band, core, dx2 = grid.band, BandTransform(grid, ()), grid.dx**2
     grad_weight = band.eta_sq * band.sobolev_weight(HS_INDEX - 1)
-    phys = np.empty((grid.n, grid.n))
+    phys = core.sample_slab()
 
     def diagnostics(X: np.ndarray, t: float) -> dict:
-        rho = np.divide(core.load(X[0]).inverse(phys), dx2, out=phys)
+        lows = []  # the density's minimum per slab; the step forms no products
+        core.load(X[0]).round_trip(phys, lambda rho, rows: lows.append(
+            np.divide(rho, dx2, out=rho).min()))
         return {
             "t": t,
             "mass": float(X[0, 0, 0].real),
-            "min_density": float(1.0 + rho.min()),
+            "min_density": float(1.0 + np.minimum.reduce(lows)),
             "hs": sobolev_norm(X, HS_INDEX, band),
             "grad_hs1": float(np.sqrt(parseval_sum(band, [(c, c) for c in X], grad_weight))),
         }
@@ -367,7 +381,8 @@ def simulate(X0: State, config: SolverConfig, measure: Callable) -> Trajectory:
     stack = band.gather(np.stack([c.coeffs for c in X0.components()]))
     del X0  # the run reads only its band
     stack *= 1.0 / rs
-    stages, source = np.empty((3,) + stack.shape, stack.dtype), _fourier_source(grid, params)
+    if config.nonlinear:  # a linear run steps by one symbol and calls no source
+        stages, source = np.empty((3,) + stack.shape, stack.dtype), _fourier_source(grid, params)
 
     times = (0.0,) + config.snapshot_times
     snapshot = np.empty_like(stack)
@@ -413,23 +428,27 @@ def _vorticity_source(grid: Grid):
     u.grad omega = d1 d2 (u2^2 - u1^2) + (d1^2 - d2^2)(u1 u2): one inverse transform of (u1, u2),
     one forward of the two products, whose aliases fall off the band |k_i| <= n/3 and are cut.
     Both transforms run unscaled: the velocity multipliers carry the inverse's 1/dx^2 and
-    `cross` and `diff` the forward's dx^2, so conj of the assembled forward blocks is the source."""
+    `cross` and `diff` the forward's dx^2, so conj of the assembled forward blocks is the source.
+    One round trip, two fields each way, forms the products one slab of rows at a time."""
     band, core, dx2 = grid.band, BandTransform(grid, (2,)), grid.dx**2
     (k1, k2), e1, e2 = band.biot_savart_multiplier, band.eta1, band.eta2
     velocity = np.conj(k1) / dx2, np.conj(k2) / dx2
     # both vanish at eta = 0: circulation is kept; complex, as in `_fourier_source`
     cross, diff = (np.asarray(m * dx2, complex) for m in (e1 * e2, e1**2 - e2**2))
-    phys = np.empty((3, grid.n, grid.n))
+    phys = core.sample_slab((3,))
+
+    def products(velocity_rows: np.ndarray, rows) -> np.ndarray:
+        u1, u2 = velocity_rows
+        np.multiply(u1, u2, out=phys[2])
+        np.subtract(np.multiply(u2, u2, out=u2), np.multiply(u1, u1, out=u1), out=u2)
+        return phys[1:]
 
     def source(x: np.ndarray, out: np.ndarray) -> np.ndarray:
         for rows, (v1, v2) in zip(core.rows, core.blocks):
             np.conjugate(x[0, rows], out=v1)
             np.multiply(velocity[1][rows], v1, out=v2)
             v1 *= velocity[0][rows]
-        u1, u2 = core.inverse(phys[:2])
-        np.multiply(u1, u2, out=phys[2])
-        np.subtract(np.multiply(u2, u2, out=u2), np.multiply(u1, u1, out=u1), out=u2)
-        for rows, (f_sq, f12) in zip(core.rows, core.forward(phys[1:])):
+        for rows, (f_sq, f12) in zip(core.rows, core.round_trip(phys[:2], products)):
             np.multiply(cross[rows], f_sq, out=out[0, rows])
             out[0, rows] += np.multiply(diff[rows], f12, out=f12)
         np.conjugate(out, out=out)

@@ -27,17 +27,20 @@ Band layout.  A band is the square |k1|, |k2| <= k of the half lattice, 0 <= k <
 rows k1 = 0..k, -k..-1 and columns k2 = 0..k, `gather`ed from and `scatter`ed to the
 half lattice as its row blocks k1 >= 0 and, for k > 0, k1 < 0.  The grid is the band of
 every row and column, in one block.  The solvers store only the 2/3-rule band of
-dealiased spectra (`Grid.band`, k = n/3); `support_band` is the smallest band that
-holds a weight's nonzero entries.  Band spectra are transformed only by `BandTransform`,
-a core on one half-lattice work array for both directions, whose row passes run on the
-band's columns only.  Each inverse call first zeroes the dropped columns and the gap
-rows between the blocks, which the last forward call and the last call's in-place row
-pass filled; the grid's core has nothing to zero, and it is `to_physical`.  The core
-runs unscaled, so its callers carry the dx^2 and the conjugation of the convention: the
-diagnostics divide the density's samples by dx^2, and the sources fold both into
-multipliers made once per run.  The rows are symmetric under k1 -> -k1 (`conj_rows`
-indexes each row's partner), so column 0 is fixed as above.  A band below the Nyquist
-lines has no Nyquist column, so its Parseval sums weigh column 0 by 1, the others by 2.
+dealiased spectra (`Grid.band`, k = n/3); `support_band` is the smallest band that holds
+a weight's nonzero entries.  Band spectra are transformed only by `BandTransform`, a
+core on one half-lattice work array for both directions.  Each direction is a column
+pass (along axis -2), in place on the band's columns only, and a row pass (along the
+last axis).  Each inverse first zeroes the dropped columns and the gap rows between the
+blocks, which the last forward row pass and inverse column pass filled; the grid's core
+has nothing to zero, and it is `to_physical`.  The solvers' physical stage,
+`round_trip`, runs the row passes and a pointwise step between them one slab of rows at
+a time, so it holds no n x n stack of samples.  The core runs unscaled, so its callers
+carry the dx^2 and the conjugation of the convention: the diagnostics divide the
+density's samples by dx^2, and the sources fold both into multipliers made once per run.
+The rows are symmetric under k1 -> -k1 (`conj_rows` indexes each row's partner), so
+column 0 is fixed as above.  A band below the Nyquist lines has no Nyquist column, so
+its Parseval sums weigh column 0 by 1, the others by 2.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ from functools import cached_property
 import numpy as np
 
 MAX_DERIVATIVE_ORDER = 8
+# rows per slab of `BandTransform.round_trip` (every row of a smaller grid)
+SLAB_ROWS = 32
 
 
 class SpectralError(ValueError):
@@ -250,9 +255,9 @@ class BandTransform:
 
     `blocks` are the views of the work array's row blocks, whose band rows are `rows`.
     A caller writes conjugated band spectra into them (`load(c)` writes conj c) and
-    `inverse(out)` returns dx^2 times their samples; `forward(values)` returns them
-    holding conj(f_hat) / dx^2 of the samples.  `samples` and `magnitude` carry the
-    conjugation and dx^2 themselves."""
+    `inverse(out)` returns dx^2 times their samples; `round_trip` makes them hold
+    conj(f_hat) / dx^2 of the products of the samples, slab by slab.  `samples` and
+    `magnitude` carry the conjugation and dx^2 themselves."""
 
     def __init__(self, grid: Grid, work, band: Grid | Band | None = None):
         band = grid.band if band is None else band
@@ -269,21 +274,36 @@ class BandTransform:
         return self
 
     def inverse(self, out=None) -> np.ndarray:
-        """irfft2 of the work, into `out` (real) if given: the row pass on the band's
-        columns, in place, then the column pass.  The dropped columns, which a forward
-        call fills, and the gap rows, which the row pass fills, are zeroed first."""
-        work, k = self.work, self.cols
+        """irfft2 of the work, into `out` (real) if given: `round_trip` with one slab of
+        every row and no products."""
+        out = np.empty(self.work.shape[:-1] + (self.n,)) if out is None else out
+        self.round_trip(out, lambda samples, rows: None)
+        return out
+
+    def sample_slab(self, fields=()) -> np.ndarray:
+        """An empty slab of `SLAB_ROWS` rows (every row on a smaller grid) of samples."""
+        return np.empty(tuple(fields) + (min(self.n, SLAB_ROWS), self.n))
+
+    def round_trip(self, samples: np.ndarray, step, out: "BandTransform | None" = None):
+        """`inverse`, `products = step(samples, rows)` and rfft2 of the products into the
+        work of `out` (a core of the band, this one by default), slab by slab into `samples`
+        (of the work's fields); each column pass runs once, in place.  Returns `out`'s
+        blocks, or None, with no forward column pass, if a step returned None."""
+        work, k, height, complete = self.work, self.cols, samples.shape[-2], True
+        out = self if out is None else out
+        # the dropped columns and the gap rows, which the last calls filled, read as zeros
         work[..., k:], work[..., k : self.n + 1 - k, :k] = 0.0, 0.0
         np.fft.ifftn(work[..., :k], axes=(-2,), out=work[..., :k])
-        return np.fft.irfftn(work, s=(self.n,), axes=(-1,), out=out)
-
-    def forward(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The blocks after rfft2 of real samples into the work: the column pass, then
-        the row pass on the band's columns, in place."""
-        work, k = self.work, self.cols
-        np.fft.rfftn(values, axes=(-1,), out=work)
-        np.fft.fftn(work[..., :k], axes=(-2,), out=work[..., :k])
-        return self.blocks
+        for start in range(0, self.n, height):
+            rows = slice(start, start + height)
+            np.fft.irfftn(work[..., rows, :], s=(self.n,), axes=(-1,), out=samples)
+            products = step(samples, rows)
+            complete = complete and products is not None
+            if products is not None:
+                np.fft.rfftn(products, axes=(-1,), out=out.work[..., rows, :])
+        if complete:
+            np.fft.fftn(out.work[..., :k], axes=(-2,), out=out.work[..., :k])
+        return out.blocks if complete else None
 
     def samples(self, coeffs: np.ndarray) -> np.ndarray:
         """Physical samples of band spectra, as a new array."""
@@ -353,7 +373,7 @@ class SpectralField:
 
 def to_physical(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Samples of a half spectrum, or of a stack of them along leading axes: irfft2's
-    two transforms run axis by axis on one conjugated copy, the row pass in place."""
+    two transforms run axis by axis on one conjugated copy, the column pass in place."""
     return BandTransform(grid, coeffs.shape[:-2], grid).samples(coeffs)
 
 
@@ -475,21 +495,22 @@ def over_mag2(x, mag2_odd):
     return np.where(flat, 0.0, x / np.where(flat, 1.0, mag2_odd))
 
 
-def leray_decompose(
-    m: tuple[SpectralField, SpectralField],
-) -> tuple[tuple[SpectralField, SpectralField], tuple[SpectralField, SpectralField]]:
-    """Split m = m_perp + m_par into divergence-free and curl-free parts.
+def leray_decompose(m, band: Grid | Band | None = None):
+    """Split m = m_perp + m_par into divergence-free and curl-free parts: two pairs of
+    SpectralFields, or of arrays when `m` is a stack of the two components' spectra on
+    `band` (a band or the grid).
 
     The zero mode (and the partnerless Nyquist rows) is assigned to m_perp:
     a constant momentum field is divergence-free.
     """
-    grid = m[0].grid
-    _check_same_grid(grid, m[1].grid)
-    e1, e2 = grid.eta1_odd, grid.eta2_odd
-    dot = over_mag2(e1 * m[0].coeffs + e2 * m[1].coeffs, grid.eta_sq_odd)
-    par = (SpectralField(grid, e1 * dot), SpectralField(grid, e2 * dot))
-    perp = (m[0] - par[0], m[1] - par[1])
-    return perp, par
+    if band is None:
+        _check_same_grid(m[0].grid, m[1].grid)
+        perp, par = leray_decompose([f.coeffs for f in m], m[0].grid)
+        return tuple(tuple(SpectralField(m[0].grid, c) for c in part) for part in (perp, par))
+    e1, e2 = band.eta1_odd, band.eta2_odd
+    dot = over_mag2(e1 * m[0] + e2 * m[1], band.eta_sq_odd)
+    par = (e1 * dot, e2 * dot)
+    return (m[0] - par[0], m[1] - par[1]), par
 
 
 def magnitude(fields) -> np.ndarray:

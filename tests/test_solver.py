@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import warnings
 import weakref
 from functools import partial
 
@@ -14,7 +15,7 @@ from vortexlab.profiles import (
     dipole_vorticity_field,
     oseen_vorticity_field,
 )
-from vortexlab import solver
+from vortexlab import solver, spectral
 from vortexlab.solver import (
     SolverAbort,
     SolverConfig,
@@ -264,6 +265,58 @@ def test_vacuum_guard():
         _fourier_source(X, PARAMS)
 
 
+def _two_dips(grid):
+    """A density band stack whose 1 + rho dips below 0.5 in the second slab of rows and
+    below 0 in the last, and its samples."""
+    dips = ((0.6, -grid.L / 8), (1.2, 3 * grid.L / 8))  # (depth, x1) of the two dips
+    rho = sample(grid, lambda a, b: sum(-depth * np.exp(-((a - at) ** 2 + b**2) / 4.0)
+                                        for depth, at in dips)).dealiased()
+    X = State(rho, (SpectralField.zero(grid), SpectralField.zero(grid)))
+    return grid.band.gather(np.stack([c.coeffs for c in X.components()])), rho.values()
+
+
+def _nan_in_last_slab(monkeypatch, n):
+    """Make each inverse row pass that ends at row n write NaN into one density sample."""
+    irfftn = np.fft.irfftn
+
+    def patched(a, *args, **kwargs):
+        out = irfftn(a, *args, **kwargs)
+        if _first_row(a) + a.shape[-2] == n:
+            out[(0,) * (out.ndim - 2) + (-1, 0)] = np.nan
+        return out
+
+    monkeypatch.setattr(np.fft, "irfftn", patched)
+
+
+def test_vacuum_guard_reads_every_slab():
+    # the second slab's dip trips the guard, but its minimum is the whole field's, and no
+    # slab divides by 1 + rho <= 0
+    grid = make_grid(128, 64.0)
+    X, rho = _two_dips(grid)
+    rows = min(128, spectral.SLAB_ROWS)
+    assert 1.0 + rho[rows : 2 * rows].min() < 0.5 and 1.0 + rho[:rows].min() > 0.5
+    assert 1.0 + rho[-rows:].min() < 0.0 < 1.0 + rho[:-rows].min()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(VacuumError) as info:
+            solver._fourier_source(grid, PARAMS)(X, np.empty_like(X))
+    assert info.value.min_density == float(1.0 + rho.min())
+
+
+def test_nan_in_the_last_slab_is_non_finite(monkeypatch):
+    # NaN only in the last slab's samples aborts as non-finite, not as the vacuum the
+    # earlier dips show, with no warning; the diagnostics report a NaN minimum
+    grid = make_grid(128, 64.0)
+    X, _ = _two_dips(grid)
+    source, diagnostics = solver._fourier_source(grid, PARAMS), solver._diagnostics(grid)
+    _nan_in_last_slab(monkeypatch, 128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverAbort, match=r"^non-finite state: min\(1 \+ rho_tilde\) = nan$"):
+            source(X, np.empty_like(X))
+        assert np.isnan(diagnostics(X, 0.0)["min_density"])
+
+
 def _count_calls(monkeypatch, name, replacement=None):
     """Calls of `solver.<name>` (or of `replacement`, standing in for it) from now on."""
     calls, fn = [], replacement or getattr(solver, name)
@@ -452,10 +505,16 @@ def test_simulate_carries_no_state_across_runs():
     assert all(np.array_equal(a, b) for a, b in zip(first.values, again.values, strict=True))
 
 
-@pytest.mark.parametrize("scheme", ["etd2", "etd4"])
-def test_step_bitwise_equals_reference(scheme):
+# grids of one slab of rows, two (n = 64) and eight, at one spacing
+_SLAB_GRIDS = {"n16": (16, 12.5), "n256": (256, 200.0)}
+
+
+@pytest.mark.parametrize("scheme, n, L", [("etd2", 64, 50.0), ("etd4", 64, 50.0),
+                                          *(("etd2", *g) for g in _SLAB_GRIDS.values())],
+                         ids=["etd2", "etd4", *(f"etd2-{k}" for k in _SLAB_GRIDS)])
+def test_step_bitwise_equals_reference(scheme, n, L):
     # 5 steps over two snapshot gaps (2 + 3), each gap's step as simulate sizes it
-    grid = make_grid(64, 50.0)
+    grid = make_grid(n, L)
     X0 = random_state(grid, np.random.default_rng(7), 1e-2).dealiased()
     before = [c.coeffs.copy() for c in X0.components()]
     dt = 0.1
@@ -655,6 +714,30 @@ def test_snapshot_diagnostics_allocate_no_lattice_temporaries():
     X = grid.band.gather(np.stack([c.coeffs for c in X0.components()]))
     diagnostics = solver._diagnostics(grid)
     assert _warm_step_peak(grid, lambda: diagnostics(X, 0.5)) <= 1.5
+
+
+@pytest.mark.parametrize("which, bound", [("compressible", 8.0), ("vorticity", 4.5),
+                                          ("diagnostics", 1.5)])
+def test_run_scratch_holds_slabs_not_sample_stacks(which, bound):
+    """The scratch a run's source or diagnostics make once, at n = 256, in half-lattice
+    arrays: 7.34, 4.16 and 1.35 with slabs of samples, 14.29, 6.76 and 2.22 when each
+    held whole-array sample (and product) stacks."""
+    import tracemalloc
+
+    grid = make_grid(256, 200.0)
+    build = {"compressible": partial(solver._fourier_source, grid, PARAMS),
+             "vorticity": partial(solver._vorticity_source, grid),
+             "diagnostics": partial(solver._diagnostics, grid)}[which]
+    build()  # the grid's cached wavenumbers and weights
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        scratch = build()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    del scratch
+    assert held / np.empty(grid.spectral_shape, complex).nbytes <= bound
 
 
 def test_simulate_vacuum_abort_raises(monkeypatch):
@@ -932,9 +1015,9 @@ def _perturbed_dipole(grid, eps):
     return (dipole_vorticity_field(grid, 1, 2.0, PARAMS) + pert * 0.3) * eps
 
 
-def test_vorticity_simulate_bitwise_equals_reference():
+def test_vorticity_simulate_bitwise_equals_reference(n=64, L=50.0):
     # 5 steps over two snapshot gaps of different step lengths (2 x 0.25, 3 x 0.7/3)
-    grid = make_grid(64, 50.0)
+    grid = make_grid(n, L)
     omega0 = _perturbed_dipole(grid, 0.5)
     before = omega0.coeffs.copy()
     nu, dt, times = 1.0, 0.25, (0.5, 1.2)
@@ -959,6 +1042,11 @@ def test_vorticity_simulate_bitwise_equals_reference():
     assert np.array_equal(omega0.coeffs, before)
     assert len(seen) == 3 and not any(w.flags.writeable for w in seen)
     assert not any(np.shares_memory(w, omega0.coeffs) for w in seen)
+
+
+@pytest.mark.parametrize("n, L", _SLAB_GRIDS.values(), ids=_SLAB_GRIDS)
+def test_vorticity_simulate_bitwise_equals_reference_in_slabs(n, L):
+    test_vorticity_simulate_bitwise_equals_reference(n, L)
 
 
 @pytest.mark.parametrize("h", [0.25, 0.2421875, 1e-3])
@@ -1003,25 +1091,59 @@ def test_vorticity_source_matches_the_flux_form(n, L, data):
     assert np.array_equal(col, np.conj(col[grid.band.conj_rows]))
 
 
-def test_vorticity_source_transforms_two_fields_each_way(monkeypatch):
-    # (u1, u2) in, (u2^2 - u1^2, u1 u2) out: the flux form took three in and two out.
-    # The row passes cover the band's columns only
+def _first_row(rows: np.ndarray) -> int:
+    """The first row of the work array that a view of some of its rows starts at."""
+    return (rows.ctypes.data - rows.base.ctypes.data) // rows.strides[-2]
+
+
+def _record_passes(monkeypatch) -> list:
+    """numpy FFT passes from now on, as (name, shape transformed, rows of the work array
+    read or written): a row pass's slab, or all rows for a column pass."""
     passes = []
     for name in ("ifftn", "irfftn", "rfftn", "fftn"):
         def record(a, *args, _name=name, _f=getattr(np.fft, name), **kwargs):
-            passes.append((_name, a.shape))
+            work = kwargs["out"] if _name == "rfftn" else a
+            first = _first_row(work)
+            passes.append((_name, a.shape, range(first, first + work.shape[-2])))
             return _f(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, record)
+    return passes
+
+
+def _assert_one_round_trip(passes, n, cols, fields_in, fields_out):
+    """One column pass each way on the band's columns, and between them row passes of
+    slabs that cover each of the n rows exactly once in each direction."""
+    inverse, forward = passes[1:-1:2], passes[2:-1:2]
+    assert passes[0] == ("ifftn", (fields_in, n, cols), range(n))
+    assert passes[-1] == ("fftn", (fields_out, n, cols), range(n))
+    assert len(inverse) == len(forward) > 1 and len(passes) == 2 * len(inverse) + 2
+    for name, width, fields, slabs in (("irfftn", n // 2 + 1, fields_in, inverse),
+                                       ("rfftn", n, fields_out, forward)):
+        assert all(p[0] == name and p[1] == (fields, len(p[2]), width) for p in slabs)
+        assert sorted(row for p in slabs for row in p[2]) == list(range(n))
+
+
+def test_vorticity_source_transforms_two_fields_each_way(monkeypatch):
+    # (u1, u2) in, (u2^2 - u1^2, u1 u2) out: the flux form took three in and two out.
+    # The column passes cover the band's columns only
     grid = make_grid(64, 50.0)
     omega = _perturbed_dipole(grid, 0.5).dealiased()
     x = grid.band.gather(omega.coeffs[None])
     source = solver._vorticity_source(grid)
-    passes.clear()
+    passes = _record_passes(monkeypatch)
     source(x, np.empty_like(x))
-    cols = len(grid.band.k_cols)
-    assert passes == [("ifftn", (2, 64, cols)), ("irfftn", (2, 64, 33)),
-                      ("rfftn", (2, 64, 64)), ("fftn", (2, 64, cols))]
+    _assert_one_round_trip(passes, 64, len(grid.band.k_cols), 2, 2)
+
+
+def test_fourier_source_transforms_three_fields_in_five_out(monkeypatch):
+    # (rho, m1, m2) in, (f11, f12, f22, g1, g2) out
+    grid = make_grid(64, 50.0)
+    X = grid.band.gather(np.stack([c.coeffs for c in _bump_state(grid, 1e-2).components()]))
+    source = solver._fourier_source(grid, PARAMS)
+    passes = _record_passes(monkeypatch)
+    source(X, np.empty_like(X))
+    _assert_one_round_trip(passes, 64, len(grid.band.k_cols), 3, 5)
 
 
 def test_vorticity_etd2_step_allocates_no_lattice_temporaries():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vortexlab import spectral
 from vortexlab.spectral import (
     Band,
     BandTransform,
@@ -119,11 +120,18 @@ def test_round_trip_identity(rng):
     assert np.abs(back - values).max() < 1e-12 * np.abs(values).max()
 
 
+def _forward(core: BandTransform, values) -> tuple:
+    """The core's blocks after the forward transform of real samples: a round trip whose
+    one slab of every row has `values` as its products."""
+    samples = np.empty(core.work.shape[:-1] + values.shape[-1:])
+    return core.round_trip(samples, lambda samples, rows: values)
+
+
 def _band_spectra(core: BandTransform, values, grid) -> np.ndarray:
     """Band spectra of real samples through the core, with the conjugation, dx^2 and
     Hermitian column 0 that `to_spectral` gives half spectra."""
     spec = np.empty(values.shape[:-2] + grid.band.spectral_shape, complex)
-    for rows, block in zip(core.rows, core.forward(values)):
+    for rows, block in zip(core.rows, _forward(core, values)):
         np.conjugate(block, out=spec[..., rows, :])
     spec *= grid.dx**2
     return grid.band.make_hermitian(spec)
@@ -131,7 +139,7 @@ def _band_spectra(core: BandTransform, values, grid) -> np.ndarray:
 
 def test_band_transforms_equal_the_half_lattice_ones(rng):
     # band spectra convert bit for bit as their half spectra do; the second pass on the
-    # same scratch checks that the gap rows the first inverse's row pass filled are re-zeroed
+    # same scratch checks that the gap rows the first inverse's column pass filled are re-zeroed
     grid = make_grid(64, 7.0)
     band = grid.band
     assert band.spectral_shape == (43, 22) and band.k_index.tolist()[20:23] == [20, 21, -21]
@@ -157,7 +165,7 @@ def test_band_transform_round_trip_equals_the_half_lattice_transforms(rng, n, L)
     values = to_physical(full, grid)
     core = BandTransform(grid, (2,))
     spec = np.empty((2,) + band.spectral_shape, complex)
-    for rows, block in zip(core.rows, core.forward(values)):
+    for rows, block in zip(core.rows, _forward(core, values)):
         spec[:, rows] = np.conj(block) * dx2
     ref = band.gather(to_spectral(values, grid))
     assert np.abs(spec - ref).max() <= 1e-15 * np.abs(ref).max()
@@ -166,18 +174,42 @@ def test_band_transform_round_trip_equals_the_half_lattice_transforms(rng, n, L)
 
 
 def test_band_transform_zeroes_what_the_last_calls_filled(rng):
-    # forward calls fill the dropped columns of the one work array, and the inverse's
-    # row pass fills the gap rows; every inverse reads both as zeros again
+    # forward row passes fill the dropped columns of the one work array, and the inverse's
+    # column pass fills the gap rows; every inverse reads both as zeros again
     grid = make_grid(64, 7.0)
     band, core = grid.band, BandTransform(grid, (3,))
     spec = band.gather(to_spectral(rng.standard_normal((3, 64, 64)), grid))
     first = core.load(spec).inverse()
     for _ in range(3):
-        core.forward(rng.standard_normal((3, 64, 64)))
+        _forward(core, rng.standard_normal((3, 64, 64)))
         assert np.abs(core.work[..., core.cols :]).max() > 0.0
         assert np.array_equal(core.load(spec).inverse(), first)
         assert np.all(core.work[..., core.cols :] == 0.0)
         assert np.abs(core.work[..., core.cols : 1 - core.cols, : core.cols]).max() > 0.0
+
+
+@pytest.mark.parametrize("n", [16, 256])
+def test_round_trip_in_slabs_equals_the_whole_array_passes(rng, n):
+    # one slab of rows (n = 16) or eight: two fields in, three products out through another
+    # core, bit for bit the whole-array inverse and forward; a slab with no products
+    # gives None
+    grid = make_grid(n, 7.0)
+    spec = grid.band.gather(to_spectral(rng.standard_normal((2, n, n)), grid))
+    u = BandTransform(grid, (2,)).load(spec).inverse()
+    expected = _forward(BandTransform(grid, (3,)), np.stack([u[0] ** 2, u[1] ** 2, u[0] * u[1]]))
+    core, out = BandTransform(grid, (2,)), BandTransform(grid, (3,))
+    slab, starts = core.sample_slab((3,)), []
+
+    def products(samples, rows):
+        starts.append(rows.start)
+        np.multiply(samples[0], samples[1], out=slab[2])
+        np.square(samples, out=samples)
+        return slab
+
+    got = core.load(spec).round_trip(slab[:2], products, out)
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))
+    assert starts == list(range(0, n, min(n, spectral.SLAB_ROWS)))
+    assert core.load(spec).round_trip(slab[:2], lambda samples, rows: None, out) is None
 
 
 @pytest.mark.parametrize("k", [0, 1, "n/3", "n/2-1", "grid"])
@@ -360,6 +392,16 @@ def test_leray_zero_mode_goes_to_perp():
     perp, par = leray_decompose((const, zero))
     assert perp[0].coeffs[0, 0] == pytest.approx(3.0 * grid.L**2)
     assert np.abs(par[0].coeffs).max() == 0.0
+
+
+def test_leray_of_band_stacks_is_the_gathered_split(rng):
+    # the same formula on a band stack: bit for bit the band of the half-lattice split
+    grid = make_grid(64, 5.0)
+    m = (random_field(grid, rng).dealiased(), random_field(grid, rng).dealiased())
+    band = grid.band
+    for got, part in zip(leray_decompose(band.gather(np.stack([f.coeffs for f in m])), band),
+                         leray_decompose(m), strict=True):
+        assert np.array_equal(got, band.gather(np.stack([f.coeffs for f in part])))
 
 
 def test_derivative_commutes_with_leray(rng):
