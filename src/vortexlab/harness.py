@@ -273,10 +273,11 @@ def _dx(fields, sigma: int) -> tuple:
     return tuple(derivative(f, (sigma, 0)) if sigma else f for f in fields)
 
 
-def _perp_residual(X: State, uref, scale):
-    """Divergence-free part of the momentum of X minus scale * uref."""
-    perp, _ = leray_decompose(X.m)
-    return (perp[0] - uref[0] * scale, perp[1] - uref[1] * scale)
+def _perp_residual(grid: Grid, X: np.ndarray, uref, scale):
+    """Divergence-free part of the band snapshot X's momentum, scattered to the half
+    lattice, minus scale * uref."""
+    perp, _ = leray_decompose(X[1:], grid.band)
+    return tuple(SpectralField(grid, grid.band.scatter(c)) - u * scale for c, u in zip(perp, uref))
 
 
 def _random_field(grid: Grid, rng) -> SpectralField:
@@ -709,11 +710,6 @@ def _simulate(ctx: RunManifest, grid: Grid, data: list[State], horizon, times, w
         return simulate(data.pop(), cfg, measure)
 
 
-def _state(grid: Grid, X: np.ndarray) -> State:
-    """A band snapshot as a new half-spectrum State, zero off the band."""
-    return State.from_stack(grid, grid.band.scatter(X))
-
-
 def run_sound_decay(ctx: RunManifest) -> ExperimentResult:
     """L^p decay of the curl-free part of a small-amplitude nonlinear run."""
     name = "sound-decay"
@@ -829,13 +825,13 @@ def _dipole_measurements(ctx: RunManifest, grid: Grid, horizon, times, ps):
         if t == 0.0:
             return None
         # one Leray split and one reference profile per snapshot
-        d = _perp_residual(_state(grid, X), profile_superposition(moments, t, params, grid)[1],
-                           rs)
+        d = _perp_residual(grid, X, profile_superposition(moments, t, params, grid)[1], rs)
         norms = [[lp_of_magnitude(mag, grid, p) for p in ps]
                  for mag in (magnitude(_dx(d, sigma)) for sigma in (0, 1))]
         if t != t_probe:
             return norms, None
-        late = first_moments_beta(vorticity_of(_state(grid, X).m, params), params)
+        m = tuple(SpectralField(grid, c) for c in grid.band.scatter(X[1:]))
+        late = first_moments_beta(vorticity_of(m, params), params)
         drift = max(abs(late.beta[0] - moments.beta[0]), abs(late.beta[1] - moments.beta[1]))
         return norms, drift / beta_scale
 
@@ -878,7 +874,7 @@ def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
         if t == 0.0:
             return None
         uref = oseen_pair_fields(grid, t, params)[1]
-        mag = magnitude(_perp_residual(_state(grid, X), uref, rs * alpha_scaled))
+        mag = magnitude(_perp_residual(grid, X, uref, rs * alpha_scaled))
         return [lp_of_magnitude(mag, grid, p) for p in ps]
 
     trajg = _simulate(ctx, grid, data, horizon, times, f"{name} vortex-data", measure)

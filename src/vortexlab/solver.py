@@ -9,14 +9,11 @@ so the flux decomposition reads literally with 1 + rho_tilde standing for
 rho / rho_star; `simulate` scales physical data in and out at its boundary.
 
 Both solvers take one ETD2 step, `_etd2_step`, in place on a stack of the 2/3-rule
-band (`Grid.band`), which dealiased data, the sources and every symbol keep.  No run
-holds its snapshots: at each snapshot time, t = 0 included, it calls the caller's
-`measure(t, X)` on the band snapshot, which is read-only and valid only during the call,
-and its `Trajectory` keeps the times, the measured values and (`simulate` only) the
-diagnostics.  Each run (`simulate`, `vorticity_simulate` or one `step`) makes its stage
-buffers, source scratch and diagnostic scratch once; no step table is cached, and each
-gap's tables are freed before its snapshot is measured.  Both sources and the density
-minimum of the diagnostics hold samples one slab of rows at a time (`round_trip`).
+band (`Grid.band`), which dealiased data, the sources and every symbol keep.  Both runs
+go through one snapshot loop, `_march`, which holds no snapshot: it hands each to the
+caller's `measure(t, X)`.  Each run (or one `step`) makes its stage buffers, source
+scratch and diagnostic scratch once, and caches no step table.  Both sources and the
+density minimum of the diagnostics hold samples one slab of rows at a time (`round_trip`).
 """
 
 from __future__ import annotations
@@ -317,12 +314,37 @@ class Trajectory:
     diagnostics: tuple[dict, ...] = ()
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """A view of `a` that cannot be written through, for a run's measure: the vorticity
-    view is the live state, which a writing measure would change."""
-    view = a.view()
-    view.flags.writeable = False
-    return view
+def _run_times(snapshot_times) -> tuple[float, ...]:
+    """t = 0 and a run's snapshot times; SolverError if none (a `SolverConfig` may have none)."""
+    if not snapshot_times:
+        raise SolverError("a run needs at least one snapshot time")
+    return (0.0, *snapshot_times)
+
+
+def _march(times, dt, build, advance, snapshot, check, measure, diagnostics=()) -> Trajectory:
+    """The snapshot loop of both runs, through `times` from t = 0.
+
+    Each gap is split into nsub = ceil(gap/dt - 1e-12) equal steps, at least one, of
+    length h = gap/nsub: `build(h)` makes the gap's weights, `advance(weights)` takes one
+    step in place, and the weights are freed before the snapshot.  At t = 0 and at each
+    snapshot time, `check(t, gap)` fills `snapshot` (unless it is the live state) and
+    raises SolverAbort if the run left its regime: no later step runs, and that snapshot
+    is not measured.  Otherwise `measure(t, X)` reads it through a read-only view, valid
+    only during the call.  The Trajectory keeps the times, what the measures returned
+    and the `diagnostics` the checks wrote.
+    """
+    view, values = snapshot.view(), []
+    view.flags.writeable = False  # a writing measure would change the live state
+    for t_prev, t in zip(times[:1] + times, times):
+        if gap := t - t_prev:  # t = 0 is checked and measured before any step
+            nsub = max(1, math.ceil(gap / dt - 1e-12))
+            weights = build(gap / nsub)
+            for _ in range(nsub):
+                advance(weights)
+            del weights  # freed before the measure and the next gap's build
+        check(t, gap)
+        values.append(measure(t, view))
+    return Trajectory(times, tuple(values), tuple(diagnostics))
 
 
 def _diagnostics(grid: Grid):
@@ -361,61 +383,41 @@ def _energy_check(hs: float, hs0: float, blowup_factor: float) -> None:
 
 
 def simulate(X0: State, config: SolverConfig, measure: Callable) -> Trajectory:
-    """Advance X0 to the requested snapshot times with diagnostics, measuring each snapshot.
-
-    The run integrates X0's band (the dealiased data) and drops its reference to X0 after
-    the gather.  At t = 0 and at each snapshot time it writes the band snapshot in
-    physical variables into one array made once per run, computes the diagnostics from it
-    and calls `measure(t, X)` on a read-only view of it; the Trajectory keeps what the
-    calls return.  Vacuum (in the step that meets it), a non-finite state or energy
-    blow-up (at the snapshot that shows it) raises SolverAbort: no later step runs, and
-    that snapshot is not measured.
-    """
+    """Advance X0 through its snapshot times with diagnostics, measuring each snapshot
+    (`_march`): the band stack in physical variables, in one array made once per run, from
+    which each check computes the diagnostics.  The run integrates X0's band and drops its
+    reference to X0 after the gather.  Vacuum (in the step that meets it), a non-finite
+    state or energy blow-up (at the snapshot that shows it) raises SolverAbort."""
     if X0.grid != config.grid:
         raise SolverError("initial state grid does not match config grid")
-    if not config.snapshot_times:
-        raise SolverError("config.snapshot_times must not be empty")
-    rs, grid, band = config.params.rho_star, config.grid, config.grid.band
-    params = scaled_params(config.params)
-    dt_target = config.dt_effective
+    times, grid, band = _run_times(config.snapshot_times), config.grid, config.grid.band
+    rs, params, scheme = config.params.rho_star, scaled_params(config.params), config.scheme
     stack = band.gather(np.stack([c.coeffs for c in X0.components()]))
     del X0  # the run reads only its band
     stack *= 1.0 / rs
-    if config.nonlinear:  # a linear run steps by one symbol and calls no source
+    if config.nonlinear:
         stages, source = np.empty((3,) + stack.shape, stack.dtype), _fourier_source(grid, params)
-
-    times = (0.0,) + config.snapshot_times
-    snapshot = np.empty_like(stack)
-    view = _read_only(snapshot)
-    diagnose = _diagnostics(grid)
-    diagnostics = [diagnose(np.multiply(stack, rs, out=snapshot), 0.0)]
-    hs0 = diagnostics[0]["hs"]
-    # Kawashima-type energy functional ||X||_{H^s}^2 + int ||grad X||_{H^{s-1}}^2,
-    # accumulated by snapshot trapezoid; its boundedness is a run diagnostic
+        dt, build, advance = (config.dt_effective, lambda h: _tables(band, params, h, scheme),
+                              lambda tab: _advance(stack, stages, source, tab, scheme))
+    else:  # one exact S(gap) per gap: with dt = inf, each gap is one step of length gap
+        dt, build, advance = (math.inf, lambda h: s_symbol_grid(h, band, params),
+                              lambda symbol: np.copyto(stack, symbol.apply(stack)))
+    snapshot, diagnose, diagnostics = np.empty_like(stack), _diagnostics(grid), []
     dissipation = 0.0
-    diagnostics[0]["kawashima_energy"] = hs0**2
-    _energy_check(hs0, hs0, math.inf)  # only finiteness at t = 0
-    values = [measure(0.0, view)]
-    for k, t_snap in enumerate(config.snapshot_times, 1):
-        gap = t_snap - times[k - 1]
-        nsub = max(1, math.ceil(gap / dt_target - 1e-12))
-        h = gap / nsub
-        if config.nonlinear:
-            tab = _tables(band, params, h, config.scheme)
-            for _ in range(nsub):
-                _advance(stack, stages, source, tab, config.scheme)
-            del tab  # freed before the measure and the next gap's build
-        else:
-            stack[...] = s_symbol_grid(gap, band, params).apply(stack)
-        row = diagnose(np.multiply(stack, rs, out=snapshot), t_snap)
-        dissipation += 0.5 * gap * (
-            diagnostics[-1]["grad_hs1"] ** 2 + row["grad_hs1"] ** 2
-        )
+
+    def check(t, gap):
+        # Kawashima-type energy functional ||X||_{H^s}^2 + int ||grad X||_{H^{s-1}}^2,
+        # accumulated by snapshot trapezoid; its boundedness is a run diagnostic
+        nonlocal dissipation
+        row = diagnose(np.multiply(stack, rs, out=snapshot), t)
+        last = diagnostics[-1] if diagnostics else row
+        dissipation += 0.5 * gap * (last["grad_hs1"] ** 2 + row["grad_hs1"] ** 2)
         row["kawashima_energy"] = row["hs"] ** 2 + dissipation
         diagnostics.append(row)
-        _energy_check(row["hs"], hs0, BLOWUP_FACTOR)
-        values.append(measure(t_snap, view))
-    return Trajectory(times, tuple(values), tuple(diagnostics))
+        # only finiteness at t = 0
+        _energy_check(row["hs"], diagnostics[0]["hs"], BLOWUP_FACTOR if gap else math.inf)
+
+    return _march(times, dt, build, advance, snapshot, check, measure, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -461,32 +463,30 @@ def _vorticity_source(grid: Grid):
 def vorticity_simulate(omega0: SpectralField, nu: float, snapshot_times, dt: float,
                        measure: Callable) -> Trajectory:
     """Advance the 2D vorticity equation by ETD2RK with exact heat flow, measuring each
-    snapshot.  The run's stages and source scratch are made once, and it drops its
-    reference to omega0 after the gather.  At t = 0 and at each snapshot time it calls
-    `measure(t, w)` on a read-only view of the band spectrum; the Trajectory keeps what
-    the calls return.  A non-finite snapshot raises SolverAbort before it is measured,
-    and no later step runs."""
-    snapshot_times = _time_grid(dt, snapshot_times)
+    snapshot (`_march`) of the band spectrum, the live state.  The run's stages and source
+    scratch are made once, and it drops its reference to omega0 after the gather.  A
+    non-finite snapshot, t = 0 included, raises SolverAbort.  SolverError, before the
+    gather, unless nu is finite and positive and the snapshot times are valid."""
+    times = _run_times(_time_grid(dt, snapshot_times))
+    if not (math.isfinite(nu) and nu > 0):
+        raise SolverError(f"viscosity nu must be finite and positive, got {nu}")
     grid, band = omega0.grid, omega0.grid.band
     mag2, _, inverse = band.shells
     omega = band.gather(omega0.coeffs[None])
     del omega0  # the run reads only its band
     stages, source = np.empty((3,) + omega.shape, omega.dtype), _vorticity_source(grid)
-    times = (0.0,) + snapshot_times
-    view = _read_only(omega[0])
-    values = [measure(0.0, view)]
-    for k, t_snap in enumerate(snapshot_times, 1):
-        gap = t_snap - times[k - 1]
-        nsub = max(1, math.ceil(gap / dt - 1e-12))
-        h = gap / nsub
+
+    def build(h):
         lh = -nu * mag2 * h  # per |eta|^2 shell, then gathered onto the band
-        weights = [partial(np.multiply, w[inverse])
-                   for w in (np.exp(lh), h * phi(1, lh), h * phi(2, lh))]
-        with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
-            for _ in range(nsub):
-                _etd2_step(omega, stages, source, weights)
-        del weights  # freed before the measure and the next gap's build
+        return [partial(np.multiply, w[inverse])
+                for w in (np.exp(lh), h * phi(1, lh), h * phi(2, lh))]
+
+    def advance(weights):
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by the check
+            _etd2_step(omega, stages, source, weights)
+
+    def check(t, gap):
         if not np.isfinite(omega).all():
-            raise SolverAbort(f"non-finite state: vorticity at t = {t_snap:g}")
-        values.append(measure(t_snap, view))
-    return Trajectory(times, tuple(values))
+            raise SolverAbort(f"non-finite state: vorticity at t = {t:g}")
+
+    return _march(times, dt, build, advance, omega[0], check, measure)

@@ -463,7 +463,7 @@ def test_zero_amplitude_residuals_vanish_identically():
     # the eps = 0 limit of the profile-convergence residual is exactly zero
     from vortexlab.profiles import FluidParams, Moments, profile_superposition
     from vortexlab.solver import SolverConfig, simulate
-    from vortexlab.spectral import leray_decompose, lp_norm, make_grid
+    from vortexlab.spectral import State, leray_decompose, lp_norm, make_grid
 
     grid = make_grid(32, 50.0)
     params = FluidParams()
@@ -473,7 +473,7 @@ def test_zero_amplitude_residuals_vanish_identically():
     def residual_norms(t, X):
         if t == 0.0:
             return None
-        perp, _ = leray_decompose(harness._state(grid, X).m)
+        perp, _ = leray_decompose(State.from_stack(grid, grid.band.scatter(X)).m)
         _, uref = profile_superposition(moments, t, params, grid)
         diff = (perp[0] - uref[0], perp[1] - uref[1])
         return lp_norm(diff, 2), lp_norm(diff, np.inf)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import sys
 import warnings
@@ -799,6 +800,64 @@ def test_both_solvers_check_their_time_grid(dt, times):
         vorticity_simulate(omega0, 1.0, times, dt, _nothing)
     with pytest.raises(SolverError):
         SolverConfig(grid=grid, params=PARAMS, T=2.0, dt=dt, snapshot_times=times)
+
+
+@pytest.mark.parametrize("case", ["empty", "nu-nan", "nu-inf", "nu-0", "nu-negative",
+                                  "omega-nan"])
+def test_vorticity_simulate_rejects_unusable_input_before_compute(monkeypatch, case):
+    # no snapshot time or a viscosity that is not finite and positive is a SolverError
+    # before the gather, and non-finite data abort at t = 0: no step runs and nothing is
+    # measured (the run used to return t = 0 alone, warn, integrate backward heat, or
+    # measure and step NaN data)
+    grid = make_grid(32, 20.0)
+    omega0, nu, times = _perturbed_dipole(grid, 0.5), 1.0, (0.5, 1.0)
+    error, match = SolverError, "^viscosity nu must be finite and positive, got "
+    if case == "empty":
+        times, match = (), "^a run needs at least one snapshot time$"
+    elif case == "omega-nan":
+        omega0.coeffs[1, 1] = np.nan
+        error, match = SolverAbort, "^non-finite state: vorticity at t = 0$"
+    else:
+        nu = {"nu-nan": math.nan, "nu-inf": math.inf, "nu-0": 0.0, "nu-negative": -1.0}[case]
+    steps, measured = _count_calls(monkeypatch, "_etd2_step"), []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            vorticity_simulate(omega0, nu, times, 0.25, _recorder(measured))
+    assert steps == [] and measured == []
+
+
+def _steps_per_gap(run, steps) -> list:
+    """The calls recorded in `steps` during each gap of `run(measure)`."""
+    return np.diff(run(lambda t, X: len(steps)).values).tolist()
+
+
+def test_both_solvers_split_each_gap_into_equal_steps(monkeypatch):
+    # each gap takes nsub = ceil(gap/dt - 1e-12) steps of gap/nsub: at dt = 0.25, gaps of
+    # 0.5, 0.75 and 0.25 (1 + 1e-9) take 2, 3 and 2, and gaps within 1e-13 relative of
+    # 3 dt take 3 (without the slack, the one above would take 4)
+    grid, dt, nu = make_grid(32, 20.0), 0.25, 1.0
+    times = tuple(itertools.accumulate((0.5, 0.75, 0.25 * (1 + 1e-9), 0.75 * (1 + 1e-13),
+                                        0.75 * (1 - 1e-13))))
+    gaps, nsubs = [b - a for a, b in zip((0.0,) + times, times)], [2, 3, 2, 3, 3]
+    advance, tables = _count_calls(monkeypatch, "_advance"), _count_calls(monkeypatch, "_tables")
+    cfg = SolverConfig(grid=grid, params=PARAMS, T=times[-1], dt=dt, snapshot_times=times)
+    assert _steps_per_gap(partial(simulate, _bump_state(grid, 1e-2), cfg), advance) == nsubs
+    assert [args[2] for args in tables] == [gap / nsub for gap, nsub in zip(gaps, nsubs)]
+
+    etd2 = _count_calls(monkeypatch, "_etd2_step")
+    run = partial(vorticity_simulate, _perturbed_dipole(grid, 0.5), nu, times, dt)
+    assert _steps_per_gap(run, etd2) == nsubs
+    mag2, _, inverse = grid.band.shells
+    for first, gap, nsub in zip(np.cumsum([0] + nsubs[:-1]), gaps, nsubs):
+        heat = etd2[first][3][0].args[0]  # the gap's first step's heat factor
+        assert np.array_equal(heat, np.exp(-nu * mag2 * (gap / nsub))[inverse])
+
+    # a linear run applies one exact S(gap) per gap and takes no step
+    builds, steps = _count_calls(monkeypatch, "s_symbol_grid"), len(advance)
+    linear = dataclasses.replace(cfg, nonlinear=False)
+    simulate(_bump_state(grid, 1e-2), linear, _nothing)
+    assert [args[0] for args in builds] == gaps and len(advance) == steps
 
 
 def test_scaled_params_equivalence():
