@@ -1,9 +1,10 @@
 """Command-line experiment runner: parse config, run experiments, write reports.
 
 Config files are plain ``key = value`` text (``#`` comments allowed).  Each
-key sets one field of ``harness.RunManifest``, the run's one configuration:
+key sets one field of ``harness.RunManifest``, the run's one configuration, once
+(``lambda`` and ``lam`` name one field; a repeat exits 2 naming both lines):
 
-    experiments   comma-separated experiment names (default: all)
+    experiments   comma-separated experiment names (default: all; none exits 2)
     n, L          grid resolution (power of two) and box size
     mu, lambda    shear and bulk viscosity (lambda + 2 mu > 0)
     rho_star      reference density
@@ -51,8 +52,9 @@ _KEYS = {f.name.lower(): f.name for f in fields(RunManifest)} | {"lambda": "lam"
 
 
 def _config_values(text: str) -> dict:
-    """Manifest fields set by key=value config text."""
+    """Manifest fields set by key=value config text; ConfigError if one is set twice."""
     values: dict = {}
+    first: dict = {}  # manifest field -> where the text set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -63,6 +65,9 @@ def _config_values(text: str) -> dict:
         name = _KEYS.get(key.lower())
         if name is None:
             raise ConfigError(f"unknown config key {key!r} (line {lineno})")
+        if name in first:
+            raise ConfigError(f"{key}: set twice, {first[name]} and as {key!r} on line {lineno}")
+        first[name] = f"as {key!r} on line {lineno}"
         if name == "experiments":
             values[name] = _experiment_names(value)
             continue
@@ -156,7 +161,7 @@ def main(argv=None) -> int:
         values = {}
         if args.config is not None:
             values = _config_values(Path(args.config).read_text())
-        if args.experiments:
+        if args.experiments is not None:
             values["experiments"] = _experiment_names(args.experiments)
         return run(RunManifest(**values), args.outdir)
     except (ConfigError, HarnessError) as err:

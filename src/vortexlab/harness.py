@@ -28,15 +28,13 @@ from .kernels import (
     KernelError,
     KernelSymbol,
     artificial_diagonal_field,
-    artificial_symbol_grid,
     default_cutoff,
     generator_symbol_grid,
     heat_leray_kernel_magnitudes,
-    heat_symbol_grid,
+    heat_weight,
     low_pass,
     phi_symbol_grid,
     s_symbol_grid,
-    spar_symbol_grid,
     split,
 )
 from .profiles import (
@@ -330,10 +328,9 @@ def run_kernel_algebra(ctx: RunManifest) -> ExperimentResult:
             worst = max(worst, _relative_deviation(St.compose(Ss).apply(X), Sts.apply(X)))
         result.add(f"semigroup-{kind.replace('_', '-')}", 0.0, worst, 1e-10, mode="bound")
 
-    a = heat_symbol_grid(0.6, small, params.mu).apply(
-        heat_symbol_grid(0.9, small, params.mu).apply(Xr)
-    )
-    b = heat_symbol_grid(1.5, small, params.mu).apply(Xr)
+    # the heat semigroup, through the weights the vorticity solver applies
+    a = (Xr * heat_weight(0, 0.9, small, params.mu)) * heat_weight(0, 0.6, small, params.mu)
+    b = Xr * heat_weight(0, 1.5, small, params.mu)
     result.add("semigroup-heat", 0.0, _relative_deviation(a, b), 1e-10, mode="bound")
 
     # (S(dt) - I)/dt against the generator, per wavevector with |eta1|, |eta2| <= 2
@@ -375,7 +372,7 @@ def run_kernel_algebra(ctx: RunManifest) -> ExperimentResult:
     result.add("split-partition", 0.0, partition, 1e-15, mode="bound")
 
     # a real state keeps an exactly Hermitian spectrum under the symbol
-    out = spar_symbol_grid(0.7, small, params).apply(Xr)
+    out = phi_symbol_grid(0, 0.7, small, params, "spar").apply(Xr)
     defect = float(max(c.hermitian_defect() for c in out.components()))
     result.add("realness", 0.0, defect, 0.0, mode="bound")
     return result
@@ -406,8 +403,8 @@ def _lf_kernel_rows(result: ExperimentResult, grid: Grid, params, chi) -> None:
         # array of one time alive while the next time's are made (the heap fragmented
         # and grew otherwise)
         for t in lf_times:
-            lf = spar_symbol_grid(t, band, params).scaled(chi)
-            lf_art = artificial_symbol_grid(t, band, params).scaled(chi)
+            lf = phi_symbol_grid(0, t, band, params, "spar").scaled(chi)
+            lf_art = phi_symbol_grid(0, t, band, params, "artificial_par").scaled(chi)
             diff_vals.append(sobolev_norm((lf - lf_art).apply(X0), 0, band))
             X = lf.apply(X0)
             del lf, lf_art
@@ -437,7 +434,7 @@ def _hf_decay_rows(result: ExperimentResult, grid: Grid, params, hf_pass, rng) -
     denom = sobolev_norm(Xr, 0)
     hf_vals = []
     for t in hf_times:
-        hf = spar_symbol_grid(t, grid, params).scaled(hf_pass)
+        hf = phi_symbol_grid(0, t, grid, params, "spar").scaled(hf_pass)
         hf_vals.append(sobolev_norm(hf.apply(Xr), 0) / denom)
     result.series["hf-decay"] = (hf_times, np.array(hf_vals))
     fit = _least_squares(hf_times, np.log(hf_vals))
@@ -509,7 +506,7 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
     perp_vals = {c[0]: [] for c in perp_cases}
     work = np.empty(grid.spectral_shape, complex)
     for t in perp_times:
-        h = np.exp(-params.mu * grid.eta_sq * t)
+        h = heat_weight(0, t, grid, params.mu)
         band = support_band(grid, h)
         h, core = band.gather(h), BandTransform(grid, work, band)
         for m0, sigmas in ((m_dipole, (0, 1)), (m_second, (0,))):
@@ -1152,6 +1149,8 @@ class RunManifest:
             raise ConfigError(f"epsilon: must be at least {least:.3g}, got {self.epsilon}")
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError(f"seed: must be a nonnegative integer, got {self.seed}")
+        if not self.experiments:
+            raise ConfigError("experiments: the list names no experiment")
         for name in self.experiments:
             if name not in RECORDS:
                 raise ConfigError(

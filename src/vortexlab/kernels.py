@@ -24,7 +24,9 @@ solver.
 Symbols are stored in Helmholtz form, five real entries per wavevector
 (`KernelSymbol`); sums, scalings, products and the frequency split stay in
 that form, so every time-indexed family is an exact matrix semigroup on the
-modes off the Nyquist row and column.
+modes off the Nyquist row and column.  `phi_symbol_grid` builds every time-indexed
+symbol (`s_symbol_grid` is the solver's S(t)) and `heat_weight` the scalar heat family
+exp(-mu |eta|^2 t), t phi_k(-mu |eta|^2 t); both evaluate once per shell and gather.
 """
 
 from __future__ import annotations
@@ -267,39 +269,31 @@ def _check_nonnegative_time(t: float):
         raise KernelError(f"kernel symbols are defined for t >= 0, got {t}")
 
 
-def _grid_symbol(kind: str, t: float, grid: Grid | Band, params: FluidParams, fk: int = 0):
-    """Entries of phi_fk(t * generator), times t when fk >= 1, evaluated once per
-    (|eta|^2, |eta_odd|^2) shell, then gathered."""
-    _check_nonnegative_time(t)
-    mag2, mag2_odd, inverse = grid.shells
-    entries = _entries(kind, t, mag2, mag2_odd, params, fk)
-    return KernelSymbol(grid, *((e * t if fk else e)[inverse] for e in entries))
-
-
-def spar_symbol_grid(t: float, grid: Grid | Band, params: FluidParams) -> KernelSymbol:
-    return _grid_symbol("spar", t, grid, params)
-
-
-def s_symbol_grid(t: float, grid: Grid | Band, params: FluidParams) -> KernelSymbol:
-    return _grid_symbol("s", t, grid, params)
-
-
-def artificial_symbol_grid(t: float, grid: Grid | Band, params: FluidParams) -> KernelSymbol:
-    return _grid_symbol("artificial_par", t, grid, params)
-
-
 def phi_symbol_grid(
     k: int, t: float, grid: Grid | Band, params: FluidParams, kind: str = "s"
 ) -> KernelSymbol:
     """The exponential-integrator weight of a step of length t as a blockwise symbol:
-    the kernel exp(t * generator) for k = 0, t phi_k(t * generator) for k >= 1."""
-    return _grid_symbol(kind, t, grid, params, fk=k)
-
-
-def heat_symbol_grid(t: float, grid: Grid, mu: float) -> KernelSymbol:
-    """Diagonal heat semigroup exp(mu t Laplacian) on all three components."""
+    the kernel exp(t * generator) for k = 0, t phi_k(t * generator) for k >= 1; its
+    entries are evaluated once per (|eta|^2, |eta_odd|^2) shell, then gathered."""
     _check_nonnegative_time(t)
-    return KernelSymbol.identity(grid).scaled(np.exp(-mu * grid.eta_sq * t))
+    mag2, mag2_odd, inverse = grid.shells
+    entries = _entries(kind, t, mag2, mag2_odd, params, k)
+    return KernelSymbol(grid, *((e * t if k else e)[inverse] for e in entries))
+
+
+def s_symbol_grid(t: float, grid: Grid | Band, params: FluidParams) -> KernelSymbol:
+    """The solver's kernel S(t), `phi_symbol_grid(0, t, grid, params)`."""
+    return phi_symbol_grid(0, t, grid, params)
+
+
+def heat_weight(k: int, t: float, lattice: Grid | Band, mu: float) -> np.ndarray:
+    """The scalar heat family on a lattice: the semigroup exp(-mu |eta|^2 t) for k = 0,
+    the exponential-integrator weight t phi_k(-mu |eta|^2 t) for k >= 1; evaluated once
+    per |eta|^2 shell, then gathered.  The k = 0 weight is real."""
+    _check_nonnegative_time(t)
+    mag2, _, inverse = lattice.shells
+    z = -mu * mag2 * t
+    return (np.exp(z) if k == 0 else t * phi(k, z))[inverse]
 
 
 def generator_symbol_grid(kind: str, grid: Grid, params: FluidParams) -> KernelSymbol:
@@ -391,7 +385,7 @@ def heat_leray_kernel_magnitudes(times, sigma, grid: Grid, params: FluidParams):
 
     def magnitudes():
         for t in times:
-            mult = derivative_factor * np.exp(-params.mu * grid.eta_sq * t)
+            mult = derivative_factor * heat_weight(0, t, grid, params.mu)
             r11, r12, r22 = (core.samples(r * mult) for r in r_perp)
             # R_perp is symmetric: the off-diagonal entry counts twice
             yield np.sqrt(r11**2 + r12**2 + r22**2 + r12**2)

@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .kernels import KernelSymbol, phi, phi_symbol_grid, s_symbol_grid
+from .kernels import KernelSymbol, heat_weight, phi_symbol_grid, s_symbol_grid
 from .profiles import FluidParams, PowerPressureLaw
 from .spectral import (
     Band,
@@ -347,20 +347,20 @@ def _march(times, dt, build, advance, snapshot, check, measure, diagnostics=()) 
     return Trajectory(times, tuple(values), tuple(diagnostics))
 
 
-def _diagnostics(grid: Grid):
-    """Diagnostics of a band snapshot as `diagnostics(X, t)`, from Parseval weights and
-    transform scratch made once per run; `simulate` adds the Kawashima energy.  `hs` and
+def _diagnostics(grid: Grid, rho_star: float = 1.0):
+    """Diagnostics of a physical band snapshot as `diagnostics(X, t)`, from Parseval weights
+    and transform scratch made once per run; `simulate` adds the Kawashima energy.  `hs` and
     `grad_hs1`, the H^{s-1} norm of the gradient (the dissipation half of the energy
-    bound), are band Parseval sums; `mass` is the density's eta = 0 entry, and
-    `min_density` is 1 + the density's minimum, slab by slab (NaN if a sample is)."""
-    band, core, dx2 = grid.band, BandTransform(grid, ()), grid.dx**2
+    bound), are band Parseval sums; `mass` is the density's eta = 0 entry, and `min_density`
+    is the vacuum guard's min(rho / rho_star), slab by slab (NaN if a sample is)."""
+    band, core, scale = grid.band, BandTransform(grid, ()), grid.dx**2 * rho_star
     grad_weight = band.eta_sq * band.sobolev_weight(HS_INDEX - 1)
     phys = core.sample_slab()
 
     def diagnostics(X: np.ndarray, t: float) -> dict:
         lows = []  # the density's minimum per slab; the step forms no products
         core.load(X[0]).round_trip(phys, lambda rho, rows: lows.append(
-            np.divide(rho, dx2, out=rho).min()))
+            np.divide(rho, scale, out=rho).min()))
         return {
             "t": t,
             "mass": float(X[0, 0, 0].real),
@@ -402,7 +402,7 @@ def simulate(X0: State, config: SolverConfig, measure: Callable) -> Trajectory:
     else:  # one exact S(gap) per gap: with dt = inf, each gap is one step of length gap
         dt, build, advance = (math.inf, lambda h: s_symbol_grid(h, band, params),
                               lambda symbol: np.copyto(stack, symbol.apply(stack)))
-    snapshot, diagnose, diagnostics = np.empty_like(stack), _diagnostics(grid), []
+    snapshot, diagnose, diagnostics = np.empty_like(stack), _diagnostics(grid, rs), []
     dissipation = 0.0
 
     def check(t, gap):
@@ -471,15 +471,12 @@ def vorticity_simulate(omega0: SpectralField, nu: float, snapshot_times, dt: flo
     if not (math.isfinite(nu) and nu > 0):
         raise SolverError(f"viscosity nu must be finite and positive, got {nu}")
     grid, band = omega0.grid, omega0.grid.band
-    mag2, _, inverse = band.shells
     omega = band.gather(omega0.coeffs[None])
     del omega0  # the run reads only its band
     stages, source = np.empty((3,) + omega.shape, omega.dtype), _vorticity_source(grid)
 
-    def build(h):
-        lh = -nu * mag2 * h  # per |eta|^2 shell, then gathered onto the band
-        return [partial(np.multiply, w[inverse])
-                for w in (np.exp(lh), h * phi(1, lh), h * phi(2, lh))]
+    def build(h):  # exp(-nu |eta|^2 h), h phi_1 and h phi_2 of -nu |eta|^2 h
+        return [partial(np.multiply, heat_weight(k, h, band, nu)) for k in range(3)]
 
     def advance(weights):
         with np.errstate(over="ignore", invalid="ignore"):  # reported by the check

@@ -363,9 +363,53 @@ def test_negative_seed_exits_2_before_compute(tmp_path, capsys, monkeypatch):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize(
+    "text, flag",
+    [("experiments =\n", []), ("n = 64\n", ["--experiments", ","]),
+     ("n = 64\n", ["--experiments", ""])],
+    ids=["config", "flag", "flag-empty"],
+)
+def test_empty_experiment_list_exits_2_before_any_output(tmp_path, capsys, text, flag):
+    # a list that names no experiment used to print "ALL PASS: 0/0", write outputs and exit 0
+    cfg = tmp_path / "none.cfg"
+    cfg.write_text(text)
+    outdir = tmp_path / "out"
+    code = main(["--config", str(cfg), "--outdir", str(outdir), *flag])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: experiments:")
+    assert captured.out == ""
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n = 64\nexperiments = kernel-algebra\nn = 128\n",
+         "n: set twice, as 'n' on line 1 and as 'n' on line 3"),
+        # both spellings set the bulk viscosity
+        ("lambda = 1\nlam = 2\nexperiments = kernel-algebra\n",
+         "lam: set twice, as 'lambda' on line 1 and as 'lam' on line 2"),
+    ],
+    ids=["n", "lambda-lam"],
+)
+def test_repeated_config_key_exits_2_before_compute(tmp_path, capsys, monkeypatch, text, message):
+    # the later line used to override the earlier one silently
+    monkeypatch.setitem(harness.EXPERIMENTS, "kernel-algebra", _never_run)
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(text)
+    outdir = tmp_path / "out"
+    code = main(["--config", str(cfg), "--outdir", str(outdir)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[0] == f"error: {message}"
+    assert not outdir.exists()
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        _config_values(text)
+
+
 def test_summary_context_records_the_pressure_law():
-    base = summary_dict([], RunManifest(experiments=()).context())["context"]
-    stiff = RunManifest(experiments=(), gamma=2.0, pressure_scale=3.0).context()
+    base = summary_dict([], RunManifest(experiments=("kernel-algebra",)).context())["context"]
+    stiff = RunManifest(experiments=("kernel-algebra",), gamma=2.0, pressure_scale=3.0).context()
     stiff = summary_dict([], stiff)["context"]
     assert (base["gamma"], base["pressure_scale"]) == (1.4, 1.0)
     assert (stiff["gamma"], stiff["pressure_scale"]) == (2.0, 3.0)

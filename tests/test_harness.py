@@ -321,7 +321,7 @@ def test_non_integral_n_is_rejected_before_compute(monkeypatch):
 )
 def test_equal_manifests_write_equal_contexts(given, plain):
     # each field keeps one number type, so equal manifests write the same summary bytes
-    a, b = RunManifest(experiments=(), **given), RunManifest(experiments=(), **plain)
+    a, b = (RunManifest(experiments=("kernel-algebra",), **kw) for kw in (given, plain))
     assert a == b
     dumps = [json.dumps(summary_dict([], ctx)["context"], sort_keys=True) for ctx in (a, b)]
     assert dumps[0] == dumps[1]
@@ -402,8 +402,7 @@ def test_kernel_rates_support_bands():
 def _half_lattice_rates_series(grid, params):
     """kernel-rates' low-frequency and heat-flow series with every spectrum built,
     applied and transformed on the whole half lattice."""
-    from vortexlab.kernels import (artificial_symbol_grid, default_cutoff, low_pass,
-                                   spar_symbol_grid)
+    from vortexlab.kernels import default_cutoff, low_pass, phi_symbol_grid
     from vortexlab.profiles import biot_savart, dipole_vorticity_field
     from vortexlab.spectral import derivative, lp_of_magnitude, magnitude, sobolev_norm
 
@@ -414,8 +413,8 @@ def _half_lattice_rates_series(grid, params):
     chi = low_pass(grid, default_cutoff(params))
     X0 = harness._localized_sound_state(grid)
     for t in np.geomspace(6.0, 56.0, 9):
-        lf = spar_symbol_grid(t, grid, params).scaled(chi)
-        lf_art = artificial_symbol_grid(t, grid, params).scaled(chi)
+        lf = phi_symbol_grid(0, t, grid, params, "spar").scaled(chi)
+        lf_art = phi_symbol_grid(0, t, grid, params, "artificial_par").scaled(chi)
         series.setdefault("kernel-difference-p2-s0", []).append(
             sobolev_norm((lf - lf_art).apply(X0), 0))
         X = lf.apply(X0)

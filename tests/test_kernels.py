@@ -6,19 +6,18 @@ from vortexlab.kernels import (
     KernelError,
     KernelSymbol,
     _entries,
-    _grid_symbol,
     _lambda_pm,
     artificial_diagonal_field,
     cutoff,
     default_cutoff,
     exp_divided_difference,
     heat_leray_kernel_magnitudes,
-    heat_symbol_grid,
+    heat_weight,
     low_pass,
     phi,
     phi_divided_difference,
+    phi_symbol_grid,
     s_symbol_grid,
-    spar_symbol_grid,
     split,
 )
 from vortexlab.profiles import FluidParams
@@ -265,7 +264,7 @@ def test_spar_symbol_mass_mode():
 
 def test_spar_symbol_rejects_negative_time():
     with pytest.raises(KernelError):
-        spar_symbol_grid(-0.1, make_grid(16, 5.0), PARAMS)
+        phi_symbol_grid(0, -0.1, make_grid(16, 5.0), PARAMS, "spar")
 
 
 def test_composed_and_artificial_identity_and_mass_mode(rng):
@@ -387,7 +386,7 @@ def test_s_symbol_matches_spar_on_curl_free_data(rng):
     X = State(rho, m)
     t = 0.9
     a = s_symbol_grid(t, grid, PARAMS).apply(X)
-    b = spar_symbol_grid(t, grid, PARAMS).apply(X)
+    b = phi_symbol_grid(0, t, grid, PARAMS, "spar").apply(X)
     for ca, cb in zip(a.components(), b.components()):
         assert np.abs((ca - cb).coeffs).max() < 1e-11
 
@@ -427,7 +426,7 @@ def test_apply_preserves_hermitian_symmetry_exactly(rng):
     grid = make_grid(32, 5.0)
     X = random_state(grid, rng)
     assert all(c.hermitian_defect() == 0.0 for c in X.components())
-    out = spar_symbol_grid(0.8, grid, PARAMS).apply(X)
+    out = phi_symbol_grid(0, 0.8, grid, PARAMS, "spar").apply(X)
     for comp in out.components():
         assert comp.hermitian_defect() == 0.0
 
@@ -467,7 +466,7 @@ def test_shell_builds_equal_lattice_builds(n, L):
     for kind in FAMILIES:
         for fk in range(4):
             for t in (0.0, 1e-3, 0.37, 1.9, 27.0):
-                sym = _grid_symbol(kind, t, grid, PARAMS, fk)
+                sym = phi_symbol_grid(fk, t, grid, PARAMS, kind)
                 lattice = _entries(kind, t, grid.eta_sq, grid.eta_sq_odd, PARAMS, fk)
                 # phi_k weights for k >= 1 carry the step length t
                 lattice = [t * e for e in lattice] if fk else lattice
@@ -510,7 +509,7 @@ def test_low_pass_scalings_equal_split_parts(kind):
     grid = make_grid(128, 100.0)
     r0 = default_cutoff(PARAMS)
     chi = low_pass(grid, r0)
-    sym = _grid_symbol(kind, 2.5, grid, PARAMS)
+    sym = phi_symbol_grid(0, 2.5, grid, PARAMS, kind)
     lf, hf = split(sym, r0)
     for part, weight in ((lf, chi), (hf, 1.0 - chi)):
         for a, b in zip(sym.scaled(weight)._arrays(), part._arrays()):
@@ -684,7 +683,31 @@ def test_heat_leray_decay_slopes():
 def test_heat_symbol_semigroup(rng):
     grid = make_grid(32, 5.0)
     X = random_state(grid, rng)
-    a = heat_symbol_grid(0.5, grid, 1.0).apply(heat_symbol_grid(0.25, grid, 1.0).apply(X))
-    b = heat_symbol_grid(0.75, grid, 1.0).apply(X)
+
+    def heat(t):
+        return KernelSymbol.identity(grid).scaled(heat_weight(0, t, grid, 1.0))
+
+    a = heat(0.5).apply(heat(0.25).apply(X))
+    b = heat(0.75).apply(X)
     for ca, cb in zip(a.components(), b.components()):
         assert np.abs((ca - cb).coeffs).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [64, 256, 512])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_heat_weight_equals_the_lattice_formula_bit_for_bit(n, k):
+    # one evaluation per |eta|^2 shell, gathered, is the formula on every entry of the
+    # half lattice and of the 2/3-rule band
+    grid, mu = make_grid(n, 200.0), 0.7
+    for lattice in (grid, grid.band):
+        for t in (1e-3, 0.1, 0.2421875, 0.9, 1.5, 8.0, 128.0):
+            z = -mu * lattice.eta_sq * t
+            expected = np.exp(z) if k == 0 else t * phi(k, z)
+            got = heat_weight(k, t, lattice, mu)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_heat_weight_rejects_negative_time():
+    for k in (0, 1):
+        with pytest.raises(KernelError):
+            heat_weight(k, -0.1, make_grid(16, 5.0), PARAMS.mu)

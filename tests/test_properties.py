@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from vortexlab.kernels import (
     FAMILIES,
-    heat_symbol_grid,
+    KernelSymbol,
+    heat_weight,
     phi_symbol_grid,
     s_symbol_grid,
-    spar_symbol_grid,
 )
 from vortexlab.profiles import FluidParams
 from vortexlab.spectral import (
@@ -75,10 +75,10 @@ def test_parseval_weights_match_full_lattice_sum(grid, seed, s):
 
 SYMBOLS = {
     "s": lambda t, g: s_symbol_grid(t, g, PARAMS),
-    "spar": lambda t, g: spar_symbol_grid(t, g, PARAMS),
+    "spar": lambda t, g: phi_symbol_grid(0, t, g, PARAMS, "spar"),
     "artificial": lambda t, g: phi_symbol_grid(0, t, g, PARAMS, "artificial"),
     "phi2": lambda t, g: phi_symbol_grid(2, t, g, PARAMS),
-    "heat": lambda t, g: heat_symbol_grid(t, g, PARAMS.mu),
+    "heat": lambda t, g: KernelSymbol.identity(g).scaled(heat_weight(0, t, g, PARAMS.mu)),
 }
 
 

@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from vortexlab.kernels import heat_symbol_grid, phi, s_symbol_grid
+from vortexlab.kernels import KernelSymbol, heat_weight, phi, s_symbol_grid
 from vortexlab.profiles import (
     FluidParams,
     biot_savart,
@@ -318,6 +318,19 @@ def test_nan_in_the_last_slab_is_non_finite(monkeypatch):
         assert np.isnan(diagnostics(X, 0.0)["min_density"])
 
 
+def test_min_density_is_the_guarded_ratio_away_from_unit_reference_density():
+    # at rho_star = 4 a density dip of -0.6 is min(rho / rho_star) = 0.85, the quantity
+    # the vacuum guard bounds, and the run goes on; 1 + min(rho_tilde) would read 0.40
+    grid = make_grid(64, 50.0)
+    params = FluidParams(rho_star=4.0)
+    rho = sample(grid, lambda a, b: -0.6 * np.exp(-(a**2 + b**2) / 8.0)).dealiased()
+    X0 = State(rho, (SpectralField.zero(grid), SpectralField.zero(grid)))
+    cfg = SolverConfig(grid=grid, params=params, T=0.5, snapshot_times=(0.5,))
+    first = simulate(X0, cfg, _nothing).diagnostics[0]["min_density"]
+    assert first == pytest.approx(1.0 + rho.values().min() / 4.0, rel=1e-12)
+    assert first == pytest.approx(0.85, abs=1e-3)
+
+
 def _count_calls(monkeypatch, name, replacement=None):
     """Calls of `solver.<name>` (or of `replacement`, standing in for it) from now on."""
     calls, fn = [], replacement or getattr(solver, name)
@@ -456,7 +469,7 @@ def test_simulate_divergence_free_data_keeps_density_second_order():
     for t, X in zip(traj.times[1:], states[1:]):
         assert lp_norm(X.rho, np.inf) < 30.0 * eps**2
         # m_perp follows the heat flow up to the quadratic coupling
-        heat = heat_symbol_grid(t, grid, PARAMS.mu).apply(X0)
+        heat = KernelSymbol.identity(grid).scaled(heat_weight(0, t, grid, PARAMS.mu)).apply(X0)
         perp, _ = leray_decompose(X.m)
         diff = (perp[0] - heat.m[0], perp[1] - heat.m[1])
         assert lp_norm(diff, 2) < 30.0 * eps**2
