@@ -19,7 +19,7 @@ import math
 import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -35,7 +35,6 @@ from .kernels import (
     low_pass,
     phi_symbol_grid,
     s_symbol_grid,
-    split,
 )
 from .profiles import (
     LOCALIZED_EDGE,
@@ -48,7 +47,6 @@ from .profiles import (
     first_moments_beta,
     oseen_pair_fields,
     oseen_vorticity_field,
-    profile_superposition,
     profile_vorticity,
     vorticity_of,
 )
@@ -240,16 +238,18 @@ class ExperimentResult:
     def decay(self, label, estimate, p, sigma, t, values, horizon, final_fraction, key=None):
         """Weight each value by t^predicted_exponent(estimate, p, sigma), keep
         the weighted residual as series[key or label] and report that it decays:
-        monotone over the last half of the run, and a final value below
-        `final_fraction` of the first."""
+        monotone over the last half of the run (HarnessError unless two samples lie in
+        it), and a final value below `final_fraction` of the first."""
         e = predicted_exponent(estimate, p, sigma)
         t = np.asarray(t)
         # per element on Python floats, as a vectorised power may round differently
         values = np.array([float(ti) ** e * v for ti, v in zip(t, values)])
         self.series[key or label] = (t, values)
         half = values[t >= horizon / 2.0 - 1e-9]
-        ratios = half[1:] / half[:-1]
-        monotone = float(ratios.max()) if len(ratios) else 0.0
+        if len(half) < 2:
+            raise HarnessError(f"{self.name}/{label}: a decay needs >= 2 samples in the last "
+                               f"half [h/2, h], got {len(half)}")
+        monotone = float((half[1:] / half[:-1]).max())
         self.add(f"{label}-monotone", 1.0, monotone, 0.0, p=p, sigma=sigma, mode="bound")
         self.add(f"{label}-final-fraction", final_fraction, float(values[-1] / values[0]), 0.0,
                  p=p, sigma=sigma, mode="bound")
@@ -366,9 +366,10 @@ def run_kernel_algebra(ctx: RunManifest) -> ExperimentResult:
     result.add("leray-idempotency", 0.0, worst_idem, 1e-12, mode="bound")
     result.add("leray-orthogonality", 0.0, float(worst_orth), 1e-12, mode="bound")
 
-    sym = s_symbol_grid(0.8, small, params)
-    lf, hf = split(sym, default_cutoff(params))
-    partition = float((lf + hf - sym).max_abs() / max(sym.max_abs(), 1e-300))
+    # the low- and high-frequency parts, scaled by the weight kernel-rates applies
+    sym, chi = s_symbol_grid(0.8, small, params), low_pass(small, default_cutoff(params))
+    deviation = (sym.scaled(chi) + sym.scaled(1.0 - chi) - sym).entry_magnitude().max()
+    partition = float(deviation / max(sym.entry_magnitude().max(), 1e-300))
     result.add("split-partition", 0.0, partition, 1e-15, mode="bound")
 
     # a real state keeps an exactly Hermitian spectrum under the symbol
@@ -467,8 +468,8 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
             result.rate(f"artificial-p{p:g}-s{sigma}", "artificial_kernel", p, sigma, art_times,
                         vals, 0.1, allow_log=(sigma == 0 and p in (1.0, np.inf)))
 
-    # the LF and HF parts are `split`'s, scaled by one low-pass weight made once; each
-    # section's state is made and freed inside its helper
+    # the LF and HF parts are the symbols' scalings by one low-pass weight made once and
+    # by its complement; each section's state is made and freed inside its helper
     chi = low_pass(grid, default_cutoff(params))
     _lf_kernel_rows(result, grid, params, chi)
     _hf_decay_rows(result, grid, params, 1.0 - chi, rng)
@@ -664,6 +665,8 @@ def _generic_state(grid: Grid, eps: float) -> State:
 
 # sound-decay: geometric snapshots on [1, h], its rates fit on [h / _SOUND_WINDOW, h]
 _SOUND_SNAPSHOTS, _SOUND_WINDOW = 14, 4.0
+# the runs with `decay` rows: geometric snapshots on [1, h], read on the last half [h/2, h]
+_DECAY_SNAPSHOTS = 12
 
 
 def _snapshot_times(T: float, n: int = _SOUND_SNAPSHOTS) -> tuple[float, ...]:
@@ -822,7 +825,8 @@ def _dipole_measurements(ctx: RunManifest, grid: Grid, horizon, times, ps):
         if t == 0.0:
             return None
         # one Leray split and one reference profile per snapshot
-        d = _perp_residual(grid, X, profile_superposition(moments, t, params, grid)[1], rs)
+        uref = biot_savart(profile_vorticity(moments, t, params, grid))
+        d = _perp_residual(grid, X, uref, rs)
         norms = [[lp_of_magnitude(mag, grid, p) for p in ps]
                  for mag in (magnitude(_dx(d, sigma)) for sigma in (0, 1))]
         if t != t_probe:
@@ -848,7 +852,7 @@ def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
     params = ctx.params
     rs = params.rho_star
     result = ExperimentResult(name)
-    times = _snapshot_times(horizon, 12)
+    times = _snapshot_times(horizon, _DECAY_SNAPSHOTS)
     ps = (2.0, np.inf)
 
     moments, norms, drift, t_probe = _dipole_measurements(ctx, grid, horizon, times, ps)
@@ -927,7 +931,7 @@ def run_vorticity_profiles(ctx: RunManifest) -> ExperimentResult:
     # moments while the field is still well localized
     omega0 = _vorticity_dipole_data(ctx, grid)
     moments = first_moments_beta(omega0, params)
-    times_b = _snapshot_times(T, 12)
+    times_b = _snapshot_times(T, _DECAY_SNAPSHOTS)
 
     def measure(t, w):
         if t == 0.0:
@@ -973,17 +977,20 @@ def _check_cfl(record, ctx: RunManifest):
         raise ConfigError(f"dt: {err} on the {record.name} box (L = {grid.L:g})") from None
 
 
-def _check_sound_window(record, ctx: RunManifest):
-    """N geometric snapshots on [1, h] put the last m in the fit window [h/w, h] iff
-    h <= w^((N - 1)/(m - 1)): 4^(13/5) for the run's N = 14, w = 4 and m = 6."""
-    horizon = record.horizon(ctx)
-    most = _SOUND_WINDOW ** ((_SOUND_SNAPSHOTS - 1) / (_MIN_FIT_SAMPLES - 1))
+def _check_window(snapshots: int, window: float, least: int, record, ctx: RunManifest):
+    """N geometric snapshots on [1, h] put the last m in the window [h/w, h] iff
+    h <= w^((N - 1)/(m - 1)): 4^(13/5) for sound-decay's rate fits (N = 14, w = 4,
+    m = 6), 2^11 for the decay rows' last half (N = 12, w = 2, m = 2)."""
+    horizon, most = record.horizon(ctx), window ** ((snapshots - 1) / (least - 1))
     if horizon > most:
         raise ConfigError(
-            f"T: {record.name} needs a horizon h <= {most:.4g} to keep {_MIN_FIT_SAMPLES} "
-            f"snapshots in its fit window [h/{_SOUND_WINDOW:g}, h]; T = {ctx.T:g} gives "
-            f"h = {horizon:.4g}"
+            f"T: {record.name} needs a horizon h <= {most:.4g} to keep {least} snapshots "
+            f"in its window [h/{window:g}, h]; T = {ctx.T:g} gives h = {horizon:.4g}"
         )
+
+
+_check_sound_window = partial(_check_window, _SOUND_SNAPSHOTS, _SOUND_WINDOW, _MIN_FIT_SAMPLES)
+_check_decay_window = partial(_check_window, _DECAY_SNAPSHOTS, 2.0, 2)
 
 
 def _check_dipole_horizon(record, ctx: RunManifest):
@@ -1000,7 +1007,8 @@ def _check_vorticity_data(record, ctx: RunManifest):
     band-edge tail exp(-nu (1 + t_1) eta_K^2), eta_K = 2 pi floor(n/3)/L, below the edge/peak
     ratio `first_moments_beta` takes as localized, on the record's box."""
     grid, t1 = record.grid(ctx), 1.0
-    tail = math.exp(-ctx.params.nu * (1.0 + t1) * (2.0 * math.pi * (grid.n // 3) / grid.L) ** 2)
+    k = int(grid.band.k_cols[-1])  # the band's edge index floor(n/3)
+    tail = math.exp(-ctx.params.nu * (1.0 + t1) * (2.0 * math.pi * k / grid.L) ** 2)
     if not tail < LOCALIZED_EDGE:
         raise ConfigError(
             f"n/L: {record.name} dipole data is not localized on its box (n = {grid.n}, L = "
@@ -1095,10 +1103,11 @@ RECORDS = {
         Experiment("nonlinear-smallness", run_nonlinear_smallness,
                    horizon_rule=_acoustic_horizon, checks=(_check_cfl,)),
         Experiment("incompressible-limit", run_incompressible_limit, box=_half_box,
-                   horizon_rule=_diffusive_horizon, checks=(_check_cfl, _check_dipole_data)),
+                   horizon_rule=_diffusive_horizon,
+                   checks=(_check_cfl, _check_decay_window, _check_dipole_data)),
         Experiment("vorticity-profiles", run_vorticity_profiles, box=_half_box,
                    horizon_rule=lambda ctx, grid: max(ctx.T, 64.0),
-                   checks=(_check_dipole_horizon, _check_vorticity_data)),
+                   checks=(_check_dipole_horizon, _check_vorticity_data, _check_decay_window)),
     )
 }
 
@@ -1169,8 +1178,9 @@ class RunManifest:
         try:
             law = PowerPressureLaw(gamma=self.gamma, scale=self.pressure_scale)
             return FluidParams(mu=self.mu, lam=self.lam, rho_star=self.rho_star, pressure=law)
-        except ProfileError as err:
-            raise ConfigError(f"mu/lambda/rho_star/gamma: {err}") from None
+        except ProfileError as err:  # the law's `scale` is the key pressure_scale
+            key = "pressure_scale" if err.param == "scale" else err.param
+            raise ConfigError(f"{key}: {err}") from None
 
     def context(self) -> RunManifest:
         """Run the selected experiments' prechecks (ConfigError before any compute)."""

@@ -15,18 +15,18 @@ Any entire function f of t*M follows from the Sylvester formula
 
     f(tM) = f(a) I + (tM - a I) * (f(a) - f(b)) / (a - b),
 
-with a = t lambda_plus, b = t lambda_minus; the divided difference is the
-only numerically delicate piece and switches to a series when |a - b| is
+with a = t lambda_plus, b = t lambda_minus; the divided difference (one entry for every
+k) is the only numerically delicate piece and switches to a series when |a - b| is
 small (double root |eta| = 2c/mu_par).  Taking f = exp yields the kernels
 themselves, f = phi_k yields the exponential-integrator weights used by the
 solver.
 
 Symbols are stored in Helmholtz form, five real entries per wavevector
-(`KernelSymbol`); sums, scalings, products and the frequency split stay in
-that form, so every time-indexed family is an exact matrix semigroup on the
-modes off the Nyquist row and column.  `phi_symbol_grid` builds every time-indexed
-symbol (`s_symbol_grid` is the solver's S(t)) and `heat_weight` the scalar heat family
-exp(-mu |eta|^2 t), t phi_k(-mu |eta|^2 t); both evaluate once per shell and gather.
+(`KernelSymbol`); sums, scalings (the low/high-frequency split is the scalings by
+`low_pass` and its complement) and products stay in that form, so every time-indexed
+family is an exact matrix semigroup on the modes off the Nyquist row and column.
+`phi_symbol_grid` builds every time-indexed symbol and `heat_weight` the scalar heat
+family exp(-mu |eta|^2 t), t phi_k(-mu |eta|^2 t); both evaluate once per shell and gather.
 """
 
 from __future__ import annotations
@@ -104,23 +104,17 @@ def _phi_derivative(k: int, z):
                        lambda z: (phi(k - 1, z) - k * phi(k, z)) / z, z)
 
 
-def exp_divided_difference(a, b):
-    """(exp(a) - exp(b)) / (a - b), and the symmetric series
-    exp((a+b)/2) * sinh(d/2)/(d/2) where |d| = |a - b| < 1e-5."""
+def phi_divided_difference(k: int, a, b):
+    """(phi_k(a) - phi_k(b)) / (a - b); where |d| = |a - b| < 1e-5, phi_k'((a+b)/2) for
+    k >= 1 and, for k = 0, the symmetric series exp((a+b)/2) * sinh(d/2)/(d/2)."""
 
     def series(a, b):
+        if k:
+            return _phi_derivative(k, 0.5 * (a + b))
         d = a - b
         return np.exp(0.5 * (a + b)) * (1.0 + d * d / 24.0 + d**4 / 1920.0)
 
-    return _branchwise(_near(a, b), series, lambda a, b: (np.exp(a) - np.exp(b)) / (a - b), a, b)
-
-
-def phi_divided_difference(k: int, a, b):
-    """(phi_k(a) - phi_k(b)) / (a - b), and phi_k'((a+b)/2) where |a - b| < 1e-5."""
-    if k == 0:
-        return exp_divided_difference(a, b)
-    return _branchwise(_near(a, b), lambda a, b: _phi_derivative(k, 0.5 * (a + b)),
-                       lambda a, b: (phi(k, a) - phi(k, b)) / (a - b), a, b)
+    return _branchwise(_near(a, b), series, lambda a, b: (phi(k, a) - phi(k, b)) / (a - b), a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +248,6 @@ class KernelSymbol:
         """Largest entry magnitude at each wavevector."""
         return np.abs(np.stack(self._arrays())).max(axis=0)
 
-    def max_abs(self) -> float:
-        return float(self.entry_magnitude().max())
-
     @staticmethod
     def identity(grid: Grid) -> "KernelSymbol":
         one = np.ones(grid.spectral_shape)
@@ -282,7 +273,8 @@ def phi_symbol_grid(
 
 
 def s_symbol_grid(t: float, grid: Grid | Band, params: FluidParams) -> KernelSymbol:
-    """The solver's kernel S(t), `phi_symbol_grid(0, t, grid, params)`."""
+    """The solver's kernel S(t), `phi_symbol_grid(0, t, grid, params)`; named, because the
+    benchmark probe imports it, its tracer counts it as a build and solver tests patch it."""
     return phi_symbol_grid(0, t, grid, params)
 
 
@@ -306,7 +298,7 @@ def generator_symbol_grid(kind: str, grid: Grid, params: FluidParams) -> KernelS
 
 
 # ---------------------------------------------------------------------------
-# frequency splitting
+# frequency cutoff
 
 def default_cutoff(params: FluidParams) -> float:
     """Cutoff radius r0; the oscillatory/diffusive transition |eta| = 2c/mu_par sits inside LF."""
@@ -326,12 +318,6 @@ def low_pass(grid: Grid | Band, r0: float) -> np.ndarray:
     """The low-pass weight chi = cutoff(|eta|, r0) on a grid's wavevectors; a symbol's
     low- and high-frequency parts are its scalings by chi and 1 - chi."""
     return cutoff(np.sqrt(grid.eta_sq), r0)
-
-
-def split(symbol: KernelSymbol, r0: float) -> tuple[KernelSymbol, KernelSymbol]:
-    """(low-frequency, high-frequency) parts at cutoff radius r0; their sum is the symbol."""
-    chi = low_pass(symbol.grid, r0)
-    return symbol.scaled(chi), symbol.scaled(1.0 - chi)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,11 @@ from .spectral import Grid, SpectralField, curl, lp_norm, sample, transform
 
 
 class ProfileError(ValueError):
-    pass
+    """A profile or fluid-parameter error; `param` names the rejected parameter, if one."""
+
+    def __init__(self, message: str, param: str | None = None):
+        super().__init__(message)
+        self.param = param
 
 
 # Largest edge/peak ratio of |omega| that `first_moments_beta` accepts as localized.
@@ -35,10 +39,16 @@ LOCALIZED_EDGE = 1e-10
 
 @dataclass(frozen=True)
 class PowerPressureLaw:
-    """Isentropic pressure P(rho) = scale * rho^gamma / gamma."""
+    """Isentropic pressure P(rho) = scale * rho^gamma / gamma, gamma != 0, scale > 0."""
 
     gamma: float = 1.4
     scale: float = 1.0
+
+    def __post_init__(self):
+        if self.gamma == 0:
+            raise ProfileError("pressure law P = scale rho^gamma / gamma needs gamma != 0", "gamma")
+        if not self.scale > 0:
+            raise ProfileError(f"pressure law must be increasing, got scale {self.scale}", "scale")
 
     def value(self, rho):
         return self.scale * np.asarray(rho) ** self.gamma / self.gamma
@@ -58,15 +68,16 @@ class FluidParams:
 
     def __post_init__(self):
         if not self.mu > 0:
-            raise ProfileError(f"shear viscosity must be positive, got {self.mu}")
+            raise ProfileError(f"shear viscosity must be positive, got {self.mu}", "mu")
         if not self.lam + 2 * self.mu > 0:
             raise ProfileError(
-                f"ellipticity requires lambda + 2 mu > 0, got {self.lam + 2 * self.mu}"
+                f"ellipticity requires lambda + 2 mu > 0, got {self.lam + 2 * self.mu}", "lam"
             )
         if not self.rho_star > 0:
-            raise ProfileError(f"reference density must be positive, got {self.rho_star}")
+            raise ProfileError(f"reference density must be positive, got {self.rho_star}",
+                               "rho_star")
         if not self.pressure.derivative(self.rho_star) > 0:
-            raise ProfileError("pressure law must be increasing at the reference density")
+            raise ProfileError("pressure law must have P'(rho_star) > 0", "rho_star")
 
     @cached_property
     def c(self) -> float:
@@ -178,7 +189,7 @@ def first_moments_beta(omega0: SpectralField, params: FluidParams) -> Moments:
 
 def profile_vorticity(moments: Moments, t: float, params: FluidParams, grid: Grid) -> SpectralField:
     """Dipole-family vorticity profile beta1 F1 + beta2 F2 at time t, sampled in
-    physical space."""
+    physical space; `biot_savart` of it is its exactly divergence-free velocity."""
     _check_time(t)
     b1, b2 = moments.beta
     w = np.zeros((grid.n, grid.n))
@@ -190,15 +201,6 @@ def profile_vorticity(moments: Moments, t: float, params: FluidParams, grid: Gri
     # the family has zero mean exactly; the lattice mean is truncation noise
     coeffs[0, 0] = 0.0
     return SpectralField(grid, coeffs)
-
-
-def profile_superposition(
-    moments: Moments, t: float, params: FluidParams, grid: Grid
-) -> tuple[SpectralField, tuple[SpectralField, SpectralField]]:
-    """`profile_vorticity` with its velocity, derived through the spectral Biot-Savart
-    law so it is exactly divergence-free."""
-    omega = profile_vorticity(moments, t, params, grid)
-    return omega, biot_savart(omega)
 
 
 def oseen_pair_fields(

@@ -466,7 +466,9 @@ def vorticity_simulate(omega0: SpectralField, nu: float, snapshot_times, dt: flo
     snapshot (`_march`) of the band spectrum, the live state.  The run's stages and source
     scratch are made once, and it drops its reference to omega0 after the gather.  A
     non-finite snapshot, t = 0 included, raises SolverAbort.  SolverError, before the
-    gather, unless nu is finite and positive and the snapshot times are valid."""
+    gather, unless dt and nu are finite and positive and the snapshot times are valid."""
+    if dt is None:  # SolverConfig's None is the acoustic CFL default; this run has none
+        raise SolverError("time step must be finite and positive, got None")
     times = _run_times(_time_grid(dt, snapshot_times))
     if not (math.isfinite(nu) and nu > 0):
         raise SolverError(f"viscosity nu must be finite and positive, got {nu}")

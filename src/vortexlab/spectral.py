@@ -106,13 +106,6 @@ class _Wavenumbers:
         weight[list(self.self_conjugate)] = 1.0
         return weight
 
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        # 2/3 rule per axis: keep |k| <= n/3
-        rows = np.abs(self.k_index) <= self.n // 3
-        cols = np.abs(self.k_cols) <= self.n // 3
-        return rows[:, None] & cols[None, :]
-
     @property
     def spectral_shape(self) -> tuple[int, int]:
         return (len(self.k_index), len(self.k_cols))
@@ -204,7 +197,13 @@ class Grid(_BandLayout):
 
     @cached_property
     def band(self) -> "Band":
+        """The 2/3-rule band |k1|, |k2| <= n/3, where dealiased spectra live."""
         return Band(self, self.n // 3)
+
+    @cached_property
+    def dealias_mask(self) -> np.ndarray:
+        """True on the half lattice's entries in `band`, False off it."""
+        return self.band.scatter(np.ones(self.band.spectral_shape, bool))
 
     @cached_property
     def xc1(self) -> np.ndarray:

@@ -309,6 +309,20 @@ def test_sound_decay_horizon_beyond_its_fit_window_exits_2_before_compute(
     assert _manifest("T = 36\nexperiments = sound-decay\n").T == 36.0
 
 
+def test_decay_horizon_beyond_its_window_exits_2_before_compute(tmp_path, capsys, monkeypatch):
+    # 12 geometric snapshots on [1, 2400] leave 1 in the decay window [1200, 2400]: the run
+    # passed every other precheck and its dipole-residual-monotone row passed on one sample
+    monkeypatch.setitem(harness.EXPERIMENTS, "vorticity-profiles", _never_run)
+    cfg = tmp_path / "window.cfg"
+    cfg.write_text("n = 1024\nL = 800\nT = 2400\nexperiments = vorticity-profiles\n")
+    outdir = tmp_path / "out"
+    code = main(["--config", str(cfg), "--outdir", str(outdir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: T: vorticity-profiles needs a horizon h <= 2048")
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize(
     "text, run, start",
     [

@@ -124,6 +124,32 @@ def test_result_collects_rows():
     assert set(result.series) == {"b", "c-series"}
 
 
+def test_decay_needs_two_samples_in_its_last_half():
+    # with one sample in [h/2, h] the monotone row used to pass on no ratio at all
+    t = np.geomspace(1.0, 2400.0, 12)
+    result = ExperimentResult("vorticity-profiles")
+    with pytest.raises(HarnessError, match=r"^vorticity-profiles/r: a decay needs >= 2 samples "
+                                           r"in the last half \[h/2, h\], got 1$"):
+        result.decay("r", "dipole_weight", 2.0, 0, t, t**-2.0, 2400.0, 0.2)
+    assert result.reports == []
+
+
+def test_decay_window_precheck(monkeypatch):
+    # h <= 2^11 keeps two of 12 geometric snapshots in [h/2, h], on both records with decay
+    # rows; the first config reached a one-sample monotone row, the second's diffusive
+    # horizon is capped at (0.075 * 650)^2 - 1 = 2375.6 on its half box
+    calls = []
+    for name in ("vorticity-profiles", "incompressible-limit"):
+        monkeypatch.setitem(harness.EXPERIMENTS, name, calls.append)
+    RunManifest(n=1024, L=800.0, T=2048.0, experiments=("vorticity-profiles",)).context()
+    for values in ({"n": 1024, "L": 800.0, "T": 2400.0, "experiments": ("vorticity-profiles",)},
+                   {"n": 2048, "L": 1300.0, "T": 2100.0, "experiments": ("incompressible-limit",)}):
+        ctx = RunManifest(**values)
+        with pytest.raises(ConfigError, match=r"^T: .* needs a horizon h <= 2048 .* \[h/2, h\]"):
+            ctx.context()
+    assert calls == []
+
+
 def test_predicted_exponent_table():
     assert predicted_exponent("artificial_kernel", 2.0, 0) == pytest.approx(-0.5)
     assert predicted_exponent("artificial_kernel", np.inf, 0) == pytest.approx(-1.25)
@@ -225,10 +251,20 @@ def test_run_experiment_rejects_a_horizon_of_one_or_less(monkeypatch):
         ("dt", {"dt": -0.1}),
         ("seed", {"seed": -1}),
         ("mu", {"mu": float("inf")}),
+        # each fluid-parameter error names its one key (all four used to start with
+        # "mu/lambda/rho_star/gamma:"); gamma = 0 used to run and divide by zero
+        ("mu", {"mu": 0.0}),
+        ("lam", {"lam": -3.0}),
+        ("rho_star", {"rho_star": 0.0}),
+        ("gamma", {"gamma": 0.0}),
+        ("pressure_scale", {"pressure_scale": 0.0}),
+        ("pressure_scale", {"pressure_scale": -1.0}),
     ],
     ids=["epsilon-negative", "epsilon-zero", "epsilon-minus-inf", "epsilon-underflow", "T-inf",
          "T-zero", "T-nan",
-         "dt-zero", "dt-negative", "seed-negative", "mu-inf"],
+         "dt-zero", "dt-negative", "seed-negative", "mu-inf",
+         "mu-zero", "lam-elliptic", "rho_star-zero", "gamma-zero", "pressure_scale-zero",
+         "pressure_scale-negative"],
 )
 def test_context_rejects_bad_values_before_compute(monkeypatch, key, values):
     # the library entry gets the checks the CLI makes (a negative epsilon used to run
@@ -460,7 +496,7 @@ def test_kernel_rates_band_series_equal_the_half_lattice_ones(n):
 
 def test_zero_amplitude_residuals_vanish_identically():
     # the eps = 0 limit of the profile-convergence residual is exactly zero
-    from vortexlab.profiles import FluidParams, Moments, profile_superposition
+    from vortexlab.profiles import FluidParams, Moments, biot_savart, profile_vorticity
     from vortexlab.solver import SolverConfig, simulate
     from vortexlab.spectral import State, leray_decompose, lp_norm, make_grid
 
@@ -473,7 +509,7 @@ def test_zero_amplitude_residuals_vanish_identically():
         if t == 0.0:
             return None
         perp, _ = leray_decompose(State.from_stack(grid, grid.band.scatter(X)).m)
-        _, uref = profile_superposition(moments, t, params, grid)
+        uref = biot_savart(profile_vorticity(moments, t, params, grid))
         diff = (perp[0] - uref[0], perp[1] - uref[1])
         return lp_norm(diff, 2), lp_norm(diff, np.inf)
 

@@ -10,7 +10,6 @@ from vortexlab.kernels import (
     artificial_diagonal_field,
     cutoff,
     default_cutoff,
-    exp_divided_difference,
     heat_leray_kernel_magnitudes,
     heat_weight,
     low_pass,
@@ -18,7 +17,6 @@ from vortexlab.kernels import (
     phi_divided_difference,
     phi_symbol_grid,
     s_symbol_grid,
-    split,
 )
 from vortexlab.profiles import FluidParams
 from vortexlab.spectral import (
@@ -66,7 +64,7 @@ def test_divided_difference_stable_across_threshold():
     # exact reference: (e^a - e^{a-d})/d = -e^a expm1(-d)/d for real d;
     # the direct branch (|d| >= 1e-5) loses at most ~eps/|d| relative accuracy
     for d in (1e-3, 1e-4, 1.01e-5, 0.99e-5, 1e-7, 1e-9):
-        v = exp_divided_difference(np.array([a]), np.array([a - d]))[0]
+        v = phi_divided_difference(0, np.array([a]), np.array([a - d]))[0]
         exact = -np.exp(a) * np.expm1(-d) / d
         tol = 1e-9 if d >= 1e-5 else 1e-12
         assert abs(v - exact) < tol * abs(exact)
@@ -166,7 +164,7 @@ def test_branchwise_phi_functions_equal_the_masked_evaluation():
         assert np.array_equal(_phi_derivative(k, zs), _masked_phi_derivative(k, zs))
         assert np.array_equal(phi_divided_difference(k, a, b),
                               _masked_phi_divided_difference(k, a, b))
-    assert np.array_equal(exp_divided_difference(a, b), _masked_exp_divided_difference(a, b))
+    assert np.array_equal(phi_divided_difference(0, a, b), _masked_exp_divided_difference(a, b))
     # 0-d arguments keep giving 0-d results
     assert phi(1, 0.3).shape == () and phi_divided_difference(2, 0.1, 0.1).shape == ()
 
@@ -475,7 +473,7 @@ def test_shell_builds_equal_lattice_builds(n, L):
 
 
 # ---------------------------------------------------------------------------
-# cutoff / split
+# cutoff / low-pass split
 
 
 def test_cutoff_plateaus():
@@ -497,23 +495,12 @@ def test_cutoff_rejects_bad_radius():
 
 
 def test_split_partition_of_unity(rng):
+    # the low- and high-frequency parts kernel-rates applies: scalings by one low-pass weight
     grid = make_grid(32, 5.0)
     sym = s_symbol_grid(0.7, grid, PARAMS)
-    lf, hf = split(sym, default_cutoff(PARAMS))
-    assert (lf + hf - sym).max_abs() < 1e-15 * max(1.0, sym.max_abs())
-
-
-@pytest.mark.parametrize("kind", ["spar", "artificial_par"])
-def test_low_pass_scalings_equal_split_parts(kind):
-    # kernel-rates scales each symbol by one low-pass weight made per run
-    grid = make_grid(128, 100.0)
-    r0 = default_cutoff(PARAMS)
-    chi = low_pass(grid, r0)
-    sym = phi_symbol_grid(0, 2.5, grid, PARAMS, kind)
-    lf, hf = split(sym, r0)
-    for part, weight in ((lf, chi), (hf, 1.0 - chi)):
-        for a, b in zip(sym.scaled(weight)._arrays(), part._arrays()):
-            assert np.array_equal(a, b)
+    chi = low_pass(grid, default_cutoff(PARAMS))
+    lf, hf = sym.scaled(chi), sym.scaled(1.0 - chi)
+    assert (lf + hf - sym).entry_magnitude().max() < 1e-15 * max(1.0, sym.entry_magnitude().max())
 
 
 # ---------------------------------------------------------------------------
