@@ -25,7 +25,7 @@ The package is organised in six modules:
 """
 
 from .spectral import Grid, SpectralField, State, make_grid, transform
-from .profiles import FluidParams, Moments, PowerPressureLaw
+from .profiles import FluidParams, Moments
 from .solver import SolverConfig, Trajectory, simulate
 from .harness import RunManifest, list_experiments, run_experiment
 
@@ -37,7 +37,6 @@ __all__ = [
     "transform",
     "FluidParams",
     "Moments",
-    "PowerPressureLaw",
     "SolverConfig",
     "Trajectory",
     "simulate",

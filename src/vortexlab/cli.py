@@ -9,7 +9,7 @@ key sets one field of ``harness.RunManifest``, the run's one configuration, once
     mu, lambda    shear and bulk viscosity (lambda + 2 mu > 0)
     rho_star      reference density
     gamma, pressure_scale
-                  isentropic pressure law P(rho) = scale rho^gamma / gamma
+                  isentropic pressure law P(rho) = pressure_scale rho^gamma / gamma
     epsilon       initial-data amplitude for solver experiments
     dt            time step (default: acoustic CFL bound; a larger value is
                   rejected on the box of each selected solver experiment)

@@ -17,7 +17,7 @@ divergence-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -38,35 +38,22 @@ LOCALIZED_EDGE = 1e-10
 
 
 @dataclass(frozen=True)
-class PowerPressureLaw:
-    """Isentropic pressure P(rho) = scale * rho^gamma / gamma, gamma != 0, scale > 0."""
-
-    gamma: float = 1.4
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.gamma == 0:
-            raise ProfileError("pressure law P = scale rho^gamma / gamma needs gamma != 0", "gamma")
-        if not self.scale > 0:
-            raise ProfileError(f"pressure law must be increasing, got scale {self.scale}", "scale")
-
-    def value(self, rho):
-        return self.scale * np.asarray(rho) ** self.gamma / self.gamma
-
-    def derivative(self, rho):
-        return self.scale * np.asarray(rho) ** (self.gamma - 1.0)
-
-
-@dataclass(frozen=True)
 class FluidParams:
-    """Viscosities, reference density and pressure law with derived constants."""
+    """The fluid config keys: viscosities, reference density and the isentropic pressure
+    law P(rho) = pressure_scale * rho^gamma / gamma (gamma != 0, pressure_scale > 0)."""
 
     mu: float = 1.0
     lam: float = 0.0
     rho_star: float = 1.0
-    pressure: PowerPressureLaw = field(default_factory=PowerPressureLaw)
+    gamma: float = 1.4
+    pressure_scale: float = 1.0
 
     def __post_init__(self):
+        if self.gamma == 0:
+            raise ProfileError("pressure law P = scale rho^gamma / gamma needs gamma != 0", "gamma")
+        if not self.pressure_scale > 0:
+            raise ProfileError(f"pressure law must be increasing, got scale {self.pressure_scale}",
+                               "pressure_scale")
         if not self.mu > 0:
             raise ProfileError(f"shear viscosity must be positive, got {self.mu}", "mu")
         if not self.lam + 2 * self.mu > 0:
@@ -76,13 +63,22 @@ class FluidParams:
         if not self.rho_star > 0:
             raise ProfileError(f"reference density must be positive, got {self.rho_star}",
                                "rho_star")
-        if not self.pressure.derivative(self.rho_star) > 0:
-            raise ProfileError("pressure law must have P'(rho_star) > 0", "rho_star")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected here
+            slope = self.pressure_derivative(self.rho_star)
+        if not (np.isfinite(slope) and slope > 0):
+            raise ProfileError(f"pressure law must have a finite P'(rho_star) > 0, got {slope}",
+                               "rho_star")
+
+    def pressure(self, rho):
+        return self.pressure_scale * np.asarray(rho) ** self.gamma / self.gamma
+
+    def pressure_derivative(self, rho):
+        return self.pressure_scale * np.asarray(rho) ** (self.gamma - 1.0)
 
     @cached_property
     def c(self) -> float:
         """Reference sound speed sqrt(P'(rho_star))."""
-        return float(np.sqrt(self.pressure.derivative(self.rho_star)))
+        return float(np.sqrt(self.pressure_derivative(self.rho_star)))
 
     @property
     def mu_par(self) -> float:

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from .kernels import KernelSymbol, heat_weight, phi_symbol_grid, s_symbol_grid
-from .profiles import FluidParams, PowerPressureLaw
+from .profiles import FluidParams
 from .spectral import (
     Band,
     BandTransform,
@@ -62,26 +62,17 @@ def scaled_params(params: FluidParams) -> FluidParams:
     """Equivalent parameters for the reduced variables (rho_star = 1)."""
     if params.rho_star == 1.0:
         return params
-    base = params.pressure
-    if not isinstance(base, PowerPressureLaw):
-        raise SolverError("only power pressure laws support density rescaling")
-    scaled_law = PowerPressureLaw(
-        gamma=base.gamma, scale=base.scale * params.rho_star ** (base.gamma - 1.0)
-    )
-    return FluidParams(
-        mu=params.mu / params.rho_star,
-        lam=params.lam / params.rho_star,
-        rho_star=1.0,
-        pressure=scaled_law,
-    )
+    r = params.rho_star
+    return replace(params, mu=params.mu / r, lam=params.lam / r, rho_star=1.0,
+                   pressure_scale=params.pressure_scale * r ** (params.gamma - 1.0))
 
 
 def pressure_remainder(params: FluidParams, rho_tilde: np.ndarray, one=None, out=None):
     """P(1 + r) - P(1) - c^2 r for the reduced density oscillation r, written into
     `out` if given; `one` holding 1 + r spares recomputing it, and is overwritten."""
-    law, one = params.pressure, 1.0 + rho_tilde if one is None else one
-    out = np.multiply(law.scale, np.power(one, law.gamma, out=out), out=out)
-    np.subtract(np.divide(out, law.gamma, out=out), law.value(1.0), out=out)
+    one = 1.0 + rho_tilde if one is None else one
+    out = np.multiply(params.pressure_scale, np.power(one, params.gamma, out=out), out=out)
+    np.subtract(np.divide(out, params.gamma, out=out), params.pressure(1.0), out=out)
     return np.subtract(out, np.multiply(params.c**2, rho_tilde, out=one), out=out)
 
 

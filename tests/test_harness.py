@@ -259,12 +259,15 @@ def test_run_experiment_rejects_a_horizon_of_one_or_less(monkeypatch):
         ("gamma", {"gamma": 0.0}),
         ("pressure_scale", {"pressure_scale": 0.0}),
         ("pressure_scale", {"pressure_scale": -1.0}),
+        # P'(rho_star) overflows to inf, so c = inf: it used to run with the semigroup
+        # rows reading 0 (PASS), or stop on an overflow warning under -W error
+        ("rho_star", {"rho_star": 1e10, "pressure_scale": 1e308}),
     ],
     ids=["epsilon-negative", "epsilon-zero", "epsilon-minus-inf", "epsilon-underflow", "T-inf",
          "T-zero", "T-nan",
          "dt-zero", "dt-negative", "seed-negative", "mu-inf",
          "mu-zero", "lam-elliptic", "rho_star-zero", "gamma-zero", "pressure_scale-zero",
-         "pressure_scale-negative"],
+         "pressure_scale-negative", "rho_star-slope-overflow"],
 )
 def test_context_rejects_bad_values_before_compute(monkeypatch, key, values):
     # the library entry gets the checks the CLI makes (a negative epsilon used to run
@@ -277,6 +280,12 @@ def test_context_rejects_bad_values_before_compute(monkeypatch, key, values):
         ctx = RunManifest(n=64, L=50.0, **values)
         run_experiment("kernel-algebra", ctx)
     assert calls == []
+
+
+def test_manifest_params_carry_the_fluid_keys():
+    params = RunManifest(gamma=2.0, pressure_scale=3.0, rho_star=4.0).params
+    assert (params.gamma, params.pressure_scale, params.rho_star) == (2.0, 3.0, 4.0)
+    assert params.c == np.sqrt(3.0 * 4.0**1.0)
 
 
 def test_epsilon_bound_keeps_the_fourth_power_normal():
@@ -392,6 +401,26 @@ def test_pointwise_bound_smoke():
         assert np.isfinite(rows[f"{label}-k-stability"])
 
 
+def test_far_tail_fails_on_a_nan_sample(monkeypatch):
+    # max over the samples keeps the first of a NaN and a number: a NaN at a later
+    # time used to read as the earlier samples' tail
+    real, calls = harness.artificial_diagonal_field, []
+
+    def field(t, grid, params, *args):
+        calls.append(None)
+        diag = real(t, grid, params, *args)
+        if len(calls) == 2:
+            diag[0, 0] = np.nan  # the box corner, far outside the ring
+        return diag
+
+    monkeypatch.setattr(harness, "artificial_diagonal_field", field)
+    # the K fit finds no resolved point in a field holding a NaN; this test is of the tail
+    monkeypatch.setattr(harness, "_fit_pointwise_constant", lambda *args: 1.0)
+    rows = {r.label: r for r in run_pointwise_bound(RunManifest()).reports}
+    assert np.isnan(rows["default-far-tail"].fitted)
+    assert not rows["default-far-tail"].passed
+
+
 def test_pointwise_bound_rejects_escaping_ring():
     from vortexlab.kernels import KernelError
 
@@ -406,6 +435,51 @@ def test_kernel_algebra_runs_small():
     res = run_experiment("kernel-algebra", ctx)
     assert res.passed
     assert len(res.reports) >= 10
+
+
+def test_semigroup_rows_fail_on_a_nan_deviation(monkeypatch):
+    # max(worst, nan) keeps worst, so one NaN pair used to read as an exact pass
+    real, calls = harness._relative_deviation, []
+
+    def deviation(a, b):
+        calls.append(None)
+        # call 20 k + 7 is the eighth (t, s) pair of the k-th semigroup row
+        return float("nan") if len(calls) <= 100 and len(calls) % 20 == 8 else real(a, b)
+
+    monkeypatch.setattr(harness, "_relative_deviation", deviation)
+    res = run_experiment("kernel-algebra", RunManifest(n=64, L=50.0))
+    rows = {r.label: r for r in res.reports}
+    for kind in ("spar", "s", "artificial-par", "artificial", "wave"):
+        assert np.isnan(rows[f"semigroup-{kind}"].fitted)
+        assert not rows[f"semigroup-{kind}"].passed
+    assert rows["semigroup-heat"].passed
+
+
+def test_leray_orthogonality_fails_on_a_nan_norm(monkeypatch):
+    # the row skips a pair with a zero norm; a NaN norm used to be skipped as well
+    real, calls = harness.lp_norm, []
+
+    def norm(f, p):
+        calls.append(None)
+        return float("nan") if len(calls) == 3 else real(f, p)
+
+    monkeypatch.setattr(harness, "lp_norm", norm)
+    res = run_experiment("kernel-algebra", RunManifest(n=64, L=50.0))
+    (row,) = (r for r in res.reports if r.label == "leray-orthogonality")
+    assert np.isnan(row.fitted) and not row.passed
+
+
+def test_linear_control_fails_on_a_nan_deviation(monkeypatch):
+    # max(0.0, *values) is 0.0 when one value is NaN: the row used to pass
+    def deviations(ctx, grid, eps, horizon, times, what, nonlinear=True):
+        if nonlinear:
+            return [eps**2 * np.log1p(t) for t in times]
+        return [0.0, float("nan")] + [0.0] * (len(times) - 2)
+
+    monkeypatch.setattr(harness, "_linear_deviations", deviations)
+    res = run_experiment("nonlinear-smallness", RunManifest(n=64, L=50.0))
+    (row,) = (r for r in res.reports if r.label == "linear-control")
+    assert np.isnan(row.fitted) and not row.passed
 
 
 def _rates_params():

@@ -4,7 +4,6 @@ import pytest
 from vortexlab.profiles import (
     FluidParams,
     Moments,
-    PowerPressureLaw,
     ProfileError,
     biot_savart,
     circulation_alpha,
@@ -88,7 +87,7 @@ def dipole_velocity(i: int, t: float, x, params: FluidParams):
 
 
 def test_fluid_params_derived_constants():
-    p = FluidParams(mu=2.0, lam=1.0, rho_star=4.0, pressure=PowerPressureLaw(gamma=2.0))
+    p = FluidParams(mu=2.0, lam=1.0, rho_star=4.0, gamma=2.0)
     assert p.mu_par == pytest.approx(5.0)
     assert p.nu == pytest.approx(0.5)
     assert p.c == pytest.approx(2.0)  # P'(rho) = rho, so c = sqrt(4)
