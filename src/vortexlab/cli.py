@@ -49,6 +49,8 @@ from .harness import (
 
 # config key, in any case -> manifest field; "lambda" names the bulk viscosity
 _KEYS = {f.name.lower(): f.name for f in fields(RunManifest)} | {"lambda": "lam"}
+# the manifest fields annotated int (n and seed); the other numbers are floats
+_INTEGERS = {f.name for f in fields(RunManifest) if f.type == "int"}
 
 
 def _config_values(text: str) -> dict:
@@ -71,7 +73,7 @@ def _config_values(text: str) -> dict:
         if name == "experiments":
             values[name] = _experiment_names(value)
             continue
-        kind, noun = (int, "an integer") if name in ("n", "seed") else (float, "a number")
+        kind, noun = (int, "an integer") if name in _INTEGERS else (float, "a number")
         try:
             values[name] = kind(value)
         except ValueError:

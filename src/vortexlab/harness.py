@@ -541,7 +541,9 @@ def _fit_pointwise_constant(field, radius, t, c, mu_par):
     double-precision transform floor, not on the kernel's analytic tail.
     """
     mag = np.abs(field)
-    resolved = mag > _RESOLVED_FLOOR * mag.max()
+    if not np.isfinite(peak := mag.max()):  # a NaN or infinite sample: no K bounds the field
+        return float("nan")
+    resolved = mag > _RESOLVED_FLOOR * peak
     s = np.abs(radius - c * t)
     inner = (radius <= c * (t - np.sqrt(t))) & resolved
     k_inner = 0.0
@@ -556,7 +558,7 @@ def _fit_pointwise_constant(field, radius, t, c, mu_par):
         # need max over outer points of log|F| + 5/4 log t + s^2/(k t) <= log k
         return float((log_out + s2_out / (k * t)).max()) <= np.log(k)
 
-    lo = max(k_inner, float(mag.max()) * t**1.25, 1e-12)
+    lo = max(k_inner, float(peak) * t**1.25, 1e-12)
     hi = lo
     for _ in range(200):
         if feasible(hi):
@@ -809,6 +811,12 @@ def _momentum_data(ctx: RunManifest, grid: Grid, u):
     return [State(SpectralField.zero(grid), (u[0] * scale, u[1] * scale)).dealiased()], amp
 
 
+def _beta_drift(late, moments) -> float:
+    """max_i |beta_i(late) - beta_i| / max_i |beta_i| of two moment records, NaN if a term is."""
+    scale = max(abs(moments.beta[0]), abs(moments.beta[1]))
+    return np.max([abs(late.beta[i] - moments.beta[i]) for i in (0, 1)]) / scale
+
+
 def _dipole_measurements(ctx: RunManifest, grid: Grid, horizon, times, ps):
     """incompressible-limit's dipole-data run, measured at each snapshot, so that no
     snapshot or residual outlives its measure: the data's first moments, the L^p norms
@@ -819,7 +827,6 @@ def _dipole_measurements(ctx: RunManifest, grid: Grid, horizon, times, ps):
     # moment consistency along the run, probed while the vorticity is still compactly
     # supported in the box
     t_probe = float(max(t for t in times if t <= 8.0))
-    beta_scale = max(abs(moments.beta[0]), abs(moments.beta[1]))
 
     def measure(t, X):
         if t == 0.0:
@@ -833,8 +840,7 @@ def _dipole_measurements(ctx: RunManifest, grid: Grid, horizon, times, ps):
             return norms, None
         m = tuple(SpectralField(grid, c) for c in grid.band.scatter(X[1:]))
         late = first_moments_beta(vorticity_of(m, params), params)
-        drift = np.max([abs(late.beta[0] - moments.beta[0]), abs(late.beta[1] - moments.beta[1])])
-        return norms, float(drift / beta_scale)
+        return norms, float(_beta_drift(late, moments))
 
     traj = _simulate(ctx, grid, data, horizon, times, "incompressible-limit dipole-data",
                      measure)
@@ -947,14 +953,9 @@ def run_vorticity_profiles(ctx: RunManifest) -> ExperimentResult:
                  key="dipole-residual-p2")
 
     drift = 0.0
-    beta_scale = max(abs(moments.beta[0]), abs(moments.beta[1]))
     for m in (m for _, m in traj.values[1:] if m is not None):
-        drift = np.max([
-            drift,
-            abs(m.beta[0] - moments.beta[0]) / beta_scale,
-            abs(m.beta[1] - moments.beta[1]) / beta_scale,
-            abs(m.alpha - moments.alpha) / max(abs(moments.alpha), 1e-12),
-        ])
+        drift = np.max([drift, _beta_drift(m, moments),
+                        abs(m.alpha - moments.alpha) / max(abs(moments.alpha), 1e-12)])
     result.add("moment-conservation", 0.0, float(drift), 1e-8, mode="bound")
     return result
 
@@ -1144,7 +1145,7 @@ class RunManifest:
                 continue
             if not math.isfinite(value):
                 raise ConfigError(f"{f.name}: must be finite, got {value}")
-            kind = int if f.name in ("n", "seed") else float
+            kind = int if f.type == "int" else float  # the annotation, as a string
             if kind is int and value != int(value):
                 raise ConfigError(f"{f.name}: must be an integer, got {value}")
             # one number type per field, so equal manifests write equal summaries

@@ -256,8 +256,8 @@ class KernelSymbol:
 
 
 def _check_nonnegative_time(t: float):
-    if t < 0:
-        raise KernelError(f"kernel symbols are defined for t >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise KernelError(f"kernel symbols are defined for finite t >= 0, got {t}")
 
 
 def phi_symbol_grid(

@@ -8,12 +8,12 @@ The integrator works in reduced variables (rho_tilde / rho_star, m / rho_star)
 so the flux decomposition reads literally with 1 + rho_tilde standing for
 rho / rho_star; `simulate` scales physical data in and out at its boundary.
 
-Both solvers take one ETD2 step, `_etd2_step`, in place on a stack of the 2/3-rule
-band (`Grid.band`), which dealiased data, the sources and every symbol keep.  Both runs
-go through one snapshot loop, `_march`, which holds no snapshot: it hands each to the
-caller's `measure(t, X)`.  Each run (or one `step`) makes its stage buffers, source
-scratch and diagnostic scratch once, and caches no step table.  Both sources and the
-density minimum of the diagnostics hold samples one slab of rows at a time (`round_trip`).
+Both solvers step a band stack (`Grid.band`, the 2/3 rule, which data, sources and symbols
+keep) in place through one snapshot loop, `_march`, which hands each snapshot to the caller's
+`measure(t, X)`: `build(h)` makes a gap's weights as `f(x, out=)` callables, `advance(weights)`
+takes a step, `_etd2_step` by default.  `_stepper` picks the compressible scheme (`_SCHEMES`)
+or linear branch for `simulate` and `step`.  A run makes its stages and scratch once and caches
+no weights; the sources and diagnostics hold samples one slab of rows at a time (`round_trip`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .kernels import KernelSymbol, heat_weight, phi_symbol_grid, s_symbol_grid
+from .kernels import heat_weight, phi_symbol_grid, s_symbol_grid
 from .profiles import FluidParams
 from .spectral import (
     Band,
@@ -167,6 +167,44 @@ def _etd2_step(X: np.ndarray, stages: np.ndarray, source, weights) -> None:
     np.add(a, phi2(n1, out=n0), out=X)
 
 
+def _etd2_weights(band: Band, params: FluidParams, h: float) -> list:
+    """`_etd2_step`'s weights E, h phi_1 and h phi_2 of a step of length h on the band."""
+    return [s_symbol_grid(h, band, params).apply, phi_symbol_grid(1, h, band, params).apply,
+            phi_symbol_grid(2, h, band, params).apply]
+
+
+def _etd4_weights(band: Band, params: FluidParams, h: float) -> list:
+    """`_etd4_step`'s weights of a step of length h on the band: E(h/2), h/2 phi_1(h/2),
+    E(h) and the quadrature weights of N(X), N(a) + N(b) and N(c)."""
+    exp = s_symbol_grid(h, band, params)
+    phi1, phi2, phi3 = (phi_symbol_grid(k, h, band, params) for k in (1, 2, 3))
+    w_alpha = phi1 + phi2.scaled(-3.0) + phi3.scaled(4.0)
+    w_beta = phi2.scaled(2.0) + phi3.scaled(-4.0)
+    w_gamma = phi3.scaled(4.0) + phi2.scaled(-1.0)
+    half = s_symbol_grid(0.5 * h, band, params), phi_symbol_grid(1, 0.5 * h, band, params)
+    return [w.apply for w in (*half, exp, w_alpha, w_beta, w_gamma)]
+
+
+def _etd4_step(X: np.ndarray, stages: np.ndarray, source, weights) -> None:
+    """One Cox-Matthews ETD4RK step of X in place from `_etd4_weights`, on stages it allocates."""
+    exp_half, phi1_half, exp, w_alpha, w_beta, w_gamma = weights
+    n0 = source(X, np.empty_like(X))
+    ex_half = exp_half(X)
+    a = ex_half + phi1_half(n0)
+    na = source(a, np.empty_like(a))
+    b = ex_half + phi1_half(na)
+    nb = source(b, np.empty_like(b))
+    c = exp_half(a) + phi1_half(nb * 2.0 - n0)
+    nc = source(c, np.empty_like(c))
+    X[...] = exp(X) + w_alpha(n0)
+    X += w_beta(na + nb)
+    X += w_gamma(nc)
+
+
+# scheme -> (its weights of a step of length h, its step): the one list of the schemes
+_SCHEMES = {"etd2": (_etd2_weights, _etd2_step), "etd4": (_etd4_weights, _etd4_step)}
+
+
 # ---------------------------------------------------------------------------
 # configuration and stepping
 
@@ -202,8 +240,8 @@ class SolverConfig:
     def __post_init__(self):
         if not self.T > 0:
             raise SolverError(f"horizon must be positive, got {self.T}")
-        if self.scheme not in ("etd2", "etd4"):
-            raise SolverError(f"unknown scheme {self.scheme!r} (use 'etd2' or 'etd4')")
+        if self.scheme not in _SCHEMES:
+            raise SolverError(f"unknown scheme {self.scheme!r} (use one of {', '.join(_SCHEMES)})")
         times = _time_grid(self.dt, self.snapshot_times, self.T)
         limit = cfl_limit(self.grid, self.params)
         if self.dt is not None and self.dt > limit * (1 + 1e-12):
@@ -217,72 +255,27 @@ class SolverConfig:
         return self.dt if self.dt is not None else cfl_limit(self.grid, self.params)
 
 
-@dataclass(frozen=True)
-class _StepTables:
-    exp_full: KernelSymbol
-    phi1: KernelSymbol
-    phi2: KernelSymbol
-    exp_half: KernelSymbol | None = None
-    phi1_half: KernelSymbol | None = None
-    w_alpha: KernelSymbol | None = None
-    w_beta: KernelSymbol | None = None
-    w_gamma: KernelSymbol | None = None
-
-
-def _tables(grid: Grid | Band, params: FluidParams, h: float, scheme: str) -> _StepTables:
-    """Symbol tables of one step of length h on the band, built on every call (no cache)."""
-    exp_full = s_symbol_grid(h, grid, params)
-    phi1 = phi_symbol_grid(1, h, grid, params)
-    phi2 = phi_symbol_grid(2, h, grid, params)
-    if scheme == "etd2":
-        return _StepTables(exp_full, phi1, phi2)
-    phi3 = phi_symbol_grid(3, h, grid, params)
-    w_alpha = phi1 + phi2.scaled(-3.0) + phi3.scaled(4.0)
-    w_beta = phi2.scaled(2.0) + phi3.scaled(-4.0)
-    w_gamma = phi3.scaled(4.0) + phi2.scaled(-1.0)
-    return _StepTables(
-        exp_full,
-        phi1,
-        phi2,
-        exp_half=s_symbol_grid(0.5 * h, grid, params),
-        phi1_half=phi_symbol_grid(1, 0.5 * h, grid, params),
-        w_alpha=w_alpha,
-        w_beta=w_beta,
-        w_gamma=w_gamma,
-    )
-
-
-def _advance(X: np.ndarray, stages: np.ndarray, source, tab: _StepTables, scheme: str) -> None:
-    """One ETD step of the stack X in place; ETD2 writes only into `stages` and the
-    source's scratch, ETD4 calls the same source and `apply` on stages it allocates."""
-    if scheme == "etd2":
-        _etd2_step(X, stages, source, (tab.exp_full.apply, tab.phi1.apply, tab.phi2.apply))
-        return
-    n0 = source(X, np.empty_like(X))
-    ex_half = tab.exp_half.apply(X)
-    a = ex_half + tab.phi1_half.apply(n0)
-    na = source(a, np.empty_like(a))
-    b = ex_half + tab.phi1_half.apply(na)
-    nb = source(b, np.empty_like(b))
-    c = tab.exp_half.apply(a) + tab.phi1_half.apply(nb * 2.0 - n0)
-    nc = source(c, np.empty_like(c))
-    X[...] = tab.exp_full.apply(X) + tab.w_alpha.apply(n0)
-    X += tab.w_beta.apply(na + nb)
-    X += tab.w_gamma.apply(nc)
+def _stepper(config: SolverConfig, stack: np.ndarray):
+    """`_march`'s (dt, build, advance) stepping the band `stack` in place: the scheme's, with its
+    stages and source scratch made once, or a linear run's one exact S(gap) per gap (dt = inf)."""
+    band, params = config.grid.band, scaled_params(config.params)
+    if not config.nonlinear:
+        return (math.inf, lambda h: s_symbol_grid(h, band, params),
+                lambda symbol: np.copyto(stack, symbol.apply(stack)))
+    weights, take = _SCHEMES[config.scheme]
+    stages, source = np.empty((3,) + stack.shape, stack.dtype), _fourier_source(config.grid, params)
+    return config.dt_effective, partial(weights, band, params), partial(take, stack, stages, source)
 
 
 def step(X: State, dt: float, config: SolverConfig) -> State:
-    """One ETD step of length dt on the band of a reduced-variable state; its symbol
-    tables, stages and source scratch are made on every call and nothing is cached."""
+    """One step of length dt of a reduced-variable state's band as `simulate` takes it, made
+    anew on each call; SolverError before any build unless dt passes `SolverConfig`'s checks."""
     if X.grid != config.grid:
         raise SolverError("state grid does not match config grid")
-    params, band = scaled_params(config.params), config.grid.band
-    tab = _tables(band, params, dt, config.scheme)
+    config, band = replace(config, dt=dt), config.grid.band
     stack = band.gather(np.stack([c.coeffs for c in X.components()]))
-    if not config.nonlinear:
-        return State.from_stack(config.grid, band.scatter(tab.exp_full.apply(stack)))
-    source = _fourier_source(config.grid, params)
-    _advance(stack, np.empty((3,) + stack.shape, stack.dtype), source, tab, config.scheme)
+    _, build, advance = _stepper(config, stack)
+    advance(build(dt))
     return State.from_stack(config.grid, band.scatter(stack))
 
 
@@ -382,17 +375,11 @@ def simulate(X0: State, config: SolverConfig, measure: Callable) -> Trajectory:
     if X0.grid != config.grid:
         raise SolverError("initial state grid does not match config grid")
     times, grid, band = _run_times(config.snapshot_times), config.grid, config.grid.band
-    rs, params, scheme = config.params.rho_star, scaled_params(config.params), config.scheme
+    rs = config.params.rho_star
     stack = band.gather(np.stack([c.coeffs for c in X0.components()]))
     del X0  # the run reads only its band
     stack *= 1.0 / rs
-    if config.nonlinear:
-        stages, source = np.empty((3,) + stack.shape, stack.dtype), _fourier_source(grid, params)
-        dt, build, advance = (config.dt_effective, lambda h: _tables(band, params, h, scheme),
-                              lambda tab: _advance(stack, stages, source, tab, scheme))
-    else:  # one exact S(gap) per gap: with dt = inf, each gap is one step of length gap
-        dt, build, advance = (math.inf, lambda h: s_symbol_grid(h, band, params),
-                              lambda symbol: np.copyto(stack, symbol.apply(stack)))
+    dt, build, advance = _stepper(config, stack)
     snapshot, diagnose, diagnostics = np.empty_like(stack), _diagnostics(grid, rs), []
     dissipation = 0.0
 

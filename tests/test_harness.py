@@ -414,11 +414,32 @@ def test_far_tail_fails_on_a_nan_sample(monkeypatch):
         return diag
 
     monkeypatch.setattr(harness, "artificial_diagonal_field", field)
-    # the K fit finds no resolved point in a field holding a NaN; this test is of the tail
+    # the K fit reads NaN on such a field (its own test below); this test is of the tail
     monkeypatch.setattr(harness, "_fit_pointwise_constant", lambda *args: 1.0)
     rows = {r.label: r for r in run_pointwise_bound(RunManifest()).reports}
     assert np.isnan(rows["default-far-tail"].fitted)
     assert not rows["default-far-tail"].passed
+
+
+def test_k_stability_fails_on_a_nan_field(monkeypatch):
+    # a NaN sample leaves no resolved point, and the K fit took the max of nothing, a bare
+    # ValueError past run_experiment's remap; it now reads NaN, and the row FAILs
+    real, calls = harness.artificial_diagonal_field, []
+
+    def field(t, grid, params, *args):
+        calls.append(None)
+        diag = real(t, grid, params, *args)
+        if len(calls) == 1:
+            diag[0, 0] = np.nan
+        return diag
+
+    monkeypatch.setattr(harness, "artificial_diagonal_field", field)
+    result = run_pointwise_bound(RunManifest())
+    rows = {r.label: r for r in result.reports}
+    assert np.isnan(result.extras["default"]["samples"][0]["k_fit"])
+    assert not np.isfinite(rows["default-k-stability"].fitted)
+    assert not rows["default-k-stability"].passed
+    assert rows["resolved-ring-k-stability"].passed
 
 
 def test_pointwise_bound_rejects_escaping_ring():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -698,3 +700,18 @@ def test_heat_weight_rejects_negative_time():
     for k in (0, 1):
         with pytest.raises(KernelError):
             heat_weight(k, -0.1, make_grid(16, 5.0), PARAMS.mu)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("build", ["s", "phi1", "heat", "artificial"])
+def test_kernels_reject_a_non_finite_time(build, t):
+    # NaN passed the t < 0 check, and NaN and inf built NaN kernels with a RuntimeWarning
+    grid = make_grid(16, 5.0)
+    call = {"s": lambda: s_symbol_grid(t, grid, PARAMS),
+            "phi1": lambda: phi_symbol_grid(1, t, grid, PARAMS),
+            "heat": lambda: heat_weight(0, t, grid, 1.0),
+            "artificial": lambda: artificial_diagonal_field(t, grid, PARAMS)}[build]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KernelError, match="^kernel symbols are defined for finite t >= 0"):
+            call()

@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from vortexlab.kernels import KernelSymbol, heat_weight, phi, s_symbol_grid
+from vortexlab.kernels import KernelSymbol, heat_weight, phi, phi_symbol_grid, s_symbol_grid
 from vortexlab.profiles import (
     FluidParams,
     biot_savart,
@@ -132,27 +132,30 @@ def _scaled_transform_source(X: State, params: FluidParams) -> State:
     return State(zero, (SpectralField(grid, s1 * mask), SpectralField(grid, s2 * mask)))
 
 
-def _reference_step(X: State, tab, params: FluidParams, scheme: str) -> State:
-    N = _reference_source
+def _reference_step(X: State, h: float, params: FluidParams, scheme: str) -> State:
+    """One step of length h, its weights built on the grid's half lattice."""
+    N, grid = _reference_source, X.grid
+    exp = s_symbol_grid(h, grid, params)
+    phi1, phi2, phi3 = (phi_symbol_grid(k, h, grid, params) for k in (1, 2, 3))
     if scheme == "etd2":
         n0 = N(X, params)
-        a = tab.exp_full.apply(X) + tab.phi1.apply(n0)
+        a = exp.apply(X) + phi1.apply(n0)
         n1 = N(a, params)
-        return a + tab.phi2.apply(n1 - n0)
+        return a + phi2.apply(n1 - n0)
+    exp_half = s_symbol_grid(0.5 * h, grid, params)
+    phi1_half = phi_symbol_grid(1, 0.5 * h, grid, params)
+    w_alpha = phi1 + phi2.scaled(-3.0) + phi3.scaled(4.0)
+    w_beta = phi2.scaled(2.0) + phi3.scaled(-4.0)
+    w_gamma = phi3.scaled(4.0) + phi2.scaled(-1.0)
     n0 = N(X, params)
-    ex_half = tab.exp_half.apply(X)
-    a = ex_half + tab.phi1_half.apply(n0)
+    ex_half = exp_half.apply(X)
+    a = ex_half + phi1_half.apply(n0)
     na = N(a, params)
-    b = ex_half + tab.phi1_half.apply(na)
+    b = ex_half + phi1_half.apply(na)
     nb = N(b, params)
-    c = tab.exp_half.apply(a) + tab.phi1_half.apply(nb * 2.0 - n0)
+    c = exp_half.apply(a) + phi1_half.apply(nb * 2.0 - n0)
     nc = N(c, params)
-    return (
-        tab.exp_full.apply(X)
-        + tab.w_alpha.apply(n0)
-        + tab.w_beta.apply(na + nb)
-        + tab.w_gamma.apply(nc)
-    )
+    return exp.apply(X) + w_alpha.apply(n0) + w_beta.apply(na + nb) + w_gamma.apply(nc)
 
 
 def _bump_state(grid, eps, widths=(8.0, 10.0, 12.0)):
@@ -332,14 +335,19 @@ def test_min_density_is_the_guarded_ratio_away_from_unit_reference_density():
 
 
 def _count_calls(monkeypatch, name, replacement=None):
-    """Calls of `solver.<name>` (or of `replacement`, standing in for it) from now on."""
-    calls, fn = [], replacement or getattr(solver, name)
+    """Calls of `solver.<name>` (or of `replacement`, standing in for it) from now on, also
+    where the scheme table `solver._SCHEMES` holds it."""
+    calls, original = [], getattr(solver, name)
+    fn = replacement or original
 
     def counted(*args):
         calls.append(args)
         return fn(*args)
 
     monkeypatch.setattr(solver, name, counted)
+    for scheme, pair in list(solver._SCHEMES.items()):
+        monkeypatch.setitem(solver._SCHEMES, scheme,
+                            tuple(counted if f is original else f for f in pair))
     return calls
 
 
@@ -351,7 +359,7 @@ def test_non_finite_state_trips_the_guards(monkeypatch):
     bad = State(SpectralField(grid, coeffs), X0.m)
     with pytest.raises(SolverAbort, match="non-finite"):
         _fourier_source(bad, PARAMS)
-    steps = _count_calls(monkeypatch, "_advance")
+    steps = _count_calls(monkeypatch, "_etd2_step")
     linear_steps = _count_calls(monkeypatch, "s_symbol_grid")
     measured = []
     for nonlinear in (True, False):
@@ -367,7 +375,7 @@ def test_non_finite_state_trips_the_guards(monkeypatch):
     def go_non_finite(X, *args):
         X[...] = grid.band.gather(np.stack([c.coeffs for c in bad.components()]))
 
-    steps = _count_calls(monkeypatch, "_advance", go_non_finite)
+    steps = _count_calls(monkeypatch, "_etd2_step", go_non_finite)
     cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0))
     with pytest.raises(SolverAbort, match=r"^non-finite state: H\^s = nan$"):
         simulate(X0, cfg, _recorder(measured))
@@ -413,6 +421,22 @@ def test_step_linear_limit_exact():
     direct = s_symbol_grid(0.2, grid, PARAMS).apply(X)
     diff = out - direct
     assert max(np.abs(c.coeffs).max() for c in diff.components()) == 0.0
+
+
+@pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "linear"])
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 100.0, 0.0, -0.1],
+                         ids=["nan", "inf", "above-cfl", "zero", "negative"])
+def test_step_checks_dt_before_any_build(monkeypatch, dt, nonlinear):
+    # step used to build NaN weights at dt = nan or inf and return a NaN state (linear) or
+    # abort in the source after the compute, and to step past the CFL bound, 0.3125 here
+    grid = make_grid(32, 20.0)
+    X = _bump_state(grid, 1e-2)
+    cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, nonlinear=nonlinear)
+    step(X, cfg.dt_effective, cfg)  # at the bound itself, as the benchmark probe steps
+    builds = [_count_calls(monkeypatch, name) for name in ("s_symbol_grid", "phi_symbol_grid")]
+    with pytest.raises(SolverError, match="^time step must be finite and positive|CFL"):
+        step(X, dt, cfg)
+    assert builds == [[], []]
 
 
 @pytest.mark.parametrize("scheme,min_order", [("etd2", 1.9), ("etd4", 3.7)])
@@ -543,10 +567,9 @@ def test_step_bitwise_equals_reference(scheme, n, L):
     for t_snap in cfg.snapshot_times:
         gap = t_snap - t_prev
         nsub = max(1, int(np.ceil(gap / dt - 1e-12)))
-        # the oracle's tables live on the grid's half lattice, not on the band
-        tab = solver._tables(grid, PARAMS, gap / nsub, scheme)
+        # the oracle's weights live on the grid's half lattice, not on the band
         for _ in range(nsub):
-            X = _reference_step(X, tab, PARAMS, scheme)
+            X = _reference_step(X, gap / nsub, PARAMS, scheme)
         expected.append(X)
         t_prev = t_snap
     assert len(traj.times) == len(traj.values) == 3
@@ -555,7 +578,7 @@ def test_step_bitwise_equals_reference(scheme, n, L):
             assert np.array_equal(a.coeffs, b.coeffs)
     # step() makes the same step on its own workspace
     one = step(X0, dt, cfg)
-    ref = _reference_step(X0, solver._tables(grid, PARAMS, dt, scheme), PARAMS, scheme)
+    ref = _reference_step(X0, dt, PARAMS, scheme)
     for a, b in zip(one.components(), ref.components(), strict=True):
         assert np.array_equal(a.coeffs, b.coeffs)
     # simulate leaves X0 alone, and hands each measure a read-only snapshot that shares
@@ -714,10 +737,10 @@ def test_etd2_step_allocates_no_lattice_temporaries():
     # arrays (apply's scratch among them), not at a State per term
     grid = make_grid(64, 50.0)
     X0 = random_state(grid, np.random.default_rng(3), 1e-2).dealiased()
-    tab = solver._tables(grid.band, PARAMS, cfl_limit(grid, PARAMS), "etd2")
+    weights = solver._etd2_weights(grid.band, PARAMS, cfl_limit(grid, PARAMS))
     X = grid.band.gather(np.stack([c.coeffs for c in X0.components()]))
     stages, source = np.empty((3,) + X.shape, X.dtype), solver._fourier_source(grid, PARAMS)
-    assert _warm_step_peak(grid, lambda: solver._advance(X, stages, source, tab, "etd2")) <= 4.0
+    assert _warm_step_peak(grid, lambda: solver._etd2_step(X, stages, source, weights)) <= 4.0
 
 
 def test_snapshot_diagnostics_allocate_no_lattice_temporaries():
@@ -762,7 +785,7 @@ def test_simulate_vacuum_abort_raises(monkeypatch):
     rho = sample(grid, lambda a, b: -0.7 * np.exp(-(a**2 + b**2) / 8.0))
     X0 = State(rho, (SpectralField.zero(grid), SpectralField.zero(grid)))
     cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0))
-    steps, measured = _count_calls(monkeypatch, "_advance"), []
+    steps, measured = _count_calls(monkeypatch, "_etd2_step"), []
     with pytest.raises(VacuumError, match=r"^vacuum guard tripped: min\(1 \+ rho_tilde\) = "):
         simulate(X0, cfg, _recorder(measured))
     assert len(steps) == 1  # the first step's source meets the vacuum
@@ -775,7 +798,7 @@ def test_simulate_energy_guard_aborts(monkeypatch):
     grid = make_grid(32, 20.0)
     X0 = _bump_state(grid, 1e-2)
     cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0))
-    steps, measured = _count_calls(monkeypatch, "_advance"), []
+    steps, measured = _count_calls(monkeypatch, "_etd2_step"), []
     with pytest.raises(SolverAbort, match=r"^energy blow-up: H\^s grew to .* \(> 0\.1 x initial"):
         simulate(X0, cfg, _recorder(measured))
     assert len(steps) == 2  # the first gap's steps; the offending snapshot stops the run
@@ -862,7 +885,8 @@ def test_both_solvers_split_each_gap_into_equal_steps(monkeypatch):
     times = tuple(itertools.accumulate((0.5, 0.75, 0.25 * (1 + 1e-9), 0.75 * (1 + 1e-13),
                                         0.75 * (1 - 1e-13))))
     gaps, nsubs = [b - a for a, b in zip((0.0,) + times, times)], [2, 3, 2, 3, 3]
-    advance, tables = _count_calls(monkeypatch, "_advance"), _count_calls(monkeypatch, "_tables")
+    advance = _count_calls(monkeypatch, "_etd2_step")
+    tables = _count_calls(monkeypatch, "_etd2_weights")
     cfg = SolverConfig(grid=grid, params=PARAMS, T=times[-1], dt=dt, snapshot_times=times)
     assert _steps_per_gap(partial(simulate, _bump_state(grid, 1e-2), cfg), advance) == nsubs
     assert [args[2] for args in tables] == [gap / nsub for gap, nsub in zip(gaps, nsubs)]
