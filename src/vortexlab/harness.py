@@ -257,11 +257,12 @@ class ExperimentResult:
 def _lp_series(grid: Grid, magnitudes, ps):
     """L^p norms of each pointwise-magnitude array, one list per p in `ps`.  Pass a
     generator: each array is then made only after the previous one was measured at
-    every p."""
+    every p and released."""
     vals = [[] for _ in ps]
     for mag in magnitudes:
         for out, p in zip(vals, ps):
             out.append(lp_of_magnitude(mag, grid, p))
+        del mag  # before the next array is made
     return vals
 
 
@@ -395,7 +396,7 @@ def _lf_kernel_rows(result: ExperimentResult, grid: Grid, params, chi) -> None:
     weight `chi`: the curl-free LF kernel and the kernel difference on a localized state."""
     band = support_band(grid, chi)
     chi, core = band.gather(chi), BandTransform(grid, (), band)
-    X0 = band.gather(np.stack([f.coeffs for f in _localized_sound_state(grid).components()]))
+    X0 = np.stack([band.gather(f.coeffs) for f in _localized_sound_state(grid).components()])
     lf_times = np.geomspace(6.0, 56.0, 9)
     diff_vals = []
 
@@ -404,11 +405,12 @@ def _lf_kernel_rows(result: ExperimentResult, grid: Grid, params, chi) -> None:
         # array of one time alive while the next time's are made (the heap fragmented
         # and grew otherwise)
         for t in lf_times:
-            lf = phi_symbol_grid(0, t, band, params, "spar").scaled(chi)
-            lf_art = phi_symbol_grid(0, t, band, params, "artificial_par").scaled(chi)
+            lf = phi_symbol_grid(0, t, band, params, "spar").scale(chi)
+            lf_art = phi_symbol_grid(0, t, band, params, "artificial_par").scale(chi)
             diff_vals.append(sobolev_norm((lf - lf_art).apply(X0), 0, band))
+            del lf_art
             X = lf.apply(X0)
-            del lf, lf_art
+            del lf
             yield core.magnitude(X)
             yield core.magnitude(X * derivative_multiplier(band, (1, 0)))
             del X
@@ -429,18 +431,40 @@ def _lf_kernel_rows(result: ExperimentResult, grid: Grid, params, chi) -> None:
 
 def _hf_decay_rows(result: ExperimentResult, grid: Grid, params, hf_pass, rng) -> None:
     """kernel-rates' high-frequency exponential decay with fitted rate b, measured on
-    a random state that is freed on return."""
+    a random state held as one stack, applied into one output stack; each time's symbol
+    is scaled in place and freed before the output's norm."""
     hf_times = np.linspace(1.0, 10.0, 10)
-    Xr = _hermitian_random_state(grid, rng)
-    denom = sobolev_norm(Xr, 0)
-    hf_vals = []
+    Xr = np.empty((3,) + grid.spectral_shape, complex)
+    for row in Xr:
+        row[...] = _random_field(grid, rng).coeffs
+    denom = sobolev_norm(Xr, 0, grid)
+    out, hf_vals = np.empty_like(Xr), []
     for t in hf_times:
-        hf = phi_symbol_grid(0, t, grid, params, "spar").scaled(hf_pass)
-        hf_vals.append(sobolev_norm(hf.apply(Xr), 0) / denom)
+        phi_symbol_grid(0, t, grid, params, "spar").scale(hf_pass).apply(Xr, out)
+        hf_vals.append(sobolev_norm(out, 0, grid) / denom)
     result.series["hf-decay"] = (hf_times, np.array(hf_vals))
     fit = _least_squares(hf_times, np.log(hf_vals))
     result.add("hf-exponential-rate", 0.0, -fit.slope, 0.0, r2=fit.r2, mode="positive",
                meta={"envelope": "exp(-b t)"})
+
+
+def _heat_flow_magnitudes(grid: Grid, mu: float, data, times, max_sigma: int):
+    """Per time, the magnitudes of D^(sigma, 0) of the heat flow exp(mu t Delta) of the
+    data fields for sigma = 0, ..., max_sigma in turn, on the smallest band that holds the
+    heat factor: one flow per time, each derivative made in place on the last."""
+    work = np.empty(grid.spectral_shape, complex)
+    for t in times:
+        h = heat_weight(0, t, grid, mu)
+        band = support_band(grid, h)
+        h, core = band.gather(h), BandTransform(grid, work, band)
+        fields = [band.gather(f.coeffs) for f in data]
+        for f in fields:
+            np.multiply(h, f, out=f)
+        for sigma in range(max_sigma + 1):
+            if sigma:
+                for f in fields:
+                    f *= derivative_multiplier(band, (1, 0))
+            yield core.magnitude(fields)
 
 
 def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
@@ -464,15 +488,17 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
     art_ps = (1.0, 2.0, np.inf)
     for sigma in (0, 1):
         fields = (artificial_diagonal_field(t, grid, ring_params, (sigma, 0)) for t in art_times)
-        for p, vals in zip(art_ps, _lp_series(grid, (np.abs(f) for f in fields), art_ps)):
+        for p, vals in zip(art_ps, _lp_series(grid, (np.abs(f, out=f) for f in fields), art_ps)):
             result.rate(f"artificial-p{p:g}-s{sigma}", "artificial_kernel", p, sigma, art_times,
                         vals, 0.1, allow_log=(sigma == 0 and p in (1.0, np.inf)))
 
     # the LF and HF parts are the symbols' scalings by one low-pass weight made once and
-    # by its complement; each section's state is made and freed inside its helper
+    # by its complement, made in place; each section's state is made and freed inside
+    # its helper
     chi = low_pass(grid, default_cutoff(params))
     _lf_kernel_rows(result, grid, params, chi)
-    _hf_decay_rows(result, grid, params, 1.0 - chi, rng)
+    _hf_decay_rows(result, grid, params, np.subtract(1.0, chi, out=chi), rng)
+    del chi
 
     # heat-Leray kernel norms (non-zero multi-index only; exact power laws)
     hl_times = np.geomspace(1.0, 16.0, 9)
@@ -481,47 +507,34 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
     for p, vals in zip(hl_ps, _lp_series(grid, hl_mags, hl_ps)):
         result.rate(f"heat-leray-p{p:g}-s1", "heat_leray", p, 1, hl_times, vals, 0.1)
 
-    # heat flow of Biot-Savart data (fit past the age of the sampled profile)
-    perp_times = np.geomspace(8.0, 128.0, 9)
+    # heat flow of Biot-Savart data (fit past the age of the sampled profile), one data set
+    # at a time: the second-moment data are made once the dipole data's rows are measured,
+    # and the dipole vorticity is freed once they are made
+    perp_times, perp_ps = np.geomspace(8.0, 128.0, 9), (2.0, np.inf)
     omega_dipole = dipole_vorticity_field(grid, 1, 1.0, params)
-    m_dipole = biot_savart(omega_dipole)
+    dipole_mags = _heat_flow_magnitudes(grid, params.mu, biot_savart(omega_dipole), perp_times, 1)
+    dipole_vals = _lp_series(grid, dipole_mags, perp_ps)
     m_second = biot_savart(derivative(omega_dipole, (1, 0)))
-    radius = np.hypot(grid.xc1, grid.xc2)
-    perp_cases = [
-        (f"perp-dipole-p{p:g}-s{sigma}", "heat_dipole_data", m_dipole, p, sigma, None, 0.1)
-        for p in (2.0, np.inf)
-        for sigma in (0, 1)
-    ]
-    perp_cases += [
-        (f"perp-second-moment-p{p:g}-s0", "heat_second_moment_data", m_second, p, 0, None, 0.1)
-        for p in (2.0, np.inf)
-    ]
-    perp_cases += [
-        # weighted norm |x| K_mu m0 stays on the part-1 rate
-        ("perp-weighted-p2-s0", "heat_dipole_data", m_second, 2.0, 0, radius, 0.1),
-        # small-p interpolation corollary at p = 3/2
-        ("perp-small-p1.5-s0", "heat_second_moment_data", m_second, 1.5, 0, None, 0.15),
-    ]
-    # per t one heat factor, on the smallest band that holds it, one heat flow per data and
-    # one magnitude per (data, sigma), whose sigma = 1 fields replace the sigma = 0 ones
-    perp_vals = {c[0]: [] for c in perp_cases}
-    work = np.empty(grid.spectral_shape, complex)
-    for t in perp_times:
-        h = heat_weight(0, t, grid, params.mu)
-        band = support_band(grid, h)
-        h, core = band.gather(h), BandTransform(grid, work, band)
-        for m0, sigmas in ((m_dipole, (0, 1)), (m_second, (0,))):
-            fields = [h * band.gather(f.coeffs) for f in m0]
-            for sigma in sigmas:
-                if sigma:
-                    fields = [f * derivative_multiplier(band, (1, 0)) for f in fields]
-                mag = core.magnitude(fields)
-                for label, _, data, p, s, weight, _ in perp_cases:
-                    if data is m0 and s == sigma:
-                        perp_vals[label].append(lp_of_magnitude(
-                            mag if weight is None else mag * weight, grid, p))
-    for label, est, _, p, sigma, _, tol in perp_cases:
-        result.rate(label, est, p, sigma, perp_times, perp_vals[label], tol)
+    del omega_dipole
+    second_ps = perp_ps + (1.5,)
+    second_vals, weighted_vals = [[] for _ in second_ps], []
+    for mag in _heat_flow_magnitudes(grid, params.mu, m_second, perp_times, 0):
+        for vals, p in zip(second_vals, second_ps):
+            vals.append(lp_of_magnitude(mag, grid, p))
+        weighted_vals.append(lp_of_magnitude(mag * np.hypot(grid.xc1, grid.xc2), grid, 2.0))
+        del mag  # before the next array is made
+    for vals, p in zip(dipole_vals, perp_ps):
+        for sigma in (0, 1):
+            result.rate(f"perp-dipole-p{p:g}-s{sigma}", "heat_dipole_data", p, sigma, perp_times,
+                        vals[sigma::2], 0.1)
+    for vals, p in zip(second_vals, perp_ps):
+        result.rate(f"perp-second-moment-p{p:g}-s0", "heat_second_moment_data", p, 0, perp_times,
+                    vals, 0.1)
+    # weighted norm |x| K_mu m0 stays on the part-1 rate
+    result.rate("perp-weighted-p2-s0", "heat_dipole_data", 2.0, 0, perp_times, weighted_vals, 0.1)
+    # small-p interpolation corollary at p = 3/2
+    result.rate("perp-small-p1.5-s0", "heat_second_moment_data", 1.5, 0, perp_times,
+                second_vals[2], 0.15)
     return result
 
 

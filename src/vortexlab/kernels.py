@@ -238,6 +238,12 @@ class KernelSymbol:
         """Multiply every entry by a scalar or per-wavevector array."""
         return KernelSymbol(self.grid, *(x * factor for x in self._arrays()))
 
+    def scale(self, factor) -> "KernelSymbol":
+        """`scaled` in place, on entries that no other symbol shares; returns this symbol."""
+        for x in self._arrays():
+            x *= factor
+        return self
+
     def __add__(self, other: "KernelSymbol") -> "KernelSymbol":
         return KernelSymbol(self.grid, *(x + y for x, y in zip(self._arrays(), other._arrays())))
 
@@ -351,14 +357,17 @@ def artificial_diagonal_field(t: float, grid: Grid, params: FluidParams, sigma=(
 
 def heat_leray_kernel_magnitudes(times, sigma, grid: Grid, params: FluidParams):
     """Pointwise Frobenius magnitudes of D^sigma (K_mu(t) * R_perp), the heat-Leray
-    kernel, made in turn for each time t > 0, for a non-zero multi-index (the underived
-    kernel is not integrable); the arguments are checked on the call.
+    kernel, made in turn for each time t > 0, each a new array, for a non-zero
+    multi-index (the underived kernel is not integrable); the arguments are checked on
+    the call.
 
     The symbol is on the grid's half lattice, its three R_perp entries built once, and
     each entry goes through the grid's `BandTransform` (`to_physical` on one work array):
     the odd factors use the Nyquist-zeroed wavenumbers, so the symbol is Hermitian on the
     self-conjugate columns and the samples are the full-lattice complex transform's, to
-    rounding."""
+    rounding.  The entries' squares are summed into the first one's samples, so one
+    time holds its multiplier, the sum, the off-diagonal squares and one entry's
+    product and samples."""
     s1, s2 = as_multi_index(sigma)
     if s1 + s2 == 0:
         raise KernelError("heat-Leray kernel norms require a non-zero multi-index")
@@ -369,11 +378,14 @@ def heat_leray_kernel_magnitudes(times, sigma, grid: Grid, params: FluidParams):
                        over_mag2(e1 * e1, mag2)])
     derivative_factor, core = derivative_multiplier(grid, sigma), BandTransform(grid, (), grid)
 
-    def magnitudes():
-        for t in times:
-            mult = derivative_factor * heat_weight(0, t, grid, params.mu)
-            r11, r12, r22 = (core.samples(r * mult) for r in r_perp)
-            # R_perp is symmetric: the off-diagonal entry counts twice
-            yield np.sqrt(r11**2 + r12**2 + r22**2 + r12**2)
+    def magnitude(t):
+        # ((r11^2 + r12^2) + r22^2) + r12^2, accumulated in a new array: R_perp is
+        # symmetric, so the off-diagonal entry counts twice
+        mult = derivative_factor * heat_weight(0, t, grid, params.mu)
+        total, r12 = (core.squares(r * mult) for r in r_perp[:2])
+        total += r12
+        total += core.squares(r_perp[2] * mult)
+        total += r12
+        return np.sqrt(total, out=total)
 
-    return magnitudes()
+    return (magnitude(t) for t in times)

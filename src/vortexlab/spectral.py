@@ -310,13 +310,18 @@ class BandTransform:
         out /= self.dx2
         return out
 
+    def squares(self, coeffs: np.ndarray) -> np.ndarray:
+        """The squares of the physical samples of band spectra, squared in place."""
+        out = self.samples(coeffs)
+        return np.square(out, out=out)
+
     def magnitude(self, fields) -> np.ndarray:
         """Pointwise sqrt(f1^2 + f2^2 + ...) of band spectra, one transform per field on a
-        one-field work array."""
+        one-field work array; one field's squares and the total are alive at a time."""
         fields = iter(fields)
-        total = self.samples(next(fields)) ** 2
+        total = self.squares(next(fields))
         for coeffs in fields:
-            total += self.samples(coeffs) ** 2
+            total += self.squares(coeffs)
         return np.sqrt(total, out=total)
 
 
@@ -552,7 +557,8 @@ def sobolev_norm(state: State | np.ndarray, s: int, band: Grid | Band | None = N
         raise SpectralError(f"Sobolev index must be nonnegative, got {s}")
     lattice = state.grid if band is None else band
     pairs = [(c, c) for c in ([f.coeffs for f in state.components()] if band is None else state)]
-    return float(np.sqrt(parseval_sum(lattice, pairs, lattice.sobolev_weight(s))))
+    # (1 + |eta|^2)^0 is 1: the scalar weight needs no lattice of ones
+    return float(np.sqrt(parseval_sum(lattice, pairs, lattice.sobolev_weight(s) if s else 1.0)))
 
 
 def sample(grid: Grid, func) -> SpectralField:

@@ -589,6 +589,34 @@ def test_kernel_rates_band_series_equal_the_half_lattice_ones(n):
             assert np.array_equal(got, values), label
 
 
+def test_kernel_rates_warm_peak_under_eleven_and_a_half_arrays():
+    """tracemalloc peak of a warm `run_kernel_rates` at n = 256, in complex half-lattice
+    arrays.
+
+    Each section holds each live lattice quantity once: the random state of the HF rows
+    as one stack with one output stack and its symbol scaled in place, the heat-Leray sum
+    of squares in one array per time, and one Biot-Savart data set at a time.  The peak,
+    11.10 measured, is now in the low-frequency rows, whose band is over half the lattice
+    at this size.  Holding the HF state, the scaled and unscaled symbols, the heat-Leray
+    entries and both data sets at once peaked at 13.29.  The bound of 11.6 leaves half an
+    array of headroom and fails that version.
+    """
+    import tracemalloc
+
+    ctx = RunManifest(n=256)
+    expected = run_experiment("kernel-rates", ctx)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = harness.run_kernel_rates(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reports_to_csv(result.reports) == reports_to_csv(expected.reports)
+    assert all(np.array_equal(result.series[k][1], v[1]) for k, v in expected.series.items())
+    assert (peak - base) / np.empty(ctx.grid.spectral_shape, complex).nbytes <= 11.6
+
+
 def test_zero_amplitude_residuals_vanish_identically():
     # the eps = 0 limit of the profile-convergence residual is exactly zero
     from vortexlab.profiles import FluidParams, Moments, biot_savart, profile_vorticity

@@ -616,6 +616,43 @@ def test_heat_leray_entries_made_once_give_the_per_time_magnitudes_bit_for_bit(s
         assert np.array_equal(field, _per_time_heat_leray(t, sigma, grid, PARAMS))
 
 
+@pytest.mark.parametrize("sigma", [(1, 0), (1, 1)])
+def test_heat_leray_yields_a_new_array_per_time(sigma):
+    # the listed magnitudes keep each time's values: no buffer is reused across times
+    grid = make_grid(128, 100.0)
+    times = np.geomspace(1.0, 16.0, 9)
+    fields = list(heat_leray_kernel_magnitudes(times, sigma, grid, PARAMS))
+    assert len(fields) == len(times)
+    for t, field in zip(times, fields):
+        assert np.array_equal(field, _per_time_heat_leray(t, sigma, grid, PARAMS))
+
+
+def test_heat_leray_time_holds_five_half_lattice_arrays():
+    """tracemalloc peak of one warm time of the heat-Leray generator at n = 128, in
+    complex half-lattice arrays (an n x n array of samples is 0.99 of one).
+
+    The peak is the third entry's transform: the time's multiplier, the running sum of
+    squares, the off-diagonal squares kept for the second time they count, the entry's
+    product with the multiplier and its samples: 4.98 measured.  Holding the three
+    entries' samples and squaring them into new arrays peaked at 6.92.  The bound of
+    5.5 leaves half an array of headroom and fails that version.
+    """
+    import tracemalloc
+
+    grid = make_grid(128, 100.0)
+    fields = heat_leray_kernel_magnitudes([1.0, 2.0], (1, 0), grid, PARAMS)
+    next(fields)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        field = next(fields)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(field, _per_time_heat_leray(2.0, (1, 0), grid, PARAMS))
+    assert (peak - base) / np.empty(grid.spectral_shape, complex).nbytes <= 5.5
+
+
 def test_heat_leray_calls_no_complex_2d_fft(monkeypatch):
     calls = []
     for name in ("fft2", "ifft2"):

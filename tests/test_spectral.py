@@ -236,6 +236,32 @@ def test_every_band_and_the_grid_gather_scatter_and_transform_as_the_half_lattic
     assert np.array_equal(magnitude, np.sqrt(expected[0] ** 2 + expected[1] ** 2))
 
 
+def test_magnitude_holds_one_field_of_samples_beside_its_total(rng):
+    """tracemalloc peak of `BandTransform.magnitude` of 3 fields at n = 128, beyond its
+    work array, in n x n sample arrays.
+
+    Each field's samples are squared in place and added to the total, so the total and
+    one field's samples are alive: 2.02 measured.  Squaring into a new array held a
+    third (3.01; numpy reuses a temporary operand in place only from 256 KiB, n = 256).
+    The bound of 2.25 leaves a quarter of an array of headroom and fails that version.
+    """
+    import tracemalloc
+
+    grid = make_grid(128, 50.0)
+    spec = to_spectral(rng.standard_normal((3, 128, 128)), grid)
+    core = BandTransform(grid, (), grid)
+    expected = core.magnitude(spec)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = core.magnitude(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, expected)
+    assert (peak - base) / np.empty((128, 128)).nbytes <= 2.25
+
+
 def test_band_of_half_width_0_is_the_zero_mode():
     grid = make_grid(16, 10.0)
     band = Band(grid, 0)
@@ -489,6 +515,25 @@ def test_l2_sobolev_norm_is_the_riemann_l2_norm(rng, layout, n, L):
         fourier = sobolev_norm(X, 0)
     riemann = lp_norm(X.components(), 2)
     assert abs(fourier - riemann) <= 1e-14 * riemann
+
+
+@pytest.mark.parametrize("layout", ["half", "band"])
+def test_l2_sobolev_norm_uses_a_scalar_weight(rng, layout):
+    # s = 0 weighs by 1, bit for bit the sum with a lattice of ones, and caches no weight
+    grid = make_grid(512, 200.0)
+    X = random_state(grid, rng)
+    stack = np.stack([c.coeffs for c in X.components()])
+    lattice = grid if layout == "half" else grid.band
+    if layout == "band":
+        stack = lattice.gather(stack)
+    ones = (1.0 + lattice.eta_sq) ** 0
+    expected = float(np.sqrt(parseval_sum(lattice, [(c, c) for c in stack], ones)))
+    assert sobolev_norm(stack, 0, lattice) == expected
+    if layout == "half":
+        assert sobolev_norm(X, 0) == expected
+    assert 0 not in lattice.__dict__.get("_sobolev_weights", {})
+    assert sobolev_norm(stack, 1, lattice) > expected
+    assert 1 in lattice.__dict__["_sobolev_weights"]
 
 
 def test_realness_of_roundtrip(rng):
