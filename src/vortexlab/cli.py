@@ -4,15 +4,17 @@ Config files are plain ``key = value`` text (``#`` comments allowed).  Each
 key sets one field of ``harness.RunManifest``, the run's one configuration, once
 (``lambda`` and ``lam`` name one field; a repeat exits 2 naming both lines):
 
-    experiments   comma-separated experiment names (default: all; none exits 2)
+    experiments   comma-separated experiment names (default: all; none, or one
+                  named twice, exits 2)
     n, L          grid resolution (power of two) and box size
     mu, lambda    shear and bulk viscosity (lambda + 2 mu > 0)
     rho_star      reference density
     gamma, pressure_scale
                   isentropic pressure law P(rho) = pressure_scale rho^gamma / gamma
     epsilon       initial-data amplitude for solver experiments
-    dt            time step (default: acoustic CFL bound; a larger value is
-                  rejected on the box of each selected solver experiment)
+    dt            time step of the compressible runs (default: acoustic CFL
+                  bound; a larger value is rejected on the box of each selected
+                  compressible experiment); vorticity-profiles always steps at 0.25
     T             experiment horizon
     seed          seed for randomized checks
 

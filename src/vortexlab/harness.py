@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
 from typing import Callable
@@ -49,7 +48,7 @@ from .profiles import (
     profile_vorticity,
     vorticity_of,
 )
-from .solver import (SolverAbort, SolverConfig, SolverError, scaled_params, simulate,
+from .solver import (SolverAbort, SolverConfig, SolverError, Trajectory, scaled_params, simulate,
                      vorticity_simulate)
 from .spectral import (
     BandTransform,
@@ -300,6 +299,13 @@ def _relative_deviation(a: State, b: State) -> float:
     ]))
 
 
+def _generator_samples(grid: Grid) -> np.ndarray:
+    """Where kernel-algebra's generator rows sample: the wavevectors with |eta1|, |eta2| <= 2
+    off eta = 0 and the Nyquist lines."""
+    box = (np.abs(grid.eta1) <= 2.0) & (np.abs(grid.eta2) <= 2.0)
+    return box & (grid.eta_sq > 0.0) & (grid.eta_sq_odd == grid.eta_sq)
+
+
 def run_kernel_algebra(ctx: RunManifest) -> ExperimentResult:
     """Exact-identity suite on the grid symbols the solver applies: semigroup,
     generator, projectors, splitting.
@@ -334,11 +340,9 @@ def run_kernel_algebra(ctx: RunManifest) -> ExperimentResult:
     b = Xr * heat_weight(0, 1.5, small, params.mu)
     result.add("semigroup-heat", 0.0, _relative_deviation(a, b), 1e-10, mode="bound")
 
-    # (S(dt) - I)/dt against the generator, per wavevector with |eta1|, |eta2| <= 2
-    # off eta = 0 and the Nyquist lines, relative to max(|generator entries|, 1)
-    dt = 1e-6
-    box = (np.abs(small.eta1) <= 2.0) & (np.abs(small.eta2) <= 2.0)
-    sampled = box & (small.eta_sq > 0.0) & (small.eta_sq_odd == small.eta_sq)
+    # (S(dt) - I)/dt against the generator, per sampled wavevector, relative to
+    # max(|generator entries|, 1)
+    dt, sampled = 1e-6, _generator_samples(small)
     for kind in ("spar", "s"):
         gen = generator_symbol_grid(kind, small, params)
         increment = phi_symbol_grid(0, dt, small, params, kind) - KernelSymbol.identity(small)
@@ -704,25 +708,23 @@ def _diffusive_horizon(ctx: RunManifest, grid: Grid) -> float:
     return min(ctx.T, (0.075 * grid.L) ** 2 / nu - 1.0)
 
 
-@contextmanager
-def _solver_run(what: str):
-    """A solver run named `what`: its SolverAbort raises HarnessError("<what> run
-    aborted: <reason>"), so an aborted run never reaches a fit."""
+def _measured(what: str, run: Callable[[], Trajectory]) -> tuple:
+    """The values the solver run `what`, `run()`, measured, one per snapshot time; a SolverAbort
+    raises HarnessError("<what> run aborted: <reason>"), so an aborted run reaches no fit."""
     try:
-        yield
+        return run().values
     except SolverAbort as err:
         raise HarnessError(f"{what} run aborted: {err}") from err
 
 
 def _simulate(ctx: RunManifest, grid: Grid, data: list[State], horizon, times, what, measure,
-              nonlinear=True):
-    """Run the compressible solver on `grid` with the manifest's fluid and dt, as the
-    solver run `what` measured by `measure`.  `data` holds the initial State and is
-    emptied, so the solver holds the only reference and frees the State after its gather."""
+              nonlinear=True) -> tuple:
+    """The values `measure` took of the compressible solver run `what` on `grid` with the
+    manifest's fluid and dt.  `data` holds the initial State and is emptied, so the solver
+    holds the only reference and frees the State after its gather."""
     cfg = SolverConfig(grid, ctx.params, T=horizon, dt=ctx.dt, snapshot_times=times,
                        nonlinear=nonlinear)
-    with _solver_run(what):
-        return simulate(data.pop(), cfg, measure)
+    return _measured(what, lambda: simulate(data.pop(), cfg, measure))
 
 
 def run_sound_decay(ctx: RunManifest) -> ExperimentResult:
@@ -732,40 +734,34 @@ def run_sound_decay(ctx: RunManifest) -> ExperimentResult:
     ps = (2.0, np.inf, 1.0)
 
     def measure(t, X):
-        # the L^p norms of the sound part's pointwise magnitude past t = 0, from the band
-        if t == 0.0:
-            return None
+        # the L^p norms of the sound part's pointwise magnitude, from the band
         par = leray_decompose(X[1:], grid.band)[1]
         mag = BandTransform(grid, ()).magnitude((X[0], *par))
         return [lp_of_magnitude(mag, grid, p) for p in ps]
 
-    traj = _simulate(ctx, grid, [_generic_state(grid, ctx.epsilon)], horizon,
-                     _snapshot_times(horizon), name, measure)
+    times = _snapshot_times(horizon)
+    values = _simulate(ctx, grid, [_generic_state(grid, ctx.epsilon)], horizon, times, name,
+                       measure)
     result = ExperimentResult(name, extras={"horizon": horizon})
-    t_arr = np.array(traj.times[1:])
-    for p, vals in zip(ps, zip(*traj.values[1:])):
-        result.rate(f"sound-p{p:g}-s0", "sound_part", p, 0, t_arr, vals, 0.15,
+    for p, vals in zip(ps, zip(*values)):
+        result.rate(f"sound-p{p:g}-s0", "sound_part", p, 0, times, vals, 0.15,
                     allow_log=(p == 1.0), fit_window=(horizon / _SOUND_WINDOW, horizon))
     return result
 
 
 def _linear_deviations(ctx: RunManifest, grid: Grid, eps, horizon, times, what,
                        nonlinear=True) -> list[float]:
-    """L^2 norms of X(t) - S(t) X(0), as band Parseval sums, at each snapshot of the
-    solver run `what` from the generic state of amplitude eps; each band symbol S(t) is
-    built at its snapshot and freed before the next."""
+    """L^2 norms of X(t) - S(t) X(0), as band Parseval sums, at each snapshot of the solver
+    run `what` from the generic state of amplitude eps, whose band X(0) is gathered before
+    the run; each band symbol S(t) is built at its snapshot and freed before the next."""
     band, params = grid.band, scaled_params(ctx.params)
-    X0 = []  # the band snapshot at t = 0, copied by the first measure
+    data = [_generic_state(grid, eps)]
+    X0 = np.stack([band.gather(f.coeffs) for f in data[0].components()])
 
     def measure(t, X):
-        if t == 0.0:
-            X0.append(X.copy())
-            return None
-        return sobolev_norm(X - s_symbol_grid(t, band, params).apply(X0[0]), 0, band)
+        return sobolev_norm(X - s_symbol_grid(t, band, params).apply(X0), 0, band)
 
-    traj = _simulate(ctx, grid, [_generic_state(grid, eps)], horizon, times, what, measure,
-                     nonlinear)
-    return list(traj.values[1:])
+    return list(_simulate(ctx, grid, data, horizon, times, what, measure, nonlinear))
 
 
 def run_nonlinear_smallness(ctx: RunManifest) -> ExperimentResult:
@@ -842,8 +838,6 @@ def _dipole_measurements(ctx: RunManifest, grid: Grid, horizon, times, ps):
     t_probe = float(max(t for t in times if t <= 8.0))
 
     def measure(t, X):
-        if t == 0.0:
-            return None
         # one Leray split and one reference profile per snapshot
         uref = biot_savart(profile_vorticity(moments, t, params, grid))
         d = _perp_residual(grid, X, uref, rs)
@@ -855,10 +849,10 @@ def _dipole_measurements(ctx: RunManifest, grid: Grid, horizon, times, ps):
         late = first_moments_beta(vorticity_of(m, params), params)
         return norms, float(_beta_drift(late, moments))
 
-    traj = _simulate(ctx, grid, data, horizon, times, "incompressible-limit dipole-data",
-                     measure)
-    (drift,) = (drift for _, drift in traj.values[1:] if drift is not None)
-    return moments, np.array([norms for norms, _ in traj.values[1:]]), drift, t_probe
+    values = _simulate(ctx, grid, data, horizon, times, "incompressible-limit dipole-data",
+                       measure)
+    (drift,) = (drift for _, drift in values if drift is not None)
+    return moments, np.array([norms for norms, _ in values]), drift, t_probe
 
 
 def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
@@ -891,14 +885,12 @@ def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
     alpha_scaled = circulation_alpha(omega_g, params) * ampg
 
     def measure(t, X):
-        if t == 0.0:
-            return None
         uref = oseen_pair_fields(grid, t, params)[1]
         mag = magnitude(_perp_residual(grid, X, uref, rs * alpha_scaled))
         return [lp_of_magnitude(mag, grid, p) for p in ps]
 
-    trajg = _simulate(ctx, grid, data, horizon, times, f"{name} vortex-data", measure)
-    for p, norms in zip(ps, zip(*trajg.values[1:])):
+    values = _simulate(ctx, grid, data, horizon, times, f"{name} vortex-data", measure)
+    for p, norms in zip(ps, zip(*values)):
         result.decay(f"vortex-residual-p{p:g}-s0", "incompressible_weight", p, 0, times, norms,
                      horizon, 0.5)
     result.extras = {"beta": list(moments.beta), "alpha_scaled": alpha_scaled,
@@ -933,16 +925,13 @@ def run_vorticity_profiles(ctx: RunManifest) -> ExperimentResult:
     box_residuals = {}
     for vortex_grid in (ctx.grid, grid):
         def relative_residual(t, w):
-            if t == 0.0:
-                return None
             ref = oseen_vorticity_field(vortex_grid, 2.0 + t, params)
             omega = SpectralField(vortex_grid, vortex_grid.band.scatter(w))
             return lp_norm(omega - ref, 2) / lp_norm(ref, 2)
 
-        with _solver_run(f"{name} vortex L={vortex_grid.L:g}"):
-            traj = vorticity_simulate(oseen_vorticity_field(vortex_grid, 2.0, params), nu,
-                                      times_a, 0.25, relative_residual)
-        box_residuals[vortex_grid.L] = float(np.max([0.0, *traj.values[1:]]))
+        residuals = _measured(f"{name} vortex L={vortex_grid.L:g}", lambda: vorticity_simulate(
+            oseen_vorticity_field(vortex_grid, 2.0, params), nu, times_a, 0.25, relative_residual))
+        box_residuals[vortex_grid.L] = float(np.max([0.0, *residuals]))
     result.add("vortex-exactness", 0.0, box_residuals[ctx.grid.L], 1e-6, mode="bound",
                meta={"box_sensitivity": box_residuals})
 
@@ -953,20 +942,18 @@ def run_vorticity_profiles(ctx: RunManifest) -> ExperimentResult:
     times_b = _snapshot_times(T, _DECAY_SNAPSHOTS)
 
     def measure(t, w):
-        if t == 0.0:
-            return None
         omega = SpectralField(grid, grid.band.scatter(w))
         residual = lp_norm(omega - profile_vorticity(moments, t, params, grid), 2)
         return residual, (first_moments_beta(omega, params) if t <= 16.0 else None)
 
-    with _solver_run(f"{name} dipole-data"):
-        traj = vorticity_simulate(omega0, nu, times_b, 0.25, measure)
-    residuals = [residual for residual, _ in traj.values[1:]]
-    result.decay("dipole-residual", "dipole_weight", 2.0, 0, traj.times[1:], residuals, T, 0.2,
+    values = _measured(f"{name} dipole-data",
+                       lambda: vorticity_simulate(omega0, nu, times_b, 0.25, measure))
+    residuals = [residual for residual, _ in values]
+    result.decay("dipole-residual", "dipole_weight", 2.0, 0, times_b, residuals, T, 0.2,
                  key="dipole-residual-p2")
 
     drift = 0.0
-    for m in (m for _, m in traj.values[1:] if m is not None):
+    for m in (m for _, m in values if m is not None):
         drift = np.max([drift, _beta_drift(m, moments),
                         abs(m.alpha - moments.alpha) / max(abs(moments.alpha), 1e-12)])
     result.add("moment-conservation", 0.0, float(drift), 1e-8, mode="bound")
@@ -1063,6 +1050,18 @@ def _check_pointwise_box(record, ctx: RunManifest):
             )
 
 
+def _check_generator_samples(record, ctx: RunManifest):
+    """The generator rows need a wavevector to sample on the record's box: its smallest
+    nonzero wavenumber 2 pi/L is at most 2."""
+    grid = record.grid(ctx)
+    if not _generator_samples(grid).any():
+        raise ConfigError(
+            f"n/L: {record.name} samples its generator rows at |eta_1|, |eta_2| <= 2 off eta = 0, "
+            f"but its box (n = {grid.n}, L = {grid.L:g}) has none: its smallest nonzero "
+            f"wavenumber 2 pi/L = {2.0 * math.pi / grid.L:.4g} exceeds 2 (L = {ctx.L:g} < 4 pi)"
+        )
+
+
 def _check_dipole_data(record, ctx: RunManifest):
     """incompressible-limit's dipole data must be localized on the record's box."""
     grid = record.grid(ctx)
@@ -1087,7 +1086,10 @@ class Experiment:
     checks: tuple = ()
 
     def grid(self, ctx: RunManifest) -> Grid:
-        return self.box(ctx.grid)
+        try:
+            return self.box(ctx.grid)
+        except SpectralError as err:
+            raise ConfigError(f"n/L: {self.name} cannot build its box: {err}") from None
 
     def horizon(self, ctx: RunManifest) -> float:
         return self.horizon_rule(ctx, self.grid(ctx))
@@ -1108,7 +1110,8 @@ class Experiment:
 RECORDS = {
     record.name: record
     for record in (
-        Experiment("kernel-algebra", run_kernel_algebra, box=lambda g: make_grid(64, g.L / 4)),
+        Experiment("kernel-algebra", run_kernel_algebra, box=lambda g: make_grid(64, g.L / 4),
+                   checks=(_check_generator_samples,)),
         Experiment("kernel-rates", run_kernel_rates, checks=(_check_hf_band,)),
         Experiment("pointwise-bound", run_pointwise_bound, box=_half_box,
                    checks=(_check_pointwise_box,)),
@@ -1174,11 +1177,13 @@ class RunManifest:
             raise ConfigError(f"seed: must be a nonnegative integer, got {self.seed}")
         if not self.experiments:
             raise ConfigError("experiments: the list names no experiment")
-        for name in self.experiments:
+        for i, name in enumerate(self.experiments):
             if name not in RECORDS:
                 raise ConfigError(
                     f"experiments: unknown name {name!r}; available: {', '.join(RECORDS)}"
                 )
+            if name in self.experiments[:i]:
+                raise ConfigError(f"experiments: {name!r} is named twice")
 
     @cached_property
     def grid(self) -> Grid:

@@ -290,8 +290,8 @@ BLOWUP_FACTOR = 10.0
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A run's snapshot times, `measure(t, X)` at each of them and, for `simulate`, the
-    diagnostics of each snapshot."""
+    """A run's times, t = 0 first, `measure(t, X)` at each time after t = 0 (t = 0 is
+    checked, not measured) and, for `simulate`, the diagnostics of each time."""
 
     times: tuple[float, ...]
     values: tuple
@@ -312,20 +312,21 @@ def _march(times, dt, build, advance, snapshot, check, measure, diagnostics=()) 
     length h = gap/nsub: `build(h)` makes the gap's weights, `advance(weights)` takes one
     step in place, and the weights are freed before the snapshot.  At t = 0 and at each
     snapshot time, `check(t, gap)` fills `snapshot` (unless it is the live state) and
-    raises SolverAbort if the run left its regime: no later step runs, and that snapshot
-    is not measured.  Otherwise `measure(t, X)` reads it through a read-only view, valid
-    only during the call.  The Trajectory keeps the times, what the measures returned
-    and the `diagnostics` the checks wrote.
+    raises SolverAbort if the run left its regime: no later step runs.  t = 0 is only
+    checked; at each snapshot time after it, `measure(t, X)` reads the snapshot through a
+    read-only view, valid only during the call.  The Trajectory keeps the times, what the
+    measures returned, one per snapshot time, and the `diagnostics` the checks wrote.
     """
     view, values = snapshot.view(), []
     view.flags.writeable = False  # a writing measure would change the live state
-    for t_prev, t in zip(times[:1] + times, times):
-        if gap := t - t_prev:  # t = 0 is checked and measured before any step
-            nsub = max(1, math.ceil(gap / dt - 1e-12))
-            weights = build(gap / nsub)
-            for _ in range(nsub):
-                advance(weights)
-            del weights  # freed before the measure and the next gap's build
+    check(times[0], 0.0)
+    for t_prev, t in zip(times, times[1:]):
+        gap = t - t_prev
+        nsub = max(1, math.ceil(gap / dt - 1e-12))
+        weights = build(gap / nsub)
+        for _ in range(nsub):
+            advance(weights)
+        del weights  # freed before the measure and the next gap's build
         check(t, gap)
         values.append(measure(t, view))
     return Trajectory(times, tuple(values), tuple(diagnostics))

@@ -180,6 +180,9 @@ class Grid(_BandLayout):
             raise SpectralError(f"grid size must be a power of two >= 8, got {self.n}")
         if not 0 < self.L < np.inf:
             raise SpectralError(f"box size must be positive and finite, got {self.L}")
+        if not 0 < self.dx * self.dx < np.inf:  # a multiply: dx**2 raises OverflowError
+            raise SpectralError(f"cell area dx^2 = (L/n)^2 must be a positive finite float, "
+                                f"got n = {self.n}, L = {self.L}")
 
     @property
     def dx(self) -> float:

@@ -343,9 +343,25 @@ def test_decay_horizon_beyond_its_window_exits_2_before_compute(tmp_path, capsys
         ("n = 128\nexperiments = vorticity-profiles\n", "vorticity-profiles",
          "error: n/L: vorticity-profiles dipole data is not localized on its box (n = 128, "
          "L = 100): band-edge tail"),
+        # below L = 4 pi kernel-algebra's L/4 box has no wavenumber 0 < |eta_i| <= 2, so its
+        # generator rows sampled an empty set and failed on a bare ValueError (zero-size max)
+        *((f"n = {n}\nL = {L}\nexperiments = kernel-algebra\n", "kernel-algebra",
+           "error: n/L: kernel-algebra samples its generator rows at |eta_1|, |eta_2| <= 2")
+          for n, L in ((64, 10), (64, 12), (256, 10))),
+        # a cell area dx^2 that overflows used to raise a bare OverflowError (exit 1), on the
+        # configured box or, at n = 1024, L = 1e157, only on kernel-algebra's L/4 box
+        *((f"{box}experiments = {run}\n", run,
+           f"error: n/L: {where}cell area dx^2 = (L/n)^2 must be a positive finite float")
+          for box, run, where in (("L = 1e300\n", "kernel-algebra", ""),
+                                  ("L = 1e300\n", "sound-decay", ""),
+                                  ("n = 64\nL = 1e200\n", "vorticity-profiles", ""),
+                                  ("n = 1024\nL = 1e157\n", "kernel-algebra",
+                                   "kernel-algebra cannot build its box: "))),
     ],
     ids=["horizon-T", "horizon-n-L", "dipole-data-not-localized", "dipole-horizon-T",
-         "vorticity-data-not-localized"],
+         "vorticity-data-not-localized", "generator-64-10", "generator-64-12",
+         "generator-256-10", "huge-kernel-algebra", "huge-sound-decay",
+         "huge-vorticity-profiles", "huge-kernel-algebra-box"],
 )
 def test_unusable_horizon_or_data_exits_2_before_compute(
     tmp_path, capsys, monkeypatch, text, run, start
@@ -419,6 +435,24 @@ def test_repeated_config_key_exits_2_before_compute(tmp_path, capsys, monkeypatc
     assert not outdir.exists()
     with pytest.raises(ConfigError, match=f"^{message}$"):
         _config_values(text)
+
+
+@pytest.mark.parametrize("flag", [[], ["--experiments", "kernel-algebra,kernel-algebra"]],
+                         ids=["config", "flag"])
+def test_experiment_named_twice_exits_2_before_compute(tmp_path, capsys, monkeypatch, flag):
+    # it used to run twice, report every label twice and overwrite its own series
+    calls = []
+    monkeypatch.setitem(harness.EXPERIMENTS, "kernel-algebra", calls.append)
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("n = 64\nL = 50\nexperiments = kernel-algebra,kernel-algebra\n")
+    outdir = tmp_path / "out"
+    code = main(["--config", str(cfg), "--outdir", str(outdir), *flag])
+    assert code == 2
+    assert capsys.readouterr().err == "error: experiments: 'kernel-algebra' is named twice\n"
+    assert not outdir.exists()
+    assert calls == []
+    with pytest.raises(ConfigError, match="^experiments: 'sound-decay' is named twice$"):
+        RunManifest(experiments=("sound-decay", "kernel-rates", "sound-decay"))
 
 
 def test_summary_context_records_the_pressure_law():

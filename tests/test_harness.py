@@ -629,22 +629,28 @@ def test_zero_amplitude_residuals_vanish_identically():
     moments = Moments(0.0, (0.0, 0.0))
 
     def residual_norms(t, X):
-        if t == 0.0:
-            return None
         perp, _ = leray_decompose(State.from_stack(grid, grid.band.scatter(X)).m)
         uref = biot_savart(profile_vorticity(moments, t, params, grid))
         diff = (perp[0] - uref[0], perp[1] - uref[1])
         return lp_norm(diff, 2), lp_norm(diff, np.inf)
 
     traj = simulate(zero_state(grid), cfg, residual_norms)
-    assert traj.values[1:] == ((0.0, 0.0), (0.0, 0.0))
+    assert traj.values == ((0.0, 0.0), (0.0, 0.0))
+
+
+def test_linear_control_vanishes_at_a_reference_density_of_three():
+    # X(0) is the band of the run's own data, not the solver's reduced-variable round trip
+    # (x / rho_star) * rho_star, so the linear control at rho_star = 3 reads rounding only
+    result = run_experiment("nonlinear-smallness", RunManifest(n=64, L=50.0, rho_star=3.0))
+    (control,) = (r for r in result.reports if r.label == "linear-control")
+    assert 0.0 <= control.fitted < 1e-15
 
 
 def _stub_solvers(monkeypatch, abort_call, data_alive=None):
     """Stand-ins for both solvers: every run measures the band of its initial data at
-    each snapshot, except run number `abort_call`, which raises SolverAbort.  After the
-    gather, `simulate` drops its initial State and appends to `data_alive` (if given)
-    whether anything else still holds it."""
+    each snapshot time after t = 0, except run number `abort_call`, which raises
+    SolverAbort.  After the gather, `simulate` drops its initial State and appends to
+    `data_alive` (if given) whether anything else still holds it."""
     from vortexlab.solver import SolverAbort, Trajectory
 
     calls = []
@@ -653,8 +659,7 @@ def _stub_solvers(monkeypatch, abort_call, data_alive=None):
         calls.append(snapshot_times)
         if len(calls) - 1 == abort_call:
             raise SolverAbort("stub abort")
-        times = (0.0, *snapshot_times)
-        return times, tuple(measure(t, band_coeffs) for t in times)
+        return (0.0, *snapshot_times), tuple(measure(t, band_coeffs) for t in snapshot_times)
 
     def simulate(X0, cfg, measure):
         band_coeffs = X0.grid.band.gather(np.stack([c.coeffs for c in X0.components()]))
@@ -700,15 +705,15 @@ def test_incompressible_limit_frees_the_dipole_run_before_the_vortex_run(monkeyp
     # the dipole-data trajectory and measure live only inside the helper that runs
     # them, so both are gone before the vortex-data run starts
     _stub_solvers(monkeypatch, None)
-    run, refs, alive = harness._simulate, [], []
+    run, refs, alive = harness.simulate, [], []
 
-    def simulate(ctx, grid, data, horizon, times, what, measure, *args):
+    def simulate(X0, cfg, measure):
         alive.append([ref() is not None for ref in refs])
-        traj = run(ctx, grid, data, horizon, times, what, measure, *args)
+        traj = run(X0, cfg, measure)
         refs.extend((weakref.ref(traj), weakref.ref(measure)))
         return traj
 
-    monkeypatch.setattr(harness, "_simulate", simulate)
+    monkeypatch.setattr(harness, "simulate", simulate)
     run_experiment("incompressible-limit", RunManifest(n=128, L=100.0))
     assert alive == [[], [False, False]]
 
@@ -728,8 +733,9 @@ def test_compressible_runs_hand_their_initial_data_to_the_solver(monkeypatch, ex
 
 
 def test_sound_decay_aborted_mid_run_measures_only_the_snapshots_before(monkeypatch):
-    # a vacuum met on the way to the third snapshot: the run is measured at t = 0 and
-    # at the two snapshots before, and run_experiment raises HarnessError
+    # a vacuum met on the way to the third snapshot: the run is measured at the two
+    # snapshots before (t = 0 is checked, not measured), and run_experiment raises
+    # HarnessError
     from vortexlab import solver
 
     ctx = RunManifest(n=64, L=50.0)
@@ -740,7 +746,7 @@ def test_sound_decay_aborted_mid_run_measures_only_the_snapshots_before(monkeypa
         return simulate(X0, cfg, lambda t, X: measured.append(t) or measure(t, X))
 
     def trip_at_the_third_snapshot(one):
-        if len(measured) == 3:
+        if len(measured) == 2:
             raise solver.VacuumError(0.25)
         return guard(one)
 
@@ -749,7 +755,7 @@ def test_sound_decay_aborted_mid_run_measures_only_the_snapshots_before(monkeypa
     message = r"^sound-decay run aborted: vacuum guard tripped: min\(1 \+ rho_tilde\) = 0\.2500"
     with pytest.raises(HarnessError, match=message):
         run_experiment("sound-decay", ctx)
-    assert measured == [0.0, times[0], times[1]]
+    assert measured == [times[0], times[1]]
 
 
 def test_non_finite_vorticity_run_raises():

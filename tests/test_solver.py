@@ -380,14 +380,14 @@ def test_non_finite_state_trips_the_guards(monkeypatch):
     with pytest.raises(SolverAbort, match=r"^non-finite state: H\^s = nan$"):
         simulate(X0, cfg, _recorder(measured))
     assert len(steps) == math.ceil(0.5 / cfg.dt_effective) == 2
-    assert measured == [0.0]  # the non-finite snapshot is not measured
+    assert measured == []  # t = 0 is only checked, and the non-finite snapshot not measured
 
 
 @pytest.mark.parametrize("bad_step, t_abort, steps_run", [(1, "0.5", 2), (3, "1.2", 5)])
 def test_non_finite_vorticity_snapshot_aborts(monkeypatch, bad_step, t_abort, steps_run):
     # a step that writes NaN stops the run at the next snapshot, (0.5, 1.2) taking
     # 2 and 3 steps of the ETD2 step: no step of a later gap runs, and the
-    # non-finite snapshot is not measured
+    # non-finite snapshot is not measured (t = 0 is checked, never measured)
     grid = make_grid(32, 20.0)
     step_etd2 = solver._etd2_step
 
@@ -401,7 +401,7 @@ def test_non_finite_vorticity_snapshot_aborts(monkeypatch, bad_step, t_abort, st
         vorticity_simulate(_perturbed_dipole(grid, 0.5), 1.0, (0.5, 1.2), 0.25,
                            _recorder(measured))
     assert len(steps) == steps_run
-    assert measured == [t for t in (0.0, 0.5) if t < float(t_abort)]
+    assert measured == [t for t in (0.5,) if t < float(t_abort)]
 
 
 def test_step_zero_state():
@@ -490,7 +490,7 @@ def test_simulate_divergence_free_data_keeps_density_second_order():
     X0 = State(SpectralField.zero(grid), (u[0] * amp, u[1] * amp)).dealiased()
     cfg = SolverConfig(grid=grid, params=PARAMS, T=4.0, snapshot_times=(1.0, 2.0, 4.0))
     traj, states = _states(X0, cfg)
-    for t, X in zip(traj.times[1:], states[1:]):
+    for t, X in zip(cfg.snapshot_times, states, strict=True):
         assert lp_norm(X.rho, np.inf) < 30.0 * eps**2
         # m_perp follows the heat flow up to the quadratic coupling
         heat = KernelSymbol.identity(grid).scaled(heat_weight(0, t, grid, PARAMS.mu)).apply(X0)
@@ -563,7 +563,7 @@ def test_step_bitwise_equals_reference(scheme, n, L):
     traj = simulate(X0, cfg, lambda t, X: seen.append(X) or X.copy())
     band = grid.band
     states = [State.from_stack(grid, band.scatter(X)) for X in traj.values]
-    X, t_prev, expected = X0, 0.0, [X0]
+    X, t_prev, expected = X0, 0.0, []
     for t_snap in cfg.snapshot_times:
         gap = t_snap - t_prev
         nsub = max(1, int(np.ceil(gap / dt - 1e-12)))
@@ -572,7 +572,7 @@ def test_step_bitwise_equals_reference(scheme, n, L):
             X = _reference_step(X, gap / nsub, PARAMS, scheme)
         expected.append(X)
         t_prev = t_snap
-    assert len(traj.times) == len(traj.values) == 3
+    assert len(traj.times) - 1 == len(traj.values) == 2
     for got, ref in zip(states, expected, strict=True):
         for a, b in zip(got.components(), ref.components(), strict=True):
             assert np.array_equal(a.coeffs, b.coeffs)
@@ -584,7 +584,7 @@ def test_step_bitwise_equals_reference(scheme, n, L):
     # simulate leaves X0 alone, and hands each measure a read-only snapshot that shares
     # no memory with X0
     assert all(np.array_equal(c.coeffs, b) for c, b in zip(X0.components(), before))
-    assert len(seen) == 3 and not any(X.flags.writeable for X in seen)
+    assert len(seen) == 2 and not any(X.flags.writeable for X in seen)
     assert not any(np.shares_memory(X, c.coeffs) for X in seen for c in X0.components())
 
 
@@ -650,13 +650,26 @@ def _traced(run):
 
 
 @pytest.mark.parametrize("which", ["compressible", "vorticity"])
+def test_runs_measure_only_after_t_0(which):
+    # t = 0 is checked, not measured: a run measures each snapshot time once, in order, and
+    # returns one value per snapshot time, its times keeping t = 0 (both runs used to
+    # measure t = 0 too)
+    grid, times, measured = make_grid(32, 20.0), (0.5, 1.0, 1.5), []
+    run, _ = _run(which, grid, times, lambda t, X: measured.append(t) or len(measured))
+    traj = run()
+    assert measured == list(times)
+    assert traj.times == (0.0, *times)
+    assert traj.values == (1, 2, 3) and len(traj.values) == len(traj.times) - 1
+
+
+@pytest.mark.parametrize("which", ["compressible", "vorticity"])
 def test_trajectory_holds_only_its_band_snapshots(which):
     # with a measure that keeps a copy of each snapshot, the memory a returned trajectory
-    # holds is those band snapshots, not half spectra
+    # holds is those band snapshots, one per snapshot time, not half spectra
     grid, times = make_grid(64, 50.0), (0.5, 1.0, 1.5, 2.0)
     run, stack_bytes = _run(which, grid, times, _keep)
     held, _ = _traced(run)
-    assert held <= 1.1 * (len(times) + 1) * stack_bytes
+    assert held <= 1.1 * len(times) * stack_bytes
 
 
 @pytest.mark.parametrize("which", ["compressible", "vorticity"])
@@ -693,7 +706,7 @@ def test_runs_free_their_initial_data_after_the_gather(which):
     else:
         traj = vorticity_simulate(data(partial(_perturbed_dipole, grid, 0.5)), 1.0, (0.5, 1.0),
                                   0.25, freed)
-    assert traj.values == (True, True, True)
+    assert traj.values == (True, True)
 
 
 @pytest.mark.parametrize("n, L", [(16, 20.0), (64, 50.0), (256, 200.0)])
@@ -789,7 +802,7 @@ def test_simulate_vacuum_abort_raises(monkeypatch):
     with pytest.raises(VacuumError, match=r"^vacuum guard tripped: min\(1 \+ rho_tilde\) = "):
         simulate(X0, cfg, _recorder(measured))
     assert len(steps) == 1  # the first step's source meets the vacuum
-    assert measured == [0.0]
+    assert measured == []  # t = 0 is checked, not measured
 
 
 def test_simulate_energy_guard_aborts(monkeypatch):
@@ -802,7 +815,7 @@ def test_simulate_energy_guard_aborts(monkeypatch):
     with pytest.raises(SolverAbort, match=r"^energy blow-up: H\^s grew to .* \(> 0\.1 x initial"):
         simulate(X0, cfg, _recorder(measured))
     assert len(steps) == 2  # the first gap's steps; the offending snapshot stops the run
-    assert measured == [0.0]  # and is not measured
+    assert measured == []  # and is not measured, nor is t = 0
 
 
 def test_solver_config_validation():
@@ -873,8 +886,8 @@ def test_vorticity_simulate_rejects_unusable_input_before_compute(monkeypatch, c
 
 
 def _steps_per_gap(run, steps) -> list:
-    """The calls recorded in `steps` during each gap of `run(measure)`."""
-    return np.diff(run(lambda t, X: len(steps)).values).tolist()
+    """The calls recorded in `steps` during each gap of `run(measure)`, none before t = 0."""
+    return np.diff((0, *run(lambda t, X: len(steps)).values)).tolist()
 
 
 def test_both_solvers_split_each_gap_into_equal_steps(monkeypatch):
@@ -931,11 +944,11 @@ def test_simulate_reference_density_rescaling():
             assert np.abs(ca.coeffs - 4.0 * cb.coeffs).max() < 1e-13 * scale
 
 
-def duhamel_residual(trajectory, config: SolverConfig) -> float:
+def duhamel_residual(X0: State, trajectory, config: SolverConfig) -> float:
     """Residual of X(T) = S(T) X0 + int_0^T S(T-t') sum_k d_k Q_k(t') dt'.
 
-    The integral is recomputed from the band snapshots a run measured by `_keep`
-    returns, with trapezoid
+    The integral is recomputed from the band of the initial data X0 and the band
+    snapshots a run from X0 measured by `_keep` returns, with trapezoid
     weights, so the result is O(dt^2) plus snapshot-quadrature error.  The
     residual is measured in L^2 relative to the unit-plus-data scale so the
     linear-limit and amplitude-scaling contracts are both meaningful.
@@ -950,8 +963,8 @@ def duhamel_residual(trajectory, config: SolverConfig) -> float:
     params = scaled_params(config.params)
     grid = config.grid
     T = float(times[-1])
-    states = [State.from_stack(grid, grid.band.scatter(X)) * (1.0 / rs)
-              for X in trajectory.values]
+    snapshots = (State.from_stack(grid, grid.band.scatter(X)) for X in trajectory.values)
+    states = [X * (1.0 / rs) for X in (X0.dealiased(), *snapshots)]
     total = s_symbol_grid(T, grid, params).apply(states[0])
     if config.nonlinear:
         h = float(gaps[0])
@@ -990,7 +1003,7 @@ def test_duhamel_residual_linear_run():
         nonlinear=False,
     )
     traj = simulate(X0, cfg, _keep)
-    assert duhamel_residual(traj, cfg) < 1e-10
+    assert duhamel_residual(X0, traj, cfg) < 1e-10
 
 
 def test_duhamel_residual_second_order_in_dt():
@@ -999,7 +1012,7 @@ def test_duhamel_residual_second_order_in_dt():
     for dt in (0.25, 0.125):
         X0, cfg = _duhamel_setup(grid, 1e-2, dt, 2.0)
         traj = simulate(X0, cfg, _keep)
-        res.append(duhamel_residual(traj, cfg))
+        res.append(duhamel_residual(X0, traj, cfg))
     ratio = res[0] / res[1]
     assert 2.5 < ratio < 6.5
 
@@ -1010,7 +1023,7 @@ def test_duhamel_residual_quadratic_in_amplitude():
     for eps in (1e-3, 1e-2):
         X0, cfg = _duhamel_setup(grid, eps, 0.25, 2.0)
         traj = simulate(X0, cfg, _keep)
-        res.append(duhamel_residual(traj, cfg))
+        res.append(duhamel_residual(X0, traj, cfg))
     expo = np.log(res[1] / res[0]) / np.log(10.0)
     assert abs(expo - 2.0) < 0.2
 
@@ -1031,12 +1044,12 @@ def test_duhamel_residual_needs_enough_snapshots():
     cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=(0.5, 1.0))
     traj = simulate(X0, cfg, _keep)
     with pytest.raises(SolverError):
-        duhamel_residual(traj, cfg)
+        duhamel_residual(X0, traj, cfg)
     times = (0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9, 1.0)  # 8 snapshots, nonuniform
     cfg = SolverConfig(grid=grid, params=PARAMS, T=1.0, snapshot_times=times)
     traj = simulate(X0, cfg, _keep)
     with pytest.raises(SolverError):
-        duhamel_residual(traj, cfg)
+        duhamel_residual(X0, traj, cfg)
 
 
 def test_vorticity_simulate_oseen_is_steady_profile():
@@ -1047,7 +1060,7 @@ def test_vorticity_simulate_oseen_is_steady_profile():
     omega0 = oseen_vorticity_field(grid, 1.0, PARAMS)
     times = (1.0, 2.0, 4.0)
     traj, omegas = _omegas(omega0, nu, times, 0.25)
-    for t, omega in zip(traj.times[1:], omegas[1:]):
+    for t, omega in zip(times, omegas, strict=True):
         ref = oseen_vorticity_field(grid, 1.0 + t, PARAMS)
         err = lp_norm(omega - ref, 2) / lp_norm(ref, 2)
         assert err < 1e-6
@@ -1060,8 +1073,8 @@ def test_vorticity_simulate_conserves_moments():
     grid = make_grid(128, 100.0)
     omega0 = dipole_vorticity_field(grid, 1, 4.0, PARAMS) * 1e-2
     _, omegas = _omegas(omega0, 1.0, (1.0, 3.0), 0.25)
-    m0 = first_moments_beta(omegas[0], PARAMS)
-    for omega in omegas[1:]:
+    m0 = first_moments_beta(omega0.dealiased(), PARAMS)
+    for omega in omegas:
         m = first_moments_beta(omega, PARAMS)
         assert abs(m.beta[0] - m0.beta[0]) < 1e-8 * abs(m0.beta[0])
         assert abs(m.alpha - m0.alpha) < 1e-14
@@ -1129,7 +1142,7 @@ def test_vorticity_simulate_bitwise_equals_reference(n=64, L=50.0):
     seen = []  # what each measure call is handed
     traj = vorticity_simulate(omega0, nu, times, dt, lambda t, w: seen.append(w) or w.copy())
     omegas = [SpectralField(grid, grid.band.scatter(w)) for w in traj.values]
-    omega, t_prev, expected = omega0.dealiased(), 0.0, [omega0.dealiased()]
+    omega, t_prev, expected = omega0.dealiased(), 0.0, []
     for t_snap in times:
         nsub = max(1, int(np.ceil((t_snap - t_prev) / dt - 1e-12)))
         for _ in range(nsub):
@@ -1145,7 +1158,7 @@ def test_vorticity_simulate_bitwise_equals_reference(n=64, L=50.0):
     # the run leaves omega0 alone, and hands each measure a read-only snapshot that
     # shares no memory with omega0
     assert np.array_equal(omega0.coeffs, before)
-    assert len(seen) == 3 and not any(w.flags.writeable for w in seen)
+    assert len(seen) == 2 and not any(w.flags.writeable for w in seen)
     assert not any(np.shares_memory(w, omega0.coeffs) for w in seen)
 
 

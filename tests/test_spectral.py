@@ -49,6 +49,17 @@ def test_make_grid_rejects(n, L):
         make_grid(n, L)
 
 
+@pytest.mark.parametrize("n, L", [(256, 1e300), (64, 1e200), (64, 1e-160)],
+                         ids=["overflow-256", "overflow-64", "underflow"])
+def test_make_grid_rejects_a_cell_area_that_is_not_a_positive_finite_float(n, L):
+    # every transform scales by dx^2: grid.dx**2 raised a bare OverflowError mid-run, and a
+    # product that underflows to 0 would divide by zero
+    with pytest.raises(SpectralError, match=r"^cell area dx\^2 = \(L/n\)\^2 must be a positive"):
+        make_grid(n, L)
+    for side in (1e150, 1e-150):  # far boxes whose dx^2 is still a normal float pass
+        assert 0 < make_grid(n, side).dx ** 2 < np.inf
+
+
 @pytest.mark.parametrize("n, L", [(16, 7.0), (64, 50.0)])
 def test_lattice_axes_are_separable(n, L):
     # each axis is one column or one row, and broadcast it is the full-lattice formula
