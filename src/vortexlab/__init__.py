@@ -14,9 +14,10 @@ The package is organised in six modules:
     physical-space kernel fields.
 ``solver``
     Exponential time-differencing integrator for the nonlinear system
-    near equilibrium, plus an incompressible vorticity control solver; both
-    hand each snapshot to the caller's ``measure(t, X)`` and return a
-    ``Trajectory`` of the measured values, holding no snapshots.
+    near equilibrium, whose state is one (3, n, n/2 + 1) stack of half
+    spectra, plus an incompressible vorticity control solver; both hand each
+    snapshot to the caller's ``measure(t, X)`` and return a ``Trajectory`` of
+    the measured values, holding no snapshots.
 ``harness``
     The run manifest, decay-rate experiments and the pointwise-bound
     verification, producing machine-readable reports.
@@ -24,7 +25,7 @@ The package is organised in six modules:
     Command-line experiment runner.
 """
 
-from .spectral import Grid, SpectralField, State, make_grid, transform
+from .spectral import Grid, SpectralField, make_grid, transform
 from .profiles import FluidParams, Moments
 from .solver import SolverConfig, Trajectory, simulate
 from .harness import RunManifest, list_experiments, run_experiment
@@ -32,7 +33,6 @@ from .harness import RunManifest, list_experiments, run_experiment
 __all__ = [
     "Grid",
     "SpectralField",
-    "State",
     "make_grid",
     "transform",
     "FluidParams",

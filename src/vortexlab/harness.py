@@ -55,7 +55,6 @@ from .spectral import (
     Grid,
     SpectralError,
     SpectralField,
-    State,
     derivative,
     derivative_multiplier,
     gradient,
@@ -283,19 +282,22 @@ def _random_field(grid: Grid, rng) -> SpectralField:
     return SpectralField(grid, f.coeffs * np.exp(-0.05 * grid.eta_sq))
 
 
-def _hermitian_random_state(grid: Grid, rng) -> State:
-    return State(_random_field(grid, rng), (_random_field(grid, rng), _random_field(grid, rng)))
+def _random_stack(grid: Grid, rng) -> np.ndarray:
+    """A random state (rho_tilde, m1, m2): three `_random_field`s, drawn row by row."""
+    X = np.empty((3,) + grid.spectral_shape, complex)
+    for row in X:
+        row[...] = _random_field(grid, rng).coeffs
+    return X
 
 
 # ---------------------------------------------------------------------------
 # experiment: kernel algebra
 
 
-def _relative_deviation(a: State, b: State) -> float:
-    """Largest coefficient deviation of a from b, per component relative to b's peak."""
+def _relative_deviation(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest coefficient deviation of the stack a from b, per row relative to b's peak."""
     return float(np.max([
-        np.abs((ca - cb).coeffs).max() / max(np.abs(cb.coeffs).max(), 1e-300)
-        for ca, cb in zip(a.components(), b.components())
+        np.abs(ca - cb).max() / max(np.abs(cb).max(), 1e-300) for ca, cb in zip(a, b)
     ]))
 
 
@@ -323,8 +325,8 @@ def run_kernel_algebra(ctx: RunManifest) -> ExperimentResult:
     # the random state is drawn 2,000 values in and the (t, s) pairs take the next 200, as
     # in earlier versions, so semigroup-heat and realness keep their values
     rng.bit_generator.advance(2000)
-    Xr = _hermitian_random_state(small, rng)
-    X = Xr.dealiased()
+    Xr = _random_stack(small, rng)
+    X = Xr * small.dealias_mask
     result = ExperimentResult(name)
     for kind in ("spar", "s", "artificial_par", "artificial", "wave"):
         worst = 0.0
@@ -379,7 +381,7 @@ def run_kernel_algebra(ctx: RunManifest) -> ExperimentResult:
 
     # a real state keeps an exactly Hermitian spectrum under the symbol
     out = phi_symbol_grid(0, 0.7, small, params, "spar").apply(Xr)
-    defect = float(np.max([c.hermitian_defect() for c in out.components()]))
+    defect = float(np.max([SpectralField(small, c).hermitian_defect() for c in out]))
     result.add("realness", 0.0, defect, 0.0, mode="bound")
     return result
 
@@ -388,11 +390,11 @@ def run_kernel_algebra(ctx: RunManifest) -> ExperimentResult:
 # experiment: kernel rates
 
 
-def _localized_sound_state(grid: Grid) -> State:
+def _localized_sound_state(grid: Grid) -> np.ndarray:
     """Tightly localized state with density mass and curl-free momentum."""
     rho = sample(grid, lambda a, b: np.exp(-(a**2 + b**2) / 4.0))
     m = gradient(sample(grid, lambda a, b: np.exp(-(a**2 + b**2) / 6.0)))
-    return State(rho, m)
+    return np.stack([f.coeffs for f in (rho, *m)])
 
 
 def _lf_kernel_rows(result: ExperimentResult, grid: Grid, params, chi) -> None:
@@ -400,7 +402,7 @@ def _lf_kernel_rows(result: ExperimentResult, grid: Grid, params, chi) -> None:
     weight `chi`: the curl-free LF kernel and the kernel difference on a localized state."""
     band = support_band(grid, chi)
     chi, core = band.gather(chi), BandTransform(grid, (), band)
-    X0 = np.stack([band.gather(f.coeffs) for f in _localized_sound_state(grid).components()])
+    X0 = band.gather(_localized_sound_state(grid))
     lf_times = np.geomspace(6.0, 56.0, 9)
     diff_vals = []
 
@@ -438,9 +440,7 @@ def _hf_decay_rows(result: ExperimentResult, grid: Grid, params, hf_pass, rng) -
     a random state held as one stack, applied into one output stack; each time's symbol
     is scaled in place and freed before the output's norm."""
     hf_times = np.linspace(1.0, 10.0, 10)
-    Xr = np.empty((3,) + grid.spectral_shape, complex)
-    for row in Xr:
-        row[...] = _random_field(grid, rng).coeffs
+    Xr = _random_stack(grid, rng)
     denom = sobolev_norm(Xr, 0, grid)
     out, hf_vals = np.empty_like(Xr), []
     for t in hf_times:
@@ -662,7 +662,7 @@ def run_pointwise_bound(ctx: RunManifest) -> ExperimentResult:
 # solver-based experiments
 
 
-def _generic_state(grid: Grid, eps: float) -> State:
+def _generic_state(grid: Grid, eps: float) -> np.ndarray:
     """Zero-mean localized state with sound and incompressible content.
 
     Width ~3 keeps the acoustic transit over the data below t = 1, so the
@@ -677,9 +677,9 @@ def _generic_state(grid: Grid, eps: float) -> State:
     par = gradient(sample(grid, lambda a, b: np.exp(-(a**2 + b**2) / 12.0)))
     psi = sample(grid, lambda a, b: np.exp(-((a - 1.0) ** 2 + b**2) / 10.0))
     perp = (derivative(psi, (0, 1)) * -1.0, derivative(psi, (1, 0)))
-    X = State(rho, (par[0] * 0.7 + perp[0] * 0.5, par[1] * 0.7 + perp[1] * 0.5))
-    scale = max(lp_norm(X.rho, np.inf), lp_norm(X.m, np.inf))
-    return (X * (eps / scale)).dealiased()
+    m = (par[0] * 0.7 + perp[0] * 0.5, par[1] * 0.7 + perp[1] * 0.5)
+    scale = max(lp_norm(rho, np.inf), lp_norm(m, np.inf))
+    return np.stack([f.coeffs for f in (rho, *m)]) * (eps / scale)
 
 
 # sound-decay: geometric snapshots on [1, h], its rates fit on [h / _SOUND_WINDOW, h]
@@ -717,11 +717,11 @@ def _measured(what: str, run: Callable[[], Trajectory]) -> tuple:
         raise HarnessError(f"{what} run aborted: {err}") from err
 
 
-def _simulate(ctx: RunManifest, grid: Grid, data: list[State], horizon, times, what, measure,
-              nonlinear=True) -> tuple:
+def _simulate(ctx: RunManifest, grid: Grid, data: list[np.ndarray], horizon, times, what,
+              measure, nonlinear=True) -> tuple:
     """The values `measure` took of the compressible solver run `what` on `grid` with the
-    manifest's fluid and dt.  `data` holds the initial State and is emptied, so the solver
-    holds the only reference and frees the State after its gather."""
+    manifest's fluid and dt.  `data` holds the initial stack and is emptied, so the solver
+    holds the only reference and frees the stack after its gather."""
     cfg = SolverConfig(grid, ctx.params, T=horizon, dt=ctx.dt, snapshot_times=times,
                        nonlinear=nonlinear)
     return _measured(what, lambda: simulate(data.pop(), cfg, measure))
@@ -756,7 +756,7 @@ def _linear_deviations(ctx: RunManifest, grid: Grid, eps, horizon, times, what,
     the run; each band symbol S(t) is built at its snapshot and freed before the next."""
     band, params = grid.band, scaled_params(ctx.params)
     data = [_generic_state(grid, eps)]
-    X0 = np.stack([band.gather(f.coeffs) for f in data[0].components()])
+    X0 = band.gather(data[0])
 
     def measure(t, X):
         return sobolev_norm(X - s_symbol_grid(t, band, params).apply(X0), 0, band)
@@ -809,15 +809,16 @@ def _dipole_data(ctx: RunManifest, grid: Grid):
     that is not localized)."""
     params = ctx.params
     data, _ = _momentum_data(ctx, grid, biot_savart(dipole_vorticity_field(grid, 1, 1.0, params)))
-    return data, first_moments_beta(vorticity_of(data[0].m, params), params)
+    m = tuple(SpectralField(grid, c) for c in data[0][1:])
+    return data, first_moments_beta(vorticity_of(m, params), params)
 
 
 def _momentum_data(ctx: RunManifest, grid: Grid, u):
     """Dealiased zero-density data of momentum rho_star amp u, amp = epsilon / sup |u|, as
     a one-element list for `_simulate`; and amp."""
     amp = ctx.epsilon / lp_norm(u, np.inf)
-    scale = amp * ctx.params.rho_star
-    return [State(SpectralField.zero(grid), (u[0] * scale, u[1] * scale)).dealiased()], amp
+    m = [f.coeffs * (amp * ctx.params.rho_star) for f in u]
+    return [np.stack([np.zeros_like(m[0]), *m]) * grid.dealias_mask], amp
 
 
 def _beta_drift(late, moments) -> float:

@@ -367,17 +367,19 @@ def _energy_check(hs: float, hs0: float, blowup_factor: float) -> None:
         )
 
 
-def simulate(X0: State, config: SolverConfig, measure: Callable) -> Trajectory:
-    """Advance X0 through its snapshot times with diagnostics, measuring each snapshot
-    (`_march`): the band stack in physical variables, in one array made once per run, from
-    which each check computes the diagnostics.  The run integrates X0's band and drops its
-    reference to X0 after the gather.  Vacuum (in the step that meets it), a non-finite
-    state or energy blow-up (at the snapshot that shows it) raises SolverAbort."""
-    if X0.grid != config.grid:
-        raise SolverError("initial state grid does not match config grid")
+def simulate(X0: np.ndarray, config: SolverConfig, measure: Callable) -> Trajectory:
+    """Advance X0, the (3, n, n/2 + 1) half-spectrum stack of (rho_tilde, m1, m2) on the config's
+    grid, through its snapshot times with diagnostics, measuring each snapshot (`_march`): the band
+    stack in physical variables, in one array made once per run, from which each check computes the
+    diagnostics.  The run gathers X0's band, dropping the other coefficients, then drops X0.
+    SolverError before any build unless X0 has that shape; vacuum (in the step that meets it), a
+    non-finite state or energy blow-up (at the snapshot that shows it) raises SolverAbort."""
     times, grid, band = _run_times(config.snapshot_times), config.grid, config.grid.band
+    if getattr(X0, "shape", None) != (shape := (3,) + grid.spectral_shape):
+        raise SolverError(f"initial data must be a half-lattice stack of shape {shape}, "
+                          f"got {getattr(X0, 'shape', type(X0).__name__)}")
     rs = config.params.rho_star
-    stack = band.gather(np.stack([c.coeffs for c in X0.components()]))
+    stack = band.gather(np.asarray(X0, complex))  # real coefficients too, cast once
     del X0  # the run reads only its band
     stack *= 1.0 / rs
     dt, build, advance = _stepper(config, stack)

@@ -350,9 +350,6 @@ class SpectralField:
         """Physical-space samples."""
         return to_physical(self.coeffs, self.grid)
 
-    def dealiased(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * self.grid.dealias_mask)
-
     def hermitian_defect(self) -> float:
         """Max |coeffs(-k1, k2) - conj coeffs(k1, k2)| on the self-conjugate
         columns k2 = 0, n/2: every other stored coefficient stands for a
@@ -404,7 +401,7 @@ def _check_same_grid(*grids: Grid):
 
 @dataclass(frozen=True)
 class State:
-    """Pair X = (rho_tilde, m): density oscillation and momentum components."""
+    """X = (rho_tilde, m) as three fields, the benchmark probe's form; the runs use stacks."""
 
     rho: SpectralField
     m: tuple[SpectralField, SpectralField]
@@ -424,20 +421,6 @@ class State:
         """The state whose components view the rows of a (3, n, n/2+1) array."""
         rho, m0, m1 = (SpectralField(grid, c) for c in coeffs)
         return State(rho, (m0, m1))
-
-    def dealiased(self) -> "State":
-        return State(self.rho.dealiased(), (self.m[0].dealiased(), self.m[1].dealiased()))
-
-    def __add__(self, other: "State") -> "State":
-        return State(self.rho + other.rho, (self.m[0] + other.m[0], self.m[1] + other.m[1]))
-
-    def __sub__(self, other: "State") -> "State":
-        return State(self.rho - other.rho, (self.m[0] - other.m[0], self.m[1] - other.m[1]))
-
-    def __mul__(self, scalar: float) -> "State":
-        return State(self.rho * scalar, (self.m[0] * scalar, self.m[1] * scalar))
-
-    __rmul__ = __mul__
 
 
 def transform(values: np.ndarray, grid: Grid) -> SpectralField:
@@ -552,14 +535,13 @@ def parseval_sum(grid: Grid | Band, pairs, weight=1.0) -> float:
     return float(sum(np.sum(w * (a * np.conj(b)).real) for a, b in pairs)) / grid.L**2
 
 
-def sobolev_norm(state: State | np.ndarray, s: int, band: Grid | Band | None = None) -> float:
-    """H^s norm from Fourier coefficients with the discrete measure 1/L^2, of a State,
-    or of a stack of spectra on `band` (a band or the grid) when it is given."""
+def sobolev_norm(stack: np.ndarray, s: int, lattice: Grid | Band) -> float:
+    """H^s norm from Fourier coefficients with the discrete measure 1/L^2 of a stack of
+    spectra on `lattice` (a band or the grid)."""
     s = int(s)
     if s < 0:
         raise SpectralError(f"Sobolev index must be nonnegative, got {s}")
-    lattice = state.grid if band is None else band
-    pairs = [(c, c) for c in ([f.coeffs for f in state.components()] if band is None else state)]
+    pairs = [(c, c) for c in stack]
     # (1 + |eta|^2)^0 is 1: the scalar weight needs no lattice of ones
     return float(np.sqrt(parseval_sum(lattice, pairs, lattice.sobolev_weight(s) if s else 1.0)))
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vortexlab.spectral import Grid, SpectralField, State, transform
+from vortexlab.spectral import Grid, SpectralField, transform
 
 
 def random_field(grid: Grid, rng, scale: float = 1.0) -> SpectralField:
@@ -13,16 +13,13 @@ def random_field(grid: Grid, rng, scale: float = 1.0) -> SpectralField:
     return out * (scale / peak if peak > 0 else 1.0)
 
 
-def random_state(grid: Grid, rng, scale: float = 1.0) -> State:
-    return State(
-        random_field(grid, rng, scale),
-        (random_field(grid, rng, scale), random_field(grid, rng, scale)),
-    )
+def random_state(grid: Grid, rng, scale: float = 1.0) -> np.ndarray:
+    """A (3, n, n/2 + 1) stack of three `random_field`s: a state (rho_tilde, m1, m2)."""
+    return np.stack([random_field(grid, rng, scale).coeffs for _ in range(3)])
 
 
-def zero_state(grid: Grid) -> State:
-    z = SpectralField.zero
-    return State(z(grid), (z(grid), z(grid)))
+def zero_state(grid: Grid) -> np.ndarray:
+    return np.zeros((3,) + grid.spectral_shape, dtype=np.complex128)
 
 
 @pytest.fixture

@@ -325,7 +325,7 @@ def test_vorticity_data_check_matches_the_heat_flowed_data(n, L, localized):
 
     ctx, record = RunManifest(n=n, L=L), RECORDS["vorticity-profiles"]
     grid = record.grid(ctx)
-    omega = harness._vorticity_dipole_data(ctx, grid).dealiased()
+    omega = harness._vorticity_dipole_data(ctx, grid) * grid.dealias_mask
     heat = SpectralField(grid, np.exp(-ctx.params.nu * grid.eta_sq) * omega.coeffs)
     try:
         first_moments_beta(heat, ctx.params)
@@ -547,10 +547,10 @@ def _half_lattice_rates_series(grid, params):
         lf = phi_symbol_grid(0, t, grid, params, "spar").scaled(chi)
         lf_art = phi_symbol_grid(0, t, grid, params, "artificial_par").scaled(chi)
         series.setdefault("kernel-difference-p2-s0", []).append(
-            sobolev_norm((lf - lf_art).apply(X0), 0))
+            sobolev_norm((lf - lf_art).apply(X0), 0, grid))
         X = lf.apply(X0)
         for sigma in (0, 1):
-            mag = magnitude(dx(X.components(), sigma))
+            mag = magnitude(dx([SpectralField(grid, c) for c in X], sigma))
             for p in (2.0, np.inf):
                 series.setdefault(f"lf-kernel-p{p:g}-s{sigma}", []).append(
                     lp_of_magnitude(mag, grid, p))
@@ -621,7 +621,7 @@ def test_zero_amplitude_residuals_vanish_identically():
     # the eps = 0 limit of the profile-convergence residual is exactly zero
     from vortexlab.profiles import FluidParams, Moments, biot_savart, profile_vorticity
     from vortexlab.solver import SolverConfig, simulate
-    from vortexlab.spectral import State, leray_decompose, lp_norm, make_grid
+    from vortexlab.spectral import leray_decompose, lp_norm, make_grid
 
     grid = make_grid(32, 50.0)
     params = FluidParams()
@@ -629,7 +629,7 @@ def test_zero_amplitude_residuals_vanish_identically():
     moments = Moments(0.0, (0.0, 0.0))
 
     def residual_norms(t, X):
-        perp, _ = leray_decompose(State.from_stack(grid, grid.band.scatter(X)).m)
+        perp, _ = leray_decompose([SpectralField(grid, c) for c in grid.band.scatter(X[1:])])
         uref = biot_savart(profile_vorticity(moments, t, params, grid))
         diff = (perp[0] - uref[0], perp[1] - uref[1])
         return lp_norm(diff, 2), lp_norm(diff, np.inf)
@@ -649,7 +649,7 @@ def test_linear_control_vanishes_at_a_reference_density_of_three():
 def _stub_solvers(monkeypatch, abort_call, data_alive=None):
     """Stand-ins for both solvers: every run measures the band of its initial data at
     each snapshot time after t = 0, except run number `abort_call`, which raises
-    SolverAbort.  After the gather, `simulate` drops its initial State and appends to
+    SolverAbort.  After the gather, `simulate` drops its initial stack and appends to
     `data_alive` (if given) whether anything else still holds it."""
     from vortexlab.solver import SolverAbort, Trajectory
 
@@ -662,7 +662,7 @@ def _stub_solvers(monkeypatch, abort_call, data_alive=None):
         return (0.0, *snapshot_times), tuple(measure(t, band_coeffs) for t in snapshot_times)
 
     def simulate(X0, cfg, measure):
-        band_coeffs = X0.grid.band.gather(np.stack([c.coeffs for c in X0.components()]))
+        band_coeffs = cfg.grid.band.gather(X0)
         data = weakref.ref(X0)
         del X0
         if data_alive is not None:
@@ -723,7 +723,7 @@ def test_incompressible_limit_frees_the_dipole_run_before_the_vortex_run(monkeyp
 @pytest.mark.parametrize("experiment", ["sound-decay", "nonlinear-smallness",
                                         "incompressible-limit"])
 def test_compressible_runs_hand_their_initial_data_to_the_solver(monkeypatch, experiment):
-    # the harness keeps no reference to a run's initial State, so the solver frees it
+    # the harness keeps no reference to a run's initial stack, so the solver frees it
     # once it has gathered its band
     data_alive = []
     _stub_solvers(monkeypatch, None, data_alive)

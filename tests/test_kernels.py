@@ -371,43 +371,56 @@ def test_s_symbol_on_divergence_free_data(rng):
     grid = make_grid(32, 10.0)
     psi = random_field(grid, rng)
     m = (derivative(psi, (0, 1)) * -1.0, derivative(psi, (1, 0)))
-    X = State(type(psi).zero(grid), m)
+    X = np.stack([type(psi).zero(grid).coeffs, m[0].coeffs, m[1].coeffs])
     out = s_symbol_grid(0.7, grid, PARAMS).apply(X)
     heat = np.exp(-PARAMS.mu * grid.eta_sq * 0.7)
-    assert np.abs(out.rho.coeffs).max() < 1e-12
+    assert np.abs(out[0]).max() < 1e-12
     for j in range(2):
-        assert np.abs(out.m[j].coeffs - heat * m[j].coeffs).max() < 1e-12
+        assert np.abs(out[1 + j] - heat * m[j].coeffs).max() < 1e-12
 
 
 def test_s_symbol_matches_spar_on_curl_free_data(rng):
     grid = make_grid(32, 10.0)
     rho = random_field(grid, rng)
     m = gradient(random_field(grid, rng))
-    X = State(rho, m)
+    X = np.stack([rho.coeffs, m[0].coeffs, m[1].coeffs])
     t = 0.9
     a = s_symbol_grid(t, grid, PARAMS).apply(X)
     b = phi_symbol_grid(0, t, grid, PARAMS, "spar").apply(X)
-    for ca, cb in zip(a.components(), b.components()):
-        assert np.abs((ca - cb).coeffs).max() < 1e-11
+    for ca, cb in zip(a, b):
+        assert np.abs(ca - cb).max() < 1e-11
 
 
 def test_apply_rejects_grid_mismatch(rng):
+    # the State form checks its grid; the stack form is the solver's, on the symbol's lattice
     a = make_grid(32, 5.0)
     b = make_grid(64, 5.0)
-    X = random_state(b, rng)
+    X = State.from_stack(b, random_state(b, rng))
     with pytest.raises(KernelError):
         s_symbol_grid(1.0, a, PARAMS).apply(X)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_apply_state_form_equals_stack_form(rng, n):
+    # the benchmark probe times the State form; the runs apply the stack form
+    grid = make_grid(n, 20.0)
+    X = random_state(grid, rng)
+    symbol = phi_symbol_grid(0, 0.8, grid, PARAMS, "s")
+    out = symbol.apply(State.from_stack(grid, X))
+    assert isinstance(out, State) and out.grid == grid
+    got = np.stack([c.coeffs for c in out.components()])
+    assert np.array_equal(got, symbol.apply(X))
 
 
 def test_apply_identity_and_zero(rng):
     grid = make_grid(32, 5.0)
     X = random_state(grid, rng)
     out = KernelSymbol.identity(grid).apply(X)
-    for ca, cb in zip(out.components(), X.components()):
-        assert np.array_equal(ca.coeffs, cb.coeffs)
+    for ca, cb in zip(out, X):
+        assert np.array_equal(ca, cb)
     zero = zero_state(grid)
     out = s_symbol_grid(1.0, grid, PARAMS).apply(zero)
-    assert all(np.abs(c.coeffs).max() == 0.0 for c in out.components())
+    assert all(np.abs(c).max() == 0.0 for c in out)
 
 
 def test_apply_semigroup_on_grid(rng):
@@ -417,18 +430,18 @@ def test_apply_semigroup_on_grid(rng):
     st, ss = s_symbol_grid(t, grid, PARAMS), s_symbol_grid(s, grid, PARAMS)
     one = s_symbol_grid(t + s, grid, PARAMS).apply(X)
     for two in (st.apply(ss.apply(X)), st.compose(ss).apply(X)):
-        for ca, cb in zip(one.components(), two.components()):
-            assert np.abs((ca - cb).coeffs).max() < 1e-10 * max(np.abs(ca.coeffs).max(), 1e-300)
+        for ca, cb in zip(one, two):
+            assert np.abs(ca - cb).max() < 1e-10 * max(np.abs(ca).max(), 1e-300)
 
 
 def test_apply_preserves_hermitian_symmetry_exactly(rng):
     # half spectra: the self-conjugate columns carry the whole symmetry
     grid = make_grid(32, 5.0)
     X = random_state(grid, rng)
-    assert all(c.hermitian_defect() == 0.0 for c in X.components())
+    assert all(SpectralField(grid, c).hermitian_defect() == 0.0 for c in X)
     out = phi_symbol_grid(0, 0.8, grid, PARAMS, "spar").apply(X)
-    for comp in out.components():
-        assert comp.hermitian_defect() == 0.0
+    for comp in out:
+        assert SpectralField(grid, comp).hermitian_defect() == 0.0
 
 
 def test_grid_symbol_matches_pointwise(rng):
@@ -448,9 +461,7 @@ def test_grid_symbol_matches_pointwise(rng):
         for k in range(3):
             unit = np.zeros((3,) + grid.spectral_shape, dtype=np.complex128)
             unit[k, i, j] = 1.0
-            rho, m0, m1 = (SpectralField(grid, u) for u in unit)
-            X = State(rho, (m0, m1))
-            got[:, k] = [c.coeffs[i, j] for c in sym.apply(X).components()]
+            got[:, k] = sym.apply(unit)[:, i, j]
         assert np.abs(got - block).max() < 1e-12
 
 
@@ -715,8 +726,8 @@ def test_heat_symbol_semigroup(rng):
 
     a = heat(0.5).apply(heat(0.25).apply(X))
     b = heat(0.75).apply(X)
-    for ca, cb in zip(a.components(), b.components()):
-        assert np.abs((ca - cb).coeffs).max() < 1e-12
+    for ca, cb in zip(a, b):
+        assert np.abs(ca - cb).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [64, 256, 512])
