@@ -2,10 +2,11 @@
 
 Every experiment collects its `ExperimentReport` rows in an
 `ExperimentResult(name)`: `add` appends one row, `rate` fits a (t, value)
-series against the predicted exponent, and `decay` reports that a residual
-weighted by t^(predicted exponent) decays; both keep their series for export.
-Predicted exponents come from one formula table keyed by (estimate, p,
-|sigma|), never from per-case constants.
+series against the predicted exponent, `decay` reports that a residual
+weighted by t^(predicted exponent) decays (both keep their series for
+export), and `bound` reports the worst of some deviations as a one-sided
+bound, NaN if any of them is.  Predicted exponents come from one formula
+table keyed by (estimate, p, |sigma|), never from per-case constants.
 
 Report pass semantics (`mode`):
   "match"     |fitted - predicted| <= tolerance   (two-sided rate statements)
@@ -190,10 +191,16 @@ class ExperimentReport:
         raise HarnessError(f"unknown report mode {self.mode!r}")
 
 
+def _worst(values) -> float:
+    """The largest of 0.0 and the values (a number, a list or an array), NaN if any is:
+    Python's max(0.0, nan) is 0.0, so a NaN would pass."""
+    return float(np.max(values, initial=0.0))
+
+
 @dataclass
 class ExperimentResult:
-    """One experiment's rows, collected as it runs: `add` appends a report,
-    `rate` and `decay` also keep the series they judge under `series`."""
+    """One experiment's rows, collected as it runs: `add` appends a report, `bound`
+    a worst case, and `rate` and `decay` also keep the series they judge under `series`."""
 
     name: str
     reports: list = field(default_factory=list)
@@ -208,6 +215,11 @@ class ExperimentResult:
         """Append one report; `optional` holds its p, sigma, r2, mode and meta."""
         report = ExperimentReport(self.name, label, predicted, fitted, tolerance, **optional)
         self.reports.append(report)
+
+    def bound(self, label, predicted, values, tolerance, **optional) -> None:
+        """Append a one-sided bound row whose `fitted` is `_worst(values)`; `optional`
+        holds its p, sigma and meta."""
+        self.add(label, predicted, _worst(values), tolerance, mode="bound", **optional)
 
     def rate(self, label, estimate, p, sigma, t, values, tolerance, mode="match",
              allow_log=False, fit_window=None) -> None:
@@ -246,10 +258,9 @@ class ExperimentResult:
         if len(half) < 2:
             raise HarnessError(f"{self.name}/{label}: a decay needs >= 2 samples in the last "
                                f"half [h/2, h], got {len(half)}")
-        monotone = float((half[1:] / half[:-1]).max())
-        self.add(f"{label}-monotone", 1.0, monotone, 0.0, p=p, sigma=sigma, mode="bound")
-        self.add(f"{label}-final-fraction", final_fraction, float(values[-1] / values[0]), 0.0,
-                 p=p, sigma=sigma, mode="bound")
+        self.bound(f"{label}-monotone", 1.0, half[1:] / half[:-1], 0.0, p=p, sigma=sigma)
+        self.bound(f"{label}-final-fraction", final_fraction, values[-1] / values[0], 0.0,
+                   p=p, sigma=sigma)
 
 
 def _lp_series(grid: Grid, magnitudes, ps):
@@ -329,18 +340,17 @@ def run_kernel_algebra(ctx: RunManifest) -> ExperimentResult:
     X = Xr * small.dealias_mask
     result = ExperimentResult(name)
     for kind in ("spar", "s", "artificial_par", "artificial", "wave"):
-        worst = 0.0
+        deviations = []
         for t, s in rng.uniform(0.05, 2.0, size=(20, 2)):
             # phi_0 = exp: the kernel symbol itself
             St, Ss, Sts = (phi_symbol_grid(0, h, small, params, kind) for h in (t, s, t + s))
-            # worst cases fold with np.max/np.maximum: max(0.0, nan) is 0.0, a NaN passing
-            worst = np.maximum(worst, _relative_deviation(St.compose(Ss).apply(X), Sts.apply(X)))
-        result.add(f"semigroup-{kind.replace('_', '-')}", 0.0, float(worst), 1e-10, mode="bound")
+            deviations.append(_relative_deviation(St.compose(Ss).apply(X), Sts.apply(X)))
+        result.bound(f"semigroup-{kind.replace('_', '-')}", 0.0, deviations, 1e-10)
 
     # the heat semigroup, through the weights the vorticity solver applies
     a = (Xr * heat_weight(0, 0.9, small, params.mu)) * heat_weight(0, 0.6, small, params.mu)
     b = Xr * heat_weight(0, 1.5, small, params.mu)
-    result.add("semigroup-heat", 0.0, _relative_deviation(a, b), 1e-10, mode="bound")
+    result.bound("semigroup-heat", 0.0, _relative_deviation(a, b), 1e-10)
 
     # (S(dt) - I)/dt against the generator, per sampled wavevector, relative to
     # max(|generator entries|, 1)
@@ -350,39 +360,33 @@ def run_kernel_algebra(ctx: RunManifest) -> ExperimentResult:
         increment = phi_symbol_grid(0, dt, small, params, kind) - KernelSymbol.identity(small)
         error = (increment.scaled(1.0 / dt) - gen).entry_magnitude()
         scale = np.maximum(gen.entry_magnitude(), 1.0)
-        deviation = float((error / scale)[sampled].max())
-        result.add(f"generator-{kind}", 0.0, deviation, 1e-5, mode="bound")
+        result.bound(f"generator-{kind}", 0.0, (error / scale)[sampled], 1e-5)
 
-    worst_idem = 0.0
-    worst_orth = 0.0
+    idempotency, orthogonality = [], []
     for _ in range(100):
         m = (_random_field(small, rng), _random_field(small, rng))
         perp, par = leray_decompose(m)
         perp2, par2 = leray_decompose(perp)
         scale = max(np.abs(m[0].coeffs).max(), np.abs(m[1].coeffs).max(), 1e-300)
-        worst_idem = np.max([
-            worst_idem,
-            float(np.abs((perp2[0] - perp[0]).coeffs).max() / scale),
-            float(np.abs((perp2[1] - perp[1]).coeffs).max() / scale),
-            float(np.abs(par2[0].coeffs).max() / scale),
-        ])
+        idempotency += [np.abs((perp2[0] - perp[0]).coeffs).max() / scale,
+                        np.abs((perp2[1] - perp[1]).coeffs).max() / scale,
+                        np.abs(par2[0].coeffs).max() / scale]
         inner = parseval_sum(small, [(a.coeffs, b.coeffs) for a, b in zip(perp, par)])
         na, nb = lp_norm(perp, 2), lp_norm(par, 2)
         if na != 0 and nb != 0:  # not `> 0`, which would skip a NaN norm
-            worst_orth = np.maximum(worst_orth, abs(inner) / (na * nb))
-    result.add("leray-idempotency", 0.0, float(worst_idem), 1e-12, mode="bound")
-    result.add("leray-orthogonality", 0.0, float(worst_orth), 1e-12, mode="bound")
+            orthogonality.append(abs(inner) / (na * nb))
+    result.bound("leray-idempotency", 0.0, idempotency, 1e-12)
+    result.bound("leray-orthogonality", 0.0, orthogonality, 1e-12)
 
     # the low- and high-frequency parts, scaled by the weight kernel-rates applies
     sym, chi = s_symbol_grid(0.8, small, params), low_pass(small, default_cutoff(params))
     deviation = (sym.scaled(chi) + sym.scaled(1.0 - chi) - sym).entry_magnitude().max()
-    partition = float(deviation / max(sym.entry_magnitude().max(), 1e-300))
-    result.add("split-partition", 0.0, partition, 1e-15, mode="bound")
+    result.bound("split-partition", 0.0, deviation / max(sym.entry_magnitude().max(), 1e-300),
+                 1e-15)
 
     # a real state keeps an exactly Hermitian spectrum under the symbol
     out = phi_symbol_grid(0, 0.7, small, params, "spar").apply(Xr)
-    defect = float(np.max([SpectralField(small, c).hermitian_defect() for c in out]))
-    result.add("realness", 0.0, defect, 0.0, mode="bound")
+    result.bound("realness", 0.0, [SpectralField(small, c).hermitian_defect() for c in out], 0.0)
     return result
 
 
@@ -651,10 +655,9 @@ def run_pointwise_bound(ctx: RunManifest) -> ExperimentResult:
         ks = np.array([s["k_fit"] for s in samples])
         k_stability = float(ks.max() / ks.min()) if np.all(np.isfinite(ks)) else float("inf")
         ring_ok = all(s["ring"][0] <= s["peak_radius"] <= s["ring"][1] for s in samples)
-        tail = float(np.max([s["tail_ratio"] for s in samples]))
-        result.add(f"{label}-k-stability", 2.0, k_stability, 0.0, mode="bound")
+        result.bound(f"{label}-k-stability", 2.0, k_stability, 0.0)
         result.add(f"{label}-ring-location", 1.0, float(ring_ok), 0.0)
-        result.add(f"{label}-far-tail", 0.0, tail, 1e-8, mode="bound")
+        result.bound(f"{label}-far-tail", 0.0, [s["tail_ratio"] for s in samples], 1e-8)
     return result
 
 
@@ -793,12 +796,12 @@ def run_nonlinear_smallness(ctx: RunManifest) -> ExperimentResult:
     normalized = deviations[ctx.epsilon] / envelope
     ratio = float(normalized.max() / normalized.min())
     result.series["envelope-normalized"] = (t_arr, normalized)
-    result.add("envelope-boundedness", 3.0, ratio, 0.0, p=2.0, sigma=0, mode="bound")
+    result.bound("envelope-boundedness", 3.0, ratio, 0.0, p=2.0, sigma=0)
 
     # linear-only control: the deviation vanishes identically
-    worst = float(np.max([0.0, *_linear_deviations(ctx, grid, ctx.epsilon, horizon, times,
-                                                   f"{name} linear-control", False)]))
-    result.add("linear-control", 0.0, worst, 1e-12, mode="bound")
+    control = _linear_deviations(ctx, grid, ctx.epsilon, horizon, times,
+                                 f"{name} linear-control", False)
+    result.bound("linear-control", 0.0, control, 1e-12)
     return result
 
 
@@ -875,7 +878,7 @@ def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
             result.decay(f"dipole-residual-p{p:g}-s{sigma}", "incompressible_weight", p, sigma,
                          times, norms[:, sigma, i], horizon, 0.2)
     # the beta drift within 2% of the initial values
-    result.add("beta-consistency", 0.0, drift, 0.02, mode="bound", meta={"t_probe": t_probe})
+    result.bound("beta-consistency", 0.0, drift, 0.02, meta={"t_probe": t_probe})
 
     # vortex-data control: nonzero circulation follows the vortex profile.
     # No rate is asserted for this limit, so the criterion is the weaker
@@ -932,9 +935,9 @@ def run_vorticity_profiles(ctx: RunManifest) -> ExperimentResult:
 
         residuals = _measured(f"{name} vortex L={vortex_grid.L:g}", lambda: vorticity_simulate(
             oseen_vorticity_field(vortex_grid, 2.0, params), nu, times_a, 0.25, relative_residual))
-        box_residuals[vortex_grid.L] = float(np.max([0.0, *residuals]))
-    result.add("vortex-exactness", 0.0, box_residuals[ctx.grid.L], 1e-6, mode="bound",
-               meta={"box_sensitivity": box_residuals})
+        box_residuals[vortex_grid.L] = _worst(residuals)
+    result.bound("vortex-exactness", 0.0, box_residuals[ctx.grid.L], 1e-6,
+                 meta={"box_sensitivity": box_residuals})
 
     # perturbed dipole: weighted residual against the first-moment profile, and the
     # moments while the field is still well localized
@@ -953,11 +956,11 @@ def run_vorticity_profiles(ctx: RunManifest) -> ExperimentResult:
     result.decay("dipole-residual", "dipole_weight", 2.0, 0, times_b, residuals, T, 0.2,
                  key="dipole-residual-p2")
 
-    drift = 0.0
+    drifts = []
     for m in (m for _, m in values if m is not None):
-        drift = np.max([drift, _beta_drift(m, moments),
-                        abs(m.alpha - moments.alpha) / max(abs(moments.alpha), 1e-12)])
-    result.add("moment-conservation", 0.0, float(drift), 1e-8, mode="bound")
+        drifts += [_beta_drift(m, moments),
+                   abs(m.alpha - moments.alpha) / max(abs(moments.alpha), 1e-12)]
+    result.bound("moment-conservation", 0.0, drifts, 1e-8)
     return result
 
 
@@ -1279,18 +1282,9 @@ def summary_dict(results, ctx: RunManifest) -> dict:
                 "name": res.name,
                 "passed": res.passed,
                 "reports": [
-                    {
-                        "label": r.label,
-                        "p": None if r.p is None else ("inf" if np.isinf(r.p) else r.p),
-                        "sigma": r.sigma,
-                        "predicted": r.predicted,
-                        "fitted": r.fitted,
-                        "tolerance": r.tolerance,
-                        "r2": r.r2,
-                        "mode": r.mode,
-                        "passed": r.passed,
-                        "meta": r.meta,
-                    }
+                    {f.name: getattr(r, f.name) for f in fields(r) if f.name != "experiment"}
+                    | {"p": None if r.p is None else ("inf" if np.isinf(r.p) else r.p),
+                       "passed": r.passed}
                     for r in res.reports
                 ],
                 "extras": res.extras,

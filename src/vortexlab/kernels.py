@@ -194,12 +194,16 @@ class KernelSymbol:
 
     def apply(self, X, out: np.ndarray | None = None):
         """The symbol applied to a State, or to a (3, ...) coefficient stack on its lattice,
-        giving the same kind; a stack's result goes into `out` (not overlapping X) if given."""
+        giving the same kind; a stack's result goes into `out` (not overlapping X) if given.
+        KernelError for a State on another grid or a stack of another shape; a stack of the
+        same shape on a box of another L cannot be told apart, and is applied as given."""
         # with u = i eta . m:  rho' = d rho + b u,  m' = p m + i eta (c rho - q u)
         g = self.grid
         is_state = isinstance(X, State)
         if is_state and X.grid != g:
             raise KernelError("state grid does not match symbol grid")
+        if not is_state and X.shape != (shape := (3,) + g.spectral_shape):
+            raise KernelError(f"stack of shape {X.shape} does not match the symbol's {shape}")
         ie1, ie2 = 1j * g.eta1_odd, 1j * g.eta2_odd
         r, m0, m1 = (f.coeffs for f in X.components()) if is_state else X
         if out is None:

@@ -370,10 +370,6 @@ class SpectralField:
 
     __rmul__ = __mul__
 
-    @staticmethod
-    def zero(grid: Grid) -> "SpectralField":
-        return SpectralField(grid, np.zeros(grid.spectral_shape, dtype=np.complex128))
-
 
 def to_physical(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Samples of a half spectrum, or of a stack of them along leading axes: irfft2's
@@ -468,10 +464,6 @@ def derivative(field: SpectralField, sigma) -> SpectralField:
 
 def gradient(field: SpectralField) -> tuple[SpectralField, SpectralField]:
     return derivative(field, (1, 0)), derivative(field, (0, 1))
-
-
-def divergence(m: tuple[SpectralField, SpectralField]) -> SpectralField:
-    return derivative(m[0], (1, 0)) + derivative(m[1], (0, 1))
 
 
 def curl(m: tuple[SpectralField, SpectralField]) -> SpectralField:

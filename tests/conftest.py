@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vortexlab.spectral import Grid, SpectralField, transform
+from vortexlab.spectral import Grid, SpectralField, derivative, transform
 
 
 def random_field(grid: Grid, rng, scale: float = 1.0) -> SpectralField:
@@ -20,6 +20,15 @@ def random_state(grid: Grid, rng, scale: float = 1.0) -> np.ndarray:
 
 def zero_state(grid: Grid) -> np.ndarray:
     return np.zeros((3,) + grid.spectral_shape, dtype=np.complex128)
+
+
+def zero_field(grid: Grid) -> SpectralField:
+    return SpectralField(grid, np.zeros(grid.spectral_shape, dtype=np.complex128))
+
+
+def divergence(m: tuple[SpectralField, SpectralField]) -> SpectralField:
+    """Spectral divergence d1 m1 + d2 m2 of a momentum pair."""
+    return derivative(m[0], (1, 0)) + derivative(m[1], (0, 1))
 
 
 @pytest.fixture

@@ -178,6 +178,49 @@ def test_report_pass_semantics():
     assert not r.passed
 
 
+@pytest.mark.parametrize("values", [
+    [float("nan"), 1e-3, 0.0],
+    [1e-3, float("nan"), 0.0],
+    [1e-3, 0.0, float("nan")],
+    np.array([[1e-3, 0.0], [float("nan"), 2e-3]]),
+    float("nan"),
+])
+def test_bound_row_fails_on_a_nan_anywhere(values):
+    # Python's max(0.0, nan) is 0.0: a fold that drops the NaN would pass the row
+    result = ExperimentResult("e")
+    result.bound("l", 0.0, values, 1.0)
+    (row,) = result.reports
+    assert row.mode == "bound" and np.isnan(row.fitted)
+    assert not row.passed and not result.passed
+
+
+@pytest.mark.parametrize("values", [[], np.array([]), ()])
+def test_bound_row_of_no_values_reads_zero(values):
+    result = ExperimentResult("e")
+    result.bound("l", 0.0, values, 0.0)
+    assert result.reports[0].fitted == 0.0 and result.passed
+
+
+def test_bound_row_takes_the_worst_value():
+    result = ExperimentResult("e")
+    result.bound("l", 1.0, np.array([0.25, 1.5, 0.5]), 0.0, p=2.0, sigma=1, meta={"k": 1})
+    row = result.reports[0]
+    assert (row.fitted, row.p, row.sigma, row.meta) == (1.5, 2.0, 1, {"k": 1})
+    assert isinstance(row.fitted, float) and not row.passed
+
+
+def test_summary_report_keys_are_the_report_fields():
+    result = ExperimentResult("e")
+    result.add("rate", -1.0, -1.02, 0.1, p=np.inf, sigma=0, r2=0.99)
+    result.bound("worst", 0.0, [1e-14, 0.0], 1e-12)
+    summary = summary_dict([result], RunManifest(experiments=("kernel-algebra",)))
+    reports = summary["experiments"][0]["reports"]
+    keys = {f.name for f in dataclasses.fields(ExperimentReport)} - {"experiment"} | {"passed"}
+    assert [set(r) for r in reports] == [keys, keys]
+    assert reports[0]["p"] == "inf" and reports[1]["p"] is None
+    assert [r["passed"] for r in reports] == [True, True]
+
+
 def test_reports_csv_format_and_determinism():
     reports = [
         ExperimentReport("exp", "a", -0.5, -0.52, 0.1, p=2.0, sigma=0, r2=0.999),

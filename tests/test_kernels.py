@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -34,7 +35,7 @@ from vortexlab.spectral import (
     over_mag2,
     to_physical,
 )
-from conftest import random_field, random_state, zero_state
+from conftest import random_field, random_state, zero_field, zero_state
 
 PARAMS = FluidParams()  # mu = 1, lam = 0, rho_star = 1 -> mu_par = 2, c = 1
 MU_PAR_ONE = FluidParams(mu=0.5)  # mu_par = 1, c = 1: double root at |eta| = 2
@@ -371,7 +372,7 @@ def test_s_symbol_on_divergence_free_data(rng):
     grid = make_grid(32, 10.0)
     psi = random_field(grid, rng)
     m = (derivative(psi, (0, 1)) * -1.0, derivative(psi, (1, 0)))
-    X = np.stack([type(psi).zero(grid).coeffs, m[0].coeffs, m[1].coeffs])
+    X = np.stack([zero_field(grid).coeffs, m[0].coeffs, m[1].coeffs])
     out = s_symbol_grid(0.7, grid, PARAMS).apply(X)
     heat = np.exp(-PARAMS.mu * grid.eta_sq * 0.7)
     assert np.abs(out[0]).max() < 1e-12
@@ -398,6 +399,16 @@ def test_apply_rejects_grid_mismatch(rng):
     X = State.from_stack(b, random_state(b, rng))
     with pytest.raises(KernelError):
         s_symbol_grid(1.0, a, PARAMS).apply(X)
+
+
+@pytest.mark.parametrize("shape", [(3, 64, 33), (3, 21, 11), (2, 32, 17)])
+def test_apply_rejects_a_stack_of_another_shape(shape):
+    # a stack of another n, a band stack on a grid symbol and a stack of two rows: each is
+    # a KernelError naming both shapes, before numpy's arithmetic fails naming neither
+    grid = make_grid(32, 5.0)
+    assert grid.band.spectral_shape == (21, 11)
+    with pytest.raises(KernelError, match=rf"{re.escape(str(shape))}.*\(3, 32, 17\)"):
+        s_symbol_grid(1.0, grid, PARAMS).apply(np.zeros(shape, complex))
 
 
 @pytest.mark.parametrize("n", [16, 64])

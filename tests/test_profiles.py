@@ -17,13 +17,12 @@ from vortexlab.profiles import (
 from vortexlab.spectral import (
     curl,
     derivative,
-    divergence,
     lp_norm,
     make_grid,
     sample,
     transform,
 )
-from conftest import random_field
+from conftest import divergence, random_field
 
 PARAMS = FluidParams()
 

@@ -45,7 +45,7 @@ from vortexlab.spectral import (
     to_spectral,
     transform,
 )
-from conftest import random_state, zero_state
+from conftest import random_state, zero_field, zero_state
 
 PARAMS = FluidParams()
 
@@ -134,7 +134,7 @@ def _reference_source(grid, X: np.ndarray, params: FluidParams) -> np.ndarray:
     t1 = a11 * G1 + a12 * G2 + i1 * F11 + i2 * F12
     t2 = a12 * G1 + a22 * G2 + i1 * F12 + i2 * F22
     s1, s2 = grid.make_hermitian(np.conj(np.stack([t1, t2])) * grid.dealias_mask)
-    return np.stack([SpectralField.zero(grid).coeffs, s1, s2])
+    return np.stack([zero_field(grid).coeffs, s1, s2])
 
 
 def _scaled_transform_source(grid, X: np.ndarray, params: FluidParams) -> np.ndarray:
@@ -147,7 +147,7 @@ def _scaled_transform_source(grid, X: np.ndarray, params: FluidParams) -> np.nda
     s1 = 1j * (e1 * f11 + e2 * f12) + visc * g1 + e1 * div_g
     s2 = 1j * (e1 * f12 + e2 * f22) + visc * g2 + e2 * div_g
     mask = grid.dealias_mask
-    return np.stack([SpectralField.zero(grid).coeffs, s1 * mask, s2 * mask])
+    return np.stack([zero_field(grid).coeffs, s1 * mask, s2 * mask])
 
 
 def _reference_step(grid, X: np.ndarray, h: float, params: FluidParams, scheme: str):
@@ -526,7 +526,7 @@ def test_simulate_divergence_free_data_keeps_density_second_order():
     omega = dipole_vorticity_field(grid, 1, 1.0, PARAMS)
     u = biot_savart(omega)
     amp = eps / max(lp_norm(u, np.inf), 1e-300)
-    X0 = np.stack([f.coeffs for f in (SpectralField.zero(grid), u[0] * amp, u[1] * amp)])
+    X0 = np.stack([f.coeffs for f in (zero_field(grid), u[0] * amp, u[1] * amp)])
     X0 *= grid.dealias_mask
     cfg = SolverConfig(grid=grid, params=PARAMS, T=4.0, snapshot_times=(1.0, 2.0, 4.0))
     traj, states = _states(X0, cfg)

@@ -11,7 +11,6 @@ from vortexlab.spectral import (
     curl,
     derivative,
     derivative_multiplier,
-    divergence,
     gradient,
     leray_decompose,
     lp_norm,
@@ -25,7 +24,7 @@ from vortexlab.spectral import (
     to_spectral,
     transform,
 )
-from conftest import random_field, random_state, zero_state
+from conftest import divergence, random_field, random_state, zero_state
 
 
 def test_make_grid_integer_lattice():
