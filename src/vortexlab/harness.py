@@ -55,10 +55,10 @@ from .spectral import (
     BandTransform,
     Grid,
     SpectralError,
-    SpectralField,
     derivative,
     derivative_multiplier,
     gradient,
+    hermitian_defect,
     leray_decompose,
     lp_norm,
     lp_of_magnitude,
@@ -68,7 +68,7 @@ from .spectral import (
     sample,
     sobolev_norm,
     support_band,
-    transform,
+    to_spectral,
 )
 
 
@@ -275,29 +275,20 @@ def _lp_series(grid: Grid, magnitudes, ps):
     return vals
 
 
-def _dx(fields, sigma: int) -> tuple:
-    """The sigma-th x1-derivative of each field (the fields themselves at 0)."""
-    return tuple(derivative(f, (sigma, 0)) if sigma else f for f in fields)
-
-
 def _perp_residual(grid: Grid, X: np.ndarray, uref, scale):
     """Divergence-free part of the band snapshot X's momentum, scattered to the half
     lattice, minus scale * uref."""
     perp, _ = leray_decompose(X[1:], grid.band)
-    return tuple(SpectralField(grid, grid.band.scatter(c)) - u * scale for c, u in zip(perp, uref))
+    return tuple(grid.band.scatter(c) - u * scale for c, u in zip(perp, uref))
 
 
-def _random_field(grid: Grid, rng) -> SpectralField:
-    """A smooth random real field: normal samples with damped high modes."""
-    f = transform(rng.standard_normal((grid.n, grid.n)), grid)
-    return SpectralField(grid, f.coeffs * np.exp(-0.05 * grid.eta_sq))
-
-
-def _random_stack(grid: Grid, rng) -> np.ndarray:
-    """A random state (rho_tilde, m1, m2): three `_random_field`s, drawn row by row."""
-    X = np.empty((3,) + grid.spectral_shape, complex)
+def _random_stack(grid: Grid, rng, k: int = 3) -> np.ndarray:
+    """The half spectra of k smooth random real fields, normal samples with damped high
+    modes, drawn row by row: by default a state (rho_tilde, m1, m2)."""
+    X = np.empty((k,) + grid.spectral_shape, complex)
     for row in X:
-        row[...] = _random_field(grid, rng).coeffs
+        np.multiply(to_spectral(rng.standard_normal((grid.n, grid.n)), grid),
+                    np.exp(-0.05 * grid.eta_sq), out=row)
     return X
 
 
@@ -364,15 +355,15 @@ def run_kernel_algebra(ctx: RunManifest) -> ExperimentResult:
 
     idempotency, orthogonality = [], []
     for _ in range(100):
-        m = (_random_field(small, rng), _random_field(small, rng))
-        perp, par = leray_decompose(m)
-        perp2, par2 = leray_decompose(perp)
-        scale = max(np.abs(m[0].coeffs).max(), np.abs(m[1].coeffs).max(), 1e-300)
-        idempotency += [np.abs((perp2[0] - perp[0]).coeffs).max() / scale,
-                        np.abs((perp2[1] - perp[1]).coeffs).max() / scale,
-                        np.abs(par2[0].coeffs).max() / scale]
-        inner = parseval_sum(small, [(a.coeffs, b.coeffs) for a, b in zip(perp, par)])
-        na, nb = lp_norm(perp, 2), lp_norm(par, 2)
+        m = _random_stack(small, rng, 2)
+        perp, par = leray_decompose(m, small)
+        perp2, par2 = leray_decompose(perp, small)
+        scale = max(np.abs(m[0]).max(), np.abs(m[1]).max(), 1e-300)
+        idempotency += [np.abs(perp2[0] - perp[0]).max() / scale,
+                        np.abs(perp2[1] - perp[1]).max() / scale,
+                        np.abs(par2[0]).max() / scale]
+        inner = parseval_sum(small, zip(perp, par))
+        na, nb = lp_norm(perp, small, 2), lp_norm(par, small, 2)
         if na != 0 and nb != 0:  # not `> 0`, which would skip a NaN norm
             orthogonality.append(abs(inner) / (na * nb))
     result.bound("leray-idempotency", 0.0, idempotency, 1e-12)
@@ -386,7 +377,7 @@ def run_kernel_algebra(ctx: RunManifest) -> ExperimentResult:
 
     # a real state keeps an exactly Hermitian spectrum under the symbol
     out = phi_symbol_grid(0, 0.7, small, params, "spar").apply(Xr)
-    result.bound("realness", 0.0, [SpectralField(small, c).hermitian_defect() for c in out], 0.0)
+    result.bound("realness", 0.0, [hermitian_defect(c, small) for c in out], 0.0)
     return result
 
 
@@ -397,8 +388,8 @@ def run_kernel_algebra(ctx: RunManifest) -> ExperimentResult:
 def _localized_sound_state(grid: Grid) -> np.ndarray:
     """Tightly localized state with density mass and curl-free momentum."""
     rho = sample(grid, lambda a, b: np.exp(-(a**2 + b**2) / 4.0))
-    m = gradient(sample(grid, lambda a, b: np.exp(-(a**2 + b**2) / 6.0)))
-    return np.stack([f.coeffs for f in (rho, *m)])
+    m = gradient(sample(grid, lambda a, b: np.exp(-(a**2 + b**2) / 6.0)), grid)
+    return np.stack((rho, *m))
 
 
 def _lf_kernel_rows(result: ExperimentResult, grid: Grid, params, chi) -> None:
@@ -465,7 +456,7 @@ def _heat_flow_magnitudes(grid: Grid, mu: float, data, times, max_sigma: int):
         h = heat_weight(0, t, grid, mu)
         band = support_band(grid, h)
         h, core = band.gather(h), BandTransform(grid, work, band)
-        fields = [band.gather(f.coeffs) for f in data]
+        fields = [band.gather(f) for f in data]
         for f in fields:
             np.multiply(h, f, out=f)
         for sigma in range(max_sigma + 1):
@@ -520,9 +511,10 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
     # and the dipole vorticity is freed once they are made
     perp_times, perp_ps = np.geomspace(8.0, 128.0, 9), (2.0, np.inf)
     omega_dipole = dipole_vorticity_field(grid, 1, 1.0, params)
-    dipole_mags = _heat_flow_magnitudes(grid, params.mu, biot_savart(omega_dipole), perp_times, 1)
+    dipole_mags = _heat_flow_magnitudes(grid, params.mu, biot_savart(omega_dipole, grid),
+                                        perp_times, 1)
     dipole_vals = _lp_series(grid, dipole_mags, perp_ps)
-    m_second = biot_savart(derivative(omega_dipole, (1, 0)))
+    m_second = biot_savart(derivative(omega_dipole, grid, (1, 0)), grid)
     del omega_dipole
     second_ps = perp_ps + (1.5,)
     second_vals, weighted_vals = [[] for _ in second_ps], []
@@ -674,15 +666,13 @@ def _generic_state(grid: Grid, eps: float) -> np.ndarray:
     rho = sample(
         grid, lambda a, b: np.exp(-(a**2 + b**2) / 9.0) * (1.0 + 0.3 * b / 4.0)
     )
-    c = rho.coeffs.copy()
-    c[0, 0] = 0.0
-    rho = SpectralField(grid, c)
-    par = gradient(sample(grid, lambda a, b: np.exp(-(a**2 + b**2) / 12.0)))
+    rho[0, 0] = 0.0
+    par = gradient(sample(grid, lambda a, b: np.exp(-(a**2 + b**2) / 12.0)), grid)
     psi = sample(grid, lambda a, b: np.exp(-((a - 1.0) ** 2 + b**2) / 10.0))
-    perp = (derivative(psi, (0, 1)) * -1.0, derivative(psi, (1, 0)))
+    perp = (derivative(psi, grid, (0, 1)) * -1.0, derivative(psi, grid, (1, 0)))
     m = (par[0] * 0.7 + perp[0] * 0.5, par[1] * 0.7 + perp[1] * 0.5)
-    scale = max(lp_norm(rho, np.inf), lp_norm(m, np.inf))
-    return np.stack([f.coeffs for f in (rho, *m)]) * (eps / scale)
+    scale = max(lp_norm(rho, grid, np.inf), lp_norm(m, grid, np.inf))
+    return np.stack((rho, *m)) * (eps / scale)
 
 
 # sound-decay: geometric snapshots on [1, h], its rates fit on [h / _SOUND_WINDOW, h]
@@ -811,16 +801,16 @@ def _dipole_data(ctx: RunManifest, grid: Grid):
     `_momentum_data` gives it, and the first moments of its vorticity (ProfileError if
     that is not localized)."""
     params = ctx.params
-    data, _ = _momentum_data(ctx, grid, biot_savart(dipole_vorticity_field(grid, 1, 1.0, params)))
-    m = tuple(SpectralField(grid, c) for c in data[0][1:])
-    return data, first_moments_beta(vorticity_of(m, params), params)
+    data, _ = _momentum_data(ctx, grid,
+                             biot_savart(dipole_vorticity_field(grid, 1, 1.0, params), grid))
+    return data, first_moments_beta(vorticity_of(data[0][1:], grid, params), grid, params)
 
 
 def _momentum_data(ctx: RunManifest, grid: Grid, u):
     """Dealiased zero-density data of momentum rho_star amp u, amp = epsilon / sup |u|, as
     a one-element list for `_simulate`; and amp."""
-    amp = ctx.epsilon / lp_norm(u, np.inf)
-    m = [f.coeffs * (amp * ctx.params.rho_star) for f in u]
+    amp = ctx.epsilon / lp_norm(u, grid, np.inf)
+    m = [f * (amp * ctx.params.rho_star) for f in u]
     return [np.stack([np.zeros_like(m[0]), *m]) * grid.dealias_mask], amp
 
 
@@ -843,14 +833,15 @@ def _dipole_measurements(ctx: RunManifest, grid: Grid, horizon, times, ps):
 
     def measure(t, X):
         # one Leray split and one reference profile per snapshot
-        uref = biot_savart(profile_vorticity(moments, t, params, grid))
+        uref = biot_savart(profile_vorticity(moments, t, params, grid), grid)
         d = _perp_residual(grid, X, uref, rs)
-        norms = [[lp_of_magnitude(mag, grid, p) for p in ps]
-                 for mag in (magnitude(_dx(d, sigma)) for sigma in (0, 1))]
+        mags = (magnitude([derivative(f, grid, (sigma, 0)) for f in d] if sigma else d, grid)
+                for sigma in (0, 1))
+        norms = [[lp_of_magnitude(mag, grid, p) for p in ps] for mag in mags]
         if t != t_probe:
             return norms, None
-        m = tuple(SpectralField(grid, c) for c in grid.band.scatter(X[1:]))
-        late = first_moments_beta(vorticity_of(m, params), params)
+        m = grid.band.scatter(X[1:])
+        late = first_moments_beta(vorticity_of(m, grid, params), grid, params)
         return norms, float(_beta_drift(late, moments))
 
     values = _simulate(ctx, grid, data, horizon, times, "incompressible-limit dipole-data",
@@ -890,7 +881,7 @@ def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
 
     def measure(t, X):
         uref = oseen_pair_fields(grid, t, params)[1]
-        mag = magnitude(_perp_residual(grid, X, uref, rs * alpha_scaled))
+        mag = magnitude(_perp_residual(grid, X, uref, rs * alpha_scaled), grid)
         return [lp_of_magnitude(mag, grid, p) for p in ps]
 
     values = _simulate(ctx, grid, data, horizon, times, f"{name} vortex-data", measure)
@@ -902,14 +893,14 @@ def run_incompressible_limit(ctx: RunManifest) -> ExperimentResult:
     return result
 
 
-def _vorticity_dipole_data(ctx: RunManifest, grid: Grid) -> SpectralField:
+def _vorticity_dipole_data(ctx: RunManifest, grid: Grid) -> np.ndarray:
     """vorticity-profiles' dipole data: the age-1 dipole plus an off-center perturbation
     of 0.3 its peak, at amplitude epsilon."""
     base = dipole_vorticity_field(grid, 1, 1.0, ctx.params)
     pert = derivative(
-        sample(grid, lambda a, b: np.exp(-((a - 2.0) ** 2 + (b - 1.0) ** 2) / 6.0)), (0, 1)
+        sample(grid, lambda a, b: np.exp(-((a - 2.0) ** 2 + (b - 1.0) ** 2) / 6.0)), grid, (0, 1)
     )
-    pscale = 0.3 * lp_norm(base, np.inf) / lp_norm(pert, np.inf)
+    pscale = 0.3 * lp_norm(base, grid, np.inf) / lp_norm(pert, grid, np.inf)
     return (base + pert * pscale) * ctx.epsilon
 
 
@@ -930,11 +921,12 @@ def run_vorticity_profiles(ctx: RunManifest) -> ExperimentResult:
     for vortex_grid in (ctx.grid, grid):
         def relative_residual(t, w):
             ref = oseen_vorticity_field(vortex_grid, 2.0 + t, params)
-            omega = SpectralField(vortex_grid, vortex_grid.band.scatter(w))
-            return lp_norm(omega - ref, 2) / lp_norm(ref, 2)
+            omega = vortex_grid.band.scatter(w)
+            return lp_norm(omega - ref, vortex_grid, 2) / lp_norm(ref, vortex_grid, 2)
 
         residuals = _measured(f"{name} vortex L={vortex_grid.L:g}", lambda: vorticity_simulate(
-            oseen_vorticity_field(vortex_grid, 2.0, params), nu, times_a, 0.25, relative_residual))
+            oseen_vorticity_field(vortex_grid, 2.0, params), vortex_grid, nu, times_a, 0.25,
+            relative_residual))
         box_residuals[vortex_grid.L] = _worst(residuals)
     result.bound("vortex-exactness", 0.0, box_residuals[ctx.grid.L], 1e-6,
                  meta={"box_sensitivity": box_residuals})
@@ -942,16 +934,16 @@ def run_vorticity_profiles(ctx: RunManifest) -> ExperimentResult:
     # perturbed dipole: weighted residual against the first-moment profile, and the
     # moments while the field is still well localized
     omega0 = _vorticity_dipole_data(ctx, grid)
-    moments = first_moments_beta(omega0, params)
+    moments = first_moments_beta(omega0, grid, params)
     times_b = _snapshot_times(T, _DECAY_SNAPSHOTS)
 
     def measure(t, w):
-        omega = SpectralField(grid, grid.band.scatter(w))
-        residual = lp_norm(omega - profile_vorticity(moments, t, params, grid), 2)
-        return residual, (first_moments_beta(omega, params) if t <= 16.0 else None)
+        omega = grid.band.scatter(w)
+        residual = lp_norm(omega - profile_vorticity(moments, t, params, grid), grid, 2)
+        return residual, (first_moments_beta(omega, grid, params) if t <= 16.0 else None)
 
     values = _measured(f"{name} dipole-data",
-                       lambda: vorticity_simulate(omega0, nu, times_b, 0.25, measure))
+                       lambda: vorticity_simulate(omega0, grid, nu, times_b, 0.25, measure))
     residuals = [residual for residual, _ in values]
     result.decay("dipole-residual", "dipole_weight", 2.0, 0, times_b, residuals, T, 0.2,
                  key="dipole-residual-p2")

@@ -205,7 +205,7 @@ class KernelSymbol:
         if not is_state and X.shape != (shape := (3,) + g.spectral_shape):
             raise KernelError(f"stack of shape {X.shape} does not match the symbol's {shape}")
         ie1, ie2 = 1j * g.eta1_odd, 1j * g.eta2_odd
-        r, m0, m1 = (f.coeffs for f in X.components()) if is_state else X
+        r, m0, m1 = (f.coeffs for f in (X.rho, *X.m)) if is_state else X
         if out is None:
             out = np.empty((3,) + r.shape, dtype=np.complex128)
         rho, out0, u = out  # u lives in the last row until m1' replaces it

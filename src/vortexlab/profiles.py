@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, curl, lp_norm, sample, transform
+from .spectral import Grid, curl, lp_norm, sample, to_physical
 
 
 class ProfileError(ValueError):
@@ -128,80 +128,68 @@ def dipole_vorticity(i: int, t: float, x, params: FluidParams):
     return -(xi_i / 2.0) * gauss_profile(xi1, xi2) / (np.sqrt(params.nu) * t**1.5)
 
 
-def oseen_vorticity_field(grid: Grid, t: float, params: FluidParams) -> SpectralField:
+def oseen_vorticity_field(grid: Grid, t: float, params: FluidParams) -> np.ndarray:
     return sample(grid, lambda x1, x2: oseen_vorticity(t, (x1, x2), params))
 
 
-def dipole_vorticity_field(grid: Grid, i: int, t: float, params: FluidParams) -> SpectralField:
+def dipole_vorticity_field(grid: Grid, i: int, t: float, params: FluidParams) -> np.ndarray:
     return sample(grid, lambda x1, x2: dipole_vorticity(i, t, (x1, x2), params))
 
 
-def biot_savart(omega: SpectralField) -> tuple[SpectralField, SpectralField]:
-    """Divergence-free velocity with curl omega; requires zero circulation.
+def biot_savart(omega: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Divergence-free velocity with curl omega, a half spectrum on the grid; requires
+    zero circulation.
 
     Fourier side: u_hat = i eta^perp / |eta|^2 omega_hat, zero mode set to 0
     (`Grid.biot_savart_multiplier`, shared with the vorticity solver).
     """
-    grid = omega.grid
-    mean = abs(omega.coeffs[0, 0])
-    if mean > 1e-10 * max(lp_norm(omega, 1), 1e-300):
+    scale = max(lp_norm(omega, grid, 1), 1e-300)
+    if abs(omega[0, 0]) > 1e-10 * scale:
         raise ProfileError(
-            f"Biot-Savart needs zero-mean vorticity; got mean {omega.coeffs[0, 0].real:.3e}"
+            f"Biot-Savart needs zero-mean vorticity; got mean {omega[0, 0].real:.3e}"
         )
     k1, k2 = grid.biot_savart_multiplier
-    return SpectralField(grid, k1 * omega.coeffs), SpectralField(grid, k2 * omega.coeffs)
+    return k1 * omega, k2 * omega
 
 
-def circulation_alpha(omega0: SpectralField, params: FluidParams) -> float:
-    """alpha with nu * alpha = integral of omega0."""
-    return float(omega0.coeffs[0, 0].real) / params.nu
+def circulation_alpha(omega0: np.ndarray, params: FluidParams) -> float:
+    """alpha with nu * alpha = integral of omega0, a half spectrum."""
+    return float(omega0[0, 0].real) / params.nu
 
 
-def first_moments_beta(omega0: SpectralField, params: FluidParams) -> Moments:
-    """Moments with nu * beta_i = -integral of x_i omega0, x from box center.
+def first_moments_beta(omega0: np.ndarray, grid: Grid, params: FluidParams) -> Moments:
+    """Moments with nu * beta_i = -integral of x_i omega0, x from box center, of a half
+    spectrum on the grid (`spectral.check_spectra`).
 
     The vorticity must be localized: its magnitude on the outermost grid ring
     has to stay below LOCALIZED_EDGE (1e-10) of its peak.
     """
-    grid = omega0.grid
-    w = omega0.values()
+    w = to_physical(omega0, grid)
     peak = np.abs(w).max()
     if peak > 0:
-        edge = max(
-            np.abs(w[0, :]).max(),
-            np.abs(w[-1, :]).max(),
-            np.abs(w[:, 0]).max(),
-            np.abs(w[:, -1]).max(),
-        )
+        edge = max(np.abs(w[[0, -1], :]).max(), np.abs(w[:, [0, -1]]).max())
         if edge > LOCALIZED_EDGE * peak:
             raise ProfileError(
                 f"vorticity is not localized inside the box (edge/peak = {edge / peak:.2e})"
             )
-    dx2 = grid.dx**2
-    beta1 = -float(np.sum(grid.xc1 * w)) * dx2 / params.nu
-    beta2 = -float(np.sum(grid.xc2 * w)) * dx2 / params.nu
-    return Moments(alpha=circulation_alpha(omega0, params), beta=(beta1, beta2))
+    beta = tuple(-float(np.sum(x * w)) * grid.dx**2 / params.nu for x in (grid.xc1, grid.xc2))
+    return Moments(alpha=circulation_alpha(omega0, params), beta=beta)
 
 
-def profile_vorticity(moments: Moments, t: float, params: FluidParams, grid: Grid) -> SpectralField:
+def profile_vorticity(moments: Moments, t: float, params: FluidParams, grid: Grid) -> np.ndarray:
     """Dipole-family vorticity profile beta1 F1 + beta2 F2 at time t, sampled in
     physical space; `biot_savart` of it is its exactly divergence-free velocity."""
     _check_time(t)
-    b1, b2 = moments.beta
-    w = np.zeros((grid.n, grid.n))
-    if b1 != 0.0:
-        w = w + b1 * dipole_vorticity(1, t, (grid.xc1, grid.xc2), params)
-    if b2 != 0.0:
-        w = w + b2 * dipole_vorticity(2, t, (grid.xc1, grid.xc2), params)
-    coeffs = (transform(w, grid)).coeffs
+    coeffs = sample(grid, lambda x1, x2: sum(b * dipole_vorticity(i, t, (x1, x2), params)
+                                             for i, b in enumerate(moments.beta, 1) if b != 0.0))
     # the family has zero mean exactly; the lattice mean is truncation noise
     coeffs[0, 0] = 0.0
-    return SpectralField(grid, coeffs)
+    return coeffs
 
 
 def oseen_pair_fields(
     grid: Grid, t: float, params: FluidParams
-) -> tuple[SpectralField, tuple[SpectralField, SpectralField]]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Torus realization of the vortex pair (omega_G, u_G).
 
     The plane vortex velocity is not periodic (circulation at infinity), so
@@ -209,12 +197,12 @@ def oseen_pair_fields(
     sampled vorticity with its lattice mean removed.
     """
     omega = oseen_vorticity_field(grid, t, params)
-    coeffs = omega.coeffs.copy()
+    coeffs = omega.copy()
     coeffs[0, 0] = 0.0
-    u = biot_savart(SpectralField(grid, coeffs))
-    return omega, u
+    return omega, biot_savart(coeffs, grid)
 
 
-def vorticity_of(m: tuple[SpectralField, SpectralField], params: FluidParams) -> SpectralField:
-    """rot(m / rho_star), the vorticity entering the beta moments of momentum data."""
-    return curl(m) * (1.0 / params.rho_star)
+def vorticity_of(m, grid: Grid, params: FluidParams) -> np.ndarray:
+    """rot(m / rho_star) of a pair or (2, ...) stack of momentum half spectra on the grid,
+    the vorticity entering the beta moments of momentum data."""
+    return curl(m, grid) * (1.0 / params.rho_star)

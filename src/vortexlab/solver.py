@@ -31,7 +31,6 @@ from .spectral import (
     Band,
     BandTransform,
     Grid,
-    SpectralField,
     State,
     parseval_sum,
     sobolev_norm,
@@ -273,7 +272,7 @@ def step(X: State, dt: float, config: SolverConfig) -> State:
     if X.grid != config.grid:
         raise SolverError("state grid does not match config grid")
     config, band = replace(config, dt=dt), config.grid.band
-    stack = band.gather(np.stack([c.coeffs for c in X.components()]))
+    stack = band.gather(np.stack([c.coeffs for c in (X.rho, *X.m)]))
     _, build, advance = _stepper(config, stack)
     advance(build(dt))
     return State.from_stack(config.grid, band.scatter(stack))
@@ -441,20 +440,24 @@ def _vorticity_source(grid: Grid):
     return source
 
 
-def vorticity_simulate(omega0: SpectralField, nu: float, snapshot_times, dt: float,
+def vorticity_simulate(omega0: np.ndarray, grid: Grid, nu: float, snapshot_times, dt: float,
                        measure: Callable) -> Trajectory:
-    """Advance the 2D vorticity equation by ETD2RK with exact heat flow, measuring each
-    snapshot (`_march`) of the band spectrum, the live state.  The run's stages and source
-    scratch are made once, and it drops its reference to omega0 after the gather.  A
-    non-finite snapshot, t = 0 included, raises SolverAbort.  SolverError, before the
-    gather, unless dt and nu are finite and positive and the snapshot times are valid."""
+    """Advance omega0, an (n, n/2 + 1) half spectrum on the grid, by the 2D vorticity equation
+    with ETD2RK and exact heat flow, measuring each snapshot (`_march`) of the band spectrum,
+    the live state.  The run's stages and source scratch are made once, and it drops omega0
+    after the gather.  A non-finite snapshot, t = 0 included, raises SolverAbort.  SolverError,
+    before the gather, unless dt and nu are finite and positive, the snapshot times are valid
+    and omega0 has that shape (as has one of another L at the same n, run on this grid)."""
     if dt is None:  # SolverConfig's None is the acoustic CFL default; this run has none
         raise SolverError("time step must be finite and positive, got None")
     times = _run_times(_time_grid(dt, snapshot_times))
     if not (math.isfinite(nu) and nu > 0):
         raise SolverError(f"viscosity nu must be finite and positive, got {nu}")
-    grid, band = omega0.grid, omega0.grid.band
-    omega = band.gather(omega0.coeffs[None])
+    if getattr(omega0, "shape", None) != (shape := grid.spectral_shape):
+        raise SolverError(f"initial vorticity must be a half spectrum of shape {shape}, "
+                          f"got {getattr(omega0, 'shape', type(omega0).__name__)}")
+    band = grid.band
+    omega = band.gather(np.asarray(omega0, complex)[None])
     del omega0  # the run reads only its band
     stages, source = np.empty((3,) + omega.shape, omega.dtype), _vorticity_source(grid)
 

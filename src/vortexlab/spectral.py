@@ -21,7 +21,8 @@ over the full lattice (Parseval) therefore weigh those two self-conjugate
 columns by 1 and every other column by 2 (`hermitian_weight`).
 `to_physical`/`to_spectral` are numpy's real 2-D FFTs of half spectra and accept
 stacks of fields along leading axes; `to_spectral` makes the self-conjugate columns
-exactly Hermitian, and every multiplier here keeps them so.
+exactly Hermitian, and every multiplier here keeps them so.  A field is such an array,
+passed with its grid (`check_spectra`); `SpectralField` wraps one for the benchmark probe.
 
 Band layout.  A band is the square |k1|, |k2| <= k of the half lattice, 0 <= k < n/2:
 rows k1 = 0..k, -k..-1 and columns k2 = 0..k, `gather`ed from and `scatter`ed to the
@@ -335,7 +336,7 @@ def make_grid(n: int, L: float) -> Grid:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Real scalar field stored as its half spectrum on a grid."""
+    """A real field as its half spectrum on a grid: the probe's `transform` and `State`."""
 
     grid: Grid
     coeffs: np.ndarray
@@ -346,35 +347,20 @@ class SpectralField:
                 f"coefficient shape {self.coeffs.shape} does not match grid n={self.grid.n}"
             )
 
-    def values(self) -> np.ndarray:
-        """Physical-space samples."""
-        return to_physical(self.coeffs, self.grid)
 
-    def hermitian_defect(self) -> float:
-        """Max |coeffs(-k1, k2) - conj coeffs(k1, k2)| on the self-conjugate
-        columns k2 = 0, n/2: every other stored coefficient stands for a
-        conjugate pair, so this is the whole realness defect of the field."""
-        cols = self.coeffs[:, list(self.grid.self_conjugate)]
-        return float(np.abs(cols - np.conj(cols[self.grid.conj_rows])).max())
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self.grid, other.grid)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self.grid, other.grid)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * scalar)
-
-    __rmul__ = __mul__
+def check_spectra(coeffs, grid: Grid) -> np.ndarray:
+    """`coeffs`, half spectra on the grid along its last two axes, or SpectralError naming its
+    shape.  A shape cannot tell apart another L at the same n: such spectra pass as this grid's."""
+    if getattr(coeffs, "shape", ())[-2:] != grid.spectral_shape:
+        raise SpectralError(f"spectrum shape {getattr(coeffs, 'shape', None)} does not match "
+                            f"grid n={grid.n}, shape {grid.spectral_shape}")
+    return coeffs
 
 
 def to_physical(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Samples of a half spectrum, or of a stack of them along leading axes: irfft2's
     two transforms run axis by axis on one conjugated copy, the column pass in place."""
-    return BandTransform(grid, coeffs.shape[:-2], grid).samples(coeffs)
+    return BandTransform(grid, check_spectra(coeffs, grid).shape[:-2], grid).samples(coeffs)
 
 
 def to_spectral(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -388,6 +374,14 @@ def to_spectral(values: np.ndarray, grid: Grid) -> np.ndarray:
     np.conjugate(out, out=out)
     out *= grid.dx**2
     return grid.make_hermitian(out)
+
+
+def hermitian_defect(coeffs: np.ndarray, grid: Grid) -> float:
+    """Max |coeffs(-k1, k2) - conj coeffs(k1, k2)| of a half spectrum on the grid over the
+    self-conjugate columns k2 = 0, n/2: every other stored coefficient stands for a
+    conjugate pair, so this is the whole realness defect of the field (`check_spectra`)."""
+    cols = check_spectra(coeffs, grid)[:, list(grid.self_conjugate)]
+    return float(np.abs(cols - np.conj(cols[grid.conj_rows])).max())
 
 
 def _check_same_grid(*grids: Grid):
@@ -409,9 +403,6 @@ class State:
     def grid(self) -> Grid:
         return self.rho.grid
 
-    def components(self) -> tuple[SpectralField, SpectralField, SpectralField]:
-        return (self.rho, self.m[0], self.m[1])
-
     @staticmethod
     def from_stack(grid: Grid, coeffs: np.ndarray) -> "State":
         """The state whose components view the rows of a (3, n, n/2+1) array."""
@@ -420,16 +411,26 @@ class State:
 
 
 def transform(values: np.ndarray, grid: Grid) -> SpectralField:
-    """Forward transform of physical samples; coeffs(0,0) equals sum f dx^2."""
+    """Forward transform of physical samples, the probe's form; coeffs(0,0) is sum f dx^2."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (grid.n, grid.n):
         raise SpectralError(f"sample shape {values.shape} does not match grid n={grid.n}")
     return SpectralField(grid, to_spectral(values, grid))
 
 
+def _integer(value, what: str) -> int:
+    """`value` as an int; SpectralError naming it unless it is integral (NaN is not)."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise SpectralError(f"{what} must be an integer, got {value!r}")
+
+
 def as_multi_index(sigma) -> tuple[int, int]:
-    """Validate a derivative multi-index (sigma1, sigma2), |sigma| <= 8."""
-    s1, s2 = int(sigma[0]), int(sigma[1])
+    """Validate a derivative multi-index (sigma1, sigma2) of integers, |sigma| <= 8."""
+    s1, s2 = (_integer(s, f"multi-index {tuple(sigma)} entry") for s in sigma[:2])
     if s1 < 0 or s2 < 0:
         raise SpectralError(f"multi-index must be nonnegative, got {sigma}")
     if s1 + s2 > MAX_DERIVATIVE_ORDER:
@@ -457,18 +458,18 @@ def derivative_multiplier(grid: Grid, sigma) -> np.ndarray:
     return np.ones(grid.spectral_shape, dtype=np.complex128) if mult is None else mult
 
 
-def derivative(field: SpectralField, sigma) -> SpectralField:
-    """Spectral derivative D^sigma."""
-    return SpectralField(field.grid, field.coeffs * derivative_multiplier(field.grid, sigma))
+def derivative(coeffs: np.ndarray, grid: Grid, sigma) -> np.ndarray:
+    """Spectral derivative D^sigma of half spectra on the grid (`check_spectra`)."""
+    return check_spectra(coeffs, grid) * derivative_multiplier(grid, sigma)
 
 
-def gradient(field: SpectralField) -> tuple[SpectralField, SpectralField]:
-    return derivative(field, (1, 0)), derivative(field, (0, 1))
+def gradient(coeffs: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    return derivative(coeffs, grid, (1, 0)), derivative(coeffs, grid, (0, 1))
 
 
-def curl(m: tuple[SpectralField, SpectralField]) -> SpectralField:
-    """Scalar vorticity d1 m2 - d2 m1."""
-    return derivative(m[1], (1, 0)) - derivative(m[0], (0, 1))
+def curl(m, grid: Grid) -> np.ndarray:
+    """Scalar vorticity d1 m2 - d2 m1 of a pair or (2, ...) stack of half spectra."""
+    return derivative(m[1], grid, (1, 0)) - derivative(m[0], grid, (0, 1))
 
 
 def over_mag2(x, mag2_odd):
@@ -479,8 +480,9 @@ def over_mag2(x, mag2_odd):
 
 def leray_decompose(m, band: Grid | Band | None = None):
     """Split m = m_perp + m_par into divergence-free and curl-free parts: two pairs of
-    SpectralFields, or of arrays when `m` is a stack of the two components' spectra on
-    `band` (a band or the grid).
+    arrays when `m` is a pair or stack of the two components' spectra on `band` (a band
+    or the grid), as the runs pass it, or of SpectralFields from a pair of them, the
+    benchmark probe's form.
 
     The zero mode (and the partnerless Nyquist rows) is assigned to m_perp:
     a constant momentum field is divergence-free.
@@ -495,24 +497,22 @@ def leray_decompose(m, band: Grid | Band | None = None):
     return (m[0] - par[0], m[1] - par[1]), par
 
 
-def magnitude(fields) -> np.ndarray:
-    """Pointwise magnitude sqrt(f1^2 + f2^2 + ...) of a field or of fields on one grid."""
-    fields = (fields,) if isinstance(fields, SpectralField) else tuple(fields)
-    grid = fields[0].grid
-    _check_same_grid(*(f.grid for f in fields))
-    return BandTransform(grid, (), grid).magnitude(f.coeffs for f in fields)
+def magnitude(fields, grid: Grid) -> np.ndarray:
+    """Pointwise magnitude sqrt(f1^2 + f2^2 + ...) of a half spectrum on the grid, or of a
+    sequence or stack of them, each checked by `check_spectra`."""
+    fields = (fields,) if isinstance(fields, np.ndarray) and fields.ndim == 2 else fields
+    return BandTransform(grid, (), grid).magnitude(check_spectra(f, grid) for f in fields)
 
 
-def lp_norm(fields, p: float) -> float:
-    """Riemann-sum L^p norm of `magnitude(fields)`; p = inf gives the max."""
-    grid = fields.grid if isinstance(fields, SpectralField) else fields[0].grid
-    return lp_of_magnitude(magnitude(fields), grid, p)
+def lp_norm(fields, grid: Grid, p: float) -> float:
+    """Riemann-sum L^p norm of `magnitude(fields, grid)`; p = inf gives the max."""
+    return lp_of_magnitude(magnitude(fields, grid), grid, p)
 
 
 def lp_of_magnitude(mag: np.ndarray, grid: Grid, p: float) -> float:
     """Riemann-sum L^p norm of pointwise magnitude samples."""
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:  # NaN included
         raise SpectralError(f"Lebesgue exponent must satisfy p >= 1, got {p}")
     if np.isinf(p):
         return float(mag.max())
@@ -530,7 +530,7 @@ def parseval_sum(grid: Grid | Band, pairs, weight=1.0) -> float:
 def sobolev_norm(stack: np.ndarray, s: int, lattice: Grid | Band) -> float:
     """H^s norm from Fourier coefficients with the discrete measure 1/L^2 of a stack of
     spectra on `lattice` (a band or the grid)."""
-    s = int(s)
+    s = _integer(s, "Sobolev index")
     if s < 0:
         raise SpectralError(f"Sobolev index must be nonnegative, got {s}")
     pairs = [(c, c) for c in stack]
@@ -538,7 +538,7 @@ def sobolev_norm(stack: np.ndarray, s: int, lattice: Grid | Band) -> float:
     return float(np.sqrt(parseval_sum(lattice, pairs, lattice.sobolev_weight(s) if s else 1.0)))
 
 
-def sample(grid: Grid, func) -> SpectralField:
-    """Transform func(xc1, xc2) of the box-centered coordinate column and row,
+def sample(grid: Grid, func) -> np.ndarray:
+    """Half spectrum of func(xc1, xc2) of the box-centered coordinate column and row,
     broadcast to the grid, so a function of one coordinate samples too."""
-    return transform(np.broadcast_to(func(grid.xc1, grid.xc2), (grid.n, grid.n)), grid)
+    return to_spectral(np.broadcast_to(func(grid.xc1, grid.xc2), (grid.n, grid.n)), grid)

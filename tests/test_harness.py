@@ -25,7 +25,6 @@ from vortexlab.harness import (
     series_to_csv,
     summary_dict,
 )
-from vortexlab.spectral import SpectralField
 from conftest import zero_state
 
 
@@ -369,9 +368,9 @@ def test_vorticity_data_check_matches_the_heat_flowed_data(n, L, localized):
     ctx, record = RunManifest(n=n, L=L), RECORDS["vorticity-profiles"]
     grid = record.grid(ctx)
     omega = harness._vorticity_dipole_data(ctx, grid) * grid.dealias_mask
-    heat = SpectralField(grid, np.exp(-ctx.params.nu * grid.eta_sq) * omega.coeffs)
+    heat = np.exp(-ctx.params.nu * grid.eta_sq) * omega
     try:
-        first_moments_beta(heat, ctx.params)
+        first_moments_beta(heat, grid, ctx.params)
         measured = None
     except ProfileError as err:
         measured = str(err)
@@ -523,9 +522,9 @@ def test_leray_orthogonality_fails_on_a_nan_norm(monkeypatch):
     # the row skips a pair with a zero norm; a NaN norm used to be skipped as well
     real, calls = harness.lp_norm, []
 
-    def norm(f, p):
+    def norm(f, grid, p):
         calls.append(None)
-        return float("nan") if len(calls) == 3 else real(f, p)
+        return float("nan") if len(calls) == 3 else real(f, grid, p)
 
     monkeypatch.setattr(harness, "lp_norm", norm)
     res = run_experiment("kernel-algebra", RunManifest(n=64, L=50.0))
@@ -581,7 +580,7 @@ def _half_lattice_rates_series(grid, params):
     from vortexlab.spectral import derivative, lp_of_magnitude, magnitude, sobolev_norm
 
     def dx(fields, sigma):
-        return tuple(derivative(f, (1, 0)) for f in fields) if sigma else tuple(fields)
+        return tuple(derivative(f, grid, (1, 0)) for f in fields) if sigma else tuple(fields)
 
     series = {}
     chi = low_pass(grid, default_cutoff(params))
@@ -593,19 +592,20 @@ def _half_lattice_rates_series(grid, params):
             sobolev_norm((lf - lf_art).apply(X0), 0, grid))
         X = lf.apply(X0)
         for sigma in (0, 1):
-            mag = magnitude(dx([SpectralField(grid, c) for c in X], sigma))
+            mag = magnitude(dx(X, sigma), grid)
             for p in (2.0, np.inf):
                 series.setdefault(f"lf-kernel-p{p:g}-s{sigma}", []).append(
                     lp_of_magnitude(mag, grid, p))
     omega = dipole_vorticity_field(grid, 1, 1.0, params)
-    m_dipole, m_second = biot_savart(omega), biot_savart(derivative(omega, (1, 0)))
+    m_dipole = biot_savart(omega, grid)
+    m_second = biot_savart(derivative(omega, grid, (1, 0)), grid)
     radius = np.hypot(grid.xc1, grid.xc2)
     for t in np.geomspace(8.0, 128.0, 9):
         h = np.exp(-params.mu * grid.eta_sq * t)
         for m0, sigmas in ((m_dipole, (0, 1)), (m_second, (0,))):
-            flowed = [SpectralField(grid, h * f.coeffs) for f in m0]
+            flowed = [h * f for f in m0]
             for sigma in sigmas:
-                mag = magnitude(dx(flowed, sigma))
+                mag = magnitude(dx(flowed, sigma), grid)
                 rows = ([(f"perp-dipole-p{p:g}-s{sigma}", mag, p) for p in (2.0, np.inf)]
                         if m0 is m_dipole else
                         [(f"perp-second-moment-p{p:g}-s0", mag, p) for p in (2.0, np.inf)]
@@ -672,10 +672,10 @@ def test_zero_amplitude_residuals_vanish_identically():
     moments = Moments(0.0, (0.0, 0.0))
 
     def residual_norms(t, X):
-        perp, _ = leray_decompose([SpectralField(grid, c) for c in grid.band.scatter(X[1:])])
-        uref = biot_savart(profile_vorticity(moments, t, params, grid))
+        perp, _ = leray_decompose(grid.band.scatter(X[1:]), grid)
+        uref = biot_savart(profile_vorticity(moments, t, params, grid), grid)
         diff = (perp[0] - uref[0], perp[1] - uref[1])
-        return lp_norm(diff, 2), lp_norm(diff, np.inf)
+        return lp_norm(diff, grid, 2), lp_norm(diff, grid, np.inf)
 
     traj = simulate(zero_state(grid), cfg, residual_norms)
     assert traj.values == ((0.0, 0.0), (0.0, 0.0))
@@ -713,8 +713,8 @@ def _stub_solvers(monkeypatch, abort_call, data_alive=None):
         times, values = run(band_coeffs, cfg.snapshot_times, measure)
         return Trajectory(times, values, ({},) * len(times))
 
-    def vorticity_simulate(omega0, nu, snapshot_times, dt, measure):
-        return Trajectory(*run(omega0.grid.band.gather(omega0.coeffs), snapshot_times, measure))
+    def vorticity_simulate(omega0, grid, nu, snapshot_times, dt, measure):
+        return Trajectory(*run(grid.band.gather(omega0), snapshot_times, measure))
 
     monkeypatch.setattr(harness, "simulate", simulate)
     monkeypatch.setattr(harness, "vorticity_simulate", vorticity_simulate)

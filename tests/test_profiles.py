@@ -10,17 +10,20 @@ from vortexlab.profiles import (
     dipole_vorticity,
     dipole_vorticity_field,
     first_moments_beta,
+    oseen_pair_fields,
     oseen_vorticity,
     oseen_vorticity_field,
     profile_vorticity,
+    vorticity_of,
 )
 from vortexlab.spectral import (
+    SpectralError,
     curl,
     derivative,
     lp_norm,
     make_grid,
     sample,
-    transform,
+    to_physical,
 )
 from conftest import divergence, random_field
 
@@ -110,7 +113,7 @@ def test_oseen_vorticity_unit_mass():
     grid = make_grid(256, 100.0)
     for t in (1.0, 5.0):
         w = oseen_vorticity_field(grid, t, PARAMS)
-        assert abs(w.coeffs[0, 0].real - 1.0) < 1e-8
+        assert abs(w[0, 0].real - 1.0) < 1e-8
 
 
 def test_oseen_velocity_closed_form():
@@ -145,7 +148,7 @@ def test_dipole_vorticity_values():
 def test_dipole_vorticity_first_moment():
     # integral of xi_1 F_1 over the plane is -1 (by parts against the unit Gaussian mass)
     grid = make_grid(256, 80.0)
-    w = dipole_vorticity_field(grid, 1, 1.0, PARAMS).values()
+    w = to_physical(dipole_vorticity_field(grid, 1, 1.0, PARAMS), grid)
     moment = np.sum(grid.xc1 * w) * grid.dx**2
     assert moment == pytest.approx(-1.0, abs=1e-8)
 
@@ -167,31 +170,32 @@ def test_dipole_velocity_field_divergence_free():
     # grid velocity comes from Biot-Savart, so its spectral divergence vanishes
     grid = make_grid(128, 60.0)
     omega = dipole_vorticity_field(grid, 1, 1.0, PARAMS)
-    u = biot_savart(omega)
-    div = divergence(u)
-    assert np.abs(div.coeffs).max() < 1e-10 * max(1.0, np.abs(u[0].coeffs).max())
+    u = biot_savart(omega, grid)
+    div = divergence(u, grid)
+    assert np.abs(div).max() < 1e-10 * max(1.0, np.abs(u[0]).max())
 
 
 def test_biot_savart_inverts_curl(rng):
     grid = make_grid(64, 10.0)
     psi = random_field(grid, rng)
-    u = (derivative(psi, (0, 1)) * -1.0, derivative(psi, (1, 0)))
-    omega = curl(u)
-    rec = biot_savart(omega)
-    scale = max(np.abs(u[0].coeffs).max(), 1e-300)
-    assert np.abs((rec[0] - u[0]).coeffs).max() < 1e-10 * scale
-    assert np.abs((rec[1] - u[1]).coeffs).max() < 1e-10 * scale
-    back = curl(rec)
-    assert np.abs((back - omega).coeffs).max() < 1e-10 * max(np.abs(omega.coeffs).max(), 1e-300)
+    u = (derivative(psi, grid, (0, 1)) * -1.0, derivative(psi, grid, (1, 0)))
+    omega = curl(u, grid)
+    rec = biot_savart(omega, grid)
+    scale = max(np.abs(u[0]).max(), 1e-300)
+    assert np.abs(rec[0] - u[0]).max() < 1e-10 * scale
+    assert np.abs(rec[1] - u[1]).max() < 1e-10 * scale
+    back = curl(rec, grid)
+    assert np.abs(back - omega).max() < 1e-10 * max(np.abs(omega).max(), 1e-300)
 
 
 def test_biot_savart_matches_dipole_closed_form():
     # quadrature accuracy: periodic images contribute O(L^-2) background
     grid = make_grid(256, 160.0)
     omega = dipole_vorticity_field(grid, 1, 1.0, PARAMS)
-    u = biot_savart(omega)
+    u = biot_savart(omega, grid)
     v1, v2 = dipole_velocity(1, 1.0, (grid.xc1, grid.xc2), PARAMS)
-    err = max(np.abs(u[0].values() - v1).max(), np.abs(u[1].values() - v2).max())
+    err = max(np.abs(to_physical(u[0], grid) - v1).max(),
+              np.abs(to_physical(u[1], grid) - v2).max())
     scale = max(np.abs(v1).max(), np.abs(v2).max())
     assert err < 1e-3 * scale
 
@@ -200,7 +204,7 @@ def test_biot_savart_rejects_nonzero_mean():
     grid = make_grid(64, 40.0)
     omega = oseen_vorticity_field(grid, 1.0, PARAMS)
     with pytest.raises(ProfileError):
-        biot_savart(omega)
+        biot_savart(omega, grid)
 
 
 def test_circulation_alpha():
@@ -216,11 +220,11 @@ def test_circulation_alpha():
 def test_first_moments_recover_dipole():
     grid = make_grid(256, 80.0)
     f1 = dipole_vorticity_field(grid, 1, 1.0, PARAMS)
-    m = first_moments_beta(f1, PARAMS)
+    m = first_moments_beta(f1, grid, PARAMS)
     assert m.beta[0] == pytest.approx(1.0, abs=1e-6)
     assert m.beta[1] == pytest.approx(0.0, abs=1e-10)
     g = oseen_vorticity_field(grid, 1.0, PARAMS)
-    mg = first_moments_beta(g, PARAMS)
+    mg = first_moments_beta(g, grid, PARAMS)
     assert abs(mg.beta[0]) < 1e-10 and abs(mg.beta[1]) < 1e-10
 
 
@@ -229,7 +233,7 @@ def test_first_moments_linear_combination():
     f1 = dipole_vorticity_field(grid, 1, 1.0, PARAMS)
     f2 = dipole_vorticity_field(grid, 2, 1.0, PARAMS)
     combo = f1 * 0.7 + f2 * (-1.3)
-    m = first_moments_beta(combo, PARAMS)
+    m = first_moments_beta(combo, grid, PARAMS)
     assert m.beta[0] == pytest.approx(0.7, abs=1e-6)
     assert m.beta[1] == pytest.approx(-1.3, abs=1e-6)
 
@@ -238,15 +242,15 @@ def test_first_moments_rejects_delocalized():
     grid = make_grid(64, 10.0)
     wide = sample(grid, lambda x1, x2: np.cos(2 * np.pi * x1 / grid.L))
     with pytest.raises(ProfileError):
-        first_moments_beta(wide, PARAMS)
+        first_moments_beta(wide, grid, PARAMS)
 
 
 def test_profile_superposition_zero():
     grid = make_grid(64, 40.0)
     omega = profile_vorticity(Moments(0.0, (0.0, 0.0)), 2.0, PARAMS, grid)
-    u = biot_savart(omega)
-    assert np.abs(omega.coeffs).max() == 0.0
-    assert np.abs(u[0].coeffs).max() == 0.0
+    u = biot_savart(omega, grid)
+    assert np.abs(omega).max() == 0.0
+    assert np.abs(u[0]).max() == 0.0
 
 
 def test_profile_superposition_velocity_scaling():
@@ -254,8 +258,8 @@ def test_profile_superposition_velocity_scaling():
     grid = make_grid(256, 160.0)
     vals = []
     for t in (1.0, 2.0, 4.0, 8.0, 16.0):
-        u = biot_savart(profile_vorticity(Moments(0.0, (1.0, 0.0)), t, PARAMS, grid))
-        vals.append(t * lp_norm(u, np.inf))
+        u = biot_savart(profile_vorticity(Moments(0.0, (1.0, 0.0)), t, PARAMS, grid), grid)
+        vals.append(t * lp_norm(u, grid, np.inf))
     vals = np.array(vals)
     assert vals.max() / vals.min() - 1.0 < 0.01
 
@@ -264,7 +268,7 @@ def test_profile_superposition_preserves_moments():
     grid = make_grid(256, 160.0)
     for t in (1.0, 4.0, 9.0):
         omega = profile_vorticity(Moments(0.0, (0.4, -0.2)), t, PARAMS, grid)
-        m = first_moments_beta(omega, PARAMS)
+        m = first_moments_beta(omega, grid, PARAMS)
         assert m.beta[0] == pytest.approx(0.4, abs=1e-6)
         assert m.beta[1] == pytest.approx(-0.2, abs=1e-6)
 
@@ -274,7 +278,7 @@ def test_oseen_self_similar_norm_scaling():
     grid = make_grid(256, 160.0)
     times = np.array([1.0, 2.0, 4.0, 8.0])
     for p, expo in ((1.0, 0.0), (2.0, -0.5), (np.inf, -1.0)):
-        norms = [lp_norm(oseen_vorticity_field(grid, t, PARAMS), p) for t in times]
+        norms = [lp_norm(oseen_vorticity_field(grid, t, PARAMS), grid, p) for t in times]
         slope = np.polyfit(np.log(times), np.log(norms), 1)[0]
         assert abs(slope - expo) < 1e-3
 
@@ -288,12 +292,31 @@ def test_oseen_solves_vorticity_equation():
     xi1, xi2 = grid.xc1 / np.sqrt(t), grid.xc2 / np.sqrt(t)
     gauss = np.exp(-(xi1**2 + xi2**2) / 4.0) / (4 * np.pi)
     dt_omega = -(1.0 / t**2) * gauss * (1.0 - (xi1**2 + xi2**2) / 4.0)
-    lap = derivative(omega, (2, 0)) + derivative(omega, (0, 2))
-    coeffs = omega.coeffs.copy()
+    lap = derivative(omega, grid, (2, 0)) + derivative(omega, grid, (0, 2))
+    coeffs = omega.copy()
     coeffs[0, 0] = 0.0
-    u = biot_savart(type(omega)(grid, coeffs))
-    grad = (derivative(omega, (1, 0)).values(), derivative(omega, (0, 1)).values())
-    advect = u[0].values() * grad[0] + u[1].values() * grad[1]
-    residual = dt_omega - PARAMS.nu * lap.values() + advect
-    assert np.abs(residual).max() < 1e-8 * np.abs(omega.values()).max()
-    assert np.abs(advect).max() < 1e-8 * np.abs(omega.values()).max()
+    u = biot_savart(coeffs, grid)
+    grad = (to_physical(derivative(omega, grid, (1, 0)), grid),
+            to_physical(derivative(omega, grid, (0, 1)), grid))
+    advect = to_physical(u[0], grid) * grad[0] + to_physical(u[1], grid) * grad[1]
+    residual = dt_omega - PARAMS.nu * to_physical(lap, grid) + advect
+    assert np.abs(residual).max() < 1e-8 * np.abs(to_physical(omega, grid)).max()
+    assert np.abs(advect).max() < 1e-8 * np.abs(to_physical(omega, grid)).max()
+
+
+def test_field_profiles_take_the_grid_beside_the_half_spectrum():
+    # the builders return (n, n/2 + 1) arrays; the operations check each array's shape
+    # against the grid passed beside it
+    grid, other = make_grid(64, 40.0), make_grid(32, 40.0)
+    omega = dipole_vorticity_field(grid, 1, 1.0, PARAMS)
+    assert isinstance(omega, np.ndarray) and omega.shape == grid.spectral_shape
+    u = biot_savart(omega, grid)
+    assert isinstance(u, tuple) and all(c.shape == grid.spectral_shape for c in u)
+    pair = oseen_pair_fields(grid, 1.0, PARAMS)
+    assert isinstance(pair, tuple) and isinstance(pair[1], tuple)
+    assert np.array_equal(vorticity_of(u, grid, FluidParams(rho_star=2.0)), curl(u, grid) * 0.5)
+    for call in (lambda: biot_savart(omega, other),
+                 lambda: first_moments_beta(omega, other, PARAMS),
+                 lambda: vorticity_of(u, other, PARAMS)):
+        with pytest.raises(SpectralError, match=r"shape \(64, 33\) does not match grid n=32"):
+            call()

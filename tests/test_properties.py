@@ -13,11 +13,13 @@ from vortexlab.kernels import (
 from vortexlab.profiles import FluidParams
 from vortexlab.spectral import (
     FullLattice,
-    SpectralField,
+    hermitian_defect,
     leray_decompose,
     lp_norm,
     make_grid,
     parseval_sum,
+    to_physical,
+    to_spectral,
     transform,
 )
 
@@ -30,17 +32,16 @@ times = st.floats(0.01, 3.0)
 
 
 def _real_field(grid, rng, damping=0.05):
-    f = transform(rng.standard_normal((grid.n, grid.n)), grid)
-    return SpectralField(grid, f.coeffs * np.exp(-damping * grid.eta_sq))
+    return to_spectral(rng.standard_normal((grid.n, grid.n)), grid) * np.exp(-damping * grid.eta_sq)
 
 
 def _real_state(grid, rng):
-    return np.stack([_real_field(grid, rng).coeffs for _ in range(3)])
+    return np.stack([_real_field(grid, rng) for _ in range(3)])
 
 
-def _full_spectrum(field):
+def _full_spectrum(coeffs, grid):
     # the full-lattice coefficients of the same convention, from ifft2
-    return np.fft.ifft2(field.values()) * field.grid.L**2
+    return np.fft.ifft2(to_physical(coeffs, grid)) * grid.L**2
 
 
 @PROPERTY
@@ -49,12 +50,12 @@ def test_transform_values_round_trip(grid, seed):
     values = np.random.default_rng(seed).standard_normal((grid.n, grid.n))
     field = transform(values, grid)
     assert field.coeffs.shape == (grid.n, grid.n // 2 + 1)
-    assert np.abs(field.values() - values).max() < 1e-12 * np.abs(values).max()
+    assert np.abs(to_physical(field.coeffs, grid) - values).max() < 1e-12 * np.abs(values).max()
     # the half spectrum is the k2 >= 0 columns of the full-lattice transform
     full = np.fft.ifft2(values) * grid.L**2
     scale = np.abs(full).max()
     assert np.abs(field.coeffs - full[:, : grid.n // 2 + 1]).max() < 1e-12 * scale
-    assert field.hermitian_defect() == 0.0
+    assert hermitian_defect(field.coeffs, grid) == 0.0
 
 
 @PROPERTY
@@ -63,8 +64,8 @@ def test_parseval_weights_match_full_lattice_sum(grid, seed, s):
     rng = np.random.default_rng(seed)
     a, b = _real_field(grid, rng, 0.0), _real_field(grid, rng, 0.0)
     weight = (1.0 + grid.eta_sq) ** s
-    got = parseval_sum(grid, [(a.coeffs, b.coeffs), (a.coeffs, a.coeffs)], weight)
-    full_a, full_b = _full_spectrum(a), _full_spectrum(b)
+    got = parseval_sum(grid, [(a, b), (a, a)], weight)
+    full_a, full_b = _full_spectrum(a, grid), _full_spectrum(b, grid)
     full_weight = (1.0 + FullLattice(grid).eta_sq) ** s
     terms = full_weight * (full_a * np.conj(full_b) + np.abs(full_a) ** 2)
     expected = float(np.real(np.sum(terms))) / grid.L**2
@@ -87,7 +88,7 @@ def test_symbol_keeps_a_real_state_real(grid, seed, t, kind):
     X = _real_state(grid, np.random.default_rng(seed))
     out = SYMBOLS[kind](t, grid).apply(X)
     # the realness report's bound: exactly zero
-    assert max(SpectralField(grid, c).hermitian_defect() for c in out) == 0.0
+    assert max(hermitian_defect(c, grid) for c in out) == 0.0
 
 
 @PROPERTY
@@ -95,14 +96,14 @@ def test_symbol_keeps_a_real_state_real(grid, seed, t, kind):
 def test_leray_idempotent_and_orthogonal(grid, seed):
     rng = np.random.default_rng(seed)
     m = (_real_field(grid, rng), _real_field(grid, rng))
-    perp, par = leray_decompose(m)
-    perp2, par2 = leray_decompose(perp)
-    scale = max(np.abs(m[0].coeffs).max(), np.abs(m[1].coeffs).max())
+    perp, par = leray_decompose(m, grid)
+    perp2, par2 = leray_decompose(perp, grid)
+    scale = max(np.abs(m[0]).max(), np.abs(m[1]).max())
     for i in range(2):
-        assert np.abs((perp2[i] - perp[i]).coeffs).max() < 1e-12 * scale
-        assert np.abs(par2[i].coeffs).max() < 1e-12 * scale
-    inner = parseval_sum(grid, [(a.coeffs, b.coeffs) for a, b in zip(perp, par)])
-    na, nb = lp_norm(perp, 2), lp_norm(par, 2)
+        assert np.abs(perp2[i] - perp[i]).max() < 1e-12 * scale
+        assert np.abs(par2[i]).max() < 1e-12 * scale
+    inner = parseval_sum(grid, list(zip(perp, par)))
+    na, nb = lp_norm(perp, grid, 2), lp_norm(par, grid, 2)
     assert abs(inner) < 1e-12 * na * nb
 
 

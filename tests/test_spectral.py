@@ -7,13 +7,15 @@ from vortexlab.spectral import (
     BandTransform,
     FullLattice,
     SpectralError,
-    SpectralField,
+    as_multi_index,
     curl,
     derivative,
     derivative_multiplier,
     gradient,
+    hermitian_defect,
     leray_decompose,
     lp_norm,
+    lp_of_magnitude,
     magnitude,
     make_grid,
     parseval_sum,
@@ -115,18 +117,18 @@ def test_transform_cosine_two_modes():
     grid = make_grid(32, 5.0)
     # x1 is measured from the box center; the cosine is in x1 from the origin
     f = sample(grid, lambda x1, x2: np.cos(2 * np.pi * (x1 + grid.L / 2) / grid.L))
-    nonzero = np.argwhere(np.abs(f.coeffs) > 1e-9 * grid.L**2)
+    nonzero = np.argwhere(np.abs(f) > 1e-9 * grid.L**2)
     assert len(nonzero) == 2
     ks = sorted(grid.k_index[i] for i, _ in nonzero)
     assert ks == [-1, 1]
     # each cosine mode carries half the mass: L^2 / 2
-    assert np.abs(f.coeffs[1, 0] - grid.L**2 / 2) < 1e-10
+    assert np.abs(f[1, 0] - grid.L**2 / 2) < 1e-10
 
 
 def test_round_trip_identity(rng):
     grid = make_grid(64, 7.0)
     values = rng.standard_normal((64, 64))
-    back = transform(values, grid).values()
+    back = to_physical(transform(values, grid).coeffs, grid)
     assert np.abs(back - values).max() < 1e-12 * np.abs(values).max()
 
 
@@ -326,8 +328,8 @@ def test_transform_shape_mismatch():
 def test_derivative_identity_and_sine():
     grid = make_grid(64, 4.0)
     f = sample(grid, lambda x1, x2: np.sin(2 * np.pi * x1 / grid.L))
-    assert np.abs(derivative(f, (0, 0)).coeffs - f.coeffs).max() < 1e-14
-    df = derivative(f, (1, 0)).values()
+    assert np.abs(derivative(f, grid, (0, 0)) - f).max() < 1e-14
+    df = to_physical(derivative(f, grid, (1, 0)), grid)
     expected = (2 * np.pi / grid.L) * np.cos(2 * np.pi * grid.xc1 / grid.L)
     assert np.abs(df - expected).max() < 1e-12
 
@@ -338,8 +340,8 @@ def test_derivative_matches_finite_differences_second_order():
     for n in (64, 128):
         grid = make_grid(n, 24.0)
         g = sample(grid, lambda x1, x2: np.exp(-(x1**2 + x2**2) / 4.0))
-        spec = derivative(g, (1, 1)).values()
-        v = g.values()
+        spec = to_physical(derivative(g, grid, (1, 1)), grid)
+        v = to_physical(g, grid)
         d1 = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2 * grid.dx)
         fd = (np.roll(d1, -1, axis=1) - np.roll(d1, 1, axis=1)) / (2 * grid.dx)
         errors.append(np.abs(spec - fd).max())
@@ -372,51 +374,51 @@ def test_derivative_multiplier_equals_the_power_formula(n, full):
 
 def test_derivative_rejects_bad_multi_index():
     grid = make_grid(16, 1.0)
-    f = transform(np.zeros((16, 16)), grid)
+    f = to_spectral(np.zeros((16, 16)), grid)
     with pytest.raises(SpectralError):
-        derivative(f, (-1, 0))
+        derivative(f, grid, (-1, 0))
     with pytest.raises(SpectralError):
-        derivative(f, (5, 4))
+        derivative(f, grid, (5, 4))
 
 
 def test_leray_gradient_field_is_pure_par(rng):
     grid = make_grid(64, 10.0)
     phi = random_field(grid, rng)
-    m = gradient(phi)
-    perp, par = leray_decompose(m)
-    scale = max(lp_norm(m[0], np.inf), lp_norm(m[1], np.inf))
-    assert lp_norm(perp[0], np.inf) < 1e-12 * scale
-    assert lp_norm(perp[1], np.inf) < 1e-12 * scale
+    m = gradient(phi, grid)
+    perp, par = leray_decompose(m, grid)
+    scale = max(lp_norm(m[0], grid, np.inf), lp_norm(m[1], grid, np.inf))
+    assert lp_norm(perp[0], grid, np.inf) < 1e-12 * scale
+    assert lp_norm(perp[1], grid, np.inf) < 1e-12 * scale
 
 
 def test_leray_perp_field_untouched(rng):
     grid = make_grid(64, 10.0)
     psi = random_field(grid, rng)
-    m = (derivative(psi, (0, 1)) * -1.0, derivative(psi, (1, 0)))  # grad^perp
-    perp, par = leray_decompose(m)
-    scale = lp_norm(m[0], np.inf)
-    assert lp_norm(par[0], np.inf) < 1e-12 * scale
-    assert lp_norm(par[1], np.inf) < 1e-12 * scale
+    m = (derivative(psi, grid, (0, 1)) * -1.0, derivative(psi, grid, (1, 0)))  # grad^perp
+    perp, par = leray_decompose(m, grid)
+    scale = lp_norm(m[0], grid, np.inf)
+    assert lp_norm(par[0], grid, np.inf) < 1e-12 * scale
+    assert lp_norm(par[1], grid, np.inf) < 1e-12 * scale
 
 
 def test_leray_idempotent_orthogonal_and_exact(rng):
     grid = make_grid(32, 5.0)
     for _ in range(10):
         m = (random_field(grid, rng), random_field(grid, rng))
-        perp, par = leray_decompose(m)
+        perp, par = leray_decompose(m, grid)
         # reconstruction is exact
         for i in range(2):
-            assert np.abs((perp[i] + par[i] - m[i]).coeffs).max() < 1e-13
+            assert np.abs(perp[i] + par[i] - m[i]).max() < 1e-13
         # idempotency
-        perp2, par2 = leray_decompose(perp)
-        assert np.abs((perp2[0] - perp[0]).coeffs).max() < 1e-12
-        assert lp_norm(par2[0], np.inf) < 1e-12
+        perp2, par2 = leray_decompose(perp, grid)
+        assert np.abs(perp2[0] - perp[0]).max() < 1e-12
+        assert lp_norm(par2[0], grid, np.inf) < 1e-12
         # spectral divergence of perp and curl of par vanish
-        assert np.abs(divergence(perp).coeffs).max() < 1e-11
-        assert np.abs(curl(par).coeffs).max() < 1e-11
+        assert np.abs(divergence(perp, grid)).max() < 1e-11
+        assert np.abs(curl(par, grid)).max() < 1e-11
         # L2 orthogonality
-        inner = parseval_sum(grid, [(a.coeffs, b.coeffs) for a, b in zip(perp, par)])
-        na, nb = lp_norm(perp, 2), lp_norm(par, 2)
+        inner = parseval_sum(grid, list(zip(perp, par)))
+        na, nb = lp_norm(perp, grid, 2), lp_norm(par, grid, 2)
         if na > 0 and nb > 0:
             assert abs(inner) < 1e-12 * na * nb
 
@@ -435,41 +437,42 @@ def test_leray_of_band_stacks_is_the_gathered_split(rng):
     grid = make_grid(64, 5.0)
     m = (random_field(grid, rng) * grid.dealias_mask, random_field(grid, rng) * grid.dealias_mask)
     band = grid.band
-    for got, part in zip(leray_decompose(band.gather(np.stack([f.coeffs for f in m])), band),
-                         leray_decompose(m), strict=True):
-        assert np.array_equal(got, band.gather(np.stack([f.coeffs for f in part])))
+    for got, part in zip(leray_decompose(band.gather(np.stack(m)), band),
+                         leray_decompose(m, grid), strict=True):
+        assert np.array_equal(got, band.gather(np.stack(part)))
 
 
 def test_derivative_commutes_with_leray(rng):
     grid = make_grid(32, 5.0)
     m = (random_field(grid, rng), random_field(grid, rng))
-    perp, _ = leray_decompose(m)
-    d_then = derivative(perp[0], (1, 0))
-    perp2, _ = leray_decompose((derivative(m[0], (1, 0)), derivative(m[1], (1, 0))))
-    assert np.abs((d_then - perp2[0]).coeffs).max() < 1e-12 * max(
-        1.0, np.abs(d_then.coeffs).max()
+    perp, _ = leray_decompose(m, grid)
+    d_then = derivative(perp[0], grid, (1, 0))
+    perp2, _ = leray_decompose((derivative(m[0], grid, (1, 0)), derivative(m[1], grid, (1, 0))),
+                               grid)
+    assert np.abs(d_then - perp2[0]).max() < 1e-12 * max(
+        1.0, np.abs(d_then).max()
     )
 
 
 def test_lp_norm_sup_of_unit_bump():
     grid = make_grid(64, 20.0)
     f = sample(grid, lambda x1, x2: np.exp(-(x1**2 + x2**2)))
-    assert lp_norm(f, np.inf) == pytest.approx(1.0, abs=1e-12)
+    assert lp_norm(f, grid, np.inf) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lp_norm_gaussian_mass():
     # analytic oracle: integral of (1/4pi) exp(-|x|^2/4) over the plane is 1
     grid = make_grid(256, 40.0)
     g = sample(grid, lambda x1, x2: np.exp(-(x1**2 + x2**2) / 4.0) / (4 * np.pi))
-    assert lp_norm(g, 1) == pytest.approx(1.0, abs=1e-6)
+    assert lp_norm(g, grid, 1) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_lp_norm_parseval(rng):
     grid = make_grid(64, 9.0)
     f = random_field(grid, rng)
-    grid_sum = lp_norm(f, 2)
+    grid_sum = lp_norm(f, grid, 2)
     # half spectrum: columns other than k2 = 0, n/2 stand for two modes each
-    parseval = np.sqrt(np.sum(grid.hermitian_weight * np.abs(f.coeffs) ** 2)) / grid.L
+    parseval = np.sqrt(np.sum(grid.hermitian_weight * np.abs(f) ** 2)) / grid.L
     assert abs(grid_sum - parseval) < 1e-10 * parseval
 
 
@@ -477,31 +480,33 @@ def test_lp_norm_rejects_small_p(rng):
     grid = make_grid(16, 1.0)
     f = random_field(grid, rng)
     with pytest.raises(SpectralError):
-        lp_norm(f, 0.5)
+        lp_norm(f, grid, 0.5)
 
 
 def test_magnitude_and_lp_norm_of_several_fields(rng):
     grid = make_grid(32, 6.0)
     fields = [random_field(grid, rng) for _ in range(3)]
-    values = [f.values() for f in fields]
-    assert np.array_equal(magnitude(fields[0]), np.abs(values[0]))
+    values = [to_physical(f, grid) for f in fields]
+    assert np.array_equal(magnitude(fields[0], grid), np.abs(values[0]))
     for k in (2, 3):
         rss = np.sqrt(sum(v**2 for v in values[:k]))
-        assert np.array_equal(magnitude(fields[:k]), rss)
+        assert np.array_equal(magnitude(fields[:k], grid), rss)
+        assert np.array_equal(magnitude(np.stack(fields[:k]), grid), rss)
     pair = tuple(fields[:2])
-    components = np.hypot(lp_norm(pair[0], 2), lp_norm(pair[1], 2))
-    assert lp_norm(pair, 2) == pytest.approx(components, rel=1e-14)
+    components = np.hypot(lp_norm(pair[0], grid, 2), lp_norm(pair[1], grid, 2))
+    assert lp_norm(pair, grid, 2) == pytest.approx(components, rel=1e-14)
     with pytest.raises(SpectralError):
-        lp_norm(pair, 0.5)
-    with pytest.raises(SpectralError, match="different grids"):
-        magnitude((fields[0], random_field(make_grid(32, 7.0), rng)))
+        lp_norm(pair, grid, 0.5)
+    # one grid is passed: a stack of another n is rejected by its shape
+    with pytest.raises(SpectralError, match=r"shape \(16, 9\) does not match grid n=32"):
+        magnitude(random_state(make_grid(16, 6.0), rng), grid)
 
 
 def test_sobolev_norm_basics(rng):
     grid = make_grid(32, 6.0)
     assert sobolev_norm(zero_state(grid), 3, grid) == 0.0
     X = random_state(grid, rng)
-    l2 = np.sqrt(sum(lp_norm(SpectralField(grid, c), 2) ** 2 for c in X))
+    l2 = np.sqrt(sum(lp_norm(c, grid, 2) ** 2 for c in X))
     assert sobolev_norm(X, 0, grid) == pytest.approx(l2, rel=1e-10)
     values = [sobolev_norm(X, s, grid) for s in range(4)]
     assert all(values[i] <= values[i + 1] for i in range(3))
@@ -522,7 +527,7 @@ def test_l2_sobolev_norm_is_the_riemann_l2_norm(rng, layout, n, L):
         fourier = sobolev_norm(stack, 0, band)
     else:
         fourier = sobolev_norm(X, 0, grid)
-    riemann = lp_norm([SpectralField(grid, c) for c in X], 2)
+    riemann = lp_norm(X, grid, 2)
     assert abs(fourier - riemann) <= 1e-14 * riemann
 
 
@@ -545,4 +550,46 @@ def test_l2_sobolev_norm_uses_a_scalar_weight(rng, layout):
 def test_realness_of_roundtrip(rng):
     grid = make_grid(32, 3.0)
     f = random_field(grid, rng)
-    assert f.hermitian_defect() < 1e-14 * max(1.0, np.abs(f.coeffs).max())
+    assert hermitian_defect(f, grid) < 1e-14 * max(1.0, np.abs(f).max())
+
+
+def test_field_operations_reject_spectra_of_another_shape(rng):
+    # the grid is passed beside each array, and its shape is checked; a spectrum of the
+    # same n on a box of another L has the grid's shape, and passes
+    grid = make_grid(32, 6.0)
+    f, other = random_field(grid, rng), random_field(make_grid(16, 6.0), rng)
+    for op in (lambda c: derivative(c, grid, (1, 0)), lambda c: gradient(c, grid),
+               lambda c: curl((c, c), grid), lambda c: magnitude(c, grid),
+               lambda c: lp_norm(c, grid, 2), lambda c: hermitian_defect(c, grid),
+               lambda c: to_physical(c, grid)):
+        with pytest.raises(SpectralError, match=r"shape \(16, 9\) does not match grid n=32"):
+            op(other)
+        op(f)
+    assert lp_norm(random_field(make_grid(32, 7.0), rng), grid, 2) > 0.0
+
+
+@pytest.mark.parametrize("p", [np.nan, -np.inf, 0.5])
+def test_lebesgue_exponent_must_satisfy_p_at_least_1(p):
+    # `not p >= 1`: a NaN exponent returned NaN, or 1.0 for a magnitude of 1
+    grid = make_grid(16, 1.0)
+    with pytest.raises(SpectralError, match="p >= 1"):
+        lp_of_magnitude(np.ones((16, 16)), grid, p)
+
+
+@pytest.mark.parametrize("s", [1.5, np.nan, np.inf, "1"])
+def test_sobolev_index_must_be_an_integer(rng, s):
+    # 1.5 was truncated to 1, and NaN raised a bare ValueError
+    grid = make_grid(16, 1.0)
+    X = random_state(grid, rng)
+    with pytest.raises(SpectralError, match=f"Sobolev index must be an integer, got {s!r}"):
+        sobolev_norm(X, s, grid)
+    assert sobolev_norm(X, 1.0, grid) == sobolev_norm(X, 1, grid)
+    assert sobolev_norm(X, np.int64(2), grid) == sobolev_norm(X, 2, grid)
+
+
+@pytest.mark.parametrize("sigma", [(1.7, 0), (0, np.nan), (np.inf, 0)])
+def test_multi_index_entries_must_be_integers(sigma):
+    # (1.7, 0) was truncated to (1, 0)
+    with pytest.raises(SpectralError, match=r"multi-index .* entry must be an integer"):
+        as_multi_index(sigma)
+    assert as_multi_index((2.0, np.int64(1))) == (2, 1)
