@@ -363,7 +363,7 @@ def run_kernel_algebra(ctx: RunManifest) -> ExperimentResult:
                         np.abs(perp2[1] - perp[1]).max() / scale,
                         np.abs(par2[0]).max() / scale]
         inner = parseval_sum(small, zip(perp, par))
-        na, nb = lp_norm(perp, small, 2), lp_norm(par, small, 2)
+        na, nb = sobolev_norm(perp, 0, small), sobolev_norm(par, 0, small)
         if na != 0 and nb != 0:  # not `> 0`, which would skip a NaN norm
             orthogonality.append(abs(inner) / (na * nb))
     result.bound("leray-idempotency", 0.0, idempotency, 1e-12)
@@ -679,6 +679,8 @@ def _generic_state(grid: Grid, eps: float) -> np.ndarray:
 _SOUND_SNAPSHOTS, _SOUND_WINDOW = 14, 4.0
 # the runs with `decay` rows: geometric snapshots on [1, h], read on the last half [h/2, h]
 _DECAY_SNAPSHOTS = 12
+# vorticity-profiles takes the dipole's moments at its snapshot times up to this one
+_MOMENT_HORIZON = 16.0
 
 
 def _snapshot_times(T: float, n: int = _SOUND_SNAPSHOTS) -> tuple[float, ...]:
@@ -922,7 +924,7 @@ def run_vorticity_profiles(ctx: RunManifest) -> ExperimentResult:
         def relative_residual(t, w):
             ref = oseen_vorticity_field(vortex_grid, 2.0 + t, params)
             omega = vortex_grid.band.scatter(w)
-            return lp_norm(omega - ref, vortex_grid, 2) / lp_norm(ref, vortex_grid, 2)
+            return sobolev_norm(omega - ref, 0, vortex_grid) / sobolev_norm(ref, 0, vortex_grid)
 
         residuals = _measured(f"{name} vortex L={vortex_grid.L:g}", lambda: vorticity_simulate(
             oseen_vorticity_field(vortex_grid, 2.0, params), vortex_grid, nu, times_a, 0.25,
@@ -939,8 +941,8 @@ def run_vorticity_profiles(ctx: RunManifest) -> ExperimentResult:
 
     def measure(t, w):
         omega = grid.band.scatter(w)
-        residual = lp_norm(omega - profile_vorticity(moments, t, params, grid), grid, 2)
-        return residual, (first_moments_beta(omega, grid, params) if t <= 16.0 else None)
+        residual = sobolev_norm(omega - profile_vorticity(moments, t, params, grid), 0, grid)
+        return residual, (first_moments_beta(omega, grid, params) if t <= _MOMENT_HORIZON else None)
 
     values = _measured(f"{name} dipole-data",
                        lambda: vorticity_simulate(omega0, grid, nu, times_b, 0.25, measure))
@@ -1000,17 +1002,40 @@ def _check_dipole_horizon(record, ctx: RunManifest):
 
 
 def _check_vorticity_data(record, ctx: RunManifest):
-    """The age-1 dipole data, heat-flowed to the first moment probe t_1 = 1, keeps its
-    band-edge tail exp(-nu (1 + t_1) eta_K^2), eta_K = 2 pi floor(n/3)/L, below the edge/peak
-    ratio `first_moments_beta` takes as localized, on the record's box."""
-    grid, t1 = record.grid(ctx), 1.0
+    """The dipole data, heat-flowed on the record's box, keeps the edge/peak ratio that
+    `first_moments_beta` takes as localized at its first and last moment probes (README,
+    "vorticity-profiles").  At t_1 = 1 the age-1 dipole's band-edge tail
+    exp(-nu (1 + t_1) eta_K^2), eta_K = 2 pi floor(n/3)/L, sets it.  At the last probe t the
+    Gaussian tails set it: the age-(1 + t) dipole's and, nearer the edge, those of the
+    perturbation centred at (2, 1) with variance s = 3 + 2 nu t."""
+    grid, nu, t1 = record.grid(ctx), ctx.params.nu, 1.0
+    where = (f"n/L: {record.name} dipole data is not localized on its box (n = {grid.n}, "
+             f"L = {grid.L:g})")
     k = int(grid.band.k_cols[-1])  # the band's edge index floor(n/3)
-    tail = math.exp(-ctx.params.nu * (1.0 + t1) * (2.0 * math.pi * k / grid.L) ** 2)
+    tail = math.exp(-nu * (1.0 + t1) * (2.0 * math.pi * k / grid.L) ** 2)
     if not tail < LOCALIZED_EDGE:
         raise ConfigError(
-            f"n/L: {record.name} dipole data is not localized on its box (n = {grid.n}, L = "
-            f"{grid.L:g}): band-edge tail exp(-nu (1 + t) (2 pi floor(n/3)/L)^2) = {tail:.2g} "
+            f"{where}: band-edge tail exp(-nu (1 + t) (2 pi floor(n/3)/L)^2) = {tail:.2g} "
             f"at t = {t1:g}, not below {LOCALIZED_EDGE:g}"
+        )
+
+    def far(r, var):
+        """The largest |y| exp(-y^2 / (2 var)) over |y| >= r."""
+        y = max(r, math.sqrt(var))
+        return y * math.exp(-y * y / (2.0 * var))
+
+    times = _snapshot_times(record.horizon(ctx), _DECAY_SNAPSHOTS)
+    t = max(t for t in times if t <= _MOMENT_HORIZON)
+    a, s, d = 1.0 + t, 3.0 + 2.0 * nu * t, grid.L / 2.0 - grid.dx
+    # each term's largest value on the outermost ring, twice for the image across it, over
+    # the dipole's peak; the perturbation is 0.3 sqrt(6 nu) a^2 (3 / s^2) in the dipole's units
+    pert = max(math.sqrt(s) * math.exp(-0.5 - (d - 2.0) ** 2 / (2.0 * s)), far(d - 1.0, s))
+    edge = far(d, 2.0 * nu * a) + 0.9 * math.sqrt(6.0 * nu) * (a / s) ** 2 * pert
+    ratio = 2.0 * edge / (math.sqrt(2.0 * nu * a) * math.exp(-0.5))
+    if not ratio < LOCALIZED_EDGE:
+        raise ConfigError(
+            f"{where} at its last moment probe t = {t:.4g}: heat-flowed edge/peak bound "
+            f"{ratio:.2g}, not below {LOCALIZED_EDGE:g}"
         )
 
 

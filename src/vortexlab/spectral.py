@@ -348,9 +348,9 @@ class SpectralField:
             )
 
 
-def check_spectra(coeffs, grid: Grid) -> np.ndarray:
-    """`coeffs`, half spectra on the grid along its last two axes, or SpectralError naming its
-    shape.  A shape cannot tell apart another L at the same n: such spectra pass as this grid's."""
+def check_spectra(coeffs, grid: Grid | Band) -> np.ndarray:
+    """`coeffs`, spectra on the grid (or a band) along their last two axes, or SpectralError
+    naming its shape.  A shape cannot tell apart another L at the same n: such spectra pass."""
     if getattr(coeffs, "shape", ())[-2:] != grid.spectral_shape:
         raise SpectralError(f"spectrum shape {getattr(coeffs, 'shape', None)} does not match "
                             f"grid n={grid.n}, shape {grid.spectral_shape}")
@@ -521,19 +521,22 @@ def lp_of_magnitude(mag: np.ndarray, grid: Grid, p: float) -> float:
 
 def parseval_sum(grid: Grid | Band, pairs, weight=1.0) -> float:
     """(1/L^2) sum over the full lattice of weight * Re(a conj b), summed over
-    the (a, b) pairs of half spectra, or of band spectra when `grid` is a band;
-    `weight` must be even in eta."""
+    the (a, b) pairs of half spectra, or of band spectra when `grid` is a band,
+    each checked by `check_spectra`; `weight` must be even in eta."""
     w = grid.hermitian_weight * weight
-    return float(sum(np.sum(w * (a * np.conj(b)).real) for a, b in pairs)) / grid.L**2
+    return float(sum(np.sum(w * (check_spectra(a, grid) * np.conj(check_spectra(b, grid))).real)
+                     for a, b in pairs)) / grid.L**2
 
 
-def sobolev_norm(stack: np.ndarray, s: int, lattice: Grid | Band) -> float:
-    """H^s norm from Fourier coefficients with the discrete measure 1/L^2 of a stack of
-    spectra on `lattice` (a band or the grid)."""
+def sobolev_norm(fields, s: int, lattice: Grid | Band) -> float:
+    """H^s norm from Fourier coefficients with the discrete measure 1/L^2 of a spectrum on
+    `lattice` (a band or the grid), or of a sequence or stack of them, each checked by
+    `check_spectra`; at s = 0 it is the L^2 norm, the Parseval twin of `lp_norm(.., 2)`."""
     s = _integer(s, "Sobolev index")
     if s < 0:
         raise SpectralError(f"Sobolev index must be nonnegative, got {s}")
-    pairs = [(c, c) for c in stack]
+    fields = (fields,) if isinstance(fields, np.ndarray) and fields.ndim == 2 else fields
+    pairs = [(c, c) for c in fields]
     # (1 + |eta|^2)^0 is 1: the scalar weight needs no lattice of ones
     return float(np.sqrt(parseval_sum(lattice, pairs, lattice.sobolev_weight(s) if s else 1.0)))
 

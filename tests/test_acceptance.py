@@ -8,7 +8,7 @@ scale (n = 256, L = 200, T = 30).  Run with ``pytest tests/test_acceptance.py
 import numpy as np
 import pytest
 
-from vortexlab import spectral
+from vortexlab import harness, profiles, spectral
 from vortexlab.cli import RunManifest
 from vortexlab.harness import (
     run_incompressible_limit,
@@ -33,14 +33,22 @@ from vortexlab.spectral import (
 
 
 def _run(experiment, ctx):
-    """`experiment(ctx)` with `SpectralField` refusing to be built: a run passes its fields
-    as half-spectrum arrays, and the class is only the benchmark probe's form."""
+    """`experiment(ctx)` with `SpectralField` refusing to be built, and `lp_norm` refusing
+    p = 2: a run passes its fields as half-spectrum arrays, and the class is only the
+    benchmark probe's form; a norm at L^2 alone is the Parseval sum `sobolev_norm(X, 0, .)`."""
 
     def refuse(self):
         raise AssertionError("the run path built a SpectralField")
 
+    def lp_norm_off_l2(fields, grid, p):
+        if p == 2:
+            raise AssertionError("the run path took lp_norm at p = 2")
+        return lp_norm(fields, grid, p)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectral.SpectralField, "__post_init__", refuse)
+        for module in (harness, profiles):
+            patch.setattr(module, "lp_norm", lp_norm_off_l2)
         return experiment(ctx)
 
 
@@ -90,6 +98,17 @@ def test_the_run_guard_refuses_a_field(ctx):
     with pytest.raises(AssertionError, match="built a SpectralField"):
         _run(lambda ctx: spectral.transform(np.zeros((16, 16)), grid), ctx)
     assert spectral.transform(np.zeros((16, 16)), grid).coeffs.shape == (16, 9)
+
+
+@pytest.mark.parametrize("module", [harness, profiles], ids=["harness", "profiles"])
+def test_the_run_guard_refuses_an_l2_riemann_norm(ctx, module):
+    # the guard also refuses lp_norm at p = 2 through either module, and passes other p
+    f = np.zeros((16, 9), complex)
+    grid = make_grid(16, 1.0)
+    with pytest.raises(AssertionError, match="lp_norm at p = 2"):
+        _run(lambda ctx: module.lp_norm(f, grid, 2), ctx)
+    assert _run(lambda ctx: module.lp_norm(f, grid, np.inf), ctx) == 0.0
+    assert module.lp_norm(f, grid, 2) == 0.0
 
 
 def _verdict(num, title, ok, detail=""):

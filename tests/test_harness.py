@@ -387,6 +387,43 @@ def test_vorticity_data_check_matches_the_heat_flowed_data(n, L, localized):
         assert measured.endswith("(edge/peak = 2.28e-07)")
 
 
+@pytest.mark.parametrize(
+    "n, L, mu, localized",
+    [(128, 130.0, 1.0, False), (128, 150.0, 1.0, False), (128, 155.0, 1.0, False),
+     (256, 150.0, 1.0, False), (256, 160.0, 1.0, False), (256, 200.0, 2.0, False),
+     (256, 170.0, 1.0, True), (256, 200.0, 1.0, True), (256, 130.0, 0.5, True),
+     (1024, 800.0, 1.0, True)],
+)
+def test_moment_probe_check_matches_the_heat_flowed_data(monkeypatch, n, L, mu, localized):
+    # the closed-form bound against the measurement it stands for: the run's dealiased
+    # dipole data, heat-flowed to the last moment probe, through first_moments_beta.  At
+    # n = 128 every box the other checks admit (129 <= L <= 155) used to exit 2 mid-run
+    from vortexlab.kernels import heat_weight
+    from vortexlab.profiles import ProfileError, first_moments_beta
+
+    calls = []
+    monkeypatch.setitem(harness.EXPERIMENTS, "vorticity-profiles", calls.append)
+    ctx, record = RunManifest(n=n, L=L, mu=mu), RECORDS["vorticity-profiles"]
+    grid, nu = record.grid(ctx), ctx.params.nu
+    t = max(t for t in harness._snapshot_times(64.0, 12) if t <= 16.0)
+    omega = harness._vorticity_dipole_data(ctx, grid) * grid.dealias_mask
+    try:
+        first_moments_beta(omega * heat_weight(0, t, grid, nu), grid, ctx.params)
+    except ProfileError:
+        assert not localized
+    else:
+        assert localized
+    if localized:
+        run_experiment("vorticity-profiles", ctx)
+        assert len(calls) == 1
+    else:
+        with pytest.raises(ConfigError, match=rf"^n/L: vorticity-profiles dipole data is not "
+                           rf"localized on its box \(n = {n}, L = {L / 2:g}\) at its last "
+                           rf"moment probe t = 14.11: heat-flowed edge/peak bound"):
+            run_experiment("vorticity-profiles", ctx)
+        assert calls == []
+
+
 def test_non_integral_n_is_rejected_before_compute(monkeypatch):
     # n = 256.5 used to run at n = 256 and record 256.5 in the summary
     calls = []
@@ -520,13 +557,13 @@ def test_semigroup_rows_fail_on_a_nan_deviation(monkeypatch):
 
 def test_leray_orthogonality_fails_on_a_nan_norm(monkeypatch):
     # the row skips a pair with a zero norm; a NaN norm used to be skipped as well
-    real, calls = harness.lp_norm, []
+    real, calls = harness.sobolev_norm, []
 
-    def norm(f, grid, p):
+    def norm(f, s, lattice):
         calls.append(None)
-        return float("nan") if len(calls) == 3 else real(f, grid, p)
+        return float("nan") if len(calls) == 3 else real(f, s, lattice)
 
-    monkeypatch.setattr(harness, "lp_norm", norm)
+    monkeypatch.setattr(harness, "sobolev_norm", norm)
     res = run_experiment("kernel-algebra", RunManifest(n=64, L=50.0))
     (row,) = (r for r in res.reports if r.label == "leray-orthogonality")
     assert np.isnan(row.fitted) and not row.passed
@@ -721,25 +758,25 @@ def _stub_solvers(monkeypatch, abort_call, data_alive=None):
 
 
 @pytest.mark.parametrize(
-    "experiment, L, abort_call, message",
+    "experiment, n, L, abort_call, message",
     [
-        ("sound-decay", 100.0, 0, "sound-decay run aborted"),
-        ("nonlinear-smallness", 100.0, 0, "nonlinear-smallness eps=0.001 run aborted"),
-        ("nonlinear-smallness", 100.0, 3, "nonlinear-smallness linear-control run aborted"),
-        ("incompressible-limit", 100.0, 0, "incompressible-limit dipole-data run aborted"),
-        ("incompressible-limit", 100.0, 1, "incompressible-limit vortex-data run aborted"),
-        # at n = 128 the dipole horizon needs L >= 129 and the dipole data L <= 155
-        ("vorticity-profiles", 150.0, 0, "vorticity-profiles vortex L=150 run aborted"),
-        ("vorticity-profiles", 150.0, 1, "vorticity-profiles vortex L=75 run aborted"),
-        ("vorticity-profiles", 150.0, 2, "vorticity-profiles dipole-data run aborted"),
+        ("sound-decay", 128, 100.0, 0, "sound-decay run aborted"),
+        ("nonlinear-smallness", 128, 100.0, 0, "nonlinear-smallness eps=0.001 run aborted"),
+        ("nonlinear-smallness", 128, 100.0, 3, "nonlinear-smallness linear-control run aborted"),
+        ("incompressible-limit", 128, 100.0, 0, "incompressible-limit dipole-data run aborted"),
+        ("incompressible-limit", 128, 100.0, 1, "incompressible-limit vortex-data run aborted"),
+        # no box at n = 128 keeps the dipole data localized up to its last moment probe
+        ("vorticity-profiles", 256, 200.0, 0, "vorticity-profiles vortex L=200 run aborted"),
+        ("vorticity-profiles", 256, 200.0, 1, "vorticity-profiles vortex L=100 run aborted"),
+        ("vorticity-profiles", 256, 200.0, 2, "vorticity-profiles dipole-data run aborted"),
     ],
     ids=["sound", "nonlinear", "linear-control", "dipole-data", "vortex-data",
          "vorticity-full-box", "vorticity-half-box", "vorticity-dipole"],
 )
-def test_aborted_solver_run_raises(monkeypatch, experiment, L, abort_call, message):
+def test_aborted_solver_run_raises(monkeypatch, experiment, n, L, abort_call, message):
     # no solver run reaches a fit once it has aborted, the linear control included
     _stub_solvers(monkeypatch, abort_call)
-    ctx = RunManifest(n=128, L=L)
+    ctx = RunManifest(n=n, L=L)
     with pytest.raises(HarnessError, match=f"^{message}: stub abort$"):
         run_experiment(experiment, ctx)
 

@@ -547,6 +547,30 @@ def test_l2_sobolev_norm_uses_a_scalar_weight(rng, layout):
     assert 1 in lattice.__dict__["_sobolev_weights"]
 
 
+def test_sobolev_norm_of_one_spectrum_is_that_of_its_one_field_stack():
+    # one spectrum used to be summed row by row: 59.91 for this Gaussian at s = 1, not 2.171
+    grid = make_grid(64, 20.0)
+    f = sample(grid, lambda a, b: np.exp(-(a**2 + b**2)))
+    for s in range(3):
+        assert sobolev_norm(f, s, grid) == sobolev_norm(f[None], s, grid)
+    assert sobolev_norm(f, 1, grid) == pytest.approx(2.1708037636748028, rel=1e-14)
+
+
+@pytest.mark.parametrize("layout", ["band-on-grid", "grid-on-band", "other-n"])
+def test_parseval_sums_reject_spectra_of_another_lattice(rng, layout):
+    # a band stack passed with the grid raised numpy's bare broadcast ValueError
+    grid = make_grid(64, 20.0)
+    X = random_state(grid, rng)
+    stack, lattice, shape = {"band-on-grid": (grid.band.gather(X), grid, r"\(43, 22\)"),
+                             "grid-on-band": (X, grid.band, r"\(64, 33\)"),
+                             "other-n": (random_state(make_grid(32, 20.0), rng), grid,
+                                         r"\(32, 17\)")}[layout]
+    with pytest.raises(SpectralError, match=f"shape {shape} does not match grid n=64"):
+        sobolev_norm(stack, 0, lattice)
+    with pytest.raises(SpectralError, match=f"shape {shape} does not match grid n=64"):
+        parseval_sum(lattice, [(c, c) for c in stack])
+
+
 def test_realness_of_roundtrip(rng):
     grid = make_grid(32, 3.0)
     f = random_field(grid, rng)
