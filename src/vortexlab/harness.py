@@ -52,6 +52,7 @@ from .profiles import (
 from .solver import (SolverAbort, SolverConfig, SolverError, Trajectory, scaled_params, simulate,
                      vorticity_simulate)
 from .spectral import (
+    Band,
     BandTransform,
     Grid,
     SpectralError,
@@ -65,6 +66,7 @@ from .spectral import (
     magnitude,
     make_grid,
     parseval_sum,
+    row_slabs,
     sample,
     sobolev_norm,
     support_band,
@@ -385,10 +387,13 @@ def run_kernel_algebra(ctx: RunManifest) -> ExperimentResult:
 # experiment: kernel rates
 
 
-def _localized_sound_state(grid: Grid) -> np.ndarray:
-    """Tightly localized state with density mass and curl-free momentum."""
-    rho = sample(grid, lambda a, b: np.exp(-(a**2 + b**2) / 4.0))
-    m = gradient(sample(grid, lambda a, b: np.exp(-(a**2 + b**2) / 6.0)), grid)
+def _localized_sound_state(grid: Grid, band: Grid | Band | None = None) -> np.ndarray:
+    """Tightly localized state with density mass and curl-free momentum, on a band of the
+    grid (the grid itself by default): each sampled field is gathered before the next is
+    made, and the momentum is the gradient of the gathered potential."""
+    band = grid if band is None else band
+    rho = band.gather(sample(grid, lambda a, b: np.exp(-(a**2 + b**2) / 4.0)))
+    m = gradient(band.gather(sample(grid, lambda a, b: np.exp(-(a**2 + b**2) / 6.0))), band)
     return np.stack((rho, *m))
 
 
@@ -397,7 +402,7 @@ def _lf_kernel_rows(result: ExperimentResult, grid: Grid, params, chi) -> None:
     weight `chi`: the curl-free LF kernel and the kernel difference on a localized state."""
     band = support_band(grid, chi)
     chi, core = band.gather(chi), BandTransform(grid, (), band)
-    X0 = band.gather(_localized_sound_state(grid))
+    X0 = _localized_sound_state(grid, band)
     lf_times = np.geomspace(6.0, 56.0, 9)
     diff_vals = []
 
@@ -407,13 +412,16 @@ def _lf_kernel_rows(result: ExperimentResult, grid: Grid, params, chi) -> None:
         # and grew otherwise)
         for t in lf_times:
             lf = phi_symbol_grid(0, t, band, params, "spar").scale(chi)
-            lf_art = phi_symbol_grid(0, t, band, params, "artificial_par").scale(chi)
-            diff_vals.append(sobolev_norm((lf - lf_art).apply(X0), 0, band))
-            del lf_art
+            art = phi_symbol_grid(0, t, band, params, "artificial_par").scale(chi)
+            diff = art.subtract_from(lf).apply(X0)  # lf - art, made in art's entries
+            del art
+            diff_vals.append(sobolev_norm(diff, 0, band))
+            del diff
             X = lf.apply(X0)
             del lf
             yield core.magnitude(X)
-            yield core.magnitude(X * derivative_multiplier(band, (1, 0)))
+            X *= derivative_multiplier(band, (1, 0))
+            yield core.magnitude(X)
             del X
 
     lf_ps = (2.0, np.inf)
@@ -430,18 +438,27 @@ def _lf_kernel_rows(result: ExperimentResult, grid: Grid, params, chi) -> None:
                 0.1, mode="bound")
 
 
+def _hf_norms(grid: Grid, params, hf_pass, X: np.ndarray, times) -> np.ndarray:
+    """L^2 norms of the kernel's HF parts, `phi_symbol_grid(0, t, grid, params,
+    "spar").scale(hf_pass)`, applied to the stack X at each time, one row slab at a
+    time: each slab's symbol is built, scaled, applied and Parseval-summed, so no
+    lattice-size symbol or output is made."""
+    sums = np.zeros(len(times))
+    for slab in row_slabs(grid):
+        Xs, hf = X[:, slab.rows], hf_pass[slab.rows]
+        for i, t in enumerate(times):
+            out = phi_symbol_grid(0, t, slab, params, "spar").scale(hf).apply(Xs)
+            sums[i] += parseval_sum(slab, zip(out, out))
+    return np.sqrt(sums)
+
+
 def _hf_decay_rows(result: ExperimentResult, grid: Grid, params, hf_pass, rng) -> None:
     """kernel-rates' high-frequency exponential decay with fitted rate b, measured on
-    a random state held as one stack, applied into one output stack; each time's symbol
-    is scaled in place and freed before the output's norm."""
+    a random state held as one stack (`_hf_norms`)."""
     hf_times = np.linspace(1.0, 10.0, 10)
     Xr = _random_stack(grid, rng)
-    denom = sobolev_norm(Xr, 0, grid)
-    out, hf_vals = np.empty_like(Xr), []
-    for t in hf_times:
-        phi_symbol_grid(0, t, grid, params, "spar").scale(hf_pass).apply(Xr, out)
-        hf_vals.append(sobolev_norm(out, 0, grid) / denom)
-    result.series["hf-decay"] = (hf_times, np.array(hf_vals))
+    hf_vals = _hf_norms(grid, params, hf_pass, Xr, hf_times) / sobolev_norm(Xr, 0, grid)
+    result.series["hf-decay"] = (hf_times, hf_vals)
     fit = _least_squares(hf_times, np.log(hf_vals))
     result.add("hf-exponential-rate", 0.0, -fit.slope, 0.0, r2=fit.r2, mode="positive",
                meta={"envelope": "exp(-b t)"})
@@ -450,20 +467,37 @@ def _hf_decay_rows(result: ExperimentResult, grid: Grid, params, hf_pass, rng) -
 def _heat_flow_magnitudes(grid: Grid, mu: float, data, times, max_sigma: int):
     """Per time, the magnitudes of D^(sigma, 0) of the heat flow exp(mu t Delta) of the
     data fields for sigma = 0, ..., max_sigma in turn, on the smallest band that holds the
-    heat factor: one flow per time, each derivative made in place on the last."""
+    heat factor: each field is gathered, flowed and derived in turn and transformed before
+    the next one is made."""
     work = np.empty(grid.spectral_shape, complex)
     for t in times:
         h = heat_weight(0, t, grid, mu)
         band = support_band(grid, h)
         h, core = band.gather(h), BandTransform(grid, work, band)
-        fields = [band.gather(f) for f in data]
-        for f in fields:
+
+        def flowed(f, sigma):
+            f = band.gather(f)
             np.multiply(h, f, out=f)
+            for _ in range(sigma):
+                f *= derivative_multiplier(band, (1, 0))
+            return f
+
         for sigma in range(max_sigma + 1):
-            if sigma:
-                for f in fields:
-                    f *= derivative_multiplier(band, (1, 0))
-            yield core.magnitude(fields)
+            yield core.magnitude(flowed(f, sigma) for f in data)
+
+
+def _biot_savart_data(grid: Grid, params, sigma: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Biot-Savart velocity of D^(sigma, 0) of the age-1 dipole vorticity."""
+    omega = dipole_vorticity_field(grid, 1, 1.0, params)
+    if sigma:
+        omega = derivative(omega, grid, (1, 0))  # the sampled field is freed here
+    return biot_savart(omega, grid)
+
+
+# kernel-rates' artificial-viscosity family: the viscosity of its thin ring (mu_par = 1/2)
+# and its sampled times, which `_check_artificial_ring` bounds too
+_RING_VISCOSITY = {"mu": 0.25, "lam": 0.0}
+_ART_TIMES = np.geomspace(4.0, 56.0, 9)
 
 
 def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
@@ -482,13 +516,12 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
     result = ExperimentResult(name)
 
     # artificial-viscosity kernel norms (diagonal entry, thin-ring viscosity)
-    ring_params = replace(params, mu=0.25, lam=0.0)
-    art_times = np.geomspace(4.0, 56.0, 9)
+    ring_params = replace(params, **_RING_VISCOSITY)
     art_ps = (1.0, 2.0, np.inf)
     for sigma in (0, 1):
-        fields = (artificial_diagonal_field(t, grid, ring_params, (sigma, 0)) for t in art_times)
+        fields = (artificial_diagonal_field(t, grid, ring_params, (sigma, 0)) for t in _ART_TIMES)
         for p, vals in zip(art_ps, _lp_series(grid, (np.abs(f, out=f) for f in fields), art_ps)):
-            result.rate(f"artificial-p{p:g}-s{sigma}", "artificial_kernel", p, sigma, art_times,
+            result.rate(f"artificial-p{p:g}-s{sigma}", "artificial_kernel", p, sigma, _ART_TIMES,
                         vals, 0.1, allow_log=(sigma == 0 and p in (1.0, np.inf)))
 
     # the LF and HF parts are the symbols' scalings by one low-pass weight made once and
@@ -499,6 +532,9 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
     _hf_decay_rows(result, grid, params, np.subtract(1.0, chi, out=chi), rng)
     del chi
 
+    # the heat rows gather their weights from the grid's shells, built here, where no
+    # section's arrays are alive
+    grid.shells
     # heat-Leray kernel norms (non-zero multi-index only; exact power laws)
     hl_times = np.geomspace(1.0, 16.0, 9)
     hl_ps = (1.0, 2.0, np.inf)
@@ -507,21 +543,21 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
         result.rate(f"heat-leray-p{p:g}-s1", "heat_leray", p, 1, hl_times, vals, 0.1)
 
     # heat flow of Biot-Savart data (fit past the age of the sampled profile), one data set
-    # at a time: the second-moment data are made once the dipole data's rows are measured,
-    # and the dipole vorticity is freed once they are made
+    # at a time: the second-moment data are made once the dipole data's rows are measured
     perp_times, perp_ps = np.geomspace(8.0, 128.0, 9), (2.0, np.inf)
-    omega_dipole = dipole_vorticity_field(grid, 1, 1.0, params)
-    dipole_mags = _heat_flow_magnitudes(grid, params.mu, biot_savart(omega_dipole, grid),
+    dipole_mags = _heat_flow_magnitudes(grid, params.mu, _biot_savart_data(grid, params, 0),
                                         perp_times, 1)
     dipole_vals = _lp_series(grid, dipole_mags, perp_ps)
-    m_second = biot_savart(derivative(omega_dipole, grid, (1, 0)), grid)
-    del omega_dipole
     second_ps = perp_ps + (1.5,)
     second_vals, weighted_vals = [[] for _ in second_ps], []
-    for mag in _heat_flow_magnitudes(grid, params.mu, m_second, perp_times, 0):
+    second_mags = _heat_flow_magnitudes(grid, params.mu, _biot_savart_data(grid, params, 1),
+                                        perp_times, 0)
+    for mag in second_mags:
         for vals, p in zip(second_vals, second_ps):
             vals.append(lp_of_magnitude(mag, grid, p))
-        weighted_vals.append(lp_of_magnitude(mag * np.hypot(grid.xc1, grid.xc2), grid, 2.0))
+        # weighted in place, once its own norms are taken
+        weighted_vals.append(lp_of_magnitude(
+            np.multiply(mag, np.hypot(grid.xc1, grid.xc2), out=mag), grid, 2.0))
         del mag  # before the next array is made
     for vals, p in zip(dipole_vals, perp_ps):
         for sigma in (0, 1):
@@ -546,14 +582,14 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
 _RESOLVED_FLOOR = 1e-13
 
 
-def _fit_pointwise_constant(field, radius, t, c, mu_par):
-    """Smallest K with |field| <= K t^{-5/4} * envelope, the envelope being
-    t^{3/4} s^{-3/2} inside |x| <= c(t - sqrt t) and exp(-s^2/(K t)) outside.
+def _fit_pointwise_constant(mag, radius, t, c, mu_par):
+    """Smallest K with mag <= K t^{-5/4} * envelope, mag being a kernel field's
+    magnitude and the envelope t^{3/4} s^{-3/2} inside |x| <= c(t - sqrt t) and
+    exp(-s^2/(K t)) outside.
 
     Points below `_RESOLVED_FLOOR` of the peak are excluded: they sit at the
     double-precision transform floor, not on the kernel's analytic tail.
     """
-    mag = np.abs(field)
     if not np.isfinite(peak := mag.max()):  # a NaN or infinite sample: no K bounds the field
         return float("nan")
     resolved = mag > _RESOLVED_FLOOR * peak
@@ -563,8 +599,8 @@ def _fit_pointwise_constant(field, radius, t, c, mu_par):
     if inner.any():
         k_inner = float((mag[inner] * t**0.5 * s[inner] ** 1.5).max())
     outer = ~inner & resolved
-    logmag = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
-    log_out = logmag[outer] + 1.25 * np.log(t)
+    # resolved points are above 0, so their logs are finite
+    log_out = np.log(mag[outer]) + 1.25 * np.log(t)
     s2_out = s[outer] ** 2
 
     def feasible(k):
@@ -632,12 +668,12 @@ def run_pointwise_bound(ctx: RunManifest) -> ExperimentResult:
                     f"acoustic ring leaves the box at t={t} (L={grid.L}); enlarge the box"
                 )
             diag = artificial_diagonal_field(t, grid, params)
-            mag = np.abs(diag)
+            mag = np.abs(diag, out=diag)
             far = radius > c * t + 6.5 * np.sqrt(mu_par * t)
             samples.append(
                 {
                     "t": t,
-                    "k_fit": _fit_pointwise_constant(diag, radius, t, c, mu_par),
+                    "k_fit": _fit_pointwise_constant(mag, radius, t, c, mu_par),
                     "peak_radius": float(radius.flat[int(np.argmax(mag))]),
                     "ring": [c * t - width, c * t + width],
                     "tail_ratio": float(mag[far].max() / mag.max()) if far.any() else 0.0,
@@ -1064,11 +1100,24 @@ def _check_pointwise_box(record, ctx: RunManifest):
                 f"n/L: {record.name} ({label}) needs exp(-mu_par (pi n/L)^2 t/2) < "
                 f"{_RESOLVED_FLOOR:g} on its box at t = {t0:g}, got {nyquist:.2g}"
             )
-        if not _ring_edge(params, t) < grid.L / 2.0:
-            raise ConfigError(
-                f"n/L: {record.name} ({label}) needs its acoustic ring c t + 3 sqrt(mu_par t) "
-                f"below L/2 = {grid.L / 2.0:g} on its box up to t = {t:g}"
-            )
+        _check_ring(record, label, params, t, grid)
+
+
+def _check_ring(record, label: str, params: FluidParams, t: float, grid: Grid):
+    """The acoustic ring stays inside the record's box up to time t: c t + 3 sqrt(mu_par t)
+    < L/2."""
+    if not (edge := _ring_edge(params, t)) < grid.L / 2.0:
+        raise ConfigError(
+            f"n/L: {record.name} ({label}) needs its acoustic ring c t + 3 sqrt(mu_par t) "
+            f"= {edge:.4g} below L/2 = {grid.L / 2.0:g} on its box up to t = {t:g}"
+        )
+
+
+def _check_artificial_ring(record, ctx: RunManifest):
+    """kernel-rates' artificial family at its thin-ring viscosity keeps its acoustic ring
+    inside the record's box up to its last sampled time (`_check_ring`)."""
+    params = replace(scaled_params(ctx.params), **_RING_VISCOSITY)
+    _check_ring(record, "artificial", params, float(_ART_TIMES[-1]), record.grid(ctx))
 
 
 def _check_generator_samples(record, ctx: RunManifest):
@@ -1133,7 +1182,8 @@ RECORDS = {
     for record in (
         Experiment("kernel-algebra", run_kernel_algebra, box=lambda g: make_grid(64, g.L / 4),
                    checks=(_check_generator_samples,)),
-        Experiment("kernel-rates", run_kernel_rates, checks=(_check_hf_band,)),
+        Experiment("kernel-rates", run_kernel_rates,
+                   checks=(_check_hf_band, _check_artificial_ring)),
         Experiment("pointwise-bound", run_pointwise_bound, box=_half_box,
                    checks=(_check_pointwise_box,)),
         Experiment("sound-decay", run_sound_decay, horizon_rule=_acoustic_horizon,
@@ -1206,8 +1256,10 @@ class RunManifest:
             if name in self.experiments[:i]:
                 raise ConfigError(f"experiments: {name!r} is named twice")
 
-    @cached_property
+    @property
     def grid(self) -> Grid:
+        """A new grid of the configured n and L at each read, so the caches an experiment
+        fills on its grid (wavenumber arrays, shells) are freed once it returns."""
         try:
             return make_grid(self.n, self.L)
         except SpectralError as err:

@@ -248,6 +248,13 @@ class KernelSymbol:
             x *= factor
         return self
 
+    def subtract_from(self, other: "KernelSymbol") -> "KernelSymbol":
+        """`other - self` in place, on entries that no other symbol shares; returns this
+        symbol."""
+        for x, y in zip(self._arrays(), other._arrays()):
+            np.subtract(y, x, out=x)
+        return self
+
     def __add__(self, other: "KernelSymbol") -> "KernelSymbol":
         return KernelSymbol(self.grid, *(x + y for x, y in zip(self._arrays(), other._arrays())))
 
@@ -369,27 +376,31 @@ def heat_leray_kernel_magnitudes(times, sigma, grid: Grid, params: FluidParams):
     each entry goes through the grid's `BandTransform` (`to_physical` on one work array):
     the odd factors use the Nyquist-zeroed wavenumbers, so the symbol is Hermitian on the
     self-conjugate columns and the samples are the full-lattice complex transform's, to
-    rounding.  The entries' squares are summed into the first one's samples, so one
-    time holds its multiplier, the sum, the off-diagonal squares and one entry's
-    product and samples."""
+    rounding.  Each entry's product is made in the core's work array, which the
+    transform conjugates in place, and its squares are written or added slab by slab
+    (`BandTransform.squares`), so one time holds its multiplier, the sum and the
+    off-diagonal squares."""
     s1, s2 = as_multi_index(sigma)
     if s1 + s2 == 0:
         raise KernelError("heat-Leray kernel norms require a non-zero multi-index")
     if bad := [t for t in times if not t > 0]:
         raise KernelError(f"kernel norm requires t > 0, got {bad[0]}")
     e1, e2, mag2 = grid.eta1_odd, grid.eta2_odd, grid.eta_sq_odd
-    r_perp = np.stack([over_mag2(e2 * e2, mag2), over_mag2(-e1 * e2, mag2),
-                       over_mag2(e1 * e1, mag2)])
+    r11, r12, r22 = (over_mag2(e2 * e2, mag2), over_mag2(-e1 * e2, mag2),
+                     over_mag2(e1 * e1, mag2))
     derivative_factor, core = derivative_multiplier(grid, sigma), BandTransform(grid, (), grid)
+
+    def squares(r, mult, total=None):
+        return core.squares(np.multiply(r, mult, out=core.work), total)
 
     def magnitude(t):
         # ((r11^2 + r12^2) + r22^2) + r12^2, accumulated in a new array: R_perp is
         # symmetric, so the off-diagonal entry counts twice
         mult = derivative_factor * heat_weight(0, t, grid, params.mu)
-        total, r12 = (core.squares(r * mult) for r in r_perp[:2])
-        total += r12
-        total += core.squares(r_perp[2] * mult)
-        total += r12
+        total, off_diagonal = squares(r11, mult), squares(r12, mult)
+        total += off_diagonal
+        squares(r22, mult, total)
+        total += off_diagonal
         return np.sqrt(total, out=total)
 
     return (magnitude(t) for t in times)

@@ -92,10 +92,11 @@ class _Wavenumbers:
     def eta_sq_odd(self) -> np.ndarray:
         return self.eta1_odd**2 + self.eta2_odd**2
 
-    @cached_property
+    @property
     def biot_savart_multiplier(self) -> tuple[np.ndarray, np.ndarray]:
         """i eta^perp / |eta|^2, zero at eta = 0: the torus Biot-Savart law
-        u_hat = multiplier * omega_hat for zero-mean vorticity."""
+        u_hat = multiplier * omega_hat for zero-mean vorticity.  Made at each read, not
+        cached: its two complex arrays live only while their reader holds them."""
         factor = over_mag2(1.0, self.eta_sq_odd)
         return 1j * (-self.eta2_odd) * factor, 1j * self.eta1_odd * factor
 
@@ -228,6 +229,23 @@ class FullLattice(_Wavenumbers):
         self.k_index = self.k_cols = grid.k_index
 
 
+class RowSlab(_Wavenumbers):
+    """The rows `rows` (a slice) of a grid's half lattice, every column: a lattice on which
+    a symbol is built and applied and its Parseval sum taken one slab of rows at a time,
+    with the grid's column weights.  Its rows' k1 -> -k1 partners lie on other slabs, so
+    nothing is made Hermitian on it."""
+
+    def __init__(self, grid: Grid, rows: slice):
+        self.n, self.L, self.rows = grid.n, grid.L, rows
+        self.k_index, self.k_cols = grid.k_index[rows], grid.k_cols
+        self.self_conjugate = grid.self_conjugate
+
+
+def row_slabs(grid: Grid, height: int = SLAB_ROWS):
+    """The grid's half lattice as `RowSlab`s of `height` rows, top to bottom."""
+    return (RowSlab(grid, slice(start, start + height)) for start in range(0, grid.n, height))
+
+
 class Band(_BandLayout):
     """The square band |k1|, |k2| <= k of a grid's half lattice, 0 <= k < n/2."""
 
@@ -314,18 +332,29 @@ class BandTransform:
         out /= self.dx2
         return out
 
-    def squares(self, coeffs: np.ndarray) -> np.ndarray:
-        """The squares of the physical samples of band spectra, squared in place."""
-        out = self.samples(coeffs)
-        return np.square(out, out=out)
+    def squares(self, coeffs: np.ndarray, total: np.ndarray | None = None) -> np.ndarray:
+        """The squares of the physical samples of band spectra, as a new array, or added
+        into `total`: either is written slab by slab, so no other array of samples is made."""
+        add, dx2 = total is not None, self.dx2
+        total = np.empty(self.work.shape[:-1] + (self.n,)) if total is None else total
+
+        def step(samples, rows):
+            samples /= dx2
+            if add:
+                total[..., rows, :] += np.square(samples, out=samples)
+            else:
+                np.square(samples, out=total[..., rows, :])
+
+        self.load(coeffs).round_trip(self.sample_slab(self.work.shape[:-2]), step)
+        return total
 
     def magnitude(self, fields) -> np.ndarray:
         """Pointwise sqrt(f1^2 + f2^2 + ...) of band spectra, one transform per field on a
-        one-field work array; one field's squares and the total are alive at a time."""
+        one-field work array, each field's squares added into the total (`squares`)."""
         fields = iter(fields)
         total = self.squares(next(fields))
         for coeffs in fields:
-            total += self.squares(coeffs)
+            self.squares(coeffs, total)
         return np.sqrt(total, out=total)
 
 

@@ -45,6 +45,16 @@ MU_PAR_ONE = FluidParams(mu=0.5)  # mu_par = 1, c = 1: double root at |eta| = 2
 # scalar helpers
 
 
+
+def test_subtract_from_is_the_difference_in_place():
+    grid = make_grid(32, 20.0)
+    a = phi_symbol_grid(0, 0.7, grid, PARAMS, "spar")
+    b = phi_symbol_grid(0, 0.7, grid, PARAMS, "artificial_par")
+    expected, entries = a - b, b._arrays()
+    assert b.subtract_from(a) is b
+    assert all(x is y for x, y in zip(b._arrays(), entries))
+    assert all(np.array_equal(x, y) for x, y in zip(b._arrays(), expected._arrays()))
+
 def test_phi_matches_series_and_closed_form():
     import math
 

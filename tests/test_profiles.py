@@ -200,6 +200,17 @@ def test_biot_savart_matches_dipole_closed_form():
     assert err < 1e-3 * scale
 
 
+def test_biot_savart_multiplier_is_not_cached_on_the_grid():
+    # its two complex arrays (4.2 MB at 512^2) used to live as long as the grid
+    grid = make_grid(64, 40.0)
+    omega = dipole_vorticity_field(grid, 1, 1.0, PARAMS)
+    k1, k2 = grid.biot_savart_multiplier
+    u = biot_savart(omega, grid)
+    assert np.array_equal(u[0], k1 * omega) and np.array_equal(u[1], k2 * omega)
+    assert "biot_savart_multiplier" not in vars(grid)
+    assert grid.biot_savart_multiplier[0] is not k1
+
+
 def test_biot_savart_rejects_nonzero_mean():
     grid = make_grid(64, 40.0)
     omega = oseen_vorticity_field(grid, 1.0, PARAMS)

@@ -252,10 +252,10 @@ def test_magnitude_holds_one_field_of_samples_beside_its_total(rng):
     """tracemalloc peak of `BandTransform.magnitude` of 3 fields at n = 128, beyond its
     work array, in n x n sample arrays.
 
-    Each field's samples are squared in place and added to the total, so the total and
-    one field's samples are alive: 2.02 measured.  Squaring into a new array held a
-    third (3.01; numpy reuses a temporary operand in place only from 256 KiB, n = 256).
-    The bound of 2.25 leaves a quarter of an array of headroom and fails that version.
+    Each field's samples are squared and added to the total one slab of 32 rows at a
+    time, so the total and one slab of samples are alive: 1.27 measured.  Holding one
+    field's samples beside the total measured 2.02, and squaring them into a new array
+    3.01.  The bound of 1.5 leaves a quarter of an array of headroom and fails both.
     """
     import tracemalloc
 
@@ -271,7 +271,40 @@ def test_magnitude_holds_one_field_of_samples_beside_its_total(rng):
     finally:
         tracemalloc.stop()
     assert np.array_equal(got, expected)
-    assert (peak - base) / np.empty((128, 128)).nbytes <= 2.25
+    assert (peak - base) / np.empty((128, 128)).nbytes <= 1.5
+
+
+@pytest.mark.parametrize("n, k", [(64, None), (64, 20), (8, None)])
+def test_squares_are_the_samples_squared_or_added_to_a_total(rng, n, k):
+    # slab by slab (one slab at n = 8), bit for bit the squares of the samples
+    grid = make_grid(n, 30.0)
+    band = grid if k is None else Band(grid, k)
+    spec = band.gather(to_spectral(rng.standard_normal((2, n, n)), grid))
+    core = BandTransform(grid, (), band)
+    samples = [core.samples(c) for c in spec]
+    total = core.squares(spec[0])
+    assert np.array_equal(total, samples[0] ** 2)
+    assert core.squares(spec[1], total) is total
+    assert np.array_equal(total, samples[0] ** 2 + samples[1] ** 2)
+
+
+def test_row_slabs_tile_the_half_lattice_with_the_grid_wavenumbers_and_weights(rng):
+    grid = make_grid(64, 30.0)
+    slabs = list(spectral.row_slabs(grid, 16))
+    assert [s.rows for s in slabs] == [slice(i, i + 16) for i in range(0, 64, 16)]
+    for s in slabs:
+        assert s.spectral_shape == (16, 33)
+        assert np.array_equal(s.hermitian_weight, grid.hermitian_weight)
+        for name in ("eta1", "eta1_odd", "eta_sq", "eta_sq_odd"):
+            assert np.array_equal(getattr(s, name), getattr(grid, name)[s.rows]), name
+        assert np.array_equal(s.eta2_odd, grid.eta2_odd)
+    # the Nyquist row k1 = -32 is on the third slab, zeroed in its odd wavenumbers
+    assert slabs[2].k_index[0] == -32 and slabs[2].eta1_odd[0, 0] == 0.0
+    # the slabs' Parseval sums add up to the grid's
+    X = to_spectral(rng.standard_normal((3, 64, 64)), grid)
+    total = sum(parseval_sum(s, zip(X[:, s.rows], X[:, s.rows])) for s in slabs)
+    assert total == pytest.approx(sobolev_norm(X, 0, grid) ** 2, rel=1e-14, abs=0.0)
+    assert [s.rows for s in spectral.row_slabs(make_grid(8, 1.0))] == [slice(0, 32)]
 
 
 def test_band_of_half_width_0_is_the_zero_mode():
