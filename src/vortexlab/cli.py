@@ -125,7 +125,9 @@ def run(manifest: RunManifest, outdir) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "reports.csv").write_text(reports_to_csv(all_reports))
     summary = summary_dict(results, manifest)
-    (out / "summary.json").write_text(json.dumps(summary, indent=1, sort_keys=True))
+    # strict JSON: summary_dict writes each non-finite value as its reports.csv string
+    text = json.dumps(summary, indent=1, sort_keys=True, allow_nan=False)
+    (out / "summary.json").write_text(text)
     series_dir = out / "series"
     series_dir.mkdir(exist_ok=True)
     for result in results:

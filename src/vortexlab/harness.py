@@ -30,7 +30,6 @@ from .kernels import (
     artificial_diagonal_field,
     default_cutoff,
     generator_symbol_grid,
-    heat_leray_kernel_magnitudes,
     heat_weight,
     low_pass,
     phi_symbol_grid,
@@ -65,6 +64,7 @@ from .spectral import (
     lp_of_magnitude,
     magnitude,
     make_grid,
+    over_mag2,
     parseval_sum,
     row_slabs,
     sample,
@@ -387,11 +387,10 @@ def run_kernel_algebra(ctx: RunManifest) -> ExperimentResult:
 # experiment: kernel rates
 
 
-def _localized_sound_state(grid: Grid, band: Grid | Band | None = None) -> np.ndarray:
+def _localized_sound_state(grid: Grid, band: Grid | Band) -> np.ndarray:
     """Tightly localized state with density mass and curl-free momentum, on a band of the
-    grid (the grid itself by default): each sampled field is gathered before the next is
-    made, and the momentum is the gradient of the gathered potential."""
-    band = grid if band is None else band
+    grid (or the grid itself): each sampled field is gathered before the next is made, and
+    the momentum is the gradient of the gathered potential."""
     rho = band.gather(sample(grid, lambda a, b: np.exp(-(a**2 + b**2) / 4.0)))
     m = gradient(band.gather(sample(grid, lambda a, b: np.exp(-(a**2 + b**2) / 6.0))), band)
     return np.stack((rho, *m))
@@ -464,11 +463,11 @@ def _hf_decay_rows(result: ExperimentResult, grid: Grid, params, hf_pass, rng) -
                meta={"envelope": "exp(-b t)"})
 
 
-def _heat_flow_magnitudes(grid: Grid, mu: float, data, times, max_sigma: int):
+def _heat_flow_magnitudes(grid: Grid, mu: float, data, times, sigmas):
     """Per time, the magnitudes of D^(sigma, 0) of the heat flow exp(mu t Delta) of the
-    data fields for sigma = 0, ..., max_sigma in turn, on the smallest band that holds the
-    heat factor: each field is gathered, flowed and derived in turn and transformed before
-    the next one is made."""
+    data fields (half-lattice arrays, real or complex) for each sigma of `sigmas` in turn,
+    on the smallest band that holds the heat factor: each field is gathered as a complex
+    array, flowed and derived in turn and transformed before the next one is made."""
     work = np.empty(grid.spectral_shape, complex)
     for t in times:
         h = heat_weight(0, t, grid, mu)
@@ -476,13 +475,13 @@ def _heat_flow_magnitudes(grid: Grid, mu: float, data, times, max_sigma: int):
         h, core = band.gather(h), BandTransform(grid, work, band)
 
         def flowed(f, sigma):
-            f = band.gather(f)
+            f = band.gather(f).astype(complex, copy=False)
             np.multiply(h, f, out=f)
             for _ in range(sigma):
                 f *= derivative_multiplier(band, (1, 0))
             return f
 
-        for sigma in range(max_sigma + 1):
+        for sigma in sigmas:
             yield core.magnitude(flowed(f, sigma) for f in data)
 
 
@@ -535,10 +534,15 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
     # the heat rows gather their weights from the grid's shells, built here, where no
     # section's arrays are alive
     grid.shells
-    # heat-Leray kernel norms (non-zero multi-index only; exact power laws)
+    # heat-Leray kernel norms (non-zero multi-index only; exact power laws): the heat flow of
+    # R_perp's real entries, sqrt(2) r12 counting the symmetric off-diagonal entry twice
     hl_times = np.geomspace(1.0, 16.0, 9)
     hl_ps = (1.0, 2.0, np.inf)
-    hl_mags = heat_leray_kernel_magnitudes(hl_times, (1, 0), grid, params)
+    e1, e2, mag2 = grid.eta1_odd, grid.eta2_odd, grid.eta_sq_odd
+    r_perp = (over_mag2(e2 * e2, mag2), over_mag2(-math.sqrt(2.0) * e1 * e2, mag2),
+              over_mag2(e1 * e1, mag2))
+    hl_mags = _heat_flow_magnitudes(grid, params.mu, r_perp, hl_times, (1,))
+    del r_perp  # the generator holds the entries until its last time
     for p, vals in zip(hl_ps, _lp_series(grid, hl_mags, hl_ps)):
         result.rate(f"heat-leray-p{p:g}-s1", "heat_leray", p, 1, hl_times, vals, 0.1)
 
@@ -546,12 +550,12 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
     # at a time: the second-moment data are made once the dipole data's rows are measured
     perp_times, perp_ps = np.geomspace(8.0, 128.0, 9), (2.0, np.inf)
     dipole_mags = _heat_flow_magnitudes(grid, params.mu, _biot_savart_data(grid, params, 0),
-                                        perp_times, 1)
+                                        perp_times, (0, 1))
     dipole_vals = _lp_series(grid, dipole_mags, perp_ps)
     second_ps = perp_ps + (1.5,)
     second_vals, weighted_vals = [[] for _ in second_ps], []
     second_mags = _heat_flow_magnitudes(grid, params.mu, _biot_savart_data(grid, params, 1),
-                                        perp_times, 0)
+                                        perp_times, (0,))
     for mag in second_mags:
         for vals, p in zip(second_vals, second_ps):
             vals.append(lp_of_magnitude(mag, grid, p))
@@ -1305,13 +1309,8 @@ SERIES_HEADER = "# vortexlab series v1"
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        if np.isinf(x):
-            return "inf"
-        return repr(x)
-    return str(x)
+    # str of a float is its repr: the shortest string that reads back as the same float
+    return "" if x is None else str(x)
 
 
 def reports_to_csv(reports) -> str:
@@ -1341,9 +1340,21 @@ def series_to_csv(t, values) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _strict_json(x):
+    """x with each non-finite float in its dicts, lists and tuples written as its
+    reports.csv string ("nan", "inf" or "-inf"), which strict JSON can hold."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return _fmt(float(x))
+    if isinstance(x, dict):
+        return {k: _strict_json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict_json(v) for v in x]
+    return x
+
+
 def summary_dict(results, ctx: RunManifest) -> dict:
     context = {f.name: getattr(ctx, f.name) for f in fields(ctx) if f.name != "experiments"}
-    return {
+    return _strict_json({
         "version": 1,
         "context": context,
         "experiments": [
@@ -1352,8 +1363,7 @@ def summary_dict(results, ctx: RunManifest) -> dict:
                 "passed": res.passed,
                 "reports": [
                     {f.name: getattr(r, f.name) for f in fields(r) if f.name != "experiment"}
-                    | {"p": None if r.p is None else ("inf" if np.isinf(r.p) else r.p),
-                       "passed": r.passed}
+                    | {"passed": r.passed}
                     for r in res.reports
                 ],
                 "extras": res.extras,
@@ -1361,4 +1371,4 @@ def summary_dict(results, ctx: RunManifest) -> dict:
             for res in results
         ],
         "passed": all(res.passed for res in results),
-    }
+    })

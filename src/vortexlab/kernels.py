@@ -27,6 +27,9 @@ Symbols are stored in Helmholtz form, five real entries per wavevector
 family is an exact matrix semigroup on the modes off the Nyquist row and column.
 `phi_symbol_grid` builds every time-indexed symbol and `heat_weight` the scalar heat
 family exp(-mu |eta|^2 t), t phi_k(-mu |eta|^2 t); both evaluate once per shell and gather.
+The module builds symbols and one physical-space field, the artificial kernel's diagonal
+entry; it transforms no band spectrum (the heat-Leray magnitudes are the harness's heat
+flow of R_perp's entries).
 """
 
 from __future__ import annotations
@@ -38,8 +41,7 @@ from functools import partial
 import numpy as np
 
 from .profiles import FluidParams
-from .spectral import (Band, BandTransform, FullLattice, Grid, State, as_multi_index,
-                       derivative_multiplier, over_mag2)
+from .spectral import Band, FullLattice, Grid, State, derivative_multiplier, over_mag2
 
 
 class KernelError(ValueError):
@@ -364,43 +366,3 @@ def artificial_diagonal_field(t: float, grid: Grid, params: FluidParams, sigma=(
     field = np.fft.fftshift(np.real(np.fft.fft2(symbol, out=symbol)))
     field /= grid.L**2
     return field
-
-
-def heat_leray_kernel_magnitudes(times, sigma, grid: Grid, params: FluidParams):
-    """Pointwise Frobenius magnitudes of D^sigma (K_mu(t) * R_perp), the heat-Leray
-    kernel, made in turn for each time t > 0, each a new array, for a non-zero
-    multi-index (the underived kernel is not integrable); the arguments are checked on
-    the call.
-
-    The symbol is on the grid's half lattice, its three R_perp entries built once, and
-    each entry goes through the grid's `BandTransform` (`to_physical` on one work array):
-    the odd factors use the Nyquist-zeroed wavenumbers, so the symbol is Hermitian on the
-    self-conjugate columns and the samples are the full-lattice complex transform's, to
-    rounding.  Each entry's product is made in the core's work array, which the
-    transform conjugates in place, and its squares are written or added slab by slab
-    (`BandTransform.squares`), so one time holds its multiplier, the sum and the
-    off-diagonal squares."""
-    s1, s2 = as_multi_index(sigma)
-    if s1 + s2 == 0:
-        raise KernelError("heat-Leray kernel norms require a non-zero multi-index")
-    if bad := [t for t in times if not t > 0]:
-        raise KernelError(f"kernel norm requires t > 0, got {bad[0]}")
-    e1, e2, mag2 = grid.eta1_odd, grid.eta2_odd, grid.eta_sq_odd
-    r11, r12, r22 = (over_mag2(e2 * e2, mag2), over_mag2(-e1 * e2, mag2),
-                     over_mag2(e1 * e1, mag2))
-    derivative_factor, core = derivative_multiplier(grid, sigma), BandTransform(grid, (), grid)
-
-    def squares(r, mult, total=None):
-        return core.squares(np.multiply(r, mult, out=core.work), total)
-
-    def magnitude(t):
-        # ((r11^2 + r12^2) + r22^2) + r12^2, accumulated in a new array: R_perp is
-        # symmetric, so the off-diagonal entry counts twice
-        mult = derivative_factor * heat_weight(0, t, grid, params.mu)
-        total, off_diagonal = squares(r11, mult), squares(r12, mult)
-        total += off_diagonal
-        squares(r22, mult, total)
-        total += off_diagonal
-        return np.sqrt(total, out=total)
-
-    return (magnitude(t) for t in times)

@@ -241,9 +241,9 @@ class RowSlab(_Wavenumbers):
         self.self_conjugate = grid.self_conjugate
 
 
-def row_slabs(grid: Grid, height: int = SLAB_ROWS):
-    """The grid's half lattice as `RowSlab`s of `height` rows, top to bottom."""
-    return (RowSlab(grid, slice(start, start + height)) for start in range(0, grid.n, height))
+def row_slabs(grid: Grid):
+    """The grid's half lattice as `RowSlab`s of `SLAB_ROWS` rows, top to bottom."""
+    return (RowSlab(grid, slice(i, i + SLAB_ROWS)) for i in range(0, grid.n, SLAB_ROWS))
 
 
 class Band(_BandLayout):
@@ -351,10 +351,10 @@ class BandTransform:
     def magnitude(self, fields) -> np.ndarray:
         """Pointwise sqrt(f1^2 + f2^2 + ...) of band spectra, one transform per field on a
         one-field work array, each field's squares added into the total (`squares`)."""
-        fields = iter(fields)
-        total = self.squares(next(fields))
+        total = None
         for coeffs in fields:
-            self.squares(coeffs, total)
+            total = self.squares(coeffs, total)
+            del coeffs  # before the next field is made
         return np.sqrt(total, out=total)
 
 

@@ -3,6 +3,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vortexlab import harness
@@ -236,6 +237,31 @@ def test_run_writes_reports_and_exits_zero(tmp_path, capsys):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["passed"] is True
     assert "threads" not in summary["context"]
+
+
+def test_summary_json_writes_non_finite_values_as_strict_json(tmp_path, capsys, monkeypatch):
+    # a NaN or infinite fitted value or extra is written as its reports.csv string, so a
+    # parser that refuses the NaN and Infinity tokens reads the file
+    def non_finite(ctx):
+        result = harness.ExperimentResult("stub")
+        result.add("nan-fit", 0.0, float("nan"), 0.1)
+        result.add("inf-fit", 0.0, -np.inf, 0.1, p=np.inf)
+        result.extras["fit"] = {"samples": [{"k_fit": float("nan"), "ratio": np.float64(np.inf)}]}
+        return result
+
+    def refuse(token):
+        raise ValueError(f"summary.json holds the non-strict token {token}")
+
+    _stub_record(monkeypatch, non_finite)
+    assert run(RunManifest(experiments=("stub",)), tmp_path / "out") == 1
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text(), parse_constant=refuse)
+    (result,) = summary["experiments"]
+    assert [(r["fitted"], r["p"]) for r in result["reports"]] == [("nan", None), ("-inf", "inf")]
+    assert result["extras"] == {"fit": {"samples": [{"k_fit": "nan", "ratio": "inf"}]}}
+    reports = (tmp_path / "out" / "reports.csv").read_text().splitlines()
+    assert reports[2:] == ["stub/nan-fit,,,0.0,nan,,0.1,false",
+                           "stub/inf-fit,inf,,0.0,-inf,,0.1,false"]
 
 
 def test_kernel_rates_csv_has_enough_rows(tmp_path, capsys):

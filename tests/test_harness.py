@@ -610,18 +610,19 @@ def test_kernel_rates_support_bands():
 
 
 def _half_lattice_rates_series(grid, params):
-    """kernel-rates' low-frequency and heat-flow series with every spectrum built,
-    applied and transformed on the whole half lattice."""
+    """kernel-rates' low-frequency, heat-Leray and heat-flow series with every spectrum
+    built, applied and transformed on the whole half lattice."""
     from vortexlab.kernels import default_cutoff, low_pass, phi_symbol_grid
     from vortexlab.profiles import biot_savart, dipole_vorticity_field
-    from vortexlab.spectral import derivative, lp_of_magnitude, magnitude, sobolev_norm
+    from vortexlab.spectral import (derivative, lp_of_magnitude, magnitude, over_mag2,
+                                    sobolev_norm)
 
     def dx(fields, sigma):
         return tuple(derivative(f, grid, (1, 0)) for f in fields) if sigma else tuple(fields)
 
     series = {}
     chi = low_pass(grid, default_cutoff(params))
-    X0 = harness._localized_sound_state(grid)
+    X0 = harness._localized_sound_state(grid, grid)
     for t in np.geomspace(6.0, 56.0, 9):
         lf = phi_symbol_grid(0, t, grid, params, "spar").scaled(chi)
         lf_art = phi_symbol_grid(0, t, grid, params, "artificial_par").scaled(chi)
@@ -633,6 +634,13 @@ def _half_lattice_rates_series(grid, params):
             for p in (2.0, np.inf):
                 series.setdefault(f"lf-kernel-p{p:g}-s{sigma}", []).append(
                     lp_of_magnitude(mag, grid, p))
+    e1, e2, mag2 = grid.eta1_odd, grid.eta2_odd, grid.eta_sq_odd
+    r_perp = (over_mag2(e2 * e2, mag2), over_mag2(-np.sqrt(2.0) * e1 * e2, mag2),
+              over_mag2(e1 * e1, mag2))
+    for t in np.geomspace(1.0, 16.0, 9):
+        mag = magnitude(dx([np.exp(-params.mu * grid.eta_sq * t) * r for r in r_perp], 1), grid)
+        for p in (1.0, 2.0, np.inf):
+            series.setdefault(f"heat-leray-p{p:g}-s1", []).append(lp_of_magnitude(mag, grid, p))
     omega = dipole_vorticity_field(grid, 1, 1.0, params)
     m_dipole = biot_savart(omega, grid)
     m_second = biot_savart(derivative(omega, grid, (1, 0)), grid)
@@ -660,7 +668,7 @@ def test_kernel_rates_band_series_equal_the_half_lattice_ones(n):
     ctx = RunManifest(n=n)
     result = run_experiment("kernel-rates", ctx)
     expected = _half_lattice_rates_series(ctx.grid, _rates_params())
-    assert len(expected) == 13
+    assert len(expected) == 16
     for label, values in expected.items():
         got = result.series[label][1]
         if label.startswith("kernel-difference"):
