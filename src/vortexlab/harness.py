@@ -345,14 +345,17 @@ def run_kernel_algebra(ctx: RunManifest) -> ExperimentResult:
     b = Xr * heat_weight(0, 1.5, small, params.mu)
     result.bound("semigroup-heat", 0.0, _relative_deviation(a, b), 1e-10)
 
-    # (S(dt) - I)/dt against the generator, per sampled wavevector, relative to
-    # max(|generator entries|, 1)
+    # the exact identity S(dt) - I = (dt phi_1(dt G)) G for the generator G, per unit time
+    # and sampled wavevector, relative to max(|generator entries|, 1); the difference
+    # quotient (S(dt) - I)/dt - G reads its truncation error, about (dt/2) G^2, instead
     dt, sampled = 1e-6, _generator_samples(small)
+    identity = KernelSymbol.identity(small).entries
     for kind in ("spar", "s"):
         gen = generator_symbol_grid(kind, small, params)
-        increment = phi_symbol_grid(0, dt, small, params, kind) - KernelSymbol.identity(small)
-        error = (increment.scaled(1.0 / dt) - gen).entry_magnitude()
-        scale = np.maximum(gen.entry_magnitude(), 1.0)
+        increment = phi_symbol_grid(0, dt, small, params, kind).entries - identity
+        increment -= phi_symbol_grid(1, dt, small, params, kind).compose(gen).entries
+        error = np.abs(increment / dt).max(axis=0)
+        scale = np.maximum(np.abs(gen.entries).max(axis=0), 1.0)
         result.bound(f"generator-{kind}", 0.0, (error / scale)[sampled], 1e-5)
 
     idempotency, orthogonality = [], []
@@ -372,10 +375,10 @@ def run_kernel_algebra(ctx: RunManifest) -> ExperimentResult:
     result.bound("leray-orthogonality", 0.0, orthogonality, 1e-12)
 
     # the low- and high-frequency parts, scaled by the weight kernel-rates applies
-    sym, chi = s_symbol_grid(0.8, small, params), low_pass(small, default_cutoff(params))
-    deviation = (sym.scaled(chi) + sym.scaled(1.0 - chi) - sym).entry_magnitude().max()
-    result.bound("split-partition", 0.0, deviation / max(sym.entry_magnitude().max(), 1e-300),
-                 1e-15)
+    sym = s_symbol_grid(0.8, small, params).entries
+    chi = low_pass(small, default_cutoff(params))
+    deviation = np.abs(sym * chi + sym * (1.0 - chi) - sym).max()
+    result.bound("split-partition", 0.0, deviation / max(np.abs(sym).max(), 1e-300), 1e-15)
 
     # a real state keeps an exactly Hermitian spectrum under the symbol
     out = phi_symbol_grid(0, 0.7, small, params, "spar").apply(Xr)
@@ -410,9 +413,12 @@ def _lf_kernel_rows(result: ExperimentResult, grid: Grid, params, chi) -> None:
         # array of one time alive while the next time's are made (the heap fragmented
         # and grew otherwise)
         for t in lf_times:
-            lf = phi_symbol_grid(0, t, band, params, "spar").scale(chi)
-            art = phi_symbol_grid(0, t, band, params, "artificial_par").scale(chi)
-            diff = art.subtract_from(lf).apply(X0)  # lf - art, made in art's entries
+            lf = phi_symbol_grid(0, t, band, params, "spar")
+            np.multiply(lf.entries, chi, out=lf.entries)
+            art = phi_symbol_grid(0, t, band, params, "artificial_par")
+            np.multiply(art.entries, chi, out=art.entries)
+            np.subtract(lf.entries, art.entries, out=art.entries)  # lf - art, in art's entries
+            diff = art.apply(X0)
             del art
             diff_vals.append(sobolev_norm(diff, 0, band))
             del diff
@@ -438,15 +444,17 @@ def _lf_kernel_rows(result: ExperimentResult, grid: Grid, params, chi) -> None:
 
 
 def _hf_norms(grid: Grid, params, hf_pass, X: np.ndarray, times) -> np.ndarray:
-    """L^2 norms of the kernel's HF parts, `phi_symbol_grid(0, t, grid, params,
-    "spar").scale(hf_pass)`, applied to the stack X at each time, one row slab at a
-    time: each slab's symbol is built, scaled, applied and Parseval-summed, so no
-    lattice-size symbol or output is made."""
+    """L^2 norms of the kernel's HF parts, the entries of `phi_symbol_grid(0, t, grid,
+    params, "spar")` scaled by hf_pass, applied to the stack X at each time, one row slab
+    at a time: each slab's symbol is built, scaled in place, applied and Parseval-summed,
+    so no lattice-size symbol or output is made."""
     sums = np.zeros(len(times))
     for slab in row_slabs(grid):
         Xs, hf = X[:, slab.rows], hf_pass[slab.rows]
         for i, t in enumerate(times):
-            out = phi_symbol_grid(0, t, slab, params, "spar").scale(hf).apply(Xs)
+            sym = phi_symbol_grid(0, t, slab, params, "spar")
+            np.multiply(sym.entries, hf, out=sym.entries)
+            out = sym.apply(Xs)
             sums[i] += parseval_sum(slab, zip(out, out))
     return np.sqrt(sums)
 
@@ -721,6 +729,8 @@ _SOUND_SNAPSHOTS, _SOUND_WINDOW = 14, 4.0
 _DECAY_SNAPSHOTS = 12
 # vorticity-profiles takes the dipole's moments at its snapshot times up to this one
 _MOMENT_HORIZON = 16.0
+# incompressible-limit probes the dipole's moments at its last snapshot time up to this one
+_DIPOLE_PROBE_HORIZON = 8.0
 
 
 def _snapshot_times(T: float, n: int = _SOUND_SNAPSHOTS) -> tuple[float, ...]:
@@ -871,7 +881,7 @@ def _dipole_measurements(ctx: RunManifest, grid: Grid, horizon, times, ps):
     data, moments = _dipole_data(ctx, grid)
     # moment consistency along the run, probed while the vorticity is still compactly
     # supported in the box
-    t_probe = float(max(t for t in times if t <= 8.0))
+    t_probe = float(max(t for t in times if t <= _DIPOLE_PROBE_HORIZON))
 
     def measure(t, X):
         # one Leray split and one reference profile per snapshot
@@ -1041,6 +1051,12 @@ def _check_dipole_horizon(record, ctx: RunManifest):
                           f"h <= (L/8)^2/nu - 1 = {most:.4g} on its box (L = {box:g}), not {h:.4g}")
 
 
+def _far(r: float, var: float) -> float:
+    """The largest |y| exp(-y^2 / (2 var)) over |y| >= r: a Gaussian dipole's tail."""
+    y = max(r, math.sqrt(var))
+    return y * math.exp(-y * y / (2.0 * var))
+
+
 def _check_vorticity_data(record, ctx: RunManifest):
     """The dipole data, heat-flowed on the record's box, keeps the edge/peak ratio that
     `first_moments_beta` takes as localized at its first and last moment probes (README,
@@ -1059,18 +1075,13 @@ def _check_vorticity_data(record, ctx: RunManifest):
             f"at t = {t1:g}, not below {LOCALIZED_EDGE:g}"
         )
 
-    def far(r, var):
-        """The largest |y| exp(-y^2 / (2 var)) over |y| >= r."""
-        y = max(r, math.sqrt(var))
-        return y * math.exp(-y * y / (2.0 * var))
-
     times = _snapshot_times(record.horizon(ctx), _DECAY_SNAPSHOTS)
     t = max(t for t in times if t <= _MOMENT_HORIZON)
     a, s, d = 1.0 + t, 3.0 + 2.0 * nu * t, grid.L / 2.0 - grid.dx
     # each term's largest value on the outermost ring, twice for the image across it, over
     # the dipole's peak; the perturbation is 0.3 sqrt(6 nu) a^2 (3 / s^2) in the dipole's units
-    pert = max(math.sqrt(s) * math.exp(-0.5 - (d - 2.0) ** 2 / (2.0 * s)), far(d - 1.0, s))
-    edge = far(d, 2.0 * nu * a) + 0.9 * math.sqrt(6.0 * nu) * (a / s) ** 2 * pert
+    pert = max(math.sqrt(s) * math.exp(-0.5 - (d - 2.0) ** 2 / (2.0 * s)), _far(d - 1.0, s))
+    edge = _far(d, 2.0 * nu * a) + 0.9 * math.sqrt(6.0 * nu) * (a / s) ** 2 * pert
     ratio = 2.0 * edge / (math.sqrt(2.0 * nu * a) * math.exp(-0.5))
     if not ratio < LOCALIZED_EDGE:
         raise ConfigError(
@@ -1137,14 +1148,25 @@ def _check_generator_samples(record, ctx: RunManifest):
 
 
 def _check_dipole_data(record, ctx: RunManifest):
-    """incompressible-limit's dipole data must be localized on the record's box."""
+    """incompressible-limit's dipole data must be localized on the record's box at t = 0
+    and at its moment probe t, the last snapshot time up to 8 (README, "Prechecks"): there
+    the age-(1 + t) dipole's tail on the outermost ring line, twice for the image across
+    it, over its peak (`_check_vorticity_data`'s dipole term) is below LOCALIZED_EDGE."""
     grid = record.grid(ctx)
+    box = f"on its box (n = {grid.n}, L = {grid.L:g})"
     try:
         _dipole_data(ctx, grid)
     except ProfileError as err:
+        raise ConfigError(f"n/L: {record.name} initial data {box}: {err}") from None
+    times = _snapshot_times(record.horizon(ctx), _DECAY_SNAPSHOTS)
+    t = max(t for t in times if t <= _DIPOLE_PROBE_HORIZON)
+    var = 2.0 * ctx.params.nu * (1.0 + t)
+    ratio = 2.0 * _far(grid.L / 2.0 - grid.dx, var) / (math.sqrt(var) * math.exp(-0.5))
+    if not ratio < LOCALIZED_EDGE:
         raise ConfigError(
-            f"n/L: {record.name} initial data on its box (n = {grid.n}, L = {grid.L:g}): {err}"
-        ) from None
+            f"n/L: {record.name} dipole data is not localized {box} at its moment probe "
+            f"t = {t:.4g}: heat-flowed edge/peak bound {ratio:.2g}, not below {LOCALIZED_EDGE:g}"
+        )
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,10 @@ small (double root |eta| = 2c/mu_par).  Taking f = exp yields the kernels
 themselves, f = phi_k yields the exponential-integrator weights used by the
 solver.
 
-Symbols are stored in Helmholtz form, five real entries per wavevector
-(`KernelSymbol`); sums, scalings (the low/high-frequency split is the scalings by
-`low_pass` and its complement) and products stay in that form, so every time-indexed
+Symbols are stored in Helmholtz form, five real entries per wavevector in one (5, ...)
+array (`KernelSymbol.entries`); a symbol is linear in them, so its sums and scalings (the
+low/high-frequency split is the scalings by `low_pass` and its complement) are numpy
+arithmetic on `entries`, and products (`compose`) stay in that form, so every time-indexed
 family is an exact matrix semigroup on the modes off the Nyquist row and column.
 `phi_symbol_grid` builds every time-indexed symbol and `heat_weight` the scalar heat
 family exp(-mu |eta|^2 t), t phi_k(-mu |eta|^2 t); both evaluate once per shell and gather.
@@ -150,7 +151,7 @@ def _lambda_pm(d1, d2, mag2, params: FluidParams):
 
 
 def _entries(kind: str, t: float, mag2, mag2_odd, params: FluidParams, fk: int = 0):
-    """Helmholtz entries (d, b, c, p, q) of phi_fk(t * generator).
+    """Helmholtz entries (d, b, c, p, q) of phi_fk(t * generator), as one (5, ...) array.
 
     d = f11, b = coupling, c = c^2 coupling, p = f_perp and
     q = (f22 - f_perp)/|eta_odd|^2 (0 where |eta_odd|^2 = 0).  All five are
@@ -167,7 +168,8 @@ def _entries(kind: str, t: float, mag2, mag2_odd, params: FluidParams, fk: int =
     f22 = np.real(fa + (t * d2 - a) * fdd)
     coupling = np.real(t * fdd)
     f_perp = np.real(phi(fk, t * d_perp))
-    return f11, coupling, params.c**2 * coupling, f_perp, over_mag2(f22 - f_perp, mag2_odd)
+    q = over_mag2(f22 - f_perp, mag2_odd)
+    return np.stack((f11, coupling, params.c**2 * coupling, f_perp, q))
 
 
 # ---------------------------------------------------------------------------
@@ -178,21 +180,17 @@ def _entries(kind: str, t: float, mag2, mag2_odd, params: FluidParams, fk: int =
 class KernelSymbol:
     """Blockwise Fourier multiplier on states (rho_hat, m_hat), in Helmholtz form.
 
-    Five real arrays on a grid's half lattice or its band; with eta the odd wavevector,
+    `entries` holds the five real entries (d, b, c, p, q) as one (5, ...) array on a grid's
+    half lattice or its band; with eta the odd wavevector,
 
         rho' = d rho + i b (eta . m)
         m'   = p m + q eta (eta . m) + i c eta rho
+
+    Sums and scalings of symbols are arithmetic on `entries` (in place through `out=`).
     """
 
     grid: Grid | Band
-    d: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-
-    def _arrays(self):
-        return (self.d, self.b, self.c, self.p, self.q)
+    entries: np.ndarray
 
     def apply(self, X, out: np.ndarray | None = None):
         """The symbol applied to a State, or to a (3, ...) coefficient stack on its lattice,
@@ -206,6 +204,7 @@ class KernelSymbol:
             raise KernelError("state grid does not match symbol grid")
         if not is_state and X.shape != (shape := (3,) + g.spectral_shape):
             raise KernelError(f"stack of shape {X.shape} does not match the symbol's {shape}")
+        d, b, c, p, q = self.entries
         ie1, ie2 = 1j * g.eta1_odd, 1j * g.eta2_odd
         r, m0, m1 = (f.coeffs for f in (X.rho, *X.m)) if is_state else X
         if out is None:
@@ -214,14 +213,14 @@ class KernelSymbol:
         tmp = np.empty_like(r)
         np.multiply(ie1, m0, out=u)
         u += np.multiply(ie2, m1, out=tmp)
-        np.multiply(self.d, r, out=rho)
-        rho += np.multiply(self.b, u, out=tmp)
-        np.multiply(self.q, u, out=u)
-        np.subtract(np.multiply(self.c, r, out=tmp), u, out=u)
-        np.multiply(self.p, m0, out=out0)
+        np.multiply(d, r, out=rho)
+        rho += np.multiply(b, u, out=tmp)
+        np.multiply(q, u, out=u)
+        np.subtract(np.multiply(c, r, out=tmp), u, out=u)
+        np.multiply(p, m0, out=out0)
         out0 += np.multiply(ie1, u, out=tmp)
         np.multiply(ie2, u, out=tmp)
-        np.multiply(self.p, m1, out=u)
+        np.multiply(p, m1, out=u)
         u += tmp
         return State.from_stack(g, out) if is_state else out
 
@@ -229,49 +228,21 @@ class KernelSymbol:
         """Matrix product self · other, closed in Helmholtz form."""
         if other.grid != self.grid:
             raise KernelError("symbol grids do not match")
-        A, B = self, other
+        (ad, ab, ac, ap, aq), (bd, bb, bc, bp, bq) = self.entries, other.entries
         s = self.grid.eta_sq_odd
-        return KernelSymbol(
-            self.grid,
-            A.d * B.d - s * A.b * B.c,
-            A.d * B.b + A.b * (B.p + s * B.q),
-            A.c * B.d + B.c * (A.p + s * A.q),
-            A.p * B.p,
-            A.p * B.q + A.q * B.p + s * A.q * B.q - A.c * B.b,
-        )
-
-    def scaled(self, factor) -> "KernelSymbol":
-        """Multiply every entry by a scalar or per-wavevector array."""
-        return KernelSymbol(self.grid, *(x * factor for x in self._arrays()))
-
-    def scale(self, factor) -> "KernelSymbol":
-        """`scaled` in place, on entries that no other symbol shares; returns this symbol."""
-        for x in self._arrays():
-            x *= factor
-        return self
-
-    def subtract_from(self, other: "KernelSymbol") -> "KernelSymbol":
-        """`other - self` in place, on entries that no other symbol shares; returns this
-        symbol."""
-        for x, y in zip(self._arrays(), other._arrays()):
-            np.subtract(y, x, out=x)
-        return self
-
-    def __add__(self, other: "KernelSymbol") -> "KernelSymbol":
-        return KernelSymbol(self.grid, *(x + y for x, y in zip(self._arrays(), other._arrays())))
-
-    def __sub__(self, other: "KernelSymbol") -> "KernelSymbol":
-        return KernelSymbol(self.grid, *(x - y for x, y in zip(self._arrays(), other._arrays())))
-
-    def entry_magnitude(self) -> np.ndarray:
-        """Largest entry magnitude at each wavevector."""
-        return np.abs(np.stack(self._arrays())).max(axis=0)
+        return KernelSymbol(self.grid, np.stack((
+            ad * bd - s * ab * bc,
+            ad * bb + ab * (bp + s * bq),
+            ac * bd + bc * (ap + s * aq),
+            ap * bp,
+            ap * bq + aq * bp + s * aq * bq - ac * bb,
+        )))
 
     @staticmethod
     def identity(grid: Grid) -> "KernelSymbol":
-        one = np.ones(grid.spectral_shape)
-        zero = np.zeros(grid.spectral_shape)
-        return KernelSymbol(grid, one, zero, zero, one, zero)
+        entries = np.zeros((5,) + grid.spectral_shape)
+        entries[[0, 3]] = 1.0
+        return KernelSymbol(grid, entries)
 
 
 def _check_nonnegative_time(t: float):
@@ -288,7 +259,7 @@ def phi_symbol_grid(
     _check_nonnegative_time(t)
     mag2, mag2_odd, inverse = grid.shells
     entries = _entries(kind, t, mag2, mag2_odd, params, k)
-    return KernelSymbol(grid, *((e * t if k else e)[inverse] for e in entries))
+    return KernelSymbol(grid, (entries * t if k else entries)[:, inverse])
 
 
 def s_symbol_grid(t: float, grid: Grid | Band, params: FluidParams) -> KernelSymbol:
@@ -313,7 +284,7 @@ def generator_symbol_grid(kind: str, grid: Grid, params: FluidParams) -> KernelS
     d1, d2, d_perp = _diagonals(kind, grid.eta_sq, params)
     one = np.ones(grid.spectral_shape)
     q = over_mag2(d2 - d_perp, grid.eta_sq_odd)
-    return KernelSymbol(grid, d1, one, params.c**2 * one, d_perp, q)
+    return KernelSymbol(grid, np.stack((d1, one, params.c**2 * one, d_perp, q)))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .kernels import heat_weight, phi_symbol_grid, s_symbol_grid
+from .kernels import KernelSymbol, heat_weight, phi_symbol_grid, s_symbol_grid
 from .profiles import FluidParams
 from .spectral import (
     Band,
@@ -176,12 +176,13 @@ def _etd4_weights(band: Band, params: FluidParams, h: float) -> list:
     """`_etd4_step`'s weights of a step of length h on the band: E(h/2), h/2 phi_1(h/2),
     E(h) and the quadrature weights of N(X), N(a) + N(b) and N(c)."""
     exp = s_symbol_grid(h, band, params)
-    phi1, phi2, phi3 = (phi_symbol_grid(k, h, band, params) for k in (1, 2, 3))
-    w_alpha = phi1 + phi2.scaled(-3.0) + phi3.scaled(4.0)
-    w_beta = phi2.scaled(2.0) + phi3.scaled(-4.0)
-    w_gamma = phi3.scaled(4.0) + phi2.scaled(-1.0)
+    phi1, phi2, phi3 = (phi_symbol_grid(k, h, band, params).entries for k in (1, 2, 3))
+    w_alpha = phi1 + phi2 * -3.0 + phi3 * 4.0
+    w_beta = phi2 * 2.0 + phi3 * -4.0
+    w_gamma = phi3 * 4.0 + phi2 * -1.0
     half = s_symbol_grid(0.5 * h, band, params), phi_symbol_grid(1, 0.5 * h, band, params)
-    return [w.apply for w in (*half, exp, w_alpha, w_beta, w_gamma)]
+    quadrature = (KernelSymbol(band, w) for w in (w_alpha, w_beta, w_gamma))
+    return [w.apply for w in (*half, exp, *quadrature)]
 
 
 def _etd4_step(X: np.ndarray, stages: np.ndarray, source, weights) -> None:

@@ -361,6 +361,11 @@ def test_decay_horizon_beyond_its_window_exits_2_before_compute(tmp_path, capsys
         # the dipole data's edge/peak vorticity on the half box L = 100 is 1.5e-4 > 1e-10
         ("n = 128\nexperiments = incompressible-limit\n", "incompressible-limit",
          "error: n/L: incompressible-limit initial data on its box (n = 128, L = 100): vorticity"),
+        # on the half box L = 50 the dipole's heat-flowed tail at the moment probe t = 6.48
+        # is bounded by 2.5e-8 > 1e-10; the run used to exit 2 there, after 1.1 s of compute
+        ("L = 100\nexperiments = incompressible-limit\n", "incompressible-limit",
+         "error: n/L: incompressible-limit dipole data is not localized on its box (n = 256, "
+         "L = 50) at its moment probe t = 6.481"),
         # the dipole run to t = 300 on the half box used to FAIL its decay rows (exit 1)
         ("T = 300\nexperiments = vorticity-profiles\n", "vorticity-profiles",
          "error: T: vorticity-profiles needs a dipole horizon h <= (L/8)^2/nu - 1 = 155.2"),
@@ -384,7 +389,8 @@ def test_decay_horizon_beyond_its_window_exits_2_before_compute(tmp_path, capsys
                                   ("n = 1024\nL = 1e157\n", "kernel-algebra",
                                    "kernel-algebra cannot build its box: "))),
     ],
-    ids=["horizon-T", "horizon-n-L", "dipole-data-not-localized", "dipole-horizon-T",
+    ids=["horizon-T", "horizon-n-L", "dipole-data-not-localized", "dipole-probe-not-localized",
+         "dipole-horizon-T",
          "vorticity-data-not-localized", "generator-64-10", "generator-64-12",
          "generator-256-10", "huge-kernel-algebra", "huge-sound-decay",
          "huge-vorticity-profiles", "huge-kernel-algebra-box"],

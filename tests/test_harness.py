@@ -424,6 +424,44 @@ def test_moment_probe_check_matches_the_heat_flowed_data(monkeypatch, n, L, mu, 
         assert calls == []
 
 
+@pytest.mark.parametrize(
+    "n, L, localized",
+    [(256, 100.0, False), (256, 105.0, False), (256, 110.0, False), (512, 110.0, False),
+     (128, 110.0, False), (256, 115.0, True), (256, 120.0, True)],
+)
+def test_dipole_probe_check_rejects_the_boxes_whose_run_stopped_mid_run(
+    monkeypatch, n, L, localized
+):
+    # the rejected boxes passed every precheck and exited 2 at the moment probe, where
+    # first_moments_beta read the dipole's edge/peak at 1.7e-9 to 5.8e-9; the closed-form
+    # bound reads 3 to 7 times that, and 1.3e-11 and 4.9e-12 on the two admitted boxes
+    calls = []
+    monkeypatch.setitem(harness.EXPERIMENTS, "incompressible-limit", calls.append)
+    ctx = RunManifest(n=n, L=L)
+    if localized:
+        run_experiment("incompressible-limit", ctx)
+        assert len(calls) == 1
+    else:
+        with pytest.raises(ConfigError, match=rf"^n/L: incompressible-limit dipole data is not "
+                           rf"localized on its box \(n = {n}, L = {L / 2:g}\) at its moment "
+                           rf"probe t = [0-9.]+: heat-flowed edge/peak bound"):
+            run_experiment("incompressible-limit", ctx)
+        assert calls == []
+
+
+@pytest.mark.parametrize("key, value", [("mu", 1.5), ("mu", 5.0), ("mu", 20.0), ("lam", 2.0),
+                                        ("rho_star", 0.2)])
+def test_kernel_algebra_passes_every_row_on_a_viscous_fluid(key, value):
+    # the generator rows compared (S(dt) - I)/dt with G, so they read the difference
+    # quotient's truncation error, about (dt/2)|G|, which grows with the viscosity:
+    # generator-spar read 1.07e-5 > 1e-5 at mu = 1.5 and 1.42e-4 at mu = 20.  The exact
+    # identity S(dt) - I = (dt phi_1(dt G)) G reads rounding only, at most 6.2e-9 here
+    result = run_experiment("kernel-algebra", RunManifest(**{key: value}))
+    assert [(r.label, r.fitted) for r in result.reports if not r.passed] == []
+    generator = [r for r in result.reports if r.label.startswith("generator-")]
+    assert len(generator) == 2 and all(r.fitted < 1e-8 for r in generator)
+
+
 def test_non_integral_n_is_rejected_before_compute(monkeypatch):
     # n = 256.5 used to run at n = 256 and record 256.5 in the summary
     calls = []
@@ -612,7 +650,7 @@ def test_kernel_rates_support_bands():
 def _half_lattice_rates_series(grid, params):
     """kernel-rates' low-frequency, heat-Leray and heat-flow series with every spectrum
     built, applied and transformed on the whole half lattice."""
-    from vortexlab.kernels import default_cutoff, low_pass, phi_symbol_grid
+    from vortexlab.kernels import KernelSymbol, default_cutoff, low_pass, phi_symbol_grid
     from vortexlab.profiles import biot_savart, dipole_vorticity_field
     from vortexlab.spectral import (derivative, lp_of_magnitude, magnitude, over_mag2,
                                     sobolev_norm)
@@ -624,11 +662,11 @@ def _half_lattice_rates_series(grid, params):
     chi = low_pass(grid, default_cutoff(params))
     X0 = harness._localized_sound_state(grid, grid)
     for t in np.geomspace(6.0, 56.0, 9):
-        lf = phi_symbol_grid(0, t, grid, params, "spar").scaled(chi)
-        lf_art = phi_symbol_grid(0, t, grid, params, "artificial_par").scaled(chi)
+        lf = phi_symbol_grid(0, t, grid, params, "spar").entries * chi
+        lf_art = phi_symbol_grid(0, t, grid, params, "artificial_par").entries * chi
         series.setdefault("kernel-difference-p2-s0", []).append(
-            sobolev_norm((lf - lf_art).apply(X0), 0, grid))
-        X = lf.apply(X0)
+            sobolev_norm(KernelSymbol(grid, lf - lf_art).apply(X0), 0, grid))
+        X = KernelSymbol(grid, lf).apply(X0)
         for sigma in (0, 1):
             mag = magnitude(dx(X, sigma), grid)
             for p in (2.0, np.inf):
@@ -754,15 +792,18 @@ def test_kernel_rates_ring_check_keeps_the_artificial_ring_in_the_box(monkeypatc
 def test_hf_norms_slab_by_slab_equal_the_whole_lattice_ones(n):
     # at n = 128 the low-pass band reaches the Nyquist lines, so the HF weight is 0 on
     # some rows of a slab and nonzero on the Nyquist row
-    from vortexlab.kernels import default_cutoff, low_pass, phi_symbol_grid
+    from vortexlab.kernels import KernelSymbol, default_cutoff, low_pass, phi_symbol_grid
     from vortexlab.spectral import make_grid, sobolev_norm
 
     params, grid = _rates_params(), make_grid(n, 200.0)
     hf = 1.0 - low_pass(grid, default_cutoff(params))
     X = harness._random_stack(grid, np.random.default_rng(3))
     times = np.linspace(1.0, 10.0, 10)
-    expected = [sobolev_norm(phi_symbol_grid(0, t, grid, params, "spar").scale(hf).apply(X),
-                             0, grid) for t in times]
+
+    def hf_part(t):
+        return KernelSymbol(grid, phi_symbol_grid(0, t, grid, params, "spar").entries * hf)
+
+    expected = [sobolev_norm(hf_part(t).apply(X), 0, grid) for t in times]
     got = harness._hf_norms(grid, params, hf, X, times)
     np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
 
@@ -833,9 +874,10 @@ def _stub_solvers(monkeypatch, abort_call, data_alive=None):
         ("sound-decay", 128, 100.0, 0, "sound-decay run aborted"),
         ("nonlinear-smallness", 128, 100.0, 0, "nonlinear-smallness eps=0.001 run aborted"),
         ("nonlinear-smallness", 128, 100.0, 3, "nonlinear-smallness linear-control run aborted"),
-        ("incompressible-limit", 128, 100.0, 0, "incompressible-limit dipole-data run aborted"),
-        ("incompressible-limit", 128, 100.0, 1, "incompressible-limit vortex-data run aborted"),
-        # no box at n = 128 keeps the dipole data localized up to its last moment probe
+        # no box at n = 128 keeps either experiment's dipole data localized up to its
+        # (last) moment probe
+        ("incompressible-limit", 256, 200.0, 0, "incompressible-limit dipole-data run aborted"),
+        ("incompressible-limit", 256, 200.0, 1, "incompressible-limit vortex-data run aborted"),
         ("vorticity-profiles", 256, 200.0, 0, "vorticity-profiles vortex L=200 run aborted"),
         ("vorticity-profiles", 256, 200.0, 1, "vorticity-profiles vortex L=100 run aborted"),
         ("vorticity-profiles", 256, 200.0, 2, "vorticity-profiles dipole-data run aborted"),
@@ -864,7 +906,7 @@ def test_incompressible_limit_frees_the_dipole_run_before_the_vortex_run(monkeyp
         return traj
 
     monkeypatch.setattr(harness, "simulate", simulate)
-    run_experiment("incompressible-limit", RunManifest(n=128, L=100.0))
+    run_experiment("incompressible-limit", RunManifest(n=256, L=200.0))
     assert alive == [[], [False, False]]
 
 
@@ -877,7 +919,10 @@ def test_compressible_runs_hand_their_initial_data_to_the_solver(monkeypatch, ex
     # once it has gathered its band
     data_alive = []
     _stub_solvers(monkeypatch, None, data_alive)
-    run_experiment(experiment, RunManifest(n=128, L=100.0))
+    # incompressible-limit's dipole data stays localized up to its moment probe only at
+    # n >= 256 (`_check_dipole_data`)
+    n, L = (256, 200.0) if experiment == "incompressible-limit" else (128, 100.0)
+    run_experiment(experiment, RunManifest(n=n, L=L))
     runs = {"sound-decay": 1, "nonlinear-smallness": 4, "incompressible-limit": 2}
     assert data_alive == [False] * runs[experiment]
 

@@ -78,7 +78,8 @@ SYMBOLS = {
     "spar": lambda t, g: phi_symbol_grid(0, t, g, PARAMS, "spar"),
     "artificial": lambda t, g: phi_symbol_grid(0, t, g, PARAMS, "artificial"),
     "phi2": lambda t, g: phi_symbol_grid(2, t, g, PARAMS),
-    "heat": lambda t, g: KernelSymbol.identity(g).scaled(heat_weight(0, t, g, PARAMS.mu)),
+    "heat": lambda t, g: KernelSymbol(
+        g, KernelSymbol.identity(g).entries * heat_weight(0, t, g, PARAMS.mu)),
 }
 
 

@@ -155,9 +155,10 @@ def _reference_step(grid, X: np.ndarray, h: float, params: FluidParams, scheme: 
         return a + phi2.apply(n1 - n0)
     exp_half = s_symbol_grid(0.5 * h, grid, params)
     phi1_half = phi_symbol_grid(1, 0.5 * h, grid, params)
-    w_alpha = phi1 + phi2.scaled(-3.0) + phi3.scaled(4.0)
-    w_beta = phi2.scaled(2.0) + phi3.scaled(-4.0)
-    w_gamma = phi3.scaled(4.0) + phi2.scaled(-1.0)
+    p1, p2, p3 = phi1.entries, phi2.entries, phi3.entries
+    w_alpha = KernelSymbol(grid, p1 + p2 * -3.0 + p3 * 4.0)
+    w_beta = KernelSymbol(grid, p2 * 2.0 + p3 * -4.0)
+    w_gamma = KernelSymbol(grid, p3 * 4.0 + p2 * -1.0)
     n0 = N(X, params)
     ex_half = exp_half.apply(X)
     a = ex_half + phi1_half.apply(n0)
@@ -526,7 +527,8 @@ def test_simulate_divergence_free_data_keeps_density_second_order():
         rho, *m = X
         assert lp_norm(rho, grid, np.inf) < 30.0 * eps**2
         # m_perp follows the heat flow up to the quadratic coupling
-        heat = KernelSymbol.identity(grid).scaled(heat_weight(0, t, grid, PARAMS.mu)).apply(X0)
+        weight = heat_weight(0, t, grid, PARAMS.mu)
+        heat = KernelSymbol(grid, KernelSymbol.identity(grid).entries * weight).apply(X0)
         perp, _ = leray_decompose(m, grid)
         diff = (perp[0] - heat[1], perp[1] - heat[2])
         assert lp_norm(diff, grid, 2) < 30.0 * eps**2
