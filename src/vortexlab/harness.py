@@ -28,11 +28,13 @@ from .kernels import (
     KernelError,
     KernelSymbol,
     artificial_diagonal_field,
+    cutoff,
     default_cutoff,
     generator_symbol_grid,
     heat_weight,
     low_pass,
     phi_symbol_grid,
+    phi_symbol_shells,
     s_symbol_grid,
 )
 from .profiles import (
@@ -66,7 +68,6 @@ from .spectral import (
     make_grid,
     over_mag2,
     parseval_sum,
-    row_slabs,
     sample,
     sobolev_norm,
     support_band,
@@ -443,28 +444,62 @@ def _lf_kernel_rows(result: ExperimentResult, grid: Grid, params, chi) -> None:
                 0.1, mode="bound")
 
 
-def _hf_norms(grid: Grid, params, hf_pass, X: np.ndarray, times) -> np.ndarray:
-    """L^2 norms of the kernel's HF parts, the entries of `phi_symbol_grid(0, t, grid,
-    params, "spar")` scaled by hf_pass, applied to the stack X at each time, one row slab
-    at a time: each slab's symbol is built, scaled in place, applied and Parseval-summed,
-    so no lattice-size symbol or output is made."""
-    sums = np.zeros(len(times))
-    for slab in row_slabs(grid):
-        Xs, hf = X[:, slab.rows], hf_pass[slab.rows]
-        for i, t in enumerate(times):
-            sym = phi_symbol_grid(0, t, slab, params, "spar")
-            np.multiply(sym.entries, hf, out=sym.entries)
-            out = sym.apply(Xs)
-            sums[i] += parseval_sum(slab, zip(out, out))
-    return np.sqrt(sums)
+def _shell_moments(grid: Grid, X: np.ndarray) -> np.ndarray:
+    """The Parseval moments of a stack X = (rho, m1, m2) per shell of `grid.shells`: the
+    Hermitian-weighted sums of |rho|^2, Re(rho conj u), |u|^2 and |m|^2 over each shell,
+    u = i eta_odd . m, as one (4, S) array.  A symbol (d, b, c, p, q) constant on the
+    shells maps X to a stack whose squared magnitudes on a shell sum to a quadratic form
+    in its entries with these moments (`_hf_norms`)."""
+    mag2, _, inverse = grid.shells
+    index, w = inverse.ravel(), grid.hermitian_weight
+    rho, m1, m2 = X
+    u = np.multiply(1j * grid.eta1_odd, m1)
+    u += np.multiply(1j * grid.eta2_odd, m2)
+
+    def binned(values):
+        return np.bincount(index, np.multiply(w, values, out=values).ravel(), len(mag2))
+
+    return np.stack((binned(rho.real**2 + rho.imag**2),
+                     binned(rho.real * u.real + rho.imag * u.imag),
+                     binned(u.real**2 + u.imag**2),
+                     binned(m1.real**2 + m1.imag**2 + m2.real**2 + m2.imag**2)))
 
 
-def _hf_decay_rows(result: ExperimentResult, grid: Grid, params, hf_pass, rng) -> None:
-    """kernel-rates' high-frequency exponential decay with fitted rate b, measured on
-    a random state held as one stack (`_hf_norms`)."""
+def _hf_shell_weight(grid: Grid, r0: float) -> np.ndarray:
+    """The HF weight 1 - chi on the grid's |eta|^2 shells, chi the `low_pass` cutoff."""
+    return 1.0 - cutoff(np.sqrt(grid.shells[0]), r0)
+
+
+def _hf_norms(grid: Grid, params, hf_weight, moments, times) -> np.ndarray:
+    """L^2 norms of the kernel's HF parts applied to a stack, from the stack's
+    `_shell_moments`: at each time the entries of `phi_symbol_shells(0, t, grid, params,
+    "spar")`, scaled by the per-shell HF weight, in the quadratic form
+
+        |rho'|^2 = d^2 |rho|^2 + 2 d b Re(rho conj u) + b^2 |u|^2
+        |m'|^2   = p^2 |m|^2 + s c^2 |rho|^2 - 2 c (s q + p) Re(rho conj u)
+                   + q (s q + 2 p) |u|^2,   s = |eta_odd|^2,
+
+    dotted with the moments, so no lattice-size array is made."""
+    s = grid.shells[1]
+    rr, ru, uu, mm = moments
+    sums = []
+    for t in times:
+        d, b, c, p, q = phi_symbol_shells(0, t, grid, params, "spar") * hf_weight
+        sums.append(np.dot(d * d + s * c * c, rr) + np.dot(p * p, mm)
+                    + 2.0 * np.dot(d * b - c * (s * q + p), ru)
+                    + np.dot(b * b + q * (s * q + 2.0 * p), uu))
+    return np.sqrt(np.array(sums) / grid.L**2)
+
+
+def _hf_decay_rows(result: ExperimentResult, grid: Grid, params, r0: float, rng) -> None:
+    """kernel-rates' high-frequency exponential decay with fitted rate b, measured on a
+    random state whose shell moments are binned once; the state is freed before the
+    symbols are evaluated (`_hf_norms`)."""
     hf_times = np.linspace(1.0, 10.0, 10)
     Xr = _random_stack(grid, rng)
-    hf_vals = _hf_norms(grid, params, hf_pass, Xr, hf_times) / sobolev_norm(Xr, 0, grid)
+    norm, moments = sobolev_norm(Xr, 0, grid), _shell_moments(grid, Xr)
+    del Xr
+    hf_vals = _hf_norms(grid, params, _hf_shell_weight(grid, r0), moments, hf_times) / norm
     result.series["hf-decay"] = (hf_times, hf_vals)
     fit = _least_squares(hf_times, np.log(hf_vals))
     result.add("hf-exponential-rate", 0.0, -fit.slope, 0.0, r2=fit.r2, mode="positive",
@@ -531,17 +566,16 @@ def run_kernel_rates(ctx: RunManifest) -> ExperimentResult:
             result.rate(f"artificial-p{p:g}-s{sigma}", "artificial_kernel", p, sigma, _ART_TIMES,
                         vals, 0.1, allow_log=(sigma == 0 and p in (1.0, np.inf)))
 
-    # the LF and HF parts are the symbols' scalings by one low-pass weight made once and
-    # by its complement, made in place; each section's state is made and freed inside
-    # its helper
-    chi = low_pass(grid, default_cutoff(params))
-    _lf_kernel_rows(result, grid, params, chi)
-    _hf_decay_rows(result, grid, params, np.subtract(1.0, chi, out=chi), rng)
-    del chi
-
-    # the heat rows gather their weights from the grid's shells, built here, where no
-    # section's arrays are alive
+    # the LF parts are the symbols' scalings by the low-pass weight chi, the HF parts by
+    # 1 - chi on the grid's shells; each section's state is made and freed inside its
+    # helper
+    r0 = default_cutoff(params)
+    _lf_kernel_rows(result, grid, params, low_pass(grid, r0))
+    # the HF and heat rows evaluate on the grid's shells, built here, where no section's
+    # arrays are alive
     grid.shells
+    _hf_decay_rows(result, grid, params, r0, rng)
+
     # heat-Leray kernel norms (non-zero multi-index only; exact power laws): the heat flow of
     # R_perp's real entries, sqrt(2) r12 counting the symmetric off-diagonal entry twice
     hl_times = np.geomspace(1.0, 16.0, 9)

@@ -26,8 +26,11 @@ array (`KernelSymbol.entries`); a symbol is linear in them, so its sums and scal
 low/high-frequency split is the scalings by `low_pass` and its complement) are numpy
 arithmetic on `entries`, and products (`compose`) stay in that form, so every time-indexed
 family is an exact matrix semigroup on the modes off the Nyquist row and column.
-`phi_symbol_grid` builds every time-indexed symbol and `heat_weight` the scalar heat
-family exp(-mu |eta|^2 t), t phi_k(-mu |eta|^2 t); both evaluate once per shell and gather.
+`phi_symbol_shells` evaluates a time-indexed symbol's entries once per (|eta|^2,
+|eta_odd|^2) shell of a lattice; `phi_symbol_grid` builds every time-indexed symbol by
+gathering them, and `heat_weight` the scalar heat family exp(-mu |eta|^2 t),
+t phi_k(-mu |eta|^2 t), by the same gather.  A caller that needs only a quadratic form of
+a symbol applied to one fixed state (the harness's HF norms) takes it on the shells.
 The module builds symbols and one physical-space field, the artificial kernel's diagonal
 entry; it transforms no band spectrum (the heat-Leray magnitudes are the harness's heat
 flow of R_perp's entries).
@@ -250,16 +253,24 @@ def _check_nonnegative_time(t: float):
         raise KernelError(f"kernel symbols are defined for finite t >= 0, got {t}")
 
 
+def phi_symbol_shells(
+    k: int, t: float, lattice: Grid | Band, params: FluidParams, kind: str = "s"
+) -> np.ndarray:
+    """The Helmholtz entries (d, b, c, p, q) of the exponential-integrator weight of a step
+    of length t, the kernel exp(t * generator) for k = 0 and t phi_k(t * generator) for
+    k >= 1, on the lattice's (|eta|^2, |eta_odd|^2) shells: one (5, S) array, S shells."""
+    _check_nonnegative_time(t)
+    mag2, mag2_odd, _ = lattice.shells
+    entries = _entries(kind, t, mag2, mag2_odd, params, k)
+    return entries * t if k else entries
+
+
 def phi_symbol_grid(
     k: int, t: float, grid: Grid | Band, params: FluidParams, kind: str = "s"
 ) -> KernelSymbol:
     """The exponential-integrator weight of a step of length t as a blockwise symbol:
-    the kernel exp(t * generator) for k = 0, t phi_k(t * generator) for k >= 1; its
-    entries are evaluated once per (|eta|^2, |eta_odd|^2) shell, then gathered."""
-    _check_nonnegative_time(t)
-    mag2, mag2_odd, inverse = grid.shells
-    entries = _entries(kind, t, mag2, mag2_odd, params, k)
-    return KernelSymbol(grid, (entries * t if k else entries)[:, inverse])
+    `phi_symbol_shells` gathered onto the lattice."""
+    return KernelSymbol(grid, phi_symbol_shells(k, t, grid, params, kind)[:, grid.shells[2]])
 
 
 def s_symbol_grid(t: float, grid: Grid | Band, params: FluidParams) -> KernelSymbol:

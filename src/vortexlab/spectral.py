@@ -229,23 +229,6 @@ class FullLattice(_Wavenumbers):
         self.k_index = self.k_cols = grid.k_index
 
 
-class RowSlab(_Wavenumbers):
-    """The rows `rows` (a slice) of a grid's half lattice, every column: a lattice on which
-    a symbol is built and applied and its Parseval sum taken one slab of rows at a time,
-    with the grid's column weights.  Its rows' k1 -> -k1 partners lie on other slabs, so
-    nothing is made Hermitian on it."""
-
-    def __init__(self, grid: Grid, rows: slice):
-        self.n, self.L, self.rows = grid.n, grid.L, rows
-        self.k_index, self.k_cols = grid.k_index[rows], grid.k_cols
-        self.self_conjugate = grid.self_conjugate
-
-
-def row_slabs(grid: Grid):
-    """The grid's half lattice as `RowSlab`s of `SLAB_ROWS` rows, top to bottom."""
-    return (RowSlab(grid, slice(i, i + SLAB_ROWS)) for i in range(0, grid.n, SLAB_ROWS))
-
-
 class Band(_BandLayout):
     """The square band |k1|, |k2| <= k of a grid's half lattice, 0 <= k < n/2."""
 
@@ -263,8 +246,10 @@ class Band(_BandLayout):
 
 def support_band(grid: Grid, weight) -> Grid | Band:
     """The smallest band that holds every nonzero entry of a half-lattice weight, or the
-    grid itself when that band would need k >= n/2."""
-    rows, cols = np.nonzero(np.broadcast_to(weight, grid.spectral_shape))
+    grid itself when that band would need k >= n/2.  The rows and columns that hold one
+    come from per-axis reductions, not from the index arrays of every nonzero entry."""
+    w = np.broadcast_to(weight, grid.spectral_shape)
+    rows, cols = np.flatnonzero(w.any(axis=1)), np.flatnonzero(w.any(axis=0))
     k = max(np.abs(grid.k_index[rows]).max(initial=0), np.abs(grid.k_cols[cols]).max(initial=0))
     return grid if k >= grid.n // 2 else Band(grid, int(k))
 

@@ -737,16 +737,20 @@ def _cold_peak(run, ctx) -> float:
 ], ids=["kernel-rates-256", "kernel-rates-512", "pointwise-bound-512"])
 def test_kernel_lab_cold_peak_in_half_lattice_arrays(name, n, bound):
     """Each kernel-lab section holds each lattice-size quantity once and only while it is
-    used: the HF rows build, apply and sum their symbol one row slab at a time, the LF
-    rows gather their localized state one field at a time, the heat flows transform one
-    data field at a time and weight the second-moment magnitude in place, the Biot-Savart
-    multiplier is not cached, the squares of a transform are written slab by slab, and
-    the pointwise fit takes the log of its outer points only.
+    used: the HF rows bin their random state's shell moments and free it before any
+    symbol is evaluated, the LF rows gather their localized state one field at a time,
+    the heat flows transform one data field at a time and weight the second-moment
+    magnitude in place, the Biot-Savart multiplier is not cached, the squares of a
+    transform are written slab by slab, and the pointwise fit takes the log of its outer
+    points only.
 
-    Measured 11.78, 7.31 and 5.93 arrays; the parent measured 13.93, 12.29 and 8.40 (the
-    HF output stack, the heat flows' two data fields and cached multiplier, and the
-    fit's three-array log path).  Each bound leaves over half an array of headroom and
-    fails the parent."""
+    Measured 11.28, 7.73 and 5.93 arrays.  The HF rows' shell form lowered the n = 256
+    peak from 11.78 and raised the n = 512 one from 7.31, where the grid's shells, built
+    before the state is drawn, now meet it; with the state alive through the per-time
+    shell evaluations, n = 512 read 8.90.  Before the section-wise
+    layout they measured 13.93, 12.29 and 8.40 (the HF output stack, the heat flows' two
+    data fields and cached multiplier, and the fit's three-array log path).  Each bound
+    leaves over half an array of headroom and fails that layout."""
     assert _cold_peak(RECORDS[name].run, RunManifest(n=n, experiments=(name,))) <= bound
 
 
@@ -789,14 +793,15 @@ def test_kernel_rates_ring_check_keeps_the_artificial_ring_in_the_box(monkeypatc
 
 
 @pytest.mark.parametrize("n", [128, 256])
-def test_hf_norms_slab_by_slab_equal_the_whole_lattice_ones(n):
-    # at n = 128 the low-pass band reaches the Nyquist lines, so the HF weight is 0 on
-    # some rows of a slab and nonzero on the Nyquist row
+def test_hf_norms_from_shell_moments_equal_the_whole_lattice_ones(n):
+    # at n = 128 the low-pass band reaches the Nyquist lines, so the HF weight is nonzero on
+    # the Nyquist row and column, whose odd wavenumbers are 0
     from vortexlab.kernels import KernelSymbol, default_cutoff, low_pass, phi_symbol_grid
     from vortexlab.spectral import make_grid, sobolev_norm
 
     params, grid = _rates_params(), make_grid(n, 200.0)
-    hf = 1.0 - low_pass(grid, default_cutoff(params))
+    r0 = default_cutoff(params)
+    hf = 1.0 - low_pass(grid, r0)
     X = harness._random_stack(grid, np.random.default_rng(3))
     times = np.linspace(1.0, 10.0, 10)
 
@@ -804,8 +809,31 @@ def test_hf_norms_slab_by_slab_equal_the_whole_lattice_ones(n):
         return KernelSymbol(grid, phi_symbol_grid(0, t, grid, params, "spar").entries * hf)
 
     expected = [sobolev_norm(hf_part(t).apply(X), 0, grid) for t in times]
-    got = harness._hf_norms(grid, params, hf, X, times)
+    moments = harness._shell_moments(grid, X)
+    got = harness._hf_norms(grid, params, harness._hf_shell_weight(grid, r0), moments, times)
     np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_shell_moments_sum_to_the_stack_l2_norm(n):
+    from vortexlab.spectral import make_grid, sobolev_norm
+
+    grid = make_grid(n, 200.0)
+    X = harness._random_stack(grid, np.random.default_rng(5))
+    moments = harness._shell_moments(grid, X)
+    assert moments.shape == (4, len(grid.shells[0]))
+    rr, _, _, mm = moments.sum(axis=1) / grid.L**2
+    assert rr + mm == pytest.approx(sobolev_norm(X, 0, grid) ** 2, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [128, 512])
+def test_hf_shell_weight_gathers_to_the_low_pass_complement(n):
+    from vortexlab.kernels import default_cutoff, low_pass
+    from vortexlab.spectral import make_grid
+
+    grid, r0 = make_grid(n, 200.0), default_cutoff(_rates_params())
+    gathered = harness._hf_shell_weight(grid, r0)[grid.shells[2]]
+    assert np.array_equal(gathered, 1.0 - low_pass(grid, r0))
 
 
 def test_zero_amplitude_residuals_vanish_identically():

@@ -313,25 +313,6 @@ def test_squares_are_the_samples_squared_or_added_to_a_total(rng, n, k):
     assert np.array_equal(total, samples[0] ** 2 + samples[1] ** 2)
 
 
-def test_row_slabs_tile_the_half_lattice_with_the_grid_wavenumbers_and_weights(rng):
-    grid = make_grid(128, 30.0)
-    slabs = list(spectral.row_slabs(grid))
-    assert [s.rows for s in slabs] == [slice(i, i + 32) for i in range(0, 128, 32)]
-    for s in slabs:
-        assert s.spectral_shape == (32, 65)
-        assert np.array_equal(s.hermitian_weight, grid.hermitian_weight)
-        for name in ("eta1", "eta1_odd", "eta_sq", "eta_sq_odd"):
-            assert np.array_equal(getattr(s, name), getattr(grid, name)[s.rows]), name
-        assert np.array_equal(s.eta2_odd, grid.eta2_odd)
-    # the Nyquist row k1 = -64 is on the third slab, zeroed in its odd wavenumbers
-    assert slabs[2].k_index[0] == -64 and slabs[2].eta1_odd[0, 0] == 0.0
-    # the slabs' Parseval sums add up to the grid's
-    X = to_spectral(rng.standard_normal((3, 128, 128)), grid)
-    total = sum(parseval_sum(s, zip(X[:, s.rows], X[:, s.rows])) for s in slabs)
-    assert total == pytest.approx(sobolev_norm(X, 0, grid) ** 2, rel=1e-14, abs=0.0)
-    assert [s.rows for s in spectral.row_slabs(make_grid(8, 1.0))] == [slice(0, 32)]
-
-
 def test_band_of_half_width_0_is_the_zero_mode():
     grid = make_grid(16, 10.0)
     band = Band(grid, 0)
@@ -365,6 +346,35 @@ def test_support_band_is_the_smallest_band_holding_the_weight():
     column = np.zeros((32, 1))
     column[1] = 1.0  # a column broadcasts over the columns, so it reaches k2 = -n/2
     assert support_band(grid, column) is grid
+
+
+def _nonzero_support_band(grid, weight):
+    """The band of the largest |k1|, |k2| among the index arrays of `np.nonzero`."""
+    rows, cols = np.nonzero(np.broadcast_to(weight, grid.spectral_shape))
+    k = max(np.abs(grid.k_index[rows]).max(initial=0), np.abs(grid.k_cols[cols]).max(initial=0))
+    return grid if k >= grid.n // 2 else Band(grid, int(k))
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_support_band_equals_the_nonzero_index_oracle(n):
+    # the per-axis reductions give the band of np.nonzero's index arrays: for the heat
+    # weights of kernel-rates' times (whose tails underflow to 0 at different radii), the
+    # low-pass weight, an all-zero weight and a weight whose one entry off the band is NaN
+    from vortexlab.kernels import default_cutoff, heat_weight, low_pass
+    from vortexlab.profiles import FluidParams
+
+    grid, params = make_grid(n, 200.0), FluidParams()
+    weights = [heat_weight(0, t, grid, params.mu) for t in (1.0, 8.0, 128.0)]
+    weights.append(low_pass(grid, default_cutoff(params)))
+    weights.append(np.zeros(grid.spectral_shape))
+    nan = np.zeros(grid.spectral_shape)
+    nan[0, 0], nan[-5, 2] = 1.0, np.nan  # NaN is nonzero: the band reaches k1 = -5
+    weights.append(nan)
+    for weight in weights:
+        got, expected = support_band(grid, weight), _nonzero_support_band(grid, weight)
+        assert got is grid if expected is grid else got.k_cols.tolist() == expected.k_cols.tolist()
+    assert support_band(grid, nan).spectral_shape == (11, 6)
+    assert support_band(grid, weights[-2]).spectral_shape == (1, 1)
 
 
 def test_band_spectra_have_exactly_hermitian_column_0(rng):
